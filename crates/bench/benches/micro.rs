@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use skinnerdb::skinner_core::skinner_c::join::{continue_join, MultiwayCtx, OrderInfo};
+use skinnerdb::skinner_core::skinner_c::join::{continue_join, OrderInfo};
+use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
 use skinnerdb::skinner_core::skinner_c::state::{JoinState, ProgressTracker};
 use skinnerdb::skinner_core::{run_skinner_c, PyramidScheme, SkinnerCConfig};
@@ -52,17 +53,8 @@ fn bench_db(rows: i64) -> (Database, String) {
 fn multiway_join_throughput(c: &mut Criterion) {
     let (db, sql) = bench_db(2_000);
     let q = db.bind(&sql).unwrap();
-    let mut indexes = std::collections::HashMap::new();
-    for (t, table) in q.tables.iter().enumerate() {
-        for col in q.equi_join_columns(t) {
-            indexes.insert((t, col), HashIndex::build(table.column(col)));
-        }
-    }
-    let ctx = MultiwayCtx {
-        tables: q.tables.clone(),
-        indexes,
-        interner: q.tables[0].interner().clone(),
-    };
+    // No unary predicates: pre-processing only builds the jump indexes.
+    let ctx = prepare(&q, &WorkBudget::unlimited(), 1, true).unwrap().ctx;
     let info = OrderInfo::build(&q, &ctx, &[0, 1, 2], true);
     c.bench_function("multiway_join_full_pass", |bench| {
         bench.iter_batched(
@@ -114,11 +106,12 @@ fn join_order_switch_cost(c: &mut Criterion) {
     c.bench_function("progress_tracker_switch", |bench| {
         let mut tracker = ProgressTracker::new(m, true);
         let offsets = vec![0u32; m];
+        let mut state = JoinState::fresh(&offsets);
         let mut k = 0usize;
         bench.iter(|| {
             let order = &orders[k % orders.len()];
             k += 1;
-            let mut state = tracker.restore(order, &offsets);
+            tracker.restore_into(order, &offsets, &mut state);
             state.s[order[0]] = (k as u32) % 1000;
             state.depth = k % m;
             tracker.backup(order, &state);

@@ -58,7 +58,7 @@ use rand::SeedableRng;
 
 use skinner_exec::{
     merge_worker_metrics, partition_tuples, CancelToken, ExecContext, ExecMetrics, ExecOutcome,
-    ExecutionStrategy, QueryResult, Span, SpanTimer, TupleIxs, TupleRange, WorkBudget, WorkerPool,
+    ExecutionStrategy, QueryResult, Span, SpanTimer, TupleRange, WorkBudget, WorkerPool,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
@@ -133,7 +133,7 @@ struct EpisodeTask {
 }
 
 struct WorkerReport {
-    tuples: Vec<TupleIxs>,
+    results: ResultSet,
     used: u64,
     /// Ran out of its reserved cap before finishing the chunk.
     capped: bool,
@@ -200,7 +200,7 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
     }
     .with_counter("chunks", 1);
     WorkerReport {
-        tuples: results.into_tuples(),
+        results,
         used,
         capped,
         cancelled,
@@ -388,8 +388,8 @@ pub fn run_parallel_skinner(
                 let _ = budget.charge(report.used);
                 any_capped |= report.capped;
                 any_cancelled |= report.cancelled;
-                for tuple in report.tuples {
-                    global_results.insert(&tuple);
+                for tuple in report.results.iter() {
+                    global_results.insert(tuple);
                 }
                 worker_metrics.push(report.metrics);
             }

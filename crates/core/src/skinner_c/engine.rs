@@ -20,7 +20,7 @@ use super::join::{continue_join, MultiwayCtx, OrderInfo, SliceOutcome};
 use super::preproc::prepare;
 use super::result_set::ResultSet;
 use super::reward::slice_reward;
-use super::state::ProgressTracker;
+use super::state::{JoinState, OrderKey, ProgressTracker};
 
 /// Evaluate `query` with Skinner-C. The outcome's [`ExecMetrics`] carry the
 /// instrumentation feeding the paper's convergence and memory experiments
@@ -85,8 +85,13 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     let mut tracker = ProgressTracker::new(m, cfg.share_progress);
     let mut results = ResultSet::new();
     let mut offsets: Vec<RowId> = vec![0; m];
-    let mut order_infos: HashMap<Box<[u8]>, OrderInfo> = HashMap::new();
-    let mut order_counts: HashMap<Box<[u8]>, u64> = HashMap::new();
+    // Per distinct order: its evaluation plan and slice count, found with
+    // one allocation-free lookup per slice.
+    let mut order_ids: HashMap<Box<[u8]>, usize> = HashMap::new();
+    let mut orders: Vec<(OrderInfo, u64)> = Vec::new();
+    // Scratch states reused by every slice.
+    let mut state = JoinState::fresh(&offsets);
+    let mut before = JoinState::fresh(&offsets);
     let mut tree_growth: Vec<(u64, usize)> = Vec::new();
     let mut slices = 0u64;
     let mut timed_out = false;
@@ -95,7 +100,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     // starts should lock in measurably earlier (the `repeat_workload`
     // benchmark reads this).
     let mut last_order_switch = 0u64;
-    let mut prev_order_key: Option<Box<[u8]>> = None;
+    let mut prev_order: Option<usize> = None;
     // Regret proxy: how many times the chosen order changed between
     // consecutive slices (0 = the engine converged instantly).
     let mut order_switches = 0u64;
@@ -127,9 +132,18 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
             } else {
                 random_order(&graph, &mut rng)
             };
-            let key: Box<[u8]> = order.iter().map(|&t| t as u8).collect();
-            if prev_order_key.as_deref() != Some(&key[..]) {
-                if prev_order_key.is_some() {
+            let key = OrderKey::new(&order);
+            let id = match order_ids.get(key.as_bytes()) {
+                Some(&id) => id,
+                None => {
+                    let info = OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes);
+                    orders.push((info, 0));
+                    order_ids.insert(key.as_bytes().into(), orders.len() - 1);
+                    orders.len() - 1
+                }
+            };
+            if prev_order != Some(id) {
+                if prev_order.is_some() {
                     order_switches += 1;
                 }
                 if let Some(t) = trace {
@@ -147,13 +161,11 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
                     run_label = format!("order={order:?}");
                 }
                 last_order_switch = slices + 1;
-                prev_order_key = Some(key.clone());
+                prev_order = Some(id);
             }
-            let info = order_infos
-                .entry(key.clone())
-                .or_insert_with(|| OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes));
-            let mut state = tracker.restore(&order, &offsets);
-            let before = state.clone();
+            let (info, order_slices) = &mut orders[id];
+            tracker.restore_into(&order, &offsets, &mut state);
+            before.copy_from(&state);
             let outcome = match continue_join(
                 mctx,
                 info,
@@ -184,7 +196,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
             }
             slices += 1;
             run_slices += 1;
-            *order_counts.entry(key).or_insert(0) += 1;
+            *order_slices += 1;
             if slices.is_power_of_two() || slices.is_multiple_of(256) {
                 tree_growth.push((slices, uct.num_nodes()));
             }
@@ -224,9 +236,11 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     };
     post_timer.finish(result_tuples);
 
-    let mut order_slice_counts: Vec<(Vec<usize>, u64)> = order_counts
+    // An order whose only slice timed out was never counted.
+    let mut order_slice_counts: Vec<(Vec<usize>, u64)> = orders
         .into_iter()
-        .map(|(k, v)| (k.iter().map(|&b| b as usize).collect(), v))
+        .filter(|(_, n)| *n > 0)
+        .map(|(info, n)| (info.order, n))
         .collect();
     order_slice_counts.sort_by_key(|e| std::cmp::Reverse(e.1));
 

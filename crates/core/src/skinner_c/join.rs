@@ -10,8 +10,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use skinner_exec::{Timeout, WorkBudget};
-use skinner_query::expr::{CmpOp, ColRef, EvalCtx, Expr};
+use skinner_exec::{LocalWork, Timeout, WorkBudget};
+use skinner_query::expr::{CmpOp, EvalCtx, Expr};
 use skinner_query::JoinQuery;
 use skinner_storage::{HashIndex, RowId, Table};
 
@@ -21,29 +21,83 @@ use super::state::JoinState;
 /// Immutable join context shared by all time slices of one query.
 pub struct MultiwayCtx {
     pub tables: Vec<Arc<Table>>,
-    /// Hash indexes on equality-join columns: `(table, column)` → index.
-    pub indexes: HashMap<(usize, usize), HashIndex>,
+    /// Hash indexes on equality-join columns, keyed by `(table, column)`.
+    /// Only [`OrderInfo::build`] searches this list; the join loop probes
+    /// through the references each order resolved from it.
+    indexes: Vec<((usize, usize), Arc<HashIndex>)>,
     pub interner: Arc<skinner_storage::Interner>,
 }
 
-/// Per-join-order evaluation plan, built once per distinct order.
+impl MultiwayCtx {
+    /// Context over (filtered) `tables` with the given jump indexes.
+    pub fn new(tables: Vec<Arc<Table>>, indexes: Vec<((usize, usize), HashIndex)>) -> Self {
+        let interner = tables[0].interner().clone();
+        MultiwayCtx {
+            tables,
+            indexes: indexes
+                .into_iter()
+                .map(|(key, idx)| (key, Arc::new(idx)))
+                .collect(),
+            interner,
+        }
+    }
+
+    /// The jump index on `table.col`, if pre-processing built one.
+    pub fn index(&self, table: usize, col: usize) -> Option<&Arc<HashIndex>> {
+        self.indexes
+            .iter()
+            .find(|(key, _)| *key == (table, col))
+            .map(|(_, idx)| idx)
+    }
+
+    /// Bytes held by the jump indexes (memory accounting).
+    pub fn index_bytes(&self) -> usize {
+        self.indexes.iter().map(|(_, idx)| idx.byte_size()).sum()
+    }
+}
+
+/// One indexable equality predicate at a join position, resolved: the
+/// index on this position's column and where the probe key comes from.
+#[derive(Debug)]
+struct Jump {
+    index: Arc<HashIndex>,
+    /// The earlier table on the predicate's other side, and its column.
+    key_table: Arc<Table>,
+    key_table_pos: usize,
+    key_col: usize,
+}
+
+/// Everything the join loop needs at one join position.
+#[derive(Debug)]
+struct Level {
+    table: usize,
+    cardinality: RowId,
+    jumps: Vec<Jump>,
+    /// Remaining predicates to evaluate (generic predicates and, with
+    /// jumps disabled, equality predicates as expressions).
+    checks: Vec<Expr>,
+}
+
+/// Per-join-order evaluation plan, built once per distinct order: every
+/// `(table, column)` lookup the loop would need is done here.
 #[derive(Debug)]
 pub struct OrderInfo {
     pub order: Vec<usize>,
-    /// Per position: indexable equality predicates `(column on this table,
-    /// column of an earlier table)`.
-    jumps: Vec<Vec<(usize, ColRef)>>,
-    /// Per position: remaining predicates to evaluate (generic predicates
-    /// and, with jumps disabled, equality predicates as expressions).
-    checks: Vec<Vec<Expr>>,
+    levels: Vec<Level>,
 }
 
 impl OrderInfo {
     /// Analyze `order`, splitting predicates into index jumps and checks.
     pub fn build(query: &JoinQuery, ctx: &MultiwayCtx, order: &[usize], use_jumps: bool) -> Self {
-        let m = order.len();
-        let mut jumps: Vec<Vec<(usize, ColRef)>> = vec![Vec::new(); m];
-        let mut checks: Vec<Vec<Expr>> = vec![Vec::new(); m];
+        let mut levels: Vec<Level> = order
+            .iter()
+            .map(|&t| Level {
+                table: t,
+                cardinality: ctx.tables[t].cardinality(),
+                jumps: Vec::new(),
+                checks: Vec::new(),
+            })
+            .collect();
         let pos_of: HashMap<usize, usize> =
             order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         for p in &query.equi_preds {
@@ -57,15 +111,21 @@ impl OrderInfo {
             } else {
                 (pr, p.right, p.left)
             };
-            if use_jumps && ctx.indexes.contains_key(&(mine.table, mine.col)) {
-                jumps[pos].push((mine.col, other));
-            } else {
-                let dt = query.col_type(mine);
-                checks[pos].push(Expr::Cmp {
-                    op: CmpOp::Eq,
-                    left: Box::new(Expr::Col(mine, dt)),
-                    right: Box::new(Expr::Col(other, dt)),
-                });
+            match ctx.index(mine.table, mine.col).filter(|_| use_jumps) {
+                Some(index) => levels[pos].jumps.push(Jump {
+                    index: index.clone(),
+                    key_table: ctx.tables[other.table].clone(),
+                    key_table_pos: other.table,
+                    key_col: other.col,
+                }),
+                None => {
+                    let dt = query.col_type(mine);
+                    levels[pos].checks.push(Expr::Cmp {
+                        op: CmpOp::Eq,
+                        left: Box::new(Expr::Col(mine, dt)),
+                        right: Box::new(Expr::Col(other, dt)),
+                    });
+                }
             }
         }
         for p in &query.generic_preds {
@@ -79,12 +139,11 @@ impl OrderInfo {
             else {
                 continue;
             };
-            checks[pos].push(p.expr.clone());
+            levels[pos].checks.push(p.expr.clone());
         }
         OrderInfo {
             order: order.to_vec(),
-            jumps,
-            checks,
+            levels,
         }
     }
 }
@@ -101,8 +160,10 @@ pub enum SliceOutcome {
 /// `ContinueJoin` (Algorithm 2): run the multi-way join for `order` starting
 /// from `state`, for at most `max_steps` outer-loop iterations, inserting
 /// result tuples into `results`. Offsets exclude globally fully-joined rows
-/// at every level. Work units are charged per step, index probe and
-/// predicate evaluation.
+/// at every level. One work unit is counted per step, index probe,
+/// predicate evaluation and new result tuple — locally, against the
+/// budget's remaining units, and settled to `budget` once when the slice
+/// ends (by step count, completion or `Err(Timeout)`).
 pub fn continue_join(
     ctx: &MultiwayCtx,
     info: &OrderInfo,
@@ -141,18 +202,21 @@ pub fn continue_join_ranged(
     results: &mut ResultSet,
     level0_end: RowId,
 ) -> Result<SliceOutcome, Timeout> {
-    let m = info.order.len();
+    let levels = &info.levels[..];
+    let last = levels.len() - 1;
+    let mut work = budget.local();
     let mut steps = 0u64;
     loop {
         if steps >= max_steps {
             return Ok(SliceOutcome::Budget);
         }
         steps += 1;
-        budget.charge(1)?;
+        work.charge(1)?;
         let depth = state.depth;
-        let ti = info.order[depth];
+        let level = &levels[depth];
+        let ti = level.table;
         let bound = if depth == 0 { level0_end } else { RowId::MAX };
-        match next_candidate(ctx, info, state, depth, offsets, budget, bound)? {
+        match next_candidate(level, state, offsets, &mut work, bound)? {
             None => {
                 // Level exhausted: reset and backtrack.
                 state.s[ti] = offsets[ti];
@@ -160,29 +224,27 @@ pub fn continue_join_ranged(
                     return Ok(SliceOutcome::Finished);
                 }
                 state.depth -= 1;
-                let tprev = info.order[state.depth];
-                state.s[tprev] += 1;
+                state.s[levels[state.depth].table] += 1;
             }
             Some(row) => {
                 state.s[ti] = row;
-                let checks = &info.checks[depth];
-                let ok = if checks.is_empty() {
+                let ok = if level.checks.is_empty() {
                     true
                 } else {
-                    budget.charge(checks.len() as u64)?;
+                    work.charge(level.checks.len() as u64)?;
                     let ectx = EvalCtx::new(&ctx.tables, &state.s, &ctx.interner);
-                    checks.iter().all(|c| c.eval_bool(&ectx))
+                    level.checks.iter().all(|c| c.eval_bool(&ectx))
                 };
                 if !ok {
                     state.s[ti] = row + 1;
-                } else if depth == m - 1 {
+                } else if depth == last {
                     if results.insert(&state.s) {
-                        budget.produce_tuples(1)?;
+                        work.produce_tuple()?;
                     }
                     state.s[ti] = row + 1;
                 } else {
                     state.depth += 1;
-                    let tnext = info.order[state.depth];
+                    let tnext = levels[state.depth].table;
                     state.s[tnext] = offsets[tnext];
                 }
             }
@@ -191,36 +253,34 @@ pub fn continue_join_ranged(
 }
 
 /// Find the next candidate row `>= max(s[ti], offset)` satisfying all
-/// indexable equality predicates at `depth`, leapfrogging across their
+/// indexable equality predicates of `level`, leapfrogging across their
 /// posting lists. `None` when the level is exhausted (cardinality or the
 /// caller's `bound`, whichever is lower).
-#[allow(clippy::too_many_arguments)]
+#[inline]
 fn next_candidate(
-    ctx: &MultiwayCtx,
-    info: &OrderInfo,
+    level: &Level,
     state: &JoinState,
-    depth: usize,
     offsets: &[RowId],
-    budget: &WorkBudget,
+    work: &mut LocalWork<'_>,
     bound: RowId,
 ) -> Result<Option<RowId>, Timeout> {
-    let ti = info.order[depth];
-    let n = ctx.tables[ti].cardinality().min(bound);
+    let ti = level.table;
+    let n = level.cardinality.min(bound);
     let mut cur = state.s[ti].max(offsets[ti]);
-    let jumps = &info.jumps[depth];
-    if jumps.is_empty() {
+    if level.jumps.is_empty() {
         return Ok((cur < n).then_some(cur));
     }
     'outer: loop {
         if cur >= n {
             return Ok(None);
         }
-        for &(col, other) in jumps {
-            budget.charge(1)?;
-            let key = ctx.tables[other.table]
-                .column(other.col)
-                .key_at(state.s[other.table]);
-            match ctx.indexes[&(ti, col)].next_match(key, cur) {
+        for jump in &level.jumps {
+            work.charge(1)?;
+            let key = jump
+                .key_table
+                .column(jump.key_col)
+                .key_at(state.s[jump.key_table_pos]);
+            match jump.index.next_match(key, cur) {
                 None => return Ok(None),
                 Some(m) if m > cur => {
                     cur = m;
@@ -268,17 +328,13 @@ mod tests {
     }
 
     fn ctx_for(q: &JoinQuery) -> MultiwayCtx {
-        let mut indexes = HashMap::new();
+        let mut indexes = Vec::new();
         for (t, table) in q.tables.iter().enumerate() {
             for col in q.equi_join_columns(t) {
-                indexes.insert((t, col), HashIndex::build(table.column(col)));
+                indexes.push(((t, col), HashIndex::build(table.column(col))));
             }
         }
-        MultiwayCtx {
-            tables: q.tables.clone(),
-            indexes,
-            interner: q.tables[0].interner().clone(),
-        }
+        MultiwayCtx::new(q.tables.clone(), indexes)
     }
 
     fn run_to_completion(q: &JoinQuery, order: &[usize], use_jumps: bool) -> (ResultSet, u64) {

@@ -6,7 +6,6 @@
 //! supporting all join orders "typically small". Index construction is the
 //! parallelizable part of SkinnerDB (Section 6.1).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use skinner_exec::{preprocess, Timeout, WorkBudget};
@@ -34,8 +33,7 @@ pub fn prepare(
     build_indexes: bool,
 ) -> Result<PreparedC, Timeout> {
     let pre = preprocess(query, budget, threads)?;
-    let mut indexes = HashMap::new();
-    let mut index_bytes = 0;
+    let mut built: Vec<BuiltIndex> = Vec::new();
     if build_indexes {
         // Collect the (table, column) pairs needing indexes.
         let mut targets: Vec<(usize, usize)> = Vec::new();
@@ -44,7 +42,7 @@ pub fn prepare(
                 targets.push((t, col));
             }
         }
-        let built: Vec<((usize, usize), HashIndex)> = if threads > 1 && targets.len() > 1 {
+        built = if threads > 1 && targets.len() > 1 {
             build_parallel(&pre.tables, &targets, budget, threads)?
         } else {
             let mut v = Vec::with_capacity(targets.len());
@@ -54,20 +52,12 @@ pub fn prepare(
             }
             v
         };
-        for (key, idx) in built {
-            index_bytes += idx.byte_size();
-            indexes.insert(key, idx);
-        }
     }
-    let interner = pre.tables[0].interner().clone();
+    let ctx = MultiwayCtx::new(pre.tables, built);
     Ok(PreparedC {
-        ctx: MultiwayCtx {
-            tables: pre.tables,
-            indexes,
-            interner,
-        },
+        index_bytes: ctx.index_bytes(),
+        ctx,
         base_rows: pre.base_rows,
-        index_bytes,
         pages_read: pre.pages_read,
         pages_skipped: pre.pages_skipped,
     })
@@ -142,10 +132,10 @@ mod tests {
         let p = prepare(&q, &budget, 1, true).unwrap();
         // Filtered a: ids 0,5,10,… (10 rows).
         assert_eq!(p.ctx.tables[0].num_rows(), 10);
-        let idx = &p.ctx.indexes[&(0, 0)];
+        let idx = p.ctx.index(0, 0).unwrap();
         // Index covers filtered rows only.
         assert_eq!(idx.num_keys(), 10);
-        assert!(p.ctx.indexes.contains_key(&(1, 0)));
+        assert!(p.ctx.index(1, 0).is_some());
         assert!(p.index_bytes > 0);
     }
 
@@ -155,7 +145,7 @@ mod tests {
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
         let budget = WorkBudget::unlimited();
         let p = prepare(&q, &budget, 1, false).unwrap();
-        assert!(p.ctx.indexes.is_empty());
+        assert!(p.ctx.index(0, 0).is_none() && p.ctx.index(1, 0).is_none());
         assert_eq!(p.index_bytes, 0);
     }
 
@@ -167,12 +157,12 @@ mod tests {
         let b4 = WorkBudget::unlimited();
         let serial = prepare(&q, &b1, 1, true).unwrap();
         let parallel = prepare(&q, &b4, 4, true).unwrap();
-        assert_eq!(serial.ctx.indexes.len(), parallel.ctx.indexes.len());
-        for (key, idx) in &serial.ctx.indexes {
+        assert_eq!(serial.index_bytes, parallel.index_bytes);
+        for (t, col) in [(0, 0), (1, 0)] {
             assert_eq!(
-                idx.num_keys(),
-                parallel.ctx.indexes[key].num_keys(),
-                "{key:?}"
+                serial.ctx.index(t, col).unwrap().num_keys(),
+                parallel.ctx.index(t, col).unwrap().num_keys(),
+                "({t}, {col})"
             );
         }
     }

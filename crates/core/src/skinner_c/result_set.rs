@@ -4,8 +4,11 @@
 //! stores result *index vectors* in a set, so duplicates are eliminated
 //! structurally (paper Section 4.5 and Theorem 5.3: vectors are unique per
 //! result tuple, and set semantics keep each one once).
-
-use std::collections::HashSet;
+//!
+//! All tuples of one query have the same arity, so they live back to back
+//! in one arena and the set is an open-addressing table of tuple numbers:
+//! an insert hashes the candidate once, compares against the arena, and
+//! appends — no per-tuple allocation.
 
 use skinner_exec::TupleIxs;
 use skinner_storage::RowId;
@@ -13,7 +16,24 @@ use skinner_storage::RowId;
 /// Set of result tuples, each a row-id vector in table-position order.
 #[derive(Debug, Default)]
 pub struct ResultSet {
-    set: HashSet<TupleIxs>,
+    /// Row ids of every tuple, `arity` per tuple, in insertion order.
+    arena: Vec<RowId>,
+    /// Row ids per tuple; fixed by the first insert.
+    arity: usize,
+    len: usize,
+    /// Tuple number + 1 per slot, 0 = empty. Power-of-two sized (or empty
+    /// before the first insert) and at most half full.
+    slots: Vec<u32>,
+}
+
+const MIN_SLOTS: usize = 16;
+
+#[inline]
+fn hash(s: &[RowId]) -> u64 {
+    // Fx-style: row-id vectors are engine-generated, not adversarial.
+    s.iter().fold(0u64, |h, &x| {
+        (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 impl ResultSet {
@@ -21,35 +41,92 @@ impl ResultSet {
         Self::default()
     }
 
+    #[inline]
+    fn tuple(&self, number: usize) -> &[RowId] {
+        &self.arena[number * self.arity..(number + 1) * self.arity]
+    }
+
+    /// Home slot of a hash: its top bits.
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.slots = vec![0; n];
+        let mask = n - 1;
+        for number in 0..self.len {
+            let mut i = self.home(hash(self.tuple(number)));
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = number as u32 + 1;
+        }
+    }
+
     /// Insert the tuple `s`; returns true if it was new.
     #[inline]
     pub fn insert(&mut self, s: &[RowId]) -> bool {
-        // One probe before cloning keeps re-derived duplicates cheap.
-        if self.set.contains(s) {
-            return false;
+        if self.len == 0 {
+            self.arity = s.len();
         }
-        self.set.insert(s.to_vec().into_boxed_slice())
+        debug_assert_eq!(s.len(), self.arity, "tuples of one query share an arity");
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash(s));
+        loop {
+            match self.slots[i] {
+                0 => break,
+                e if self.tuple(e as usize - 1) == s => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+        assert!(self.len < u32::MAX as usize, "result set full");
+        self.len += 1;
+        self.slots[i] = self.len as u32;
+        self.arena.extend_from_slice(s);
+        true
     }
 
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len == 0
     }
 
-    /// Drain into a vector for post-processing.
-    pub fn into_tuples(self) -> Vec<TupleIxs> {
-        self.set.into_iter().collect()
+    /// The tuples in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &[RowId]> {
+        self.arena.chunks_exact(self.arity.max(1))
+    }
+
+    /// Drain into a vector for post-processing, in insertion order.
+    pub fn into_tuples(mut self) -> Vec<TupleIxs> {
+        // The boxed copies are as large as the arena. Give the table back
+        // first, then box from the arena's tail and release what has been
+        // copied, so the two never coexist in full (a large result set is
+        // what sets a statement's peak memory).
+        self.slots = Vec::new();
+        const ROW_IDS_PER_STEP: usize = 1 << 16;
+        let arity = self.arity.max(1);
+        let mut out: Vec<TupleIxs> = Vec::with_capacity(self.len);
+        while !self.arena.is_empty() {
+            let keep = self.arena.len().saturating_sub(ROW_IDS_PER_STEP) / arity * arity;
+            out.extend(self.arena[keep..].chunks_exact(arity).rev().map(Box::from));
+            self.arena.truncate(keep);
+            self.arena.shrink_to_fit();
+        }
+        out.reverse();
+        out
     }
 
     /// Approximate heap size in bytes (Figure 8c).
     pub fn byte_size(&self) -> usize {
-        self.set
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<RowId>() + 16)
-            .sum()
+        self.arena.len() * std::mem::size_of::<RowId>() + self.slots.len() * 4
     }
 }
 
@@ -67,6 +144,22 @@ mod tests {
     }
 
     #[test]
+    fn into_tuples_keeps_insertion_order_across_release_steps() {
+        // More row ids than one release step holds, arity not dividing it.
+        let mut r = ResultSet::new();
+        let n = 50_000u32;
+        for i in 0..n {
+            r.insert(&[i, i + 1, i ^ 5]);
+        }
+        let tuples = r.into_tuples();
+        assert_eq!(tuples.len(), n as usize);
+        for (i, t) in tuples.iter().enumerate() {
+            let i = i as u32;
+            assert_eq!(&t[..], &[i, i + 1, i ^ 5]);
+        }
+    }
+
+    #[test]
     fn into_tuples_returns_all() {
         let mut r = ResultSet::new();
         r.insert(&[0]);
@@ -74,6 +167,35 @@ mod tests {
         let mut v: Vec<Vec<RowId>> = r.into_tuples().iter().map(|t| t.to_vec()).collect();
         v.sort();
         assert_eq!(v, vec![vec![0], vec![5]]);
+    }
+
+    #[test]
+    fn empty_set_drains_to_nothing() {
+        let r = ResultSet::new();
+        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
+        assert_eq!(r.iter().count(), 0);
+        assert!(r.into_tuples().is_empty());
+    }
+
+    #[test]
+    fn growth_keeps_every_tuple_and_still_deduplicates() {
+        let mut r = ResultSet::new();
+        for a in 0..200u32 {
+            for b in 0..10u32 {
+                assert!(r.insert(&[a, b, a ^ b]));
+            }
+        }
+        assert_eq!(r.len(), 2000);
+        for a in 0..200u32 {
+            for b in 0..10u32 {
+                assert!(!r.insert(&[a, b, a ^ b]), "({a}, {b}) was lost");
+            }
+        }
+        assert_eq!(r.len(), 2000);
+        // Insertion order is preserved.
+        assert_eq!(r.iter().next(), Some(&[0, 0, 0][..]));
+        assert_eq!(r.iter().nth(11), Some(&[1, 1, 0][..]));
     }
 
     #[test]

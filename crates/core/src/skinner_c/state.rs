@@ -18,9 +18,35 @@
 //! merge position and offsets below" — the same set of result tuples is
 //! skipped, and re-derived duplicates are eliminated by the result set.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use skinner_storage::RowId;
+
+/// A join order as a byte string — the key of per-order maps — built on the
+/// stack: the slice loop looks orders up every slice and must not allocate
+/// to do so. Table positions fit a byte (`TableSet` caps a query at 64).
+pub struct OrderKey {
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl OrderKey {
+    pub fn new(order: &[usize]) -> Self {
+        let mut bytes = [0u8; 64];
+        for (b, &t) in bytes.iter_mut().zip(order) {
+            *b = t as u8;
+        }
+        OrderKey {
+            bytes,
+            len: order.len(),
+        }
+    }
+
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
 
 /// Depth-first cursor of the multi-way join for one join order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,33 +69,44 @@ impl JoinState {
         }
     }
 
-    /// Comparable progress vector for `order`: cursors by order position,
-    /// with positions beyond `depth` replaced by `offsets` (their stored
-    /// values are stale).
-    fn resume_vector(&self, order: &[usize], offsets: &[RowId]) -> Vec<RowId> {
-        order
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                if i <= self.depth {
-                    self.s[t]
-                } else {
-                    offsets[t]
-                }
-            })
-            .collect()
+    /// Overwrite with `other`, reusing this state's buffer.
+    pub fn copy_from(&mut self, other: &JoinState) {
+        self.s.clear();
+        self.s.extend_from_slice(&other.s);
+        self.depth = other.depth;
+    }
+
+    /// Element `i` of the comparable progress vector for `order`: the
+    /// cursor at order position `i`, with positions beyond `depth` replaced
+    /// by `offsets` (their stored values are stale).
+    #[inline]
+    fn resume_at(&self, i: usize, order: &[usize], offsets: &[RowId]) -> RowId {
+        let t = order[i];
+        if i <= self.depth {
+            self.s[t]
+        } else {
+            offsets[t]
+        }
     }
 }
 
 #[derive(Debug, Default)]
 struct TrieNode {
-    children: HashMap<u8, TrieNode>,
+    /// Children by table position; a node has at most one per table.
+    children: Vec<(u8, TrieNode)>,
     /// Lexicographically best cursor values for this exact prefix sequence
-    /// (one per prefix position).
-    best: Option<Vec<RowId>>,
+    /// (one per prefix position); empty until a backup reaches the node.
+    best: Vec<RowId>,
 }
 
-/// Backup/restore of join states with prefix sharing.
+impl TrieNode {
+    fn child(&self, t: u8) -> Option<&TrieNode> {
+        self.children.iter().find(|(c, _)| *c == t).map(|(_, n)| n)
+    }
+}
+
+/// Backup/restore of join states with prefix sharing. Steady-state backups
+/// and restores (orders and prefixes seen before) allocate nothing.
 #[derive(Debug)]
 pub struct ProgressTracker {
     exact: HashMap<Box<[u8]>, JoinState>,
@@ -92,81 +129,95 @@ impl ProgressTracker {
 
     /// `BackupState`: record the state reached by `order`.
     pub fn backup(&mut self, order: &[usize], state: &JoinState) {
-        let key: Box<[u8]> = order.iter().map(|&t| t as u8).collect();
-        self.exact.insert(key, state.clone());
+        let key = OrderKey::new(order);
+        match self.exact.get_mut(key.as_bytes()) {
+            Some(stored) => stored.copy_from(state),
+            None => {
+                self.exact.insert(key.as_bytes().into(), state.clone());
+            }
+        }
         if !self.sharing {
             return;
         }
         // Update per-prefix bests for every valid prefix (fixed rows plus
         // the in-progress candidate position).
         let mut node = &mut self.root;
-        let mut cursor: Vec<RowId> = Vec::with_capacity(state.depth + 1);
         for (i, &t) in order.iter().enumerate().take(state.depth + 1) {
-            let _ = i;
-            node = {
-                let entry = node.children.entry(t as u8);
-                if matches!(entry, std::collections::hash_map::Entry::Vacant(_)) {
+            let at = match node.children.iter().position(|(c, _)| *c == t as u8) {
+                Some(at) => at,
+                None => {
                     self.trie_nodes += 1;
+                    node.children.push((t as u8, TrieNode::default()));
+                    node.children.len() - 1
                 }
-                entry.or_default()
             };
-            cursor.push(state.s[t]);
-            let replace = match &node.best {
-                None => true,
-                Some(b) => cursor.as_slice() > b.as_slice(),
-            };
-            if replace {
-                node.best = Some(cursor.clone());
+            node = &mut node.children[at].1;
+            let cursor = order[..=i].iter().map(|&t| state.s[t]);
+            if node.best.is_empty() || cursor.clone().gt(node.best.iter().copied()) {
+                node.best.clear();
+                node.best.extend(cursor);
             }
         }
     }
 
-    /// `RestoreState`: the most advanced sound state for `order`, taking
-    /// into account its own exact state, prefix donations from other orders,
-    /// and the global offsets.
+    /// [`Self::restore_into`] a newly allocated state.
     pub fn restore(&self, order: &[usize], offsets: &[RowId]) -> JoinState {
-        let mut best = JoinState::fresh(offsets);
-        let mut best_vec = best.resume_vector(order, offsets);
+        let mut out = JoinState::fresh(offsets);
+        self.restore_into(order, offsets, &mut out);
+        out
+    }
 
-        let mut consider = |cand: JoinState, vec: Vec<RowId>| {
-            if vec > best_vec {
-                best = cand;
-                best_vec = vec;
+    /// `RestoreState`: write into `out` the most advanced sound state for
+    /// `order`, taking into account its own exact state, prefix donations
+    /// from other orders, and the global offsets.
+    pub fn restore_into(&self, order: &[usize], offsets: &[RowId], out: &mut JoinState) {
+        // Start from the fresh state; a candidate replaces `out` only if
+        // its progress vector is strictly greater.
+        out.s.clear();
+        out.s.extend_from_slice(offsets);
+        out.depth = 0;
+        let m = order.len();
+
+        if let Some(exact) = self.exact.get(OrderKey::new(order).as_bytes()) {
+            let ahead = (0..m)
+                .map(|i| exact.resume_at(i, order, offsets))
+                .gt((0..m).map(|i| offsets[order[i]]));
+            if ahead {
+                out.copy_from(exact);
             }
-        };
-
-        let key: Box<[u8]> = order.iter().map(|&t| t as u8).collect();
-        if let Some(exact) = self.exact.get(&key) {
-            let vec = exact.resume_vector(order, offsets);
-            consider(exact.clone(), vec);
         }
 
         if self.sharing {
             let mut node = &self.root;
-            for (k, &t) in order.iter().enumerate() {
-                match node.children.get(&(t as u8)) {
-                    None => break,
-                    Some(child) => {
-                        node = child;
-                        if let Some(b) = &node.best {
-                            // Fast-forward: fixed rows at positions < k, the
-                            // donor's position-k value as candidate (clamped
-                            // up to the current offset), offsets below.
-                            let mut s = offsets.to_vec();
-                            for (i, &ti) in order.iter().enumerate().take(k + 1) {
-                                s[ti] = b[i];
-                            }
-                            let tk = order[k];
-                            s[tk] = s[tk].max(offsets[tk]);
-                            let cand = JoinState { s, depth: k };
-                            let vec = cand.resume_vector(order, offsets);
-                            consider(cand, vec);
-                        }
+            for (k, &tk) in order.iter().enumerate() {
+                let Some(child) = node.child(tk as u8) else {
+                    break;
+                };
+                node = child;
+                if node.best.is_empty() {
+                    continue;
+                }
+                // Fast-forward: fixed rows at positions < k, the donor's
+                // position-k value as candidate (clamped up to the current
+                // offset), offsets below.
+                let b = &node.best;
+                let donated = |i: usize| match i.cmp(&k) {
+                    Ordering::Less => b[i],
+                    Ordering::Equal => b[k].max(offsets[tk]),
+                    Ordering::Greater => offsets[order[i]],
+                };
+                let ahead = (0..m)
+                    .map(donated)
+                    .gt((0..m).map(|i| out.resume_at(i, order, offsets)));
+                if ahead {
+                    out.s.copy_from_slice(offsets);
+                    for (i, &ti) in order.iter().enumerate().take(k + 1) {
+                        out.s[ti] = donated(i);
                     }
+                    out.depth = k;
                 }
             }
         }
-        best
     }
 
     /// Number of trie nodes (Figure 8b's progress-tracker size).
@@ -198,10 +249,20 @@ mod tests {
         ProgressTracker::new(m, true)
     }
 
+    fn restore(t: &ProgressTracker, order: &[usize], offsets: &[RowId]) -> JoinState {
+        // A dirty, wrongly sized buffer: restore must overwrite all of it.
+        let mut out = JoinState {
+            s: vec![77; 9],
+            depth: 5,
+        };
+        t.restore_into(order, offsets, &mut out);
+        out
+    }
+
     #[test]
     fn fresh_when_nothing_stored() {
         let t = tracker(3);
-        let st = t.restore(&[0, 1, 2], &[4, 5, 6]);
+        let st = restore(&t, &[0, 1, 2], &[4, 5, 6]);
         assert_eq!(st.s, vec![4, 5, 6]);
         assert_eq!(st.depth, 0);
     }
@@ -214,7 +275,7 @@ mod tests {
             depth: 2,
         };
         t.backup(&[0, 1, 2], &state);
-        let r = t.restore(&[0, 1, 2], &[0, 0, 0]);
+        let r = restore(&t, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(r, state);
     }
 
@@ -229,7 +290,7 @@ mod tests {
         t.backup(&[0, 1, 2, 3], &state_a);
         // Order B = [0,1,3,2] shares prefix [0,1]; it should fast-forward to
         // fixed 0→50, candidate 1→10.
-        let r = t.restore(&[0, 1, 3, 2], &[0, 0, 0, 0]);
+        let r = restore(&t, &[0, 1, 3, 2], &[0, 0, 0, 0]);
         assert_eq!(r.depth, 1);
         assert_eq!(r.s[0], 50);
         assert_eq!(r.s[1], 10);
@@ -250,7 +311,7 @@ mod tests {
             depth: 1,
         };
         t.backup(&[0, 2, 1], &other);
-        let r = t.restore(&[0, 1, 2], &[0, 0, 0]);
+        let r = restore(&t, &[0, 1, 2], &[0, 0, 0]);
         // Own state has s[0]=80 > 70 from the donor → keep own.
         assert_eq!(r, own);
     }
@@ -269,7 +330,7 @@ mod tests {
             depth: 1,
         };
         t.backup(&[0, 2, 1], &donor);
-        let r = t.restore(&[0, 1, 2], &[0, 0, 0]);
+        let r = restore(&t, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(r.depth, 0);
         assert_eq!(r.s[0], 90);
     }
@@ -283,7 +344,7 @@ mod tests {
         };
         t.backup(&[0, 1], &state);
         // Offset for table 0 advanced past the stored candidate.
-        let r = t.restore(&[0, 1], &[7, 0]);
+        let r = restore(&t, &[0, 1], &[7, 0]);
         assert_eq!(r.s[0], 7);
     }
 
@@ -296,7 +357,7 @@ mod tests {
         };
         t.backup(&[0, 1, 2], &donor);
         // A different order gets nothing.
-        let r = t.restore(&[0, 2, 1], &[0, 0, 0]);
+        let r = restore(&t, &[0, 2, 1], &[0, 0, 0]);
         assert_eq!(r, JoinState::fresh(&[0, 0, 0]));
         assert_eq!(t.num_trie_nodes(), 1); // only the root
     }
@@ -310,7 +371,7 @@ mod tests {
             depth: 0,
         };
         t.backup(&[0, 1, 2], &a);
-        let b = t.restore(&[0, 1, 2], &[0, 0, 0]);
+        let b = restore(&t, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(b.depth, 0);
         assert_eq!(b.s[0], 5);
     }

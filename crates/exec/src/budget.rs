@@ -117,7 +117,26 @@ impl WorkBudget {
         self.charge(n)
     }
 
-    /// Units consumed so far.
+    /// Open a [`LocalWork`] counter over this budget for one tight loop.
+    ///
+    /// The caller must be the only one charging the budget while the
+    /// counter lives if it relies on stopping at exactly the unit a
+    /// per-charge check would have stopped at (the join loop's budgets are
+    /// task-local, so it is). Concurrent counters over one budget still
+    /// account every unit; they only notice each other's spending when
+    /// they settle.
+    #[inline]
+    pub fn local(&self) -> LocalWork<'_> {
+        LocalWork {
+            budget: self,
+            allowed: self.remaining(),
+            spent: 0,
+            tuples: 0,
+        }
+    }
+
+    /// Units consumed so far. Exact whenever no [`LocalWork`] is open —
+    /// at slice boundaries and after a timeout.
     pub fn used(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
     }
@@ -140,6 +159,52 @@ impl WorkBudget {
     /// The configured limit.
     pub fn limit(&self) -> u64 {
         self.limit
+    }
+}
+
+/// Loop-local work accounting: charges land in plain integers and are
+/// checked against the budget's remaining units captured when the counter
+/// was opened; the total is settled to the shared atomics exactly once,
+/// when the counter drops — on normal exit, on `?` and on `Err(Timeout)`
+/// alike. A loop charging through it times out on the same unit, and
+/// leaves the same `used()` and `tuples_produced()` behind, as one calling
+/// [`WorkBudget::charge`] per unit; it just does not pay an atomic
+/// read-modify-write per elementary step.
+#[derive(Debug)]
+pub struct LocalWork<'a> {
+    budget: &'a WorkBudget,
+    /// `budget.remaining()` at open time.
+    allowed: u64,
+    spent: u64,
+    tuples: u64,
+}
+
+impl LocalWork<'_> {
+    /// Charge `n` units. `Err(Timeout)` once the budget's limit is crossed
+    /// (the charge is still recorded).
+    #[inline]
+    pub fn charge(&mut self, n: u64) -> Result<(), Timeout> {
+        self.spent = self.spent.saturating_add(n);
+        if self.spent > self.allowed {
+            Err(Timeout)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Record one intermediate tuple produced (also charges one unit).
+    #[inline]
+    pub fn produce_tuple(&mut self) -> Result<(), Timeout> {
+        self.tuples += 1;
+        self.charge(1)
+    }
+}
+
+impl Drop for LocalWork<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.budget.tuples.fetch_add(self.tuples, Ordering::Relaxed);
+        self.budget.used.fetch_add(self.spent, Ordering::Relaxed);
     }
 }
 
@@ -236,6 +301,61 @@ mod tests {
         let p3 = b.acquire(1).expect("slot freed by drop");
         assert_eq!(p3.units(), 1);
         assert_eq!(b.used(), 2);
+    }
+
+    #[test]
+    fn local_counter_stops_and_settles_like_per_unit_charging() {
+        // `(units, is a produced tuple)` as the join loop charges them,
+        // including a batch that crosses the limit with overage.
+        let ops = [
+            (1u64, false),
+            (1, false),
+            (3, false),
+            (1, true),
+            (1, false),
+            (1, true),
+        ];
+        for limit in 0..10 {
+            for already in [0u64, 2] {
+                let per_unit = WorkBudget::with_limit(limit);
+                let local = WorkBudget::with_limit(limit);
+                let _ = per_unit.charge(already);
+                let _ = local.charge(already);
+                let a = ops.iter().try_for_each(|&(n, tuple)| {
+                    if tuple {
+                        per_unit.produce_tuples(n)
+                    } else {
+                        per_unit.charge(n)
+                    }
+                });
+                let b = {
+                    let mut w = local.local();
+                    ops.iter().try_for_each(|&(n, tuple)| {
+                        if tuple {
+                            w.produce_tuple()
+                        } else {
+                            w.charge(n)
+                        }
+                    })
+                };
+                assert_eq!(a, b, "limit {limit}, pre-charged {already}");
+                assert_eq!(per_unit.used(), local.used(), "limit {limit}");
+                assert_eq!(per_unit.tuples_produced(), local.tuples_produced());
+            }
+        }
+    }
+
+    #[test]
+    fn local_counter_settles_once_on_drop() {
+        let b = WorkBudget::with_limit(100);
+        {
+            let mut w = b.local();
+            w.charge(7).unwrap();
+            w.produce_tuple().unwrap();
+            assert_eq!(b.used(), 0, "nothing is shared until the counter drops");
+        }
+        assert_eq!(b.used(), 8);
+        assert_eq!(b.tuples_produced(), 1);
     }
 
     #[test]

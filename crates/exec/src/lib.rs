@@ -56,7 +56,7 @@ pub mod strategy;
 pub mod traditional;
 pub mod zonescan;
 
-pub use budget::{Timeout, WorkBudget, WorkPermit};
+pub use budget::{LocalWork, Timeout, WorkBudget, WorkPermit};
 pub use context::{default_threads, CancelToken, ExecContext};
 pub use engine::{execute_join, join_step, ExecProfile, JoinOutput};
 pub use outcome::{ExecMetrics, ExecOutcome};

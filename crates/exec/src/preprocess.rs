@@ -93,10 +93,11 @@ fn filter_serial(
     let preds = &query.unary[t];
     let mut rows_vec = Vec::new();
     let mut probe: Vec<RowId> = vec![0; query.tables.len()];
+    let mut work = budget.local();
     for &(lo, hi) in ranges {
         for row in lo..hi {
             probe[t] = row;
-            budget.charge(preds.len() as u64)?;
+            work.charge(preds.len() as u64)?;
             let ctx = EvalCtx::new(&query.tables, &probe, &interner);
             if preds.iter().all(|p| p.eval_bool(&ctx)) {
                 rows_vec.push(row);
@@ -124,10 +125,14 @@ fn filter_parallel(
             handles.push(scope.spawn(move |_| {
                 let mut out = Vec::new();
                 let mut probe: Vec<RowId> = vec![0; query.tables.len()];
+                // Each worker counts its chunk locally and settles once; a
+                // worker whose own count already crosses the limit stops,
+                // and the settled total decides the timeout below.
+                let mut work = budget.local();
                 for &(lo, hi) in chunk {
                     for row in lo..hi {
                         probe[t] = row;
-                        budget.charge(preds.len() as u64)?;
+                        work.charge(preds.len() as u64)?;
                         let ctx = EvalCtx::new(&query.tables, &probe, interner);
                         if preds.iter().all(|p| p.eval_bool(&ctx)) {
                             out.push(row);
@@ -140,6 +145,9 @@ fn filter_parallel(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
     .expect("preprocessing thread panicked");
+    if budget.exhausted() {
+        return Err(Timeout);
+    }
     let mut rows = Vec::new();
     for r in results {
         rows.extend(r?);
