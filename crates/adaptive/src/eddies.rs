@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use skinner_exec::{
     postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, ExecutionStrategy, Timeout,
-    TupleIxs, WorkBudget,
+    TupleBuf, TupleIxs, WorkBudget,
 };
 use skinner_query::expr::EvalCtx;
 use skinner_query::{JoinQuery, TableSet};
@@ -115,7 +115,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
 
     let mut q = QTable::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut results: Vec<TupleIxs> = Vec::new();
+    let mut results = TupleBuf::new(m);
     let mut routings = 0u64;
     let mut timed_out = false;
 
@@ -137,7 +137,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
             stack.push((TableSet::singleton(driver), t0));
             while let Some((mask, tuple)) = stack.pop() {
                 if mask.len() == m {
-                    results.push(tuple);
+                    results.push(&tuple);
                     continue;
                 }
                 routings += 1;
@@ -172,7 +172,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
     if timed_out {
         return bail(&budget, routings, start);
     }
-    let result = match postprocess(&pre.tables, query, &results, &budget) {
+    let result = match postprocess(&pre.tables, query, results.view(), &budget) {
         Ok(r) => r,
         Err(_) => return bail(&budget, routings, start),
     };

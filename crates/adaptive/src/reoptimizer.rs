@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use skinner_exec::{
     join_step, postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, ExecProfile,
-    ExecutionStrategy, TupleIxs, WorkBudget,
+    ExecutionStrategy, TupleBuf, TupleIxs, WorkBudget,
 };
 use skinner_optimizer::dp::best_left_deep_from;
 use skinner_query::{JoinQuery, TableSet};
@@ -176,12 +176,11 @@ pub fn run_reoptimizer(
         }
     }
 
-    let tuples = if executed.len() < m {
-        Vec::new()
-    } else {
-        current
-    };
-    let result = match postprocess(&pre.tables, query, &tuples, &budget) {
+    let mut tuples = TupleBuf::new(m);
+    if executed.len() == m {
+        tuples.extend_boxed(current);
+    }
+    let result = match postprocess(&pre.tables, query, tuples.view(), &budget) {
         Ok(r) => r,
         Err(_) => return bail(&budget, replans, executed, start),
     };

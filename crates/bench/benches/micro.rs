@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of SkinnerDB's performance-critical pieces:
 //! the multi-way join inner loop, UCT selection overhead, join-order
-//! switching (backup + restore), index jumps, and the pyramid scheme.
+//! switching (backup + restore), index jumps, the pyramid scheme, and the
+//! post-processing kernel that turns result tuples into output rows.
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -14,7 +15,7 @@ use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
 use skinnerdb::skinner_core::skinner_c::state::{JoinState, ProgressTracker};
 use skinnerdb::skinner_core::{run_skinner_c, PyramidScheme, SkinnerCConfig};
-use skinnerdb::skinner_exec::{ExecContext, WorkBudget};
+use skinnerdb::skinner_exec::{postprocess, ExecContext, TupleView, WorkBudget};
 use skinnerdb::skinner_query::{JoinGraph, TableSet};
 use skinnerdb::skinner_storage::HashIndex;
 use skinnerdb::skinner_uct::{UctConfig, UctTree};
@@ -153,6 +154,100 @@ fn skinner_c_end_to_end(c: &mut Criterion) {
     });
 }
 
+/// `tables` tables `t0..` of `rows` rows each — an int `x`, a group key
+/// `g` (`groups` distinct values) and a string `s` (`rows / 2` distinct
+/// values, so string MIN/MAX keeps meeting new codes) — and `tuples`
+/// pseudo-random join-result tuples over them, flat.
+fn postprocess_input(tables: usize, rows: u32, groups: i64, tuples: usize) -> (Database, Vec<u32>) {
+    let db = Database::new();
+    for t in 0..tables {
+        db.create_table(
+            &format!("t{t}"),
+            &[
+                ("x", DataType::Int),
+                ("g", DataType::Int),
+                ("s", DataType::Str),
+            ],
+            (0..rows as i64)
+                .map(|i| {
+                    let word = (i * 7919 + t as i64 * 31) % (rows as i64 / 2);
+                    vec![
+                        Value::Int(i),
+                        Value::Int((i * 13 + t as i64) % groups),
+                        Value::from(format!("name-{word:07}-{t}").as_str()),
+                    ]
+                })
+                .collect(),
+        )
+        .unwrap();
+    }
+    let mut state = 0x5EED_u64;
+    let ids = (0..tuples * tables)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % rows as u64) as u32
+        })
+        .collect();
+    (db, ids)
+}
+
+fn postprocess_kernel(c: &mut Criterion) {
+    let from = |n: usize| {
+        (0..n)
+            .map(|t| format!("t{t}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    // (name, tables, rows per table, group-key values, tuples, select … )
+    let cases = [
+        // The JOB `9a` shape: two string MINs over ~200k ten-table tuples.
+        (
+            "postprocess_min_str_200k",
+            10,
+            20_000,
+            16,
+            200_000,
+            "SELECT MIN(t2.s), MIN(t7.s)",
+            "",
+        ),
+        (
+            "postprocess_group_by_2col",
+            2,
+            20_000,
+            32,
+            200_000,
+            "SELECT t0.g, t1.g, COUNT(*), SUM(t0.x), MIN(t1.x)",
+            " GROUP BY t0.g, t1.g",
+        ),
+        // The `repeat_served` wide projection: a few thousand output rows.
+        (
+            "postprocess_project_2k",
+            2,
+            20_000,
+            16,
+            2_000,
+            "SELECT t0.x, t0.s, t1.x, t0.x + t1.x",
+            "",
+        ),
+    ];
+    for (name, tables, rows, groups, tuples, select, tail) in cases {
+        let (db, ids) = postprocess_input(tables, rows, groups, tuples);
+        let q = db
+            .bind(&format!("{select} FROM {}{tail}", from(tables)))
+            .unwrap();
+        c.bench_function(name, |bench| {
+            bench.iter(|| {
+                let view = TupleView::new(&ids, tables);
+                postprocess(&q.tables, &q, view, &WorkBudget::unlimited())
+                    .unwrap()
+                    .num_rows()
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -166,5 +261,6 @@ criterion_group! {
         index_jump_vs_scan,
         pyramid_scheme,
         skinner_c_end_to_end,
+        postprocess_kernel,
 }
 criterion_main!(benches);

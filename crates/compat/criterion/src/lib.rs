@@ -74,6 +74,9 @@ pub struct Criterion {
     warm_up_time: Duration,
     measurement_time: Duration,
     smoke_test: bool,
+    /// Run only benchmarks whose name contains this (the first
+    /// non-flag command-line argument, as in `cargo bench -- <filter>`).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -83,6 +86,7 @@ impl Default for Criterion {
             warm_up_time: Duration::from_millis(200),
             measurement_time: Duration::from_secs(1),
             smoke_test: std::env::args().any(|a| a == "--test"),
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -109,6 +113,13 @@ impl Criterion {
         name: &str,
         mut f: F,
     ) -> &mut Self {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|f| !name.contains(f.as_str()))
+        {
+            return self;
+        }
         let mut samples = Vec::new();
         if !self.smoke_test {
             // Warm-up pass: identical loop, results discarded.
@@ -197,13 +208,15 @@ mod tests {
             warm_up_time: Duration::from_millis(1),
             measurement_time: Duration::from_millis(4),
             smoke_test: false,
+            filter: Some("o".to_string()),
         };
         let mut runs = 0u64;
         c.bench_function("noop", |b| b.iter(|| runs += 1));
         assert!(runs > 0);
+        c.bench_function("skipped", |_| panic!("name does not match the filter"));
 
         let mut batched = 0u64;
-        c.bench_function("batched", |b| {
+        c.bench_function("batched_noop", |b| {
             b.iter_batched(|| 7u64, |x| batched += x, BatchSize::SmallInput)
         });
         assert!(batched > 0);

@@ -4,9 +4,10 @@
 //! propagates the panic, which matches parking_lot's behaviour closely
 //! enough for this workspace (no code here recovers from lock poisoning).
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex as StdMutex, RwLock as StdRwLock};
+
+/// Guard types, nameable by callers that store a guard in a struct.
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Non-poisoning mutex (API subset of `parking_lot::Mutex`).
 #[derive(Debug, Default)]

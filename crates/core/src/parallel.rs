@@ -26,11 +26,10 @@
 //!   sequential Skinner-C, so every tuple range is joined exactly once and
 //!   the result is identical to any other strategy's;
 //! * grouping/ordering post-processing runs through
-//!   [`skinner_exec::postprocess_parallel`]: result tuples are partitioned
-//!   across a short-lived [`WorkerPool`] of its own (the episode pool's
-//!   channels are typed for join tasks) for partial aggregation / local
-//!   sorting with a coordinator hash-/k-way merge, so the tail of the
-//!   query no longer serializes on the coordinator thread.
+//!   [`skinner_exec::postprocess_parallel`]: scoped threads range over
+//!   sub-ranges of the result set's own arena (no per-tuple copy) for
+//!   partial aggregation / local sorting with a coordinator merge, so the
+//!   tail of the query no longer serializes on the coordinator thread.
 //!
 //! Episodes that blow past the adaptive per-episode work cap are
 //! *abandoned* (Skinner-G's destructive-timeout discipline): their partial
@@ -57,8 +56,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use skinner_exec::{
-    merge_worker_metrics, partition_tuples, CancelToken, ExecContext, ExecMetrics, ExecOutcome,
-    ExecutionStrategy, QueryResult, Span, SpanTimer, TupleRange, WorkBudget, WorkerPool,
+    merge_worker_metrics, partition_tuples, CancelToken, EpisodeRuns, ExecContext, ExecMetrics,
+    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleRange, WorkBudget, WorkerPool,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
@@ -292,12 +291,9 @@ pub fn run_parallel_skinner(
     let mut last_order_switch = 0u64;
     let mut prev_order_key: Option<Box<[u8]>> = None;
     // Regret proxy (see the sequential engine): consecutive-episode order
-    // changes, plus per-order episode spans whose labels are built only on
-    // a switch (cold path — steady-state episodes allocate nothing).
+    // changes, plus per-order episode spans.
     let mut order_switches = 0u64;
-    let mut run_start_ns = trace.map(|t| t.now_ns()).unwrap_or(0);
-    let mut run_episodes = 0u64;
-    let mut run_label = String::new();
+    let mut runs = EpisodeRuns::start(trace);
     // Adaptive per-episode work cap, doubled whenever an episode is
     // abandoned (Skinner-G's escalating-timeout discipline) so a
     // catastrophic order costs a bounded amount and good orders eventually
@@ -320,20 +316,7 @@ pub fn run_parallel_skinner(
                 if prev_order_key.is_some() {
                     order_switches += 1;
                 }
-                if let Some(t) = trace {
-                    if !run_label.is_empty() {
-                        t.push(Span {
-                            stage: "episodes",
-                            label: std::mem::take(&mut run_label),
-                            start_ns: run_start_ns,
-                            dur_ns: t.now_ns().saturating_sub(run_start_ns),
-                            detail: run_episodes,
-                        });
-                    }
-                    run_start_ns = t.now_ns();
-                    run_episodes = 0;
-                    run_label = format!("order={order:?}");
-                }
+                runs.switch(|| format!("order={order:?}"));
                 last_order_switch = episodes + 1;
                 prev_order_key = Some(key.clone());
             }
@@ -394,7 +377,7 @@ pub fn run_parallel_skinner(
                 worker_metrics.push(report.metrics);
             }
             episodes += 1;
-            run_episodes += 1;
+            runs.slice();
             *order_counts.entry(key).or_insert(0) += 1;
             if episodes.is_power_of_two() || episodes.is_multiple_of(256) {
                 tree_growth.push((episodes, tree.num_nodes()));
@@ -417,18 +400,7 @@ pub fn run_parallel_skinner(
         }
     }
     tree_growth.push((episodes, tree.num_nodes()));
-    // Close the final per-order episode run.
-    if let Some(t) = trace {
-        if !run_label.is_empty() {
-            t.push(Span {
-                stage: "episodes",
-                label: run_label,
-                start_ns: run_start_ns,
-                dur_ns: t.now_ns().saturating_sub(run_start_ns),
-                detail: run_episodes,
-            });
-        }
-    }
+    runs.finish();
 
     let result_tuples = global_results.len() as u64;
     let result_set_bytes = global_results.byte_size();
@@ -442,8 +414,14 @@ pub fn run_parallel_skinner(
     let result = if timed_out {
         QueryResult::empty(columns)
     } else {
-        let tuples = global_results.into_tuples();
-        match skinner_exec::postprocess_parallel(&mctx.tables, query, tuples, &budget, threads) {
+        let tuples = global_results.seal();
+        match skinner_exec::postprocess_parallel(
+            &mctx.tables,
+            query,
+            tuples.view(),
+            &budget,
+            threads,
+        ) {
             Ok(r) => r,
             Err(_) => {
                 timed_out = true;

@@ -7,7 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skinner_exec::{
-    postprocess, ExecContext, ExecMetrics, ExecOutcome, QueryResult, Span, SpanTimer, WorkBudget,
+    postprocess, EpisodeRuns, ExecContext, ExecMetrics, ExecOutcome, QueryResult, SpanTimer,
+    WorkBudget,
 };
 use skinner_query::{JoinGraph, JoinQuery, TableSet};
 use skinner_storage::RowId;
@@ -105,12 +106,8 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     // consecutive slices (0 = the engine converged instantly).
     let mut order_switches = 0u64;
     // Per-order episode attribution: one span per contiguous run of
-    // slices on the same order. The label is built only when the order
-    // *switches* — a cold, converging event — so steady-state slices
-    // allocate nothing.
-    let mut run_start_ns = trace.map(|t| t.now_ns()).unwrap_or(0);
-    let mut run_slices = 0u64;
-    let mut run_label = String::new();
+    // slices on the same order.
+    let mut runs = EpisodeRuns::start(trace);
 
     // Skinner-C terminates once any table's offset passes its end (all its
     // tuples fully joined) — including the degenerate empty-table case.
@@ -146,20 +143,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
                 if prev_order.is_some() {
                     order_switches += 1;
                 }
-                if let Some(t) = trace {
-                    if !run_label.is_empty() {
-                        t.push(Span {
-                            stage: "episodes",
-                            label: std::mem::take(&mut run_label),
-                            start_ns: run_start_ns,
-                            dur_ns: t.now_ns().saturating_sub(run_start_ns),
-                            detail: run_slices,
-                        });
-                    }
-                    run_start_ns = t.now_ns();
-                    run_slices = 0;
-                    run_label = format!("order={order:?}");
-                }
+                runs.switch(|| format!("order={order:?}"));
                 last_order_switch = slices + 1;
                 prev_order = Some(id);
             }
@@ -195,7 +179,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
                 offsets[t0] = offsets[t0].max(cards[t0]);
             }
             slices += 1;
-            run_slices += 1;
+            runs.slice();
             *order_slices += 1;
             if slices.is_power_of_two() || slices.is_multiple_of(256) {
                 tree_growth.push((slices, uct.num_nodes()));
@@ -203,18 +187,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
         }
     }
     tree_growth.push((slices, uct.num_nodes()));
-    // Close the final per-order episode run.
-    if let Some(t) = trace {
-        if !run_label.is_empty() {
-            t.push(Span {
-                stage: "episodes",
-                label: run_label,
-                start_ns: run_start_ns,
-                dur_ns: t.now_ns().saturating_sub(run_start_ns),
-                detail: run_slices,
-            });
-        }
-    }
+    runs.finish();
 
     let result_tuples = results.len() as u64;
     let result_set_bytes = results.byte_size();
@@ -225,8 +198,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     let result = if timed_out {
         QueryResult::empty(columns)
     } else {
-        let tuples = results.into_tuples();
-        match postprocess(&mctx.tables, query, &tuples, &budget) {
+        match postprocess(&mctx.tables, query, results.seal().view(), &budget) {
             Ok(r) => r,
             Err(_) => {
                 timed_out = true;
@@ -349,8 +321,7 @@ pub fn run_skinner_c_fixed(
     let result = if timed_out {
         empty
     } else {
-        let tuples = results.into_tuples();
-        match postprocess(&mctx.tables, query, &tuples, &budget) {
+        match postprocess(&mctx.tables, query, results.seal().view(), &budget) {
             Ok(r) => r,
             Err(_) => {
                 timed_out = true;

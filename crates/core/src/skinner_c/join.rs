@@ -384,7 +384,7 @@ mod tests {
         let (with_jumps, work_jumps) = run_to_completion(&q, &[0, 1, 2], true);
         let (without, work_scan) = run_to_completion(&q, &[0, 1, 2], false);
         let norm = |r: ResultSet| {
-            let mut v: Vec<Vec<RowId>> = r.into_tuples().iter().map(|t| t.to_vec()).collect();
+            let mut v: Vec<Vec<RowId>> = r.iter().map(|t| t.to_vec()).collect();
             v.sort();
             v
         };
@@ -489,8 +489,8 @@ mod tests {
                     break;
                 }
             }
-            for t in chunk.into_tuples() {
-                assert!(union.insert(&t), "chunks produced overlapping tuple {t:?}");
+            for t in chunk.iter() {
+                assert!(union.insert(t), "chunks produced overlapping tuple {t:?}");
             }
         }
         assert_eq!(union.len(), full.len());

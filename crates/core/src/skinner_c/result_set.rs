@@ -10,7 +10,7 @@
 //! an insert hashes the candidate once, compares against the arena, and
 //! appends — no per-tuple allocation.
 
-use skinner_exec::TupleIxs;
+use skinner_exec::TupleBuf;
 use skinner_storage::RowId;
 
 /// Set of result tuples, each a row-id vector in table-position order.
@@ -104,24 +104,12 @@ impl ResultSet {
         self.arena.chunks_exact(self.arity.max(1))
     }
 
-    /// Drain into a vector for post-processing, in insertion order.
-    pub fn into_tuples(mut self) -> Vec<TupleIxs> {
-        // The boxed copies are as large as the arena. Give the table back
-        // first, then box from the arena's tail and release what has been
-        // copied, so the two never coexist in full (a large result set is
-        // what sets a statement's peak memory).
-        self.slots = Vec::new();
-        const ROW_IDS_PER_STEP: usize = 1 << 16;
-        let arity = self.arity.max(1);
-        let mut out: Vec<TupleIxs> = Vec::with_capacity(self.len);
-        while !self.arena.is_empty() {
-            let keep = self.arena.len().saturating_sub(ROW_IDS_PER_STEP) / arity * arity;
-            out.extend(self.arena[keep..].chunks_exact(arity).rev().map(Box::from));
-            self.arena.truncate(keep);
-            self.arena.shrink_to_fit();
-        }
-        out.reverse();
-        out
+    /// Hand the tuples over for post-processing: drop the slot table and
+    /// give out the arena itself (less its growth slack) — `arity` row ids
+    /// per tuple, in insertion order. No tuple is copied.
+    pub fn seal(mut self) -> TupleBuf {
+        self.arena.shrink_to_fit();
+        TupleBuf::from_flat(self.arena, self.arity.max(1))
     }
 
     /// Approximate heap size in bytes (Figure 8c).
@@ -144,29 +132,15 @@ mod tests {
     }
 
     #[test]
-    fn into_tuples_keeps_insertion_order_across_release_steps() {
-        // More row ids than one release step holds, arity not dividing it.
+    fn seal_hands_over_tuples_in_insertion_order() {
         let mut r = ResultSet::new();
-        let n = 50_000u32;
-        for i in 0..n {
-            r.insert(&[i, i + 1, i ^ 5]);
-        }
-        let tuples = r.into_tuples();
-        assert_eq!(tuples.len(), n as usize);
-        for (i, t) in tuples.iter().enumerate() {
-            let i = i as u32;
-            assert_eq!(&t[..], &[i, i + 1, i ^ 5]);
-        }
-    }
-
-    #[test]
-    fn into_tuples_returns_all() {
-        let mut r = ResultSet::new();
-        r.insert(&[0]);
-        r.insert(&[5]);
-        let mut v: Vec<Vec<RowId>> = r.into_tuples().iter().map(|t| t.to_vec()).collect();
-        v.sort();
-        assert_eq!(v, vec![vec![0], vec![5]]);
+        r.insert(&[7, 1]);
+        r.insert(&[5, 2]);
+        r.insert(&[7, 1]);
+        let sealed = r.seal();
+        assert_eq!(sealed.view().len(), 2);
+        let tuples: Vec<&[RowId]> = sealed.view().iter().collect();
+        assert_eq!(tuples, vec![&[7, 1][..], &[5, 2][..]]);
     }
 
     #[test]
@@ -175,7 +149,7 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert_eq!(r.iter().count(), 0);
-        assert!(r.into_tuples().is_empty());
+        assert!(r.seal().view().is_empty());
     }
 
     #[test]

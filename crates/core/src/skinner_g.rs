@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use skinner_exec::{
     execute_join, postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, Preprocessed,
-    QueryResult, TupleIxs, WorkBudget,
+    QueryResult, TupleBuf, WorkBudget,
 };
 use skinner_query::{JoinGraph, JoinQuery, TableSet};
 use skinner_storage::RowId;
@@ -49,7 +49,8 @@ pub struct SkinnerG<'q> {
     trees: HashMap<usize, UctTree>,
     pyramid: PyramidScheme,
     graph: JoinGraph,
-    results: Vec<TupleIxs>,
+    /// Result tuples of completed batches.
+    results: TupleBuf,
     rng: StdRng,
     work: u64,
     slices: u64,
@@ -102,7 +103,7 @@ impl<'q> SkinnerG<'q> {
             trees: HashMap::new(),
             pyramid: PyramidScheme::new(),
             graph,
-            results: Vec::new(),
+            results: TupleBuf::new(query.num_tables()),
             work: budget.used(),
             slices: 0,
             finished,
@@ -172,7 +173,7 @@ impl<'q> SkinnerG<'q> {
         let reward = match res {
             Ok(out) => {
                 // Batch completed: merge results, remove the batch, reward 1.
-                self.results.extend(out.into_tuples());
+                self.results.extend_boxed(out.into_tuples());
                 self.batch_offset[t0] += 1;
                 if self.batch_offset[t0] >= b {
                     self.finished = true;
@@ -219,7 +220,7 @@ impl<'q> SkinnerG<'q> {
         let (result, timed_out) = if self.failed {
             (QueryResult::empty(columns), true)
         } else {
-            match postprocess(&self.pre.tables, self.query, &self.results, &budget) {
+            match postprocess(&self.pre.tables, self.query, self.results.view(), &budget) {
                 Ok(r) => (r, false),
                 Err(_) => (QueryResult::empty(columns), true),
             }
@@ -267,7 +268,8 @@ pub struct OrderArms<'q> {
     /// Single whole-order tree (`None` in forced/random modes).
     tree: Option<UctTree>,
     graph: JoinGraph,
-    results: Vec<TupleIxs>,
+    /// Result tuples of completed batches.
+    results: TupleBuf,
     rng: StdRng,
     /// Current per-episode cap; doubles on full-cap abandonment.
     cap: u64,
@@ -332,7 +334,7 @@ impl<'q> OrderArms<'q> {
             batch_offset: vec![0; query.num_tables()],
             tree,
             graph,
-            results: Vec::new(),
+            results: TupleBuf::new(query.num_tables()),
             work: budget.used(),
             episodes: 0,
             completed: 0,
@@ -408,7 +410,7 @@ impl<'q> OrderArms<'q> {
         self.episodes += 1;
         let reward = match res {
             Ok(out) => {
-                self.results.extend(out.into_tuples());
+                self.results.extend_boxed(out.into_tuples());
                 self.batch_offset[t0] += 1;
                 self.completed += 1;
                 if self.batch_offset[t0] >= b {
@@ -470,7 +472,7 @@ impl<'q> OrderArms<'q> {
         let (result, timed_out) = if self.failed {
             (QueryResult::empty(columns), true)
         } else {
-            match postprocess(&self.pre.tables, self.query, &self.results, &budget) {
+            match postprocess(&self.pre.tables, self.query, self.results.view(), &budget) {
                 Ok(r) => (r, false),
                 Err(_) => (QueryResult::empty(columns), true),
             }

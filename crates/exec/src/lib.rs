@@ -17,10 +17,11 @@
 //!   results per binary join and **loses all progress on timeout** — exactly
 //!   the black-box behaviour Skinner-G must cope with (Section 4.3).
 //! * [`postprocess`](mod@postprocess) — grouping, aggregation, ordering, limit, distinct
-//!   (Section 3's post-processor), plus [`postprocess_parallel`]: the same
-//!   pipeline split across the worker pool (per-worker partial aggregation
-//!   or local sort, coordinator hash-/k-way merge) with identical results
-//!   at every thread count.
+//!   (Section 3's post-processor) over a flat [`TupleView`], compiled per
+//!   call into typed column accessors and accumulators, plus
+//!   [`postprocess_parallel`]: the same kernel over sub-ranges of the view
+//!   (per-worker partial aggregation or local sort, coordinator merge) with
+//!   identical results at every thread count.
 //! * [`traditional`] — the full traditional-DBMS query path (statistics →
 //!   DP optimizer → execution), configurable between a row-at-a-time profile
 //!   (Postgres-like) and a vectorized column profile (MonetDB-like).
@@ -54,6 +55,7 @@ pub mod reference;
 pub mod result;
 pub mod strategy;
 pub mod traditional;
+pub mod tuples;
 pub mod zonescan;
 
 pub use budget::{LocalWork, Timeout, WorkBudget, WorkPermit};
@@ -66,12 +68,15 @@ pub use preprocess::{preprocess, Preprocessed};
 pub use result::QueryResult;
 pub use strategy::{ExecutionStrategy, ReferenceStrategy, StrategyRegistry, TraditionalStrategy};
 pub use traditional::{run_traditional, TraditionalConfig};
+pub use tuples::{TupleBuf, TupleView};
 pub use zonescan::{plan_scan, ScanPlan};
 
 // Telemetry rides through the execution API (the trace slot on
 // [`ExecContext`]); re-export the types engines and callers touch so
 // downstream crates need no direct `skinner_telemetry` dependency.
-pub use skinner_telemetry::{Span, SpanTimer, Trace};
+pub use skinner_telemetry::{EpisodeRuns, Span, SpanTimer, Trace};
 
 /// A join-result tuple: one row id per query table, in table-position order.
+/// The generic engine's intermediate-result currency; post-processing takes
+/// the flat [`TupleView`] instead.
 pub type TupleIxs = Box<[skinner_storage::RowId]>;

@@ -14,7 +14,7 @@ use crate::budget::WorkBudget;
 use crate::context::CancelToken;
 use crate::postprocess::postprocess;
 use crate::result::QueryResult;
-use crate::TupleIxs;
+use crate::tuples::TupleBuf;
 
 /// Execute `query` by brute force.
 pub fn run_reference(query: &JoinQuery) -> QueryResult {
@@ -27,7 +27,7 @@ pub fn run_reference(query: &JoinQuery) -> QueryResult {
 pub fn run_reference_cancellable(query: &JoinQuery, cancel: &CancelToken) -> Option<QueryResult> {
     let m = query.num_tables();
     let interner = query.tables[0].interner().clone();
-    let mut tuples: Vec<TupleIxs> = Vec::new();
+    let mut tuples = TupleBuf::new(m);
     if !query.always_false {
         let mut rows: Vec<RowId> = vec![0; m];
         if !enumerate(query, 0, &mut rows, &interner, cancel, &mut tuples) {
@@ -35,7 +35,7 @@ pub fn run_reference_cancellable(query: &JoinQuery, cancel: &CancelToken) -> Opt
         }
     }
     let budget = WorkBudget::unlimited();
-    Some(postprocess(&query.tables, query, &tuples, &budget).expect("unlimited budget"))
+    Some(postprocess(&query.tables, query, tuples.view(), &budget).expect("unlimited budget"))
 }
 
 /// Returns `false` if enumeration was cancelled.
@@ -45,11 +45,11 @@ fn enumerate(
     rows: &mut Vec<RowId>,
     interner: &std::sync::Arc<skinner_storage::Interner>,
     cancel: &CancelToken,
-    out: &mut Vec<TupleIxs>,
+    out: &mut TupleBuf,
 ) -> bool {
     let m = query.num_tables();
     if depth == m {
-        out.push(rows.clone().into_boxed_slice());
+        out.push(rows);
         return true;
     }
     let n = query.tables[depth].cardinality();

@@ -15,6 +15,7 @@ use crate::engine::{execute_join, ExecProfile};
 use crate::outcome::{ExecMetrics, ExecOutcome};
 use crate::postprocess::postprocess;
 use crate::preprocess::preprocess;
+use crate::tuples::TupleBuf;
 
 /// Configuration of a traditional run.
 #[derive(Debug, Clone)]
@@ -102,9 +103,8 @@ pub fn run_traditional(
     if ctx.interrupted() {
         return timed_out_outcome(order, &budget, start, pages);
     }
-    let tuples = if query.always_false {
-        Vec::new()
-    } else {
+    let mut tuples = TupleBuf::new(query.num_tables());
+    if !query.always_false {
         let floors = vec![0; query.num_tables()];
         let n0 = pre.tables[order[0]].cardinality();
         match execute_join(
@@ -117,15 +117,15 @@ pub fn run_traditional(
             &budget,
             false,
         ) {
-            Ok(out) => out.into_tuples(),
+            Ok(out) => tuples.extend_boxed(out.into_tuples()),
             Err(_) => return timed_out_outcome(order, &budget, start, pages),
         }
-    };
+    }
 
     if ctx.interrupted() {
         return timed_out_outcome(order, &budget, start, pages);
     }
-    let result = match postprocess(&pre.tables, query, &tuples, &budget) {
+    let result = match postprocess(&pre.tables, query, tuples.view(), &budget) {
         Ok(r) => r,
         Err(_) => return timed_out_outcome(order, &budget, start, pages),
     };

@@ -10,7 +10,7 @@
 //! readers may cache codes freely. Interning is guarded by a `parking_lot`
 //! lock; reads of already-interned strings take the read path only.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,6 +63,18 @@ impl Interner {
         self.inner.read().strings[code as usize].clone()
     }
 
+    /// A held read for `skinner_exec`'s post-processing kernel, which looks
+    /// up a run of codes without a lock round-trip or an `Arc` clone per
+    /// string. Not general API: interning blocks while a guard is alive,
+    /// and the holding thread must not call [`Interner::resolve`] or
+    /// [`Interner::intern`] (the lock is not re-entrant once a writer
+    /// waits) — the kernel gives the guard back before it evaluates any
+    /// expression and at least every 1024 tuples.
+    #[doc(hidden)]
+    pub fn read(&self) -> InternerRead<'_> {
+        InternerRead(self.inner.read())
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.inner.read().strings.len()
@@ -71,6 +83,18 @@ impl Interner {
     /// True if no strings have been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A held read of an [`Interner`]; see [`Interner::read`].
+#[doc(hidden)]
+pub struct InternerRead<'a>(RwLockReadGuard<'a, Inner>);
+
+impl InternerRead<'_> {
+    /// The string with code `code`. Panics on unknown codes.
+    #[inline]
+    pub fn get(&self, code: u32) -> &Arc<str> {
+        &self.0.strings[code as usize]
     }
 }
 
@@ -96,6 +120,16 @@ mod tests {
         assert_eq!(b, 1);
         assert_eq!(&*i.resolve(a), "a");
         assert_eq!(&*i.resolve(b), "b");
+    }
+
+    #[test]
+    fn held_read_resolves_without_cloning() {
+        let i = Interner::new();
+        let (a, b) = (i.intern("a"), i.intern("b"));
+        let r = i.read();
+        assert_eq!(&**r.get(a), "a");
+        assert!(r.get(a) < r.get(b));
+        assert!(Arc::ptr_eq(r.get(b), &i.resolve(b)));
     }
 
     #[test]

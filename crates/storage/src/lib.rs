@@ -28,7 +28,7 @@ pub use column::Column;
 pub use csv::read_csv;
 pub use disk::{bulk_load_csv, DiskError, DiskStore, ZoneCol, ZoneMap};
 pub use index::HashIndex;
-pub use interner::Interner;
+pub use interner::{Interner, InternerRead};
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

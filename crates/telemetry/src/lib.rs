@@ -29,4 +29,4 @@ mod trace;
 
 pub use hist::{bucket_bounds, bucket_index, HistSnapshot, Histogram, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, Histo, Registry};
-pub use trace::{Span, SpanTimer, Trace};
+pub use trace::{EpisodeRuns, Span, SpanTimer, Trace};

@@ -11,10 +11,12 @@
 //! plain spans carry only a `&'static str` and integers, so recording on
 //! the hot path performs no allocation. Per-order episode spans carry an
 //! owned label, but those are built only when the learned join order
-//! *switches* — a cold, bounded event (`last_order_switch` converges).
-//! When the ring is full the oldest span is overwritten and a dropped
-//! count maintained, bounding memory per query regardless of episode
-//! count.
+//! *switches* — a cold event — and only for the first half of the ring:
+//! [`EpisodeRuns`] folds every later run into one trailing span, so one
+//! statement's episode loop can never evict its own earlier spans. When
+//! the ring does fill (several statements sharing a trace) the oldest
+//! span is overwritten and a dropped count maintained, bounding memory
+//! per query regardless of episode count.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -74,6 +76,11 @@ impl Trace {
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Spans the ring holds before it overwrites the oldest.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
     /// Record a plain (unlabeled) span that started at `start_ns` and
@@ -144,6 +151,84 @@ impl<'a> SpanTimer<'a> {
     }
 }
 
+/// Label of the span [`EpisodeRuns`] folds late runs into.
+const FOLDED_LABEL: &str = "order=*";
+
+/// Per-order attribution of an episode loop: one `episodes` span per
+/// contiguous run of slices on the same join order, labelled with the
+/// order. Runs are opened for at most half the ring's capacity; from then
+/// on every later run folds into a single trailing span labelled
+/// `order=*` whose `detail` is the slices it covers — so the loop's spans
+/// never overwrite the statement's own `parse_bind` / `preprocess` /
+/// early `episodes` spans, however often the learner switches. A no-op
+/// (no clock read, no label built) without a trace.
+#[derive(Debug)]
+pub struct EpisodeRuns<'a> {
+    trace: Option<&'a Trace>,
+    /// Per-order runs that may still be opened.
+    left: usize,
+    /// The open run's label; empty while no run is open.
+    label: String,
+    start_ns: u64,
+    slices: u64,
+}
+
+impl<'a> EpisodeRuns<'a> {
+    pub fn start(trace: Option<&'a Trace>) -> EpisodeRuns<'a> {
+        EpisodeRuns {
+            trace,
+            left: trace.map_or(0, |t| t.capacity() / 2),
+            label: String::new(),
+            start_ns: 0,
+            slices: 0,
+        }
+    }
+
+    /// The loop moved to another join order: close the open run and open
+    /// one labelled by `label` (built only if the span will be recorded).
+    pub fn switch(&mut self, label: impl FnOnce() -> String) {
+        let Some(t) = self.trace else { return };
+        if self.label == FOLDED_LABEL {
+            return; // the trailing run absorbs every later order
+        }
+        self.close(t);
+        self.start_ns = t.now_ns();
+        self.slices = 0;
+        self.label = match self.left.checked_sub(1) {
+            Some(left) => {
+                self.left = left;
+                label()
+            }
+            None => FOLDED_LABEL.to_string(),
+        };
+    }
+
+    /// One more slice (or episode) ran on the current order.
+    #[inline]
+    pub fn slice(&mut self) {
+        self.slices += 1;
+    }
+
+    /// Close the final run.
+    pub fn finish(mut self) {
+        if let Some(t) = self.trace {
+            self.close(t);
+        }
+    }
+
+    fn close(&mut self, t: &Trace) {
+        if !self.label.is_empty() {
+            t.push(Span {
+                stage: "episodes",
+                label: std::mem::take(&mut self.label),
+                start_ns: self.start_ns,
+                dur_ns: t.now_ns().saturating_sub(self.start_ns),
+                detail: self.slices,
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +271,48 @@ mod tests {
             spans.iter().map(|s| s.detail).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
+    }
+
+    #[test]
+    fn episode_runs_fold_late_switches_instead_of_evicting() {
+        let t = Trace::new(64);
+        t.record("parse_bind", 0, 0);
+        t.record("preprocess", 0, 0);
+        let mut runs = EpisodeRuns::start(Some(&t));
+        let mut labels_built = 0;
+        for switch in 0..500u64 {
+            runs.switch(|| {
+                labels_built += 1;
+                format!("order=[{switch}]")
+            });
+            runs.slice();
+            runs.slice();
+        }
+        runs.finish();
+        t.record("postprocess", 0, 0);
+
+        assert_eq!(t.dropped(), 0, "a statement must not evict its own spans");
+        let spans = t.spans();
+        assert_eq!(spans[0].stage, "parse_bind");
+        assert_eq!(spans[1].stage, "preprocess");
+        let episodes: Vec<&Span> = spans.iter().filter(|s| s.stage == "episodes").collect();
+        assert_eq!(episodes.len(), 33, "32 per-order runs and one folded tail");
+        assert_eq!(labels_built, 32, "folded runs build no label");
+        assert_eq!(episodes[0].label, "order=[0]");
+        assert_eq!(episodes[31].label, "order=[31]");
+        assert!(episodes[..32].iter().all(|s| s.detail == 2));
+        assert_eq!(episodes[32].label, "order=*");
+        assert_eq!(episodes[32].detail, 2 * (500 - 32));
+        // Every slice is attributed exactly once.
+        assert_eq!(episodes.iter().map(|s| s.detail).sum::<u64>(), 1000);
+    }
+
+    #[test]
+    fn episode_runs_are_a_noop_without_a_trace() {
+        let mut runs = EpisodeRuns::start(None);
+        runs.switch(|| unreachable!("no label without a trace"));
+        runs.slice();
+        runs.finish();
     }
 
     #[test]

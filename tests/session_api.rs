@@ -144,6 +144,29 @@ fn session_work_limit_spans_whole_scripts() {
 }
 
 #[test]
+fn distinct_scan_respects_the_work_limit() {
+    // DISTINCT's dedup pass is the statement's last charged work: a limit
+    // one unit short of the full run must trip inside it — not be
+    // swallowed there and hand back rows the budget never covered.
+    const SQL: &str = "SELECT DISTINCT o.customer FROM orders o";
+    let db = serving_db();
+    let session = db.session();
+    let full = session.run_script(SQL).unwrap();
+    assert!(!full.timed_out);
+    assert_eq!(full.result.num_rows(), 25);
+
+    session.set_work_limit(full.work_units);
+    let exact = session.run_script(SQL).unwrap();
+    assert!(!exact.timed_out, "a limit equal to the work done suffices");
+    assert_eq!(exact.result.num_rows(), 25);
+
+    session.set_work_limit(full.work_units - 1);
+    let short = session.run_script(SQL).unwrap();
+    assert!(short.timed_out, "the DISTINCT scan overran its limit");
+    assert_eq!(short.result.num_rows(), 0);
+}
+
+#[test]
 fn streaming_row_access() {
     let db = serving_db();
     let result = db.query(JOIN_SQL).unwrap();
