@@ -24,7 +24,7 @@ use skinner_exec::{
 };
 use skinner_query::expr::EvalCtx;
 use skinner_query::{JoinQuery, TableSet};
-use skinner_storage::{HashIndex, RowId};
+use skinner_storage::RowId;
 
 /// Eddy configuration.
 #[derive(Debug, Clone)]
@@ -102,14 +102,15 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
     let graph = query.join_graph();
     let interner = pre.tables[0].interner().clone();
 
-    // STeM-like hash indexes over every equality join column.
-    let mut indexes: HashMap<(usize, usize), HashIndex> = HashMap::new();
+    // STeM-like hash indexes over every equality join column: the tables'
+    // own, charged as if built here whether or not an earlier statement
+    // already did (work units never depend on what ran before).
     for t in 0..m {
         for col in query.equi_join_columns(t) {
             if budget.charge(pre.tables[t].num_rows() as u64).is_err() {
                 return bail(&budget, 0, start);
             }
-            indexes.insert((t, col), HashIndex::build(pre.tables[t].column(col)));
+            pre.tables[t].join_index(col);
         }
     }
 
@@ -142,16 +143,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
                 }
                 routings += 1;
                 let next = choose_next(&graph, &q, mask, &mut rng, cfg.epsilon);
-                match expand(
-                    query,
-                    &pre.tables,
-                    &indexes,
-                    &interner,
-                    &mask,
-                    &tuple,
-                    next,
-                    &budget,
-                ) {
+                match expand(query, &pre.tables, &interner, &mask, &tuple, next, &budget) {
                     Ok(children) => {
                         let cost = 1.0 + children.len() as f64;
                         q.update(mask.mask(), next, cost);
@@ -210,11 +202,9 @@ fn choose_next(
 }
 
 /// Join `tuple` with table `next`, returning all extended tuples.
-#[allow(clippy::too_many_arguments)]
 fn expand(
     query: &JoinQuery,
     tables: &[std::sync::Arc<skinner_storage::Table>],
-    indexes: &HashMap<(usize, usize), HashIndex>,
     interner: &std::sync::Arc<skinner_storage::Interner>,
     mask: &TableSet,
     tuple: &TupleIxs,
@@ -254,7 +244,7 @@ fn expand(
             .column(other.col)
             .key_at(tuple[other.table]);
         budget.charge(1)?;
-        for &row in indexes[&(next, mine.col)].lookup(key) {
+        for &row in tables[next].join_index(mine.col).lookup(key) {
             budget.charge(1)?;
             let verified = equi.iter().skip(1).all(|p| {
                 let mine = p.side_on(next).unwrap();

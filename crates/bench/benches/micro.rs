@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of SkinnerDB's performance-critical pieces:
 //! the multi-way join inner loop, UCT selection overhead, join-order
-//! switching (backup + restore), index jumps, the pyramid scheme, and the
-//! post-processing kernel that turns result tuples into output rows.
+//! switching (backup + restore), index jumps and builds, pre-processing
+//! over already-indexed tables, the pyramid scheme, and the post-processing
+//! kernel that turns result tuples into output rows.
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -121,15 +122,58 @@ fn join_order_switch_cost(c: &mut Criterion) {
 }
 
 fn index_jump_vs_scan(c: &mut Criterion) {
-    let column =
-        skinnerdb::skinner_storage::Column::Int((0..100_000i64).map(|i| i % 1000).collect());
-    let index = HashIndex::build(&column);
+    use skinnerdb::skinner_storage::Column;
+    // 100k rows over 1000 keys: packed (direct-address directory), and the
+    // same posting lists a million apart (hash directory).
+    let dense = Column::Int((0..100_000i64).map(|i| i % 1000).collect());
+    let sparse = Column::Int((0..100_000i64).map(|i| i % 1000 * 1_000_003).collect());
+    let index = HashIndex::build(&dense);
     c.bench_function("hash_index_next_match", |bench| {
         let mut from = 0u32;
         bench.iter(|| {
             let r = index.next_match(500, from % 99_000);
             from = from.wrapping_add(997);
             r
+        })
+    });
+    for (name, column) in [
+        ("hash_index_build_dense", &dense),
+        ("hash_index_build_sparse", &sparse),
+    ] {
+        c.bench_function(name, |bench| {
+            bench.iter(|| HashIndex::build(column).num_keys())
+        });
+    }
+}
+
+/// Pre-processing of a ten-table chain join over 20 000-row tables with no
+/// unary predicate (the `torture_embedded` statement shape), after an
+/// earlier statement has run: every index is already on its table.
+fn prepare_warm(c: &mut Criterion) {
+    let db = Database::new();
+    for t in 0..10 {
+        db.create_table(
+            &format!("t{t}"),
+            &[("a", DataType::Int), ("b", DataType::Int)],
+            (0..20_000i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i * 7919 % 20_000)])
+                .collect(),
+        )
+        .unwrap();
+    }
+    let from: Vec<String> = (0..10).map(|t| format!("t{t}")).collect();
+    let joins: Vec<String> = (0..9).map(|t| format!("t{t}.b = t{}.a", t + 1)).collect();
+    let sql = format!(
+        "SELECT t0.a FROM {} WHERE {}",
+        from.join(", "),
+        joins.join(" AND ")
+    );
+    let q = db.bind(&sql).unwrap();
+    c.bench_function("prepare_warm_10x20k", |bench| {
+        bench.iter(|| {
+            prepare(&q, &WorkBudget::unlimited(), 1, true)
+                .unwrap()
+                .index_bytes
         })
     });
 }
@@ -259,6 +303,7 @@ criterion_group! {
         uct_selection_overhead,
         join_order_switch_cost,
         index_jump_vs_scan,
+        prepare_warm,
         pyramid_scheme,
         skinner_c_end_to_end,
         postprocess_kernel,

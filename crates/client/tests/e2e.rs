@@ -677,6 +677,15 @@ fn query_profiles_expose_every_pipeline_stage() {
         "episode spans must attribute their join order: {:?}",
         profile.spans
     );
+    // The preprocess span says how many join indexes the statement built
+    // and how many it found on the tables.
+    assert!(
+        profile.spans.iter().any(|s| s.stage == "preprocess"
+            && s.label.starts_with("index_builds=")
+            && s.label.contains(" index_reuses=")),
+        "preprocess span must carry the index counters: {:?}",
+        profile.spans
+    );
     // u64::MAX means "most recent" — same statement here.
     let last = client.profile_last().unwrap();
     assert_eq!(last.total_ns, profile.total_ns);
@@ -687,6 +696,9 @@ fn query_profiles_expose_every_pipeline_stage() {
     assert!(client.profile_of(tag).is_ok());
     let newest = client.profile_last().unwrap();
     assert!(newest.stage_ns("parse_bind") > 0);
+    // That one was an equi-join: its indexes stay with the tables.
+    let stats = client.query("SHOW SERVER STATS").unwrap();
+    assert!(stat(&stats, "join_indexes.bytes") > 0);
     // Unknown tags are refused explicitly.
     let missing = client.profile_of(9999).expect_err("unknown tag");
     assert_eq!(missing.code(), Some(ErrorCode::UnknownStatement));

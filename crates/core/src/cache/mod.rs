@@ -30,7 +30,7 @@
 //!   `Database::open` and tombstoned on table drops;
 //! * **drift-aware** — per-template feedback quarantines priors whose warm
 //!   starts regress instead of helping, with decay-based rehabilitation
-//!   ([`drift`]);
+//!   (the crate-private `drift` module);
 //! * **generalizing** — a never-seen template can warm-start from its
 //!   nearest neighbor by join-graph shape (table names + fingerprints,
 //!   predicate counts, `skinner_stats::card_bucket` cardinality buckets),

@@ -244,7 +244,7 @@ pub fn run_parallel_skinner(
             );
         }
     };
-    pre_timer.finish(prepared.pages_skipped);
+    pre_timer.finish_labeled(prepared.pages_skipped, || prepared.span_label());
     let mctx = Arc::new(prepared.ctx);
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
@@ -484,7 +484,9 @@ pub fn run_parallel_skinner(
         .with_counter("warm_start_visits", warm_start_visits)
         .with_counter("warm_start_generalized", warm_start_generalized)
         .with_counter("last_order_switch", last_order_switch)
-        .with_counter("order_switches", order_switches),
+        .with_counter("order_switches", order_switches)
+        .with_counter("index_builds", prepared.index_builds)
+        .with_counter("index_reuses", prepared.index_reuses),
     }
 }
 

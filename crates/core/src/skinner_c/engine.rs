@@ -51,7 +51,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
         Ok(p) => p,
         Err(_) => bail_timeout!((0..m).collect(), 0),
     };
-    pre_timer.finish(prepared.pages_skipped);
+    pre_timer.finish_labeled(prepared.pages_skipped, || prepared.span_label());
     let mctx: &MultiwayCtx = &prepared.ctx;
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
@@ -250,7 +250,9 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
         .with_counter("warm_start_visits", warm_start_visits)
         .with_counter("warm_start_generalized", warm_start_generalized)
         .with_counter("last_order_switch", last_order_switch)
-        .with_counter("order_switches", order_switches),
+        .with_counter("order_switches", order_switches)
+        .with_counter("index_builds", prepared.index_builds)
+        .with_counter("index_reuses", prepared.index_reuses),
     }
 }
 
@@ -344,7 +346,9 @@ pub fn run_skinner_c_fixed(
             pages_read: prepared.pages_read,
             pages_skipped: prepared.pages_skipped,
             ..ExecMetrics::default()
-        },
+        }
+        .with_counter("index_builds", prepared.index_builds)
+        .with_counter("index_reuses", prepared.index_reuses),
     }
 }
 

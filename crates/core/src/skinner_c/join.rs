@@ -30,19 +30,16 @@ pub struct MultiwayCtx {
 
 impl MultiwayCtx {
     /// Context over (filtered) `tables` with the given jump indexes.
-    pub fn new(tables: Vec<Arc<Table>>, indexes: Vec<((usize, usize), HashIndex)>) -> Self {
+    pub fn new(tables: Vec<Arc<Table>>, indexes: Vec<((usize, usize), Arc<HashIndex>)>) -> Self {
         let interner = tables[0].interner().clone();
         MultiwayCtx {
             tables,
-            indexes: indexes
-                .into_iter()
-                .map(|(key, idx)| (key, Arc::new(idx)))
-                .collect(),
+            indexes,
             interner,
         }
     }
 
-    /// The jump index on `table.col`, if pre-processing built one.
+    /// The jump index on `table.col`, if pre-processing fetched one.
     pub fn index(&self, table: usize, col: usize) -> Option<&Arc<HashIndex>> {
         self.indexes
             .iter()
@@ -50,7 +47,8 @@ impl MultiwayCtx {
             .map(|(_, idx)| idx)
     }
 
-    /// Bytes held by the jump indexes (memory accounting).
+    /// Bytes of the jump indexes in use, whether owned by a catalog table
+    /// or by this statement's filtered copy (memory accounting).
     pub fn index_bytes(&self) -> usize {
         self.indexes.iter().map(|(_, idx)| idx.byte_size()).sum()
     }
@@ -331,7 +329,7 @@ mod tests {
         let mut indexes = Vec::new();
         for (t, table) in q.tables.iter().enumerate() {
             for col in q.equi_join_columns(t) {
-                indexes.push(((t, col), HashIndex::build(table.column(col))));
+                indexes.push(((t, col), table.join_index(col).clone()));
             }
         }
         MultiwayCtx::new(q.tables.clone(), indexes)

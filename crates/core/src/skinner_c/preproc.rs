@@ -1,11 +1,21 @@
 //! Skinner-C pre-processing (`PreprocessingC` in Algorithm 3).
 //!
-//! Filters base tables through the shared pre-processor, then builds hash
-//! indexes on every column involved in an equality join predicate — over the
-//! *filtered* tuples only, which is why the paper calls the overhead of
-//! supporting all join orders "typically small". Index construction is the
-//! parallelizable part of SkinnerDB (Section 6.1).
+//! Filters base tables through the shared pre-processor, then fetches a
+//! jump index for every column involved in an equality join predicate from
+//! the table that owns it ([`Table::join_index`]). A table no unary
+//! predicate touched is the catalog's own, so its index was built by the
+//! first statement to join on that column and is shared by every later
+//! one; a filtered table is this statement's fresh copy, so its index
+//! covers the *filtered* tuples only and dies with the statement — which
+//! is why the paper calls the overhead of supporting all join orders
+//! "typically small". Index construction is the parallelizable part of
+//! SkinnerDB (Section 6.1).
+//!
+//! Work units are a statement's logical cost: every index is charged its
+//! row count whether this call built it or found it, so budgets, timeouts
+//! and learning do not depend on what ran before.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use skinner_exec::{preprocess, Timeout, WorkBudget};
@@ -14,15 +24,29 @@ use skinner_storage::{HashIndex, Table};
 
 use super::join::MultiwayCtx;
 
-/// Filtered tables plus equality-join hash indexes.
+/// Filtered tables plus equality-join jump indexes.
 pub struct PreparedC {
     pub ctx: MultiwayCtx,
     pub base_rows: Vec<usize>,
-    /// Bytes spent on hash indexes (memory accounting).
+    /// Bytes of the jump indexes this statement uses, shared or not
+    /// (memory accounting).
     pub index_bytes: usize,
+    /// Jump indexes this statement built / found already built.
+    pub index_builds: u64,
+    pub index_reuses: u64,
     /// Zone-mapped pages evaluated / skipped during pre-processing.
     pub pages_read: u64,
     pub pages_skipped: u64,
+}
+
+impl PreparedC {
+    /// The index counters as the `preprocess` span's label.
+    pub fn span_label(&self) -> String {
+        format!(
+            "index_builds={} index_reuses={}",
+            self.index_builds, self.index_reuses
+        )
+    }
 }
 
 /// Run pre-processing for Skinner-C.
@@ -33,62 +57,72 @@ pub fn prepare(
     build_indexes: bool,
 ) -> Result<PreparedC, Timeout> {
     let pre = preprocess(query, budget, threads)?;
-    let mut built: Vec<BuiltIndex> = Vec::new();
+    let mut targets: Vec<(usize, usize)> = Vec::new();
     if build_indexes {
-        // Collect the (table, column) pairs needing indexes.
-        let mut targets: Vec<(usize, usize)> = Vec::new();
-        for (t, _) in pre.tables.iter().enumerate() {
-            for col in query.equi_join_columns(t) {
-                targets.push((t, col));
-            }
+        for t in 0..pre.tables.len() {
+            targets.extend(query.equi_join_columns(t).into_iter().map(|col| (t, col)));
         }
-        built = if threads > 1 && targets.len() > 1 {
-            build_parallel(&pre.tables, &targets, budget, threads)?
-        } else {
-            let mut v = Vec::with_capacity(targets.len());
-            for &(t, col) in &targets {
-                budget.charge(pre.tables[t].num_rows() as u64)?;
-                v.push(((t, col), HashIndex::build(pre.tables[t].column(col))));
-            }
-            v
-        };
     }
-    let ctx = MultiwayCtx::new(pre.tables, built);
+    let builds = AtomicU64::new(0);
+    let indexes = if threads > 1 && targets.len() > 1 {
+        fetch_parallel(&pre.tables, &targets, budget, &builds, threads)?
+    } else {
+        fetch(&pre.tables, &targets, budget, &builds)?
+    };
+    let index_builds = builds.into_inner();
+    let index_reuses = indexes.len() as u64 - index_builds;
+    let ctx = MultiwayCtx::new(pre.tables, indexes);
     Ok(PreparedC {
         index_bytes: ctx.index_bytes(),
         ctx,
         base_rows: pre.base_rows,
+        index_builds,
+        index_reuses,
         pages_read: pre.pages_read,
         pages_skipped: pre.pages_skipped,
     })
 }
 
-/// One built jump index, keyed by (table, column).
-type BuiltIndex = ((usize, usize), HashIndex);
+/// One jump index, keyed by (table, column).
+type JumpIndex = ((usize, usize), Arc<HashIndex>);
 
-fn build_parallel(
+/// Charge for and fetch the index of every target, counting in `builds`
+/// the ones this call had to build. Charge first: a statement out of
+/// budget stops at the same target whether or not the index exists.
+fn fetch(
     tables: &[Arc<Table>],
     targets: &[(usize, usize)],
     budget: &WorkBudget,
+    builds: &AtomicU64,
+) -> Result<Vec<JumpIndex>, Timeout> {
+    let mut out = Vec::with_capacity(targets.len());
+    for &(t, col) in targets {
+        budget.charge(tables[t].num_rows() as u64)?;
+        let (index, built) = tables[t].join_index_built(col);
+        // A statistic: publishes nothing.
+        builds.fetch_add(built as u64, Ordering::Relaxed);
+        out.push(((t, col), index.clone()));
+    }
+    Ok(out)
+}
+
+fn fetch_parallel(
+    tables: &[Arc<Table>],
+    targets: &[(usize, usize)],
+    budget: &WorkBudget,
+    builds: &AtomicU64,
     threads: usize,
-) -> Result<Vec<BuiltIndex>, Timeout> {
+) -> Result<Vec<JumpIndex>, Timeout> {
     let chunk = targets.len().div_ceil(threads).max(1);
-    let results: Vec<Result<Vec<BuiltIndex>, Timeout>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in targets.chunks(chunk) {
-            handles.push(scope.spawn(move |_| {
-                let mut out = Vec::with_capacity(part.len());
-                for &(t, col) in part {
-                    budget.charge(tables[t].num_rows() as u64)?;
-                    out.push(((t, col), HashIndex::build(tables[t].column(col))));
-                }
-                Ok(out)
-            }));
-        }
+    let results: Vec<Result<Vec<JumpIndex>, Timeout>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = targets
+            .chunks(chunk)
+            .map(|part| scope.spawn(move |_| fetch(tables, part, budget, builds)))
+            .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
     .expect("index build thread panicked");
-    let mut all = Vec::new();
+    let mut all = Vec::with_capacity(targets.len());
     for r in results {
         all.extend(r?);
     }

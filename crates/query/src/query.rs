@@ -161,7 +161,7 @@ impl JoinQuery {
     }
 
     /// Columns of table `t` that appear in some equality join predicate —
-    /// the columns pre-processing builds hash indexes on (paper Section 4.5).
+    /// the columns pre-processing fetches join indexes for (paper Section 4.5).
     pub fn equi_join_columns(&self, t: usize) -> Vec<usize> {
         let mut cols: Vec<usize> = self
             .equi_preds_on(t)

@@ -865,6 +865,10 @@ fn handle_show(shared: &Shared, what: &str) -> Result<QueryResult, Response> {
                 ("queued_queries".into(), shared.gate.queued() as u64),
                 ("shed_total".into(), shared.gate.shed_total()),
                 ("admitted_total".into(), shared.gate.admitted_total()),
+                (
+                    "join_indexes.bytes".into(),
+                    shared.db.catalog().index_bytes() as u64,
+                ),
                 // The instance-wide default only — connections may
                 // override per session via SET learning_cache, which the
                 // hit/miss/published counters below reflect.

@@ -284,6 +284,11 @@ impl Shared {
             "Queries refused by admission control.",
         )
         .raise_to(self.gate.shed_total());
+        r.gauge(
+            "skinner_join_index_bytes",
+            "Bytes of join indexes retained by catalog tables.",
+        )
+        .set(self.db.catalog().index_bytes() as u64);
         let cache = self.db.learning_cache_stats();
         r.gauge(
             "skinner_learning_cache_entries",
@@ -874,7 +879,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
 
 /// Emit the structured slow-query line when the statement's wall time
 /// crossed `slow_query_ms`: template key, strategy, learned join order,
-/// convergence point, warm-start/page counters and per-stage micros.
+/// convergence point, warm-start/page/join-index counters and per-stage
+/// micros.
 fn maybe_log_slow_query(
     shared: &Arc<Shared>,
     kind: &JobKind,
@@ -922,7 +928,8 @@ fn maybe_log_slow_query(
         .unwrap_or_default();
     eprintln!(
         "slow-query wall_ms={} strategy={} slices={} order={:?} last_order_switch={} \
-         order_switches={} warm_start={} pages_read={} pages_skipped={} stages=[{}] template={:?}",
+         order_switches={} warm_start={} pages_read={} pages_skipped={} index_builds={} \
+         index_reuses={} stages=[{}] template={:?}",
         script.wall.as_millis(),
         strategy,
         slices,
@@ -932,6 +939,8 @@ fn maybe_log_slow_query(
         counter("cache_hit"),
         pages_read,
         pages_skipped,
+        counter("index_builds"),
+        counter("index_reuses"),
         stages,
         template,
     );

@@ -178,6 +178,8 @@ fn metrics_endpoint_serves_valid_exposition_and_counters_are_monotone() {
     assert!(s1["skinner_query_latency_us_sum"] > 0.0);
     // Admission wait is traced for every admitted query.
     assert!(s1["skinner_admission_wait_us_count"] >= 1.0);
+    // The join left its indexes on the catalog tables.
+    assert!(s1["skinner_join_index_bytes"] > 0.0, "{body1}");
     // Regret proxies from the learning engine.
     assert!(s1.contains_key("skinner_order_switches_total"), "{body1}");
     assert!(s1.contains_key("skinner_warm_start_hits_total"));

@@ -114,6 +114,12 @@ impl Catalog {
         }
     }
 
+    /// Bytes held by the join indexes of all registered tables (see
+    /// [`Table::join_index`]).
+    pub fn index_bytes(&self) -> usize {
+        self.tables.read().values().map(|t| t.index_bytes()).sum()
+    }
+
     /// Names of all registered tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.tables.read().keys().cloned().collect();

@@ -17,6 +17,14 @@ pub enum Column {
     Str(Vec<u32>),
 }
 
+/// Canonical equality key of a float: its bit pattern, with -0.0
+/// normalized to 0.0.
+#[inline]
+pub(crate) fn float_key(f: f64) -> u64 {
+    let f = if f == 0.0 { 0.0 } else { f };
+    f.to_bits()
+}
+
 impl Column {
     /// Number of rows.
     pub fn len(&self) -> usize {
@@ -77,11 +85,7 @@ impl Column {
     pub fn key_at(&self, row: RowId) -> u64 {
         match self {
             Column::Int(v) => v[row as usize] as u64,
-            Column::Float(v) => {
-                let f = v[row as usize];
-                let f = if f == 0.0 { 0.0 } else { f };
-                f.to_bits()
-            }
+            Column::Float(v) => float_key(v[row as usize]),
             Column::Str(v) => v[row as usize] as u64,
         }
     }

@@ -1,4 +1,4 @@
-//! Equality hash indexes with sorted posting lists in one flat array.
+//! Equality join indexes with sorted posting lists in one flat array.
 //!
 //! The paper's customized engine (Section 4.5) extends the multi-way join to
 //! "jump directly to the next highest tuple index that satisfies at least all
@@ -7,16 +7,27 @@
 //! first row `>= from` with a given key is one directory probe plus — only
 //! when the list's first row is already behind `from` — a galloping search.
 //!
-//! Layout (CSR): an open-addressing directory maps each canonical `u64` key
-//! to a `(start, len)` window of a single contiguous postings array. The
-//! index is rebuilt over the filtered tuples of every statement, so the build
-//! is two linear passes (count per key → prefix sum → scatter) with no
-//! per-key allocation.
+//! Layout (CSR): a directory maps each canonical `u64` key to a window of a
+//! single contiguous postings array. An index is built at most once per
+//! [`crate::Table`] column ([`crate::Table::join_index`]) and then lives as
+//! long as the table, so the directory has to be small enough to retain.
+//! [`HashIndex::build`] picks one of two kinds from the column itself:
+//!
+//! * **direct-address** — `starts[key - min]..starts[key - min + 1]`, when
+//!   the key span is below [`DIRECT_SPAN_PER_ROW`] × rows (ids, foreign keys,
+//!   interner codes). Four bytes per address, built by counting sort.
+//! * **hash** — open addressing over `(key, start, len)` slots, for sparse
+//!   integers and float bit patterns. Sixteen bytes per slot, two to four
+//!   slots per distinct key.
+//!
+//! Either way the build is linear passes (count per key → prefix sum →
+//! scatter) with no per-key allocation, and the postings of a key are the
+//! same ascending rows: which directory answers is invisible to the join.
 
-use crate::column::Column;
+use crate::column::{float_key, Column};
 use crate::RowId;
 
-/// One directory slot: `len == 0` marks it empty (a present key has at
+/// One hash-directory slot: `len == 0` marks it empty (a present key has at
 /// least one row).
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
@@ -25,95 +36,159 @@ struct Slot {
     len: u32,
 }
 
-/// Hash index over one column: canonical key (`Column::key_at`) → sorted rows.
-///
-/// The directory hashes with a fixed multiplicative constant and probes
-/// linearly. Keys are column *values*, so data crafted to collide degrades a
-/// build towards quadratic; results and work units are unaffected (the
-/// posting order does not depend on the hash).
+/// Key → postings window.
+#[derive(Debug, Clone)]
+enum Directory {
+    /// Window of `key` is `starts[k]..starts[k + 1]` with
+    /// `k = (key ^ SIGN) - min`; `starts` has one entry per address in the
+    /// column's key span plus the closing one.
+    Direct { min: u64, starts: Vec<u32> },
+    /// Open addressing with a fixed multiplicative hash and linear probing.
+    /// Keys are column *values*, so data crafted to collide degrades a build
+    /// towards quadratic; results and work units are unaffected (the
+    /// posting order does not depend on the hash).
+    Hash {
+        /// Power-of-two sized; at most half full.
+        slots: Vec<Slot>,
+        /// `64 - log2(slots.len())`: the hash keeps its top bits.
+        shift: u32,
+    },
+}
+
+/// Join index over one column: canonical key (`Column::key_at`) → sorted rows.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
-    /// Power-of-two sized; at most half full.
-    slots: Vec<Slot>,
-    /// `64 - log2(slots.len())`: the hash keeps its top bits.
-    shift: u32,
-    /// All posting lists back to back, keys in order of first appearance,
-    /// rows ascending within a key.
+    dir: Directory,
+    /// All posting lists back to back, rows ascending within a key.
     postings: Vec<RowId>,
     num_keys: usize,
 }
 
+/// A column gets the direct-address directory when `max_key - min_key` is
+/// below this many times its row count, i.e. when the directory costs at
+/// most 16 bytes a row — what the hash directory costs at its densest.
+pub const DIRECT_SPAN_PER_ROW: u64 = 4;
+
+/// Flipping the sign bit maps canonical integer keys (`i64 as u64`) to
+/// `u64`s in the integers' own order, so a column of small negative and
+/// positive ids has a small span.
+const SIGN: u64 = 1 << 63;
+
 const MIN_SLOTS: usize = 8;
 
+/// Fibonacci hashing: the canonical key is already well-defined per value,
+/// so one multiply spreads it over the directory.
+#[inline]
+fn home(key: u64, shift: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// The slot holding `key`, or the empty slot where it would go.
+#[inline]
+fn probe(slots: &[Slot], shift: u32, key: u64) -> usize {
+    let mask = slots.len() - 1;
+    let mut i = home(key, shift);
+    loop {
+        let slot = &slots[i];
+        if slot.len == 0 || slot.key == key {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
 impl HashIndex {
-    fn with_slots(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two() && n >= 2);
-        HashIndex {
-            slots: vec![Slot::default(); n],
-            shift: 64 - n.trailing_zeros(),
-            postings: Vec::new(),
-            num_keys: 0,
-        }
-    }
-
-    /// Fibonacci hashing: the canonical key is already well-defined per
-    /// value, so one multiply spreads it over the directory.
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The slot holding `key`, or the empty slot where it would go.
-    #[inline]
-    fn probe(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let slot = &self.slots[i];
-            if slot.len == 0 || slot.key == key {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Double the directory, re-placing every present key.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots = vec![Slot::default(); old.len() * 2];
-        self.shift -= 1;
-        for slot in old.into_iter().filter(|s| s.len != 0) {
-            let i = self.probe(slot.key);
-            self.slots[i] = slot;
-        }
-    }
-
     /// Build an index over all rows of `column`.
     pub fn build(column: &Column) -> Self {
-        let n = column.len();
+        match column {
+            Column::Int(v) => Self::from_keys(v.iter().map(|&x| x as u64)),
+            Column::Float(v) => Self::from_keys(v.iter().map(|&f| float_key(f))),
+            Column::Str(v) => Self::from_keys(v.iter().map(|&c| u64::from(c))),
+        }
+    }
+
+    /// `keys` yields every row's canonical key, in row order.
+    fn from_keys(keys: impl ExactSizeIterator<Item = u64> + Clone) -> Self {
+        let n = keys.len();
         assert!(n <= u32::MAX as usize, "row ids are 32-bit");
-        let mut idx = Self::with_slots(MIN_SLOTS);
+        let (min, max) = keys.clone().fold((u64::MAX, 0), |(lo, hi), key| {
+            let k = key ^ SIGN;
+            (lo.min(k), hi.max(k))
+        });
+        // The span is compared, never incremented or allocated from: a
+        // column holding `i64::MIN` and `i64::MAX` has span `u64::MAX`.
+        if n == 0 || max - min < DIRECT_SPAN_PER_ROW * n as u64 {
+            Self::build_direct(keys, n, min, max)
+        } else {
+            Self::build_hashed(keys, n)
+        }
+    }
+
+    /// Counting sort into the direct-address directory.
+    fn build_direct(keys: impl Iterator<Item = u64> + Clone, n: usize, min: u64, max: u64) -> Self {
+        let width = if n == 0 { 0 } else { (max - min) as usize + 1 };
+        // Pass 1: rows per address, kept one entry to the right…
+        let mut starts = vec![0u32; width + 1];
+        for key in keys.clone() {
+            starts[((key ^ SIGN) - min) as usize + 1] += 1;
+        }
+        // …so the running sum leaves every address's window start in place.
+        let mut num_keys = 0;
+        let mut total = 0u32;
+        for s in &mut starts[1..] {
+            num_keys += usize::from(*s != 0);
+            total += *s;
+            *s = total;
+        }
+        // Pass 2: scatter rows, using each window start as its write
+        // cursor; ascending row order keeps every window sorted.
+        let mut postings: Vec<RowId> = vec![0; n];
+        for (row, key) in keys.enumerate() {
+            let at = &mut starts[((key ^ SIGN) - min) as usize];
+            postings[*at as usize] = row as RowId;
+            *at += 1;
+        }
+        // Every cursor now sits at its window's end, which is the next
+        // window's start: shift them back by one address.
+        starts.copy_within(0..width, 1);
+        starts[0] = 0;
+        HashIndex {
+            dir: Directory::Direct { min, starts },
+            postings,
+            num_keys,
+        }
+    }
+
+    fn build_hashed(keys: impl Iterator<Item = u64>, n: usize) -> Self {
+        let mut slots = vec![Slot::default(); MIN_SLOTS];
+        let mut shift = 64 - MIN_SLOTS.trailing_zeros();
         // Pass 1: give every distinct key a dense id (in order of first
         // appearance), remember each row's id and count rows per id. While
         // building, a slot's `start` holds the key id and `len` is 1.
         let mut id_of_row: Vec<u32> = Vec::with_capacity(n);
         let mut counts: Vec<u32> = Vec::new();
-        for row in 0..n as RowId {
-            let key = column.key_at(row);
-            let mut i = idx.probe(key);
-            if idx.slots[i].len == 0 {
-                if (counts.len() + 1) * 2 > idx.slots.len() {
-                    idx.grow();
-                    i = idx.probe(key);
+        for key in keys {
+            let mut i = probe(&slots, shift, key);
+            if slots[i].len == 0 {
+                if (counts.len() + 1) * 2 > slots.len() {
+                    // Double the directory, re-placing every present key.
+                    let doubled = vec![Slot::default(); slots.len() * 2];
+                    let old = std::mem::replace(&mut slots, doubled);
+                    shift -= 1;
+                    for slot in old.into_iter().filter(|s| s.len != 0) {
+                        let at = probe(&slots, shift, slot.key);
+                        slots[at] = slot;
+                    }
+                    i = probe(&slots, shift, key);
                 }
-                idx.slots[i] = Slot {
+                slots[i] = Slot {
                     key,
                     start: counts.len() as u32,
                     len: 1,
                 };
                 counts.push(0);
             }
-            let id = idx.slots[i].start;
+            let id = slots[i].start;
             counts[id as usize] += 1;
             id_of_row.push(id);
         }
@@ -133,21 +208,43 @@ impl HashIndex {
             *at += 1;
         }
         // Every cursor now sits at its window's end.
-        for slot in idx.slots.iter_mut().filter(|s| s.len != 0) {
+        for slot in slots.iter_mut().filter(|s| s.len != 0) {
             let id = slot.start as usize;
             slot.len = counts[id];
             slot.start = cursor[id] - counts[id];
         }
-        idx.postings = postings;
-        idx.num_keys = counts.len();
-        idx
+        HashIndex {
+            dir: Directory::Hash { slots, shift },
+            postings,
+            num_keys: counts.len(),
+        }
+    }
+
+    /// `(start, len)` of `key`'s postings window; `len == 0` if absent.
+    #[inline]
+    fn window(&self, key: u64) -> (usize, usize) {
+        match &self.dir {
+            Directory::Direct { min, starts } => {
+                let k = (key ^ SIGN).wrapping_sub(*min);
+                if k < (starts.len() - 1) as u64 {
+                    let start = starts[k as usize] as usize;
+                    (start, starts[k as usize + 1] as usize - start)
+                } else {
+                    (0, 0)
+                }
+            }
+            Directory::Hash { slots, shift } => {
+                let slot = &slots[probe(slots, *shift, key)];
+                (slot.start as usize, slot.len as usize)
+            }
+        }
     }
 
     /// All rows whose key equals `key`, ascending. Empty slice if none.
     #[inline]
     pub fn lookup(&self, key: u64) -> &[RowId] {
-        let slot = &self.slots[self.probe(key)];
-        &self.postings[slot.start as usize..(slot.start + slot.len) as usize]
+        let (start, len) = self.window(key);
+        &self.postings[start..start + len]
     }
 
     /// Smallest row `>= from` whose key equals `key` — the paper's "jump".
@@ -166,7 +263,7 @@ impl HashIndex {
     /// Number of rows with key equal to `key`.
     #[inline]
     pub fn count(&self, key: u64) -> usize {
-        self.slots[self.probe(key)].len as usize
+        self.window(key).1
     }
 
     /// Number of distinct keys.
@@ -177,8 +274,11 @@ impl HashIndex {
     /// Heap size in bytes (Figure 8 memory accounting): the directory plus
     /// the postings array.
     pub fn byte_size(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
-            + self.postings.len() * std::mem::size_of::<RowId>()
+        let dir = match &self.dir {
+            Directory::Direct { starts, .. } => starts.len() * std::mem::size_of::<u32>(),
+            Directory::Hash { slots, .. } => slots.len() * std::mem::size_of::<Slot>(),
+        };
+        dir + self.postings.len() * std::mem::size_of::<RowId>()
     }
 }
 
@@ -244,17 +344,39 @@ mod tests {
 
     #[test]
     fn directory_growth_keeps_every_key() {
-        // Far more distinct keys than the initial directory holds, with a
-        // zero key (the empty slot's key value) among them.
-        let data: Vec<i64> = (0..5_000).map(|i| (i * 7) % 1_000).collect();
+        // Far more distinct keys than the initial hash directory holds,
+        // with a zero key (the empty slot's key value) among them; the
+        // stride spreads them too far apart for direct addressing.
+        const STRIDE: i64 = 1 << 20;
+        let data: Vec<i64> = (0..5_000).map(|i| (i * 7) % 1_000 * STRIDE).collect();
         let idx = HashIndex::build(&Column::Int(data.clone()));
+        assert!(matches!(idx.dir, Directory::Hash { .. }));
         assert_eq!(idx.num_keys(), 1_000);
-        for key in 0..1_000u64 {
+        for key in (0..1_000).map(|k| k * STRIDE) {
             let expect: Vec<RowId> = (0..data.len() as RowId)
-                .filter(|&r| data[r as usize] as u64 == key)
+                .filter(|&r| data[r as usize] == key)
                 .collect();
-            assert_eq!(idx.lookup(key), &expect[..], "key {key}");
+            assert_eq!(idx.lookup(key as u64), &expect[..], "key {key}");
+            assert_eq!(idx.lookup(key as u64 + 1), &[] as &[RowId]);
         }
+    }
+
+    #[test]
+    fn negative_ids_are_direct_addressed_in_integer_order() {
+        let data = vec![2i64, -3, 0, -3, 2, -1];
+        let idx = HashIndex::build(&Column::Int(data));
+        let Directory::Direct { min, starts } = &idx.dir else {
+            panic!("span 5 over 6 rows must be direct-addressed");
+        };
+        assert_eq!(*min, (-3i64 as u64) ^ SIGN);
+        // Addresses -3..=2, each window starting where the last ended.
+        assert_eq!(starts, &[0, 2, 2, 3, 4, 4, 6]);
+        assert_eq!(idx.lookup(-3i64 as u64), &[1, 3]);
+        assert_eq!(idx.lookup(-2i64 as u64), &[] as &[RowId]);
+        assert_eq!(idx.lookup(2), &[0, 4]);
+        assert_eq!(idx.lookup(3), &[] as &[RowId]);
+        assert_eq!(idx.lookup(-4i64 as u64), &[] as &[RowId]);
+        assert_eq!(idx.num_keys(), 4);
     }
 
     #[test]
@@ -270,8 +392,17 @@ mod tests {
 
     #[test]
     fn byte_size_is_directory_plus_postings() {
+        // Keys 3..=7 over 6 rows: five addresses plus the closing one
+        // (4 bytes each); 6 postings.
         let idx = HashIndex::build(&col());
-        // 3 keys fit the 8-slot directory (16 bytes a slot); 6 postings.
-        assert_eq!(idx.byte_size(), 8 * 16 + 6 * 4);
+        assert_eq!(idx.byte_size(), 6 * 4 + 6 * 4);
+        // The same rows a million apart: 3 keys fit the 8-slot hash
+        // directory (16 bytes a slot).
+        let sparse = Column::Int(vec![
+            7_000_000, 3_000_000, 7_000_000, 5_000_000, 3_000_000, 7_000_000,
+        ]);
+        assert_eq!(HashIndex::build(&sparse).byte_size(), 8 * 16 + 6 * 4);
+        // An empty column allocates the closing address only.
+        assert_eq!(HashIndex::build(&Column::Int(vec![])).byte_size(), 4);
     }
 }

@@ -4,6 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::column::Column;
 use crate::disk::zonemap::ZoneMap;
+use crate::index::HashIndex;
 use crate::interner::Interner;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -35,6 +36,8 @@ pub struct Table {
     /// schema and data hash identically — across processes and across a
     /// persist/reload roundtrip.
     fingerprint: OnceLock<u64>,
+    /// One lazily built join index per column; see [`Table::join_index`].
+    indexes: Box<[OnceLock<Arc<HashIndex>>]>,
 }
 
 /// Source of process-wide unique table ids.
@@ -42,6 +45,10 @@ static NEXT_TABLE_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 
 fn fresh_table_uid() -> u64 {
     NEXT_TABLE_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+fn fresh_indexes(ncols: usize) -> Box<[OnceLock<Arc<HashIndex>>]> {
+    (0..ncols).map(|_| OnceLock::new()).collect()
 }
 
 impl Table {
@@ -61,6 +68,7 @@ impl Table {
         }
         Table {
             name: name.into(),
+            indexes: fresh_indexes(columns.len()),
             schema,
             columns,
             interner,
@@ -141,9 +149,11 @@ impl Table {
     /// `0..n` of the filtered table.
     pub fn gather(&self, rows: &[RowId], name: impl Into<String>) -> Table {
         let columns = self.columns.iter().map(|c| c.gather(rows)).collect();
-        // Gathered rows are no longer page-aligned, so zones do not carry over.
+        // Gathered rows are no longer page-aligned, so zones do not carry
+        // over; nor do join indexes, whose postings are row ids.
         Table {
             name: name.into(),
+            indexes: fresh_indexes(self.columns.len()),
             schema: self.schema.clone(),
             columns,
             interner: self.interner.clone(),
@@ -154,9 +164,39 @@ impl Table {
         }
     }
 
-    /// Approximate heap size in bytes.
+    /// Approximate heap size of the data in bytes (join indexes are
+    /// reported by [`Table::index_bytes`]).
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(Column::byte_size).sum()
+    }
+
+    /// The equality join index on column `col`, built on first use and kept
+    /// for the table's lifetime: tables are immutable, so the index can
+    /// never go stale, and it is freed with the table (DROP, replacement,
+    /// or the end of the statement that gathered a filtered copy).
+    /// Concurrent first uses build once; the others wait for that build.
+    pub fn join_index(&self, col: usize) -> &Arc<HashIndex> {
+        self.join_index_built(col).0
+    }
+
+    /// [`Table::join_index`], plus whether *this* call built the index
+    /// (true for exactly one call per column over the table's lifetime).
+    pub fn join_index_built(&self, col: usize) -> (&Arc<HashIndex>, bool) {
+        let mut built = false;
+        let index = self.indexes[col].get_or_init(|| {
+            built = true;
+            Arc::new(HashIndex::build(&self.columns[col]))
+        });
+        (index, built)
+    }
+
+    /// Bytes held by the join indexes built so far.
+    pub fn index_bytes(&self) -> usize {
+        self.indexes
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|index| index.byte_size())
+            .sum()
     }
 
     /// Content-derived table identity: an FNV-1a hash over the schema

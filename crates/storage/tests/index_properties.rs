@@ -1,13 +1,15 @@
-//! Property tests for the hash index: `lookup`, `count` and `next_match` must
+//! Property tests for the join index: `lookup`, `count` and `next_match` must
 //! agree with an ordered-map model (`key → ascending rows`) for every column
 //! shape the join can meet and for probe positions below, inside and after
-//! each posting range. The "jump" correctness of the multi-way join rests on
-//! exactly these properties.
+//! each posting range — under both directory kinds, and with the kind (read
+//! off `byte_size`) following the span rule. The "jump" correctness of the
+//! multi-way join rests on exactly these properties.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use skinner_storage::index::DIRECT_SPAN_PER_ROW;
 use skinner_storage::{Column, HashIndex, RowId};
 
 /// The model: canonical key → rows in ascending order.
@@ -23,13 +25,42 @@ fn model_next_match(rows: &[RowId], from: RowId) -> Option<RowId> {
     rows.iter().copied().find(|&r| r >= from)
 }
 
+/// Which directory the rule picks for a column with this model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Direct,
+    Hash,
+}
+
+/// The rule, restated over the model: direct addressing iff the span of
+/// the keys, taken in signed-integer order, is below
+/// `DIRECT_SPAN_PER_ROW` × rows. Returns the kind and the index's size
+/// under it: four bytes per address (plus the closing one) or sixteen per
+/// slot of a directory at most half full, plus four per posting.
+fn model_kind_and_bytes(model: &BTreeMap<u64, Vec<RowId>>, rows: usize) -> (Kind, usize) {
+    let ordered = || model.keys().map(|&k| k ^ (1 << 63));
+    let span = ordered().max().unwrap_or(0) - ordered().min().unwrap_or(0);
+    let postings = rows * 4;
+    if rows == 0 {
+        (Kind::Direct, 4)
+    } else if span < DIRECT_SPAN_PER_ROW * rows as u64 {
+        (Kind::Direct, (span as usize + 2) * 4 + postings)
+    } else {
+        let slots = (model.len() * 2).next_power_of_two().max(8);
+        (Kind::Hash, slots * 16 + postings)
+    }
+}
+
 /// Compare the index with the model on every present key and a few absent
-/// ones, probing `next_match` all around each posting list.
-fn assert_matches_model(col: &Column) {
+/// ones, probing `next_match` all around each posting list. Returns the
+/// directory kind the column got.
+fn assert_matches_model(col: &Column) -> Kind {
     let idx = HashIndex::build(col);
     let model = model_of(col);
     let n = col.len() as RowId;
     assert_eq!(idx.num_keys(), model.len());
+    let (kind, bytes) = model_kind_and_bytes(&model, col.len());
+    assert_eq!(idx.byte_size(), bytes, "expected a {kind:?} directory");
     let mut covered = 0usize;
     for (&key, rows) in &model {
         assert_eq!(idx.lookup(key), &rows[..], "lookup {key:#x}");
@@ -47,16 +78,48 @@ fn assert_matches_model(col: &Column) {
         }
     }
     assert_eq!(covered, col.len(), "postings must partition the rows");
-    // Absent keys: neighbours of present ones, and the zero/max extremes.
+    // Absent keys: neighbours of present ones (so just outside a direct
+    // directory's span at both ends), and the extremes of both key orders.
     let absent = model
         .keys()
         .flat_map(|&k| [k.wrapping_add(1), k.wrapping_sub(1), !k])
-        .chain([0, u64::MAX])
+        .chain([0, u64::MAX, i64::MIN as u64, i64::MAX as u64])
         .filter(|k| !model.contains_key(k));
     for key in absent {
         assert_eq!(idx.lookup(key), &[] as &[RowId]);
         assert_eq!(idx.count(key), 0);
         assert_eq!(idx.next_match(key, 0), None);
+    }
+    kind
+}
+
+#[test]
+fn integer_extremes_in_one_column_fall_to_the_hash_directory() {
+    // Span `u64::MAX`: must neither overflow nor be allocated from.
+    let col = Column::Int(vec![i64::MAX, 0, i64::MIN, -1, i64::MAX, i64::MIN]);
+    assert_eq!(assert_matches_model(&col), Kind::Hash);
+    // One extreme alone is a span of zero.
+    assert_eq!(
+        assert_matches_model(&Column::Int(vec![i64::MIN; 3])),
+        Kind::Direct
+    );
+    assert_eq!(
+        assert_matches_model(&Column::Int(vec![i64::MAX; 3])),
+        Kind::Direct
+    );
+    // Sparse string codes, up to the largest.
+    let codes = Column::Str(vec![u32::MAX, 0, 7, u32::MAX]);
+    assert_eq!(assert_matches_model(&codes), Kind::Hash);
+}
+
+#[test]
+fn empty_column_is_direct_and_answers_nothing() {
+    for col in [
+        Column::Int(vec![]),
+        Column::Float(vec![]),
+        Column::Str(vec![]),
+    ] {
+        assert_eq!(assert_matches_model(&col), Kind::Direct);
     }
 }
 
@@ -81,7 +144,38 @@ proptest! {
     fn duplicate_heavy_columns_match_the_model(
         data in proptest::collection::vec(-5i64..5, 0..300),
     ) {
-        assert_matches_model(&Column::Int(data));
+        // Dense keys around zero: direct-addressed as soon as there are a
+        // few rows, negative keys included.
+        let rows = data.len();
+        let kind = assert_matches_model(&Column::Int(data));
+        prop_assert!(rows < 3 || kind == Kind::Direct);
+    }
+
+    #[test]
+    fn the_span_threshold_separates_the_directory_kinds(
+        rows in 1usize..200,
+        base in -1000i64..1000,
+        fill in proptest::collection::vec(0u64..1_000_000, 0..200),
+    ) {
+        // `rows` keys between `base` and `base + span`, both ends present.
+        let column = |span: u64| {
+            let mut data = vec![base; rows];
+            for (slot, f) in data.iter_mut().skip(1).zip(&fill) {
+                *slot = base + (f % (span + 1)) as i64;
+            }
+            if rows > 1 {
+                data[rows - 1] = base + span as i64;
+            }
+            Column::Int(data)
+        };
+        let limit = DIRECT_SPAN_PER_ROW * rows as u64;
+        // The widest span still direct-addressed…
+        let widest = if rows > 1 { limit - 1 } else { 0 };
+        prop_assert_eq!(assert_matches_model(&column(widest)), Kind::Direct);
+        // …and, one wider, the narrowest one hashed.
+        if rows > 1 {
+            prop_assert_eq!(assert_matches_model(&column(limit)), Kind::Hash);
+        }
     }
 
     #[test]
@@ -90,12 +184,16 @@ proptest! {
         stride in 1i64..1000,
         base in -1000i64..1000,
     ) {
-        // Distinct keys in a scrambled order: far more keys than the
-        // directory starts with, so it grows several times.
+        // Keys `base + j * stride` for every `j < len`, in a scrambled
+        // order (7919 is prime): dense for small strides, and from stride
+        // 5 on sparse with far more keys than the hash directory starts
+        // with, so it grows several times.
         let data: Vec<i64> = (0..len as i64)
             .map(|i| base + ((i * 7919) % len.max(1) as i64) * stride)
             .collect();
-        assert_matches_model(&Column::Int(data));
+        let kind = assert_matches_model(&Column::Int(data));
+        let dense = (len as i64 - 1) * stride < DIRECT_SPAN_PER_ROW as i64 * len as i64;
+        prop_assert_eq!(kind == Kind::Direct, len == 0 || dense);
     }
 
     #[test]

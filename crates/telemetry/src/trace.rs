@@ -145,8 +145,20 @@ impl<'a> SpanTimer<'a> {
 
     /// Close the stage, recording its span (if tracing).
     pub fn finish(self, detail: u64) {
+        self.finish_labeled(detail, String::new);
+    }
+
+    /// [`SpanTimer::finish`] with a qualifier, built only when tracing.
+    /// For once-per-statement stages: a non-empty label is an allocation.
+    pub fn finish_labeled(self, detail: u64, label: impl FnOnce() -> String) {
         if let Some(t) = self.trace {
-            t.record(self.stage, self.start_ns, detail);
+            t.push(Span {
+                stage: self.stage,
+                label: label(),
+                start_ns: self.start_ns,
+                dur_ns: t.now_ns().saturating_sub(self.start_ns),
+                detail,
+            });
         }
     }
 }
