@@ -22,8 +22,7 @@ use skinner_exec::{
     postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, ExecutionStrategy, Timeout,
     TupleBuf, TupleIxs, WorkBudget,
 };
-use skinner_query::expr::EvalCtx;
-use skinner_query::{JoinQuery, TableSet};
+use skinner_query::{JoinQuery, Pred, TableSet};
 use skinner_storage::RowId;
 
 /// Eddy configuration.
@@ -100,7 +99,8 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
     };
     let m = query.num_tables();
     let graph = query.join_graph();
-    let interner = pre.tables[0].interner().clone();
+    // Parallel to `query.generic_preds`.
+    let generic = Pred::lower_all(query.generic_preds.iter().map(|p| &p.expr), &pre.tables);
 
     // STeM-like hash indexes over every equality join column: the tables'
     // own, charged as if built here whether or not an earlier statement
@@ -143,7 +143,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
                 }
                 routings += 1;
                 let next = choose_next(&graph, &q, mask, &mut rng, cfg.epsilon);
-                match expand(query, &pre.tables, &interner, &mask, &tuple, next, &budget) {
+                match expand(query, &pre.tables, &generic, &mask, &tuple, next, &budget) {
                     Ok(children) => {
                         let cost = 1.0 + children.len() as f64;
                         q.update(mask.mask(), next, cost);
@@ -202,10 +202,11 @@ fn choose_next(
 }
 
 /// Join `tuple` with table `next`, returning all extended tuples.
+/// `lowered` is `query.generic_preds`, lowered against `tables`.
 fn expand(
     query: &JoinQuery,
     tables: &[std::sync::Arc<skinner_storage::Table>],
-    interner: &std::sync::Arc<skinner_storage::Interner>,
+    lowered: &[Pred],
     mask: &TableSet,
     tuple: &TupleIxs,
     next: usize,
@@ -218,10 +219,12 @@ fn expand(
         .iter()
         .filter(|p| p.table_set().is_subset_of(&step_set) && p.side_on(next).is_some())
         .collect();
-    let generic: Vec<_> = query
+    let generic: Vec<&Pred> = query
         .generic_preds
         .iter()
-        .filter(|p| p.tables.is_subset_of(&step_set) && p.tables.contains(next))
+        .zip(lowered)
+        .filter(|(p, _)| p.tables.is_subset_of(&step_set) && p.tables.contains(next))
+        .map(|(_, lowered)| lowered)
         .collect();
     let mut out = Vec::new();
     let mut scratch: Vec<RowId> = tuple.to_vec();
@@ -229,8 +232,7 @@ fn expand(
         |row: RowId, scratch: &mut Vec<RowId>, out: &mut Vec<TupleIxs>| -> Result<(), Timeout> {
             scratch[next] = row;
             budget.charge(generic.len() as u64)?;
-            let ctx = EvalCtx::new(tables, scratch, interner);
-            if generic.iter().all(|p| p.expr.eval_bool(&ctx)) {
+            if generic.iter().all(|p| p.eval(scratch)) {
                 budget.produce_tuples(1)?;
                 out.push(scratch.clone().into_boxed_slice());
             }

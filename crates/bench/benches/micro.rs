@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of SkinnerDB's performance-critical pieces:
 //! the multi-way join inner loop, UCT selection overhead, join-order
 //! switching (backup + restore), index jumps and builds, pre-processing
-//! over already-indexed tables, the pyramid scheme, and the post-processing
-//! kernel that turns result tuples into output rows.
+//! over already-indexed tables, lowered predicates (UDF join checks and
+//! unary filters), the pyramid scheme, and the post-processing kernel that
+//! turns result tuples into output rows.
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -16,10 +17,11 @@ use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
 use skinnerdb::skinner_core::skinner_c::state::{JoinState, ProgressTracker};
 use skinnerdb::skinner_core::{run_skinner_c, PyramidScheme, SkinnerCConfig};
-use skinnerdb::skinner_exec::{postprocess, ExecContext, TupleView, WorkBudget};
+use skinnerdb::skinner_exec::{postprocess, preprocess, ExecContext, TupleView, WorkBudget};
 use skinnerdb::skinner_query::{JoinGraph, TableSet};
 use skinnerdb::skinner_storage::HashIndex;
 use skinnerdb::skinner_uct::{UctConfig, UctTree};
+use skinnerdb::skinner_workloads::torture::trivial;
 use skinnerdb::{DataType, Database, Value};
 
 fn bench_db(rows: i64) -> (Database, String) {
@@ -178,6 +180,79 @@ fn prepare_warm(c: &mut Criterion) {
     });
 }
 
+/// One full pass of one join order over the `trivial` torture shape
+/// (Figure 12): a four-table chain joined only through an opaque UDF
+/// equality, so every candidate tuple costs one UDF check — 120 000 of them.
+fn udf_join_checks(c: &mut Criterion) {
+    let w = trivial(4, 200);
+    let db = Database::from_parts(w.catalog.clone(), w.udfs);
+    let q = db.bind(&w.queries[0].script).unwrap();
+    let ctx = prepare(&q, &WorkBudget::unlimited(), 1, true).unwrap().ctx;
+    let order = [0, 1, 2, 3];
+    let info = OrderInfo::build(&q, &ctx, &order, true);
+    c.bench_function("udf_join_checks_trivial_4x200", |bench| {
+        bench.iter_batched(
+            || {
+                (
+                    JoinState::fresh(&[0; 4]),
+                    ResultSet::new(),
+                    WorkBudget::unlimited(),
+                )
+            },
+            |(mut state, mut results, budget)| {
+                let offsets = [0; 4];
+                continue_join(
+                    &ctx,
+                    &info,
+                    &mut state,
+                    &offsets,
+                    u64::MAX,
+                    &budget,
+                    &mut results,
+                )
+                .unwrap();
+                results.len()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// Pre-processing of one 50 000-row table under four unary predicates —
+/// int range, `IN` list, float comparison, `LIKE` — evaluated per row.
+fn filter_unary_preds(c: &mut Criterion) {
+    let db = Database::new();
+    db.create_table(
+        "t",
+        &[
+            ("x", DataType::Int),
+            ("g", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+        ],
+        (0..50_000i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 10),
+                    Value::Float((i % 7) as f64 * 0.25),
+                    Value::from(format!("n-{}", i % 100).as_str()),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    let q = db
+        .bind(
+            "SELECT t.x FROM t WHERE t.x < 40000 AND t.g IN (1, 3, 5, 7) \
+             AND t.f >= 0.5 AND t.s LIKE 'n-1%'",
+        )
+        .unwrap();
+    c.bench_function("filter_unary_preds_50k", |bench| {
+        bench.iter(|| preprocess(&q, &WorkBudget::unlimited(), 1).unwrap().tables[0].num_rows())
+    });
+}
+
 fn pyramid_scheme(c: &mut Criterion) {
     c.bench_function("pyramid_next_timeout", |bench| {
         let mut p = PyramidScheme::new();
@@ -304,6 +379,8 @@ criterion_group! {
         join_order_switch_cost,
         index_jump_vs_scan,
         prepare_warm,
+        udf_join_checks,
+        filter_unary_preds,
         pyramid_scheme,
         skinner_c_end_to_end,
         postprocess_kernel,

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use skinner_exec::{LocalWork, Timeout, WorkBudget};
-use skinner_query::expr::{CmpOp, EvalCtx, Expr};
-use skinner_query::JoinQuery;
+use skinner_query::expr::{CmpOp, Expr};
+use skinner_query::{JoinQuery, Pred};
 use skinner_storage::{HashIndex, RowId, Table};
 
 use super::result_set::ResultSet;
@@ -25,18 +25,12 @@ pub struct MultiwayCtx {
     /// Only [`OrderInfo::build`] searches this list; the join loop probes
     /// through the references each order resolved from it.
     indexes: Vec<((usize, usize), Arc<HashIndex>)>,
-    pub interner: Arc<skinner_storage::Interner>,
 }
 
 impl MultiwayCtx {
     /// Context over (filtered) `tables` with the given jump indexes.
     pub fn new(tables: Vec<Arc<Table>>, indexes: Vec<((usize, usize), Arc<HashIndex>)>) -> Self {
-        let interner = tables[0].interner().clone();
-        MultiwayCtx {
-            tables,
-            indexes,
-            interner,
-        }
+        MultiwayCtx { tables, indexes }
     }
 
     /// The jump index on `table.col`, if pre-processing fetched one.
@@ -72,12 +66,13 @@ struct Level {
     cardinality: RowId,
     jumps: Vec<Jump>,
     /// Remaining predicates to evaluate (generic predicates and, with
-    /// jumps disabled, equality predicates as expressions).
-    checks: Vec<Expr>,
+    /// jumps disabled, equality predicates), lowered against `ctx.tables`.
+    checks: Vec<Pred>,
 }
 
 /// Per-join-order evaluation plan, built once per distinct order: every
-/// `(table, column)` lookup the loop would need is done here.
+/// `(table, column)` lookup the loop would need is done here, and every
+/// check is lowered to a [`Pred`] over tuple positions.
 #[derive(Debug)]
 pub struct OrderInfo {
     pub order: Vec<usize>,
@@ -118,11 +113,12 @@ impl OrderInfo {
                 }),
                 None => {
                     let dt = query.col_type(mine);
-                    levels[pos].checks.push(Expr::Cmp {
+                    let eq = Expr::Cmp {
                         op: CmpOp::Eq,
                         left: Box::new(Expr::Col(mine, dt)),
                         right: Box::new(Expr::Col(other, dt)),
-                    });
+                    };
+                    levels[pos].checks.push(Pred::lower(&eq, &ctx.tables));
                 }
             }
         }
@@ -137,7 +133,7 @@ impl OrderInfo {
             else {
                 continue;
             };
-            levels[pos].checks.push(p.expr.clone());
+            levels[pos].checks.push(Pred::lower(&p.expr, &ctx.tables));
         }
         OrderInfo {
             order: order.to_vec(),
@@ -161,7 +157,8 @@ pub enum SliceOutcome {
 /// at every level. One work unit is counted per step, index probe,
 /// predicate evaluation and new result tuple — locally, against the
 /// budget's remaining units, and settled to `budget` once when the slice
-/// ends (by step count, completion or `Err(Timeout)`).
+/// ends (by step count, completion or `Err(Timeout)`). `info` must have
+/// been built against `ctx`, which it already resolved everything from.
 pub fn continue_join(
     ctx: &MultiwayCtx,
     info: &OrderInfo,
@@ -191,7 +188,7 @@ pub fn continue_join(
 /// level 0 is identical to the sequential join.
 #[allow(clippy::too_many_arguments)]
 pub fn continue_join_ranged(
-    ctx: &MultiwayCtx,
+    _ctx: &MultiwayCtx,
     info: &OrderInfo,
     state: &mut JoinState,
     offsets: &[RowId],
@@ -230,8 +227,7 @@ pub fn continue_join_ranged(
                     true
                 } else {
                     work.charge(level.checks.len() as u64)?;
-                    let ectx = EvalCtx::new(&ctx.tables, &state.s, &ctx.interner);
-                    level.checks.iter().all(|c| c.eval_bool(&ectx))
+                    level.checks.iter().all(|c| c.eval(&state.s))
                 };
                 if !ok {
                     state.s[ti] = row + 1;

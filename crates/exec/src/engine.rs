@@ -16,9 +16,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use skinner_query::expr::EvalCtx;
 use skinner_query::query::GenericPred;
-use skinner_query::{EquiPred, JoinQuery, TableSet};
+use skinner_query::{EquiPred, JoinQuery, Pred, TableSet};
 use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
@@ -121,7 +120,6 @@ pub fn execute_join(
     assert!(!order.is_empty(), "empty join order");
     let m = query.num_tables();
     let tc = profile.tuple_cost();
-    let interner = tables[0].interner().clone();
 
     // Leftmost scan.
     let t0 = order[0];
@@ -161,7 +159,6 @@ pub fn execute_join(
                 &generic,
                 profile,
                 budget,
-                &interner,
                 is_last && count_only,
             )?
         } else {
@@ -175,7 +172,6 @@ pub fn execute_join(
                 &generic,
                 profile,
                 budget,
-                &interner,
                 is_last && count_only,
             )?
         };
@@ -209,7 +205,6 @@ pub fn join_step(
     profile: &ExecProfile,
     budget: &WorkBudget,
 ) -> Result<Vec<TupleIxs>, Timeout> {
-    let interner = tables[0].interner().clone();
     let step_set = prefix.with(tk);
     let equi: Vec<&EquiPred> = query
         .equi_preds
@@ -223,12 +218,11 @@ pub fn join_step(
         .collect();
     let out = if equi.is_empty() {
         nested_loop_step(
-            tables, query, current, tk, floors[tk], &generic, profile, budget, &interner, false,
+            tables, query, current, tk, floors[tk], &generic, profile, budget, false,
         )?
     } else {
         hash_join_step(
-            tables, query, current, tk, floors[tk], &equi, &generic, profile, budget, &interner,
-            false,
+            tables, query, current, tk, floors[tk], &equi, &generic, profile, budget, false,
         )?
     };
     match out {
@@ -259,10 +253,10 @@ fn hash_join_step(
     generic: &[&GenericPred],
     profile: &ExecProfile,
     budget: &WorkBudget,
-    interner: &Arc<skinner_storage::Interner>,
     count_only: bool,
 ) -> Result<StepOutput, Timeout> {
     let tc = profile.tuple_cost();
+    let generic = Pred::lower_all(generic.iter().map(|p| &p.expr), tables);
     let table = &tables[tk];
     let n = table.cardinality();
     // Build side: hash all (remaining) rows of tk on the combined key of its
@@ -317,8 +311,7 @@ fn hash_join_step(
             }
             scratch[tk] = row;
             budget.charge(generic.len() as u64)?;
-            let ctx = EvalCtx::new(tables, scratch, interner);
-            if generic.iter().all(|p| p.expr.eval_bool(&ctx)) {
+            if generic.iter().all(|p| p.eval(scratch)) {
                 budget.produce_tuples(1)?;
                 budget.charge(tc.saturating_sub(1))?;
                 if count_only {
@@ -344,10 +337,10 @@ fn nested_loop_step(
     generic: &[&GenericPred],
     profile: &ExecProfile,
     budget: &WorkBudget,
-    interner: &Arc<skinner_storage::Interner>,
     count_only: bool,
 ) -> Result<StepOutput, Timeout> {
     let tc = profile.tuple_cost();
+    let generic = Pred::lower_all(generic.iter().map(|p| &p.expr), tables);
     let n = tables[tk].cardinality();
     let probe_one = |tuple: &TupleIxs,
                      out: &mut Vec<TupleIxs>,
@@ -360,8 +353,7 @@ fn nested_loop_step(
             budget.charge(1)?;
             scratch[tk] = row;
             budget.charge(generic.len() as u64)?;
-            let ctx = EvalCtx::new(tables, scratch, interner);
-            if generic.iter().all(|p| p.expr.eval_bool(&ctx)) {
+            if generic.iter().all(|p| p.eval(scratch)) {
                 budget.produce_tuples(1)?;
                 budget.charge(tc.saturating_sub(1))?;
                 if count_only {

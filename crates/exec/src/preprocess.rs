@@ -4,7 +4,8 @@
 //! predicates are applied once, up front, producing filtered base tables so
 //! the join phase works on dense row ids. Pre-processing is the only phase
 //! SkinnerDB parallelizes (Section 6.1); `threads > 1` splits each table
-//! scan across crossbeam scoped threads.
+//! scan across crossbeam scoped threads. Each table's predicates are
+//! lowered once ([`skinner_query::Pred`]) and then evaluated per row.
 //!
 //! Tables decoded from disk segments carry zone maps; the scan plan
 //! (see [`crate::zonescan`]) is computed once, on the coordinator, before
@@ -13,8 +14,7 @@
 
 use std::sync::Arc;
 
-use skinner_query::expr::EvalCtx;
-use skinner_query::JoinQuery;
+use skinner_query::{JoinQuery, Pred};
 use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
@@ -88,9 +88,7 @@ fn filter_serial(
     budget: &WorkBudget,
     ranges: &[(RowId, RowId)],
 ) -> Result<Vec<RowId>, Timeout> {
-    let table = &query.tables[t];
-    let interner = table.interner().clone();
-    let preds = &query.unary[t];
+    let preds = Pred::lower_all(&query.unary[t], &query.tables);
     let mut rows_vec = Vec::new();
     let mut probe: Vec<RowId> = vec![0; query.tables.len()];
     let mut work = budget.local();
@@ -98,8 +96,7 @@ fn filter_serial(
         for row in lo..hi {
             probe[t] = row;
             work.charge(preds.len() as u64)?;
-            let ctx = EvalCtx::new(&query.tables, &probe, &interner);
-            if preds.iter().all(|p| p.eval_bool(&ctx)) {
+            if preds.iter().all(|p| p.eval(&probe)) {
                 rows_vec.push(row);
             }
         }
@@ -114,14 +111,11 @@ fn filter_parallel(
     threads: usize,
     plan: &ScanPlan,
 ) -> Result<Vec<RowId>, Timeout> {
-    let preds = &query.unary[t];
-    let table = &query.tables[t];
-    let interner = table.interner().clone();
+    let preds = &Pred::lower_all(&query.unary[t], &query.tables);
     let chunks = split_ranges(&plan.ranges, threads);
     let results: Vec<Result<Vec<RowId>, Timeout>> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for chunk in &chunks {
-            let interner = &interner;
             handles.push(scope.spawn(move |_| {
                 let mut out = Vec::new();
                 let mut probe: Vec<RowId> = vec![0; query.tables.len()];
@@ -133,8 +127,7 @@ fn filter_parallel(
                     for row in lo..hi {
                         probe[t] = row;
                         work.charge(preds.len() as u64)?;
-                        let ctx = EvalCtx::new(&query.tables, &probe, interner);
-                        if preds.iter().all(|p| p.eval_bool(&ctx)) {
+                        if preds.iter().all(|p| p.eval(&probe)) {
                             out.push(row);
                         }
                     }

@@ -4,7 +4,10 @@
 //! predicate on every combination. Exponential; only for test-sized data.
 //! Deliberately shares *no* join code with the real engines (it bypasses
 //! pre-processing, hash joins and the multi-way join entirely), so agreement
-//! with them is meaningful evidence of correctness.
+//! with them is meaningful evidence of correctness. For the same reason it
+//! evaluates predicates with the tree-walking [`skinner_query::Expr::eval_bool`],
+//! the oracle the engines' lowered [`skinner_query::Pred`]s are held to,
+//! not with a `Pred` of its own.
 
 use skinner_query::expr::EvalCtx;
 use skinner_query::JoinQuery;

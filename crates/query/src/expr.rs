@@ -6,9 +6,12 @@
 //! array and the current row-index vector; column accesses materialize single
 //! cells on demand — never whole intermediate tuples.
 //!
-//! Hot paths avoid [`Value`] construction: comparisons dispatch on static
-//! types (`i64`/`f64`/interner codes), and equality keys canonicalize to
-//! `u64` exactly like [`skinner_storage::Column::key_at`].
+//! Comparisons dispatch on static types (`i64`/`f64`/interner codes), and
+//! equality keys canonicalize to `u64` exactly like
+//! [`skinner_storage::Column::key_at`]. The per-tuple loops (join checks,
+//! unary filters) do not walk these trees: they evaluate
+//! [`crate::pred::Pred`]s lowered from them once per statement, and
+//! [`Expr::eval_bool`] is the oracle those are tested against.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +37,21 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether operands ordered `ord` satisfy the comparison.
+    #[inline]
+    pub(crate) fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Neq => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -42,6 +60,45 @@ pub enum ArithOp {
     Mul,
     Div,
     Mod,
+}
+
+impl ArithOp {
+    /// Integer arithmetic, shared by [`Expr`] and [`crate::pred::Pred`]:
+    /// overflow wraps (as integer `SUM` does, so `i64::MIN / -1` is
+    /// `i64::MIN` rather than a panic), division truncates, and dividing by
+    /// zero yields 0.
+    #[inline]
+    pub(crate) fn int(self, a: i64, b: i64) -> i64 {
+        match self {
+            ArithOp::Add => a.wrapping_add(b),
+            ArithOp::Sub => a.wrapping_sub(b),
+            ArithOp::Mul => a.wrapping_mul(b),
+            ArithOp::Div | ArithOp::Mod if b == 0 => 0,
+            ArithOp::Div => a.wrapping_div(b),
+            ArithOp::Mod => a.wrapping_rem(b),
+        }
+    }
+
+    /// Float arithmetic; dividing by zero yields 0.0.
+    #[inline]
+    pub(crate) fn float(self, a: f64, b: f64) -> f64 {
+        match self {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div | ArithOp::Mod if b == 0.0 => 0.0,
+            ArithOp::Div => a / b,
+            ArithOp::Mod => a % b,
+        }
+    }
+}
+
+/// Canonical `u64` equality key of a float (mirrors `Column::key_at`):
+/// its bit pattern, with -0.0 normalized to 0.0.
+#[inline]
+pub(crate) fn float_key(f: f64) -> u64 {
+    let f = if f == 0.0 { 0.0 } else { f };
+    f.to_bits()
 }
 
 /// A bound UDF call site: function pointer plus a shared invocation counter
@@ -57,6 +114,29 @@ pub struct UdfHandle {
 impl std::fmt::Debug for UdfHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Udf({})", self.name)
+    }
+}
+
+/// UDF calls of at most this arity build their arguments on the stack.
+const STACK_ARGS: usize = 4;
+
+impl UdfHandle {
+    /// Count one call, then invoke the function on `args`, each turned into
+    /// a [`Value`] by `eval` in order.
+    #[inline]
+    pub(crate) fn call<A>(&self, args: &[A], mut eval: impl FnMut(&A) -> Value) -> Value {
+        const UNSET: Value = Value::Int(0);
+        self.counter.fetch_add(1, Ordering::Relaxed);
+        if args.len() <= STACK_ARGS {
+            let mut vals = [UNSET; STACK_ARGS];
+            for (slot, a) in vals.iter_mut().zip(args) {
+                *slot = eval(a);
+            }
+            (self.func)(&vals[..args.len()])
+        } else {
+            let vals: Vec<Value> = args.iter().map(eval).collect();
+            (self.func)(&vals)
+        }
     }
 }
 
@@ -231,14 +311,7 @@ impl Expr {
                         None => return false, // NaN comparisons are false
                     }
                 };
-                match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Neq => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                }
+                op.holds(ord)
             }
             Expr::InSet { arg, set, negated } => {
                 let hit = set.contains(&arg.eval_key(ctx));
@@ -265,11 +338,7 @@ impl Expr {
     pub fn eval_key(&self, ctx: &EvalCtx<'_>) -> u64 {
         match self.dtype() {
             DataType::Int => self.eval_i64(ctx) as u64,
-            DataType::Float => {
-                let f = self.eval_f64(ctx);
-                let f = if f == 0.0 { 0.0 } else { f };
-                f.to_bits()
-            }
+            DataType::Float => float_key(self.eval_f64(ctx)),
             DataType::Str => self
                 .str_code(ctx)
                 .expect("string expression without a code") as u64,
@@ -297,28 +366,9 @@ impl Expr {
             Expr::LitInt(i) => *i,
             Expr::Arith { op, left, right } => {
                 let a = left.eval_i64(ctx);
-                let b = right.eval_i64(ctx);
-                match op {
-                    ArithOp::Add => a.wrapping_add(b),
-                    ArithOp::Sub => a.wrapping_sub(b),
-                    ArithOp::Mul => a.wrapping_mul(b),
-                    ArithOp::Mod => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a % b
-                        }
-                    }
-                    ArithOp::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a / b // SQL integer division truncates
-                        }
-                    }
-                }
+                op.int(a, right.eval_i64(ctx))
             }
-            Expr::Neg(e) => -e.eval_i64(ctx),
+            Expr::Neg(e) => e.eval_i64(ctx).wrapping_neg(),
             Expr::Cmp { .. }
             | Expr::And(_)
             | Expr::Or(_)
@@ -340,26 +390,7 @@ impl Expr {
             Expr::LitFloat(x) => *x,
             Expr::Arith { op, left, right } => {
                 let a = left.eval_f64(ctx);
-                let b = right.eval_f64(ctx);
-                match op {
-                    ArithOp::Add => a + b,
-                    ArithOp::Sub => a - b,
-                    ArithOp::Mul => a * b,
-                    ArithOp::Div => {
-                        if b == 0.0 {
-                            0.0
-                        } else {
-                            a / b
-                        }
-                    }
-                    ArithOp::Mod => {
-                        if b == 0.0 {
-                            0.0
-                        } else {
-                            a % b
-                        }
-                    }
-                }
+                op.float(a, right.eval_f64(ctx))
             }
             Expr::Neg(e) => -e.eval_f64(ctx),
             Expr::Udf { .. } => self.eval_udf(ctx).as_f64().unwrap_or(0.0),
@@ -369,11 +400,7 @@ impl Expr {
 
     fn eval_udf(&self, ctx: &EvalCtx<'_>) -> Value {
         match self {
-            Expr::Udf { handle, args } => {
-                handle.counter.fetch_add(1, Ordering::Relaxed);
-                let vals: Vec<Value> = args.iter().map(|a| a.eval(ctx)).collect();
-                (handle.func)(&vals)
-            }
+            Expr::Udf { handle, args } => handle.call(args, |a| a.eval(ctx)),
             _ => unreachable!(),
         }
     }

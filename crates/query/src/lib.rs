@@ -10,6 +10,9 @@
 //!   calls),
 //! * [`expr`] — bound expressions evaluated against `(tables, row-ids)`
 //!   tuples, matching the paper's index-vector tuple representation,
+//! * [`pred`] — WHERE predicates lowered once per statement into typed
+//!   programs over tuple positions, for the per-tuple loops (join checks,
+//!   unary filters),
 //! * [`query`] — the bound [`query::JoinQuery`]: per-table unary predicates,
 //!   equality join predicates, generic (theta/UDF) join predicates, and the
 //!   post-processing spec (select/group/order/limit),
@@ -27,6 +30,7 @@ pub mod expr;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
+pub mod pred;
 pub mod query;
 pub mod table_set;
 pub mod template;
@@ -36,6 +40,7 @@ pub use binder::{bind_select, BindError};
 pub use expr::{ColRef, EvalCtx, Expr};
 pub use graph::JoinGraph;
 pub use parser::{parse_statement, parse_statements, ParseError};
+pub use pred::Pred;
 pub use query::{AggFunc, EquiPred, GenericPred, JoinQuery, OrderKey, SelectItem, SortOrder};
 pub use table_set::TableSet;
 pub use template::{template_features, template_key, TemplateFeatures};

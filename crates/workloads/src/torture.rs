@@ -170,7 +170,8 @@ pub fn trivial(num_tables: usize, rows_per_table: usize) -> Workload {
         catalog: Arc::new(cat),
         udfs,
         queries: vec![BenchQuery {
-            name: format!("trivial-{num_tables}t"),
+            // Sizes differ only in rows, so the name carries both.
+            name: format!("trivial-{num_tables}t-{rows_per_table}r"),
             script,
             num_tables,
         }],
@@ -228,6 +229,7 @@ mod tests {
     fn trivial_chain_has_fanout_one() {
         let w = trivial(4, 25);
         let q = &w.queries[0];
+        assert_eq!(q.name, "trivial-4t-25r");
         assert!(q.script.contains("udf_eq"));
         skinner_query::parse_statements(&q.script).unwrap();
         // Result should be exactly rows_per_table once executed; verified
