@@ -11,7 +11,10 @@
 //! Differences from real proptest: generation is deterministic per test
 //! case index (a fixed SplitMix64 seed schedule), and failing cases are
 //! **not shrunk** — the panic message carries the failing values via the
-//! assertion text instead.
+//! assertion text instead. As in proptest, the `PROPTEST_CASES`
+//! environment variable, when set, overrides every block's `cases`; case
+//! *i* draws the same inputs either way, so a larger count explores past
+//! the configured cases without changing them.
 
 pub mod test_runner {
     /// Deterministic SplitMix64 generator driving all strategies.
@@ -50,6 +53,20 @@ pub mod test_runner {
         pub cases: u32,
         /// Accepted for source compatibility; shrinking is not implemented.
         pub max_shrink_iters: u32,
+    }
+
+    impl Config {
+        /// The number of cases to run: `PROPTEST_CASES` if set, else
+        /// `cases`.
+        pub fn effective_cases(&self) -> u32 {
+            match std::env::var("PROPTEST_CASES") {
+                Ok(v) => v
+                    .trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("PROPTEST_CASES={v:?} is not a case count")),
+                Err(_) => self.cases,
+            }
+        }
     }
 
     impl Default for Config {
@@ -544,7 +561,7 @@ macro_rules! __proptest_fns {
         $(#[$meta])*
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
-            for __case in 0..__cfg.cases {
+            for __case in 0..__cfg.effective_cases() {
                 let __seed = (__case as u64)
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     ^ 0x5EED_CAFE;

@@ -405,6 +405,8 @@ fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
 // Properties.
 // ---------------------------------------------------------------------
 
+// The nightly workflow (.github/workflows/nightly.yml) runs this block with
+// PROPTEST_CASES at ten times `cases`: change both together.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
@@ -439,6 +441,8 @@ proptest! {
     }
 }
 
+// The nightly workflow (.github/workflows/nightly.yml) runs this block with
+// PROPTEST_CASES at ten times `cases`: change both together.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 

@@ -544,7 +544,6 @@ impl<'a> Binder<'a> {
                     handle: UdfHandle {
                         name: Arc::from(self.udfs.name(id)),
                         func: self.udfs.func(id),
-                        counter: self.udfs.counter(id),
                         ret: self.udfs.return_type(id),
                     },
                     args: bound?,

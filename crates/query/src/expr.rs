@@ -14,7 +14,6 @@
 //! [`Expr::eval_bool`] is the oracle those are tested against.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use skinner_storage::{DataType, Interner, RowId, Table, Value};
@@ -101,13 +100,11 @@ pub(crate) fn float_key(f: f64) -> u64 {
     f.to_bits()
 }
 
-/// A bound UDF call site: function pointer plus a shared invocation counter
-/// (the paper's Figure 11 counts predicate evaluations).
+/// A bound UDF call site: the function and its declared return type.
 #[derive(Clone)]
 pub struct UdfHandle {
     pub name: Arc<str>,
     pub func: crate::udf::UdfFn,
-    pub counter: Arc<AtomicU64>,
     pub ret: DataType,
 }
 
@@ -117,25 +114,20 @@ impl std::fmt::Debug for UdfHandle {
     }
 }
 
-/// UDF calls of at most this arity build their arguments on the stack.
-const STACK_ARGS: usize = 4;
-
 impl UdfHandle {
-    /// Count one call, then invoke the function on `args`, each turned into
-    /// a [`Value`] by `eval` in order.
+    /// Invoke the function on `args`, each turned into a [`Value`] by
+    /// `eval` in order. Up to four arguments are passed in a stack array of
+    /// exactly their number; more go through a `Vec`.
     #[inline]
     pub(crate) fn call<A>(&self, args: &[A], mut eval: impl FnMut(&A) -> Value) -> Value {
-        const UNSET: Value = Value::Int(0);
-        self.counter.fetch_add(1, Ordering::Relaxed);
-        if args.len() <= STACK_ARGS {
-            let mut vals = [UNSET; STACK_ARGS];
-            for (slot, a) in vals.iter_mut().zip(args) {
-                *slot = eval(a);
-            }
-            (self.func)(&vals[..args.len()])
-        } else {
-            let vals: Vec<Value> = args.iter().map(eval).collect();
-            (self.func)(&vals)
+        let f = &self.func;
+        match args {
+            [] => f(&[]),
+            [a] => f(&[eval(a)]),
+            [a, b] => f(&[eval(a), eval(b)]),
+            [a, b, c] => f(&[eval(a), eval(b), eval(c)]),
+            [a, b, c, d] => f(&[eval(a), eval(b), eval(c), eval(d)]),
+            _ => f(&args.iter().map(eval).collect::<Vec<_>>()),
         }
     }
 }
@@ -314,19 +306,24 @@ impl Expr {
                 op.holds(ord)
             }
             Expr::InSet { arg, set, negated } => {
-                let hit = set.contains(&arg.eval_key(ctx));
+                let hit = arg.set_key(ctx).is_some_and(|k| set.contains(&k));
                 hit != *negated
             }
             Expr::LikeSet {
                 arg,
                 matches,
+                pattern,
                 negated,
-                ..
             } => {
-                let code = arg
-                    .str_code(ctx)
-                    .expect("LIKE argument must be an interned string");
-                let hit = matches.get(code as usize).copied().unwrap_or(false);
+                let hit = match arg.str_code(ctx) {
+                    Some(code) => matches.get(code as usize).copied().unwrap_or(false),
+                    // A string-valued UDF: its result may not be interned
+                    // (or be a string at all), so match the text itself.
+                    None => arg
+                        .eval(ctx)
+                        .as_str()
+                        .is_some_and(|s| like_match(pattern, s)),
+                };
                 hit != *negated
             }
             Expr::Udf { .. } => self.eval_udf(ctx).as_bool(),
@@ -334,14 +331,41 @@ impl Expr {
         }
     }
 
-    /// Canonical `u64` equality key (mirrors `Column::key_at`).
+    /// Canonical `u64` equality key (mirrors `Column::key_at`): equal
+    /// values, equal keys. A string-valued UDF's result is interned, so
+    /// it keys (a GROUP BY or DISTINCT column) like an equal string in a
+    /// table; a result that is not a string keys as its text.
     pub fn eval_key(&self, ctx: &EvalCtx<'_>) -> u64 {
         match self.dtype() {
             DataType::Int => self.eval_i64(ctx) as u64,
             DataType::Float => float_key(self.eval_f64(ctx)),
-            DataType::Str => self
-                .str_code(ctx)
-                .expect("string expression without a code") as u64,
+            DataType::Str => match self.str_code(ctx) {
+                Some(code) => code as u64,
+                None => {
+                    let v = self.eval(ctx);
+                    let code = match v.as_str() {
+                        Some(s) => ctx.interner.intern(s),
+                        None => ctx.interner.intern(&v.to_string()),
+                    };
+                    code as u64
+                }
+            },
+        }
+    }
+
+    /// The key an `IN` set is probed with: [`Expr::eval_key`], except that
+    /// a string-valued UDF's result is only looked up, never interned. A
+    /// string that was never interned equals no literal of the set, and a
+    /// result that is not a string equals no string: both give `None`.
+    fn set_key(&self, ctx: &EvalCtx<'_>) -> Option<u64> {
+        match (self.dtype(), self.str_code(ctx)) {
+            (_, Some(code)) => Some(code as u64),
+            (DataType::Str, None) => self
+                .eval(ctx)
+                .as_str()
+                .and_then(|s| ctx.interner.lookup(s))
+                .map(u64::from),
+            _ => Some(self.eval_key(ctx)),
         }
     }
 
@@ -440,6 +464,7 @@ pub fn like_match(pattern: &str, s: &str) -> bool {
 mod tests {
     use super::*;
     use skinner_storage::{schema, Catalog};
+    use std::sync::Mutex;
 
     fn fixture() -> (Catalog, Arc<Table>) {
         let cat = Catalog::new();
@@ -566,13 +591,16 @@ mod tests {
     #[test]
     fn udf_counts_calls() {
         let (cat, t) = fixture();
-        let reg = crate::udf::UdfRegistry::new();
-        let id = reg.register("gt15", |args| Value::from(args[0].as_i64().unwrap() > 15));
+        // The UDF counts itself.
+        let calls = Arc::new(Mutex::new(0));
+        let counter = calls.clone();
         let e = Expr::Udf {
             handle: UdfHandle {
                 name: Arc::from("gt15"),
-                func: reg.func(id),
-                counter: reg.counter(id),
+                func: Arc::new(move |args: &[Value]| {
+                    *counter.lock().unwrap() += 1;
+                    Value::from(args[0].as_i64().unwrap() > 15)
+                }),
                 ret: DataType::Int,
             },
             args: vec![col(0, 0, DataType::Int)],
@@ -582,7 +610,7 @@ mod tests {
         let ctx1 = EvalCtx::new(&tables, &[1u32], cat.interner());
         assert!(!e.eval_bool(&ctx0));
         assert!(e.eval_bool(&ctx1));
-        assert_eq!(reg.call_count(id), 2);
+        assert_eq!(*calls.lock().unwrap(), 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! evaluating the same subexpressions in the same order with the same short
 //! circuits, so rows, work units and UDF call counts do not change. What has
 //! no typed arm — string ordering, string-valued UDFs under a comparison,
-//! shapes `eval_bool` itself would panic on — stays an [`Expr`] evaluated by
-//! `eval_bool`: the one fallback.
+//! `LIKE` or `IN`, shapes `eval_bool` itself would panic on — stays an
+//! [`Expr`] evaluated by `eval_bool`: the one fallback.
 //!
 //! String arguments of a UDF are resolved from the interner before the call;
 //! no interner read is held while a UDF runs (see `Interner::read`).
@@ -148,9 +148,12 @@ enum Key {
     Code(Code),
 }
 
-/// A UDF argument, materialized as [`Expr::eval`] does.
+/// A UDF argument, materialized as [`Expr::eval`] does. A bare column is
+/// read directly rather than through [`Int`] or [`Float`].
 #[derive(Debug, Clone)]
 enum Arg {
+    IntCol(ColAt),
+    FloatCol(ColAt),
     Int(Int),
     Float(Float),
     StrCol(ColAt),
@@ -176,6 +179,7 @@ struct Fallback {
 }
 
 impl Node {
+    #[inline]
     fn eval(&self, rows: &[RowId]) -> bool {
         match self {
             Node::And(ps) => ps.iter().all(|p| p.eval(rows)),
@@ -265,6 +269,8 @@ impl Arg {
     #[inline]
     fn value(&self, rows: &[RowId]) -> Value {
         match self {
+            Arg::IntCol(c) => Value::Int(c.column().int_at(c.row(rows))),
+            Arg::FloatCol(c) => Value::Float(c.column().float_at(c.row(rows))),
             Arg::Int(i) => Value::Int(i.eval(rows)),
             Arg::Float(f) => Value::Float(f.eval(rows)),
             // `resolve` gives its read back before the UDF runs.
@@ -418,15 +424,15 @@ impl<'a> Lowering<'a> {
         let args = args
             .iter()
             .map(|a| {
-                Some(match a.dtype() {
-                    DataType::Int => Arg::Int(self.int(a)?),
-                    DataType::Float => Arg::Float(self.float(a)?),
-                    DataType::Str => match a {
-                        Expr::Col(c, _) => Arg::StrCol(self.col(*c)),
-                        Expr::LitStr { text, .. } => Arg::StrLit(text.clone()),
-                        Expr::Udf { handle, args } => Arg::Udf(self.udf(handle, args)?),
-                        _ => return None,
-                    },
+                Some(match (a, a.dtype()) {
+                    (Expr::Col(c, _), DataType::Int) => Arg::IntCol(self.col(*c)),
+                    (Expr::Col(c, _), DataType::Float) => Arg::FloatCol(self.col(*c)),
+                    (Expr::Col(c, _), DataType::Str) => Arg::StrCol(self.col(*c)),
+                    (_, DataType::Int) => Arg::Int(self.int(a)?),
+                    (_, DataType::Float) => Arg::Float(self.float(a)?),
+                    (Expr::LitStr { text, .. }, _) => Arg::StrLit(text.clone()),
+                    (Expr::Udf { handle, args }, _) => Arg::Udf(self.udf(handle, args)?),
+                    _ => return None,
                 })
             })
             .collect::<Option<_>>()?;
@@ -448,8 +454,8 @@ impl<'a> Lowering<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::udf::UdfRegistry;
     use skinner_storage::{schema, Catalog};
+    use std::sync::Mutex;
 
     fn fixture() -> (Catalog, Vec<Arc<Table>>) {
         let cat = Catalog::new();
@@ -531,25 +537,31 @@ mod tests {
     #[test]
     fn udf_arguments_and_counts_match() {
         let (cat, tables) = fixture();
-        let reg = UdfRegistry::new();
-        let id = reg.register("starts_a", |args| {
-            Value::from(
-                args[1].as_str().is_some_and(|s| s.starts_with('a'))
-                    && args[0].as_i64() == Some(10),
-            )
-        });
+        // The UDF counts itself.
+        let calls = Arc::new(Mutex::new(0));
+        let counter = calls.clone();
         let e = Expr::Udf {
             handle: UdfHandle {
                 name: Arc::from("starts_a"),
-                func: reg.func(id),
-                counter: reg.counter(id),
+                func: Arc::new(move |args: &[Value]| {
+                    *counter.lock().unwrap() += 1;
+                    Value::from(
+                        args[1].as_str().is_some_and(|s| s.starts_with('a'))
+                            && args[0].as_i64() == Some(10)
+                            && args[2].as_f64() == Some(1.5),
+                    )
+                }),
                 ret: DataType::Int,
             },
-            args: vec![col(0, DataType::Int), col(2, DataType::Str)],
+            args: vec![
+                col(0, DataType::Int),
+                col(2, DataType::Str),
+                col(1, DataType::Float),
+            ],
         };
         let p = agree(&e, &tables, cat.interner());
         assert!(matches!(p.0, Node::Udf(_)));
         // Two rows, each evaluated once by the oracle and once lowered.
-        assert_eq!(reg.call_count(id), 4);
+        assert_eq!(*calls.lock().unwrap(), 4);
     }
 }

@@ -6,12 +6,13 @@
 //! (it falls back to a default selectivity), while SkinnerDB's learning
 //! strategies handle them like any other predicate.
 //!
-//! UDFs are plain Rust closures over [`Value`] arguments. The registry
-//! counts invocations, which feeds the "number of predicate evaluations"
-//! metric of the paper's Figure 11.
+//! UDFs are plain Rust closures over [`Value`] arguments. A call costs the
+//! function and its arguments, nothing shared: the registry keeps no call
+//! counter, so a UDF that wants to be counted counts itself (its closure
+//! captures its own counter, as `crates/query/tests/pred_model.rs` and
+//! `tests/udf_calls_golden.rs` do).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -29,7 +30,6 @@ struct UdfEntry {
     name: String,
     func: UdfFn,
     ret: skinner_storage::DataType,
-    calls: Arc<AtomicU64>,
 }
 
 #[derive(Default)]
@@ -87,7 +87,6 @@ impl UdfRegistry {
                     name: key.clone(),
                     func: Arc::new(func),
                     ret,
-                    calls: Arc::new(AtomicU64::new(0)),
                 });
                 inner.by_name.insert(key, id);
                 id
@@ -98,12 +97,6 @@ impl UdfRegistry {
     /// Declared return type of `id`.
     pub fn return_type(&self, id: UdfId) -> skinner_storage::DataType {
         self.inner.read().entries[id.0 as usize].ret
-    }
-
-    /// Shared invocation counter for `id`; bound expressions hold a clone so
-    /// evaluation can count calls without a registry reference.
-    pub fn counter(&self, id: UdfId) -> Arc<AtomicU64> {
-        self.inner.read().entries[id.0 as usize].calls.clone()
     }
 
     /// Look up a UDF by name.
@@ -123,37 +116,6 @@ impl UdfRegistry {
     /// The (lowercased) registered name of `id`.
     pub fn name(&self, id: UdfId) -> String {
         self.inner.read().entries[id.0 as usize].name.clone()
-    }
-
-    /// Record one invocation (called from expression evaluation).
-    pub fn record_call(&self, id: UdfId) {
-        self.inner.read().entries[id.0 as usize]
-            .calls
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total invocations of `id` so far.
-    pub fn call_count(&self, id: UdfId) -> u64 {
-        self.inner.read().entries[id.0 as usize]
-            .calls
-            .load(Ordering::Relaxed)
-    }
-
-    /// Total invocations across all UDFs.
-    pub fn total_calls(&self) -> u64 {
-        self.inner
-            .read()
-            .entries
-            .iter()
-            .map(|e| e.calls.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Reset all invocation counters (between benchmark runs).
-    pub fn reset_counters(&self) {
-        for e in &self.inner.read().entries {
-            e.calls.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -197,17 +159,5 @@ mod tests {
         let id2 = r.register("f", |_| Value::Int(2));
         assert_eq!(id1, id2);
         assert_eq!(r.func(id1)(&[]).as_i64(), Some(2));
-    }
-
-    #[test]
-    fn counters_accumulate_and_reset() {
-        let r = UdfRegistry::new();
-        let id = r.register("g", |_| Value::Int(0));
-        r.record_call(id);
-        r.record_call(id);
-        assert_eq!(r.call_count(id), 2);
-        assert_eq!(r.total_calls(), 2);
-        r.reset_counters();
-        assert_eq!(r.total_calls(), 0);
     }
 }

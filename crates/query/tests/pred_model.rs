@@ -1,17 +1,20 @@
 //! Differential test of lowered predicates: for random predicate trees over
 //! edge-case data, [`Pred::eval`] must return exactly what the tree-walking
 //! [`Expr::eval_bool`] (the oracle) returns at every tuple, and call every
-//! UDF exactly as often.
+//! UDF exactly as often. Each UDF counts its own calls.
 //!
 //! Trees mix every typed arm `Pred` has and several it falls back on: int,
 //! float and mixed comparisons (int arithmetic evaluated in float context),
 //! string `=`/`<>` and ordering, nested `AND`/`OR`/`NOT`, `IN` over each
-//! type, `LIKE`, integer arithmetic with `/0`, `%0`, `i64::MIN / -1` and
-//! `-i64::MIN`, and counting UDFs of arity 0–5 returning ints, floats,
-//! strings — and, declared `Int`, floats and strings. Data holds NaN, ±0.0,
-//! ±inf, `i64::MIN`/`MAX` and empty strings.
+//! type, `LIKE` and `IN` over string columns, literals and string-valued
+//! UDFs, integer arithmetic with `/0`, `%0`, `i64::MIN / -1` and
+//! `-i64::MIN`, and UDFs of arity 0–5 returning ints, floats, strings
+//! (some never interned) — and, declared `Int`, floats and strings, and,
+//! declared `Str`, ints and floats. Data holds NaN, ±0.0, ±inf, `i64::MIN`/`MAX` and
+//! empty strings.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -65,12 +68,14 @@ impl Gen {
     }
 }
 
-/// A registered UDF with its declared return type and arity.
+/// A registered UDF with its declared return type, arity and the counter
+/// its function bumps on every call.
 struct Udf {
     id: UdfId,
     name: String,
     ret: DataType,
     arity: usize,
+    calls: Arc<AtomicU64>,
 }
 
 struct World {
@@ -128,16 +133,28 @@ fn world() -> World {
             ("float", DataType::Float),
             ("str", DataType::Str),
             ("liar", DataType::Int),
+            ("strliar", DataType::Str),
         ] {
             let name = format!("{kind}{arity}");
+            let calls = Arc::new(AtomicU64::new(0));
+            let counter = calls.clone();
             let id = udfs.register_typed(&name, ret, move |args: &[Value]| {
+                counter.fetch_add(1, Ordering::Relaxed);
                 let h = digest(args);
                 match kind {
                     "int" => Value::Int((h % 3) as i64 - 1),
                     "float" => Value::Float([0.5, -0.0, f64::NAN, 3.0][(h % 4) as usize]),
-                    "str" => Value::from(STRS[(h % STRS.len() as u64) as usize]),
+                    // "zz" is never interned.
+                    "str" => match (h % (STRS.len() as u64 + 1)) as usize {
+                        i if i < STRS.len() => Value::from(STRS[i]),
+                        _ => Value::from("zz"),
+                    },
                     // Declared Int, but not always an int.
-                    _ => [Value::Int(1), Value::Float(2.5), Value::from("x")][(h % 3) as usize]
+                    "liar" => [Value::Int(1), Value::Float(2.5), Value::from("x")]
+                        [(h % 3) as usize]
+                        .clone(),
+                    // Declared Str, but not always a string.
+                    _ => [Value::from("ab"), Value::Int(1), Value::Float(0.5)][(h % 3) as usize]
                         .clone(),
                 }
             });
@@ -146,6 +163,7 @@ fn world() -> World {
                 name,
                 ret,
                 arity,
+                calls,
             });
         }
     }
@@ -210,7 +228,6 @@ impl Trees<'_> {
             handle: UdfHandle {
                 name: Arc::from(f.name.as_str()),
                 func: self.w.udfs.func(f.id),
-                counter: self.w.udfs.counter(f.id),
                 ret,
             },
             args,
@@ -269,15 +286,6 @@ impl Trees<'_> {
         }
     }
 
-    /// A string operand with an interner code (what `IN`/`LIKE` take).
-    fn coded(&mut self) -> Expr {
-        if self.g.below(3) == 0 {
-            self.lit_str()
-        } else {
-            self.col(DataType::Str)
-        }
-    }
-
     fn numeric(&mut self, depth: u32) -> Expr {
         if self.g.below(2) == 0 {
             self.int(depth)
@@ -317,7 +325,7 @@ impl Trees<'_> {
                             .collect(),
                     ),
                     _ => (
-                        self.coded(),
+                        self.string(d),
                         STRS.iter()
                             .map(|s| self.w.catalog.interner().lookup(s).unwrap() as u64)
                             .collect(),
@@ -337,7 +345,7 @@ impl Trees<'_> {
                     .map(|c| like_match(pattern, &interner.resolve(c)))
                     .collect();
                 Expr::LikeSet {
-                    arg: Box::new(self.coded()),
+                    arg: Box::new(self.string(d)),
                     matches: Arc::new(matches),
                     pattern: Arc::from(pattern),
                     negated: self.g.below(2) == 0,
@@ -365,9 +373,14 @@ impl Trees<'_> {
 }
 
 fn counts(w: &World) -> Vec<u64> {
-    w.funcs.iter().map(|f| w.udfs.call_count(f.id)).collect()
+    w.funcs
+        .iter()
+        .map(|f| f.calls.load(Ordering::Relaxed))
+        .collect()
 }
 
+// The nightly workflow (.github/workflows/nightly.yml) runs this block with
+// PROPTEST_CASES at ten times `cases`: change both together.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
 
@@ -408,11 +421,29 @@ fn generator_reaches_every_udf_arity() {
     let w = world();
     let mut trees = Trees { w: &w, g: Gen(1) };
     let rows = [1u32, 1u32];
+    // String-valued UDFs (`str*`, `strliar*`) directly under LIKE and IN.
+    let shapes = [
+        "LikeSet { arg: Udf { handle: Udf(str",
+        "InSet { arg: Udf { handle: Udf(str",
+    ];
+    let mut seen = [0; 2];
     for _ in 0..2000 {
         let e = trees.pred(4);
         e.eval_bool(&EvalCtx::new(&w.tables, &rows, w.catalog.interner()));
+        let tree = format!("{e:?}");
+        for (n, shape) in seen.iter_mut().zip(shapes) {
+            *n += tree.contains(shape) as usize;
+        }
     }
     for f in &w.funcs {
-        assert!(w.udfs.call_count(f.id) > 0, "{} never called", f.name);
+        assert!(
+            f.calls.load(Ordering::Relaxed) > 0,
+            "{} never called",
+            f.name
+        );
     }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "{shapes:?} seen {seen:?} times"
+    );
 }

@@ -137,6 +137,8 @@ fn tricky_float() -> impl Strategy<Value = f64> {
     ]
 }
 
+// The nightly workflow (.github/workflows/nightly.yml) runs this block with
+// PROPTEST_CASES at ten times `cases`: change both together.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 

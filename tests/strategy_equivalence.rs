@@ -188,6 +188,94 @@ fn like_and_in_and_between() {
     );
 }
 
+/// The registry database plus two string-valued UDFs: `up(s)` and
+/// `glue(a, b)` = `a/b`.
+fn string_udf_db() -> Database {
+    let db = registry_db();
+    db.udfs().register_typed("up", DataType::Str, |args| {
+        Value::from(args[0].as_str().unwrap_or_default().to_uppercase().as_str())
+    });
+    db.udfs().register_typed("glue", DataType::Str, |args| {
+        let part = |v: &Value| v.as_str().unwrap_or_default().to_string();
+        Value::from(format!("{}/{}", part(&args[0]), part(&args[1])).as_str())
+    });
+    db
+}
+
+/// String-valued UDFs, whose results carry no interner code and may never
+/// have been interned, under every registered strategy: `LIKE` and `IN` as
+/// filters and as join checks, and as GROUP BY and DISTINCT keys.
+#[test]
+fn like_and_in_over_string_udfs() {
+    // fact.tag is "alpha" on every third id (40 rows), else "beta";
+    // f.d1 = a.id pairs id i with label-{i % 4}.
+    let cases = [
+        (
+            "SELECT COUNT(*) c FROM fact f WHERE up(f.tag) LIKE 'AL%'",
+            40,
+        ),
+        (
+            "SELECT COUNT(*) c FROM fact f WHERE up(f.tag) NOT LIKE 'AL%'",
+            80,
+        ),
+        (
+            "SELECT COUNT(*) c FROM fact f WHERE up(f.tag) IN ('BETA', 'x')",
+            80,
+        ),
+        (
+            "SELECT COUNT(*) c FROM fact f WHERE up(f.tag) NOT IN ('ALPHA')",
+            80,
+        ),
+        (
+            "SELECT COUNT(*) c FROM fact f, dim1 a \
+             WHERE f.d1 = a.id AND glue(f.tag, a.label) LIKE 'alpha/%-1'",
+            10,
+        ),
+        (
+            "SELECT COUNT(*) c FROM fact f, dim1 a \
+             WHERE f.d1 = a.id AND glue(f.tag, a.label) IN ('beta/label-2', 'nope')",
+            20,
+        ),
+    ];
+    let cases = cases.map(|(sql, n)| (sql, vec![vec![Value::Int(n)]]));
+    // The same UDFs as GROUP BY and DISTINCT keys: 'ALPHA' and 'BETA' are
+    // in no table, and still key as themselves.
+    let s = |text: &str| Value::from(text);
+    let keyed = [
+        (
+            "SELECT up(f.tag) u, COUNT(*) c FROM fact f GROUP BY up(f.tag) ORDER BY u",
+            vec![
+                vec![s("ALPHA"), Value::Int(40)],
+                vec![s("BETA"), Value::Int(80)],
+            ],
+        ),
+        (
+            "SELECT DISTINCT up(f.tag) u FROM fact f ORDER BY u",
+            vec![vec![s("ALPHA")], vec![s("BETA")]],
+        ),
+        (
+            "SELECT glue(f.tag, a.label) g, COUNT(*) c FROM fact f, dim1 a \
+             WHERE f.d1 = a.id AND a.id < 3 GROUP BY glue(f.tag, a.label) ORDER BY g",
+            vec![
+                vec![s("alpha/label-0"), Value::Int(10)],
+                vec![s("beta/label-1"), Value::Int(10)],
+                vec![s("beta/label-2"), Value::Int(10)],
+            ],
+        ),
+    ];
+    for (sql, expected) in cases.into_iter().chain(keyed) {
+        for name in string_udf_db().strategies().names() {
+            // A fresh database per run, so no earlier statement has
+            // interned a UDF result or an `IN` literal.
+            let db = string_udf_db();
+            let out = db
+                .query_with(sql, &name)
+                .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
+            assert_eq!(out.rows, expected, "{name}: {sql}");
+        }
+    }
+}
+
 #[test]
 fn self_join_aliases() {
     let db = registry_db();
