@@ -2,8 +2,8 @@
 //! the multi-way join inner loop, UCT selection overhead, join-order
 //! switching (backup + restore), index jumps and builds, pre-processing
 //! over already-indexed tables, lowered predicates (UDF join checks and
-//! unary filters), the pyramid scheme, and the post-processing kernel that
-//! turns result tuples into output rows.
+//! unary filters), the pyramid scheme, the post-processing kernel that
+//! turns result tuples into output rows, and CSV ingest.
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -22,7 +22,7 @@ use skinnerdb::skinner_query::{JoinGraph, TableSet};
 use skinnerdb::skinner_storage::HashIndex;
 use skinnerdb::skinner_uct::{UctConfig, UctTree};
 use skinnerdb::skinner_workloads::torture::trivial;
-use skinnerdb::{DataType, Database, Value};
+use skinnerdb::{DataType, Database, DiskStore, Value};
 
 fn bench_db(rows: i64) -> (Database, String) {
     let db = Database::new();
@@ -367,6 +367,64 @@ fn postprocess_kernel(c: &mut Criterion) {
     }
 }
 
+/// The `tpch_disk` benchmark's ingest input: TPC-H `lineitem` at scale
+/// 0.01 (60 000 rows, 14 columns, ~3.7 MB) as CSV, header first, strings
+/// quoted where they hold a comma, quote or line break.
+fn lineitem_csv() -> Vec<u8> {
+    use skinnerdb::skinner_workloads::tpch::{generate, TpchConfig};
+    let w = generate(&TpchConfig {
+        scale: 0.01,
+        seed: 0x7C4,
+    });
+    let t = w.catalog.get("lineitem").unwrap();
+    let header: Vec<&str> = t
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect();
+    let mut csv = header.join(",");
+    for r in 0..t.num_rows() as u32 {
+        csv.push('\n');
+        for (i, v) in t.row_values(r).iter().enumerate() {
+            if i > 0 {
+                csv.push(',');
+            }
+            match v {
+                Value::Str(s) if s.contains([',', '"', '\n']) => {
+                    csv.push_str(&format!("\"{}\"", s.replace('"', "\"\"")));
+                }
+                v => csv.push_str(&v.to_string()),
+            }
+        }
+    }
+    csv.push('\n');
+    csv.into_bytes()
+}
+
+/// CSV ingest of `lineitem`: bulk-loaded with inferred types into a
+/// segment of a temporary data directory (parse, page encode, fsync,
+/// commit), and read into an in-memory table.
+fn csv_ingest(c: &mut Criterion) {
+    use skinnerdb::skinner_storage::{bulk_load_csv, disk::PAGE_ROWS, read_csv, Interner};
+    use std::sync::Arc;
+    let csv = lineitem_csv();
+    let dir = std::env::temp_dir().join(format!("skinner_micro_csv_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::open(&dir).unwrap();
+    c.bench_function("csv_bulk_load_lineitem", |bench| {
+        bench.iter(|| bulk_load_csv(&store, "lineitem", &csv[..], None, PAGE_ROWS).unwrap())
+    });
+    c.bench_function("csv_read_memory", |bench| {
+        bench.iter(|| {
+            read_csv("lineitem", &csv[..], None, Arc::new(Interner::new()))
+                .unwrap()
+                .num_rows()
+        })
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -384,5 +442,6 @@ criterion_group! {
         pyramid_scheme,
         skinner_c_end_to_end,
         postprocess_kernel,
+        csv_ingest,
 }
 criterion_main!(benches);

@@ -1,60 +1,22 @@
-//! Streaming bulk CSV ingestion into a [`DiskStore`].
+//! Bulk CSV ingestion into a [`DiskStore`].
 //!
 //! Unlike [`crate::read_csv`], which materializes a full in-memory table,
-//! the bulk loader parses each record straight into the [`SegmentWriter`]'s
-//! typed page buffers — no per-cell [`crate::Value`] allocation, and with
-//! an explicit schema no buffering of the input at all: memory stays
-//! bounded by one page per column regardless of file size. With
-//! `schema: None` the records are buffered once for type inference (the
-//! same Int ⊂ Float ⊂ Str lattice as the in-memory path) and then streamed
-//! out of the buffer.
+//! the bulk loader parses each record straight into the typed page
+//! buffers of a [`SegmentWriter`](crate::disk::SegmentWriter), through the
+//! same record scanner as the in-memory path (see [`crate::csv`]) — no
+//! per-cell allocation. With an explicit schema the input streams: memory
+//! stays bounded by one record plus one page per column, whatever the file
+//! size. With `schema: None` the raw input is read whole (about the file's
+//! size) and scanned twice, once to infer the types (the same Int ⊂ Float
+//! ⊂ Str lattice as the in-memory path) and once to fill the pages. Quoted
+//! fields may span lines on every path.
 
 use std::io::BufRead;
 
-use crate::csv::{infer_type, split_record, CsvError};
+use crate::csv::{infer_schema, Records};
 use crate::disk::manifest::DiskStore;
-use crate::disk::segment::SegmentWriter;
 use crate::disk::DiskError;
-use crate::schema::{Field, Schema};
-use crate::value::DataType;
-
-fn bad_cell(raw: &str, dt: DataType, line: usize, column: &str) -> DiskError {
-    DiskError::Csv(CsvError::BadCell {
-        line,
-        column: column.to_string(),
-        value: raw.to_string(),
-        expected: dt,
-    })
-}
-
-/// Parse one cell directly into the writer's typed buffer for column `col`.
-fn push_cell(
-    w: &mut SegmentWriter,
-    col: usize,
-    raw: &str,
-    dt: DataType,
-    line: usize,
-    column: &str,
-) -> Result<(), DiskError> {
-    match dt {
-        DataType::Int => {
-            let v = raw
-                .trim()
-                .parse::<i64>()
-                .map_err(|_| bad_cell(raw, dt, line, column))?;
-            w.push_int(col, v);
-        }
-        DataType::Float => {
-            let v = raw
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| bad_cell(raw, dt, line, column))?;
-            w.push_float(col, v);
-        }
-        DataType::Str => w.push_str(col, raw),
-    }
-    Ok(())
-}
+use crate::schema::Schema;
 
 /// Bulk-load a CSV (header required) as the persistent table `name` in
 /// `store`, committing atomically. Returns the committed row count.
@@ -64,93 +26,51 @@ fn push_cell(
 pub fn bulk_load_csv(
     store: &DiskStore,
     name: &str,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     schema: Option<Schema>,
     page_rows: usize,
 ) -> Result<u64, DiskError> {
-    let mut lines = reader.lines().enumerate();
-    let header = match lines.next() {
-        Some((_, line)) => split_record(&line?, 1).map_err(DiskError::Csv)?,
-        None => return Err(DiskError::Csv(CsvError::Empty)),
-    };
-    let ncols = header.len();
-
     match schema {
-        Some(schema) => {
-            assert_eq!(schema.len(), ncols, "schema arity must match the header");
-            // True streaming: each record goes straight to page buffers.
-            store.create_table_with(name, schema.clone(), page_rows, move |w| {
-                for (i, line) in lines {
-                    let line = line?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let lineno = i + 1;
-                    let rec = split_record(&line, lineno).map_err(DiskError::Csv)?;
-                    if rec.len() != ncols {
-                        return Err(DiskError::Csv(CsvError::Ragged {
-                            line: lineno,
-                            expected: ncols,
-                            found: rec.len(),
-                        }));
-                    }
-                    for (c, raw) in rec.iter().enumerate() {
-                        let f = schema.field(c);
-                        push_cell(w, c, raw, f.dtype, lineno, &f.name)?;
-                    }
-                    w.end_row()?;
-                }
-                Ok(())
-            })
-        }
+        Some(schema) => fill(store, name, Records::open(reader)?, schema, page_rows),
         None => {
-            // Inference needs every cell once; buffer records, then stream.
-            let mut records: Vec<(usize, Vec<String>)> = Vec::new();
-            for (i, line) in lines {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let lineno = i + 1;
-                let rec = split_record(&line, lineno).map_err(DiskError::Csv)?;
-                if rec.len() != ncols {
-                    return Err(DiskError::Csv(CsvError::Ragged {
-                        line: lineno,
-                        expected: ncols,
-                        found: rec.len(),
-                    }));
-                }
-                records.push((lineno, rec));
-            }
-            let fields: Vec<Field> = header
-                .iter()
-                .enumerate()
-                .map(|(c, name)| {
-                    let samples: Vec<&str> = records.iter().map(|(_, r)| r[c].as_str()).collect();
-                    Field::new(name.trim(), infer_type(&samples))
-                })
-                .collect();
-            let schema = Schema::new(fields);
-            store.create_table_with(name, schema.clone(), page_rows, move |w| {
-                for (lineno, rec) in &records {
-                    for (c, raw) in rec.iter().enumerate() {
-                        let f = schema.field(c);
-                        push_cell(w, c, raw, f.dtype, *lineno, &f.name)?;
-                    }
-                    w.end_row()?;
-                }
-                Ok(())
-            })
+            let mut input = Vec::new();
+            reader.read_to_end(&mut input)?;
+            let schema = infer_schema(&input)?;
+            fill(store, name, Records::open(&input[..])?, schema, page_rows)
         }
     }
+}
+
+/// Stream every record of `recs` into a new segment under `schema`.
+fn fill(
+    store: &DiskStore,
+    name: &str,
+    mut recs: Records<impl BufRead>,
+    schema: Schema,
+    page_rows: usize,
+) -> Result<u64, DiskError> {
+    assert_eq!(
+        schema.len(),
+        recs.header().len(),
+        "schema arity must match the header"
+    );
+    store.create_table_with(name, schema.clone(), page_rows, move |w| {
+        while recs.next_record()? {
+            recs.push_into(&schema, w)
+                .map_err(|c| recs.bad_cell(&schema, c))?;
+            w.end_row()?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvError;
     use crate::interner::Interner;
     use crate::schema;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
     use std::sync::Arc;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -205,6 +125,37 @@ mod tests {
         assert_eq!(t.schema().field(2).dtype, DataType::Str);
         assert_eq!(t.value(1, 1), Value::Float(3.0));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn load_quoted_newlines(dir: &str, schema: Option<Schema>) {
+        let dir = tmp_dir(dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let csv = "note,n\n\"two\nlines\",1\n\"a \"\"b\"\"\r\nc\",2\n";
+        let rows = bulk_load_csv(
+            &store,
+            "t",
+            std::io::BufReader::new(csv.as_bytes()),
+            schema,
+            8,
+        )
+        .unwrap();
+        assert_eq!(rows, 2);
+        let interner = Arc::new(Interner::new());
+        let t = store.load_table("t", &interner).unwrap().table;
+        assert_eq!(t.value(0, 0).as_str(), Some("two\nlines"));
+        assert_eq!(t.value(1, 0).as_str(), Some("a \"b\"\nc"));
+        assert_eq!(t.value(1, 1), Value::Int(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn quoted_newlines_load_with_inferred_schema() {
+        load_quoted_newlines("newline_inferred", None);
+    }
+
+    #[test]
+    fn quoted_newlines_load_with_explicit_schema() {
+        load_quoted_newlines("newline_explicit", Some(schema![("note", Str), ("n", Int)]));
     }
 
     #[test]

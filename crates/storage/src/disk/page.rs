@@ -57,7 +57,7 @@ pub fn encode_page(data: &PageData, out: &mut Vec<u8>) -> usize {
     out.len() - start
 }
 
-fn encode_int(v: &[i64], out: &mut Vec<u8>) {
+pub(crate) fn encode_int(v: &[i64], out: &mut Vec<u8>) {
     let (min, max) = match v.iter().copied().fold(None, |acc, x| match acc {
         None => Some((x, x)),
         Some((lo, hi)) => Some((lo.min(x), hi.max(x))),
@@ -100,7 +100,7 @@ fn encode_int(v: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-fn encode_codes(v: &[u32], out: &mut Vec<u8>) {
+pub(crate) fn encode_codes(v: &[u32], out: &mut Vec<u8>) {
     let (min, max) = match v.iter().copied().fold(None, |acc, x| match acc {
         None => Some((x, x)),
         Some((lo, hi)) => Some((lo.min(x), hi.max(x))),
@@ -135,7 +135,7 @@ fn encode_codes(v: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-fn encode_float(v: &[f64], out: &mut Vec<u8>) {
+pub(crate) fn encode_float(v: &[f64], out: &mut Vec<u8>) {
     // Constant detection compares bit patterns, not values, so a page of
     // identical NaNs (or of -0.0) still roundtrips bit-exactly.
     if let Some(&first) = v.first() {

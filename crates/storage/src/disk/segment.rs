@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::column::Column;
 use crate::disk::mmap::Mmap;
-use crate::disk::page::{self, PageData};
+use crate::disk::page;
 use crate::disk::zonemap::{ZoneCol, ZoneMap};
 use crate::disk::DiskError;
 use crate::interner::Interner;
@@ -119,8 +119,8 @@ pub struct SegmentWriter {
     bufs: Vec<ColBuf>,
     buffered: usize,
     nrows: u64,
-    dict: Vec<String>,
-    dict_map: std::collections::HashMap<String, u32>,
+    /// Per-segment string dictionary; codes are dense in first-seen order.
+    dict: std::collections::HashMap<String, u32>,
     directory: Vec<Vec<PageEntry>>,
     zones: Vec<ZoneCol>,
     scratch: Vec<u8>,
@@ -168,8 +168,7 @@ impl SegmentWriter {
             bufs,
             buffered: 0,
             nrows: 0,
-            dict: vec![],
-            dict_map: std::collections::HashMap::new(),
+            dict: std::collections::HashMap::new(),
             directory: (0..ncols).map(|_| vec![]).collect(),
             zones,
             scratch: vec![],
@@ -185,12 +184,11 @@ impl SegmentWriter {
     }
 
     fn dict_code(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.dict_map.get(s) {
+        if let Some(&c) = self.dict.get(s) {
             return c;
         }
         let c = self.dict.len() as u32;
-        self.dict.push(s.to_string());
-        self.dict_map.insert(s.to_string(), c);
+        self.dict.insert(s.to_string(), c);
         c
     }
 
@@ -269,40 +267,45 @@ impl SegmentWriter {
         }
         let rows = self.buffered as u32;
         for col in 0..self.bufs.len() {
-            let data = match &mut self.bufs[col] {
-                ColBuf::Int(b) => PageData::Int(std::mem::take(b)),
-                ColBuf::Float(b) => PageData::Float(std::mem::take(b)),
-                ColBuf::Str(b) => PageData::Codes(std::mem::take(b)),
-            };
-            match (&data, &mut self.zones[col]) {
-                (PageData::Int(v), ZoneCol::Int(z)) => z.push(
-                    v.iter()
-                        .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x))),
-                ),
-                (PageData::Float(v), ZoneCol::Float(z)) => z.push(
-                    v.iter()
-                        .filter(|x| !x.is_nan())
-                        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
-                            (lo.min(x), hi.max(x))
-                        }),
-                ),
-                (PageData::Codes(v), ZoneCol::Str(z)) => z.push(
-                    v.iter()
-                        .fold((u32::MAX, u32::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x))),
-                ),
+            // Encode straight from the buffer and clear it: it keeps its
+            // capacity for the next page.
+            self.scratch.clear();
+            match (&mut self.bufs[col], &mut self.zones[col]) {
+                (ColBuf::Int(v), ZoneCol::Int(z)) => {
+                    z.push(
+                        v.iter()
+                            .fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x))),
+                    );
+                    page::encode_int(v, &mut self.scratch);
+                    v.clear();
+                }
+                (ColBuf::Float(v), ZoneCol::Float(z)) => {
+                    z.push(
+                        v.iter()
+                            .filter(|x| !x.is_nan())
+                            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                                (lo.min(x), hi.max(x))
+                            }),
+                    );
+                    page::encode_float(v, &mut self.scratch);
+                    v.clear();
+                }
+                (ColBuf::Str(v), ZoneCol::Str(z)) => {
+                    z.push(
+                        v.iter()
+                            .fold((u32::MAX, u32::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x))),
+                    );
+                    page::encode_codes(v, &mut self.scratch);
+                    v.clear();
+                }
                 _ => unreachable!("buffer/zone kind mismatch"),
             }
-            self.scratch.clear();
-            page::encode_page(&data, &mut self.scratch);
-            let entry = PageEntry {
+            self.directory[col].push(PageEntry {
                 offset: self.out.len,
                 len: self.scratch.len() as u32,
                 rows,
-            };
-            let payload = std::mem::take(&mut self.scratch);
-            self.out.put(&payload)?;
-            self.scratch = payload;
-            self.directory[col].push(entry);
+            });
+            self.out.put(&self.scratch)?;
         }
         self.nrows += self.buffered as u64;
         self.buffered = 0;
@@ -325,8 +328,12 @@ impl SegmentWriter {
             f.extend_from_slice(name);
             f.push(dtype_tag(field.dtype));
         }
-        f.extend_from_slice(&(self.dict.len() as u32).to_le_bytes());
-        for s in &self.dict {
+        let mut dict = vec![""; self.dict.len()];
+        for (s, &c) in &self.dict {
+            dict[c as usize] = s;
+        }
+        f.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+        for s in dict {
             f.extend_from_slice(&(s.len() as u32).to_le_bytes());
             f.extend_from_slice(s.as_bytes());
         }
