@@ -1,19 +1,19 @@
 //! Optimizer-vs-RL bakeoff on a misestimation-adversarial workload.
 //!
-//! Three contenders — the traditional optimizer path (`Traditional`), pure
-//! learned execution (`skinner_g`, whole orders as UCT arms) and the sliced
-//! hybrid (`skinner_h`) — plus Skinner-C as the customized-engine reference
-//! point, all run over workloads chosen to punish cardinality estimation:
+//! Three contenders on the generic engine — the traditional optimizer path
+//! (`Traditional`), pure learned execution (`Skinner-G`) and the hybrid
+//! (`Skinner-H`) — plus Skinner-C as the customized-engine reference point,
+//! all run over workloads chosen to punish cardinality estimation:
 //!
 //! * `udf_torture` — selective UDFs the estimator is blind to, so the DP
-//!   plan is catastrophically wrong (the hybrid's switchover case);
+//!   plan is catastrophically wrong and the hybrid must beat it;
 //! * `correlation_torture` — correlated predicates violating the
 //!   independence assumption;
 //! * `trivial` — a well-estimated control where the optimizer's plan is
 //!   good and learning is pure overhead.
 //!
 //! The headline number is `h_vs_best_ratio`: the hybrid's total work
-//! divided by the sum of per-query `min(Traditional, skinner_g)` work —
+//! divided by the sum of per-query `min(Traditional, Skinner-G)` work —
 //! the measured constant of the regret bound `tests/bakeoff.rs` asserts.
 //! Raw numbers land in `bench_reports/BENCH_optimizer_bakeoff.json`.
 
@@ -26,8 +26,8 @@ use crate::harness::{fmt_dur, human, markdown_table, Scale};
 fn contenders() -> Vec<Strategy> {
     vec![
         Strategy::Traditional(Default::default()),
-        Strategy::SkinnerGArms(Default::default()),
-        Strategy::SkinnerHSliced(Default::default()),
+        Strategy::SkinnerG(Default::default()),
+        Strategy::SkinnerH(Default::default()),
         Strategy::SkinnerC(Default::default()),
     ]
 }
@@ -51,7 +51,6 @@ struct Run {
     strategy: String,
     work: u64,
     wall_us: u128,
-    switched_at: u64,
 }
 
 fn measure(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
@@ -67,13 +66,11 @@ fn write_json(
     runs: &[Run],
     per_strategy: &[(String, u64, f64)],
     h_vs_best_ratio: f64,
-    switchovers: u64,
 ) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join("BENCH_optimizer_bakeoff.json");
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"h_vs_best_ratio\": {h_vs_best_ratio:.3},\n"));
-    out.push_str(&format!("  \"hybrid_switchovers\": {switchovers},\n"));
     out.push_str("  \"strategies\": [\n");
     for (i, (name, work, qps)) in per_strategy.iter().enumerate() {
         out.push_str(&format!(
@@ -85,13 +82,12 @@ fn write_json(
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"query\": \"{}\", \"strategy\": \"{}\", \
-             \"work_units\": {}, \"wall_us\": {}, \"switched_at_episode\": {}}}{}\n",
+             \"work_units\": {}, \"wall_us\": {}}}{}\n",
             r.workload,
             r.query,
             r.strategy,
             r.work,
             r.wall_us,
-            r.switched_at,
             if i + 1 < runs.len() { "," } else { "" },
         ));
     }
@@ -107,7 +103,6 @@ pub fn run(scale: Scale) -> String {
     // Per-query minimum of the two pure contenders, and the hybrid's work.
     let mut best_total = 0u64;
     let mut hybrid_total = 0u64;
-    let mut switchovers = 0u64;
 
     for (wname, w) in workloads(scale) {
         let db = Database::from_parts(w.catalog.clone(), w.udfs);
@@ -115,18 +110,12 @@ pub fn run(scale: Scale) -> String {
             let mut per_query = Vec::new();
             for s in &strategies {
                 let out = measure(&db, &q.script, s);
-                let switched = out.metrics.counter("switched_at_episode").unwrap_or(0);
                 rows.push(vec![
                     wname.to_string(),
                     q.name.clone(),
                     s.name().to_string(),
                     format!("{}u", human(out.work_units)),
                     fmt_dur(out.wall),
-                    if s.name() == "skinner_h" && switched > 0 {
-                        format!("ep {switched}")
-                    } else {
-                        String::new()
-                    },
                 ]);
                 per_query.push((s.name().to_string(), out.work_units));
                 runs.push(Run {
@@ -135,15 +124,13 @@ pub fn run(scale: Scale) -> String {
                     strategy: s.name().to_string(),
                     work: out.work_units,
                     wall_us: out.wall.as_micros(),
-                    switched_at: switched,
                 });
-                if s.name() == "skinner_h" {
+                if s.name() == "Skinner-H" {
                     hybrid_total += out.work_units;
-                    switchovers += u64::from(switched > 0);
                 }
             }
             let find = |n: &str| per_query.iter().find(|(s, _)| s == n).unwrap().1;
-            best_total += find("Traditional").min(find("skinner_g"));
+            best_total += find("Traditional").min(find("Skinner-G"));
         }
     }
 
@@ -163,22 +150,14 @@ pub fn run(scale: Scale) -> String {
         .collect();
 
     let mut out = String::from(
-        "## Optimizer bakeoff — traditional plan vs learned vs sliced hybrid\n\n\
+        "## Optimizer bakeoff — traditional plan vs learned vs hybrid\n\n\
          Workloads are misestimation-adversarial (optimizer-opaque UDFs,\n\
          correlated predicates) plus a well-estimated control. The hybrid's\n\
          claim: on every query it stays within a constant of the better\n\
-         pure contender, and on misestimated plans its one-way switchover\n\
-         abandons the optimizer mid-race.\n\n",
+         pure contender.\n\n",
     );
     out.push_str(&markdown_table(
-        &[
-            "workload",
-            "query",
-            "strategy",
-            "work",
-            "wall",
-            "switchover",
-        ],
+        &["workload", "query", "strategy", "work", "wall"],
         &rows,
     ));
     out.push_str(&format!(
@@ -191,7 +170,7 @@ pub fn run(scale: Scale) -> String {
     ));
     out.push_str(&format!(
         "\n**Headline:** `h_vs_best_ratio` = {h_vs_best_ratio:.2} \
-         (hybrid {}u vs per-query best {}u), {switchovers} switchover(s).\n",
+         (hybrid {}u vs per-query best {}u).\n",
         human(hybrid_total),
         human(best_total),
     ));
@@ -200,7 +179,6 @@ pub fn run(scale: Scale) -> String {
         &runs,
         &per_strategy,
         h_vs_best_ratio,
-        switchovers,
     ) {
         Ok(path) => out.push_str(&format!("\nRaw numbers written to `{}`.\n", path.display())),
         Err(e) => out.push_str(&format!(
@@ -220,18 +198,17 @@ mod tests {
         let runs = vec![Run {
             workload: "w",
             query: "q".to_string(),
-            strategy: "skinner_h".to_string(),
+            strategy: "Skinner-H".to_string(),
             work: 10,
             wall_us: 5,
-            switched_at: 3,
         }];
-        let per = vec![("skinner_h".to_string(), 10u64, 2.0f64)];
-        let path = write_json(&tmp, &runs, &per, 1.25, 1).unwrap();
+        let per = vec![("Skinner-H".to_string(), 10u64, 2.0f64)];
+        let path = write_json(&tmp, &runs, &per, 1.25).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&tmp).ok();
         assert!(text.contains("\"h_vs_best_ratio\": 1.250"));
-        assert!(text.contains("\"hybrid_switchovers\": 1"));
-        assert!(text.contains("\"switched_at_episode\": 3"));
+        assert!(text.contains("\"workload\": \"w\""));
+        assert!(text.contains("\"work_units\": 10"));
     }
 
     #[test]

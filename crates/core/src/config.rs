@@ -99,93 +99,6 @@ impl Default for SkinnerGConfig {
     }
 }
 
-/// Configuration of the `skinner_g` strategy's episode loop
-/// ([`crate::skinner_g::OrderArms`]): whole join orders as UCT arms, each
-/// episode executing one batch under an adaptive, doubling work-budget cap
-/// (generalizing the cap `parallel_skinner` prototypes).
-#[derive(Debug, Clone)]
-pub struct OrderArmsConfig {
-    /// Number of batches each table is split into.
-    pub batches: usize,
-    /// Initial per-episode work cap. Every episode abandoned *at the full
-    /// cap* doubles it, so the loop adapts to the query's batch cost;
-    /// abandoned episodes earn reward 0, keeping results deterministic.
-    pub base_cap_units: u64,
-    /// The black-box engine profile executing each (order, batch) pair.
-    pub engine_profile: ExecProfile,
-    /// UCT exploration weight for the single whole-order tree.
-    pub exploration_weight: f64,
-    pub seed: u64,
-    /// Learn join orders; `false` picks random valid orders.
-    pub learning: bool,
-    pub preprocess_threads: usize,
-    /// Global work-unit cap.
-    pub work_limit: u64,
-    /// Execute this fixed order every episode instead of consulting the
-    /// tree — the `skinner_h` hybrid's optimizer side.
-    pub forced_order: Option<Vec<usize>>,
-}
-
-impl Default for OrderArmsConfig {
-    fn default() -> Self {
-        OrderArmsConfig {
-            batches: 20,
-            base_cap_units: 2_000,
-            engine_profile: ExecProfile::row_store(),
-            exploration_weight: std::f64::consts::SQRT_2,
-            seed: 0x5EED,
-            learning: true,
-            preprocess_threads: 1,
-            work_limit: u64::MAX,
-            forced_order: None,
-        }
-    }
-}
-
-/// Configuration of the `skinner_h` strategy
-/// ([`crate::skinner_h::run_sliced_hybrid`]): the optimizer's planned order
-/// raced against learned execution in alternating regret-bounded slices of
-/// `b, 2b, 4b, …` work units.
-#[derive(Debug, Clone)]
-pub struct SlicedHybridConfig {
-    /// Episode-loop configuration for the learned side. The optimizer side
-    /// reuses it but forces the planned order, disables learning and runs a
-    /// single destructive batch per slice (preserving the doubling-schedule
-    /// regret bound against a standalone traditional run).
-    pub arms: OrderArmsConfig,
-    /// `b`: work units granted to each side in the first round; doubles
-    /// every round.
-    pub slice_units: u64,
-    /// Alternation rounds before giving up with a timeout outcome.
-    pub max_rounds: u32,
-    /// Switch over to pure learned execution once the learned side's
-    /// projected total cost (`work × batches / completed`) times this
-    /// margin falls below what the optimizer side has already sunk without
-    /// finishing.
-    pub switch_margin: f64,
-    /// Batches the learned side must complete before a switchover may
-    /// trigger (guards against switching on noise).
-    pub min_learned_batches: u64,
-    /// Planner DP table limit (greedy fallback beyond it).
-    pub dp_table_limit: usize,
-    /// Global work-unit cap across both sides.
-    pub work_limit: u64,
-}
-
-impl Default for SlicedHybridConfig {
-    fn default() -> Self {
-        SlicedHybridConfig {
-            arms: OrderArmsConfig::default(),
-            slice_units: 2_000,
-            max_rounds: 40,
-            switch_margin: 2.0,
-            min_learned_batches: 4,
-            dp_table_limit: 12,
-            work_limit: u64::MAX,
-        }
-    }
-}
-
 /// Skinner-H configuration.
 #[derive(Debug, Clone)]
 pub struct SkinnerHConfig {

@@ -18,16 +18,6 @@
 //!   equal time for Skinner-G learning, preserving learning state across
 //!   rounds; bounded regret against both the optimum and the traditional
 //!   plan (Theorems 5.7, 5.8).
-//! * **`skinner_g`** ([`skinner_g::OrderArms`]) — a second generic-engine
-//!   variant: whole join orders as arms of a *single* UCT tree, each episode
-//!   executing one batch under a doubling work-budget cap (the adaptive cap
-//!   `parallel_skinner` prototypes, generalized); abandoned episodes earn
-//!   reward 0, keeping results deterministic.
-//! * **`skinner_h`** ([`skinner_h::run_sliced_hybrid`]) — a second hybrid:
-//!   the `skinner_optimizer` planner's DP/greedy plan raced against the
-//!   `skinner_g` loop in alternating `b, 2b, 4b, …` slices with a one-way
-//!   switchover once the learned side's reward rate dominates.
-//!
 //! * [`parallel`] — **parallel_skinner**: the paper's multi-threaded
 //!   SkinnerC configuration (Section 6.1). Each episode's batch of
 //!   left-most-table tuples is split across N worker threads executing the
@@ -56,16 +46,10 @@ pub mod strategies;
 pub use cache::{
     CacheProbe, QuerySig, RunFeedback, TreeCache, TreeCacheConfig, TreeCacheStats, WarmStart,
 };
-pub use config::{
-    OrderArmsConfig, RewardKind, SkinnerCConfig, SkinnerGConfig, SkinnerHConfig, SlicedHybridConfig,
-};
+pub use config::{RewardKind, SkinnerCConfig, SkinnerGConfig, SkinnerHConfig};
 pub use parallel::{run_parallel_skinner, ParallelSkinnerConfig, ParallelSkinnerStrategy};
 pub use pyramid::PyramidScheme;
 pub use skinner_c::engine::{run_skinner_c, run_skinner_c_fixed};
-pub use skinner_g::{OrderArms, SkinnerG};
-pub use skinner_h::{
-    run_skinner_h, run_sliced_hybrid, WINNER_LEARNED, WINNER_OPTIMIZER, WINNER_TRADITIONAL,
-};
-pub use strategies::{
-    OrderArmsStrategy, SkinnerCStrategy, SkinnerGStrategy, SkinnerHStrategy, SlicedHybridStrategy,
-};
+pub use skinner_g::SkinnerG;
+pub use skinner_h::{run_skinner_h, WINNER_LEARNED, WINNER_TRADITIONAL};
+pub use strategies::{SkinnerCStrategy, SkinnerGStrategy, SkinnerHStrategy};

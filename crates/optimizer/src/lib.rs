@@ -16,7 +16,7 @@
 //! * [`planner`] — the planner half of the binder/planner split: bound
 //!   query → [`JoinPlan`] (order + estimated cost), exact DP up to a table
 //!   limit with a greedy fallback beyond it. The traditional engine and the
-//!   `skinner_h` hybrid strategy both plan through it.
+//!   Skinner-H hybrid strategy both plan through it.
 
 pub mod cost;
 pub mod dp;

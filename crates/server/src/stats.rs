@@ -32,12 +32,6 @@ pub struct StrategyAgg {
     /// disk-backed tables carry zone maps; in-memory scans report zero).
     pub pages_read: u64,
     pub pages_skipped: u64,
-    /// Hybrid (`skinner_h`) alternation slices granted to the optimizer's
-    /// plan / to learned execution.
-    pub optimizer_slices: u64,
-    pub learned_slices: u64,
-    /// Queries in which the hybrid switched over to pure learned execution.
-    pub hybrid_switchovers: u64,
     /// Last planner cost estimate (`C_out` under estimated cardinalities)
     /// reported by an optimizer-planned query.
     pub plan_cost_est: u64,
@@ -84,9 +78,6 @@ pub struct ServerStats {
     /// Distribution of the episode index after which the winning join
     /// order stopped changing — the paper's convergence measure.
     pub last_order_switch_slices: Histo,
-    /// Distribution of the learned-side episode at which `skinner_h`
-    /// switched over to pure learned execution (queries that switched).
-    pub hybrid_switchover_episode: Histo,
     per_strategy: std::sync::Arc<Mutex<BTreeMap<String, StrategyAgg>>>,
 }
 
@@ -163,10 +154,6 @@ impl ServerStats {
                 "skinner_last_order_switch_slices",
                 "Episode index of the last join-order switch (convergence).",
             ),
-            hybrid_switchover_episode: registry.histogram(
-                "skinner_hybrid_switchover_episode",
-                "Learned-side episode at which a hybrid query switched over.",
-            ),
             per_strategy: std::sync::Arc::new(Mutex::new(BTreeMap::new())),
             registry,
         }
@@ -213,19 +200,6 @@ impl ServerStats {
             if let Some(s) = m.counter("last_order_switch") {
                 self.last_order_switch_slices.record(s);
             }
-            if let Some(n) = m.counter("optimizer_slices") {
-                agg.optimizer_slices += n;
-            }
-            if let Some(n) = m.counter("learned_slices") {
-                agg.learned_slices += n;
-            }
-            if let Some(e) = m.counter("switched_at_episode") {
-                // 0 means "never switched"; only actual switchovers count.
-                if e > 0 {
-                    agg.hybrid_switchovers += 1;
-                    self.hybrid_switchover_episode.record(e);
-                }
-            }
             if let Some(c) = m.counter("plan_cost_est") {
                 agg.plan_cost_est = c;
             }
@@ -268,21 +242,6 @@ impl ServerStats {
             "skinner_strategy_pages_skipped_total",
             "Zone-mapped pages skipped during preprocessing, by strategy.",
             mirror.pages_skipped,
-        );
-        mirror_counter(
-            "skinner_strategy_optimizer_slices_total",
-            "Hybrid alternation slices granted to the optimizer's plan, by strategy.",
-            mirror.optimizer_slices,
-        );
-        mirror_counter(
-            "skinner_strategy_learned_slices_total",
-            "Hybrid alternation slices granted to learned execution, by strategy.",
-            mirror.learned_slices,
-        );
-        mirror_counter(
-            "skinner_strategy_hybrid_switchovers_total",
-            "Queries in which the hybrid switched to pure learned execution, by strategy.",
-            mirror.hybrid_switchovers,
         );
     }
 
@@ -344,22 +303,8 @@ impl ServerStats {
                 &format!("strategy.{name}.mean_reward_milli"),
                 mean_reward_milli,
             );
-            // Hybrid/planner columns appear only where they carry signal,
-            // keeping the wire table compact for non-hybrid strategies.
-            if agg.optimizer_slices > 0 || agg.learned_slices > 0 {
-                push(
-                    &format!("strategy.{name}.optimizer_slices"),
-                    agg.optimizer_slices,
-                );
-                push(
-                    &format!("strategy.{name}.learned_slices"),
-                    agg.learned_slices,
-                );
-                push(
-                    &format!("strategy.{name}.hybrid_switchovers"),
-                    agg.hybrid_switchovers,
-                );
-            }
+            // The planner column appears only where it carries signal,
+            // keeping the wire table compact for unplanned strategies.
             if agg.plan_cost_est > 0 {
                 push(&format!("strategy.{name}.plan_cost_est"), agg.plan_cost_est);
             }
@@ -539,45 +484,34 @@ mod tests {
     #[test]
     fn hybrid_counters_fold_into_rows_and_registry() {
         let stats = ServerStats::new();
-        let switched = ExecMetrics::default()
-            .with_counter("optimizer_slices", 3)
-            .with_counter("learned_slices", 4)
-            .with_counter("switched_at_episode", 9)
-            .with_counter("plan_cost_est", 1234);
-        let raced_through = ExecMetrics::default()
-            .with_counter("optimizer_slices", 2)
-            .with_counter("learned_slices", 2)
-            .with_counter("switched_at_episode", 0)
-            .with_counter("plan_cost_est", 77);
-        stats.record_query("skinner_h", &[&switched], 10, Duration::from_micros(5));
-        stats.record_query("skinner_h", &[&raced_through], 10, Duration::from_micros(5));
+        let first = ExecMetrics {
+            slices: 3,
+            ..ExecMetrics::default()
+        }
+        .with_counter("plan_cost_est", 1234);
+        let second = ExecMetrics {
+            slices: 4,
+            ..ExecMetrics::default()
+        }
+        .with_counter("plan_cost_est", 77);
+        stats.record_query("Skinner-H", &[&first], 10, Duration::from_micros(5));
+        stats.record_query("Skinner-H", &[&second], 10, Duration::from_micros(5));
+        stats.record_query("Skinner-C", &[&ExecMetrics::default()], 10, Duration::ZERO);
         let aggs = stats.strategy_aggregates();
-        assert_eq!(aggs["skinner_h"].optimizer_slices, 5);
-        assert_eq!(aggs["skinner_h"].learned_slices, 6);
-        assert_eq!(aggs["skinner_h"].hybrid_switchovers, 1, "0 = no switch");
-        assert_eq!(aggs["skinner_h"].plan_cost_est, 77, "last estimate wins");
-        let hist = stats.hybrid_switchover_episode.snapshot();
-        assert_eq!((hist.count, hist.sum), (1, 9));
+        assert_eq!(aggs["Skinner-H"].plan_cost_est, 77, "last estimate wins");
         let t = stats.snapshot_table(&[]);
         let find = |k: &str| {
             t.rows
                 .iter()
                 .find(|r| r[0].as_str() == Some(k))
-                .unwrap_or_else(|| panic!("metric {k} missing"))[1]
-                .as_i64()
-                .unwrap()
+                .map(|r| r[1].as_i64().unwrap())
         };
-        assert_eq!(find("strategy.skinner_h.optimizer_slices"), 5);
-        assert_eq!(find("strategy.skinner_h.learned_slices"), 6);
-        assert_eq!(find("strategy.skinner_h.hybrid_switchovers"), 1);
-        assert_eq!(find("strategy.skinner_h.plan_cost_est"), 77);
+        assert_eq!(find("strategy.Skinner-H.episodes"), Some(7));
+        assert_eq!(find("strategy.Skinner-H.plan_cost_est"), Some(77));
+        assert_eq!(find("strategy.Skinner-C.plan_cost_est"), None, "unplanned");
         let text = stats.registry().render_prometheus();
         assert!(
-            text.contains("skinner_strategy_optimizer_slices_total{strategy=\"skinner_h\"} 5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("skinner_strategy_hybrid_switchovers_total{strategy=\"skinner_h\"} 1"),
+            text.contains("skinner_strategy_episodes_total{strategy=\"Skinner-H\"} 7"),
             "{text}"
         );
     }

@@ -25,10 +25,9 @@ use skinnerdb::{DataType, Database, Strategy, Value};
 /// * Customized engines (Skinner-C, parallel_skinner) and the adaptive
 ///   baselines pay no per-slice engine overhead — a small constant covers
 ///   learning noise.
-/// * The hybrids (Skinner-H, skinner_h) are regret-bounded against the
-///   traditional plan by the doubling schedule (Theorem 5.8: ≤ 5× plus
-///   discretization).
-/// * Generic-engine learners (Skinner-G, skinner_g) re-pay the engine's
+/// * The hybrid (Skinner-H) is regret-bounded against the traditional plan
+///   by the doubling schedule (Theorem 5.8: ≤ 5× plus discretization).
+/// * The generic-engine learner (Skinner-G) re-pays the engine's
 ///   per-invocation cost (hash builds) every episode — bounded, but by a
 ///   much larger constant (the paper's motivation for Skinner-C).
 ///
@@ -39,9 +38,8 @@ fn regret_envelope(name: &str) -> Option<f64> {
         "Reference" | "Traditional" => None, // baselines define the scale
         "Skinner-C" | "parallel_skinner" => Some(4.0),
         "Eddy" | "Re-optimizer" => Some(4.0),
-        "Skinner-H" | "skinner_h" => Some(8.0),
+        "Skinner-H" => Some(8.0),
         "Skinner-G" => Some(100.0),
-        "skinner_g" => Some(50.0),
         _ => Some(f64::NAN), // unknown: fails the test loudly
     }
 }

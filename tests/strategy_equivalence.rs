@@ -118,13 +118,12 @@ fn registry_db() -> Database {
 #[test]
 fn registry_includes_external_strategy() {
     let db = registry_db();
-    assert!(db.strategies().len() >= 11);
+    assert_eq!(db.strategies().len(), 9, "8 builtins + the external one");
     assert!(db.strategies().contains("external-nested-loop"));
     assert!(db.strategies().contains("Skinner-C"));
-    // The optimizer-vs-RL hybrids registered by this PR: underscore names,
-    // distinct from the paper-faithful hyphenated variants.
-    assert!(db.strategies().contains("skinner_g"));
-    assert!(db.strategies().contains("skinner_h"));
+    // One learner over the generic engine and one hybrid (paper §4.3/§4.4).
+    assert!(db.strategies().contains("Skinner-G"));
+    assert!(db.strategies().contains("Skinner-H"));
     // The parallel learned engine faces the same differential-testing bar
     // as every other registered strategy (each assert_all_agree below
     // iterates the registry, so it runs parallel_skinner too).
