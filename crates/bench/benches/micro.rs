@@ -12,16 +12,16 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use skinnerdb::skinner_core::skinner_c::join::{continue_join, OrderInfo};
+use skinnerdb::skinner_core::skinner_c::join::{continue_join, JoinCursors, OrderInfo};
 use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
 use skinnerdb::skinner_core::skinner_c::state::{JoinState, ProgressTracker};
 use skinnerdb::skinner_core::{run_skinner_c, PyramidScheme, SkinnerCConfig};
 use skinnerdb::skinner_exec::{postprocess, preprocess, ExecContext, TupleView, WorkBudget};
-use skinnerdb::skinner_query::{JoinGraph, TableSet};
+use skinnerdb::skinner_query::{JoinGraph, JoinQuery, TableSet};
 use skinnerdb::skinner_storage::HashIndex;
 use skinnerdb::skinner_uct::{UctConfig, UctTree};
-use skinnerdb::skinner_workloads::torture::trivial;
+use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial};
 use skinnerdb::{DataType, Database, DiskStore, Value};
 
 fn bench_db(rows: i64) -> (Database, String) {
@@ -54,27 +54,28 @@ fn bench_db(rows: i64) -> (Database, String) {
     )
 }
 
-fn multiway_join_throughput(c: &mut Criterion) {
-    let (db, sql) = bench_db(2_000);
-    let q = db.bind(&sql).unwrap();
-    // No unary predicates: pre-processing only builds the jump indexes.
-    let ctx = prepare(&q, &WorkBudget::unlimited(), 1, true).unwrap().ctx;
-    let info = OrderInfo::build(&q, &ctx, &[0, 1, 2], true);
-    c.bench_function("multiway_join_full_pass", |bench| {
+/// One full pass of one fixed join `order` over `q`, unsliced: the join
+/// loop alone. `q` has no unary predicates, so pre-processing only fetches
+/// the jump indexes.
+fn full_pass(c: &mut Criterion, name: &str, q: &JoinQuery, order: &[usize]) {
+    let ctx = prepare(q, &WorkBudget::unlimited(), 1, true).unwrap().ctx;
+    let info = OrderInfo::build(q, &ctx, order, true);
+    let offsets = vec![0; order.len()];
+    c.bench_function(name, |bench| {
         bench.iter_batched(
             || {
                 (
-                    JoinState::fresh(&[0, 0, 0]),
+                    JoinState::fresh(&offsets),
+                    JoinCursors::default(),
                     ResultSet::new(),
                     WorkBudget::unlimited(),
                 )
             },
-            |(mut state, mut results, budget)| {
-                let offsets = [0, 0, 0];
+            |(mut state, mut cursors, mut results, budget)| {
                 continue_join(
-                    &ctx,
                     &info,
                     &mut state,
+                    &mut cursors,
                     &offsets,
                     u64::MAX,
                     &budget,
@@ -86,6 +87,84 @@ fn multiway_join_throughput(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+}
+
+/// `n` keys below `keys`, key `k` on a share of the rows proportional to
+/// `1 / (k + 1)` (Zipf, exponent 1), dealt out in the row order
+/// `i * scramble mod n` (`scramble` odd, `n` a power of two).
+fn zipf_keys(n: usize, keys: usize, scramble: usize) -> Vec<Value> {
+    let h: f64 = (1..=keys).map(|k| 1.0 / k as f64).sum();
+    let mut out = vec![Value::Int(0); n];
+    let mut i = 0;
+    for k in 0..keys {
+        let share = (n as f64 / ((k + 1) as f64 * h)).ceil() as usize;
+        for _ in 0..share.min(n - i) {
+            out[i * scramble % n] = Value::Int(k as i64);
+            i += 1;
+        }
+    }
+    out
+}
+
+fn multiway_join_throughput(c: &mut Criterion) {
+    let (db, sql) = bench_db(2_000);
+    full_pass(
+        c,
+        "multiway_join_full_pass",
+        &db.bind(&sql).unwrap(),
+        &[0, 1, 2],
+    );
+
+    // A star with a 16 384-row fact table whose three foreign keys are
+    // Zipf-skewed over 32-row dimensions: the fact level walks windows of
+    // up to ~4 000 postings (one per row of the first dimension), and each
+    // fact row then opens one-posting windows on the other two.
+    let db = Database::new();
+    for d in ["d0", "d1", "d2"] {
+        db.create_table(
+            d,
+            &[("id", DataType::Int)],
+            (0..32).map(|i| vec![Value::Int(i)]).collect(),
+        )
+        .unwrap();
+    }
+    let cols: Vec<Vec<Value>> = [7919, 104_729, 1_299_709]
+        .iter()
+        .map(|&scramble| zipf_keys(16_384, 32, scramble))
+        .collect();
+    db.create_table(
+        "f",
+        &[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Int),
+        ],
+        (0..16_384)
+            .map(|i| cols.iter().map(|col| col[i].clone()).collect())
+            .collect(),
+    )
+    .unwrap();
+    let q = db
+        .bind(
+            "SELECT COUNT(*) FROM d0, d1, d2, f \
+             WHERE f.a = d0.id AND f.b = d1.id AND f.c = d2.id",
+        )
+        .unwrap();
+    full_pass(c, "multiway_join_skewed", &q, &[0, 3, 1, 2]);
+
+    // Correlation torture: a ten-table chain with fanout 2 on every edge
+    // but the empty one leaving t2. Starting at t1, each t1 row opens a
+    // fresh two-posting window at t2 and each of those rows an empty one
+    // at t3: short windows whose keys change on every descent.
+    let w = correlation_torture(10, 20_000, 2);
+    let db = Database::from_parts(w.catalog.clone(), w.udfs);
+    let q = db.bind(&w.queries[0].script).unwrap();
+    full_pass(
+        c,
+        "multiway_join_correlation",
+        &q,
+        &[1, 2, 3, 0, 4, 5, 6, 7, 8, 9],
+    );
 }
 
 fn uct_selection_overhead(c: &mut Criterion) {
@@ -187,35 +266,7 @@ fn udf_join_checks(c: &mut Criterion) {
     let w = trivial(4, 200);
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let q = db.bind(&w.queries[0].script).unwrap();
-    let ctx = prepare(&q, &WorkBudget::unlimited(), 1, true).unwrap().ctx;
-    let order = [0, 1, 2, 3];
-    let info = OrderInfo::build(&q, &ctx, &order, true);
-    c.bench_function("udf_join_checks_trivial_4x200", |bench| {
-        bench.iter_batched(
-            || {
-                (
-                    JoinState::fresh(&[0; 4]),
-                    ResultSet::new(),
-                    WorkBudget::unlimited(),
-                )
-            },
-            |(mut state, mut results, budget)| {
-                let offsets = [0; 4];
-                continue_join(
-                    &ctx,
-                    &info,
-                    &mut state,
-                    &offsets,
-                    u64::MAX,
-                    &budget,
-                    &mut results,
-                )
-                .unwrap();
-                results.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    full_pass(c, "udf_join_checks_trivial_4x200", &q, &[0, 1, 2, 3]);
 }
 
 /// Pre-processing of one 50 000-row table under four unary predicates —

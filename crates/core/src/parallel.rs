@@ -64,7 +64,7 @@ use skinner_storage::RowId;
 use skinner_uct::SharedUctTree;
 
 use crate::cache::CacheProbe;
-use crate::skinner_c::join::{continue_join_ranged, MultiwayCtx, OrderInfo, SliceOutcome};
+use crate::skinner_c::join::{continue_join_ranged, JoinCursors, OrderInfo, SliceOutcome};
 use crate::skinner_c::preproc::prepare;
 use crate::skinner_c::result_set::ResultSet;
 use crate::skinner_c::state::JoinState;
@@ -116,7 +116,6 @@ impl Default for ParallelSkinnerConfig {
 /// One worker's share of an episode: join its chunk of the left-most table
 /// under the episode's order, bounded by a reserved work cap.
 struct EpisodeTask {
-    mctx: Arc<MultiwayCtx>,
     info: Arc<OrderInfo>,
     offsets: Arc<Vec<RowId>>,
     range: TupleRange,
@@ -151,6 +150,7 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
     let mut offsets = (*task.offsets).clone();
     offsets[t0] = task.range.start as RowId;
     let mut state = JoinState::fresh(&offsets);
+    let mut cursors = JoinCursors::default();
     let mut results = ResultSet::new();
     let mut slices = 0u64;
     let mut capped = false;
@@ -162,9 +162,9 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
         }
         slices += 1;
         match continue_join_ranged(
-            &task.mctx,
             &task.info,
             &mut state,
+            &mut cursors,
             &offsets,
             task.slice_steps,
             &budget,
@@ -245,7 +245,7 @@ pub fn run_parallel_skinner(
         }
     };
     pre_timer.finish_labeled(prepared.pages_skipped, || prepared.span_label());
-    let mctx = Arc::new(prepared.ctx);
+    let mctx = &prepared.ctx;
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
     // One thread keeps the single-root tree (bit-identical learning path
@@ -323,7 +323,7 @@ pub fn run_parallel_skinner(
             let info = order_infos
                 .entry(key.clone())
                 .or_insert_with(|| {
-                    Arc::new(OrderInfo::build(query, &mctx, &order, cfg.use_jump_indexes))
+                    Arc::new(OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes))
                 })
                 .clone();
             let t0 = order[0];
@@ -348,7 +348,6 @@ pub fn run_parallel_skinner(
             let tasks: Vec<EpisodeTask> = ranges
                 .iter()
                 .map(|&range| EpisodeTask {
-                    mctx: mctx.clone(),
                     info: info.clone(),
                     offsets: shared_offsets.clone(),
                     range,

@@ -17,7 +17,7 @@ use skinner_uct::{UctConfig, UctTree};
 use crate::cache::CacheProbe;
 use crate::config::SkinnerCConfig;
 
-use super::join::{continue_join, MultiwayCtx, OrderInfo, SliceOutcome};
+use super::join::{continue_join, JoinCursors, MultiwayCtx, OrderInfo, SliceOutcome};
 use super::preproc::prepare;
 use super::result_set::ResultSet;
 use super::reward::slice_reward;
@@ -93,6 +93,7 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     // Scratch states reused by every slice.
     let mut state = JoinState::fresh(&offsets);
     let mut before = JoinState::fresh(&offsets);
+    let mut cursors = JoinCursors::default();
     let mut tree_growth: Vec<(u64, usize)> = Vec::new();
     let mut slices = 0u64;
     let mut timed_out = false;
@@ -151,9 +152,9 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
             tracker.restore_into(&order, &offsets, &mut state);
             before.copy_from(&state);
             let outcome = match continue_join(
-                mctx,
                 info,
                 &mut state,
+                &mut cursors,
                 &offsets,
                 cfg.slice_steps,
                 &budget,
@@ -293,6 +294,7 @@ pub fn run_skinner_c_fixed(
     let offsets: Vec<RowId> = vec![0; m];
     let info = OrderInfo::build(query, mctx, order, cfg.use_jump_indexes);
     let mut state = super::state::JoinState::fresh(&offsets);
+    let mut cursors = JoinCursors::default();
     if !query.always_false && cards.iter().all(|&n| n > 0) {
         loop {
             if ctx.interrupted() {
@@ -301,9 +303,9 @@ pub fn run_skinner_c_fixed(
             }
             slices += 1;
             match continue_join(
-                mctx,
                 &info,
                 &mut state,
+                &mut cursors,
                 &offsets,
                 cfg.slice_steps,
                 &budget,

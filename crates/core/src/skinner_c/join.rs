@@ -6,6 +6,16 @@
 //! For equality predicates, sorted-posting hash indexes allow jumping
 //! directly to the next tuple index that can match (Section 4.5's
 //! extension), turning the scan into an index-nested-loop per level.
+//!
+//! Each jump walks its key's posting window with a [`PostingCursor`]. A
+//! level's keys come from the rows fixed at earlier levels, and those only
+//! change while the loop is above the level, so a cursor stays valid for as
+//! long as the loop stays at or below its level. [`continue_join`] reopens
+//! the cursors of every level at or above the state's depth on entry, and a
+//! level's first probe after the loop descends into it opens fresh ones —
+//! recognisable without any key compare, because descending resets the
+//! level's row to its offset and every later probe at the level starts
+//! past it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,7 +23,7 @@ use std::sync::Arc;
 use skinner_exec::{LocalWork, Timeout, WorkBudget};
 use skinner_query::expr::{CmpOp, Expr};
 use skinner_query::{JoinQuery, Pred};
-use skinner_storage::{HashIndex, RowId, Table};
+use skinner_storage::{HashIndex, PostingCursor, RowId, Table};
 
 use super::result_set::ResultSet;
 use super::state::JoinState;
@@ -57,6 +67,21 @@ struct Jump {
     key_table: Arc<Table>,
     key_table_pos: usize,
     key_col: usize,
+    /// Where this jump keeps its cursor in a [`JoinCursors`].
+    slot: usize,
+}
+
+impl Jump {
+    /// A cursor on the window of the key the rows fixed in `s` give.
+    /// Inlined into both callers: the join loop's probe is the hot one.
+    #[inline(always)]
+    fn cursor(&self, s: &[RowId]) -> PostingCursor {
+        let key = self
+            .key_table
+            .column(self.key_col)
+            .key_at(s[self.key_table_pos]);
+        self.index.cursor(key)
+    }
 }
 
 /// Everything the join loop needs at one join position.
@@ -77,7 +102,16 @@ struct Level {
 pub struct OrderInfo {
     pub order: Vec<usize>,
     levels: Vec<Level>,
+    /// Jumps over all levels: the cursors a join of this order needs.
+    num_cursors: usize,
 }
+
+/// Posting cursors of the join loop, one per jump of the order being run.
+/// The caller keeps one across [`continue_join`] calls (the engine loop,
+/// each parallel worker) so that no slice allocates; its contents never
+/// outlive a call.
+#[derive(Debug, Default)]
+pub struct JoinCursors(Vec<PostingCursor>);
 
 impl OrderInfo {
     /// Analyze `order`, splitting predicates into index jumps and checks.
@@ -93,6 +127,7 @@ impl OrderInfo {
             .collect();
         let pos_of: HashMap<usize, usize> =
             order.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        let mut num_cursors = 0;
         for p in &query.equi_preds {
             let (Some(&pl), Some(&pr)) = (pos_of.get(&p.left.table), pos_of.get(&p.right.table))
             else {
@@ -105,12 +140,16 @@ impl OrderInfo {
                 (pr, p.right, p.left)
             };
             match ctx.index(mine.table, mine.col).filter(|_| use_jumps) {
-                Some(index) => levels[pos].jumps.push(Jump {
-                    index: index.clone(),
-                    key_table: ctx.tables[other.table].clone(),
-                    key_table_pos: other.table,
-                    key_col: other.col,
-                }),
+                Some(index) => {
+                    levels[pos].jumps.push(Jump {
+                        index: index.clone(),
+                        key_table: ctx.tables[other.table].clone(),
+                        key_table_pos: other.table,
+                        key_col: other.col,
+                        slot: num_cursors,
+                    });
+                    num_cursors += 1;
+                }
                 None => {
                     let dt = query.col_type(mine);
                     let eq = Expr::Cmp {
@@ -138,6 +177,7 @@ impl OrderInfo {
         OrderInfo {
             order: order.to_vec(),
             levels,
+            num_cursors,
         }
     }
 }
@@ -154,24 +194,25 @@ pub enum SliceOutcome {
 /// `ContinueJoin` (Algorithm 2): run the multi-way join for `order` starting
 /// from `state`, for at most `max_steps` outer-loop iterations, inserting
 /// result tuples into `results`. Offsets exclude globally fully-joined rows
-/// at every level. One work unit is counted per step, index probe,
-/// predicate evaluation and new result tuple — locally, against the
-/// budget's remaining units, and settled to `budget` once when the slice
-/// ends (by step count, completion or `Err(Timeout)`). `info` must have
-/// been built against `ctx`, which it already resolved everything from.
+/// at every level. One work unit is counted per step, index probe (however
+/// far its cursor moves), predicate evaluation and new result tuple —
+/// locally, against the budget's remaining units, and settled to `budget`
+/// once when the slice ends (by step count, completion or `Err(Timeout)`).
+/// `cursors` is a reusable buffer: any one will do, and nothing in it
+/// carries over from an earlier call.
 pub fn continue_join(
-    ctx: &MultiwayCtx,
     info: &OrderInfo,
     state: &mut JoinState,
+    cursors: &mut JoinCursors,
     offsets: &[RowId],
     max_steps: u64,
     budget: &WorkBudget,
     results: &mut ResultSet,
 ) -> Result<SliceOutcome, Timeout> {
     continue_join_ranged(
-        ctx,
         info,
         state,
+        cursors,
         offsets,
         max_steps,
         budget,
@@ -188,9 +229,9 @@ pub fn continue_join(
 /// level 0 is identical to the sequential join.
 #[allow(clippy::too_many_arguments)]
 pub fn continue_join_ranged(
-    _ctx: &MultiwayCtx,
     info: &OrderInfo,
     state: &mut JoinState,
+    cursors: &mut JoinCursors,
     offsets: &[RowId],
     max_steps: u64,
     budget: &WorkBudget,
@@ -199,6 +240,14 @@ pub fn continue_join_ranged(
 ) -> Result<SliceOutcome, Timeout> {
     let levels = &info.levels[..];
     let last = levels.len() - 1;
+    // `state` may come from anywhere (a restore, another order's slice), so
+    // no cursor in the buffer is trusted on entry: the levels the loop can
+    // reach without descending get theirs now, deeper ones open on descent.
+    let cursors = &mut cursors.0;
+    cursors.resize(info.num_cursors, PostingCursor::default());
+    for jump in levels[..=state.depth].iter().flat_map(|l| &l.jumps) {
+        cursors[jump.slot] = jump.cursor(&state.s);
+    }
     let mut work = budget.local();
     let mut steps = 0u64;
     loop {
@@ -211,7 +260,7 @@ pub fn continue_join_ranged(
         let level = &levels[depth];
         let ti = level.table;
         let bound = if depth == 0 { level0_end } else { RowId::MAX };
-        match next_candidate(level, state, offsets, &mut work, bound)? {
+        match next_candidate(level, cursors, state, offsets, &mut work, bound)? {
             None => {
                 // Level exhausted: reset and backtrack.
                 state.s[ti] = offsets[ti];
@@ -238,8 +287,10 @@ pub fn continue_join_ranged(
                     state.s[ti] = row + 1;
                 } else {
                     state.depth += 1;
-                    let tnext = levels[state.depth].table;
-                    state.s[tnext] = offsets[tnext];
+                    let next = &levels[state.depth];
+                    // The rows above `next` just changed, so may its keys;
+                    // its row at its offset tells its next probe so.
+                    state.s[next.table] = offsets[next.table];
                 }
             }
         }
@@ -248,11 +299,13 @@ pub fn continue_join_ranged(
 
 /// Find the next candidate row `>= max(s[ti], offset)` satisfying all
 /// indexable equality predicates of `level`, leapfrogging across their
-/// posting lists. `None` when the level is exhausted (cardinality or the
-/// caller's `bound`, whichever is lower).
+/// posting lists, each walked by its own cursor in `cursors`. `None` when
+/// the level is exhausted (cardinality or the caller's `bound`, whichever
+/// is lower).
 #[inline]
 fn next_candidate(
     level: &Level,
+    cursors: &mut [PostingCursor],
     state: &JoinState,
     offsets: &[RowId],
     work: &mut LocalWork<'_>,
@@ -260,21 +313,34 @@ fn next_candidate(
 ) -> Result<Option<RowId>, Timeout> {
     let ti = level.table;
     let n = level.cardinality.min(bound);
-    let mut cur = state.s[ti].max(offsets[ti]);
+    let row = state.s[ti];
+    let mut cur = row.max(offsets[ti]);
     if level.jumps.is_empty() {
         return Ok((cur < n).then_some(cur));
     }
+    // The loop just descended here, which left the row at its offset: the
+    // stored cursors may belong to other keys. Probe like a plain
+    // `next_match` and keep what the probes found.
+    let fresh = row <= offsets[ti];
     'outer: loop {
         if cur >= n {
             return Ok(None);
         }
         for jump in &level.jumps {
             work.charge(1)?;
-            let key = jump
-                .key_table
-                .column(jump.key_col)
-                .key_at(state.s[jump.key_table_pos]);
-            match jump.index.next_match(key, cur) {
+            // The stored cursor is only touched off the fresh path, and
+            // only written back on a hit: a miss exhausts the level, which
+            // is next probed after a descent.
+            let mut cursor = if fresh {
+                jump.cursor(&state.s)
+            } else {
+                cursors[jump.slot]
+            };
+            let found = cursor.seek(&jump.index, cur);
+            if found.is_some() {
+                cursors[jump.slot] = cursor;
+            }
+            match found {
                 None => return Ok(None),
                 Some(m) if m > cur => {
                     cur = m;
@@ -336,13 +402,22 @@ mod tests {
         let info = OrderInfo::build(q, &ctx, order, use_jumps);
         let offsets = vec![0; q.num_tables()];
         let mut state = JoinState::fresh(&offsets);
+        let mut cursors = JoinCursors::default();
         let mut results = ResultSet::new();
         let budget = WorkBudget::unlimited();
         let mut slices = 0;
         loop {
             slices += 1;
-            match continue_join(&ctx, &info, &mut state, &offsets, 64, &budget, &mut results)
-                .unwrap()
+            match continue_join(
+                &info,
+                &mut state,
+                &mut cursors,
+                &offsets,
+                64,
+                &budget,
+                &mut results,
+            )
+            .unwrap()
             {
                 SliceOutcome::Finished => break,
                 SliceOutcome::Budget => {}
@@ -395,13 +470,14 @@ mod tests {
         let info = OrderInfo::build(&q, &ctx, &[0, 1], true);
         let offsets = vec![0, 0];
         let budget = WorkBudget::unlimited();
+        let mut cursors = JoinCursors::default();
         // Reference: run to completion in one go.
         let mut full_state = JoinState::fresh(&offsets);
         let mut full = ResultSet::new();
         while continue_join(
-            &ctx,
             &info,
             &mut full_state,
+            &mut cursors,
             &offsets,
             u64::MAX,
             &budget,
@@ -417,9 +493,16 @@ mod tests {
         loop {
             guard += 1;
             assert!(guard < 10_000);
-            if continue_join(&ctx, &info, &mut state, &offsets, 2, &budget, &mut partial).unwrap()
-                == SliceOutcome::Finished
-            {
+            let out = continue_join(
+                &info,
+                &mut state,
+                &mut cursors,
+                &offsets,
+                2,
+                &budget,
+                &mut partial,
+            );
+            if out.unwrap() == SliceOutcome::Finished {
                 break;
             }
         }
@@ -438,9 +521,9 @@ mod tests {
         let mut results = ResultSet::new();
         let budget = WorkBudget::unlimited();
         while continue_join(
-            &ctx,
             &info,
             &mut state,
+            &mut JoinCursors::default(),
             &offsets,
             u64::MAX,
             &budget,
@@ -469,6 +552,7 @@ mod tests {
         let (full, _) = run_to_completion(&q, &order, true);
         // Split b's rows into 3 chunks and run each to completion.
         let mut union = ResultSet::new();
+        let mut cursors = JoinCursors::default();
         for (lo, hi) in [(0u32, 3u32), (3, 7), (7, 9)] {
             let mut offsets = vec![0; q.num_tables()];
             offsets[1] = lo;
@@ -476,7 +560,14 @@ mod tests {
             let mut chunk = ResultSet::new();
             loop {
                 let out = continue_join_ranged(
-                    &ctx, &info, &mut state, &offsets, 8, &budget, &mut chunk, hi,
+                    &info,
+                    &mut state,
+                    &mut cursors,
+                    &offsets,
+                    8,
+                    &budget,
+                    &mut chunk,
+                    hi,
                 )
                 .unwrap();
                 if out == SliceOutcome::Finished {
@@ -501,9 +592,9 @@ mod tests {
         let mut results = ResultSet::new();
         let budget = WorkBudget::with_limit(3);
         let r = continue_join(
-            &ctx,
             &info,
             &mut state,
+            &mut JoinCursors::default(),
             &offsets,
             u64::MAX,
             &budget,
@@ -537,5 +628,188 @@ mod tests {
         let (r, _) = run_to_completion(&q, &[1, 0], true);
         // pairs (id, bw) with id + bw = 4: (4,0),(3,1),(2,2) → 3.
         assert_eq!(r.len(), 3);
+    }
+
+    /// A skewed star: most of `f`'s 90 rows point at dimension row 0, so
+    /// windows are long, and `da` also holds an id no fact row uses.
+    fn skewed_star() -> Catalog {
+        let cat = Catalog::new();
+        for (name, ids) in [
+            ("da", &[0, 1, 2, 3, 7][..]),
+            ("db", &[0, 1, 2, 3]),
+            ("dc", &[0, 1, 2]),
+        ] {
+            let mut d = cat.builder(name, schema![("id", Int)]);
+            for &id in ids {
+                d.push_row(&[Value::Int(id)]);
+            }
+            cat.register(d.finish());
+        }
+        let skew = |i: i64, keys: &[i64]| keys[(i * 7 % keys.len() as i64) as usize];
+        let mut f = cat.builder(
+            "f",
+            schema![("id", Int), ("a", Int), ("b", Int), ("c", Int)],
+        );
+        for i in 0..90 {
+            f.push_row(&[
+                Value::Int(i),
+                Value::Int(skew(i, &[0, 0, 0, 0, 0, 0, 1, 1, 2, 3])),
+                Value::Int(skew(i, &[0, 0, 0, 0, 1, 1, 2, 3, 4])),
+                Value::Int(skew(i, &[0, 0, 0, 1, 2])),
+            ]);
+        }
+        cat.register(f.finish());
+        cat
+    }
+
+    /// Every level's keys change under it: by descent into it, when the
+    /// loop backtracks above it and comes back, and between slices — when
+    /// another order's call left the shared cursor buffer behind, and when
+    /// a prefix-sharing restore moved the rows above it. The `dc` check
+    /// fails after matches, so levels also resume after failed checks.
+    #[test]
+    fn cursors_follow_their_keys_across_descents_backtracks_and_restores() {
+        use super::super::state::ProgressTracker;
+        use skinner_exec::{postprocess, reference::run_reference};
+
+        let cat = skewed_star();
+        let q = bind(
+            "SELECT da.id, f.id, db.id, dc.id FROM da, f, db, dc \
+             WHERE f.a = da.id AND f.b = db.id AND f.c = dc.id AND da.id + dc.id <> 2",
+            &cat,
+        );
+        let ctx = ctx_for(&q);
+        let rows_of = |results: ResultSet| {
+            postprocess(
+                &q.tables,
+                &q,
+                results.seal().view(),
+                &WorkBudget::unlimited(),
+            )
+            .unwrap()
+            .canonical_rows()
+        };
+        let expected = run_reference(&q).canonical_rows();
+        assert!(expected.len() > 50, "{}", expected.len());
+        let cards: Vec<RowId> = q.tables.iter().map(|t| t.cardinality()).collect();
+        let zero = vec![0; 4];
+        // da = 0, f = 1, db = 2, dc = 3. [0, 2, 1, 3] leapfrogs two long
+        // windows at `f`; the others open one jump per level.
+        let orders = [
+            [0, 1, 2, 3],
+            [0, 2, 1, 3],
+            [2, 1, 0, 3],
+            [3, 1, 2, 0],
+            [1, 0, 2, 3],
+        ];
+        let infos: Vec<OrderInfo> = orders
+            .iter()
+            .map(|o| OrderInfo::build(&q, &ctx, o, true))
+            .collect();
+        let whole: Vec<(Vec<String>, u64)> = infos
+            .iter()
+            .map(|info| {
+                let budget = WorkBudget::unlimited();
+                let mut results = ResultSet::new();
+                let out = continue_join(
+                    info,
+                    &mut JoinState::fresh(&zero),
+                    &mut JoinCursors::default(),
+                    &zero,
+                    u64::MAX,
+                    &budget,
+                    &mut results,
+                );
+                assert_eq!(out, Ok(SliceOutcome::Finished));
+                (rows_of(results), budget.used())
+            })
+            .collect();
+        for (order, (rows, _)) in orders.iter().zip(&whole) {
+            assert_eq!(rows, &expected, "{order:?}");
+        }
+
+        for slice_steps in [1u64, 2, 3, 5, 7, 64] {
+            // All five orders sliced round robin through one buffer.
+            let mut cursors = JoinCursors::default();
+            let mut runs: Vec<_> = infos
+                .iter()
+                .map(|_| {
+                    (
+                        JoinState::fresh(&zero),
+                        ResultSet::new(),
+                        WorkBudget::unlimited(),
+                    )
+                })
+                .collect();
+            let mut done = vec![false; runs.len()];
+            while done.contains(&false) {
+                for (i, (state, results, budget)) in runs.iter_mut().enumerate() {
+                    if !done[i] {
+                        let out = continue_join(
+                            &infos[i],
+                            state,
+                            &mut cursors,
+                            &zero,
+                            slice_steps,
+                            budget,
+                            results,
+                        );
+                        done[i] = out.unwrap() == SliceOutcome::Finished;
+                    }
+                }
+            }
+            for ((order, (rows, used)), (_, results, budget)) in orders.iter().zip(&whole).zip(runs)
+            {
+                assert_eq!(budget.used(), *used, "{order:?}, slice_steps {slice_steps}");
+                assert_eq!(
+                    &rows_of(results),
+                    rows,
+                    "{order:?}, slice_steps {slice_steps}"
+                );
+            }
+        }
+
+        // The Skinner-C episode loop without the learner: the order changes
+        // every slice, and [0, 1, 2, 3] and [0, 1, 3, 2] hand each other
+        // their progress on the shared prefix [da, f]. The tracker keeps
+        // only states ahead of the offsets, so slices too short to get
+        // ahead of a fresh state (here, under five steps) start over
+        // forever; this part runs at the sizes that get ahead.
+        let sharing = [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]];
+        let infos: Vec<OrderInfo> = sharing
+            .iter()
+            .map(|o| OrderInfo::build(&q, &ctx, o, true))
+            .collect();
+        let mut cursors = JoinCursors::default();
+        for slice_steps in [5u64, 7, 64] {
+            let mut tracker = ProgressTracker::new(4, true);
+            let mut offsets = zero.clone();
+            let mut state = JoinState::fresh(&offsets);
+            let mut results = ResultSet::new();
+            let budget = WorkBudget::unlimited();
+            let mut slices = 0;
+            while offsets.iter().zip(&cards).all(|(o, n)| o < n) {
+                let (order, info) = (&sharing[slices % 3], &infos[slices % 3]);
+                tracker.restore_into(order, &offsets, &mut state);
+                let out = continue_join(
+                    info,
+                    &mut state,
+                    &mut cursors,
+                    &offsets,
+                    slice_steps,
+                    &budget,
+                    &mut results,
+                );
+                tracker.backup(order, &state);
+                offsets[0] = offsets[0].max(state.s[0]);
+                if out.unwrap() == SliceOutcome::Finished {
+                    offsets[0] = cards[0];
+                }
+                slices += 1;
+                assert!(slices < 10_000, "no convergence");
+            }
+            assert!(slices > 3, "slice_steps {slice_steps}: {slices} slices");
+            assert_eq!(rows_of(results), expected, "slice_steps {slice_steps}");
+        }
     }
 }

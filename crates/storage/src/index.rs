@@ -6,6 +6,9 @@
 //! [`HashIndex::next_match`]: posting lists are kept sorted, so finding the
 //! first row `>= from` with a given key is one directory probe plus — only
 //! when the list's first row is already behind `from` — a galloping search.
+//! A join level that keeps jumping within one key's window holds a
+//! [`PostingCursor`] instead: it probes the directory once, and every later
+//! [`PostingCursor::seek`] gallops on from where the previous one stopped.
 //!
 //! Layout (CSR): a directory maps each canonical `u64` key to a window of a
 //! single contiguous postings array. An index is built at most once per
@@ -247,17 +250,23 @@ impl HashIndex {
         &self.postings[start..start + len]
     }
 
-    /// Smallest row `>= from` whose key equals `key` — the paper's "jump".
+    /// A cursor at the start of `key`'s postings window (an empty window if
+    /// the key is absent).
+    #[inline]
+    pub fn cursor(&self, key: u64) -> PostingCursor {
+        let (start, len) = self.window(key);
+        // Row ids, and so postings positions, are 32-bit (`from_keys`).
+        PostingCursor {
+            pos: start as u32,
+            end: (start + len) as u32,
+        }
+    }
+
+    /// Smallest row `>= from` whose key equals `key` — the paper's "jump":
+    /// a fresh cursor on `key`'s window, sought once.
     #[inline]
     pub fn next_match(&self, key: u64, from: RowId) -> Option<RowId> {
-        let rows = self.lookup(key);
-        // The common probe starts a level at its offset: the first posting
-        // already qualifies.
-        match rows.first() {
-            None => None,
-            Some(&first) if first >= from => Some(first),
-            Some(_) => rows.get(gallop(rows, from)).copied(),
-        }
+        self.cursor(key).seek(self, from)
     }
 
     /// Number of rows with key equal to `key`.
@@ -279,6 +288,43 @@ impl HashIndex {
             Directory::Hash { slots, .. } => slots.len() * std::mem::size_of::<Slot>(),
         };
         dir + self.postings.len() * std::mem::size_of::<RowId>()
+    }
+}
+
+/// A resumable position in one key's postings window, made by
+/// [`HashIndex::cursor`] and meaningful only against that index (the
+/// default cursor is an empty window). Seeks never move it backwards, so
+/// stepping through a window costs the distance stepped, not the distance
+/// from the window's start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PostingCursor {
+    /// Postings position of the next row that may still be answered.
+    pos: u32,
+    /// One past the window's last posting.
+    end: u32,
+}
+
+impl PostingCursor {
+    /// Smallest row `>= from` at or after the cursor, which stays on that
+    /// row (a repeated seek answers it again); `None` once the window is
+    /// used up. Answers equal [`HashIndex::next_match`] on the cursor's key
+    /// as long as `from` never decreases; a `from` behind an earlier seek's
+    /// answers as that seek did.
+    #[inline]
+    pub fn seek(&mut self, index: &HashIndex, from: RowId) -> Option<RowId> {
+        if self.pos >= self.end {
+            return None;
+        }
+        // A level's first probe starts at its offset, and a resumed one
+        // usually lands on the next posting: the first check answers most.
+        let first = index.postings[self.pos as usize];
+        if first >= from {
+            return Some(first);
+        }
+        let rows = &index.postings[self.pos as usize..self.end as usize];
+        let at = gallop(rows, from);
+        self.pos += at as u32;
+        rows.get(at).copied()
     }
 }
 
@@ -322,6 +368,20 @@ mod tests {
         assert_eq!(idx.next_match(7, 3), Some(5));
         assert_eq!(idx.next_match(7, 6), None);
         assert_eq!(idx.next_match(42, 0), None);
+    }
+
+    #[test]
+    fn cursor_resumes_where_it_stopped() {
+        let idx = HashIndex::build(&col());
+        let mut c = idx.cursor(7);
+        assert_eq!(c.seek(&idx, 0), Some(0));
+        assert_eq!(c.seek(&idx, 0), Some(0));
+        assert_eq!(c.seek(&idx, 3), Some(5));
+        // Never backwards: an earlier `from` answers the last seek's row.
+        assert_eq!(c.seek(&idx, 1), Some(5));
+        assert_eq!(c.seek(&idx, 6), None);
+        assert_eq!(c.seek(&idx, 0), None);
+        assert_eq!(idx.cursor(42).seek(&idx, 0), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use catalog::Catalog;
 pub use column::Column;
 pub use csv::read_csv;
 pub use disk::{bulk_load_csv, DiskError, DiskStore, ZoneCol, ZoneMap};
-pub use index::HashIndex;
+pub use index::{HashIndex, PostingCursor};
 pub use interner::{Interner, InternerRead};
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};

@@ -2,8 +2,10 @@
 //! agree with an ordered-map model (`key → ascending rows`) for every column
 //! shape the join can meet and for probe positions below, inside and after
 //! each posting range — under both directory kinds, and with the kind (read
-//! off `byte_size`) following the span rule. The "jump" correctness of the
-//! multi-way join rests on exactly these properties.
+//! off `byte_size`) following the span rule. A `PostingCursor` must answer
+//! every seek of a sequence as `next_match` would from the furthest position
+//! sought so far. The "jump" correctness of the multi-way join rests on
+//! exactly these properties.
 
 use std::collections::BTreeMap;
 
@@ -243,5 +245,34 @@ proptest! {
             .find(|&i| data[i] == key)
             .map(|i| i as RowId);
         prop_assert_eq!(idx.next_match(key as u64, from), naive);
+    }
+
+    #[test]
+    fn cursor_seeks_answer_next_match_at_their_high_water_mark(
+        data in proptest::collection::vec(0i64..6, 0..250),
+        stride in prop_oneof![Just(1i64), Just(1i64 << 20)],
+        key in 0i64..7,
+        moves in proptest::collection::vec((0u32..4, 0u32..40), 0..40),
+    ) {
+        // Stride 1 keeps the keys dense (direct-addressed), 2^20 spreads
+        // them into the hash directory; key 6 is never present.
+        let col = Column::Int(data.iter().map(|&k| k * stride).collect());
+        let key = (key * stride) as u64;
+        let idx = HashIndex::build(&col);
+        let rows = model_of(&col).remove(&key).unwrap_or_default();
+        let n = data.len() as RowId;
+        let mut cursor = idx.cursor(key);
+        // Mostly forward, as the join seeks; now and then backwards
+        // (the cursor must not move back) or past the last row.
+        let (mut from, mut high) = (0u32, 0u32);
+        for (kind, by) in moves {
+            from = match kind {
+                0 | 1 => from + by,
+                2 => from.saturating_sub(by),
+                _ => n + by,
+            };
+            high = high.max(from);
+            prop_assert_eq!(cursor.seek(&idx, from), model_next_match(&rows, high));
+        }
     }
 }

@@ -18,7 +18,9 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use skinnerdb::skinner_core::skinner_c::join::{continue_join, OrderInfo, SliceOutcome};
+use skinnerdb::skinner_core::skinner_c::join::{
+    continue_join, JoinCursors, OrderInfo, SliceOutcome,
+};
 use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
 use skinnerdb::skinner_core::skinner_c::state::JoinState;
@@ -370,12 +372,13 @@ fn join_loop_timeouts_match_per_unit_charging_at_every_limit() {
             for limit in 0..=total.used + 2 {
                 let budget = WorkBudget::with_limit(limit);
                 let mut state = JoinState::fresh(&offsets);
+                let mut cursors = JoinCursors::default();
                 let mut results = ResultSet::new();
                 let timed_out = loop {
                     match continue_join(
-                        ctx,
                         &info,
                         &mut state,
+                        &mut cursors,
                         &offsets,
                         slice_steps,
                         &budget,
