@@ -542,7 +542,7 @@ pub fn run(scale: Scale) -> String {
     );
     render_section("Skinner-C (sequential)", &seq_off, &seq_on, &mut out);
 
-    // Parallel engine, 4 workers (sharded tree path).
+    // Parallel engine, 4 workers.
     // Small batches: enough episodes per run for convergence (and its
     // acceleration) to be observable on bench-scale data.
     let par = Strategy::ParallelSkinner(ParallelSkinnerConfig {

@@ -8,16 +8,11 @@
 //! * total work units;
 //! * **post-processing time** on its own (grouping/ordering now runs
 //!   through the partitioned `postprocess_parallel`, so its share of the
-//!   wall clock is worth watching separately);
-//! * **UCT-root contention**: the shards the learner spread root updates
-//!   over (`1` = single-root tree, `>1` = sharded) and the CAS retries
-//!   observed on the hot reward counters — measurable evidence of
-//!   contention (or its absence) even when a single-core host makes
-//!   wall-clock speedup unobservable.
+//!   wall clock is worth watching separately).
 //!
 //! Besides the markdown report, the run writes the raw numbers to
-//! `bench_reports/BENCH_thread_scaling.json` so contention counters are
-//! machine-readable across runs.
+//! `bench_reports/BENCH_thread_scaling.json` so they are machine-readable
+//! across runs.
 //!
 //! Two caveats the report states explicitly:
 //!
@@ -56,15 +51,8 @@ struct Sample {
     wall: Duration,
     work: u64,
     timed_out: bool,
-    /// Shards the learner spread root updates over (1 = single-root tree).
-    shards: u64,
-    /// CAS retries on the hot reward counters of the representative run.
-    contention: u64,
     /// Post-processing wall time of the representative run.
     postprocess: Duration,
-    /// Per-shard `(first_table, visits, cas_retries)` of the
-    /// representative run — the full breakdown behind `contention`.
-    shard_stats: Vec<(usize, u64, u64)>,
 }
 
 fn measure(db: &Database, script: &str, s: &Strategy, reps: usize) -> Sample {
@@ -73,16 +61,14 @@ fn measure(db: &Database, script: &str, s: &Strategy, reps: usize) -> Sample {
     for _ in 0..reps {
         let o = db.run_script(script, s).expect("bench query must run");
         timed_out |= o.timed_out;
-        let counter = |name| o.metrics.counter(name).unwrap_or(0);
         if best.as_ref().is_none_or(|b| o.wall < b.wall) {
             best = Some(Sample {
                 wall: o.wall,
                 work: o.work_units,
                 timed_out: false,
-                shards: counter("uct_shards"),
-                contention: counter("root_cas_contention"),
-                postprocess: Duration::from_micros(counter("postprocess_us")),
-                shard_stats: o.metrics.shard_stats.clone(),
+                postprocess: Duration::from_micros(
+                    o.metrics.counter("postprocess_us").unwrap_or(0),
+                ),
             });
         }
     }
@@ -124,9 +110,8 @@ fn write_json(
     std::fs::create_dir_all(dir)?;
     let path = dir.join("BENCH_thread_scaling.json");
     // Headline numbers for the CI artifact: the best wall-clock speedup
-    // over the matching 1-thread cell, and the total root-CAS contention
-    // observed — the two figures the ROADMAP's multi-core measurement gap
-    // asks for, machine-readable without parsing the per-cell runs.
+    // over the matching 1-thread cell, overall and at four threads —
+    // machine-readable without parsing the per-cell runs.
     let mut max_speedup = 0f64;
     let mut speedup_at_4 = 0f64;
     for c in cells.iter().filter(|c| c.threads > 1) {
@@ -139,37 +124,23 @@ fn write_json(
             speedup_at_4 = speedup_at_4.max(s);
         }
     }
-    let contention: u64 = cells.iter().map(|c| c.sample.contention).sum();
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str(&format!("  \"speedup_measurable\": {},\n", cores > 1));
     out.push_str(&format!("  \"max_speedup\": {max_speedup:.3},\n"));
     out.push_str(&format!("  \"speedup_at_4_threads\": {speedup_at_4:.3},\n"));
-    out.push_str(&format!("  \"total_root_cas_contention\": {contention},\n"));
     out.push_str("  \"runs\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let shards: Vec<String> = c
-            .sample
-            .shard_stats
-            .iter()
-            .map(|&(t, v, cas)| {
-                format!("{{\"first_table\": {t}, \"visits\": {v}, \"cas_retries\": {cas}}}")
-            })
-            .collect();
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"threads\": {}, \"wall_us\": {}, \"work_units\": {}, \
-             \"timed_out\": {}, \"uct_shards\": {}, \"root_cas_contention\": {}, \
-             \"postprocess_us\": {}, \"shards\": [{}]}}{}\n",
+             \"timed_out\": {}, \"postprocess_us\": {}}}{}\n",
             json_escape(&c.query),
             c.threads,
             c.sample.wall.as_micros(),
             c.sample.work,
             c.sample.timed_out,
-            c.sample.shards,
-            c.sample.contention,
             c.sample.postprocess.as_micros(),
-            shards.join(", "),
             if i + 1 < cells.len() { "," } else { "" },
         ));
     }
@@ -210,9 +181,9 @@ pub fn run(scale: Scale) -> String {
         out.push_str(
             "\n**single-core host — speedup not measurable**: all thread\n\
              counts time-slice one CPU, so wall-clock ratios hover around\n\
-             1.0 by construction. The contention and post-processing\n\
-             columns below are still meaningful (they count events, not\n\
-             time); re-run on a ≥4-core machine for wall-clock scaling.\n\n",
+             1.0 by construction. Work units below are still meaningful\n\
+             (they count work, not time); re-run on a ≥4-core machine for\n\
+             wall-clock scaling.\n\n",
         );
     } else {
         out.push_str("Speedups are wall-clock vs the 1-thread configuration.\n\n");
@@ -235,12 +206,7 @@ pub fn run(scale: Scale) -> String {
                 speedup,
                 human(sample.work)
             ));
-            cells.push(format!(
-                "{} / {}sh/{}cas",
-                fmt_dur(sample.postprocess),
-                sample.shards,
-                sample.contention
-            ));
+            cells.push(fmt_dur(sample.postprocess));
             json_cells.push(JsonCell {
                 query: q.name.clone(),
                 threads: t,
@@ -250,17 +216,13 @@ pub fn run(scale: Scale) -> String {
         rows.push(cells);
     }
     out.push_str(&markdown_table(
-        &[
-            "query", "t=1", "pp/uct", "t=2", "pp/uct", "t=4", "pp/uct", "t=8", "pp/uct",
-        ],
+        &["query", "t=1", "pp", "t=2", "pp", "t=4", "pp", "t=8", "pp"],
         &rows,
     ));
     out.push_str(&format!(
         "\n`*` = timed out at the work limit. Each `t=N` cell: best-of-{reps}\n\
-         wall time (speedup vs t=1, total work units). Each `pp/uct` cell:\n\
-         post-processing wall time of that run / UCT shards and root-CAS\n\
-         retries (`1sh` = single-root tree at one thread, `Nsh` = sharded\n\
-         tree; retries count contended reward updates).\n"
+         wall time (speedup vs t=1, total work units). Each `pp` cell:\n\
+         post-processing wall time of that run.\n"
     ));
     match write_json(
         std::path::Path::new("bench_reports"),
@@ -301,8 +263,6 @@ mod tests {
             );
             assert!(sample.wall > Duration::ZERO);
             assert!(sample.work > 0);
-            let expected_shards = if t == 1 { 1 } else { q.num_tables as u64 };
-            assert_eq!(sample.shards, expected_shards, "threads={t}");
         }
     }
 
@@ -316,20 +276,14 @@ mod tests {
                 wall: Duration::from_micros(1234),
                 work: 99,
                 timed_out: false,
-                shards: 5,
-                contention: 7,
                 postprocess: Duration::from_micros(55),
-                shard_stats: vec![(0, 10, 4), (2, 20, 3)],
             },
         }];
         let path = write_json(&tmp, 1, 2, &cells).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&tmp).ok();
         assert!(text.contains("\"speedup_measurable\": false"));
-        assert!(text.contains("\"root_cas_contention\": 7"));
-        assert!(text.contains("\"uct_shards\": 5"));
         assert!(text.contains("\"postprocess_us\": 55"));
-        assert!(text.contains("{\"first_table\": 2, \"visits\": 20, \"cas_retries\": 3}"));
         // Query names are escaped, keeping the artifact valid JSON.
         assert!(text.contains("q1\\\"tricky\\\\name"));
     }

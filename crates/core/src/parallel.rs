@@ -1,4 +1,4 @@
-//! `parallel_skinner`: multi-threaded Skinner-C with a shared learned tree.
+//! `parallel_skinner`: multi-threaded Skinner-C learning through one tree.
 //!
 //! The paper's multi-threaded SkinnerC configuration (Section 6.1)
 //! parallelizes over *data*: every episode executes one join order, the
@@ -6,22 +6,19 @@
 //! threads, and all workers learn through one UCT tree. This module is that
 //! design on top of the Skinner-C machinery:
 //!
-//! * the coordinator selects a join order from a shared
-//!   [`SharedUctTree`] — behind the `threads`
-//!   knob this is the single-root
-//!   [`ConcurrentUctTree`](skinner_uct::ConcurrentUctTree) at one thread
-//!   (keeping the 1-thread run bit-identical to sequential Skinner-C) and
-//!   the per-first-table [`ShardedUctTree`](skinner_uct::ShardedUctTree)
-//!   at more, so workers back rewards up into disjoint padded shard
-//!   counters instead of all CASing one root — cuts the next
-//!   `batch_tuples` rows of the order's left-most table into contiguous
-//!   chunks ([`skinner_exec::partition_tuples`]), and scatters them over a
-//!   persistent [`WorkerPool`];
+//! * the coordinator owns the query's only [`UctTree`]: it chooses a join
+//!   order, cuts the next `batch_tuples` rows of the order's left-most
+//!   table into contiguous chunks ([`skinner_exec::partition_tuples`]), and
+//!   scatters them over a persistent [`WorkerPool`];
 //! * each worker runs the bounded multi-way join
 //!   ([`continue_join_ranged`]) over its chunk to completion, polling the
 //!   shared [`CancelToken`] every `slice_steps` steps and charging a
 //!   *reserved* slice of the shared work budget (so concurrent workers
-//!   cannot overspend it), then reports its reward into the shared tree;
+//!   cannot overspend it), then returns its chunk's reward in its report;
+//! * the coordinator applies the reports in chunk order — result tuples
+//!   merged, one tree update per reported chunk — so the tree has a single
+//!   writer and a run's work units, join orders and row order do not
+//!   depend on which worker finished first;
 //! * completed batches advance the global per-table offsets exactly like
 //!   sequential Skinner-C, so every tuple range is joined exactly once and
 //!   the result is identical to any other strategy's;
@@ -38,22 +35,18 @@
 //! costs a bounded amount before learning routes around it, and caps
 //! eventually grow large enough for the best order to finish a batch.
 //!
-//! With one thread the strategy degenerates to sequential Skinner-C over
-//! whole batches: same joins, same offsets discipline, same result rows.
+//! With one thread the strategy runs sequential Skinner-C's joins over
+//! whole batches: same offsets discipline, same result rows (its learning
+//! path differs: one reward per batch instead of one per time slice).
 //!
 //! Instrumentation: the outcome's [`ExecMetrics`] counters include
-//! `uct_shards` (shards the learner spread root updates over),
-//! `root_cas_contention` (CAS retries on the hot reward counters — the
-//! quantity sharding exists to reduce) and `postprocess_us` (wall time of
-//! the post-processing phase, reported separately so the `thread_scaling`
-//! benchmark can show the parallel-postprocessing win on its own).
+//! `postprocess_us` (wall time of the post-processing phase, reported
+//! separately so the `thread_scaling` benchmark can show the
+//! parallel-postprocessing win on its own).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use skinner_exec::{
     merge_worker_metrics, partition_tuples, CancelToken, EpisodeRuns, ExecContext, ExecMetrics,
@@ -61,7 +54,7 @@ use skinner_exec::{
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
-use skinner_uct::SharedUctTree;
+use skinner_uct::{UctConfig, UctTree};
 
 use crate::cache::CacheProbe;
 use crate::skinner_c::join::{continue_join_ranged, JoinCursors, OrderInfo, SliceOutcome};
@@ -83,9 +76,9 @@ pub struct ParallelSkinnerConfig {
     /// Steps between cancellation polls inside each worker (the same
     /// granularity as sequential Skinner-C's time slice).
     pub slice_steps: u64,
-    /// UCT exploration weight `w` for the shared tree.
+    /// UCT exploration weight `w` for the query's tree.
     pub exploration_weight: f64,
-    /// Seed for the coordinator's and the workers' generators.
+    /// Seed for the tree's generator.
     pub seed: u64,
     /// Use hash indexes to jump over non-matching tuples.
     pub use_jump_indexes: bool,
@@ -124,7 +117,6 @@ struct EpisodeTask {
     cap: u64,
     slice_steps: u64,
     cancel: CancelToken,
-    tree: Arc<SharedUctTree>,
     /// Reward normalization: expected work per left-most tuple of a good
     /// order.
     norm: f64,
@@ -135,14 +127,14 @@ struct WorkerReport {
     used: u64,
     /// Ran out of its reserved cap before finishing the chunk.
     capped: bool,
-    /// Observed the cancel token mid-chunk.
-    cancelled: bool,
+    /// The order's reward for this chunk; `None` when the chunk saw the
+    /// cancel token (a cut-short chunk teaches the tree nothing).
+    reward: Option<f64>,
     metrics: ExecMetrics,
 }
 
 /// Join one chunk of the episode's batch to completion (or until the cap /
-/// cancellation stops it), then report the order's reward into the shared
-/// tree.
+/// cancellation stops it) and report the order's reward for the chunk.
 fn run_chunk(task: EpisodeTask) -> WorkerReport {
     let budget = WorkBudget::with_limit(task.cap);
     let order = &task.info.order;
@@ -180,18 +172,16 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
         }
     }
     let used = budget.used();
-    if !cancelled {
-        // Cheap orders finish their chunk with little work per tuple and
-        // earn rewards near 1; abandoned chunks teach the tree to avoid
-        // the order.
-        let reward = if capped {
+    // Cheap orders finish their chunk with little work per tuple and earn
+    // rewards near 1; abandoned chunks teach the tree to avoid the order.
+    let reward = (!cancelled).then(|| {
+        if capped {
             0.0
         } else {
             let per_tuple = used as f64 / task.range.len().max(1) as f64;
             1.0 / (1.0 + per_tuple / task.norm)
-        };
-        task.tree.backup(order, reward);
-    }
+        }
+    });
     let metrics = ExecMetrics {
         result_tuples: results.len() as u64,
         slices,
@@ -202,7 +192,7 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
         results,
         used,
         capped,
-        cancelled,
+        reward,
         metrics,
     }
 }
@@ -248,19 +238,18 @@ pub fn run_parallel_skinner(
     let mctx = &prepared.ctx;
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
-    // One thread keeps the single-root tree (bit-identical learning path
-    // to sequential Skinner-C); more threads get the sharded tree so
-    // backups from different first tables hit disjoint cache lines.
-    let graph = query.join_graph();
-    let tree = Arc::new(SharedUctTree::for_threads(
-        graph.clone(),
-        cfg.exploration_weight,
-        threads,
-    ));
-    // Cross-query learning: warm-start the shared tree from the template
-    // cache when the context carries one (both tree variants seed from the
-    // same prior format). Results stay identical either way — the cache
-    // only biases which orders the learner tries first.
+    // The coordinator owns the only tree: it chooses every order and
+    // applies every chunk's reward, so workers never touch it.
+    let mut tree = UctTree::new(
+        query.join_graph(),
+        UctConfig {
+            exploration_weight: cfg.exploration_weight,
+            seed: cfg.seed ^ 0x9A7A11E1,
+        },
+    );
+    // Cross-query learning: warm-start the tree from the template cache
+    // when the context carries one. Results stay identical either way —
+    // the cache only biases which orders the learner tries first.
     let probe = CacheProbe::probe(ctx, query);
     let mut cache_hit = 0u64;
     let mut warm_start_visits = 0u64;
@@ -272,7 +261,6 @@ pub fn run_parallel_skinner(
             warm_start_generalized = warm.generalized as u64;
         }
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9A7A11E1);
     let pool: WorkerPool<EpisodeTask, WorkerReport> =
         WorkerPool::new(threads, |_, task| run_chunk(task));
 
@@ -310,7 +298,7 @@ pub fn run_parallel_skinner(
                 timed_out = true;
                 break;
             }
-            let order = tree.select(&mut rng);
+            let order = tree.choose();
             let key: Box<[u8]> = order.iter().map(|&t| t as u8).collect();
             if prev_order_key.as_deref() != Some(&key[..]) {
                 if prev_order_key.is_some() {
@@ -354,11 +342,15 @@ pub fn run_parallel_skinner(
                     cap,
                     slice_steps: cfg.slice_steps,
                     cancel: ctx.cancel().clone(),
-                    tree: tree.clone(),
                     norm,
                 })
                 .collect();
-            let reports = pool.scatter_gather(tasks);
+            // Task `i` runs on worker `i % threads` and there are at most
+            // `threads` tasks, so sorting by worker id restores chunk order:
+            // results merge and rewards apply the same way however the
+            // workers' finishes interleave.
+            let mut reports = pool.scatter_gather(tasks);
+            reports.sort_unstable_by_key(|&(worker, _)| worker);
 
             // Release the reservation, then record what was actually spent
             // (a worker may exceed its cap by its final charge's overage,
@@ -369,9 +361,12 @@ pub fn run_parallel_skinner(
             for (_, report) in reports {
                 let _ = budget.charge(report.used);
                 any_capped |= report.capped;
-                any_cancelled |= report.cancelled;
                 for tuple in report.results.iter() {
                     global_results.insert(tuple);
+                }
+                match report.reward {
+                    Some(reward) => tree.update(&order, reward),
+                    None => any_cancelled = true,
                 }
                 worker_metrics.push(report.metrics);
             }
@@ -437,7 +432,7 @@ pub fn run_parallel_skinner(
         .collect();
     order_slice_counts.sort_by_key(|e| std::cmp::Reverse(e.1));
 
-    // Publish the shared tree's statistics for the next query of this
+    // Publish the tree's statistics for the next query of this
     // template, with total episodes as the drift-feedback convergence
     // cost (skipped on timeout — see the sequential engine).
     if let Some(p) = &probe {
@@ -462,11 +457,6 @@ pub fn run_parallel_skinner(
             total_aux_bytes,
             tree_growth,
             order_slice_counts,
-            shard_stats: tree
-                .shard_stats()
-                .iter()
-                .map(|s| (s.first_table, s.visits, s.contention))
-                .collect(),
             pages_read: prepared.pages_read,
             pages_skipped: prepared.pages_skipped,
             ..ExecMetrics::default()
@@ -476,8 +466,6 @@ pub fn run_parallel_skinner(
         .with_counter("failed_episodes", failed_episodes)
         .with_counter("worker_slices", workers.slices)
         .with_counter("chunks", workers.counter("chunks").unwrap_or(0))
-        .with_counter("uct_shards", tree.num_shards() as u64)
-        .with_counter("root_cas_contention", tree.contention())
         .with_counter("postprocess_us", postprocess_us)
         .with_counter("cache_hit", cache_hit)
         .with_counter("warm_start_visits", warm_start_visits)
@@ -582,29 +570,12 @@ mod tests {
         let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(2));
         assert!(!out.timed_out);
         assert!(out.metrics.slices > 1, "expected several episodes");
-        assert!(out.metrics.uct_nodes >= 1);
+        // One choice per episode materializes at most one node.
+        assert!(out.metrics.uct_nodes as u64 <= out.metrics.slices + 1);
         assert!(!out.metrics.order_slice_counts.is_empty());
         assert!(out.metrics.counter("chunks").unwrap() >= out.metrics.slices);
         assert_eq!(out.metrics.order.len(), 3);
-        // Multi-threaded runs learn through the sharded tree: one shard
-        // per eligible first table, with contention observable (possibly
-        // zero on a single-core box) and post-processing timed separately.
-        assert_eq!(out.metrics.counter("uct_shards"), Some(3));
-        assert!(out.metrics.counter("root_cas_contention").is_some());
         assert!(out.metrics.counter("postprocess_us").is_some());
-    }
-
-    #[test]
-    fn one_thread_keeps_the_single_root_tree() {
-        let cat = setup();
-        let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(1));
-        assert!(!out.timed_out);
-        assert_eq!(
-            out.metrics.counter("uct_shards"),
-            Some(1),
-            "1 thread must use the proven single-root tree"
-        );
     }
 
     #[test]

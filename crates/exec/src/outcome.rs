@@ -84,11 +84,6 @@ pub struct ExecMetrics {
     pub tree_growth: Vec<(u64, usize)>,
     /// Slice counts per join order, most-used first (Figure 7b).
     pub order_slice_counts: Vec<(Vec<usize>, u64)>,
-    /// Per-shard learner counters `(first_table, visits, cas_retries)`
-    /// from sharded-tree strategies (`parallel_skinner`); a single entry
-    /// for single-root trees. The `thread_scaling` benchmark serializes
-    /// these into `BENCH_thread_scaling.json`.
-    pub shard_stats: Vec<(usize, u64, u64)>,
     /// Zone-mapped pages whose rows were evaluated during pre-processing
     /// (0 for purely in-memory tables, which carry no zone maps).
     pub pages_read: u64,

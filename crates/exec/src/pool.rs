@@ -75,17 +75,15 @@ const SNAPSHOT_COUNTERS: &[&str] = &[
     "last_order_switch",
     "order_switches",
     "threads",
-    "uct_shards",
 ];
 
 /// Merge per-worker metric blocks into the single block a sequential run
 /// over the same work would report: additive counts (tuples, slices,
 /// pages) sum; sizes describing shared structures (the UCT tree, the
-/// result set) take the maximum; per-order slice counts and per-shard
-/// stats merge by key; named counters sum per name except the snapshot
-/// counters listed in `SNAPSHOT_COUNTERS`, which are replicated across
-/// workers and merge by maximum so each shared fact is counted exactly
-/// once.
+/// result set) take the maximum; per-order slice counts merge by key;
+/// named counters sum per name except the snapshot counters listed in
+/// `SNAPSHOT_COUNTERS`, which are replicated across workers and merge by
+/// maximum so each shared fact is counted exactly once.
 pub fn merge_worker_metrics(parts: impl IntoIterator<Item = ExecMetrics>) -> ExecMetrics {
     let mut merged = ExecMetrics::default();
     for m in parts {
@@ -110,15 +108,6 @@ pub fn merge_worker_metrics(parts: impl IntoIterator<Item = ExecMetrics>) -> Exe
             {
                 Some(slot) => slot.1 += n,
                 None => merged.order_slice_counts.push((order, n)),
-            }
-        }
-        for (shard, visits, cas_retries) in m.shard_stats {
-            match merged.shard_stats.iter_mut().find(|(s, _, _)| *s == shard) {
-                Some(slot) => {
-                    slot.1 += visits;
-                    slot.2 += cas_retries;
-                }
-                None => merged.shard_stats.push((shard, visits, cas_retries)),
             }
         }
         for (name, value) in m.counters {
@@ -515,14 +504,12 @@ mod tests {
     fn metrics_merge_keeps_structured_fields() {
         let a = ExecMetrics {
             order_slice_counts: vec![(vec![0, 1], 5), (vec![1, 0], 2)],
-            shard_stats: vec![(0, 10, 1), (1, 4, 0)],
             tree_growth: vec![(1, 2), (2, 5)],
             winner: Some("learned"),
             ..ExecMetrics::default()
         };
         let b = ExecMetrics {
             order_slice_counts: vec![(vec![1, 0], 9)],
-            shard_stats: vec![(1, 6, 2)],
             tree_growth: vec![(1, 3)],
             ..ExecMetrics::default()
         };
@@ -532,10 +519,6 @@ mod tests {
             m.order_slice_counts,
             vec![(vec![1, 0], 11), (vec![0, 1], 5)]
         );
-        // Per-shard sums.
-        let mut shards = m.shard_stats.clone();
-        shards.sort_unstable();
-        assert_eq!(shards, vec![(0, 10, 1), (1, 10, 2)]);
         assert_eq!(m.tree_growth, vec![(1, 2), (2, 5)], "densest curve kept");
         assert_eq!(m.winner, Some("learned"));
     }

@@ -16,62 +16,28 @@
 //! * rewards are in `[0,1]`; `w = √2` gives the regret guarantee, but the
 //!   weight is tunable per domain (the paper uses `10⁻⁶` for Skinner-C).
 //!
-//! # The three trees
+//! # One tree, one writer
 //!
-//! | type | threads | hot path |
-//! |---|---|---|
-//! | [`UctTree`] | 1 (`&mut self`) | plain counters — sequential Skinner-C/G/H |
-//! | [`ConcurrentUctTree`] | any (`&self`) | one atomic root every worker CASes |
-//! | [`ShardedUctTree`] | any (`&self`) | per-first-table shards, disjoint padded counters |
-//!
-//! [`SharedUctTree`] selects between the last two behind `parallel_skinner`'s
-//! `threads` knob: one worker keeps the single-root tree (bit-identical
-//! learning path to the proven configuration), more workers get the sharded
-//! tree so the learner never becomes the bottleneck of the executor it
-//! steers.
-//!
-//! # Shared-tree invariants
-//!
-//! Both concurrent trees uphold, and the stress suites
-//! (`tests/concurrent_stress.rs`, `tests/sharded_stress.rs`) hammer from
-//! many threads:
-//!
-//! * **visits == backups, no lost updates** — every `backup` call is
-//!   counted exactly once: `rounds()` (for the sharded tree: the *sum of
-//!   per-shard visit counters*) equals the exact number of calls, and
-//!   reward sums are CAS-accumulated so no concurrent update is dropped or
-//!   torn;
-//! * **bounded growth** — at most one node materializes per `select`; a
-//!   lost materialization race reuses the winner's node instead of leaking
-//!   a duplicate;
-//! * **publication safety** — child links transition unmaterialized →
-//!   materialized exactly once (release/acquire), so observing a child id
-//!   implies observing its fully constructed node;
-//! * **validity** — every selected order satisfies the join graph's
-//!   eligibility rule.
-//!
-//! Randomness is always caller-owned (each worker passes its own seeded
-//! generator), which keeps single-threaded runs deterministic and avoids a
-//! contended global generator. Contention itself is observable:
-//! [`ConcurrentUctTree::root_contention`] and
-//! [`ShardedUctTree::shard_stats`] expose CAS-retry counters the
-//! `thread_scaling` benchmark reports.
+//! [`UctTree`] is the crate's only tree. It takes `&mut self` for both
+//! `choose` and `update`, so its only writer is the thread that chooses:
+//! sequential Skinner-C/G/H call it from their one thread, and
+//! `parallel_skinner`'s coordinator chooses each episode's order and
+//! applies the workers' rewards itself, once per reported chunk in chunk
+//! order. No counter is shared between threads, so no update can be lost
+//! or torn, and a seeded tree replays the same choices for the same
+//! rewards.
 //!
 //! # Cross-query priors
 //!
-//! All three trees can export their join-order statistics as a
-//! [`TreePrior`] (`extract_prior`) and warm-start a fresh tree from one
+//! A tree can export its join-order statistics as a [`TreePrior`]
+//! (`extract_prior`) and warm-start a fresh tree from one
 //! (`seed_prior`, with decayed visits and exactly preserved mean rewards)
 //! — the transfer mechanism behind the cross-query learning cache; see
 //! [`prior`] for the invariants (ancestor closure, mean preservation,
 //! graph validation).
 
-pub mod concurrent;
 pub mod prior;
-pub mod sharded;
 pub mod tree;
 
-pub use concurrent::ConcurrentUctTree;
 pub use prior::{PriorEntry, TreePrior};
-pub use sharded::{ShardStats, ShardedUctTree, SharedUctTree};
 pub use tree::{UctConfig, UctTree};

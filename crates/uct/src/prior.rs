@@ -10,9 +10,9 @@
 //! quickly (Krishnan et al.'s lesson that transferred join-order knowledge
 //! must stay revisable).
 //!
-//! Three invariants make priors safe to move between any of the crate's
-//! tree types (`UctTree`, `ConcurrentUctTree`, `ShardedUctTree` all
-//! implement `extract_prior` / `seed_prior`):
+//! Three invariants make priors safe to move from one [`crate::UctTree`]
+//! (`extract_prior`) into another (`seed_prior`), whichever strategy ran
+//! either tree:
 //!
 //! * **ancestor closure** — extraction sorts nodes by visits (descending)
 //!   then depth and truncates; since every backup that touches a node also
@@ -154,8 +154,8 @@ impl TreePrior {
     }
 
     /// Sort collected entries by visits (descending) then depth and keep
-    /// the `max_entries` hottest — the shared truncation rule whose
-    /// tie-breaking keeps the set ancestor-closed.
+    /// the `max_entries` hottest — the truncation rule whose tie-breaking
+    /// keeps the set ancestor-closed.
     pub(crate) fn truncate_hottest(
         mut entries: Vec<PriorEntry>,
         max_entries: usize,

@@ -1,15 +1,10 @@
-//! Cross-query priors move between every tree type without corrupting
-//! statistics: extract from a trained tree, seed a fresh one, and the
-//! warm tree must (a) start with the decayed round count, (b) preserve
-//! mean rewards, and (c) keep exploiting the known-best first table.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! Cross-query priors move between trees without corrupting statistics:
+//! extract from a trained tree, seed a fresh one, and the warm tree must
+//! (a) start with the decayed round count, (b) preserve mean rewards, and
+//! (c) keep exploiting the known-best first table.
 
 use skinner_query::{JoinGraph, TableSet};
-use skinner_uct::{
-    ConcurrentUctTree, ShardedUctTree, SharedUctTree, TreePrior, UctConfig, UctTree,
-};
+use skinner_uct::{TreePrior, UctConfig, UctTree};
 
 fn star(n: usize) -> JoinGraph {
     JoinGraph::new(n, (1..n).map(|i| TableSet::from_iter([0, i])))
@@ -51,71 +46,6 @@ fn full_decay_ratio_keeps_all_statistics() {
     assert_eq!(warm.seed_prior(&prior, 1.0), 100);
     assert_eq!(warm.rounds(), t.rounds());
     assert!((warm.root_mean_reward() - t.root_mean_reward()).abs() < 1e-9);
-}
-
-#[test]
-fn prior_seeds_concurrent_and_sharded_trees() {
-    let t = trained_tree(400);
-    let prior = t.extract_prior(64);
-
-    let conc = ConcurrentUctTree::new(star(4), 1e-6);
-    let seeded = conc.seed_prior(&prior, 0.5);
-    assert_eq!(seeded, 200);
-    assert_eq!(conc.rounds(), 200);
-    assert_eq!(conc.best_order()[0], t.best_order()[0]);
-
-    let sharded = ShardedUctTree::new(star(4), 1e-6);
-    let seeded = sharded.seed_prior(&prior, 0.5);
-    assert!(seeded > 0);
-    assert_eq!(sharded.rounds(), seeded);
-    assert_eq!(sharded.best_order()[0], t.best_order()[0]);
-    // Selection still yields valid orders from the warm state.
-    let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..50 {
-        let o = sharded.select(&mut rng);
-        assert!(sharded.graph().validates(&o));
-        sharded.backup(&o, 0.5);
-    }
-}
-
-#[test]
-fn sharded_extraction_synthesizes_the_root_and_seeds_single_trees() {
-    let sharded = ShardedUctTree::new(star(4), std::f64::consts::SQRT_2);
-    let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..300 {
-        let o = sharded.select(&mut rng);
-        let r = if o[0] == 0 { 0.9 } else { 0.05 };
-        sharded.backup(&o, r);
-    }
-    let prior = sharded.extract_prior(64);
-    assert_eq!(prior.root_visits(), 300, "conceptual root must be exported");
-
-    let mut warm = UctTree::new(star(4), UctConfig::default());
-    let seeded = warm.seed_prior(&prior, 0.5);
-    assert_eq!(seeded, 150);
-    assert!((warm.root_mean_reward() - sharded.root_mean_reward()).abs() < 1e-9);
-    assert_eq!(warm.best_order()[0], 0);
-}
-
-#[test]
-fn shared_tree_dispatches_both_variants() {
-    let t = trained_tree(200);
-    let prior = t.extract_prior(64);
-    for threads in [1, 4] {
-        let tree = SharedUctTree::for_threads(star(4), 1e-6, threads);
-        let seeded = tree.seed_prior(&prior, 0.5);
-        // The single-root variant decays the root entry exactly (200/2);
-        // the sharded one sums per-first-table decays, so rounding may
-        // drift by at most ±0.5 per shard.
-        assert!(
-            (seeded as i64 - 100).abs() <= 4,
-            "threads={threads}: seeded {seeded}"
-        );
-        assert_eq!(tree.rounds(), seeded, "threads={threads}");
-        assert_eq!(tree.best_order()[0], t.best_order()[0]);
-        let roundtrip = tree.extract_prior(64);
-        assert_eq!(roundtrip.root_visits(), tree.rounds());
-    }
 }
 
 #[test]

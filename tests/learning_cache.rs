@@ -109,7 +109,7 @@ fn registry_equivalence_cache_on_vs_off() {
 }
 
 /// Bit-identical results cache-on vs cache-off at 1, 2, 4 and 8 worker
-/// threads (both tree variants: single-root at 1 thread, sharded above).
+/// threads.
 /// Queries whose ORDER BY totally orders the output compare raw row
 /// vectors byte-for-byte; the rest compare canonical (sorted) rows, since
 /// unordered row order is execution-order-dependent in every Skinner

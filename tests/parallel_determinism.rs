@@ -1,11 +1,13 @@
 //! Determinism and cancellation guarantees of `parallel_skinner`.
 //!
-//! The parallel strategy's contract: with 1 thread it behaves like
-//! sequential Skinner-C (identical rows, near-identical metrics), and with
-//! N threads it returns exactly the same result set on every run — thread
-//! count and scheduling are performance knobs, never correctness knobs.
-//! A cancellation fired mid-episode must stop all workers promptly and
-//! still produce a well-formed (timed-out, partial) outcome.
+//! The parallel strategy's contract: with 1 thread it returns sequential
+//! Skinner-C's rows and join-tuple count, with work in the same ballpark;
+//! with N threads every run of one statement returns the reference's rows
+//! and repeats the same rows in the same order, the same work units, the
+//! same episode count and the same learned join order — the coordinator
+//! applies worker reports in chunk order, so scheduling never leaks into
+//! the outcome. A cancellation fired mid-episode must stop all workers
+//! promptly and still produce a well-formed (timed-out, partial) outcome.
 
 use std::time::{Duration, Instant};
 
@@ -30,6 +32,17 @@ fn sequential() -> Strategy {
 fn run(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
     db.run_script(script, strategy)
         .unwrap_or_else(|e| panic!("{script} failed: {e}"))
+}
+
+/// What must repeat exactly across runs of one statement: the rows in
+/// their delivered order, work units, episodes and the learned order.
+fn fingerprint(out: &ExecOutcome) -> (String, u64, u64, Vec<usize>) {
+    (
+        format!("{:?}", out.result.rows),
+        out.work_units,
+        out.metrics.slices,
+        out.metrics.order.clone(),
+    )
 }
 
 /// A moderate handmade join database with skew and a selective filter.
@@ -76,8 +89,8 @@ fn one_thread_matches_sequential_skinner_c_handmade() {
     let par = run(&db, HANDMADE_SQL, &parallel(1));
     assert!(!seq.timed_out && !par.timed_out);
     assert_eq!(par.result.canonical_rows(), seq.result.canonical_rows());
-    // Near-identical metrics: both engines deduplicate the same join-tuple
-    // set and learn a valid order over the same three tables.
+    // Both engines deduplicate the same join-tuple set and learn a valid
+    // order over the same three tables.
     assert_eq!(par.metrics.result_tuples, seq.metrics.result_tuples);
     assert_eq!(par.metrics.order.len(), seq.metrics.order.len());
     assert!(par.metrics.slices > 0 && seq.metrics.slices > 0);
@@ -152,7 +165,7 @@ fn n_thread_runs_are_deterministic_and_agree_with_reference() {
             assert!(!out.timed_out, "{threads} threads rep {rep}");
             let rows = out.result.canonical_rows();
             assert_eq!(rows, expected, "{threads} threads rep {rep} vs reference");
-            seen.push(rows);
+            seen.push(fingerprint(&out));
         }
         assert!(
             seen.windows(2).all(|w| w[0] == w[1]),
@@ -170,6 +183,7 @@ fn n_thread_runs_are_deterministic_on_torture() {
         .result
         .canonical_rows();
     for threads in [2, 4, 8] {
+        let mut seen = Vec::new();
         for rep in 0..2 {
             let out = run(&db, script, &parallel(threads));
             assert!(!out.timed_out, "{threads} threads rep {rep}");
@@ -178,7 +192,9 @@ fn n_thread_runs_are_deterministic_on_torture() {
                 expected,
                 "{threads} threads rep {rep}"
             );
+            seen.push(fingerprint(&out));
         }
+        assert_eq!(seen[0], seen[1], "{threads}-thread runs diverged");
     }
 }
 
