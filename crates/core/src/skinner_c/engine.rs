@@ -443,6 +443,29 @@ mod tests {
         assert_eq!(out.result.canonical_rows(), expected.canonical_rows());
     }
 
+    /// A one-step slice only descends or backtracks once, so it never moves
+    /// a row past its offset; the tracker must still resume from it.
+    #[test]
+    fn one_step_slices_complete() {
+        let cat = setup();
+        let q = bind(
+            "SELECT a.id FROM a, b, c WHERE a.id = b.aid AND b.w = c.bw",
+            &cat,
+        );
+        let expected = run_reference(&q).canonical_rows();
+        for jumps in [true, false] {
+            let cfg = SkinnerCConfig {
+                slice_steps: 1,
+                use_jump_indexes: jumps,
+                work_limit: 10_000_000,
+                ..Default::default()
+            };
+            let out = run_skinner_c(&q, &ExecContext::default(), &cfg);
+            assert!(!out.timed_out, "jumps={jumps}");
+            assert_eq!(out.result.canonical_rows(), expected, "jumps={jumps}");
+        }
+    }
+
     #[test]
     fn all_feature_toggle_combinations_agree() {
         let cat = setup();

@@ -771,17 +771,14 @@ mod tests {
 
         // The Skinner-C episode loop without the learner: the order changes
         // every slice, and [0, 1, 2, 3] and [0, 1, 3, 2] hand each other
-        // their progress on the shared prefix [da, f]. The tracker keeps
-        // only states ahead of the offsets, so slices too short to get
-        // ahead of a fresh state (here, under five steps) start over
-        // forever; this part runs at the sizes that get ahead.
+        // their progress on the shared prefix [da, f].
         let sharing = [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]];
         let infos: Vec<OrderInfo> = sharing
             .iter()
             .map(|o| OrderInfo::build(&q, &ctx, o, true))
             .collect();
         let mut cursors = JoinCursors::default();
-        for slice_steps in [5u64, 7, 64] {
+        for slice_steps in [1u64, 2, 3, 5, 7, 64] {
             let mut tracker = ProgressTracker::new(4, true);
             let mut offsets = zero.clone();
             let mut state = JoinState::fresh(&offsets);

@@ -172,17 +172,21 @@ impl ProgressTracker {
     /// from other orders, and the global offsets.
     pub fn restore_into(&self, order: &[usize], offsets: &[RowId], out: &mut JoinState) {
         // Start from the fresh state; a candidate replaces `out` only if
-        // its progress vector is strictly greater.
+        // its progress vector is strictly greater — or, for the order's own
+        // exact state, equal but deeper: a slice that only descended leaves
+        // every row at its offset, and the rows it fixed were checked on the
+        // way down, so resuming there is sound and discarding it would start
+        // such slices over forever.
         out.s.clear();
         out.s.extend_from_slice(offsets);
         out.depth = 0;
         let m = order.len();
 
         if let Some(exact) = self.exact.get(OrderKey::new(order).as_bytes()) {
-            let ahead = (0..m)
+            let progress = (0..m)
                 .map(|i| exact.resume_at(i, order, offsets))
-                .gt((0..m).map(|i| offsets[order[i]]));
-            if ahead {
+                .cmp((0..m).map(|i| offsets[order[i]]));
+            if progress.is_gt() || (progress.is_eq() && exact.depth > 0) {
                 out.copy_from(exact);
             }
         }
@@ -333,6 +337,21 @@ mod tests {
         let r = restore(&t, &[0, 1, 2], &[0, 0, 0]);
         assert_eq!(r.depth, 0);
         assert_eq!(r.s[0], 90);
+    }
+
+    #[test]
+    fn deeper_state_at_the_offsets_is_kept() {
+        let mut t = tracker(3);
+        // A slice that only descended: every row still at its offset.
+        let descended = JoinState {
+            s: vec![4, 0, 2],
+            depth: 2,
+        };
+        t.backup(&[0, 1, 2], &descended);
+        assert_eq!(restore(&t, &[0, 1, 2], &[4, 0, 2]), descended);
+        // Once the offsets move past it, it is stale.
+        let r = restore(&t, &[0, 1, 2], &[5, 0, 2]);
+        assert_eq!(r, JoinState::fresh(&[5, 0, 2]));
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn parallel(threads: usize) -> ParallelSkinnerConfig {
 #[rustfmt::skip]
 const GOLDEN: &[&str] = &[
     "job-1a skinner_c work=4765 slices=2 tuples=1 sum=af63ac4c86019afc",
-    "job-1a skinner_c_scan work=50484 slices=51 tuples=1 sum=af63ac4c86019afc",
+    "job-1a skinner_c_scan work=50483 slices=51 tuples=1 sum=af63ac4c86019afc",
     "job-1a fixed work=7745 slices=6 tuples=1 sum=af63ac4c86019afc",
     "job-1a parallel_1 work=9318 slices=21 tuples=1 sum=af63ac4c86019afc",
     "job-1a parallel_2 work=8613 slices=21 tuples=1 sum=af63ac4c86019afc",
@@ -127,7 +127,7 @@ const GOLDEN: &[&str] = &[
     "job-9a parallel_1 work=135513 slices=9 tuples=1368 sum=f5f15604cd7ef748",
     "job-9a parallel_2 work=163124 slices=9 tuples=1368 sum=f5f15604cd7ef748",
     "job-10a skinner_c work=28060 slices=15 tuples=0 sum=af63ad4c86019caf",
-    "job-10a skinner_c_scan work=96334 slices=97 tuples=0 sum=af63ad4c86019caf",
+    "job-10a skinner_c_scan work=96333 slices=97 tuples=0 sum=af63ad4c86019caf",
     "job-10a fixed work=21016 slices=8 tuples=0 sum=af63ad4c86019caf",
     "job-10a parallel_1 work=47761 slices=9 tuples=0 sum=af63ad4c86019caf",
     "job-10a parallel_2 work=64915 slices=9 tuples=0 sum=af63ad4c86019caf",
@@ -137,7 +137,7 @@ const GOLDEN: &[&str] = &[
     "udf-torture parallel_1 work=9545 slices=5 tuples=0 sum=af63ad4c86019caf",
     "udf-torture parallel_2 work=17230 slices=5 tuples=0 sum=af63ad4c86019caf",
     "corr-torture skinner_c work=8279 slices=6 tuples=0 sum=af63ad4c86019caf",
-    "corr-torture skinner_c_scan work=325992 slices=327 tuples=0 sum=af63ad4c86019caf",
+    "corr-torture skinner_c_scan work=325991 slices=327 tuples=0 sum=af63ad4c86019caf",
     "corr-torture fixed work=4401 slices=2 tuples=0 sum=af63ad4c86019caf",
     "corr-torture parallel_1 work=9466 slices=11 tuples=0 sum=af63ad4c86019caf",
     "corr-torture parallel_2 work=9477 slices=11 tuples=0 sum=af63ad4c86019caf",
