@@ -3,7 +3,8 @@
 //! switching (backup + restore), index jumps and builds, pre-processing
 //! over already-indexed tables, lowered predicates (UDF join checks and
 //! unary filters), the pyramid scheme, the post-processing kernel that
-//! turns result tuples into output rows, and CSV ingest.
+//! turns result tuples into output rows, CSV ingest, and the parallel
+//! episode loop against sequential Skinner-C.
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -476,6 +477,35 @@ fn csv_ingest(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The `tpch_disk` statements with the most result tuples per episode,
+/// TPC-H Q9 and Q21 at scale 0.01 (in memory, learning cache off), under
+/// `parallel_skinner` at two threads and under sequential Skinner-C: the
+/// parallel episode loop's bookkeeping — chunk dispatch, collecting the
+/// chunks' tuples, the barrier — next to the join it wraps.
+fn parallel_episodes(c: &mut Criterion) {
+    use skinnerdb::skinner_workloads::tpch::{generate, TpchConfig};
+    let w = generate(&TpchConfig {
+        scale: 0.01,
+        seed: 0x7C4,
+    });
+    let db = Database::from_parts(w.catalog.clone(), w.udfs);
+    for query in ["Q9", "Q21"] {
+        let script = &w.queries.iter().find(|q| q.name == query).unwrap().script;
+        for (strategy, label) in [
+            ("parallel_skinner", "parallel_2"),
+            ("Skinner-C", "skinner_c"),
+        ] {
+            let session = db.session();
+            session.use_strategy(strategy).unwrap();
+            session.set_threads(Some(2));
+            let name = format!("parallel_episodes_{}_{label}", query.to_lowercase());
+            c.bench_function(&name, |bench| {
+                bench.iter(|| session.run_script(script).unwrap().result.num_rows())
+            });
+        }
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -494,5 +524,6 @@ criterion_group! {
         skinner_c_end_to_end,
         postprocess_kernel,
         csv_ingest,
+        parallel_episodes,
 }
 criterion_main!(benches);

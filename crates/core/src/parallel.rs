@@ -9,31 +9,44 @@
 //! * the coordinator owns the query's only [`UctTree`]: it chooses a join
 //!   order, cuts the next `batch_tuples` rows of the order's left-most
 //!   table into contiguous chunks ([`skinner_exec::partition_tuples`]), and
-//!   scatters them over a persistent [`WorkerPool`];
-//! * each worker runs the bounded multi-way join
-//!   ([`continue_join_ranged`]) over its chunk to completion, polling the
-//!   shared [`CancelToken`] every `slice_steps` steps and charging a
-//!   *reserved* slice of the shared work budget (so concurrent workers
-//!   cannot overspend it), then returns its chunk's reward in its report;
-//! * the coordinator applies the reports in chunk order — result tuples
-//!   merged, one tree update per reported chunk — so the tree has a single
-//!   writer and a run's work units, join orders and row order do not
-//!   depend on which worker finished first;
+//!   runs them on a [`WorkerPool`] — the last chunk on its own thread, so
+//!   it joins instead of waiting at the episode's barrier;
+//! * each chunk runs the bounded multi-way join ([`continue_join_ranged`])
+//!   to completion, polling the shared [`CancelToken`] every `slice_steps`
+//!   steps and charging a *reserved* slice of the shared work budget (so
+//!   concurrent workers cannot overspend it), appending its result tuples
+//!   to its own [`TupleBuf`], and reports the order's reward for it;
+//! * the coordinator applies the reports in chunk order — the chunk's
+//!   tuples appended with one copy, one tree update per reported chunk —
+//!   so the tree has a single writer and a run's work units, join orders
+//!   and row order do not depend on which worker finished first;
 //! * completed batches advance the global per-table offsets exactly like
 //!   sequential Skinner-C, so every tuple range is joined exactly once and
 //!   the result is identical to any other strategy's;
 //! * grouping/ordering post-processing runs through
 //!   [`skinner_exec::postprocess_parallel`]: scoped threads range over
-//!   sub-ranges of the result set's own arena (no per-tuple copy) for
-//!   partial aggregation / local sorting with a coordinator merge, so the
-//!   tail of the query no longer serializes on the coordinator thread.
+//!   sub-ranges of the collected tuples (no per-tuple copy) for partial
+//!   aggregation / local sorting with a coordinator merge, so the tail of
+//!   the query no longer serializes on the coordinator thread.
+//!
+//! Nothing deduplicates: every result tuple comes from exactly one
+//! completed batch. A chunk is one uninterrupted depth-first join (its
+//! state carries across slices and is never restored), so it enumerates
+//! each of its tuples once, and the chunks of an episode split the
+//! left-most rows. A completed batch moves its left-most table's offset
+//! past its rows and every later level starts at `max(row, offset)`, so no
+//! later batch meets its tuples again. And every result tuple is found:
+//! the first completed batch that moves some table's offset past the
+//! tuple's row in that table joins it, because no offset had passed any of
+//! its rows before.
 //!
 //! Episodes that blow past the adaptive per-episode work cap are
 //! *abandoned* (Skinner-G's destructive-timeout discipline): their partial
-//! result tuples are kept (deduplicated), the order earns reward 0, the
-//! cap doubles, and the tree picks again — so a catastrophic join order
-//! costs a bounded amount before learning routes around it, and caps
-//! eventually grow large enough for the best order to finish a batch.
+//! result tuples are dropped — the batch is retried, and by the argument
+//! above a later completed batch produces each of them — the order earns
+//! reward 0, the cap doubles, and the tree picks again. So a catastrophic
+//! join order costs a bounded amount before learning routes around it, and
+//! caps eventually grow large enough for the best order to finish a batch.
 //!
 //! With one thread the strategy runs sequential Skinner-C's joins over
 //! whole batches: same offsets discipline, same result rows (its learning
@@ -50,7 +63,8 @@ use std::time::Instant;
 
 use skinner_exec::{
     merge_worker_metrics, partition_tuples, CancelToken, EpisodeRuns, ExecContext, ExecMetrics,
-    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleRange, WorkBudget, WorkerPool,
+    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange, WorkBudget,
+    WorkerPool,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
@@ -59,7 +73,6 @@ use skinner_uct::{UctConfig, UctTree};
 use crate::cache::CacheProbe;
 use crate::skinner_c::join::{continue_join_ranged, JoinCursors, OrderInfo, SliceOutcome};
 use crate::skinner_c::preproc::prepare;
-use crate::skinner_c::result_set::ResultSet;
 use crate::skinner_c::state::JoinState;
 
 /// Configuration of the parallel learned strategy.
@@ -123,7 +136,7 @@ struct EpisodeTask {
 }
 
 struct WorkerReport {
-    results: ResultSet,
+    results: TupleBuf,
     used: u64,
     /// Ran out of its reserved cap before finishing the chunk.
     capped: bool,
@@ -143,7 +156,7 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
     offsets[t0] = task.range.start as RowId;
     let mut state = JoinState::fresh(&offsets);
     let mut cursors = JoinCursors::default();
-    let mut results = ResultSet::new();
+    let mut results = TupleBuf::new(offsets.len());
     let mut slices = 0u64;
     let mut capped = false;
     let mut cancelled = false;
@@ -265,7 +278,7 @@ pub fn run_parallel_skinner(
         WorkerPool::new(threads, |_, task| run_chunk(task));
 
     let mut offsets: Vec<RowId> = vec![0; m];
-    let mut global_results = ResultSet::new();
+    let mut global_results = TupleBuf::new(m);
     let mut order_infos: HashMap<Box<[u8]>, Arc<OrderInfo>> = HashMap::new();
     let mut order_counts: HashMap<Box<[u8]>, u64> = HashMap::new();
     let mut tree_growth: Vec<(u64, usize)> = Vec::new();
@@ -345,24 +358,23 @@ pub fn run_parallel_skinner(
                     norm,
                 })
                 .collect();
-            // Task `i` runs on worker `i % threads` and there are at most
-            // `threads` tasks, so sorting by worker id restores chunk order:
-            // results merge and rewards apply the same way however the
-            // workers' finishes interleave.
-            let mut reports = pool.scatter_gather(tasks);
-            reports.sort_unstable_by_key(|&(worker, _)| worker);
+            // Reports come back in chunk order, so tuples append and
+            // rewards apply the same way however the workers' finishes
+            // interleave.
+            let reports = pool.scatter_gather(tasks);
 
             // Release the reservation, then record what was actually spent
             // (a worker may exceed its cap by its final charge's overage,
             // which `charge` records faithfully).
             budget.refund(cap * nparts);
-            let mut any_capped = false;
+            // An abandoned episode's tuples are dropped: its batch is
+            // retried and yields them again (see the module docs).
+            let any_capped = reports.iter().any(|r| r.capped);
             let mut any_cancelled = false;
-            for (_, report) in reports {
+            for report in reports {
                 let _ = budget.charge(report.used);
-                any_capped |= report.capped;
-                for tuple in report.results.iter() {
-                    global_results.insert(tuple);
+                if !any_capped {
+                    global_results.append(&report.results);
                 }
                 match report.reward {
                     Some(reward) => tree.update(&order, reward),
@@ -408,11 +420,10 @@ pub fn run_parallel_skinner(
     let result = if timed_out {
         QueryResult::empty(columns)
     } else {
-        let tuples = global_results.seal();
         match skinner_exec::postprocess_parallel(
             &mctx.tables,
             query,
-            tuples.view(),
+            global_results.view(),
             &budget,
             threads,
         ) {
@@ -556,6 +567,41 @@ mod tests {
                     "{sql} ({threads} threads)"
                 );
                 assert_eq!(out.metrics.counter("threads"), Some(threads as u64));
+            }
+        }
+    }
+
+    /// A theta join has no jump index, so every order scans, and a 16-unit
+    /// episode cap abandons the first episodes after some of their chunks
+    /// produced tuples. Those tuples are dropped and must come back from the
+    /// retried batches: exactly once each, or the multiset of rows differs.
+    #[test]
+    fn abandoned_episodes_drop_their_tuples_and_lose_none() {
+        let cat = setup();
+        let q = bind("SELECT a.g, c.bw FROM a, c WHERE a.g <= c.bw", &cat);
+        let expected = run_reference(&q).canonical_rows();
+        for threads in [1, 2, 4] {
+            let c = ParallelSkinnerConfig {
+                threads,
+                batch_tuples: 2,
+                min_chunk_tuples: 1,
+                slice_steps: 4, // episode cap: max(8 × 2, 4) = 16 units
+                ..Default::default()
+            };
+            let runs: Vec<ExecOutcome> = (0..3)
+                .map(|_| run_parallel_skinner(&q, &ExecContext::default(), &c))
+                .collect();
+            let first = &runs[0];
+            assert!(!first.timed_out, "{threads} threads");
+            assert!(
+                first.metrics.counter("failed_episodes").unwrap() > 0,
+                "{threads} threads: no episode was abandoned"
+            );
+            assert_eq!(first.result.canonical_rows(), expected, "{threads} threads");
+            for rep in &runs[1..] {
+                assert_eq!(rep.result.rows, first.result.rows, "{threads} threads");
+                assert_eq!(rep.work_units, first.work_units, "{threads} threads");
+                assert_eq!(rep.metrics.order, first.metrics.order, "{threads} threads");
             }
         }
     }

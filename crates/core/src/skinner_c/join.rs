@@ -20,12 +20,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use skinner_exec::{LocalWork, Timeout, WorkBudget};
+use skinner_exec::{LocalWork, Timeout, TupleSink, WorkBudget};
 use skinner_query::expr::{CmpOp, Expr};
 use skinner_query::{JoinQuery, Pred};
 use skinner_storage::{HashIndex, PostingCursor, RowId, Table};
 
-use super::result_set::ResultSet;
 use super::state::JoinState;
 
 /// Immutable join context shared by all time slices of one query.
@@ -195,19 +194,20 @@ pub enum SliceOutcome {
 /// from `state`, for at most `max_steps` outer-loop iterations, inserting
 /// result tuples into `results`. Offsets exclude globally fully-joined rows
 /// at every level. One work unit is counted per step, index probe (however
-/// far its cursor moves), predicate evaluation and new result tuple —
+/// far its cursor moves), predicate evaluation and result tuple the sink
+/// reports new —
 /// locally, against the budget's remaining units, and settled to `budget`
 /// once when the slice ends (by step count, completion or `Err(Timeout)`).
 /// `cursors` is a reusable buffer: any one will do, and nothing in it
 /// carries over from an earlier call.
-pub fn continue_join(
+pub fn continue_join<S: TupleSink>(
     info: &OrderInfo,
     state: &mut JoinState,
     cursors: &mut JoinCursors,
     offsets: &[RowId],
     max_steps: u64,
     budget: &WorkBudget,
-    results: &mut ResultSet,
+    results: &mut S,
 ) -> Result<SliceOutcome, Timeout> {
     continue_join_ranged(
         info,
@@ -228,14 +228,14 @@ pub fn continue_join(
 /// worker (the chunk's `start` enters through `offsets`); everything below
 /// level 0 is identical to the sequential join.
 #[allow(clippy::too_many_arguments)]
-pub fn continue_join_ranged(
+pub fn continue_join_ranged<S: TupleSink>(
     info: &OrderInfo,
     state: &mut JoinState,
     cursors: &mut JoinCursors,
     offsets: &[RowId],
     max_steps: u64,
     budget: &WorkBudget,
-    results: &mut ResultSet,
+    results: &mut S,
     level0_end: RowId,
 ) -> Result<SliceOutcome, Timeout> {
     let levels = &info.levels[..];
@@ -355,6 +355,7 @@ fn next_candidate(
 
 #[cfg(test)]
 mod tests {
+    use super::super::result_set::ResultSet;
     use super::*;
     use skinner_query::{bind_select, parser::parse_statement, UdfRegistry};
     use skinner_storage::{schema, Catalog, Value};

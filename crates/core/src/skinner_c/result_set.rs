@@ -10,7 +10,7 @@
 //! an insert hashes the candidate once, compares against the arena, and
 //! appends — no per-tuple allocation.
 
-use skinner_exec::TupleBuf;
+use skinner_exec::{TupleBuf, TupleSink};
 use skinner_storage::RowId;
 
 /// Set of result tuples, each a row-id vector in table-position order.
@@ -115,6 +115,15 @@ impl ResultSet {
     /// Approximate heap size in bytes (Figure 8c).
     pub fn byte_size(&self) -> usize {
         self.arena.len() * std::mem::size_of::<RowId>() + self.slots.len() * 4
+    }
+}
+
+/// Sequential Skinner-C's sink: its restores re-derive tuples that earlier
+/// slices already produced, and only new ones count.
+impl TupleSink for ResultSet {
+    #[inline]
+    fn insert(&mut self, s: &[RowId]) -> bool {
+        ResultSet::insert(self, s)
     }
 }
 

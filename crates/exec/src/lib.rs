@@ -68,7 +68,7 @@ pub use preprocess::{preprocess, Preprocessed};
 pub use result::QueryResult;
 pub use strategy::{ExecutionStrategy, ReferenceStrategy, StrategyRegistry, TraditionalStrategy};
 pub use traditional::{run_traditional, TraditionalConfig};
-pub use tuples::{TupleBuf, TupleView};
+pub use tuples::{TupleBuf, TupleSink, TupleView};
 pub use zonescan::{plan_scan, ScanPlan};
 
 // Telemetry rides through the execution API (the trace slot on

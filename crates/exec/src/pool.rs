@@ -2,11 +2,13 @@
 //!
 //! The paper's multi-threaded SkinnerC splits each time slice's tuple
 //! batches across threads. [`WorkerPool`] is the engine-agnostic half of
-//! that design: N long-lived threads fed per-episode tasks over channels,
-//! with a scatter/gather call per episode. [`partition_tuples`] cuts an
-//! input-tuple range into near-equal contiguous chunks, and
-//! [`merge_worker_metrics`] folds the per-worker [`ExecMetrics`] back into
-//! the single block an [`crate::ExecOutcome`] carries.
+//! that design: N − 1 long-lived helper threads fed per-episode tasks over
+//! channels, plus the calling thread, which runs the last task of each
+//! scatter/gather call itself; results come back in task order.
+//! [`partition_tuples`] cuts an input-tuple range into near-equal
+//! contiguous chunks, and [`merge_worker_metrics`] folds the per-worker
+//! [`ExecMetrics`] back into the single block an [`crate::ExecOutcome`]
+//! carries.
 //!
 //! The pool is deliberately dumb: it knows nothing about joins, budgets or
 //! learning. Strategies (e.g. `parallel_skinner` in `skinner_core`) own the
@@ -133,93 +135,117 @@ pub fn merge_worker_metrics(parts: impl IntoIterator<Item = ExecMetrics>) -> Exe
     merged
 }
 
-/// N persistent worker threads processing tasks of type `T` into results of
-/// type `R`.
+/// A pool of `threads − 1` persistent helper threads plus the calling
+/// thread, processing tasks of type `T` into results of type `R`.
 ///
-/// Tasks are scattered round-robin over per-worker channels;
-/// [`WorkerPool::scatter_gather`] blocks until every task of the call has
-/// reported back. Dropping the pool closes the task channels and joins all
-/// workers.
+/// [`WorkerPool::scatter_gather`] hands all but the last task of a call
+/// round-robin to the helpers, runs the last one on the calling thread,
+/// waits for the helpers' results and returns every result in task order.
+/// The caller works instead of sleeping at the barrier, and a call with one
+/// task (or a one-thread pool) never touches another thread. Dropping the
+/// pool closes the task channels and joins the helpers.
 pub struct WorkerPool<T, R> {
-    task_txs: Vec<mpsc::Sender<T>>,
-    result_rx: mpsc::Receiver<(usize, Result<R, ()>)>,
+    worker: Arc<Worker<T, R>>,
+    task_txs: Vec<mpsc::Sender<(usize, T)>>,
+    result_rx: mpsc::Receiver<(usize, std::thread::Result<R>)>,
     handles: Vec<JoinHandle<()>>,
 }
 
+type Worker<T, R> = dyn Fn(usize, T) -> R + Send + Sync;
+
 impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
-    /// Spawn `threads` workers (at least one), each running
-    /// `worker(worker_id, task)` per received task.
+    /// A pool of `threads` (at least one) running `worker(worker_id, task)`
+    /// per task: it spawns `threads − 1` helpers, ids `0..threads − 1`, and
+    /// the calling thread is worker `threads − 1`.
     pub fn new<F>(threads: usize, worker: F) -> Self
     where
         F: Fn(usize, T) -> R + Send + Sync + 'static,
     {
-        let threads = threads.max(1);
-        let worker = Arc::new(worker);
+        let helpers = threads.max(1) - 1;
+        let worker: Arc<Worker<T, R>> = Arc::new(worker);
         let (result_tx, result_rx) = mpsc::channel();
-        let mut task_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for id in 0..threads {
-            let (task_tx, task_rx) = mpsc::channel::<T>();
+        let mut task_txs = Vec::with_capacity(helpers);
+        let mut handles = Vec::with_capacity(helpers);
+        for id in 0..helpers {
+            let (task_tx, task_rx) = mpsc::channel::<(usize, T)>();
             task_txs.push(task_tx);
             let worker = worker.clone();
             let result_tx = result_tx.clone();
             handles.push(std::thread::spawn(move || {
                 // Exits when the pool drops its sender.
-                while let Ok(task) = task_rx.recv() {
+                while let Ok((ix, task)) = task_rx.recv() {
                     // A panicking task (a user UDF, say) must still produce
-                    // a result message: with 2+ workers the other senders
-                    // stay alive, so a silently dropped result would leave
-                    // `scatter_gather` blocked forever. The coordinator
-                    // re-raises the panic instead.
+                    // a result message, or `scatter_gather` would wait for
+                    // it forever; the caller re-raises the panic instead.
                     let r =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(id, task)))
-                            .map_err(drop);
-                    if result_tx.send((id, r)).is_err() {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(id, task)));
+                    if result_tx.send((ix, r)).is_err() {
                         return; // pool gone
                     }
                 }
             }));
         }
         WorkerPool {
+            worker,
             task_txs,
             result_rx,
             handles,
         }
     }
 
-    /// Number of worker threads.
+    /// Number of threads, the calling one included.
     pub fn threads(&self) -> usize {
-        self.task_txs.len()
+        self.task_txs.len() + 1
     }
 
-    /// Dispatch `tasks` round-robin across the workers and collect exactly
-    /// one result per task (in completion order, tagged with the worker id
-    /// that produced it). Panics if any task panicked on its worker.
-    pub fn scatter_gather(&self, tasks: Vec<T>) -> Vec<(usize, R)> {
-        let n = tasks.len();
-        for (i, task) in tasks.into_iter().enumerate() {
-            self.task_txs[i % self.task_txs.len()]
-                .send(task)
-                .expect("worker thread exited while the pool is alive");
+    /// Run `tasks`: all but the last round-robin on the helpers, the last on
+    /// the calling thread. Returns one result per task, in task order.
+    /// Every task runs to its end before a panic in any of them is re-raised
+    /// here, so the pool stays usable after the caller catches it.
+    pub fn scatter_gather(&self, mut tasks: Vec<T>) -> Vec<R> {
+        let helpers = self.task_txs.len();
+        if helpers == 0 {
+            return tasks.into_iter().map(|t| (self.worker)(0, t)).collect();
         }
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (id, r) = self
+        let Some(last) = tasks.pop() else {
+            return Vec::new();
+        };
+        let sent = tasks.len();
+        for (ix, task) in tasks.into_iter().enumerate() {
+            self.task_txs[ix % helpers]
+                .send((ix, task))
+                .expect("helper thread exited while the pool is alive");
+        }
+        let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (self.worker)(helpers, last)
+        }));
+        let mut results: Vec<Option<R>> = (0..sent).map(|_| None).collect();
+        let mut panicked = None;
+        for _ in 0..sent {
+            let (ix, r) = self
                 .result_rx
                 .recv()
-                .expect("worker thread exited while the pool is alive");
+                .expect("helper thread exited while the pool is alive");
             match r {
-                Ok(r) => results.push((id, r)),
-                Err(()) => panic!("worker {id} panicked mid-episode"),
+                Ok(r) => results[ix] = Some(r),
+                Err(payload) => panicked = panicked.or(Some(payload)),
             }
         }
+        let local = local.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
         results
+            .into_iter()
+            .map(|r| r.expect("one result per task"))
+            .chain(std::iter::once(local))
+            .collect()
     }
 }
 
 impl<T, R> Drop for WorkerPool<T, R> {
     fn drop(&mut self) {
-        self.task_txs.clear(); // close the channels → workers exit
+        self.task_txs.clear(); // close the channels → helpers exit
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -243,8 +269,8 @@ struct CompletionQueueState<T> {
 /// to a *completion hook* on the worker thread instead of being gathered
 /// by the submitter.
 ///
-/// Where [`WorkerPool::scatter_gather`] is a blocking barrier (submit a
-/// batch, wait for all of it), [`CompletionPool::submit`] never blocks:
+/// Where [`WorkerPool::scatter_gather`] is a barrier (run a batch, wait
+/// for all of it), [`CompletionPool::submit`] never blocks:
 /// an event loop can hand work over and keep multiplexing sockets while
 /// the hook routes each result back (e.g. into a per-shard completion
 /// queue followed by a poller wake-up). The shared queue also means no
@@ -373,12 +399,52 @@ mod tests {
     fn pool_processes_all_tasks() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(4, |_, x| x * 2);
         let results = pool.scatter_gather((0..100).collect());
-        assert_eq!(results.len(), 100);
-        let sum: u64 = results.iter().map(|&(_, r)| r).sum();
-        assert_eq!(sum, (0..100u64).map(|x| x * 2).sum());
+        assert_eq!(results, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
         // The pool is reusable across episodes.
-        let again = pool.scatter_gather(vec![21]);
-        assert_eq!(again[0].1, 42);
+        assert_eq!(pool.scatter_gather(vec![21]), vec![42]);
+        assert!(pool.scatter_gather(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn results_come_back_in_task_order() {
+        use std::time::Duration;
+        // Early tasks sleep longest, so they finish last.
+        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, |_, x| {
+            std::thread::sleep(Duration::from_millis(4 * (4 - x)));
+            x
+        });
+        for _ in 0..3 {
+            assert_eq!(pool.scatter_gather(vec![0, 1, 2, 3]), vec![0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn last_task_runs_on_the_calling_thread() {
+        use std::thread::{current, ThreadId};
+        let pool: WorkerPool<(), (usize, ThreadId)> =
+            WorkerPool::new(3, |id, ()| (id, current().id()));
+        assert_eq!(pool.threads(), 3);
+        let got = pool.scatter_gather(vec![(), (), ()]);
+        let me = current().id();
+        assert_eq!(got[2], (2, me), "the caller is the last worker");
+        for (ix, &(id, thread)) in got[..2].iter().enumerate() {
+            assert_eq!(id, ix, "task {ix} goes to helper {ix}");
+            assert_ne!(thread, me, "task {ix} ran on the caller");
+        }
+        assert_ne!(got[0].1, got[1].1);
+        // A single task never leaves the calling thread.
+        assert_eq!(pool.scatter_gather(vec![()]), vec![(2, me)]);
+    }
+
+    #[test]
+    fn one_thread_spawns_nothing_and_runs_every_task_inline() {
+        let pool: WorkerPool<u64, (u64, std::thread::ThreadId)> =
+            WorkerPool::new(1, |_, x| (x, std::thread::current().id()));
+        assert_eq!(pool.threads(), 1);
+        assert!(pool.handles.is_empty(), "no helper thread");
+        let me = std::thread::current().id();
+        let got = pool.scatter_gather((0..5).collect());
+        assert_eq!(got, (0..5).map(|x| (x, me)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -387,18 +453,35 @@ mod tests {
             assert!(x != 3, "poison task");
             x
         });
-        // One poisoned task among many: gather must raise, not hang.
+        // One poisoned task among many, on a helper: gather must raise,
+        // not hang.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.scatter_gather((0..8).collect())
         }));
-        assert!(r.is_err(), "worker panic must propagate to the caller");
+        assert!(r.is_err(), "helper panic must propagate to the caller");
+        // No result of the failed call is left behind for the next one.
+        assert_eq!(pool.scatter_gather(vec![4, 5, 6]), vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn local_task_panic_propagates_after_the_helpers_finish() {
+        let pool: WorkerPool<u64, u64> = WorkerPool::new(3, |_, x| {
+            assert!(x != 9, "poison task");
+            x
+        });
+        // The poisoned task is last, so it runs on the calling thread.
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.scatter_gather(vec![1, 2, 9])
+        }));
+        assert!(r.is_err(), "local panic must propagate");
+        assert_eq!(pool.scatter_gather(vec![1, 2, 3]), vec![1, 2, 3]);
     }
 
     #[test]
     fn pool_clamps_to_one_thread() {
         let pool: WorkerPool<(), usize> = WorkerPool::new(0, |id, ()| id);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.scatter_gather(vec![(), ()]), vec![(0, 0), (0, 0)]);
+        assert_eq!(pool.scatter_gather(vec![(), ()]), vec![0, 0]);
     }
 
     #[test]

@@ -5,12 +5,23 @@
 //! the transport between a join engine and the post-processor is a single
 //! `[RowId]` with `arity` ids per tuple, back to back — the layout the
 //! Skinner-C result set already stores. [`TupleView`] borrows such an
-//! array; [`TupleBuf`] owns one — a sealed result set's arena, or what an
-//! engine that builds boxed tuples collected before post-processing.
+//! array; [`TupleBuf`] owns one — a sealed result set's arena, what a
+//! parallel join's chunks appended, or what an engine that builds boxed
+//! tuples collected before post-processing. [`TupleSink`] is where a join
+//! loop puts the tuples it completes.
 
 use skinner_storage::RowId;
 
 use crate::TupleIxs;
+
+/// Where a join loop puts each result tuple it completes.
+pub trait TupleSink {
+    /// Take the tuple `s`; true if it is new, which is when the loop
+    /// charges for producing it. A deduplicating set says false for a tuple
+    /// it already holds; a sink fed by a join that cannot repeat a tuple
+    /// may take every one.
+    fn insert(&mut self, s: &[RowId]) -> bool;
+}
 
 /// Borrowed join-result tuples: `arity` row ids per tuple, back to back,
 /// in table-position order.
@@ -98,8 +109,37 @@ impl TupleBuf {
         }
     }
 
+    /// Append all of `other`'s tuples in order, with one copy.
+    pub fn append(&mut self, other: &TupleBuf) {
+        debug_assert_eq!(other.arity, self.arity);
+        self.ids.extend_from_slice(&other.ids);
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.ids.len() / self.arity
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Heap size of the tuples in bytes.
+    pub fn byte_size(&self) -> usize {
+        self.ids.len() * std::mem::size_of::<RowId>()
+    }
+
     pub fn view(&self) -> TupleView<'_> {
         TupleView::new(&self.ids, self.arity)
+    }
+}
+
+/// Appends every tuple: for joins that never produce one twice.
+impl TupleSink for TupleBuf {
+    #[inline]
+    fn insert(&mut self, s: &[RowId]) -> bool {
+        self.push(s);
+        true
     }
 }
 
@@ -142,5 +182,20 @@ mod tests {
         buf.extend_boxed(Vec::new());
         let tuples: Vec<&[RowId]> = buf.view().iter().collect();
         assert_eq!(tuples, vec![&[9, 9][..], &[1, 2][..], &[3, 4][..]]);
+    }
+
+    #[test]
+    fn sink_takes_every_tuple_and_append_concatenates() {
+        let mut a = TupleBuf::new(2);
+        assert!(a.insert(&[1, 2]));
+        assert!(a.insert(&[1, 2]), "no dedup: every tuple is new");
+        let mut b = TupleBuf::new(2);
+        b.insert(&[3, 4]);
+        a.append(&b);
+        a.append(&TupleBuf::new(2));
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.byte_size(), 6 * std::mem::size_of::<RowId>());
+        let tuples: Vec<&[RowId]> = a.view().iter().collect();
+        assert_eq!(tuples, vec![&[1, 2][..], &[1, 2][..], &[3, 4][..]]);
     }
 }
