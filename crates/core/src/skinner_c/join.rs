@@ -301,8 +301,9 @@ pub fn continue_join_ranged<S: TupleSink>(
 /// indexable equality predicates of `level`, leapfrogging across their
 /// posting lists, each walked by its own cursor in `cursors`. `None` when
 /// the level is exhausted (cardinality or the caller's `bound`, whichever
-/// is lower).
-#[inline]
+/// is lower). Inlined into every instantiation of the join loop: it is the
+/// per-step probe, and with two sinks a plain hint no longer inlines it.
+#[inline(always)]
 fn next_candidate(
     level: &Level,
     cursors: &mut [PostingCursor],

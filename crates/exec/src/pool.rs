@@ -200,8 +200,9 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
 
     /// Run `tasks`: all but the last round-robin on the helpers, the last on
     /// the calling thread. Returns one result per task, in task order.
-    /// Every task runs to its end before a panic in any of them is re-raised
-    /// here, so the pool stays usable after the caller catches it.
+    /// A panic in any task is re-raised here only after every task handed
+    /// to a helper has reported, so the pool stays usable after the caller
+    /// catches it.
     pub fn scatter_gather(&self, mut tasks: Vec<T>) -> Vec<R> {
         let helpers = self.task_txs.len();
         if helpers == 0 {
