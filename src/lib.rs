@@ -72,15 +72,17 @@
 //!
 //! `parallel_skinner` is the paper's multi-threaded SkinnerC
 //! configuration: each episode's batch of left-most-table tuples is split
-//! across N worker threads executing the same join order, while all
-//! workers learn through **one shared concurrent UCT tree**. The thread
+//! across N threads (the calling one included) executing the same join
+//! order, while the coordinator learns through **one UCT tree**, applying
+//! the chunks' rewards in chunk order. The thread
 //! count comes from a knob — [`Database::set_default_threads`] for the
 //! instance default (initially the machine's available parallelism),
 //! [`Session::set_threads`] per client — and determinism is guaranteed
 //! regardless of it: any thread count produces exactly the same result
-//! set (offsets advance only when a batch completes, and the
-//! deduplicating result set makes retries harmless), so `threads` is
-//! purely a performance knob.
+//! set (offsets advance only when a batch completes, so each result tuple
+//! comes from exactly one completed batch, and an abandoned episode's
+//! tuples come back when its batch is retried), so `threads` is purely a
+//! performance knob.
 //!
 //! ```
 //! use skinnerdb::{Database, DataType, Value};

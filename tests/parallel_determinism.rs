@@ -89,7 +89,7 @@ fn one_thread_matches_sequential_skinner_c_handmade() {
     let par = run(&db, HANDMADE_SQL, &parallel(1));
     assert!(!seq.timed_out && !par.timed_out);
     assert_eq!(par.result.canonical_rows(), seq.result.canonical_rows());
-    // Both engines deduplicate the same join-tuple set and learn a valid
+    // Both engines collect the same join-tuple set and learn a valid
     // order over the same three tables.
     assert_eq!(par.metrics.result_tuples, seq.metrics.result_tuples);
     assert_eq!(par.metrics.order.len(), seq.metrics.order.len());
