@@ -417,6 +417,33 @@ fn postprocess_kernel(c: &mut Criterion) {
             })
         });
     }
+
+    // The `q21_all` shape: 60 000 single-table tuples in row order, grouped
+    // by 15 000 consecutive order keys (four lines each).
+    let db = Database::new();
+    db.create_table(
+        "lineitem",
+        &[("orderkey", DataType::Int), ("suppkey", DataType::Int)],
+        (0..60_000i64)
+            .map(|i| vec![Value::Int(i / 4), Value::Int(i * 7919 % 100)])
+            .collect(),
+    )
+    .unwrap();
+    let q = db
+        .bind(
+            "SELECT l.orderkey, MIN(l.suppkey), MAX(l.suppkey) \
+             FROM lineitem l GROUP BY l.orderkey",
+        )
+        .unwrap();
+    let ids: Vec<u32> = (0..60_000).collect();
+    c.bench_function("postprocess_group_by_dense", |bench| {
+        bench.iter(|| {
+            let view = TupleView::new(&ids, 1);
+            postprocess(&q.tables, &q, view, &WorkBudget::unlimited())
+                .unwrap()
+                .num_rows()
+        })
+    });
 }
 
 /// The `tpch_disk` benchmark's ingest input: TPC-H `lineitem` at scale

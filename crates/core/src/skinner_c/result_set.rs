@@ -30,7 +30,12 @@ const MIN_SLOTS: usize = 16;
 
 #[inline]
 fn hash(s: &[RowId]) -> u64 {
-    // Fx-style: row-id vectors are engine-generated, not adversarial.
+    // Fx multiplier (≈ 2⁶⁴/π), kept on purpose rather than the engine's key
+    // hash (`skinner_storage::hash::fold_keys`): swapping it made
+    // `job_served` slower. Open item: arity-1 tuples (single-table
+    // statements) are consecutive row ids, which this multiplier packs into
+    // about 355 contiguous lanes of the table, so their inserts probe long
+    // chains.
     s.iter().fold(0u64, |h, &x| {
         (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
     })

@@ -56,6 +56,7 @@ use std::sync::Arc;
 
 use skinner_query::expr::EvalCtx;
 use skinner_query::{AggFunc, Expr, JoinQuery, SelectItem};
+use skinner_storage::hash::fold_keys;
 use skinner_storage::{Column, DataType, Interner, InternerRead, RowId, Table, Value};
 
 use crate::budget::{Timeout, WorkBudget};
@@ -513,13 +514,11 @@ struct Groups {
 
 const MIN_SLOTS: usize = 16;
 
+/// The engine's one key hash ([`fold_keys`], shared with the join index):
+/// dense keys such as consecutive order keys spread over the whole table.
 #[inline]
 fn hash_key(key: &[u64]) -> u64 {
-    // Fx-style: keys are column values of engine-produced tuples, and the
-    // table lives for one statement.
-    key.iter().fold(0u64, |h, &x| {
-        (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
+    fold_keys(key.iter().copied())
 }
 
 impl Groups {

@@ -28,6 +28,7 @@
 //! same ascending rows: which directory answers is invisible to the join.
 
 use crate::column::{float_key, Column};
+use crate::hash::fold_keys;
 use crate::RowId;
 
 /// One hash-directory slot: `len == 0` marks it empty (a present key has at
@@ -46,7 +47,7 @@ enum Directory {
     /// `k = (key ^ SIGN) - min`; `starts` has one entry per address in the
     /// column's key span plus the closing one.
     Direct { min: u64, starts: Vec<u32> },
-    /// Open addressing with a fixed multiplicative hash and linear probing.
+    /// Open addressing with [`fold_keys`] and linear probing.
     /// Keys are column *values*, so data crafted to collide degrades a build
     /// towards quadratic; results and work units are unaffected (the
     /// posting order does not depend on the hash).
@@ -79,11 +80,11 @@ const SIGN: u64 = 1 << 63;
 
 const MIN_SLOTS: usize = 8;
 
-/// Fibonacci hashing: the canonical key is already well-defined per value,
-/// so one multiply spreads it over the directory.
+/// The engine's one key hash ([`fold_keys`]) of a single key — plain
+/// Fibonacci hashing, `key · ⌊2⁶⁴/φ⌋` — keeping its top bits.
 #[inline]
 fn home(key: u64, shift: u32) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    (fold_keys([key]) >> shift) as usize
 }
 
 /// The slot holding `key`, or the empty slot where it would go.
@@ -224,7 +225,10 @@ impl HashIndex {
     }
 
     /// `(start, len)` of `key`'s postings window; `len == 0` if absent.
-    #[inline]
+    /// Forced inline: it is on the join's probe path, and with `home`
+    /// folding through the generic [`fold_keys`] the optimizer otherwise
+    /// emits it out of line, a call per probe.
+    #[inline(always)]
     fn window(&self, key: u64) -> (usize, usize) {
         match &self.dir {
             Directory::Direct { min, starts } => {

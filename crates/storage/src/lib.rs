@@ -11,12 +11,15 @@
 //! * [`HashIndex`] — equality index with *sorted* posting lists, which is what
 //!   enables the "jump to the next matching tuple index" trick of the
 //!   multi-way join (paper Section 4.5),
+//! * [`hash::fold_keys`] — the one key hash of every open-addressing table
+//!   keyed on column values,
 //! * [`Value`] / [`DataType`] — the scalar type system.
 
 pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod disk;
+pub mod hash;
 pub mod index;
 pub mod interner;
 pub mod schema;

@@ -6,12 +6,14 @@
 //! local sort, coordinator hash-/k-way merge). These tests pin the
 //! contract on real workloads: the JOB-like generator and the correlation
 //! torture chain, with GROUP BY, ORDER BY (+ DESC, LIMIT) and mixed
-//! aggregate queries — result rows must match the 1-thread run (and the
-//! reference executor) exactly, not just as sorted multisets.
+//! aggregate queries, and TPC-H `lineitem` grouped by its dense order key
+//! (thousands of groups) — result rows must match the 1-thread run (and
+//! the reference executor) exactly, not just as sorted multisets.
 
 use skinnerdb::skinner_core::ParallelSkinnerConfig;
 use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::correlation_torture;
+use skinnerdb::skinner_workloads::tpch::{generate as tpch, TpchConfig};
 use skinnerdb::{Database, Strategy};
 
 fn parallel(threads: usize) -> Strategy {
@@ -25,7 +27,8 @@ fn parallel(threads: usize) -> Strategy {
 
 /// Run `sql` at 1 and N threads and demand exactly equal rows; also check
 /// the 1-thread rows against the reference executor's canonical set.
-fn assert_thread_invariant(db: &Database, sql: &str) {
+/// Returns the number of result rows.
+fn assert_thread_invariant(db: &Database, sql: &str) -> usize {
     let base = db.run_script(sql, &parallel(1)).expect("1-thread run");
     assert!(!base.timed_out, "1-thread run timed out: {sql}");
     let reference = db
@@ -47,6 +50,7 @@ fn assert_thread_invariant(db: &Database, sql: &str) {
         );
         assert_eq!(out.result.columns, base.result.columns);
     }
+    base.result.rows.len()
 }
 
 #[test]
@@ -93,5 +97,27 @@ fn grouped_and_ordered_results_identical_on_torture() {
         "SELECT DISTINCT t0.a FROM t0, t1 WHERE t0.b = t1.a ORDER BY t0.a",
     ] {
         assert_thread_invariant(&db, sql);
+    }
+}
+
+#[test]
+fn dense_key_groups_identical_on_tpch_lineitem() {
+    // Scale 0.01: 60 000 `lineitem` rows over 15 000 consecutive order
+    // keys — the `GROUP BY l_orderkey` temp tables of Q18 and Q21.
+    let w = tpch(&TpchConfig {
+        scale: 0.01,
+        seed: 0xD3A5,
+    });
+    let db = Database::from_parts(w.catalog.clone(), w.udfs);
+    for sql in [
+        // Int MIN/MAX: per-worker partial aggregation, then the merge.
+        "SELECT l.l_orderkey, MIN(l.l_suppkey) mn, MAX(l.l_suppkey) mx, COUNT(*) n \
+         FROM lineitem l GROUP BY l.l_orderkey",
+        // Float SUM: order-sensitive, so the sequential group scan.
+        "SELECT l.l_orderkey, SUM(l.l_quantity) qty \
+         FROM lineitem l GROUP BY l.l_orderkey",
+    ] {
+        let groups = assert_thread_invariant(&db, sql);
+        assert!(groups >= 10_000, "{groups} groups: {sql}");
     }
 }
