@@ -15,19 +15,29 @@
 //! reused buffer that the fields are slices of, so no path allocates per
 //! line or per cell. Memory per path:
 //!
-//! - [`read_csv`]: the raw input, read whole (and scanned twice when the
-//!   types are inferred), plus the table being built.
-//! - Bulk load with `schema: None`: the raw input, read whole and scanned
-//!   twice — once to infer the types, once to fill — plus one page per
-//!   column.
+//! - [`read_csv`]: the raw input, read whole, plus the table being built.
+//! - Bulk load with `schema: None`: the raw input, read whole, plus one
+//!   page per column.
 //! - Bulk load with an explicit schema: streamed, one record plus one page
 //!   per column whatever the file size.
+//!
+//! An inferred schema costs one scan, not two: the types are guessed from
+//! the first page of records (`infer_schema` with a limit) and the fill
+//! runs under the guess. The guess is the narrowest type of each column
+//! over those records, so if every later cell parses under it, inferring
+//! over the whole input gives the same types. Only a cell that does not
+//! parse ([`CsvError::BadCell`]) drops the partial fill and reruns full
+//! inference and a second fill. A scan error met first (a ragged record,
+//! an open quote, bad UTF-8) is the one full inference would report.
+//!
+//! Numbers parse on an exact fast path (`parse_int`, `parse_float`) that
+//! `widen` shares, falling back to `str::parse` outside it.
 
 use std::fmt;
 use std::io::{self, BufRead};
 use std::sync::Arc;
 
-use crate::disk::SegmentWriter;
+use crate::disk::{SegmentWriter, PAGE_ROWS};
 use crate::schema::{Field, Schema};
 use crate::table::{Table, TableBuilder};
 use crate::value::DataType;
@@ -210,8 +220,8 @@ impl<R: BufRead> Records<R> {
         for (c, f) in schema.fields().iter().enumerate() {
             let raw = self.field(c);
             match f.dtype {
-                DataType::Int => sink.push_int(c, raw.trim().parse().map_err(|_| c)?),
-                DataType::Float => sink.push_float(c, raw.trim().parse().map_err(|_| c)?),
+                DataType::Int => sink.push_int(c, parse_int(raw.trim()).ok_or(c)?),
+                DataType::Float => sink.push_float(c, parse_float(raw.trim()).ok_or(c)?),
                 DataType::Str => sink.push_str(c, raw),
             }
         }
@@ -226,6 +236,19 @@ impl<R: BufRead> Records<R> {
             column: f.name.clone(),
             value: self.field(col).to_string(),
             expected: f.dtype,
+        }
+    }
+
+    /// An explicit `schema` must have the header's arity; a mismatch is a
+    /// [`CsvError::Ragged`] on line 1.
+    pub(crate) fn check_arity(&self, schema: &Schema) -> Result<(), CsvError> {
+        match schema.len() == self.header.len() {
+            true => Ok(()),
+            false => Err(CsvError::Ragged {
+                line: 1,
+                expected: schema.len(),
+                found: self.header.len(),
+            }),
         }
     }
 
@@ -380,6 +403,74 @@ impl Fields {
     }
 }
 
+/// 2^53: an `f64` holds every integer up to it exactly.
+const EXACT_MANTISSA: u64 = 1 << 53;
+
+/// `10^k` for every `k` whose power an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Split an optional leading `-` off `s`.
+fn sign(s: &str) -> (bool, &[u8]) {
+    match s.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        b => (false, b),
+    }
+}
+
+/// `s.parse::<i64>().ok()`, with `-?digits` of at most 18 digits (which
+/// cannot overflow) accumulated directly.
+pub(crate) fn parse_int(s: &str) -> Option<i64> {
+    let (neg, digits) = sign(s);
+    if digits.is_empty() || digits.len() > 18 {
+        return s.parse().ok();
+    }
+    let mut v = 0i64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return s.parse().ok();
+        }
+        v = v * 10 + i64::from(d);
+    }
+    Some(if neg { -v } else { v })
+}
+
+/// `s.parse::<f64>().ok()`, bit for bit. `-?digits(.digits)?` whose digits
+/// read as an integer `m` of at most 2^53, with `k` ≤ 22 of them after the
+/// point, is `m / 10^k`: both operands are exact, so the one rounding of
+/// the division is the correctly rounded result `str::parse` returns.
+pub(crate) fn parse_float(s: &str) -> Option<f64> {
+    fast_float(s).or_else(|| s.parse().ok())
+}
+
+fn fast_float(s: &str) -> Option<f64> {
+    let (neg, b) = sign(s);
+    let (int, frac) = match b.iter().position(|&c| c == b'.') {
+        Some(p) if p + 1 < b.len() => (&b[..p], &b[p + 1..]),
+        Some(_) => return None,
+        None => (b, &[][..]),
+    };
+    if int.is_empty() || frac.len() >= POW10.len() {
+        return None;
+    }
+    let mut m = 0u64;
+    for &c in int.iter().chain(frac) {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        m = m * 10 + u64::from(d);
+        if m > EXACT_MANTISSA {
+            return None;
+        }
+    }
+    let v = m as f64 / POW10[frac.len()];
+    Some(if neg { -v } else { v })
+}
+
 /// One step of type inference over Int ⊂ Float ⊂ Str: the narrowest type
 /// holding everything `ty` held and `cell`. Judged on the trimmed text, as
 /// the typed parse reads it.
@@ -388,21 +479,24 @@ pub(crate) fn widen(ty: DataType, cell: &str) -> DataType {
         return DataType::Str;
     }
     let s = cell.trim();
-    if ty == DataType::Int && s.parse::<i64>().is_ok() {
+    if ty == DataType::Int && parse_int(s).is_some() {
         DataType::Int
-    } else if s.parse::<f64>().is_ok() {
+    } else if parse_float(s).is_some() {
         DataType::Float
     } else {
         DataType::Str
     }
 }
 
-/// Scan the whole `input` once, checking every record, and return the
-/// header's (trimmed) names with the narrowest type of each column.
-pub(crate) fn infer_schema(input: &[u8]) -> Result<Schema, CsvError> {
+/// Scan the first `limit` records of `input`, checking each, and return
+/// the header's (trimmed) names with the narrowest type of each column
+/// over them. `usize::MAX` infers over the whole input.
+pub(crate) fn infer_schema(input: &[u8], limit: usize) -> Result<Schema, CsvError> {
     let mut recs = Records::open(input)?;
     let mut types = vec![DataType::Int; recs.header().len()];
-    while recs.next_record()? {
+    let mut seen = 0;
+    while seen < limit && recs.next_record()? {
+        seen += 1;
         for (c, ty) in types.iter_mut().enumerate() {
             *ty = widen(*ty, recs.field(c));
         }
@@ -419,9 +513,12 @@ pub(crate) fn infer_schema(input: &[u8]) -> Result<Schema, CsvError> {
 /// Read a CSV (header required) into a [`Table`].
 ///
 /// With `schema: None`, column types are inferred from the data (narrowest
-/// of Int/Float/Str that parses every trimmed cell). The input is read
-/// whole either way; invalid UTF-8 anywhere in it is reported before any
-/// other error.
+/// of Int/Float/Str that parses every trimmed cell), guessed from the
+/// first [`PAGE_ROWS`] records and inferred over the whole input only if
+/// a later cell does not parse under the guess. The input is read whole
+/// either way; invalid UTF-8 anywhere in it is reported before any other
+/// error. An explicit schema whose arity is not the header's is a
+/// [`CsvError::Ragged`] on line 1.
 pub fn read_csv(
     name: &str,
     mut reader: impl BufRead,
@@ -431,22 +528,39 @@ pub fn read_csv(
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
     std::str::from_utf8(&input).map_err(|_| invalid_utf8())?;
-    let schema = match schema {
-        Some(s) => s,
-        None => infer_schema(&input)?,
-    };
-    let mut recs = Records::open(&input[..])?;
-    assert_eq!(
-        schema.len(),
-        recs.header().len(),
-        "schema arity must match the header"
-    );
+    if let Some(schema) = schema {
+        return fill_table(name, &input, schema, interner, false);
+    }
+    let guess = infer_schema(&input, PAGE_ROWS)?;
+    match fill_table(name, &input, guess, interner.clone(), true) {
+        Err(CsvError::BadCell { .. }) => {
+            let schema = infer_schema(&input, usize::MAX)?;
+            fill_table(name, &input, schema, interner, false)
+        }
+        r => r,
+    }
+}
+
+/// Build a table from `input` under `schema`. With `guessed`, the first
+/// bad cell ends the fill (the caller infers again); otherwise a bad cell
+/// is reported once every record has scanned cleanly, and the one in the
+/// lowest column wins (its first line within it).
+fn fill_table(
+    name: &str,
+    input: &[u8],
+    schema: Schema,
+    interner: Arc<Interner>,
+    guessed: bool,
+) -> Result<Table, CsvError> {
+    let mut recs = Records::open(input)?;
+    recs.check_arity(&schema)?;
     let mut b = TableBuilder::new(name, schema.clone(), interner);
-    // A bad cell is reported once every record has scanned cleanly, and
-    // the one in the lowest column wins (its first line within it).
     let mut bad: Option<(usize, CsvError)> = None;
     while recs.next_record()? {
         if let Err(c) = recs.push_into(&schema, &mut b) {
+            if guessed {
+                return Err(recs.bad_cell(&schema, c));
+            }
             if bad.as_ref().is_none_or(|(first, _)| c < *first) {
                 bad = Some((c, recs.bad_cell(&schema, c)));
             }
@@ -525,6 +639,112 @@ mod tests {
             Arc::new(Interner::new()),
         );
         assert!(matches!(r, Err(CsvError::BadCell { line: 2, .. })));
+    }
+
+    #[test]
+    fn explicit_schema_arity_must_match_the_header() {
+        let r = read_csv(
+            "t",
+            std::io::BufReader::new("a,b,c\n1,2,3\n".as_bytes()),
+            Some(Schema::new(vec![Field::new("a", DataType::Int)])),
+            Arc::new(Interner::new()),
+        );
+        assert!(matches!(
+            r,
+            Err(CsvError::Ragged {
+                line: 1,
+                expected: 1,
+                found: 3
+            })
+        ));
+    }
+
+    /// SplitMix64.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn assert_parses_like_std(s: &str) {
+        assert_eq!(parse_int(s), s.parse::<i64>().ok(), "{s:?} as i64");
+        assert_eq!(
+            parse_float(s).map(f64::to_bits),
+            s.parse::<f64>().ok().map(f64::to_bits),
+            "{s:?} as f64"
+        );
+    }
+
+    #[test]
+    fn number_fast_path_is_bit_identical_to_std_parse() {
+        let boundary = [
+            "-0",
+            "-0.0",
+            "0",
+            "0.0",
+            "00012",
+            "-00012.50",
+            "123456789012345678",
+            "-123456789012345678",
+            "999999999999999999",
+            "1234567890123456789",
+            "-1234567890123456789",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "9007199254740992",
+            "-9007199254740992",
+            "9007199254740993",
+            "900719925474099.2",
+            "900719925474099.3",
+            "0.9007199254740993",
+            "0.1234567890123456789012",
+            "0.12345678901234567890123",
+            "1.0000000000000000000001",
+            "1.00000000000000000000001",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "+1",
+            "+1.5",
+            "1.",
+            ".5",
+            "-.5",
+            "1e5",
+            "1E-7",
+            "inf",
+            "-infinity",
+            "NaN",
+            "",
+            "-",
+            "--1",
+            "1.2.3",
+            "1_000",
+            "0x10",
+        ];
+        for s in boundary {
+            assert_parses_like_std(s);
+        }
+        let mut state = 0x5EED;
+        let mut text = String::new();
+        for _ in 0..50_000 {
+            let r = mix(&mut state);
+            text.clear();
+            if r & 1 == 1 {
+                text.push('-');
+            }
+            for _ in 0..1 + (r >> 8) % 19 {
+                text.push(char::from(b'0' + (mix(&mut state) % 10) as u8));
+            }
+            if r & 2 == 2 {
+                text.push('.');
+                for _ in 0..(r >> 16) % 26 {
+                    text.push(char::from(b'0' + (mix(&mut state) % 10) as u8));
+                }
+            }
+            assert_parses_like_std(&text);
+        }
     }
 
     #[test]

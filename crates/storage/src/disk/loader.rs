@@ -7,13 +7,15 @@
 //! per-cell allocation. With an explicit schema the input streams: memory
 //! stays bounded by one record plus one page per column, whatever the file
 //! size. With `schema: None` the raw input is read whole (about the file's
-//! size) and scanned twice, once to infer the types (the same Int ⊂ Float
-//! ⊂ Str lattice as the in-memory path) and once to fill the pages. Quoted
+//! size) and scanned once: the types are guessed from the first page of
+//! records (the same Int ⊂ Float ⊂ Str lattice as the in-memory path) and
+//! the pages filled under them. A cell the guess does not parse drops the
+//! uncommitted segment and reruns full inference and the fill. Quoted
 //! fields may span lines on every path.
 
 use std::io::BufRead;
 
-use crate::csv::{infer_schema, Records};
+use crate::csv::{infer_schema, CsvError, Records};
 use crate::disk::manifest::DiskStore;
 use crate::disk::DiskError;
 use crate::schema::Schema;
@@ -22,7 +24,9 @@ use crate::schema::Schema;
 /// `store`, committing atomically. Returns the committed row count.
 ///
 /// `page_rows` sets the segment page size (use
-/// [`crate::disk::PAGE_ROWS`] unless testing page boundaries).
+/// [`crate::disk::PAGE_ROWS`] unless testing page boundaries). An explicit
+/// schema whose arity is not the header's is a [`CsvError::Ragged`] on
+/// line 1, and nothing is committed.
 pub fn bulk_load_csv(
     store: &DiskStore,
     name: &str,
@@ -30,14 +34,23 @@ pub fn bulk_load_csv(
     schema: Option<Schema>,
     page_rows: usize,
 ) -> Result<u64, DiskError> {
-    match schema {
-        Some(schema) => fill(store, name, Records::open(reader)?, schema, page_rows),
-        None => {
-            let mut input = Vec::new();
-            reader.read_to_end(&mut input)?;
-            let schema = infer_schema(&input)?;
+    if let Some(schema) = schema {
+        return fill(store, name, Records::open(reader)?, schema, page_rows);
+    }
+    let mut input = Vec::new();
+    reader.read_to_end(&mut input)?;
+    let guess = infer_schema(&input, page_rows)?;
+    match fill(store, name, Records::open(&input[..])?, guess, page_rows) {
+        // A scan error met before any bad cell is the first error full
+        // inference meets too, so it stands.
+        Err(DiskError::Csv(e)) if !matches!(e, CsvError::BadCell { .. }) => Err(e.into()),
+        // A bad cell may be the guess's doing, and any other failure (an
+        // invalid name) may hide a scan error full inference reports first.
+        Err(_) => {
+            let schema = infer_schema(&input, usize::MAX)?;
             fill(store, name, Records::open(&input[..])?, schema, page_rows)
         }
+        ok => ok,
     }
 }
 
@@ -49,11 +62,7 @@ fn fill(
     schema: Schema,
     page_rows: usize,
 ) -> Result<u64, DiskError> {
-    assert_eq!(
-        schema.len(),
-        recs.header().len(),
-        "schema arity must match the header"
-    );
+    recs.check_arity(&schema)?;
     store.create_table_with(name, schema.clone(), page_rows, move |w| {
         while recs.next_record()? {
             recs.push_into(&schema, w)
@@ -67,7 +76,6 @@ fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::CsvError;
     use crate::interner::Interner;
     use crate::schema;
     use crate::value::{DataType, Value};
@@ -156,6 +164,90 @@ mod tests {
     #[test]
     fn quoted_newlines_load_with_explicit_schema() {
         load_quoted_newlines("newline_explicit", Some(schema![("note", Str), ("n", Int)]));
+    }
+
+    #[test]
+    fn explicit_schema_arity_must_match_the_header() {
+        let dir = tmp_dir("arity");
+        let store = DiskStore::open(&dir).unwrap();
+        let r = bulk_load_csv(
+            &store,
+            "t",
+            std::io::BufReader::new("a,b\n1,2\n".as_bytes()),
+            Some(schema![("a", Int), ("b", Int), ("c", Int)]),
+            8,
+        );
+        assert!(matches!(
+            r,
+            Err(DiskError::Csv(CsvError::Ragged {
+                line: 1,
+                expected: 3,
+                found: 2
+            }))
+        ));
+        assert!(store.table_names().is_empty(), "nothing is committed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_type_change_after_the_first_page_falls_back_to_full_inference() {
+        let dir = tmp_dir("late_change");
+        let store = DiskStore::open(&dir).unwrap();
+        let mut csv = String::from("n,x\n");
+        for i in 0..20 {
+            csv.push_str(&format!("{i},{i}\n"));
+        }
+        csv.push_str("-0,x\n");
+        let rows = bulk_load_csv(
+            &store,
+            "t",
+            std::io::BufReader::new(csv.as_bytes()),
+            None,
+            8,
+        )
+        .unwrap();
+        assert_eq!(rows, 21);
+        let interner = Arc::new(Interner::new());
+        let t = store.load_table("t", &interner).unwrap().table;
+        assert_eq!(t.schema().field(0).dtype, DataType::Int);
+        assert_eq!(t.schema().field(1).dtype, DataType::Str);
+        assert_eq!(t.value(20, 0), Value::Int(0));
+        assert_eq!(t.value(3, 1).as_str(), Some("3"));
+        // The failed fill's temp segment is gone; one committed segment is left.
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.contains(".seg"))
+            .collect();
+        assert_eq!(files.len(), 1, "{files:?}");
+        assert!(!files[0].ends_with(".tmp"), "{files:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_scan_error_past_the_first_page_outranks_an_invalid_name() {
+        let dir = tmp_dir("precedence");
+        let store = DiskStore::open(&dir).unwrap();
+        let load = |name: &str, csv: &str| {
+            bulk_load_csv(
+                &store,
+                name,
+                std::io::BufReader::new(csv.as_bytes()),
+                None,
+                2,
+            )
+        };
+        // As when inference scanned everything before creating the segment.
+        assert!(matches!(
+            load("no-dash", "a\n1\n2\n3\n4,5\n"),
+            Err(DiskError::Csv(CsvError::Ragged { line: 5, .. }))
+        ));
+        assert!(matches!(
+            load("no-dash", "a\n1\n2\n3\n"),
+            Err(DiskError::InvalidName(_))
+        ));
+        assert!(store.table_names().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! bare `\r`, a last line without a line end, blank and whitespace-only
 //! lines (Unicode whitespace included), numeric look-alikes (`007`, `1e3`,
 //! `NaN`, `-0`, `i64` overflow, padding), ragged rows and bytes that are
-//! not UTF-8.
+//! not UTF-8. A second family is longer than a page and changes one
+//! column's type after it, since the inferred paths guess their types
+//! from the first page of records and must infer again when a later cell
+//! does not parse under the guess.
 
 use std::cell::Cell as Flag;
 use std::io::{self, BufRead};
@@ -32,7 +35,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use skinner_storage::csv::CsvError;
-use skinner_storage::disk::{DiskError, DiskStore, SegmentWriter};
+use skinner_storage::disk::{DiskError, DiskStore, SegmentWriter, PAGE_ROWS};
 use skinner_storage::{
     bulk_load_csv, read_csv, DataType, Field, Interner, Schema, Table, TableBuilder, Value,
 };
@@ -695,6 +698,88 @@ fn finish_case(g: &mut Gen, input: Vec<u8>, pools: &[&[&[u8]]]) -> Case {
     }
 }
 
+/// A type change after the first page: the column holds `from` values
+/// for at least [`PAGE_ROWS`] records, then one `to` value, then either.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Change {
+    IntToFloat,
+    IntToStr,
+    FloatToStr,
+}
+
+impl Change {
+    /// The column's type over the first page, and over the whole input.
+    fn types(self) -> (DataType, DataType) {
+        match self {
+            Change::IntToFloat => (DataType::Int, DataType::Float),
+            Change::IntToStr => (DataType::Int, DataType::Str),
+            Change::FloatToStr => (DataType::Float, DataType::Str),
+        }
+    }
+}
+
+/// `PAGE_ROWS + k` records over 1–3 columns, one of which changes type at
+/// a record past the first page; an Int→Float column also holds a `-0`.
+/// With `ragged`, a record of the wrong arity follows the first cell of
+/// the new type, so the inferred paths must report it rather than a bad
+/// cell of the guessed type.
+fn gen_late_case(g: &mut Gen, change: Change, ragged: bool) -> Case {
+    let ncols = 1 + g.below(3);
+    let changing = g.below(ncols);
+    let (from, to) = match change {
+        Change::IntToFloat => (INTS, FLOATS),
+        Change::IntToStr => (INTS, STRS),
+        Change::FloatToStr => (FLOATS, STRS),
+    };
+    let pools: Vec<&[&[u8]]> = (0..ncols)
+        .map(|c| match c == changing {
+            true => to,
+            false => g.pick(&[INTS, FLOATS, STRS]),
+        })
+        .collect();
+    let rows = PAGE_ROWS + 2 + g.below(8);
+    let at = PAGE_ROWS + g.below(rows - PAGE_ROWS - 1);
+    let minus_zero = g.below(rows);
+    let end = g.pick(&[&b"\n"[..], b"\r\n"]);
+    let mut input: Vec<u8> = (0..ncols)
+        .map(|c| format!("c{c}"))
+        .collect::<Vec<_>>()
+        .join(",")
+        .into_bytes();
+    for r in 0..rows {
+        input.extend_from_slice(end);
+        let arity = if ragged && r == at + 1 {
+            ncols + 1
+        } else {
+            ncols
+        };
+        for c in 0..arity {
+            if c > 0 {
+                input.push(b',');
+            }
+            let cell = match c == changing {
+                true if change == Change::IntToFloat && r == minus_zero => b"-0",
+                true if r == at => match change.types().1 {
+                    DataType::Float => g.pick(&[&b"1.5"[..], b"-2.25", b"1e3", b"NaN"]),
+                    _ => g.pick(&[&b"abc"[..], b"x y", b"\"q,1\""]),
+                },
+                true if r < at => g.pick(from),
+                true => {
+                    let pool = g.pick(&[from, to]);
+                    g.pick(pool)
+                }
+                false => g.pick(pools[c.min(ncols - 1)]),
+            };
+            input.extend_from_slice(cell);
+        }
+    }
+    input.extend_from_slice(end);
+    let mut case = finish_case(g, input, &pools);
+    let small = 1 + g.below(4);
+    case.page_rows = g.pick(&[PAGE_ROWS, small]);
+    case
+}
+
 /// The header's arity under the scanner's rules — an explicit schema must
 /// match it. `None` when the header does not scan.
 fn header_arity(case: &Case) -> Option<usize> {
@@ -711,8 +796,8 @@ fn store(test: &str) -> (PathBuf, Arc<DiskStore>) {
     (dir, store)
 }
 
-/// Fit the explicit schema to the header's arity (a mismatch is a caller
-/// bug that panics on every path, not a CSV error).
+/// Fit the explicit schema to the header's arity (the oracle panics on a
+/// mismatch, which the loaders report as a ragged header).
 fn fit_schema(mut case: Case) -> Case {
     if let Some(n) = header_arity(&case) {
         let mut fields = case.schema.fields().to_vec();
@@ -750,6 +835,79 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+// Each case here is over a thousand records, so the block runs fewer
+// cases; `PROPTEST_CASES` overrides this count too (2 560 cases take about
+// half a minute in release on a 2-core machine).
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn type_changes_after_the_first_page_match_the_oracle(seed: u64) {
+        let (dir, store) = store("late");
+        let mut g = Gen(seed);
+        let change = g.pick(&[Change::IntToFloat, Change::IntToStr, Change::FloatToStr]);
+        let ragged = g.chance(25);
+        let case = fit_schema(gen_late_case(&mut g, change, ragged));
+        for path in PATHS {
+            let got = case.run(&store, path);
+            let want = case.oracle(&store, path, &Fix::new(true));
+            prop_assert_eq!(&got, &want, "{:?}, {:?}, ragged {}, seed {}", path, change, ragged, seed);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every change of the late family changes the inferred type (the first
+/// page alone would infer the narrower one), and its ragged record is
+/// what the inferred paths report.
+#[test]
+fn late_family_changes_types_after_the_first_page() {
+    let (dir, store) = store("late_coverage");
+    for seed in 0..12 {
+        for (change, ragged) in [
+            (Change::IntToFloat, false),
+            (Change::IntToStr, false),
+            (Change::FloatToStr, false),
+            (Change::IntToStr, true),
+        ] {
+            let case = gen_late_case(&mut Gen(seed), change, ragged);
+            let got = case.oracle(&store, Path::ReadInferred, &Fix::new(true));
+            if ragged {
+                assert!(matches!(&got, Err(e) if e.contains("Ragged")), "{got:?}");
+                continue;
+            }
+            let fields = got.as_ref().map(|(f, _, _)| f.clone()).unwrap();
+            let (narrow, wide) = change.types();
+            assert!(
+                fields.iter().any(|(_, ty)| *ty == wide),
+                "{change:?}: {fields:?}"
+            );
+            let first_page: Vec<u8> = case
+                .input
+                .split_inclusive(|&b| b == b'\n')
+                .take(PAGE_ROWS + 1)
+                .flatten()
+                .copied()
+                .collect();
+            let guess = Case {
+                input: first_page,
+                ..case
+            }
+            .oracle(&store, Path::ReadInferred, &Fix::new(true));
+            let guessed = guess.map(|(f, _, _)| f).unwrap();
+            assert_ne!(
+                guessed, fields,
+                "{change:?}: the first page infers the same types"
+            );
+            assert!(
+                guessed.iter().any(|(_, ty)| *ty == narrow),
+                "{change:?}: {guessed:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The property above is only as strong as its inputs: they must reach
