@@ -21,14 +21,15 @@
 //! - Bulk load with an explicit schema: streamed, one record plus one page
 //!   per column whatever the file size.
 //!
-//! An inferred schema costs one scan, not two: the types are guessed from
-//! the first page of records (`infer_schema` with a limit) and the fill
+//! An inferred schema costs one scan, not two (`fill_inferred`): the
+//! types are guessed from the first [`PAGE_ROWS`] records and the fill
 //! runs under the guess. The guess is the narrowest type of each column
 //! over those records, so if every later cell parses under it, inferring
 //! over the whole input gives the same types. Only a cell that does not
 //! parse ([`CsvError::BadCell`]) drops the partial fill and reruns full
-//! inference and a second fill. A scan error met first (a ragged record,
-//! an open quote, bad UTF-8) is the one full inference would report.
+//! inference and a second fill. Any other failure stands unless the
+//! input holds a scan error (a ragged record, an open quote): that
+//! outranks every other failure of an inferred load.
 //!
 //! Numbers parse on an exact fast path (`parse_int`, `parse_float`) that
 //! `widen` shares, falling back to `str::parse` outside it.
@@ -510,15 +511,37 @@ pub(crate) fn infer_schema(input: &[u8], limit: usize) -> Result<Schema, CsvErro
     Ok(Schema::new(fields))
 }
 
+/// Fill under types inferred from `input`, in one scan unless the guess
+/// fails: `fill` runs under the types of the first [`PAGE_ROWS`] records
+/// and, if it fails on a bad cell (`is_bad_cell`), again under the types
+/// of the whole input. Any other failure stands, unless full inference
+/// meets a scan error: that outranks every other failure.
+pub(crate) fn fill_inferred<T, E: From<CsvError>>(
+    input: &[u8],
+    is_bad_cell: impl Fn(&E) -> bool,
+    mut fill: impl FnMut(Schema) -> Result<T, E>,
+) -> Result<T, E> {
+    match fill(infer_schema(input, PAGE_ROWS)?) {
+        Err(e) if is_bad_cell(&e) => fill(infer_schema(input, usize::MAX)?),
+        Err(e) => {
+            infer_schema(input, usize::MAX)?;
+            Err(e)
+        }
+        ok => ok,
+    }
+}
+
 /// Read a CSV (header required) into a [`Table`].
 ///
 /// With `schema: None`, column types are inferred from the data (narrowest
 /// of Int/Float/Str that parses every trimmed cell), guessed from the
 /// first [`PAGE_ROWS`] records and inferred over the whole input only if
-/// a later cell does not parse under the guess. The input is read whole
-/// either way; invalid UTF-8 anywhere in it is reported before any other
-/// error. An explicit schema whose arity is not the header's is a
-/// [`CsvError::Ragged`] on line 1.
+/// a later cell does not parse under the guess. An inferred load interns
+/// nothing into `interner` unless it succeeds, and then hands out the
+/// codes a single fill would. The input is read whole either way; invalid
+/// UTF-8 anywhere in it is reported before any other error. An explicit
+/// schema whose arity is not the header's is a [`CsvError::Ragged`] on
+/// line 1.
 pub fn read_csv(
     name: &str,
     mut reader: impl BufRead,
@@ -528,39 +551,36 @@ pub fn read_csv(
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
     std::str::from_utf8(&input).map_err(|_| invalid_utf8())?;
-    if let Some(schema) = schema {
-        return fill_table(name, &input, schema, interner, false);
-    }
-    let guess = infer_schema(&input, PAGE_ROWS)?;
-    match fill_table(name, &input, guess, interner.clone(), true) {
-        Err(CsvError::BadCell { .. }) => {
-            let schema = infer_schema(&input, usize::MAX)?;
-            fill_table(name, &input, schema, interner, false)
-        }
-        r => r,
+    match schema {
+        Some(schema) => Ok(fill_table(name, &input, schema, interner)?.finish()),
+        // Each fill interns into its own interner, so a guess that fails
+        // leaves `interner` as it was.
+        None => fill_inferred(
+            &input,
+            |e| matches!(e, CsvError::BadCell { .. }),
+            |schema| {
+                let own = Arc::new(Interner::new());
+                Ok(fill_table(name, &input, schema, own)?.finish_into(interner.clone()))
+            },
+        ),
     }
 }
 
-/// Build a table from `input` under `schema`. With `guessed`, the first
-/// bad cell ends the fill (the caller infers again); otherwise a bad cell
-/// is reported once every record has scanned cleanly, and the one in the
-/// lowest column wins (its first line within it).
+/// Fill a builder from `input` under `schema`. A bad cell is reported once
+/// every record has scanned cleanly, and the one in the lowest column wins
+/// (its first line within it).
 fn fill_table(
     name: &str,
     input: &[u8],
     schema: Schema,
     interner: Arc<Interner>,
-    guessed: bool,
-) -> Result<Table, CsvError> {
+) -> Result<TableBuilder, CsvError> {
     let mut recs = Records::open(input)?;
     recs.check_arity(&schema)?;
     let mut b = TableBuilder::new(name, schema.clone(), interner);
     let mut bad: Option<(usize, CsvError)> = None;
     while recs.next_record()? {
         if let Err(c) = recs.push_into(&schema, &mut b) {
-            if guessed {
-                return Err(recs.bad_cell(&schema, c));
-            }
             if bad.as_ref().is_none_or(|(first, _)| c < *first) {
                 bad = Some((c, recs.bad_cell(&schema, c)));
             }
@@ -568,7 +588,7 @@ fn fill_table(
     }
     match bad {
         Some((_, e)) => Err(e),
-        None => Ok(b.finish()),
+        None => Ok(b),
     }
 }
 
@@ -657,6 +677,49 @@ mod tests {
                 found: 3
             })
         ));
+    }
+
+    /// `PAGE_ROWS` records of an Int column and a Str column, then `tail`.
+    fn past_first_page(tail: &str) -> String {
+        let mut csv = String::from("n,s\n");
+        for i in 0..PAGE_ROWS {
+            csv.push_str(&format!("{},s{}\n", i % 7, i % 5));
+        }
+        csv + tail
+    }
+
+    fn strings(interner: &Interner) -> Vec<Arc<str>> {
+        (0..interner.len() as u32)
+            .map(|c| interner.resolve(c))
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_inferred_load_interns_nothing() {
+        let interner = Arc::new(Interner::new());
+        interner.intern("kept");
+        // The guess fails on `x` and full inference on the ragged record.
+        let csv = past_first_page("x,late\n1,2,3\n");
+        let r = read_csv("t", csv.as_bytes(), None, interner.clone());
+        assert!(matches!(r, Err(CsvError::Ragged { .. })), "{r:?}");
+        assert_eq!(strings(&interner), vec![Arc::from("kept")]);
+    }
+
+    #[test]
+    fn an_inferred_load_hands_out_the_codes_of_a_single_fill() {
+        let csv = past_first_page("x,late\n");
+        let shared = || {
+            let i = Arc::new(Interner::new());
+            i.intern("s3");
+            i
+        };
+        let (inferred, explicit) = (shared(), shared());
+        let t = read_csv("t", csv.as_bytes(), None, inferred.clone()).unwrap();
+        let schema = t.schema().clone();
+        assert_eq!(schema.field(0).dtype, DataType::Str);
+        let u = read_csv("t", csv.as_bytes(), Some(schema), explicit.clone()).unwrap();
+        assert_eq!(strings(&inferred), strings(&explicit));
+        assert_eq!(format!("{:?}", t.columns()), format!("{:?}", u.columns()));
     }
 
     /// SplitMix64.

@@ -7,15 +7,15 @@
 //! per-cell allocation. With an explicit schema the input streams: memory
 //! stays bounded by one record plus one page per column, whatever the file
 //! size. With `schema: None` the raw input is read whole (about the file's
-//! size) and scanned once: the types are guessed from the first page of
-//! records (the same Int ⊂ Float ⊂ Str lattice as the in-memory path) and
-//! the pages filled under them. A cell the guess does not parse drops the
-//! uncommitted segment and reruns full inference and the fill. Quoted
-//! fields may span lines on every path.
+//! size) and scanned once: the types are guessed from the first
+//! [`PAGE_ROWS`](crate::disk::PAGE_ROWS) records (the same Int ⊂ Float ⊂
+//! Str lattice as the in-memory path) and the pages filled under them. A
+//! cell the guess does not parse drops the uncommitted segment and reruns
+//! full inference and the fill. Quoted fields may span lines on every path.
 
 use std::io::BufRead;
 
-use crate::csv::{infer_schema, CsvError, Records};
+use crate::csv::{fill_inferred, CsvError, Records};
 use crate::disk::manifest::DiskStore;
 use crate::disk::DiskError;
 use crate::schema::Schema;
@@ -39,19 +39,11 @@ pub fn bulk_load_csv(
     }
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
-    let guess = infer_schema(&input, page_rows)?;
-    match fill(store, name, Records::open(&input[..])?, guess, page_rows) {
-        // A scan error met before any bad cell is the first error full
-        // inference meets too, so it stands.
-        Err(DiskError::Csv(e)) if !matches!(e, CsvError::BadCell { .. }) => Err(e.into()),
-        // A bad cell may be the guess's doing, and any other failure (an
-        // invalid name) may hide a scan error full inference reports first.
-        Err(_) => {
-            let schema = infer_schema(&input, usize::MAX)?;
-            fill(store, name, Records::open(&input[..])?, schema, page_rows)
-        }
-        ok => ok,
-    }
+    fill_inferred(
+        &input,
+        |e| matches!(e, DiskError::Csv(CsvError::BadCell { .. })),
+        |schema| fill(store, name, Records::open(&input[..])?, schema, page_rows),
+    )
 }
 
 /// Stream every record of `recs` into a new segment under `schema`.
@@ -76,6 +68,7 @@ fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::PAGE_ROWS;
     use crate::interner::Interner;
     use crate::schema;
     use crate::value::{DataType, Value};
@@ -189,15 +182,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn seg_files(dir: &std::path::Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.contains(".seg"))
+            .collect()
+    }
+
+    /// A header `n,x` and `PAGE_ROWS` integer records, then `tail`.
+    fn past_first_page(tail: &str) -> String {
+        let mut csv = String::from("n,x\n");
+        for i in 0..PAGE_ROWS {
+            csv.push_str(&format!("{i},{i}\n"));
+        }
+        csv + tail
+    }
+
     #[test]
     fn a_type_change_after_the_first_page_falls_back_to_full_inference() {
         let dir = tmp_dir("late_change");
         let store = DiskStore::open(&dir).unwrap();
-        let mut csv = String::from("n,x\n");
-        for i in 0..20 {
-            csv.push_str(&format!("{i},{i}\n"));
-        }
-        csv.push_str("-0,x\n");
+        let csv = past_first_page("-0,x\n");
         let rows = bulk_load_csv(
             &store,
             "t",
@@ -206,19 +212,15 @@ mod tests {
             8,
         )
         .unwrap();
-        assert_eq!(rows, 21);
+        assert_eq!(rows, PAGE_ROWS as u64 + 1);
         let interner = Arc::new(Interner::new());
         let t = store.load_table("t", &interner).unwrap().table;
         assert_eq!(t.schema().field(0).dtype, DataType::Int);
         assert_eq!(t.schema().field(1).dtype, DataType::Str);
-        assert_eq!(t.value(20, 0), Value::Int(0));
+        assert_eq!(t.value(PAGE_ROWS as u32, 0), Value::Int(0));
         assert_eq!(t.value(3, 1).as_str(), Some("3"));
         // The failed fill's temp segment is gone; one committed segment is left.
-        let files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|f| f.contains(".seg"))
-            .collect();
+        let files = seg_files(&dir);
         assert_eq!(files.len(), 1, "{files:?}");
         assert!(!files[0].ends_with(".tmp"), "{files:?}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -228,25 +230,44 @@ mod tests {
     fn a_scan_error_past_the_first_page_outranks_an_invalid_name() {
         let dir = tmp_dir("precedence");
         let store = DiskStore::open(&dir).unwrap();
-        let load = |name: &str, csv: &str| {
+        let load = |csv: &str| {
             bulk_load_csv(
                 &store,
-                name,
+                "no-dash",
                 std::io::BufReader::new(csv.as_bytes()),
                 None,
-                2,
+                8,
             )
         };
         // As when inference scanned everything before creating the segment.
         assert!(matches!(
-            load("no-dash", "a\n1\n2\n3\n4,5\n"),
-            Err(DiskError::Csv(CsvError::Ragged { line: 5, .. }))
+            load(&past_first_page("1,2,3\n")),
+            Err(DiskError::Csv(CsvError::Ragged { line, .. })) if line == PAGE_ROWS + 2
         ));
         assert!(matches!(
-            load("no-dash", "a\n1\n2\n3\n"),
+            load(&past_first_page("")),
             Err(DiskError::InvalidName(_))
         ));
         assert!(store.table_names().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_writes_the_segment_once() {
+        let dir = tmp_dir("failed_commit");
+        let store = DiskStore::open(&dir).unwrap();
+        // The manifest cannot be written over a directory.
+        std::fs::create_dir(dir.join("MANIFEST.tmp")).unwrap();
+        let r = bulk_load_csv(
+            &store,
+            "t",
+            std::io::BufReader::new("a\n1\n2\n".as_bytes()),
+            None,
+            8,
+        );
+        assert!(matches!(r, Err(DiskError::Io(_))), "{r:?}");
+        let files = seg_files(&dir);
+        assert_eq!(files.len(), 1, "{files:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

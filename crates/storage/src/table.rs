@@ -359,6 +359,23 @@ impl TableBuilder {
         self.nrows == 0
     }
 
+    /// Finish into a [`Table`] over `interner`, re-interning the strings
+    /// this builder's own interner holds in the order it met them: the
+    /// codes pushing the same rows straight into `interner` hands out. The
+    /// builder's interner must hold only the strings pushed into it.
+    pub(crate) fn finish_into(mut self, interner: Arc<Interner>) -> Table {
+        let own = std::mem::replace(&mut self.interner, interner);
+        let codes: Vec<u32> = (0..own.len() as u32)
+            .map(|c| self.interner.intern(&own.resolve(c)))
+            .collect();
+        for col in &mut self.codes {
+            for c in col.iter_mut() {
+                *c = codes[*c as usize];
+            }
+        }
+        self.finish()
+    }
+
     /// Finish into an immutable [`Table`].
     pub fn finish(self) -> Table {
         let mut columns = Vec::with_capacity(self.slots.len());
