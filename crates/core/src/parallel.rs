@@ -9,8 +9,10 @@
 //! * the coordinator owns the query's only [`UctTree`]: it chooses a join
 //!   order, cuts the next `batch_tuples` rows of the order's left-most
 //!   table into contiguous chunks ([`skinner_exec::partition_tuples`]), and
-//!   runs them on a [`WorkerPool`] — the last chunk on its own thread, so
-//!   it joins instead of waiting at the episode's barrier;
+//!   runs them on the process-wide pool ([`scatter_gather`]) — the last
+//!   chunk, and any chunk no parked helper has started, on its own thread,
+//!   so it joins instead of waiting at the episode's barrier, and a
+//!   statement starts no thread of its own;
 //! * each chunk runs the bounded multi-way join ([`continue_join_ranged`])
 //!   to completion, polling the shared [`CancelToken`] every `slice_steps`
 //!   steps and charging a *reserved* slice of the shared work budget (so
@@ -23,8 +25,10 @@
 //! * completed batches advance the global per-table offsets exactly like
 //!   sequential Skinner-C, so every tuple range is joined exactly once and
 //!   the result is identical to any other strategy's;
+//! * pre-processing (filters, jump-index builds) runs at the same
+//!   `threads` on the same pool;
 //! * grouping/ordering post-processing runs through
-//!   [`skinner_exec::postprocess_parallel`]: scoped threads range over
+//!   [`skinner_exec::postprocess_parallel`]: pool tasks range over
 //!   sub-ranges of the collected tuples (no per-tuple copy) for partial
 //!   aggregation / local sorting with a coordinator merge, so the tail of
 //!   the query no longer serializes on the coordinator thread.
@@ -62,9 +66,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use skinner_exec::{
-    merge_worker_metrics, partition_tuples, CancelToken, EpisodeRuns, ExecContext, ExecMetrics,
-    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange, WorkBudget,
-    WorkerPool,
+    merge_worker_metrics, partition_tuples, scatter_gather, CancelToken, EpisodeRuns, ExecContext,
+    ExecMetrics, ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange,
+    WorkBudget,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
@@ -98,9 +102,6 @@ pub struct ParallelSkinnerConfig {
     /// Global work-unit cap (shared by all workers; enforced by
     /// reservation, so N workers cannot collectively overspend it).
     pub work_limit: u64,
-    /// Threads for index building during pre-processing; `0` = same as
-    /// `threads`.
-    pub preprocess_threads: usize,
 }
 
 impl Default for ParallelSkinnerConfig {
@@ -114,7 +115,6 @@ impl Default for ParallelSkinnerConfig {
             seed: 0x5EED,
             use_jump_indexes: true,
             work_limit: u64::MAX,
-            preprocess_threads: 0,
         }
     }
 }
@@ -226,15 +226,10 @@ pub fn run_parallel_skinner(
         cfg.threads
     }
     .max(1);
-    let preprocess_threads = if cfg.preprocess_threads == 0 {
-        threads
-    } else {
-        cfg.preprocess_threads
-    };
 
     let trace = ctx.trace();
     let pre_timer = SpanTimer::start(trace, "preprocess");
-    let prepared = match prepare(query, &budget, preprocess_threads, cfg.use_jump_indexes) {
+    let prepared = match prepare(query, &budget, threads, cfg.use_jump_indexes) {
         Ok(p) => p,
         Err(_) => {
             ctx.absorb_work(budget.used());
@@ -274,9 +269,6 @@ pub fn run_parallel_skinner(
             warm_start_generalized = warm.generalized as u64;
         }
     }
-    let pool: WorkerPool<EpisodeTask, WorkerReport> =
-        WorkerPool::new(threads, |_, task| run_chunk(task));
-
     let mut offsets: Vec<RowId> = vec![0; m];
     let mut global_results = TupleBuf::new(m);
     let mut order_infos: HashMap<Box<[u8]>, Arc<OrderInfo>> = HashMap::new();
@@ -346,22 +338,25 @@ pub fn run_parallel_skinner(
                 break;
             }
             let shared_offsets = Arc::new(offsets.clone());
-            let tasks: Vec<EpisodeTask> = ranges
+            let tasks: Vec<_> = ranges
                 .iter()
-                .map(|&range| EpisodeTask {
-                    info: info.clone(),
-                    offsets: shared_offsets.clone(),
-                    range,
-                    cap,
-                    slice_steps: cfg.slice_steps,
-                    cancel: ctx.cancel().clone(),
-                    norm,
+                .map(|&range| {
+                    let task = EpisodeTask {
+                        info: info.clone(),
+                        offsets: shared_offsets.clone(),
+                        range,
+                        cap,
+                        slice_steps: cfg.slice_steps,
+                        cancel: ctx.cancel().clone(),
+                        norm,
+                    };
+                    move || run_chunk(task)
                 })
                 .collect();
             // Reports come back in chunk order, so tuples append and
             // rewards apply the same way however the workers' finishes
             // interleave.
-            let reports = pool.scatter_gather(tasks);
+            let reports = scatter_gather(tasks);
 
             // Release the reservation, then record what was actually spent
             // (a worker may exceed its cap by its final charge's overage,

@@ -9,16 +9,21 @@
 //! covers the *filtered* tuples only and dies with the statement — which
 //! is why the paper calls the overhead of supporting all join orders
 //! "typically small". Index construction is the parallelizable part of
-//! SkinnerDB (Section 6.1).
+//! SkinnerDB (Section 6.1): with `threads > 1` the targets are cut into
+//! `threads` chunks that run on the process-wide pool
+//! ([`skinner_exec::scatter_gather`]), the calling thread taking the last
+//! chunk and any chunk no parked helper has started.
 //!
 //! Work units are a statement's logical cost: every index is charged its
 //! row count whether this call built it or found it, so budgets, timeouts
-//! and learning do not depend on what ran before.
+//! and learning do not depend on what ran before. The calling thread
+//! charges the targets in order before any build, so they do not depend
+//! on the thread count or on scheduling either.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use skinner_exec::{preprocess, Timeout, WorkBudget};
+use skinner_exec::{preprocess, scatter_gather, Timeout, WorkBudget};
 use skinner_query::JoinQuery;
 use skinner_storage::{HashIndex, Table};
 
@@ -64,11 +69,7 @@ pub fn prepare(
         }
     }
     let builds = AtomicU64::new(0);
-    let indexes = if threads > 1 && targets.len() > 1 {
-        fetch_parallel(&pre.tables, &targets, budget, &builds, threads)?
-    } else {
-        fetch(&pre.tables, &targets, budget, &builds)?
-    };
+    let indexes = fetch(&pre.tables, &targets, budget, &builds, threads)?;
     let index_builds = builds.into_inner();
     let index_reuses = indexes.len() as u64 - index_builds;
     let ctx = MultiwayCtx::new(pre.tables, indexes);
@@ -87,46 +88,43 @@ pub fn prepare(
 type JumpIndex = ((usize, usize), Arc<HashIndex>);
 
 /// Charge for and fetch the index of every target, counting in `builds`
-/// the ones this call had to build. Charge first: a statement out of
-/// budget stops at the same target whether or not the index exists.
+/// the ones this call had to build. The calling thread charges the
+/// targets in order before any build, so a statement out of budget stops
+/// at the same target, having built the same indexes, whether or not they
+/// existed and at every thread count. The builds run in `threads` chunks
+/// of targets on the shared pool.
 fn fetch(
-    tables: &[Arc<Table>],
-    targets: &[(usize, usize)],
-    budget: &WorkBudget,
-    builds: &AtomicU64,
-) -> Result<Vec<JumpIndex>, Timeout> {
-    let mut out = Vec::with_capacity(targets.len());
-    for &(t, col) in targets {
-        budget.charge(tables[t].num_rows() as u64)?;
-        let (index, built) = tables[t].join_index_built(col);
-        // A statistic: publishes nothing.
-        builds.fetch_add(built as u64, Ordering::Relaxed);
-        out.push(((t, col), index.clone()));
-    }
-    Ok(out)
-}
-
-fn fetch_parallel(
     tables: &[Arc<Table>],
     targets: &[(usize, usize)],
     budget: &WorkBudget,
     builds: &AtomicU64,
     threads: usize,
 ) -> Result<Vec<JumpIndex>, Timeout> {
-    let chunk = targets.len().div_ceil(threads).max(1);
-    let results: Vec<Result<Vec<JumpIndex>, Timeout>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = targets
-            .chunks(chunk)
-            .map(|part| scope.spawn(move |_| fetch(tables, part, budget, builds)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("index build thread panicked");
-    let mut all = Vec::with_capacity(targets.len());
-    for r in results {
-        all.extend(r?);
+    let charged = targets
+        .iter()
+        .position(|&(t, _)| budget.charge(tables[t].num_rows() as u64).is_err());
+    let fetched = &targets[..charged.unwrap_or(targets.len())];
+    let chunk = fetched.len().div_ceil(threads.max(1)).max(1);
+    let tasks: Vec<_> = fetched
+        .chunks(chunk)
+        .map(|part| {
+            move || -> Vec<JumpIndex> {
+                part.iter()
+                    .map(|&(t, col)| {
+                        let (index, built) = tables[t].join_index_built(col);
+                        // A statistic: publishes nothing.
+                        builds.fetch_add(built as u64, Ordering::Relaxed);
+                        ((t, col), index.clone())
+                    })
+                    .collect()
+            }
+        })
+        .collect();
+    let indexes = scatter_gather(tasks).into_iter().flatten().collect();
+    match charged {
+        Some(_) => Err(Timeout),
+        None => Ok(indexes),
     }
-    Ok(all)
 }
 
 #[cfg(test)]

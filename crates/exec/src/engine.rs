@@ -21,6 +21,7 @@ use skinner_query::{EquiPred, JoinQuery, Pred, TableSet};
 use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
+use crate::pool::scatter_gather;
 use crate::TupleIxs;
 
 /// Execution-engine profile.
@@ -368,7 +369,8 @@ fn nested_loop_step(
     run_probe(current, profile, probe_one, count_only, query.num_tables())
 }
 
-/// Drive a per-tuple probe closure, optionally in parallel across threads.
+/// Drive a per-tuple probe closure, in `profile.threads` chunks on the
+/// shared pool.
 fn run_probe<F>(
     current: &[TupleIxs],
     profile: &ExecProfile,
@@ -379,26 +381,18 @@ fn run_probe<F>(
 where
     F: Fn(&TupleIxs, &mut Vec<TupleIxs>, &mut u64, &mut Vec<RowId>) -> Result<(), Timeout> + Sync,
 {
-    let threads = profile.threads;
-    if threads <= 1 || current.len() < 1024 {
-        let mut out = Vec::new();
-        let mut count = 0u64;
-        let mut scratch = vec![0 as RowId; width];
-        for tuple in current {
-            probe_one(tuple, &mut out, &mut count, &mut scratch)?;
-        }
-        return Ok(if count_only {
-            StepOutput::Count(count)
-        } else {
-            StepOutput::Tuples(out)
-        });
-    }
-    let chunk = current.len().div_ceil(threads);
-    let results: Vec<Result<(Vec<TupleIxs>, u64), Timeout>> = crossbeam::thread::scope(|scope| {
-        let probe_one = &probe_one;
-        let mut handles = Vec::new();
-        for part in current.chunks(chunk) {
-            handles.push(scope.spawn(move |_| {
+    // Below 1 024 tuples, one chunk: it runs on the calling thread.
+    let parts = if current.len() < 1024 {
+        1
+    } else {
+        profile.threads.max(1)
+    };
+    let chunk = current.len().div_ceil(parts).max(1);
+    let probe_one = &probe_one;
+    let tasks: Vec<_> = current
+        .chunks(chunk)
+        .map(|part| {
+            move || {
                 let mut out = Vec::new();
                 let mut count = 0u64;
                 let mut scratch = vec![0 as RowId; width];
@@ -406,16 +400,19 @@ where
                     probe_one(tuple, &mut out, &mut count, &mut scratch)?;
                 }
                 Ok((out, count))
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("probe thread panicked");
+            }
+        })
+        .collect();
+    let results: Vec<Result<(Vec<TupleIxs>, u64), Timeout>> = scatter_gather(tasks);
     let mut out = Vec::new();
     let mut count = 0u64;
     for r in results {
         let (v, c) = r?;
-        out.extend(v);
+        if out.is_empty() {
+            out = v;
+        } else {
+            out.extend(v);
+        }
         count += c;
     }
     Ok(if count_only {

@@ -39,9 +39,9 @@
 //!   and a cooperative [`CancelToken`] threaded through the slice loops,
 //! * [`outcome`] — the one shared [`ExecOutcome`] / [`ExecMetrics`] pair
 //!   all strategies report,
-//! * [`pool`] — the persistent [`WorkerPool`] plus tuple-range partitioning
-//!   and metric merging used by data-parallel strategies such as
-//!   `parallel_skinner`.
+//! * [`pool`] — [`scatter_gather`], the process-wide pool every parallel
+//!   phase runs on, plus tuple-range partitioning and metric merging used
+//!   by data-parallel strategies such as `parallel_skinner`.
 
 pub mod budget;
 pub mod context;
@@ -62,7 +62,9 @@ pub use budget::{LocalWork, Timeout, WorkBudget, WorkPermit};
 pub use context::{default_threads, CancelToken, ExecContext};
 pub use engine::{execute_join, join_step, ExecProfile, JoinOutput};
 pub use outcome::{ExecMetrics, ExecOutcome};
-pub use pool::{merge_worker_metrics, partition_tuples, CompletionPool, TupleRange, WorkerPool};
+pub use pool::{
+    merge_worker_metrics, partition_tuples, scatter_gather, CompletionPool, TupleRange,
+};
 pub use postprocess::{postprocess, postprocess_parallel};
 pub use preprocess::{preprocess, Preprocessed};
 pub use result::QueryResult;

@@ -1,24 +1,28 @@
-//! A persistent worker pool for data-parallel episode execution.
+//! Thread pools and the helpers of data-parallel phases.
 //!
-//! The paper's multi-threaded SkinnerC splits each time slice's tuple
-//! batches across threads. [`WorkerPool`] is the engine-agnostic half of
-//! that design: N − 1 long-lived helper threads fed per-episode tasks over
-//! channels, plus the calling thread, which runs the last task of each
-//! scatter/gather call itself; results come back in task order.
-//! [`partition_tuples`] cuts an input-tuple range into near-equal
-//! contiguous chunks, and [`merge_worker_metrics`] folds the per-worker
-//! [`ExecMetrics`] back into the single block an [`crate::ExecOutcome`]
-//! carries.
+//! The paper's multi-threaded SkinnerDB parallelizes pre-processing,
+//! index building and the per-episode batches of the join phase
+//! (Section 6.1). Every such phase here runs through [`scatter_gather`]:
+//! one process-wide pool of parked helper threads, started by the first
+//! call that has more than one task, which runs a call's borrowed closures
+//! and returns their results in task order. [`partition_tuples`] cuts an
+//! input-tuple range into near-equal contiguous chunks, and
+//! [`merge_worker_metrics`] folds the per-worker [`ExecMetrics`] back into
+//! the single block an [`crate::ExecOutcome`] carries. [`CompletionPool`]
+//! is the other mechanism: the server's asynchronous statement pool.
 //!
 //! The pool is deliberately dumb: it knows nothing about joins, budgets or
-//! learning. Strategies (e.g. `parallel_skinner` in `skinner_core`) own the
-//! episode loop and ship self-contained tasks — everything a worker touches
-//! travels inside the task, typically behind `Arc`s.
+//! learning, and it has no size knob. Callers cut their work into chunks
+//! by their own `threads` setting, so rows, work units and learned orders
+//! never depend on how many helpers the pool has or which of them ran a
+//! chunk.
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::JoinHandle;
 
+use crate::context::default_threads;
 use crate::outcome::ExecMetrics;
 
 /// A half-open range `[start, end)` of tuple indices.
@@ -135,121 +139,185 @@ pub fn merge_worker_metrics(parts: impl IntoIterator<Item = ExecMetrics>) -> Exe
     merged
 }
 
-/// A pool of `threads − 1` persistent helper threads plus the calling
-/// thread, processing tasks of type `T` into results of type `R`.
+// ---- the process-wide scatter/gather pool -------------------------------
+
+/// Run `tasks` and return their results in task order.
 ///
-/// [`WorkerPool::scatter_gather`] hands all but the last task of a call
-/// round-robin to the helpers, runs the last one on the calling thread,
-/// waits for the helpers' results and returns every result in task order.
-/// The caller works instead of sleeping at the barrier, and a call with one
-/// task (or a one-thread pool) never touches another thread. Dropping the
-/// pool closes the task channels and joins the helpers.
-pub struct WorkerPool<T, R> {
-    worker: Arc<Worker<T, R>>,
-    task_txs: Vec<mpsc::Sender<(usize, T)>>,
-    result_rx: mpsc::Receiver<(usize, std::thread::Result<R>)>,
-    handles: Vec<JoinHandle<()>>,
+/// Every task but the last is queued on the process-wide pool; the caller
+/// runs the last, then takes back and runs every task of this call that no
+/// helper has started, and waits only for those already running. It never
+/// runs another call's task, so calls may nest or run concurrently without
+/// deadlock, and one statement never picks up another's work. Tasks may
+/// borrow from the caller. A one-task call runs inline; the first call with
+/// more tasks starts [`default_threads`]` − 1` helpers (at least one), which
+/// park between calls. A task's panic is caught, so its helper survives;
+/// the first panic in task order is re-raised here once every task of the
+/// call has finished.
+pub fn scatter_gather<'a, R, F>(tasks: Vec<F>) -> Vec<R>
+where
+    F: FnOnce() -> R + Send + 'a,
+    R: Send + 'a,
+{
+    static POOL: Pool = Pool::new();
+    POOL.scatter_gather(tasks)
 }
 
-type Worker<T, R> = dyn Fn(usize, T) -> R + Send + Sync;
+/// Helpers on a machine with `available` hardware threads: one fewer,
+/// since the caller works too, but at least one.
+fn helper_count(available: usize) -> usize {
+    available.saturating_sub(1).max(1)
+}
 
-impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
-    /// A pool of `threads` (at least one) running `worker(worker_id, task)`
-    /// per task: it spawns `threads − 1` helpers, ids `0..threads − 1`, and
-    /// the calling thread is worker `threads − 1`.
-    pub fn new<F>(threads: usize, worker: F) -> Self
+/// Helper threads parked on one queue of lifetime-erased jobs.
+struct Pool {
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled once per queued job.
+    ready: Condvar,
+    start: Once,
+}
+
+/// A queued task, and the latch of the call it belongs to.
+struct Job {
+    run: Box<dyn FnOnce() + Send>,
+    call: Arc<Latch>,
+}
+
+/// Counts the finished jobs of one call.
+#[derive(Default)]
+struct Latch {
+    finished: Mutex<usize>,
+    done: Condvar,
+}
+
+/// One call's claim on the jobs it queued. Its drop — on return or while
+/// unwinding — runs every job of the call no helper has started, then
+/// waits until all `queued` have finished.
+struct Call {
+    pool: &'static Pool,
+    latch: Arc<Latch>,
+    queued: usize,
+}
+
+/// Nothing panics while holding the pool's locks, and every update under
+/// them is a single step, so a poisoned lock would still guard valid data;
+/// ignoring poison keeps [`Call`]'s drop free of panics.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Job {
+    fn run(self) {
+        (self.run)();
+        *lock(&self.call.finished) += 1;
+        self.call.done.notify_one();
+    }
+}
+
+impl Pool {
+    const fn new() -> Self {
+        Pool {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            start: Once::new(),
+        }
+    }
+
+    fn scatter_gather<'a, R, F>(&'static self, mut tasks: Vec<F>) -> Vec<R>
     where
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        F: FnOnce() -> R + Send + 'a,
+        R: Send + 'a,
     {
-        let helpers = threads.max(1) - 1;
-        let worker: Arc<Worker<T, R>> = Arc::new(worker);
-        let (result_tx, result_rx) = mpsc::channel();
-        let mut task_txs = Vec::with_capacity(helpers);
-        let mut handles = Vec::with_capacity(helpers);
-        for id in 0..helpers {
-            let (task_tx, task_rx) = mpsc::channel::<(usize, T)>();
-            task_txs.push(task_tx);
-            let worker = worker.clone();
-            let result_tx = result_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                // Exits when the pool drops its sender.
-                while let Ok((ix, task)) = task_rx.recv() {
-                    // A panicking task (a user UDF, say) must still produce
-                    // a result message, or `scatter_gather` would wait for
-                    // it forever; the caller re-raises the panic instead.
-                    let r =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(id, task)));
-                    if result_tx.send((ix, r)).is_err() {
-                        return; // pool gone
-                    }
-                }
-            }));
-        }
-        WorkerPool {
-            worker,
-            task_txs,
-            result_rx,
-            handles,
-        }
-    }
-
-    /// Number of threads, the calling one included.
-    pub fn threads(&self) -> usize {
-        self.task_txs.len() + 1
-    }
-
-    /// Run `tasks`: all but the last round-robin on the helpers, the last on
-    /// the calling thread. Returns one result per task, in task order.
-    /// A panic in any task is re-raised here only after every task handed
-    /// to a helper has reported, so the pool stays usable after the caller
-    /// catches it.
-    pub fn scatter_gather(&self, mut tasks: Vec<T>) -> Vec<R> {
-        let helpers = self.task_txs.len();
-        if helpers == 0 {
-            return tasks.into_iter().map(|t| (self.worker)(0, t)).collect();
-        }
         let Some(last) = tasks.pop() else {
             return Vec::new();
         };
-        let sent = tasks.len();
-        for (ix, task) in tasks.into_iter().enumerate() {
-            self.task_txs[ix % helpers]
-                .send((ix, task))
-                .expect("helper thread exited while the pool is alive");
+        if tasks.is_empty() {
+            return vec![last()];
         }
-        let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (self.worker)(helpers, last)
-        }));
-        let mut results: Vec<Option<R>> = (0..sent).map(|_| None).collect();
-        let mut panicked = None;
-        for _ in 0..sent {
-            let (ix, r) = self
-                .result_rx
-                .recv()
-                .expect("helper thread exited while the pool is alive");
-            match r {
-                Ok(r) => results[ix] = Some(r),
-                Err(payload) => panicked = panicked.or(Some(payload)),
+        self.start.call_once(|| {
+            for _ in 0..helper_count(default_threads()) {
+                // Helpers live as long as the process and never panic (each
+                // job catches its task's panic), so no handle is kept. One
+                // that fails to spawn costs only parallelism: the caller
+                // takes back whatever no helper starts.
+                let _ = std::thread::Builder::new()
+                    .name("skinner-pool".into())
+                    .spawn(move || self.serve());
+            }
+        });
+        let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+            tasks.iter().map(|_| Mutex::new(None)).collect();
+        let local = {
+            let mut call = Call {
+                pool: self,
+                latch: Arc::default(),
+                queued: 0,
+            };
+            let mut queue = lock(&self.queue);
+            for (task, slot) in tasks.into_iter().zip(&slots) {
+                let run: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    *lock(slot) = Some(panic::catch_unwind(AssertUnwindSafe(task)));
+                });
+                // SAFETY: the job borrows `slot` and what `task` borrows, so
+                // it must not run after this call returns or unwinds. It
+                // cannot: `call` drops before `slots` and before this
+                // function returns or unwinds, and its drop runs every job
+                // of the call still queued and waits for all the others. A
+                // helper touches nothing of a job after running it but the
+                // reference-counted latch.
+                let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
+                queue.push_back(Job {
+                    run,
+                    call: call.latch.clone(),
+                });
+                call.queued += 1;
+            }
+            drop(queue);
+            for _ in 0..call.queued {
+                self.ready.notify_one();
+            }
+            panic::catch_unwind(AssertUnwindSafe(last))
+        };
+        let results: std::thread::Result<Vec<R>> = slots
+            .into_iter()
+            .map(|slot| lock(&slot).take().expect("every task has finished"))
+            .chain(std::iter::once(local))
+            .collect();
+        results.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// A helper's life: run queued jobs of any call, park when none is left.
+    fn serve(&self) {
+        loop {
+            let mut queue = self
+                .ready
+                .wait_while(lock(&self.queue), |queue| queue.is_empty())
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(job) = queue.pop_front() {
+                drop(queue);
+                job.run();
             }
         }
-        let local = local.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("one result per task"))
-            .chain(std::iter::once(local))
-            .collect()
     }
 }
 
-impl<T, R> Drop for WorkerPool<T, R> {
+impl Drop for Call {
     fn drop(&mut self) {
-        self.task_txs.clear(); // close the channels → helpers exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        loop {
+            let mut queue = lock(&self.pool.queue);
+            let mine = queue
+                .iter()
+                .position(|job| Arc::ptr_eq(&job.call, &self.latch));
+            let Some(job) = mine.and_then(|ix| queue.remove(ix)) else {
+                break;
+            };
+            drop(queue);
+            job.run();
         }
+        let finished = self
+            .latch
+            .done
+            .wait_while(lock(&self.latch.finished), |n| *n < self.queued);
+        drop(finished);
     }
 }
 
@@ -261,22 +329,21 @@ struct CompletionQueue<T> {
 }
 
 struct CompletionQueueState<T> {
-    tasks: std::collections::VecDeque<T>,
+    tasks: VecDeque<T>,
     closed: bool,
 }
 
-/// The asynchronous sibling of [`WorkerPool`]: N persistent threads pull
-/// tasks from one shared queue, and each finished task's result is handed
-/// to a *completion hook* on the worker thread instead of being gathered
-/// by the submitter.
+/// The asynchronous sibling of [`scatter_gather`]: N persistent threads
+/// pull tasks from one shared queue, and each finished task's result is
+/// handed to a *completion hook* on the worker thread instead of being
+/// gathered by the submitter.
 ///
-/// Where [`WorkerPool::scatter_gather`] is a barrier (run a batch, wait
-/// for all of it), [`CompletionPool::submit`] never blocks:
-/// an event loop can hand work over and keep multiplexing sockets while
-/// the hook routes each result back (e.g. into a per-shard completion
-/// queue followed by a poller wake-up). The shared queue also means no
-/// head-of-line blocking behind a slow task on a round-robin channel —
-/// any idle worker picks up the next task.
+/// Where [`scatter_gather`] is a barrier (run a batch, wait for all of
+/// it), [`CompletionPool::submit`] never blocks: an event loop can hand
+/// work over and keep multiplexing sockets while the hook routes each
+/// result back (e.g. into a per-shard completion queue followed by a
+/// poller wake-up). Any idle worker picks up the next task, so nothing
+/// queues behind a slow one.
 ///
 /// The hook runs on the worker thread; keep it cheap (push + notify). A
 /// panicking task is swallowed and produces *no* completion — callers
@@ -300,7 +367,7 @@ impl<T: Send + 'static> CompletionPool<T> {
         let threads = threads.max(1);
         let queue = Arc::new(CompletionQueue {
             state: std::sync::Mutex::new(CompletionQueueState {
-                tasks: std::collections::VecDeque::new(),
+                tasks: VecDeque::new(),
                 closed: false,
             }),
             ready: std::sync::Condvar::new(),
@@ -396,93 +463,184 @@ mod tests {
         assert!(partition_tuples(0, 10, 0).is_empty());
     }
 
+    /// A pool of its own, so a test can watch it start.
+    fn fresh_pool() -> &'static Pool {
+        Box::leak(Box::new(Pool::new()))
+    }
+
     #[test]
     fn pool_processes_all_tasks() {
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, |_, x| x * 2);
-        let results = pool.scatter_gather((0..100).collect());
+        let results = scatter_gather((0..100u64).map(|x| move || x * 2).collect());
         assert_eq!(results, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
-        // The pool is reusable across episodes.
-        assert_eq!(pool.scatter_gather(vec![21]), vec![42]);
-        assert!(pool.scatter_gather(Vec::new()).is_empty());
+        // The pool is reused across calls.
+        assert_eq!(scatter_gather(vec![|| 42]), vec![42]);
+        let none: Vec<fn() -> u64> = Vec::new();
+        assert!(scatter_gather(none).is_empty());
+    }
+
+    #[test]
+    fn tasks_borrow_from_the_caller() {
+        use std::time::Duration;
+        let data: Vec<u64> = (0..1000).collect();
+        // On the caller's stack: a task that outlived the call would write
+        // into a dead frame.
+        let mut sums = [0u64; 4];
+        let tasks: Vec<_> = data
+            .chunks(250)
+            .zip(sums.iter_mut())
+            .enumerate()
+            .map(|(ix, (chunk, sum))| {
+                move || {
+                    // Early chunks finish last.
+                    std::thread::sleep(Duration::from_millis(3 * (4 - ix as u64)));
+                    *sum = chunk.iter().sum();
+                    chunk.len()
+                }
+            })
+            .collect();
+        assert_eq!(scatter_gather(tasks), vec![250; 4]);
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
     #[test]
     fn results_come_back_in_task_order() {
         use std::time::Duration;
-        // Early tasks sleep longest, so they finish last.
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, |_, x| {
-            std::thread::sleep(Duration::from_millis(4 * (4 - x)));
-            x
-        });
         for _ in 0..3 {
-            assert_eq!(pool.scatter_gather(vec![0, 1, 2, 3]), vec![0, 1, 2, 3]);
+            // Early tasks sleep longest, so they finish last.
+            let tasks: Vec<_> = (0..4u64)
+                .map(|x| {
+                    move || {
+                        std::thread::sleep(Duration::from_millis(4 * (4 - x)));
+                        x
+                    }
+                })
+                .collect();
+            assert_eq!(scatter_gather(tasks), vec![0, 1, 2, 3]);
         }
     }
 
     #[test]
     fn last_task_runs_on_the_calling_thread() {
-        use std::thread::{current, ThreadId};
-        let pool: WorkerPool<(), (usize, ThreadId)> =
-            WorkerPool::new(3, |id, ()| (id, current().id()));
-        assert_eq!(pool.threads(), 3);
-        let got = pool.scatter_gather(vec![(), (), ()]);
+        use std::thread::current;
         let me = current().id();
-        assert_eq!(got[2], (2, me), "the caller is the last worker");
-        for (ix, &(id, thread)) in got[..2].iter().enumerate() {
-            assert_eq!(id, ix, "task {ix} goes to helper {ix}");
-            assert_ne!(thread, me, "task {ix} ran on the caller");
-        }
-        assert_ne!(got[0].1, got[1].1);
+        let got = scatter_gather((0..3).map(|_| || current().id()).collect());
+        assert_eq!(got[2], me, "the caller runs the last task");
         // A single task never leaves the calling thread.
-        assert_eq!(pool.scatter_gather(vec![()]), vec![(2, me)]);
+        assert_eq!(scatter_gather(vec![|| current().id()]), vec![me]);
     }
 
     #[test]
     fn one_thread_spawns_nothing_and_runs_every_task_inline() {
-        let pool: WorkerPool<u64, (u64, std::thread::ThreadId)> =
-            WorkerPool::new(1, |_, x| (x, std::thread::current().id()));
-        assert_eq!(pool.threads(), 1);
-        assert!(pool.handles.is_empty(), "no helper thread");
+        let pool = fresh_pool();
         let me = std::thread::current().id();
-        let got = pool.scatter_gather((0..5).collect());
-        assert_eq!(got, (0..5).map(|x| (x, me)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_panic_propagates_instead_of_deadlocking() {
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, |_, x| {
-            assert!(x != 3, "poison task");
-            x
-        });
-        // One poisoned task among many, on a helper: gather must raise,
-        // not hang.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scatter_gather((0..8).collect())
-        }));
-        assert!(r.is_err(), "helper panic must propagate to the caller");
-        // No result of the failed call is left behind for the next one.
-        assert_eq!(pool.scatter_gather(vec![4, 5, 6]), vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn local_task_panic_propagates_after_the_helpers_finish() {
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(3, |_, x| {
-            assert!(x != 9, "poison task");
-            x
-        });
-        // The poisoned task is last, so it runs on the calling thread.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scatter_gather(vec![1, 2, 9])
-        }));
-        assert!(r.is_err(), "local panic must propagate");
-        assert_eq!(pool.scatter_gather(vec![1, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(
+            pool.scatter_gather(vec![|| std::thread::current().id()]),
+            vec![me]
+        );
+        assert!(
+            !pool.start.is_completed(),
+            "a one-task call starts no helper"
+        );
+        assert_eq!(pool.scatter_gather(vec![|| 1, || 2]), vec![1, 2]);
+        assert!(pool.start.is_completed(), "a two-task call starts the pool");
     }
 
     #[test]
     fn pool_clamps_to_one_thread() {
-        let pool: WorkerPool<(), usize> = WorkerPool::new(0, |id, ()| id);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.scatter_gather(vec![(), ()]), vec![0, 0]);
+        assert_eq!(helper_count(0), 1);
+        assert_eq!(helper_count(1), 1);
+        assert_eq!(helper_count(2), 1);
+        assert_eq!(helper_count(8), 7);
+    }
+
+    #[test]
+    fn nested_calls_finish_in_task_order() {
+        let outer: Vec<_> = (0..4u64)
+            .map(|i| {
+                move || {
+                    let inner: Vec<_> = (0..4u64).map(|j| move || 10 * i + j).collect();
+                    scatter_gather(inner)
+                }
+            })
+            .collect();
+        let got = scatter_gather(outer);
+        let want: Vec<Vec<u64>> = (0..4u64)
+            .map(|i| (0..4u64).map(|j| 10 * i + j).collect())
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn concurrent_callers_never_run_each_others_tasks() {
+        use std::sync::Barrier;
+        use std::thread::{current, ThreadId};
+        let barrier = Barrier::new(2);
+        let callers: Vec<(ThreadId, Vec<ThreadId>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let mut ran_on = Vec::new();
+                        for _ in 0..200 {
+                            let tasks: Vec<_> = (0..4).map(|_| || current().id()).collect();
+                            ran_on.extend(scatter_gather(tasks));
+                        }
+                        (current().id(), ran_on)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(!callers[0].1.contains(&callers[1].0));
+        assert!(!callers[1].1.contains(&callers[0].0));
+    }
+
+    #[test]
+    fn worker_panic_propagates_instead_of_deadlocking() {
+        // One poisoned task among many, queued for a helper: the call must
+        // raise the task's own panic, not hang.
+        let tasks: Vec<_> = (0..8u64)
+            .map(|x| {
+                move || {
+                    assert!(x != 3, "poison task");
+                    x
+                }
+            })
+            .collect();
+        let r = panic::catch_unwind(AssertUnwindSafe(|| scatter_gather(tasks)));
+        let payload = r.expect_err("a task's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"poison task"));
+        // The helpers survive, and nothing of the failed call is left
+        // behind for the next one.
+        for _ in 0..10 {
+            assert_eq!(scatter_gather(vec![|| 4, || 5, || 6]), vec![4, 5, 6]);
+        }
+    }
+
+    #[test]
+    fn local_task_panic_propagates_after_the_helpers_finish() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        let finished = AtomicUsize::new(0);
+        let tasks: Vec<_> = (0..3u64)
+            .map(|x| {
+                let finished = &finished;
+                move || {
+                    // The poisoned task is last, so the caller runs it.
+                    assert!(x != 2, "poison task");
+                    std::thread::sleep(Duration::from_millis(10));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .collect();
+        let r = panic::catch_unwind(AssertUnwindSafe(|| scatter_gather(tasks)));
+        assert!(r.is_err(), "local panic must propagate");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            2,
+            "raised before the others finished"
+        );
+        assert_eq!(scatter_gather(vec![|| 1, || 2, || 3]), vec![1, 2, 3]);
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! * [`postprocess`] — the single-threaded pipeline every sequential
 //!   strategy uses;
 //! * [`postprocess_parallel`] — the same kernel over contiguous sub-ranges
-//!   of the view, one scoped thread each: every worker does **partial
+//!   of the view, one task each on the process-wide pool
+//!   ([`crate::pool::scatter_gather`]): every worker does **partial
 //!   aggregation** (its own group table) or **projection + local sort**,
 //!   and the coordinator finishes with a merge in chunk order (GROUP BY —
 //!   accumulators merge pairwise, the earliest chunk's representative
@@ -60,7 +61,7 @@ use skinner_storage::hash::fold_keys;
 use skinner_storage::{Column, DataType, Interner, InternerRead, RowId, Table, Value};
 
 use crate::budget::{Timeout, WorkBudget};
-use crate::pool::partition_tuples;
+use crate::pool::{partition_tuples, scatter_gather};
 use crate::result::QueryResult;
 use crate::tuples::TupleView;
 
@@ -130,37 +131,32 @@ pub fn postprocess_parallel(
         Rows(Vec<Vec<Value>>),
     }
 
-    // One scoped thread per chunk, joined in chunk order: the merges below
-    // depend on it (group representatives, concatenation, merge ties).
-    let reports: Vec<(Result<Partial, Timeout>, u64)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&range| {
-                let kernel = &kernel;
-                scope.spawn(move |_| {
-                    let budget = WorkBudget::with_limit(range.len() + slack);
-                    let chunk = tuples.slice(range.start as usize, range.end as usize);
-                    let cx = kernel.open();
-                    let body = if kernel.aggregating {
-                        kernel.scan_groups(chunk, &budget, &cx).map(Partial::Groups)
-                    } else {
-                        kernel.project(chunk, &budget, &cx).map(|mut rows| {
-                            if local_sort {
-                                rows.sort_by(|a, b| order_cmp(query, a, b));
-                            }
-                            Partial::Rows(rows)
-                        })
-                    };
-                    (body, budget.used())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("post-processing worker panicked"))
-            .collect()
-    })
-    .expect("post-processing workers are joined above");
+    // One task per chunk on the shared pool; results come back in chunk
+    // order, which the merges below depend on (group representatives,
+    // concatenation, merge ties).
+    let kernel = &kernel;
+    let tasks: Vec<_> = ranges
+        .iter()
+        .map(|&range| {
+            move || {
+                let budget = WorkBudget::with_limit(range.len() + slack);
+                let chunk = tuples.slice(range.start as usize, range.end as usize);
+                let cx = kernel.open();
+                let body = if kernel.aggregating {
+                    kernel.scan_groups(chunk, &budget, &cx).map(Partial::Groups)
+                } else {
+                    kernel.project(chunk, &budget, &cx).map(|mut rows| {
+                        if local_sort {
+                            rows.sort_by(|a, b| order_cmp(query, a, b));
+                        }
+                        Partial::Rows(rows)
+                    })
+                };
+                (body, budget.used())
+            }
+        })
+        .collect();
+    let reports: Vec<(Result<Partial, Timeout>, u64)> = scatter_gather(tasks);
 
     budget.refund(reserve);
     for (_, used) in &reports {

@@ -3,9 +3,12 @@
 //! Every evaluation strategy in the paper starts here (Section 3): unary
 //! predicates are applied once, up front, producing filtered base tables so
 //! the join phase works on dense row ids. Pre-processing is the only phase
-//! SkinnerDB parallelizes (Section 6.1); `threads > 1` splits each table
-//! scan across crossbeam scoped threads. Each table's predicates are
-//! lowered once ([`skinner_query::Pred`]) and then evaluated per row.
+//! SkinnerDB parallelizes (Section 6.1); `threads > 1` cuts each table
+//! scan into `threads` chunks and runs them on the process-wide pool
+//! ([`crate::pool::scatter_gather`]): the calling thread scans the last
+//! chunk and any chunk no parked helper has picked up, so a tiny table
+//! costs no thread start. Each table's predicates are lowered once
+//! ([`skinner_query::Pred`]) and then evaluated per row.
 //!
 //! Tables decoded from disk segments carry zone maps; the scan plan
 //! (see [`crate::zonescan`]) is computed once, on the coordinator, before
@@ -18,7 +21,8 @@ use skinner_query::{JoinQuery, Pred};
 use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
-use crate::zonescan::{plan_scan, split_ranges, ScanPlan};
+use crate::pool::scatter_gather;
+use crate::zonescan::{plan_scan, split_ranges};
 
 /// Output of pre-processing.
 #[derive(Debug, Clone)]
@@ -65,11 +69,7 @@ pub fn preprocess(
         budget.charge(plan.pages_read + plan.pages_skipped)?;
         pages_read += plan.pages_read;
         pages_skipped += plan.pages_skipped;
-        let rows = if threads > 1 {
-            filter_parallel(query, t, budget, threads, &plan)?
-        } else {
-            filter_serial(query, t, budget, &plan.ranges)?
-        };
+        let rows = filter(query, t, budget, threads, &plan.ranges)?;
         budget.charge(rows.len() as u64)?;
         let filtered = table.gather(&rows, format!("{}#f", table.name()));
         tables.push(Arc::new(filtered));
@@ -82,47 +82,28 @@ pub fn preprocess(
     })
 }
 
-fn filter_serial(
-    query: &JoinQuery,
-    t: usize,
-    budget: &WorkBudget,
-    ranges: &[(RowId, RowId)],
-) -> Result<Vec<RowId>, Timeout> {
-    let preds = Pred::lower_all(&query.unary[t], &query.tables);
-    let mut rows_vec = Vec::new();
-    let mut probe: Vec<RowId> = vec![0; query.tables.len()];
-    let mut work = budget.local();
-    for &(lo, hi) in ranges {
-        for row in lo..hi {
-            probe[t] = row;
-            work.charge(preds.len() as u64)?;
-            if preds.iter().all(|p| p.eval(&probe)) {
-                rows_vec.push(row);
-            }
-        }
-    }
-    Ok(rows_vec)
-}
-
-fn filter_parallel(
+/// The rows of table `t` that pass its unary predicates, scanned in
+/// `threads` chunks of `ranges` on the shared pool.
+fn filter(
     query: &JoinQuery,
     t: usize,
     budget: &WorkBudget,
     threads: usize,
-    plan: &ScanPlan,
+    ranges: &[(RowId, RowId)],
 ) -> Result<Vec<RowId>, Timeout> {
     let preds = &Pred::lower_all(&query.unary[t], &query.tables);
-    let chunks = split_ranges(&plan.ranges, threads);
-    let results: Vec<Result<Vec<RowId>, Timeout>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in &chunks {
-            handles.push(scope.spawn(move |_| {
+    let chunks = split_ranges(ranges, threads);
+    let tasks: Vec<_> = chunks
+        .iter()
+        .map(|chunk| {
+            // Each chunk counts its work locally against the units left at
+            // dispatch, whenever it runs, and settles once; a chunk whose
+            // own count crosses the limit stops, and the settled total
+            // decides the timeout below.
+            let mut work = budget.local();
+            move || {
                 let mut out = Vec::new();
                 let mut probe: Vec<RowId> = vec![0; query.tables.len()];
-                // Each worker counts its chunk locally and settles once; a
-                // worker whose own count already crosses the limit stops,
-                // and the settled total decides the timeout below.
-                let mut work = budget.local();
                 for &(lo, hi) in chunk {
                     for row in lo..hi {
                         probe[t] = row;
@@ -133,17 +114,21 @@ fn filter_parallel(
                     }
                 }
                 Ok(out)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("preprocessing thread panicked");
+            }
+        })
+        .collect();
+    let results: Vec<Result<Vec<RowId>, Timeout>> = scatter_gather(tasks);
     if budget.exhausted() {
         return Err(Timeout);
     }
     let mut rows = Vec::new();
     for r in results {
-        rows.extend(r?);
+        let part = r?;
+        if rows.is_empty() {
+            rows = part;
+        } else {
+            rows.extend(part);
+        }
     }
     Ok(rows)
 }

@@ -162,11 +162,6 @@ fn engines() -> Vec<Engine> {
         move |q: &JoinQuery, ctx: &ExecContext, work_limit| {
             let cfg = ParallelSkinnerConfig {
                 threads,
-                // Concurrent index fetches charge in scheduling order, so
-                // *where* a starved statement stops is only repeatable
-                // with one pre-processing thread; the episodes still run
-                // on `threads` workers.
-                preprocess_threads: 1,
                 work_limit,
                 ..Default::default()
             };

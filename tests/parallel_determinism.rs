@@ -6,8 +6,10 @@
 //! and repeats the same rows in the same order, the same work units, the
 //! same episode count and the same learned join order — the coordinator
 //! applies worker reports in chunk order, so scheduling never leaks into
-//! the outcome. A cancellation fired mid-episode must stop all workers
-//! promptly and still produce a well-formed (timed-out, partial) outcome.
+//! the outcome, not even when another statement shares the process-wide
+//! pool at the same time. A cancellation fired mid-episode must stop all
+//! workers promptly and still produce a well-formed (timed-out, partial)
+//! outcome.
 
 use std::time::{Duration, Instant};
 
@@ -195,6 +197,48 @@ fn n_thread_runs_are_deterministic_on_torture() {
             seen.push(fingerprint(&out));
         }
         assert_eq!(seen[0], seen[1], "{threads}-thread runs diverged");
+    }
+}
+
+/// Two statements at once share the process-wide pool; neither may
+/// leak into the other. Every pair of {handmade, torture} × {2, 4
+/// threads}, a case with itself included, runs concurrently from two
+/// threads, and each side must reproduce the fingerprint it has alone.
+#[test]
+fn concurrent_statements_reproduce_their_solo_fingerprints() {
+    use std::sync::Barrier;
+    let handmade = handmade_db();
+    let w = correlation_torture(4, 60, 2);
+    let torture = Database::from_parts(w.catalog.clone(), w.udfs);
+    let mut cases: Vec<(&Database, &str, usize)> = Vec::new();
+    for threads in [2, 4] {
+        cases.push((&handmade, HANDMADE_SQL, threads));
+        cases.push((&torture, &w.queries[0].script, threads));
+    }
+    let solo: Vec<_> = cases
+        .iter()
+        .map(|&(db, sql, threads)| fingerprint(&run(db, sql, &parallel(threads))))
+        .collect();
+    for i in 0..cases.len() {
+        for j in i..cases.len() {
+            let barrier = Barrier::new(2);
+            let got: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = [i, j]
+                    .map(|k| {
+                        let (db, sql, threads) = cases[k];
+                        let barrier = &barrier;
+                        s.spawn(move || {
+                            barrier.wait();
+                            fingerprint(&run(db, sql, &parallel(threads)))
+                        })
+                    })
+                    .into_iter()
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(got[0], solo[i], "case {i} run beside case {j}");
+            assert_eq!(got[1], solo[j], "case {j} run beside case {i}");
+        }
     }
 }
 
