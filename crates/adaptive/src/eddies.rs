@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use skinner_exec::{
     postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, ExecutionStrategy, Timeout,
-    TupleBuf, TupleIxs, WorkBudget,
+    TupleBuf, WorkBudget,
 };
 use skinner_query::{JoinQuery, Pred, TableSet};
 use skinner_storage::RowId;
@@ -124,33 +124,45 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
         // Driver: the smallest filtered table (a common eddy heuristic; the
         // routing policy handles everything after the first hop).
         let driver = (0..m).min_by_key(|&t| pre.tables[t].num_rows()).unwrap();
-        // Depth-first routing stack avoids materializing the full frontier.
-        // Entries: (mask of joined tables, tuple rows).
-        let mut stack: Vec<(TableSet, TupleIxs)> = Vec::new();
+        // Depth-first routing stack avoids materializing the full frontier:
+        // `m` row ids per entry in `stack`, its joined tables in `masks`.
+        let mut stack: Vec<RowId> = Vec::new();
+        let mut masks: Vec<TableSet> = Vec::new();
+        let mut tuple = vec![0 as RowId; m];
         'driver: for row in 0..pre.tables[driver].cardinality() {
             // Cooperative cancellation/deadline, once per driver tuple.
             if ctx.interrupted() || budget.charge(1).is_err() {
                 timed_out = true;
                 break;
             }
-            let mut t0 = vec![0 as RowId; m].into_boxed_slice();
-            t0[driver] = row;
-            stack.push((TableSet::singleton(driver), t0));
-            while let Some((mask, tuple)) = stack.pop() {
+            tuple.fill(0);
+            tuple[driver] = row;
+            stack.extend_from_slice(&tuple);
+            masks.push(TableSet::singleton(driver));
+            while let Some(mask) = masks.pop() {
+                let top = stack.len() - m;
+                tuple.copy_from_slice(&stack[top..]);
+                stack.truncate(top);
                 if mask.len() == m {
                     results.push(&tuple);
                     continue;
                 }
                 routings += 1;
                 let next = choose_next(&graph, &q, mask, &mut rng, cfg.epsilon);
-                match expand(query, &pre.tables, &generic, &mask, &tuple, next, &budget) {
+                match expand(
+                    query,
+                    &pre.tables,
+                    &generic,
+                    &mask,
+                    &tuple,
+                    next,
+                    &budget,
+                    &mut stack,
+                ) {
                     Ok(children) => {
-                        let cost = 1.0 + children.len() as f64;
+                        let cost = 1.0 + children as f64;
                         q.update(mask.mask(), next, cost);
-                        let new_mask = mask.with(next);
-                        for c in children {
-                            stack.push((new_mask, c));
-                        }
+                        masks.extend(std::iter::repeat_n(mask.with(next), children));
                     }
                     Err(_) => {
                         timed_out = true;
@@ -201,17 +213,20 @@ fn choose_next(
     best.unwrap().1
 }
 
-/// Join `tuple` with table `next`, returning all extended tuples.
-/// `lowered` is `query.generic_preds`, lowered against `tables`.
+/// Join `tuple` with table `next`, appending the extended tuples to `out`;
+/// returns how many it appended. `lowered` is `query.generic_preds`,
+/// lowered against `tables`.
+#[allow(clippy::too_many_arguments)]
 fn expand(
     query: &JoinQuery,
     tables: &[std::sync::Arc<skinner_storage::Table>],
     lowered: &[Pred],
     mask: &TableSet,
-    tuple: &TupleIxs,
+    tuple: &[RowId],
     next: usize,
     budget: &WorkBudget,
-) -> Result<Vec<TupleIxs>, Timeout> {
+    out: &mut Vec<RowId>,
+) -> Result<usize, Timeout> {
     let step_set = mask.with(next);
     // Equality predicates now applicable connecting `next` to the tuple.
     let equi: Vec<_> = query
@@ -226,15 +241,15 @@ fn expand(
         .filter(|(p, _)| p.tables.is_subset_of(&step_set) && p.tables.contains(next))
         .map(|(_, lowered)| lowered)
         .collect();
-    let mut out = Vec::new();
+    let before = out.len();
     let mut scratch: Vec<RowId> = tuple.to_vec();
     let emit =
-        |row: RowId, scratch: &mut Vec<RowId>, out: &mut Vec<TupleIxs>| -> Result<(), Timeout> {
+        |row: RowId, scratch: &mut Vec<RowId>, out: &mut Vec<RowId>| -> Result<(), Timeout> {
             scratch[next] = row;
             budget.charge(generic.len() as u64)?;
             if generic.iter().all(|p| p.eval(scratch)) {
                 budget.produce_tuples(1)?;
-                out.push(scratch.clone().into_boxed_slice());
+                out.extend_from_slice(scratch);
             }
             Ok(())
         };
@@ -257,17 +272,17 @@ fn expand(
                         .key_at(tuple[other.table])
             });
             if verified {
-                emit(row, &mut scratch, &mut out)?;
+                emit(row, &mut scratch, out)?;
             }
         }
     } else {
         // No equality predicate: scan.
         for row in 0..tables[next].cardinality() {
             budget.charge(1)?;
-            emit(row, &mut scratch, &mut out)?;
+            emit(row, &mut scratch, out)?;
         }
     }
-    Ok(out)
+    Ok((out.len() - before) / tuple.len())
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use skinner_exec::{
     join_step, postprocess, preprocess, ExecContext, ExecMetrics, ExecOutcome, ExecProfile,
-    ExecutionStrategy, TupleBuf, TupleIxs, WorkBudget,
+    ExecutionStrategy, TupleBuf, WorkBudget,
 };
 use skinner_optimizer::dp::best_left_deep_from;
 use skinner_query::{JoinQuery, TableSet};
@@ -113,7 +113,7 @@ pub fn run_reoptimizer(
 
     let mut executed: Vec<usize> = Vec::new();
     let mut prefix = TableSet::EMPTY;
-    let mut current: Vec<TupleIxs> = Vec::new();
+    let mut current = TupleBuf::new(m);
     let mut replans = 0u32;
     let mut planned_rest: Vec<usize> = Vec::new();
     let floors: Vec<RowId> = vec![0; m];
@@ -136,18 +136,16 @@ pub fn run_reoptimizer(
                 if budget.charge(n as u64).is_err() {
                     return bail(&budget, replans, executed, start);
                 }
-                current = (0..n)
-                    .map(|r| {
-                        let mut t = vec![0 as RowId; m].into_boxed_slice();
-                        t[next] = r;
-                        t
-                    })
-                    .collect();
+                let mut tuple = vec![0 as RowId; m];
+                for row in 0..n {
+                    tuple[next] = row;
+                    current.push(&tuple);
+                }
             } else {
                 match join_step(
                     &pre.tables,
                     query,
-                    &current,
+                    current.view(),
                     prefix,
                     next,
                     &floors,
@@ -176,11 +174,9 @@ pub fn run_reoptimizer(
         }
     }
 
-    let mut tuples = TupleBuf::new(m);
-    if executed.len() == m {
-        tuples.extend_boxed(current);
-    }
-    let result = match postprocess(&pre.tables, query, tuples.view(), &budget) {
+    // Short of a complete order, `current` is empty: an empty intermediate
+    // ended the loop, or the query is always false.
+    let result = match postprocess(&pre.tables, query, current.view(), &budget) {
         Ok(r) => r,
         Err(_) => return bail(&budget, replans, executed, start),
     };

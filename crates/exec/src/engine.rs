@@ -3,10 +3,10 @@
 //! This is the "existing DBMS" execution model of paper Section 4.3: a join
 //! order is executed as a sequence of binary joins (hash join when equality
 //! predicates connect the next table, nested loops otherwise), each join
-//! materializing its full intermediate result. If the work budget runs out
-//! mid-way, **everything is lost** — there is no partial-state backup, which
-//! is precisely the handicap Skinner-G's pyramid timeout scheme works
-//! around and Skinner-C's custom engine eliminates.
+//! materializing its full intermediate result as a flat [`TupleBuf`]. If the
+//! work budget runs out mid-way, **everything is lost** — there is no
+//! partial-state backup, which is precisely the handicap Skinner-G's pyramid
+//! timeout scheme works around and Skinner-C's custom engine eliminates.
 //!
 //! Two profiles model the paper's engines: a *row store* (Postgres-like,
 //! higher per-tuple constant) and a *column store* (MonetDB-like, vectorized,
@@ -22,7 +22,7 @@ use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
 use crate::pool::scatter_gather;
-use crate::TupleIxs;
+use crate::tuples::{TupleBuf, TupleView};
 
 /// Execution-engine profile.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ impl ExecProfile {
 /// Join output: materialized tuples or (for the cardinality oracle) a count.
 #[derive(Debug)]
 pub enum JoinOutput {
-    Tuples(Vec<TupleIxs>),
+    Tuples(TupleBuf),
     Count(u64),
 }
 
@@ -89,7 +89,7 @@ impl JoinOutput {
         self.len() == 0
     }
 
-    pub fn into_tuples(self) -> Vec<TupleIxs> {
+    pub fn into_tuples(self) -> TupleBuf {
         match self {
             JoinOutput::Tuples(v) => v,
             JoinOutput::Count(_) => panic!("count-only join output"),
@@ -119,68 +119,39 @@ pub fn execute_join(
     count_only: bool,
 ) -> Result<JoinOutput, Timeout> {
     assert!(!order.is_empty(), "empty join order");
-    let m = query.num_tables();
     let tc = profile.tuple_cost();
 
     // Leftmost scan.
     let t0 = order[0];
     let lo = leftmost_range.start.max(floors[t0]);
     let hi = leftmost_range.end.min(tables[t0].cardinality());
-    let mut current: Vec<TupleIxs> = Vec::with_capacity(hi.saturating_sub(lo) as usize);
+    let mut tuple = vec![0 as RowId; query.num_tables()];
+    let mut current = TupleBuf::new(tuple.len());
     for row in lo..hi {
         budget.charge(tc)?;
-        let mut t = vec![0 as RowId; m].into_boxed_slice();
-        t[t0] = row;
-        current.push(t);
+        tuple[t0] = row;
+        current.push(&tuple);
     }
 
     let mut prefix = TableSet::singleton(t0);
     for (k, &tk) in order.iter().enumerate().skip(1) {
         let is_last = k + 1 == order.len();
-        let step_set = prefix.with(tk);
-        // Predicates newly applicable at this step.
-        let equi: Vec<&EquiPred> = query
-            .equi_preds
-            .iter()
-            .filter(|p| p.table_set().is_subset_of(&step_set) && p.side_on(tk).is_some())
-            .collect();
-        let generic: Vec<&GenericPred> = query
-            .generic_preds
-            .iter()
-            .filter(|p| p.tables.is_subset_of(&step_set) && p.tables.contains(tk))
-            .collect();
-
-        let produced = if equi.is_empty() {
-            nested_loop_step(
-                tables,
-                query,
-                &current,
-                tk,
-                floors[tk],
-                &generic,
-                profile,
-                budget,
-                is_last && count_only,
-            )?
-        } else {
-            hash_join_step(
-                tables,
-                query,
-                &current,
-                tk,
-                floors[tk],
-                &equi,
-                &generic,
-                profile,
-                budget,
-                is_last && count_only,
-            )?
-        };
-        match produced {
-            StepOutput::Tuples(v) => current = v,
-            StepOutput::Count(c) => return Ok(JoinOutput::Count(c)),
+        let out = step(
+            tables,
+            query,
+            current.view(),
+            prefix,
+            tk,
+            floors[tk],
+            profile,
+            budget,
+            is_last && count_only,
+        )?;
+        match out {
+            JoinOutput::Tuples(v) => current = v,
+            JoinOutput::Count(c) => return Ok(JoinOutput::Count(c)),
         }
-        prefix = step_set;
+        prefix.insert(tk);
         if current.is_empty() {
             break;
         }
@@ -199,13 +170,33 @@ pub fn execute_join(
 pub fn join_step(
     tables: &[Arc<Table>],
     query: &JoinQuery,
-    current: &[TupleIxs],
+    current: TupleView<'_>,
     prefix: TableSet,
     tk: usize,
     floors: &[RowId],
     profile: &ExecProfile,
     budget: &WorkBudget,
-) -> Result<Vec<TupleIxs>, Timeout> {
+) -> Result<TupleBuf, Timeout> {
+    step(
+        tables, query, current, prefix, tk, floors[tk], profile, budget, false,
+    )
+    .map(JoinOutput::into_tuples)
+}
+
+/// One binary join: `current` with the rows `floor..` of table `tk`, under
+/// the predicates that joining `tk` to `prefix` makes applicable.
+#[allow(clippy::too_many_arguments)]
+fn step(
+    tables: &[Arc<Table>],
+    query: &JoinQuery,
+    current: TupleView<'_>,
+    prefix: TableSet,
+    tk: usize,
+    floor: RowId,
+    profile: &ExecProfile,
+    budget: &WorkBudget,
+    count_only: bool,
+) -> Result<JoinOutput, Timeout> {
     let step_set = prefix.with(tk);
     let equi: Vec<&EquiPred> = query
         .equi_preds
@@ -217,24 +208,16 @@ pub fn join_step(
         .iter()
         .filter(|p| p.tables.is_subset_of(&step_set) && p.tables.contains(tk))
         .collect();
-    let out = if equi.is_empty() {
+    let generic = Pred::lower_all(generic.iter().map(|p| &p.expr), tables);
+    if equi.is_empty() {
         nested_loop_step(
-            tables, query, current, tk, floors[tk], &generic, profile, budget, false,
-        )?
+            tables, current, tk, floor, &generic, profile, budget, count_only,
+        )
     } else {
         hash_join_step(
-            tables, query, current, tk, floors[tk], &equi, &generic, profile, budget, false,
-        )?
-    };
-    match out {
-        StepOutput::Tuples(v) => Ok(v),
-        StepOutput::Count(_) => unreachable!("count_only was false"),
+            tables, current, tk, floor, &equi, &generic, profile, budget, count_only,
+        )
     }
-}
-
-enum StepOutput {
-    Tuples(Vec<TupleIxs>),
-    Count(u64),
 }
 
 /// FxHash-style combination of canonical `u64` keys.
@@ -246,18 +229,16 @@ fn combine_keys(h: u64, k: u64) -> u64 {
 #[allow(clippy::too_many_arguments)]
 fn hash_join_step(
     tables: &[Arc<Table>],
-    query: &JoinQuery,
-    current: &[TupleIxs],
+    current: TupleView<'_>,
     tk: usize,
     floor: RowId,
     equi: &[&EquiPred],
-    generic: &[&GenericPred],
+    generic: &[Pred],
     profile: &ExecProfile,
     budget: &WorkBudget,
     count_only: bool,
-) -> Result<StepOutput, Timeout> {
+) -> Result<JoinOutput, Timeout> {
     let tc = profile.tuple_cost();
-    let generic = Pred::lower_all(generic.iter().map(|p| &p.expr), tables);
     let table = &tables[tk];
     let n = table.cardinality();
     // Build side: hash all (remaining) rows of tk on the combined key of its
@@ -279,8 +260,8 @@ fn hash_join_step(
     }
 
     // Probe side.
-    let probe_one = |tuple: &TupleIxs,
-                     out: &mut Vec<TupleIxs>,
+    let probe_one = |tuple: &[RowId],
+                     out: &mut TupleBuf,
                      count: &mut u64,
                      scratch: &mut Vec<RowId>|
      -> Result<(), Timeout> {
@@ -318,33 +299,31 @@ fn hash_join_step(
                 if count_only {
                     *count += 1;
                 } else {
-                    out.push(scratch.clone().into_boxed_slice());
+                    out.push(scratch);
                 }
             }
         }
         Ok(())
     };
 
-    run_probe(current, profile, probe_one, count_only, query.num_tables())
+    run_probe(current, profile, probe_one, count_only)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn nested_loop_step(
     tables: &[Arc<Table>],
-    query: &JoinQuery,
-    current: &[TupleIxs],
+    current: TupleView<'_>,
     tk: usize,
     floor: RowId,
-    generic: &[&GenericPred],
+    generic: &[Pred],
     profile: &ExecProfile,
     budget: &WorkBudget,
     count_only: bool,
-) -> Result<StepOutput, Timeout> {
+) -> Result<JoinOutput, Timeout> {
     let tc = profile.tuple_cost();
-    let generic = Pred::lower_all(generic.iter().map(|p| &p.expr), tables);
     let n = tables[tk].cardinality();
-    let probe_one = |tuple: &TupleIxs,
-                     out: &mut Vec<TupleIxs>,
+    let probe_one = |tuple: &[RowId],
+                     out: &mut TupleBuf,
                      count: &mut u64,
                      scratch: &mut Vec<RowId>|
      -> Result<(), Timeout> {
@@ -360,65 +339,62 @@ fn nested_loop_step(
                 if count_only {
                     *count += 1;
                 } else {
-                    out.push(scratch.clone().into_boxed_slice());
+                    out.push(scratch);
                 }
             }
         }
         Ok(())
     };
-    run_probe(current, profile, probe_one, count_only, query.num_tables())
+    run_probe(current, profile, probe_one, count_only)
 }
 
 /// Drive a per-tuple probe closure, in `profile.threads` chunks on the
-/// shared pool.
+/// shared pool; each chunk fills its own [`TupleBuf`], appended in chunk
+/// order.
 fn run_probe<F>(
-    current: &[TupleIxs],
+    current: TupleView<'_>,
     profile: &ExecProfile,
     probe_one: F,
     count_only: bool,
-    width: usize,
-) -> Result<StepOutput, Timeout>
+) -> Result<JoinOutput, Timeout>
 where
-    F: Fn(&TupleIxs, &mut Vec<TupleIxs>, &mut u64, &mut Vec<RowId>) -> Result<(), Timeout> + Sync,
+    F: Fn(&[RowId], &mut TupleBuf, &mut u64, &mut Vec<RowId>) -> Result<(), Timeout> + Sync,
 {
+    let (n, width) = (current.len(), current.arity());
     // Below 1 024 tuples, one chunk: it runs on the calling thread.
-    let parts = if current.len() < 1024 {
-        1
-    } else {
-        profile.threads.max(1)
-    };
-    let chunk = current.len().div_ceil(parts).max(1);
+    let parts = if n < 1024 { 1 } else { profile.threads.max(1) };
+    let chunk = n.div_ceil(parts).max(1);
     let probe_one = &probe_one;
-    let tasks: Vec<_> = current
-        .chunks(chunk)
-        .map(|part| {
+    let tasks: Vec<_> = (0..n)
+        .step_by(chunk)
+        .map(|start| {
+            let part = current.slice(start, (start + chunk).min(n));
             move || {
-                let mut out = Vec::new();
+                let mut out = TupleBuf::new(width);
                 let mut count = 0u64;
                 let mut scratch = vec![0 as RowId; width];
-                for tuple in part {
+                for tuple in part.iter() {
                     probe_one(tuple, &mut out, &mut count, &mut scratch)?;
                 }
                 Ok((out, count))
             }
         })
         .collect();
-    let results: Vec<Result<(Vec<TupleIxs>, u64), Timeout>> = scatter_gather(tasks);
-    let mut out = Vec::new();
+    let mut out = TupleBuf::new(width);
     let mut count = 0u64;
-    for r in results {
-        let (v, c) = r?;
+    for r in scatter_gather(tasks) {
+        let (part, c) = r?;
         if out.is_empty() {
-            out = v;
+            out = part;
         } else {
-            out.extend(v);
+            out.append(&part);
         }
         count += c;
     }
     Ok(if count_only {
-        StepOutput::Count(count)
+        JoinOutput::Count(count)
     } else {
-        StepOutput::Tuples(out)
+        JoinOutput::Tuples(out)
     })
 }
 
@@ -455,7 +431,7 @@ mod tests {
         }
     }
 
-    fn full_run(q: &JoinQuery, order: &[usize], profile: &ExecProfile) -> Vec<TupleIxs> {
+    fn full_run(q: &JoinQuery, order: &[usize], profile: &ExecProfile) -> TupleBuf {
         let budget = WorkBudget::unlimited();
         let floors = vec![0; q.num_tables()];
         let n0 = q.tables[order[0]].cardinality();
@@ -581,12 +557,59 @@ mod tests {
         );
         let serial = full_run(&q, &[0, 1, 2], &ExecProfile::column_store());
         let parallel = full_run(&q, &[0, 1, 2], &ExecProfile::column_store_parallel(4));
-        let key = |v: &Vec<TupleIxs>| {
-            let mut k: Vec<Vec<RowId>> = v.iter().map(|t| t.to_vec()).collect();
+        let key = |v: &TupleBuf| {
+            let mut k: Vec<Vec<RowId>> = v.view().iter().map(|t| t.to_vec()).collect();
             k.sort();
             k
         };
-        assert_eq!(key(&serial.clone()), key(&parallel.clone()));
+        assert_eq!(key(&serial), key(&parallel));
+    }
+
+    #[test]
+    fn chunked_probe_keeps_serial_order_and_work() {
+        let cat = Catalog::new();
+        let mut f = cat.builder("f", schema![("id", Int), ("k", Int)]);
+        for i in 0..3000 {
+            f.push_row(&[Value::Int(i), Value::Int(i % 17)]);
+        }
+        cat.register(f.finish());
+        let mut d = cat.builder("d", schema![("k", Int)]);
+        for i in 0..17 {
+            d.push_row(&[Value::Int(i)]);
+        }
+        cat.register(d.finish());
+        let udfs = UdfRegistry::new();
+        // 3 000 probe tuples: four chunks at four threads, under both the
+        // hash join and (with the equality written as an expression) the
+        // nested loop.
+        for sql in [
+            "SELECT f.id FROM f, d WHERE f.k = d.k",
+            "SELECT f.id FROM f, d WHERE f.k + 0 = d.k",
+        ] {
+            let q = bind(sql, &cat, &udfs);
+            let run = |profile: &ExecProfile| {
+                let budget = WorkBudget::unlimited();
+                let out = execute_join(
+                    &q.tables,
+                    &q,
+                    &[0, 1],
+                    0..3000,
+                    &[0, 0],
+                    profile,
+                    &budget,
+                    false,
+                )
+                .unwrap()
+                .into_tuples();
+                (
+                    out.view().iter().map(<[RowId]>::to_vec).collect::<Vec<_>>(),
+                    budget.used(),
+                )
+            };
+            let serial = run(&ExecProfile::column_store());
+            assert_eq!(serial.0.len(), 3000, "{sql}");
+            assert_eq!(serial, run(&ExecProfile::column_store_parallel(4)), "{sql}");
+        }
     }
 
     #[test]

@@ -77,8 +77,3 @@ pub use zonescan::{plan_scan, ScanPlan};
 // [`ExecContext`]); re-export the types engines and callers touch so
 // downstream crates need no direct `skinner_telemetry` dependency.
 pub use skinner_telemetry::{EpisodeRuns, Span, SpanTimer, Trace};
-
-/// A join-result tuple: one row id per query table, in table-position order.
-/// The generic engine's intermediate-result currency; post-processing takes
-/// the flat [`TupleView`] instead.
-pub type TupleIxs = Box<[skinner_storage::RowId]>;

@@ -103,8 +103,9 @@ pub fn run_traditional(
     if ctx.interrupted() {
         return timed_out_outcome(order, &budget, start, pages);
     }
-    let mut tuples = TupleBuf::new(query.num_tables());
-    if !query.always_false {
+    let tuples = if query.always_false {
+        TupleBuf::new(query.num_tables())
+    } else {
         let floors = vec![0; query.num_tables()];
         let n0 = pre.tables[order[0]].cardinality();
         match execute_join(
@@ -117,10 +118,10 @@ pub fn run_traditional(
             &budget,
             false,
         ) {
-            Ok(out) => tuples.extend_boxed(out.into_tuples()),
+            Ok(out) => out.into_tuples(),
             Err(_) => return timed_out_outcome(order, &budget, start, pages),
         }
-    }
+    };
 
     if ctx.interrupted() {
         return timed_out_outcome(order, &budget, start, pages);

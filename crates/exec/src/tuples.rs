@@ -6,13 +6,10 @@
 //! `[RowId]` with `arity` ids per tuple, back to back — the layout the
 //! Skinner-C result set already stores. [`TupleView`] borrows such an
 //! array; [`TupleBuf`] owns one — a sealed result set's arena, what a
-//! parallel join's chunks appended, or what an engine that builds boxed
-//! tuples collected before post-processing. [`TupleSink`] is where a join
-//! loop puts the tuples it completes.
+//! parallel join's chunks appended, or a generic-engine intermediate.
+//! [`TupleSink`] is where a join loop puts the tuples it completes.
 
 use skinner_storage::RowId;
-
-use crate::TupleIxs;
 
 /// Where a join loop puts each result tuple it completes.
 pub trait TupleSink {
@@ -72,8 +69,8 @@ impl<'a> TupleView<'a> {
     }
 }
 
-/// Owned flat tuples: push tuples (or whole boxed batches) as they
-/// complete, then [`TupleBuf::view`] them for post-processing.
+/// Owned flat tuples: push or append tuples as they complete, then
+/// [`TupleBuf::view`] them for the next join step or post-processing.
 #[derive(Debug)]
 pub struct TupleBuf {
     ids: Vec<RowId>,
@@ -99,14 +96,6 @@ impl TupleBuf {
     pub fn push(&mut self, tuple: &[RowId]) {
         debug_assert_eq!(tuple.len(), self.arity);
         self.ids.extend_from_slice(tuple);
-    }
-
-    /// Append boxed tuples in order.
-    pub fn extend_boxed(&mut self, tuples: Vec<TupleIxs>) {
-        self.ids.reserve(tuples.len() * self.arity);
-        for t in &tuples {
-            self.push(t);
-        }
     }
 
     /// Append all of `other`'s tuples in order, with one copy.
@@ -178,8 +167,8 @@ mod tests {
         let mut buf = TupleBuf::new(2);
         assert!(buf.view().is_empty());
         buf.push(&[9, 9]);
-        buf.extend_boxed(vec![Box::from([1, 2]), Box::from([3, 4])]);
-        buf.extend_boxed(Vec::new());
+        buf.push(&[1, 2]);
+        buf.push(&[3, 4]);
         let tuples: Vec<&[RowId]> = buf.view().iter().collect();
         assert_eq!(tuples, vec![&[9, 9][..], &[1, 2][..], &[3, 4][..]]);
     }
