@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use skinner_query::query::GenericPred;
 use skinner_query::{EquiPred, JoinQuery, Pred, TableSet};
+use skinner_storage::hash::fold_keys;
 use skinner_storage::{RowId, Table};
 
 use crate::budget::{Timeout, WorkBudget};
@@ -220,12 +221,6 @@ fn step(
     }
 }
 
-/// FxHash-style combination of canonical `u64` keys.
-#[inline]
-fn combine_keys(h: u64, k: u64) -> u64 {
-    (h.rotate_left(5) ^ k).wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn hash_join_step(
     tables: &[Arc<Table>],
@@ -252,10 +247,7 @@ fn hash_join_step(
     let mut build: HashMap<u64, Vec<RowId>> = HashMap::new();
     for row in floor..n {
         budget.charge(tc)?;
-        let mut key = 0u64;
-        for &c in &cols {
-            key = combine_keys(key, table.column(c).key_at(row));
-        }
+        let key = fold_keys(cols.iter().map(|&c| table.column(c).key_at(row)));
         build.entry(key).or_default().push(row);
     }
 
@@ -266,12 +258,12 @@ fn hash_join_step(
                      scratch: &mut Vec<RowId>|
      -> Result<(), Timeout> {
         budget.charge(tc)?;
-        let mut key = 0u64;
-        for p in equi {
+        let key = fold_keys(equi.iter().map(|p| {
             let other = p.other_side(tk).expect("two-sided pred");
-            let row = tuple[other.table];
-            key = combine_keys(key, tables[other.table].column(other.col).key_at(row));
-        }
+            tables[other.table]
+                .column(other.col)
+                .key_at(tuple[other.table])
+        }));
         let Some(matches) = build.get(&key) else {
             return Ok(());
         };
