@@ -33,7 +33,6 @@ pub struct EddyConfig {
     pub seed: u64,
     /// Global work-unit cap.
     pub work_limit: u64,
-    pub preprocess_threads: usize,
 }
 
 impl Default for EddyConfig {
@@ -42,7 +41,6 @@ impl Default for EddyConfig {
             epsilon: 0.1,
             seed: 0x0EDD1,
             work_limit: u64::MAX,
-            preprocess_threads: 1,
         }
     }
 }
@@ -93,7 +91,7 @@ pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecO
             .with_metrics(ExecMetrics::default().with_counter("routings", routings))
     };
 
-    let pre = match preprocess(query, &budget, cfg.preprocess_threads) {
+    let pre = match preprocess(query, &budget, 1) {
         Ok(p) => p,
         Err(_) => return bail(&budget, 0, start),
     };

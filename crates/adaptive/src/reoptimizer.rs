@@ -4,8 +4,8 @@
 //! predicate selectivities are *measured on samples* instead of estimated
 //! from statistics; during execution, each join is materialized one step at
 //! a time, the observed intermediate cardinality is fed back into the
-//! estimator, and the remaining join order is re-optimized whenever the
-//! observation deviates from the estimate. The paper notes this repairs a
+//! estimator, and the remaining join order is re-optimized after every
+//! step. The paper notes this repairs a
 //! few wrong estimates well but still trusts the (possibly misled) planner
 //! between checkpoints — and cannot undo a bad join it already materialized.
 
@@ -25,23 +25,18 @@ use skinner_storage::RowId;
 pub struct ReoptimizerConfig {
     /// Rows sampled per table for initial selectivity measurement.
     pub sample_size: usize,
-    /// Re-plan when `max(obs,est)/min(obs,est)` exceeds this.
-    pub deviation_threshold: f64,
     pub seed: u64,
     pub profile: ExecProfile,
     pub work_limit: u64,
-    pub preprocess_threads: usize,
 }
 
 impl Default for ReoptimizerConfig {
     fn default() -> Self {
         ReoptimizerConfig {
             sample_size: 500,
-            deviation_threshold: 2.0,
             seed: 0x5A3B1E,
             profile: ExecProfile::row_store(),
             work_limit: u64::MAX,
-            preprocess_threads: 1,
         }
     }
 }
@@ -102,7 +97,7 @@ pub fn run_reoptimizer(
         est.calibrate_filtered(t, sel * query.tables[t].num_rows() as f64);
     }
 
-    let pre = match preprocess(query, &budget, cfg.preprocess_threads) {
+    let pre = match preprocess(query, &budget, 1) {
         Ok(p) => p,
         Err(_) => return bail(&budget, 0, Vec::new(), start),
     };
@@ -159,15 +154,9 @@ pub fn run_reoptimizer(
             executed.push(next);
             prefix.insert(next);
             // Feedback: the observed cardinality overrides the estimate for
-            // this subset in all future planning.
-            let observed = current.len() as f64;
-            let estimated = est.join_cardinality(prefix).max(1.0);
-            est.calibrate_set(prefix, observed);
-            let deviation = (observed.max(1.0) / estimated).max(estimated / observed.max(1.0));
-            let _ = deviation >= cfg.deviation_threshold; // re-planning is
-                                                          // unconditional per
-                                                          // step; the metric
-                                                          // counts changes.
+            // this subset in all future planning. The next step re-plans
+            // unconditionally; `replans` counts the plans that changed.
+            est.calibrate_set(prefix, current.len() as f64);
             if current.is_empty() {
                 break; // empty intermediate: result is empty
             }
