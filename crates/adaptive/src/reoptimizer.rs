@@ -147,7 +147,7 @@ pub fn run_reoptimizer(
                     &cfg.profile,
                     &budget,
                 ) {
-                    Ok(v) => current = v,
+                    Ok(v) => std::mem::replace(&mut current, v).release(),
                     Err(_) => return bail(&budget, replans, executed, start),
                 }
             }
@@ -169,6 +169,7 @@ pub fn run_reoptimizer(
         Ok(r) => r,
         Err(_) => return bail(&budget, replans, executed, start),
     };
+    current.release();
     ctx.absorb_work(budget.used());
     ExecOutcome::completed(result, budget.used(), start.elapsed())
         .with_metrics(reopt_metrics(executed, replans))

@@ -178,7 +178,9 @@ impl<'q> SkinnerG<'q> {
         let reward = match res {
             Ok(out) => {
                 // Batch completed: merge results, remove the batch, reward 1.
-                self.results.append(&out.into_tuples());
+                let batch = out.into_tuples();
+                self.results.append(&batch);
+                batch.release();
                 self.batch_offset[t0] += 1;
                 if self.batch_offset[t0] >= b {
                     self.finished = true;

@@ -149,7 +149,7 @@ pub fn execute_join(
             is_last && count_only,
         )?;
         match out {
-            JoinOutput::Tuples(v) => current = v,
+            JoinOutput::Tuples(v) => std::mem::replace(&mut current, v).release(),
             JoinOutput::Count(c) => return Ok(JoinOutput::Count(c)),
         }
         prefix.insert(tk);
@@ -380,6 +380,7 @@ where
             out = part;
         } else {
             out.append(&part);
+            part.release();
         }
         count += c;
     }

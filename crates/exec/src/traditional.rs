@@ -130,6 +130,7 @@ pub fn run_traditional(
         Ok(r) => r,
         Err(_) => return timed_out_outcome(order, &budget, start, pages),
     };
+    tuples.release();
 
     ctx.absorb_work(budget.used());
     ExecOutcome::completed(result, budget.used(), start.elapsed())
