@@ -5,9 +5,9 @@
 //! from statistics; during execution, each join is materialized one step at
 //! a time, the observed intermediate cardinality is fed back into the
 //! estimator, and the remaining join order is re-optimized after every
-//! step. The paper notes this repairs a
-//! few wrong estimates well but still trusts the (possibly misled) planner
-//! between checkpoints — and cannot undo a bad join it already materialized.
+//! step. The paper notes this repairs a few wrong estimates well but still
+//! trusts the (possibly misled) planner between checkpoints — and cannot
+//! undo a bad join it already materialized.
 
 use std::time::Instant;
 

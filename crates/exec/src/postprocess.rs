@@ -8,8 +8,8 @@
 //! # One compiled kernel
 //!
 //! Input is a flat [`TupleView`]: `arity` row ids per tuple, back to back
-//! (what the Skinner-C result set stores; boxed-tuple engines collect into
-//! a [`crate::TupleBuf`]). Per call, `query.select` and `query.group_by` are
+//! (what the Skinner-C result set stores and every engine hands over in a
+//! [`crate::TupleBuf`]). Per call, `query.select` and `query.group_by` are
 //! resolved once into typed column accessors (a borrowed `&[i64]` /
 //! `&[f64]` / `&[u32]` plus the tuple position to index it with) and typed
 //! accumulators, so the per-tuple loop reads raw column cells and builds
