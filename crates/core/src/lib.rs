@@ -21,8 +21,8 @@
 //! * [`parallel`] — **parallel_skinner**: the paper's multi-threaded
 //!   SkinnerC configuration (Section 6.1). Each episode's batch of
 //!   left-most-table tuples is split across N worker threads executing the
-//!   same join order, and all workers learn through one shared concurrent
-//!   UCT tree.
+//!   same join order, and all workers learn through one UCT tree, which
+//!   the coordinator alone updates.
 //!
 //! * [`cache`] — **cross-query learning**: a bounded, thread-safe cache of
 //!   UCT tree priors keyed by query template, consulted at query start and

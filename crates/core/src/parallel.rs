@@ -6,9 +6,13 @@
 //! threads, and all workers learn through one UCT tree. This module is that
 //! design on top of the Skinner-C machinery:
 //!
-//! * the coordinator owns the query's only [`UctTree`]: it chooses a join
-//!   order, cuts the next `batch_tuples` rows of the order's left-most
-//!   table into contiguous chunks ([`skinner_exec::partition_tuples`]), and
+//! * the coordinator owns the query's only [`UctTree`](skinner_uct::UctTree),
+//!   inside the episode ledger sequential Skinner-C keeps too (the
+//!   learning-cache warm start and publish, one shared [`OrderInfo`] per
+//!   distinct order, the switch counters, growth samples and episode
+//!   spans): it chooses a join order, cuts the next `batch_tuples` rows of
+//!   the order's left-most table into contiguous chunks
+//!   ([`skinner_exec::partition_tuples`]), and
 //!   runs them on the process-wide pool ([`scatter_gather`]) — the last
 //!   chunk, and any chunk no parked helper has started, on its own thread,
 //!   so it joins instead of waiting at the episode's barrier, and a
@@ -53,29 +57,31 @@
 //! caps eventually grow large enough for the best order to finish a batch.
 //!
 //! With one thread the strategy runs sequential Skinner-C's joins over
-//! whole batches: same offsets discipline, same result rows (its learning
-//! path differs: one reward per batch instead of one per time slice).
+//! whole batches: same offsets discipline, same result rows, same ledger.
+//! What differs from the sequential loop is exactly the learning path:
+//! one reward per chunk of a batch instead of one per time slice, and the
+//! chunked dispatch.
 //!
 //! Instrumentation: the outcome's [`ExecMetrics`] counters include
 //! `postprocess_us` (wall time of the post-processing phase, reported
 //! separately so the `thread_scaling` benchmark can show the
 //! parallel-postprocessing win on its own).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use skinner_exec::{
-    merge_worker_metrics, partition_tuples, scatter_gather, CancelToken, EpisodeRuns, ExecContext,
-    ExecMetrics, ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange,
-    WorkBudget,
+    merge_worker_metrics, partition_tuples, scatter_gather, CancelToken, ExecContext, ExecMetrics,
+    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange, WorkBudget,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
-use skinner_uct::{UctConfig, UctTree};
+use skinner_uct::UctConfig;
 
-use crate::cache::CacheProbe;
-use crate::skinner_c::join::{continue_join_ranged, JoinCursors, OrderInfo, SliceOutcome};
+use crate::skinner_c::join::{
+    all_joined, continue_join_ranged, JoinCursors, OrderInfo, SliceOutcome,
+};
+use crate::skinner_c::ledger::EpisodeLedger;
 use crate::skinner_c::preproc::prepare;
 use crate::skinner_c::state::JoinState;
 
@@ -247,46 +253,18 @@ pub fn run_parallel_skinner(
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
     // The coordinator owns the only tree: it chooses every order and
-    // applies every chunk's reward, so workers never touch it.
-    let mut tree = UctTree::new(
-        query.join_graph(),
-        UctConfig {
-            exploration_weight: cfg.exploration_weight,
-            seed: cfg.seed ^ 0x9A7A11E1,
-        },
-    );
-    // Cross-query learning: warm-start the tree from the template cache
-    // when the context carries one. Results stay identical either way —
-    // the cache only biases which orders the learner tries first.
-    let probe = CacheProbe::probe(ctx, query);
-    let mut cache_hit = 0u64;
-    let mut warm_start_visits = 0u64;
-    let mut warm_start_generalized = 0u64;
-    if let Some(p) = &probe {
-        if let Some(warm) = p.lookup() {
-            warm_start_visits = tree.seed_prior(&warm.prior, p.decay());
-            cache_hit = 1;
-            warm_start_generalized = warm.generalized as u64;
-        }
-    }
+    // applies every chunk's reward, so workers never touch it. The ledger
+    // keeps the bookkeeping sequential Skinner-C keeps too.
+    let uct = UctConfig {
+        exploration_weight: cfg.exploration_weight,
+        seed: cfg.seed ^ 0x9A7A11E1,
+    };
+    let mut ledger = EpisodeLedger::new(query, ctx, uct, true);
     let mut offsets: Vec<RowId> = vec![0; m];
     let mut global_results = TupleBuf::new(m);
-    let mut order_infos: HashMap<Box<[u8]>, Arc<OrderInfo>> = HashMap::new();
-    let mut order_counts: HashMap<Box<[u8]>, u64> = HashMap::new();
-    let mut tree_growth: Vec<(u64, usize)> = Vec::new();
     let mut worker_metrics: Vec<ExecMetrics> = Vec::new();
-    let mut episodes = 0u64;
     let mut failed_episodes = 0u64;
     let mut timed_out = false;
-    // Episode index of the last join-order switch (see the sequential
-    // engine): the convergence measure `repeat_workload` compares
-    // warm-started runs against cold ones on.
-    let mut last_order_switch = 0u64;
-    let mut prev_order_key: Option<Box<[u8]>> = None;
-    // Regret proxy (see the sequential engine): consecutive-episode order
-    // changes, plus per-order episode spans.
-    let mut order_switches = 0u64;
-    let mut runs = EpisodeRuns::start(trace);
     // Adaptive per-episode work cap, doubled whenever an episode is
     // abandoned (Skinner-G's escalating-timeout discipline) so a
     // catastrophic order costs a bounded amount and good orders eventually
@@ -294,29 +272,16 @@ pub fn run_parallel_skinner(
     let mut episode_cap: u64 = (cfg.batch_tuples.saturating_mul(8)).max(cfg.slice_steps);
     let norm = 2.0 * m as f64;
 
-    let finished =
-        |offsets: &[RowId], cards: &[RowId]| offsets.iter().zip(cards).any(|(&o, &n)| o >= n);
-
     if !query.always_false {
-        while !finished(&offsets, &cards) {
+        while !all_joined(&offsets, &cards) {
             if ctx.interrupted() {
                 timed_out = true;
                 break;
             }
-            let order = tree.choose();
-            let key: Box<[u8]> = order.iter().map(|&t| t as u8).collect();
-            if prev_order_key.as_deref() != Some(&key[..]) {
-                if prev_order_key.is_some() {
-                    order_switches += 1;
-                }
-                runs.switch(|| format!("order={order:?}"));
-                last_order_switch = episodes + 1;
-                prev_order_key = Some(key.clone());
-            }
-            let info = order_infos
-                .entry(key.clone())
-                .or_insert_with(|| {
-                    Arc::new(OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes))
+            let order = ledger.tree.choose();
+            let info = ledger
+                .enter(&order, || {
+                    OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes)
                 })
                 .clone();
             let t0 = order[0];
@@ -372,17 +337,12 @@ pub fn run_parallel_skinner(
                     global_results.append(&report.results);
                 }
                 match report.reward {
-                    Some(reward) => tree.update(&order, reward),
+                    Some(reward) => ledger.tree.update(&order, reward),
                     None => any_cancelled = true,
                 }
                 worker_metrics.push(report.metrics);
             }
-            episodes += 1;
-            runs.slice();
-            *order_counts.entry(key).or_insert(0) += 1;
-            if episodes.is_power_of_two() || episodes.is_multiple_of(256) {
-                tree_growth.push((episodes, tree.num_nodes()));
-            }
+            ledger.record();
             if any_cancelled {
                 timed_out = true;
                 break;
@@ -400,12 +360,10 @@ pub fn run_parallel_skinner(
             offsets[t0] = hi as RowId;
         }
     }
-    tree_growth.push((episodes, tree.num_nodes()));
-    runs.finish();
+    ledger.finish();
 
     let result_tuples = global_results.len() as u64;
     let result_set_bytes = global_results.byte_size();
-    let total_aux_bytes = tree.byte_size() + result_set_bytes + prepared.index_bytes;
 
     // Post-processing: partitioned across workers (partial aggregation /
     // local sort + coordinator merge) instead of serializing on this
@@ -432,21 +390,8 @@ pub fn run_parallel_skinner(
     post_timer.finish(result_tuples);
     let postprocess_us = pp_start.elapsed().as_micros() as u64;
 
-    let mut order_slice_counts: Vec<(Vec<usize>, u64)> = order_counts
-        .into_iter()
-        .map(|(k, v)| (k.iter().map(|&b| b as usize).collect(), v))
-        .collect();
-    order_slice_counts.sort_by_key(|e| std::cmp::Reverse(e.1));
-
-    // Publish the tree's statistics for the next query of this
-    // template, with total episodes as the drift-feedback convergence
-    // cost (skipped on timeout — see the sequential engine).
-    if let Some(p) = &probe {
-        if !timed_out && episodes > 0 {
-            p.publish(tree.extract_prior(p.max_entries()), episodes);
-        }
-    }
-
+    let shared = ledger.into_metrics(timed_out, &prepared);
+    let episodes = shared.slices;
     let workers = merge_worker_metrics(worker_metrics);
     ctx.absorb_work(budget.used());
     ExecOutcome {
@@ -455,31 +400,17 @@ pub fn run_parallel_skinner(
         wall: start.elapsed(),
         timed_out,
         metrics: ExecMetrics {
-            order: tree.best_order(),
             result_tuples,
-            slices: episodes,
-            uct_nodes: tree.num_nodes(),
             result_set_bytes,
-            total_aux_bytes,
-            tree_growth,
-            order_slice_counts,
-            pages_read: prepared.pages_read,
-            pages_skipped: prepared.pages_skipped,
-            ..ExecMetrics::default()
+            total_aux_bytes: shared.total_aux_bytes + result_set_bytes,
+            ..shared
         }
         .with_counter("threads", threads as u64)
         .with_counter("episodes", episodes)
         .with_counter("failed_episodes", failed_episodes)
         .with_counter("worker_slices", workers.slices)
         .with_counter("chunks", workers.counter("chunks").unwrap_or(0))
-        .with_counter("postprocess_us", postprocess_us)
-        .with_counter("cache_hit", cache_hit)
-        .with_counter("warm_start_visits", warm_start_visits)
-        .with_counter("warm_start_generalized", warm_start_generalized)
-        .with_counter("last_order_switch", last_order_switch)
-        .with_counter("order_switches", order_switches)
-        .with_counter("index_builds", prepared.index_builds)
-        .with_counter("index_reuses", prepared.index_reuses),
+        .with_counter("postprocess_us", postprocess_us),
     }
 }
 

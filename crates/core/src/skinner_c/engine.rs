@@ -1,154 +1,135 @@
 //! The Skinner-C main loop (paper Algorithm 3).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skinner_exec::{
-    postprocess, EpisodeRuns, ExecContext, ExecMetrics, ExecOutcome, QueryResult, SpanTimer,
-    WorkBudget,
+    postprocess, ExecContext, ExecMetrics, ExecOutcome, QueryResult, SpanTimer, WorkBudget,
 };
 use skinner_query::{JoinGraph, JoinQuery, TableSet};
 use skinner_storage::RowId;
-use skinner_uct::{UctConfig, UctTree};
+use skinner_uct::UctConfig;
 
-use crate::cache::CacheProbe;
 use crate::config::SkinnerCConfig;
 
-use super::join::{continue_join, JoinCursors, MultiwayCtx, OrderInfo, SliceOutcome};
+use super::join::{all_joined, continue_join, JoinCursors, MultiwayCtx, OrderInfo, SliceOutcome};
+use super::ledger::EpisodeLedger;
 use super::preproc::prepare;
 use super::result_set::ResultSet;
 use super::reward::slice_reward;
-use super::state::{JoinState, OrderKey, ProgressTracker};
+use super::state::{JoinState, ProgressTracker};
 
 /// Evaluate `query` with Skinner-C. The outcome's [`ExecMetrics`] carry the
 /// instrumentation feeding the paper's convergence and memory experiments
 /// (Figures 7 and 8): `order` is the most-visited join order at
 /// termination (replayed in Tables 3/4).
 pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig) -> ExecOutcome {
+    let source = if cfg.learning {
+        OrderSource::Learned
+    } else {
+        OrderSource::Random(StdRng::seed_from_u64(cfg.seed ^ 0xD1CE))
+    };
+    run_episodes(query, ctx, cfg, source)
+}
+
+/// Run the Skinner-C multi-way join engine with one *fixed* join order —
+/// no learning, no switching. This is the "Skinner engine / forced order"
+/// configuration replayed in the paper's Tables 3 and 4 (executing final
+/// Skinner orders and C_out-optimal orders inside each engine): the same
+/// episode loop as [`run_skinner_c`], fed one order every slice.
+pub fn run_skinner_c_fixed(
+    query: &JoinQuery,
+    ctx: &ExecContext,
+    order: &[usize],
+    cfg: &SkinnerCConfig,
+) -> ExecOutcome {
+    assert_eq!(
+        order.len(),
+        query.num_tables(),
+        "order must cover all tables"
+    );
+    run_episodes(query, ctx, cfg, OrderSource::Fixed(order))
+}
+
+/// Where each slice's join order comes from.
+enum OrderSource<'o> {
+    /// The tree's choice, rewarded by the slice's progress (Algorithm 3).
+    Learned,
+    /// A uniformly random valid order: the `learning: false` ablation.
+    Random(StdRng),
+    /// One order for every slice: the replay of Tables 3/4.
+    Fixed(&'o [usize]),
+}
+
+/// The Skinner-C episode loop (Algorithm 3): per time slice, take a join
+/// order from `source`, restore its state, run the multi-way join for
+/// `slice_steps` steps, back the state up and advance the offsets.
+fn run_episodes(
+    query: &JoinQuery,
+    ctx: &ExecContext,
+    cfg: &SkinnerCConfig,
+    mut source: OrderSource<'_>,
+) -> ExecOutcome {
     let start = Instant::now();
     let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let m = query.num_tables();
 
-    macro_rules! bail_timeout {
-        ($final_order:expr, $aux:expr) => {{
-            ctx.absorb_work(budget.used());
-            return ExecOutcome::timeout(columns.clone(), budget.used(), start.elapsed())
-                .with_metrics(ExecMetrics {
-                    order: $final_order,
-                    total_aux_bytes: $aux,
-                    ..ExecMetrics::default()
-                });
-        }};
-    }
-
     let trace = ctx.trace();
     let pre_timer = SpanTimer::start(trace, "preprocess");
     let prepared = match prepare(query, &budget, cfg.preprocess_threads, cfg.use_jump_indexes) {
         Ok(p) => p,
-        Err(_) => bail_timeout!((0..m).collect(), 0),
+        Err(_) => {
+            let order = match source {
+                OrderSource::Fixed(order) => order.to_vec(),
+                _ => (0..m).collect(),
+            };
+            ctx.absorb_work(budget.used());
+            return ExecOutcome::timeout(columns, budget.used(), start.elapsed()).with_metrics(
+                ExecMetrics {
+                    order,
+                    ..ExecMetrics::default()
+                },
+            );
+        }
     };
     pre_timer.finish_labeled(prepared.pages_skipped, || prepared.span_label());
     let mctx: &MultiwayCtx = &prepared.ctx;
     let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
 
-    let graph: JoinGraph = query.join_graph();
-    let mut uct = UctTree::new(
-        graph.clone(),
-        UctConfig {
-            exploration_weight: cfg.exploration_weight,
-            seed: cfg.seed,
-        },
-    );
-    // Cross-query learning: when the context carries a template cache,
-    // warm-start the tree from the decayed prior of a previous execution
-    // of the same template. Purely a learning bias — the offsets
-    // discipline keeps results identical whatever orders get explored.
-    let probe = if cfg.learning {
-        CacheProbe::probe(ctx, query)
-    } else {
-        None
+    let learns = matches!(source, OrderSource::Learned);
+    let uct = UctConfig {
+        exploration_weight: cfg.exploration_weight,
+        seed: cfg.seed,
     };
-    let mut cache_hit = 0u64;
-    let mut warm_start_visits = 0u64;
-    let mut warm_start_generalized = 0u64;
-    if let Some(p) = &probe {
-        if let Some(warm) = p.lookup() {
-            warm_start_visits = uct.seed_prior(&warm.prior, p.decay());
-            cache_hit = 1;
-            warm_start_generalized = warm.generalized as u64;
-        }
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1CE);
+    let mut ledger = EpisodeLedger::new(query, ctx, uct, learns);
     let mut tracker = ProgressTracker::new(m, cfg.share_progress);
     let mut results = ResultSet::new();
     let mut offsets: Vec<RowId> = vec![0; m];
-    // Per distinct order: its evaluation plan and slice count, found with
-    // one allocation-free lookup per slice.
-    let mut order_ids: HashMap<Box<[u8]>, usize> = HashMap::new();
-    let mut orders: Vec<(OrderInfo, u64)> = Vec::new();
     // Scratch states reused by every slice.
     let mut state = JoinState::fresh(&offsets);
     let mut before = JoinState::fresh(&offsets);
     let mut cursors = JoinCursors::default();
-    let mut tree_growth: Vec<(u64, usize)> = Vec::new();
-    let mut slices = 0u64;
     let mut timed_out = false;
-    // Convergence instrumentation: the episode index of the last join-order
-    // switch — after it the engine executed one order exclusively. Warm
-    // starts should lock in measurably earlier (the `repeat_workload`
-    // benchmark reads this).
-    let mut last_order_switch = 0u64;
-    let mut prev_order: Option<usize> = None;
-    // Regret proxy: how many times the chosen order changed between
-    // consecutive slices (0 = the engine converged instantly).
-    let mut order_switches = 0u64;
-    // Per-order episode attribution: one span per contiguous run of
-    // slices on the same order.
-    let mut runs = EpisodeRuns::start(trace);
-
-    // Skinner-C terminates once any table's offset passes its end (all its
-    // tuples fully joined) — including the degenerate empty-table case.
-    let finished_by_offsets =
-        |offsets: &[RowId], cards: &[RowId]| offsets.iter().zip(cards).any(|(&o, &n)| o >= n);
 
     if !query.always_false {
-        while !finished_by_offsets(&offsets, &cards) {
+        while !all_joined(&offsets, &cards) {
             // Cooperative cancellation/deadline: checked once per slice, the
             // engine's natural preemption point.
             if ctx.interrupted() {
                 timed_out = true;
                 break;
             }
-            // Join order for this slice: UCT choice, or uniform random for
-            // the ablation baseline.
-            let order = if cfg.learning {
-                uct.choose()
-            } else {
-                random_order(&graph, &mut rng)
+            let order = match &mut source {
+                OrderSource::Learned => ledger.tree.choose(),
+                OrderSource::Random(rng) => random_order(ledger.tree.graph(), rng),
+                OrderSource::Fixed(order) => order.to_vec(),
             };
-            let key = OrderKey::new(&order);
-            let id = match order_ids.get(key.as_bytes()) {
-                Some(&id) => id,
-                None => {
-                    let info = OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes);
-                    orders.push((info, 0));
-                    order_ids.insert(key.as_bytes().into(), orders.len() - 1);
-                    orders.len() - 1
-                }
-            };
-            if prev_order != Some(id) {
-                if prev_order.is_some() {
-                    order_switches += 1;
-                }
-                runs.switch(|| format!("order={order:?}"));
-                last_order_switch = slices + 1;
-                prev_order = Some(id);
-            }
-            let (info, order_slices) = &mut orders[id];
+            let info = ledger.enter(&order, || {
+                OrderInfo::build(query, mctx, &order, cfg.use_jump_indexes)
+            });
             tracker.restore_into(&order, &offsets, &mut state);
             before.copy_from(&state);
             let outcome = match continue_join(
@@ -167,9 +148,9 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
                 }
             };
             let finished = outcome == SliceOutcome::Finished;
-            if cfg.learning {
+            if learns {
                 let r = slice_reward(cfg.reward, &order, &before, &state, &cards, finished);
-                uct.update(&order, r);
+                ledger.tree.update(&order, r);
             }
             tracker.backup(&order, &state);
             // Left-most cursor advances the global offset: those tuples are
@@ -179,21 +160,13 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
             if finished {
                 offsets[t0] = offsets[t0].max(cards[t0]);
             }
-            slices += 1;
-            runs.slice();
-            *order_slices += 1;
-            if slices.is_power_of_two() || slices.is_multiple_of(256) {
-                tree_growth.push((slices, uct.num_nodes()));
-            }
+            ledger.record();
         }
     }
-    tree_growth.push((slices, uct.num_nodes()));
-    runs.finish();
+    ledger.finish();
 
     let result_tuples = results.len() as u64;
     let result_set_bytes = results.byte_size();
-    let total_aux_bytes =
-        uct.byte_size() + tracker.byte_size() + result_set_bytes + prepared.index_bytes;
 
     let post_timer = SpanTimer::start(trace, "postprocess");
     let result = if timed_out {
@@ -209,148 +182,25 @@ pub fn run_skinner_c(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerCConfig)
     };
     post_timer.finish(result_tuples);
 
-    // An order whose only slice timed out was never counted.
-    let mut order_slice_counts: Vec<(Vec<usize>, u64)> = orders
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(info, n)| (info.order, n))
-        .collect();
-    order_slice_counts.sort_by_key(|e| std::cmp::Reverse(e.1));
-
-    // Publish the finished tree's statistics for the next query of this
-    // template, with the run's convergence cost (total episodes) as drift
-    // feedback. Timed-out runs publish nothing: their trees are dominated
-    // by orders the abandonment discipline already rejected.
-    if let Some(p) = &probe {
-        if !timed_out && slices > 0 {
-            p.publish(uct.extract_prior(p.max_entries()), slices);
-        }
+    let shared = ledger.into_metrics(timed_out, &prepared);
+    let mut metrics = ExecMetrics {
+        result_tuples,
+        tracker_nodes: tracker.num_trie_nodes(),
+        result_set_bytes,
+        total_aux_bytes: shared.total_aux_bytes + tracker.byte_size() + result_set_bytes,
+        ..shared
+    };
+    // A replay reports the order it ran, not the untouched tree's.
+    if let OrderSource::Fixed(order) = source {
+        metrics.order = order.to_vec();
     }
-
     ctx.absorb_work(budget.used());
     ExecOutcome {
         result,
         work_units: budget.used(),
         wall: start.elapsed(),
         timed_out,
-        metrics: ExecMetrics {
-            order: uct.best_order(),
-            result_tuples,
-            slices,
-            uct_nodes: uct.num_nodes(),
-            tracker_nodes: tracker.num_trie_nodes(),
-            result_set_bytes,
-            total_aux_bytes,
-            tree_growth,
-            order_slice_counts,
-            pages_read: prepared.pages_read,
-            pages_skipped: prepared.pages_skipped,
-            ..ExecMetrics::default()
-        }
-        .with_counter("cache_hit", cache_hit)
-        .with_counter("warm_start_visits", warm_start_visits)
-        .with_counter("warm_start_generalized", warm_start_generalized)
-        .with_counter("last_order_switch", last_order_switch)
-        .with_counter("order_switches", order_switches)
-        .with_counter("index_builds", prepared.index_builds)
-        .with_counter("index_reuses", prepared.index_reuses),
-    }
-}
-
-/// Run the Skinner-C multi-way join engine with one *fixed* join order —
-/// no learning, no switching. This is the "Skinner engine / forced order"
-/// configuration replayed in the paper's Tables 3 and 4 (executing final
-/// Skinner orders and C_out-optimal orders inside each engine).
-pub fn run_skinner_c_fixed(
-    query: &JoinQuery,
-    ctx: &ExecContext,
-    order: &[usize],
-    cfg: &SkinnerCConfig,
-) -> ExecOutcome {
-    let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
-    let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
-    let m = query.num_tables();
-    assert_eq!(order.len(), m, "order must cover all tables");
-    let mut timed_out = false;
-    let mut results = ResultSet::new();
-    let mut slices = 0u64;
-
-    let empty = QueryResult::empty(columns.clone());
-    let prepared = match prepare(query, &budget, cfg.preprocess_threads, cfg.use_jump_indexes) {
-        Ok(p) => p,
-        Err(_) => {
-            ctx.absorb_work(budget.used());
-            return ExecOutcome::timeout(columns, budget.used(), start.elapsed()).with_metrics(
-                ExecMetrics {
-                    order: order.to_vec(),
-                    ..ExecMetrics::default()
-                },
-            );
-        }
-    };
-    let mctx = &prepared.ctx;
-    let cards: Vec<RowId> = mctx.tables.iter().map(|t| t.cardinality()).collect();
-    let offsets: Vec<RowId> = vec![0; m];
-    let info = OrderInfo::build(query, mctx, order, cfg.use_jump_indexes);
-    let mut state = super::state::JoinState::fresh(&offsets);
-    let mut cursors = JoinCursors::default();
-    if !query.always_false && cards.iter().all(|&n| n > 0) {
-        loop {
-            if ctx.interrupted() {
-                timed_out = true;
-                break;
-            }
-            slices += 1;
-            match continue_join(
-                &info,
-                &mut state,
-                &mut cursors,
-                &offsets,
-                cfg.slice_steps,
-                &budget,
-                &mut results,
-            ) {
-                Ok(SliceOutcome::Finished) => break,
-                Ok(SliceOutcome::Budget) => {}
-                Err(_) => {
-                    timed_out = true;
-                    break;
-                }
-            }
-        }
-    }
-    let result_tuples = results.len() as u64;
-    let result_set_bytes = results.byte_size();
-    let result = if timed_out {
-        empty
-    } else {
-        match postprocess(&mctx.tables, query, results.seal().view(), &budget) {
-            Ok(r) => r,
-            Err(_) => {
-                timed_out = true;
-                empty
-            }
-        }
-    };
-    ctx.absorb_work(budget.used());
-    ExecOutcome {
-        result,
-        work_units: budget.used(),
-        wall: start.elapsed(),
-        timed_out,
-        metrics: ExecMetrics {
-            order: order.to_vec(),
-            result_tuples,
-            slices,
-            result_set_bytes,
-            total_aux_bytes: result_set_bytes + prepared.index_bytes,
-            pages_read: prepared.pages_read,
-            pages_skipped: prepared.pages_skipped,
-            ..ExecMetrics::default()
-        }
-        .with_counter("index_builds", prepared.index_builds)
-        .with_counter("index_reuses", prepared.index_reuses),
+        metrics,
     }
 }
 
@@ -583,6 +433,13 @@ mod tests {
                 learned.result.canonical_rows(),
                 "{order:?}"
             );
+            // The replay runs the learned run's loop and reports like it.
+            assert_eq!(fixed.metrics.order, order);
+            assert_eq!(
+                fixed.metrics.order_slice_counts,
+                vec![(order.to_vec(), fixed.metrics.slices)]
+            );
+            assert!(fixed.metrics.tracker_nodes >= 1);
         }
     }
 

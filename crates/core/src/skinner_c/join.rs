@@ -190,6 +190,12 @@ pub enum SliceOutcome {
     Finished,
 }
 
+/// Skinner-C terminates once any table's offset passes its end (all its
+/// tuples fully joined) — including the degenerate empty-table case.
+pub(crate) fn all_joined(offsets: &[RowId], cards: &[RowId]) -> bool {
+    offsets.iter().zip(cards).any(|(&o, &n)| o >= n)
+}
+
 /// `ContinueJoin` (Algorithm 2): run the multi-way join for `order` starting
 /// from `state`, for at most `max_steps` outer-loop iterations, inserting
 /// result tuples into `results`. Offsets exclude globally fully-joined rows

@@ -18,6 +18,7 @@
 
 pub mod engine;
 pub mod join;
+pub(crate) mod ledger;
 pub mod preproc;
 pub mod result_set;
 pub mod reward;

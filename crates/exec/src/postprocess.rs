@@ -925,13 +925,15 @@ fn kway_merge_sorted(query: &JoinQuery, chunks: Vec<Vec<Vec<Value>>>) -> Vec<Vec
     out
 }
 
-/// DISTINCT's row identity: floats to nine decimals, everything else as
-/// displayed.
+/// DISTINCT's row identity: floats to nine decimals, integers as
+/// displayed, strings prefixed with their length, so no string's bytes can
+/// pass for a separator.
 fn row_key(row: &[Value]) -> String {
     let mut s = String::new();
     for v in row {
         let _ = match v {
             Value::Float(x) => write!(s, "{x:.9}|"),
+            Value::Str(x) => write!(s, "{}:{x}|", x.len()),
             other => write!(s, "{other}|"),
         };
     }
@@ -1050,6 +1052,20 @@ mod tests {
         let budget = WorkBudget::unlimited();
         let r = postprocess(&q.tables, &q, view(&all_tuples(10)), &budget).unwrap();
         assert_eq!(r.num_rows(), 3);
+    }
+
+    /// Rows whose strings only differ in where a `|` falls are distinct.
+    #[test]
+    fn distinct_keeps_rows_that_differ_around_a_separator() {
+        let cat = Catalog::new();
+        let mut a = cat.builder("a", schema![("s", Str), ("t", Str)]);
+        a.push_row(&[Value::Str("x|".into()), Value::Str("y".into())]);
+        a.push_row(&[Value::Str("x".into()), Value::Str("|y".into())]);
+        cat.register(a.finish());
+        let q = bind("SELECT DISTINCT a.s, a.t FROM a", &cat);
+        let budget = WorkBudget::unlimited();
+        let r = postprocess(&q.tables, &q, view(&all_tuples(2)), &budget).unwrap();
+        assert_eq!(r.num_rows(), 2);
     }
 
     #[test]

@@ -121,6 +121,7 @@ fn model_row_key(row: &[Value]) -> String {
     for v in row {
         match v {
             Value::Float(x) => s.push_str(&format!("{x:.9}|")),
+            Value::Str(x) => s.push_str(&format!("{}:{x}|", x.len())),
             other => {
                 s.push_str(&other.to_string());
                 s.push('|');
@@ -220,7 +221,8 @@ fn model(
 // Generators.
 // ---------------------------------------------------------------------
 
-const WORDS: [&str; 7] = ["", "a", "ab", "b", "B", "zz", "été"];
+/// `a|` and `|b` put a separator byte in either cell of a DISTINCT row.
+const WORDS: [&str; 9] = ["", "a", "ab", "b", "B", "zz", "été", "a|", "|b"];
 
 /// Floats whose sums depend on addition order, plus both zeros.
 fn float_cell(nan: bool) -> BoxedStrategy<f64> {

@@ -34,6 +34,7 @@ impl Interner {
 
     /// Intern `s`, returning its stable code. Idempotent.
     pub fn intern(&self, s: &str) -> u32 {
+        self.assert_not_held();
         if let Some(&c) = self.inner.read().codes.get(s) {
             return c;
         }
@@ -54,12 +55,14 @@ impl Interner {
     /// table cannot match any row, so the binder can fold the predicate to
     /// a comparison against an impossible code.
     pub fn lookup(&self, s: &str) -> Option<u32> {
+        self.assert_not_held();
         self.inner.read().codes.get(s).copied()
     }
 
     /// Resolve a code back to its string. Panics on an unknown code, which
     /// indicates a cross-catalog mixup (a bug, not a user error).
     pub fn resolve(&self, code: u32) -> Arc<str> {
+        self.assert_not_held();
         self.inner.read().strings[code as usize].clone()
     }
 
@@ -69,14 +72,23 @@ impl Interner {
     /// and the holding thread must not call [`Interner::resolve`] or
     /// [`Interner::intern`] (the lock is not re-entrant once a writer
     /// waits) — the kernel gives the guard back before it evaluates any
-    /// expression and at least every 1024 tuples.
+    /// expression and at least every 1024 tuples. Debug builds assert
+    /// that rule.
     #[doc(hidden)]
     pub fn read(&self) -> InternerRead<'_> {
-        InternerRead(self.inner.read())
+        self.assert_not_held();
+        #[cfg(debug_assertions)]
+        HELD.with(|held| held.borrow_mut().push(self.id()));
+        InternerRead {
+            guard: self.inner.read(),
+            #[cfg(debug_assertions)]
+            owner: self.id(),
+        }
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
+        self.assert_not_held();
         self.inner.read().strings.len()
     }
 
@@ -84,17 +96,47 @@ impl Interner {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Debug builds: this thread must not hold an [`InternerRead`] of this
+    /// interner, or the call deadlocks as soon as a writer waits.
+    fn assert_not_held(&self) {
+        #[cfg(debug_assertions)]
+        HELD.with(|held| debug_assert!(!held.borrow().contains(&self.id()), "interner re-entered"));
+    }
+
+    #[cfg(debug_assertions)]
+    fn id(&self) -> usize {
+        self as *const Interner as usize
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The interners whose [`InternerRead`] this thread holds.
+    static HELD: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// A held read of an [`Interner`]; see [`Interner::read`].
 #[doc(hidden)]
-pub struct InternerRead<'a>(RwLockReadGuard<'a, Inner>);
+pub struct InternerRead<'a> {
+    guard: RwLockReadGuard<'a, Inner>,
+    #[cfg(debug_assertions)]
+    owner: usize,
+}
 
 impl InternerRead<'_> {
     /// The string with code `code`. Panics on unknown codes.
     #[inline]
     pub fn get(&self, code: u32) -> &Arc<str> {
-        &self.0.strings[code as usize]
+        &self.guard.strings[code as usize]
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for InternerRead<'_> {
+    fn drop(&mut self) {
+        // `try_with`: a drop during thread teardown must not panic.
+        let _ = HELD.try_with(|held| held.borrow_mut().retain(|&id| id != self.owner));
     }
 }
 
@@ -126,10 +168,35 @@ mod tests {
     fn held_read_resolves_without_cloning() {
         let i = Interner::new();
         let (a, b) = (i.intern("a"), i.intern("b"));
+        let resolved = i.resolve(b);
         let r = i.read();
         assert_eq!(&**r.get(a), "a");
         assert!(r.get(a) < r.get(b));
-        assert!(Arc::ptr_eq(r.get(b), &i.resolve(b)));
+        assert!(Arc::ptr_eq(r.get(b), &resolved));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "re-entered")]
+    fn resolving_under_a_held_read_asserts() {
+        let i = Interner::new();
+        let a = i.intern("a");
+        let _r = i.read();
+        i.resolve(a);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_dropped_read_and_other_interners_do_not_assert() {
+        let (i, j) = (Interner::new(), Interner::new());
+        let a = i.intern("a");
+        drop(i.read());
+        let _r = i.read();
+        assert_eq!(j.intern("b"), 0);
+        assert_eq!(
+            &*std::thread::scope(|s| s.spawn(|| i.resolve(a)).join().unwrap()),
+            "a"
+        );
     }
 
     #[test]

@@ -221,8 +221,8 @@ impl<'a> EpisodeRuns<'a> {
         self.slices += 1;
     }
 
-    /// Close the final run.
-    pub fn finish(mut self) {
+    /// Close the final run; a later call closes nothing.
+    pub fn finish(&mut self) {
         if let Some(t) = self.trace {
             self.close(t);
         }

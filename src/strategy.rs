@@ -28,8 +28,9 @@ pub enum Strategy {
     /// Skinner-H hybrid (Section 4.4).
     SkinnerH(SkinnerHConfig),
     /// Multi-threaded Skinner-C: episode batches split across worker
-    /// threads, all learning through one shared concurrent UCT tree (the
-    /// paper's parallel configuration, Section 6.1).
+    /// threads, all learning through the coordinator's one UCT tree, which
+    /// applies the workers' rewards in chunk order (the paper's parallel
+    /// configuration, Section 6.1).
     ParallelSkinner(ParallelSkinnerConfig),
     /// Traditional statistics + DP optimizer + generic engine.
     Traditional(TraditionalConfig),

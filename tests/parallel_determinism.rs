@@ -4,7 +4,8 @@
 //! Skinner-C's rows and join-tuple count, with work in the same ballpark;
 //! with N threads every run of one statement returns the reference's rows
 //! and repeats the same rows in the same order, the same work units, the
-//! same episode count and the same learned join order — the coordinator
+//! same episode count, the same learned join order and the same episodes
+//! per order, reported in the same order — the coordinator
 //! applies worker reports in chunk order, so scheduling never leaks into
 //! the outcome, not even when another statement shares the process-wide
 //! pool at the same time. A cancellation fired mid-episode must stop all
@@ -36,14 +37,19 @@ fn run(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
         .unwrap_or_else(|e| panic!("{script} failed: {e}"))
 }
 
+/// Episodes per join order, most-used first.
+type OrderCounts = Vec<(Vec<usize>, u64)>;
+
 /// What must repeat exactly across runs of one statement: the rows in
-/// their delivered order, work units, episodes and the learned order.
-fn fingerprint(out: &ExecOutcome) -> (String, u64, u64, Vec<usize>) {
+/// their delivered order, work units, episodes, the learned order and the
+/// per-order episode counts in their reported order.
+fn fingerprint(out: &ExecOutcome) -> (String, u64, u64, Vec<usize>, OrderCounts) {
     (
         format!("{:?}", out.result.rows),
         out.work_units,
         out.metrics.slices,
         out.metrics.order.clone(),
+        out.metrics.order_slice_counts.clone(),
     )
 }
 
