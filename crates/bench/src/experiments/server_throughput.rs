@@ -286,7 +286,6 @@ pub fn run(scale: Scale) -> String {
                 max_concurrent: cores.max(2),
                 queue_depth: 64,
                 queue_timeout: Duration::from_secs(2),
-                ..AdmissionConfig::default()
             },
             ..ServerConfig::default()
         };

@@ -258,15 +258,6 @@ pub fn fmt_dur(d: Duration) -> String {
     }
 }
 
-/// Format an outcome's work figure, marking timeouts.
-pub fn fmt_work(o: &SysOutcome) -> String {
-    if o.timed_out {
-        format!(">{}", human(o.work))
-    } else {
-        human(o.work)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

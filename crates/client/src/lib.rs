@@ -4,7 +4,7 @@
 //! (see `skinner_server`'s crate docs for the wire format). Used by the
 //! integration tests, the throughput benchmark and `examples/`.
 //!
-//! The client negotiates protocol v2 and tags every request, which makes
+//! The client speaks protocol version 2 and tags every request, which makes
 //! pipelining a first-class operation: [`Client::send_query`] puts a
 //! statement in flight and returns its tag immediately, [`Client::wait`]
 //! collects a specific tag's result, and interleaved response streams
@@ -188,14 +188,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect and handshake under the default tenant.
+    /// Connect and handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::connect_as(addr, "")
-    }
-
-    /// Connect and handshake, identifying as `tenant` for fair-share
-    /// admission (empty = the default tenant class).
-    pub fn connect_as(addr: impl ToSocketAddrs, tenant: &str) -> Result<Client, ClientError> {
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -217,7 +211,6 @@ impl Client {
         };
         Request::Hello {
             version: PROTOCOL_VERSION,
-            tenant: tenant.to_string(),
         }
         .write(&mut client.writer)?;
         match Response::read(&mut client.reader)? {

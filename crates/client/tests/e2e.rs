@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use skinner_client::Client;
 use skinner_server::protocol::{ErrorCode, Request, Response, PROTOCOL_VERSION};
-use skinner_server::{AdmissionConfig, Server, ServerConfig, TenantClass};
+use skinner_server::{AdmissionConfig, Server, ServerConfig};
 use skinnerdb::{DataType, Database, Value};
 
 /// Shared fixture schema: a join pair (t, u), a mid-size table for slow
@@ -285,7 +285,6 @@ fn cancel_while_queued_at_the_admission_gate_is_not_lost() {
             max_concurrent: 1,
             queue_depth: 4,
             queue_timeout: Duration::from_secs(60),
-            ..AdmissionConfig::default()
         },
         ..ServerConfig::default()
     });
@@ -354,7 +353,6 @@ fn oversubscribed_burst_sheds_explicitly_and_never_hangs() {
             max_concurrent: 1,
             queue_depth: 1,
             queue_timeout: Duration::from_millis(200),
-            ..AdmissionConfig::default()
         },
         ..ServerConfig::default()
     });
@@ -482,16 +480,13 @@ fn shutdown_cancels_running_queries_promptly() {
 #[test]
 fn protocol_version_mismatch_is_refused() {
     let (mut server, addr) = default_server();
-    let stream = std::net::TcpStream::connect(&addr).unwrap();
-    Request::Hello {
-        version: PROTOCOL_VERSION + 999,
-        tenant: String::new(),
-    }
-    .write(&mut &stream)
-    .unwrap();
-    match Response::read(&mut &stream).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-        other => panic!("expected version refusal, got {other:?}"),
+    for version in [1, PROTOCOL_VERSION + 999] {
+        let stream = std::net::TcpStream::connect(&addr).unwrap();
+        Request::Hello { version }.write(&mut &stream).unwrap();
+        match Response::read(&mut &stream).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+            other => panic!("expected version {version} refused, got {other:?}"),
+        }
     }
     server.shutdown();
 }
@@ -556,36 +551,6 @@ fn idle_connections_are_reaped_and_their_slots_released() {
         idle.query(QUERIES[0]).is_err(),
         "reaped connection must be closed"
     );
-    server.shutdown();
-}
-
-#[test]
-fn tenant_classes_are_tracked_through_admission() {
-    let (mut server, addr) = start(ServerConfig {
-        admission: AdmissionConfig {
-            tenants: vec![
-                TenantClass {
-                    name: "gold".into(),
-                    weight: 3,
-                },
-                TenantClass {
-                    name: "bronze".into(),
-                    weight: 1,
-                },
-            ],
-            ..AdmissionConfig::default()
-        },
-        ..ServerConfig::default()
-    });
-    let mut gold = Client::connect_as(&addr, "gold").unwrap();
-    let mut bronze = Client::connect_as(&addr, "bronze").unwrap();
-    assert_eq!(gold.query(QUERIES[1]).unwrap().rows.len(), 18);
-    assert_eq!(bronze.query(QUERIES[1]).unwrap().rows.len(), 18);
-    let stats = gold.query("SHOW SERVER STATS").unwrap();
-    assert_eq!(stat(&stats, "tenant.gold.weight"), 3);
-    assert_eq!(stat(&stats, "tenant.bronze.weight"), 1);
-    assert!(stat(&stats, "tenant.gold.admitted") >= 1);
-    assert!(stat(&stats, "tenant.bronze.admitted") >= 1);
     server.shutdown();
 }
 
@@ -724,7 +689,6 @@ fn protocol_fuzz_under_pipelining_never_wedges_the_server() {
             let mut b = Vec::new();
             Request::Hello {
                 version: PROTOCOL_VERSION,
-                tenant: String::new(),
             }
             .write(&mut b)
             .unwrap();

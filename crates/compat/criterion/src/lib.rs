@@ -154,8 +154,6 @@ impl Criterion {
         }
         self
     }
-
-    pub fn final_summary(&mut self) {}
 }
 
 fn fmt_ns(d: Duration) -> String {

@@ -550,16 +550,6 @@ impl TreeCache {
         self.len() == 0
     }
 
-    /// Number of entries currently quarantined.
-    pub fn quarantined_len(&self) -> usize {
-        self.inner
-            .lock()
-            .map
-            .values()
-            .filter(|e| e.drift.quarantined())
-            .count()
-    }
-
     /// Counter snapshot (see [`TreeCacheStats`]).
     pub fn stats(&self) -> TreeCacheStats {
         let (entries, quarantined) = {

@@ -52,11 +52,6 @@ impl PyramidScheme {
         self.allocated.len()
     }
 
-    /// Total time units allocated across all levels.
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated.iter().sum()
-    }
-
     /// Time units allocated to `level`.
     pub fn allocated_to(&self, level: usize) -> u64 {
         self.allocated.get(level).copied().unwrap_or(0)

@@ -53,16 +53,6 @@ impl CancelToken {
         }
     }
 
-    /// A token that fires at `deadline`.
-    pub fn deadline_at(deadline: Instant) -> Self {
-        CancelToken {
-            inner: Arc::new(CancelInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
-            }),
-        }
-    }
-
     /// Request cancellation (idempotent, callable from any thread).
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
@@ -147,10 +137,6 @@ impl ExecContext {
     /// Statistics for cost-based strategies (SkinnerDB itself never reads
     /// them — the paper's "no statistics" discipline).
     pub fn stats(&self) -> &StatsCache {
-        &self.stats
-    }
-
-    pub fn stats_arc(&self) -> &Arc<StatsCache> {
         &self.stats
     }
 

@@ -52,13 +52,12 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::fmt::Write;
 use std::sync::Arc;
 
 use skinner_query::expr::EvalCtx;
 use skinner_query::{AggFunc, Expr, JoinQuery, SelectItem};
 use skinner_storage::hash::fold_keys;
-use skinner_storage::{Column, DataType, Interner, InternerRead, RowId, Table, Value};
+use skinner_storage::{float_key, Column, DataType, Interner, InternerRead, RowId, Table, Value};
 
 use crate::budget::{Timeout, WorkBudget};
 use crate::pool::{partition_tuples, scatter_gather};
@@ -258,10 +257,7 @@ impl<'a> Accessor<'a> {
     fn key(&self, t: &[RowId], cx: &Cx<'_>) -> u64 {
         match self {
             Accessor::Int(pos, v) => v[t[*pos] as usize] as u64,
-            Accessor::Float(pos, v) => {
-                let f = v[t[*pos] as usize];
-                (if f == 0.0 { 0.0 } else { f }).to_bits()
-            }
+            Accessor::Float(pos, v) => float_key(v[t[*pos] as usize]),
             Accessor::Str(pos, v) => v[t[*pos] as usize] as u64,
             Accessor::Eval(e) => cx.eval_key(e, t),
         }
@@ -925,19 +921,24 @@ fn kway_merge_sorted(query: &JoinQuery, chunks: Vec<Vec<Vec<Value>>>) -> Vec<Vec
     out
 }
 
-/// DISTINCT's row identity: floats to nine decimals, integers as
-/// displayed, strings prefixed with their length, so no string's bytes can
-/// pass for a separator.
-fn row_key(row: &[Value]) -> String {
-    let mut s = String::new();
-    for v in row {
-        let _ = match v {
-            Value::Float(x) => write!(s, "{x:.9}|"),
-            Value::Str(x) => write!(s, "{}:{x}|", x.len()),
-            other => write!(s, "{other}|"),
-        };
-    }
-    s
+/// One output value's identity under DISTINCT, which is GROUP BY's:
+/// integers and strings by value, floats by [`float_key`] (±0.0 are one
+/// value, and nothing is rounded).
+#[derive(PartialEq, Eq, Hash)]
+enum ValueKey {
+    Int(i64),
+    Float(u64),
+    Str(Arc<str>),
+}
+
+fn row_key(row: &[Value]) -> Vec<ValueKey> {
+    row.iter()
+        .map(|v| match v {
+            Value::Int(i) => ValueKey::Int(*i),
+            Value::Float(f) => ValueKey::Float(float_key(*f)),
+            Value::Str(s) => ValueKey::Str(s.clone()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1066,6 +1067,41 @@ mod tests {
         let budget = WorkBudget::unlimited();
         let r = postprocess(&q.tables, &q, view(&all_tuples(2)), &budget).unwrap();
         assert_eq!(r.num_rows(), 2);
+    }
+
+    /// DISTINCT over one float column keeps exactly GROUP BY's groups.
+    fn distinct_and_group_counts(values: &[f64]) -> (usize, usize) {
+        let cat = Catalog::new();
+        let mut a = cat.builder("a", schema![("f", Float)]);
+        for &f in values {
+            a.push_row(&[Value::Float(f)]);
+        }
+        cat.register(a.finish());
+        let budget = WorkBudget::unlimited();
+        let tuples = all_tuples(values.len() as u32);
+        let run = |sql: &str| {
+            let q = bind(sql, &cat);
+            postprocess(&q.tables, &q, view(&tuples), &budget)
+                .unwrap()
+                .num_rows()
+        };
+        (
+            run("SELECT DISTINCT a.f FROM a"),
+            run("SELECT a.f, COUNT(*) FROM a GROUP BY a.f"),
+        )
+    }
+
+    #[test]
+    fn distinct_folds_signed_zeros_and_keeps_tiny_floats_apart() {
+        assert_eq!(
+            distinct_and_group_counts(&[0.0, -0.0, 1e-12, 2e-12]),
+            (3, 3)
+        );
+    }
+
+    #[test]
+    fn distinct_does_not_round_floats() {
+        assert_eq!(distinct_and_group_counts(&[0.5, 0.500_000_000_1]), (2, 2));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl ScanPlan {
             pages_skipped: 0,
         }
     }
-
-    /// Rows surviving the page skip (the number to be evaluated).
-    pub fn kept_rows(&self) -> usize {
-        self.ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum()
-    }
 }
 
 /// Plan the scan of `table` (at query position `t`) under the conjunction

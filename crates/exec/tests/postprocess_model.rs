@@ -116,19 +116,24 @@ fn model_order_cmp(query: &JoinQuery, a: &[Value], b: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
-fn model_row_key(row: &[Value]) -> String {
-    let mut s = String::new();
-    for v in row {
-        match v {
-            Value::Float(x) => s.push_str(&format!("{x:.9}|")),
-            Value::Str(x) => s.push_str(&format!("{}:{x}|", x.len())),
-            other => {
-                s.push_str(&other.to_string());
-                s.push('|');
-            }
-        }
-    }
-    s
+/// DISTINCT's identity, written apart from the kernel's: integers and
+/// strings by value, floats by bit pattern with -0.0 read as 0.0.
+#[derive(PartialEq, Eq, Hash)]
+enum ModelKey {
+    Int(i64),
+    Float(u64),
+    Str(String),
+}
+
+fn model_row_key(row: &[Value]) -> Vec<ModelKey> {
+    row.iter()
+        .map(|v| match v {
+            Value::Int(i) => ModelKey::Int(*i),
+            Value::Float(x) if *x == 0.0 => ModelKey::Float(0),
+            Value::Float(x) => ModelKey::Float(x.to_bits()),
+            Value::Str(x) => ModelKey::Str(x.to_string()),
+        })
+        .collect()
 }
 
 /// Row-at-a-time post-processing of `arity`-wide `tuples`.

@@ -98,13 +98,6 @@ pub fn best_left_deep_estimated(query: &JoinQuery, cache: &StatsCache) -> (Vec<u
     best_left_deep(&graph, |s| est.join_cardinality(s))
 }
 
-/// Same as [`best_left_deep_estimated`] but with a pre-built, possibly
-/// calibrated estimator (used by the re-optimizer baseline).
-pub fn best_left_deep_with(query: &JoinQuery, est: &Estimator<'_>) -> (Vec<usize>, f64) {
-    let graph = query.join_graph();
-    best_left_deep(&graph, |s| est.join_cardinality(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use skinner_storage::{DataType, Interner, RowId, Table, Value};
+use skinner_storage::{float_key, DataType, Interner, RowId, Table, Value};
 
 /// Reference to a column: query-table position + column position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,14 +90,6 @@ impl ArithOp {
             ArithOp::Mod => a % b,
         }
     }
-}
-
-/// Canonical `u64` equality key of a float (mirrors `Column::key_at`):
-/// its bit pattern, with -0.0 normalized to 0.0.
-#[inline]
-pub(crate) fn float_key(f: f64) -> u64 {
-    let f = if f == 0.0 { 0.0 } else { f };
-    f.to_bits()
 }
 
 /// A bound UDF call site: the function and its declared return type.

@@ -24,9 +24,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use skinner_storage::{Column, DataType, Interner, RowId, Table, Value};
+use skinner_storage::{float_key, Column, DataType, Interner, RowId, Table, Value};
 
-use crate::expr::{float_key, ArithOp, CmpOp, ColRef, EvalCtx, Expr, UdfHandle};
+use crate::expr::{ArithOp, CmpOp, ColRef, EvalCtx, Expr, UdfHandle};
 
 /// A boolean expression lowered against one statement's tables.
 #[derive(Debug, Clone)]

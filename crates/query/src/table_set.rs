@@ -48,11 +48,6 @@ impl TableSet {
         self.0 & other.0 == self.0
     }
 
-    #[inline]
-    pub fn intersects(&self, other: &TableSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
     pub fn union(&self, other: &TableSet) -> TableSet {
         TableSet(self.0 | other.0)
     }
@@ -94,10 +89,6 @@ impl TableSet {
     /// Raw mask; used as a dense `HashMap` key by the DP optimizer.
     pub fn mask(&self) -> u64 {
         self.0
-    }
-
-    pub fn from_mask(mask: u64) -> Self {
-        TableSet(mask)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Server-level admission control with per-tenant fair sharing.
+//! Server-level admission control.
 //!
 //! A global concurrency gate built on the library's [`WorkBudget`]: the
 //! budget's limit is the number of queries allowed to execute at once, and
@@ -10,17 +10,6 @@
 //! therefore degrades predictably: at most `max_concurrent` queries run,
 //! at most `queue_depth` wait, everyone else is told to back off.
 //!
-//! ## Tenant classes
-//!
-//! Every admission names a *tenant* (the `Hello` handshake's tenant
-//! field; empty = `"default"`). Each tenant is guaranteed a weighted fair
-//! share of the execution slots: with active weights `w_i`, tenant `i` is
-//! guaranteed `max(1, max_concurrent · w_i / Σw)` slots. A tenant may
-//! burst past its share while slots are idle (the gate is
-//! work-conserving), but once a *below-share* tenant is waiting, tenants
-//! at or above their share are held back — so one heavy tenant cannot
-//! starve the rest.
-//!
 //! ## Event-loop split
 //!
 //! The event-loop server must never block, so admission is two-phase:
@@ -30,23 +19,11 @@
 //! loop. The one-call [`AdmissionGate::admit`] wraps both for blocking
 //! callers (tests, benches).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use skinnerdb::skinner_exec::{WorkBudget, WorkPermit};
-
-/// Name of the admission class used when a client doesn't pick one.
-pub const DEFAULT_TENANT: &str = "default";
-
-/// One configured admission class: tenants with a higher weight are
-/// guaranteed proportionally more concurrent execution slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantClass {
-    pub name: String,
-    pub weight: u32,
-}
 
 /// Gate sizing.
 #[derive(Debug, Clone)]
@@ -57,11 +34,6 @@ pub struct AdmissionConfig {
     pub queue_depth: usize,
     /// How long a queued arrival waits before being shed.
     pub queue_timeout: Duration,
-    /// Configured tenant classes; tenants not listed here get
-    /// [`AdmissionConfig::default_weight`].
-    pub tenants: Vec<TenantClass>,
-    /// Weight for tenants without an explicit [`TenantClass`].
-    pub default_weight: u32,
 }
 
 impl Default for AdmissionConfig {
@@ -70,8 +42,6 @@ impl Default for AdmissionConfig {
             max_concurrent: skinnerdb::skinner_exec::default_threads().max(2),
             queue_depth: 64,
             queue_timeout: Duration::from_secs(10),
-            tenants: Vec::new(),
-            default_weight: 1,
         }
     }
 }
@@ -79,7 +49,7 @@ impl Default for AdmissionConfig {
 /// Outcome of asking the gate for a slot (blocking path).
 pub enum Admission {
     /// Run now; drop the permit when the query finishes.
-    Granted(TenantPermit),
+    Granted(SlotPermit),
     /// Load-shed: the queue was full, or the wait timed out.
     Shed(ShedReason),
 }
@@ -87,7 +57,7 @@ pub enum Admission {
 /// Outcome of the non-blocking [`AdmissionGate::begin`].
 pub enum Begin {
     /// Run now.
-    Granted(TenantPermit),
+    Granted(SlotPermit),
     /// Queued: hand the ticket to a thread that may block and call
     /// [`Ticket::wait`].
     Queued(Ticket),
@@ -120,38 +90,14 @@ impl ShedReason {
     }
 }
 
-#[derive(Debug, Default)]
-struct TenantCounts {
-    weight: u32,
-    inflight: u32,
-    waiting: u32,
-    admitted: u64,
-    shed: u64,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    tenants: HashMap<String, TenantCounts>,
-    waiting_total: usize,
-}
-
-/// A point-in-time view of one tenant's admission counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantStat {
-    pub name: String,
-    pub weight: u32,
-    pub inflight: u32,
-    pub waiting: u32,
-    pub admitted: u64,
-    pub shed: u64,
-}
-
 /// The gate itself. Cheap to share (`Arc` inside); the permit-returning
 /// entry points take `&Arc<Self>` so permits can hold the gate alive.
 pub struct AdmissionGate {
     cfg: AdmissionConfig,
     slots: Arc<WorkBudget>,
-    state: Mutex<GateState>,
+    /// Arrivals waiting in the queue. Slots are taken and returned under
+    /// this lock, so a waiter cannot miss the wake-up of a freed slot.
+    waiting: Mutex<usize>,
     freed: Condvar,
     shed_total: AtomicU64,
     admitted_total: AtomicU64,
@@ -163,7 +109,7 @@ impl AdmissionGate {
         AdmissionGate {
             slots: Arc::new(WorkBudget::with_limit(cfg.max_concurrent.max(1) as u64)),
             cfg,
-            state: Mutex::new(GateState::default()),
+            waiting: Mutex::new(0),
             freed: Condvar::new(),
             shed_total: AtomicU64::new(0),
             admitted_total: AtomicU64::new(0),
@@ -175,7 +121,7 @@ impl AdmissionGate {
     /// arrival is shed immediately with [`ShedReason::Closed`].
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        let _guard = self.state.lock().unwrap();
+        let _guard = self.waiting.lock().unwrap();
         self.freed.notify_all();
     }
 
@@ -183,128 +129,44 @@ impl AdmissionGate {
         &self.cfg
     }
 
-    fn weight_of(&self, tenant: &str) -> u32 {
-        self.cfg
-            .tenants
-            .iter()
-            .find(|t| t.name == tenant)
-            .map(|t| t.weight)
-            .unwrap_or(self.cfg.default_weight)
-            .max(1)
-    }
-
-    /// Guaranteed concurrent slots for `tenant` given the currently
-    /// *active* tenants (those with in-flight or waiting work; `tenant`
-    /// itself always counts).
-    fn share(&self, state: &GateState, tenant: &str) -> u64 {
-        let mut total: u64 = 0;
-        let mut mine: u64 = 0;
-        for (name, c) in &state.tenants {
-            let active = c.inflight > 0 || c.waiting > 0 || name == tenant;
-            if active {
-                total += u64::from(c.weight.max(1));
-                if name == tenant {
-                    mine = u64::from(c.weight.max(1));
-                }
-            }
-        }
-        if mine == 0 {
-            // Tenant not in the map yet (first contact).
-            mine = u64::from(self.weight_of(tenant));
-            total += mine;
-        }
-        ((self.cfg.max_concurrent as u64) * mine / total.max(1)).max(1)
-    }
-
-    /// True when some *other* tenant has a queued waiter and is below its
-    /// guaranteed share — the condition that suspends work-conserving
-    /// bursts above one's own share.
-    fn hungrier_waiter_exists(&self, state: &GateState, tenant: &str) -> bool {
-        state.tenants.iter().any(|(name, c)| {
-            name != tenant && c.waiting > 0 && u64::from(c.inflight) < self.share(state, name)
-        })
-    }
-
-    /// Try to take a slot for `tenant` under the fair-share policy.
-    fn try_grant(&self, state: &GateState, tenant: &str) -> Option<WorkPermit> {
-        let my_inflight = state
-            .tenants
-            .get(tenant)
-            .map(|c| u64::from(c.inflight))
-            .unwrap_or(0);
-        let allowed =
-            my_inflight < self.share(state, tenant) || !self.hungrier_waiter_exists(state, tenant);
-        if !allowed {
-            return None;
-        }
-        self.slots.acquire(1)
-    }
-
-    fn record_grant(&self, state: &mut MutexGuard<'_, GateState>, tenant: &str) {
-        let e = state.tenants.get_mut(tenant).expect("tenant entry exists");
-        e.inflight += 1;
-        e.admitted += 1;
+    fn grant(self: &Arc<Self>, permit: WorkPermit) -> SlotPermit {
         self.admitted_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_shed(&self, state: &mut MutexGuard<'_, GateState>, tenant: &str) {
-        if let Some(e) = state.tenants.get_mut(tenant) {
-            e.shed += 1;
+        SlotPermit {
+            gate: self.clone(),
+            permit: Some(permit),
         }
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn ensure_tenant(&self, state: &mut MutexGuard<'_, GateState>, tenant: &str) {
-        let weight = self.weight_of(tenant);
-        state
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantCounts {
-                weight,
-                ..TenantCounts::default()
-            });
+    fn shed(&self, reason: ShedReason) -> ShedReason {
+        self.shed_total.fetch_add(1, Ordering::Relaxed);
+        reason
     }
 
     /// Non-blocking admission for the event loop: grant, queue (returning
     /// a [`Ticket`] whose blocking `wait` belongs on a worker thread), or
     /// shed.
-    pub fn begin(self: &Arc<Self>, tenant: &str) -> Begin {
-        let tenant = if tenant.is_empty() {
-            DEFAULT_TENANT
-        } else {
-            tenant
-        };
-        let mut state = self.state.lock().unwrap();
-        self.ensure_tenant(&mut state, tenant);
+    pub fn begin(self: &Arc<Self>) -> Begin {
+        let mut waiting = self.waiting.lock().unwrap();
         if self.closed.load(Ordering::SeqCst) {
-            self.record_shed(&mut state, tenant);
-            return Begin::Shed(ShedReason::Closed);
+            return Begin::Shed(self.shed(ShedReason::Closed));
         }
-        if let Some(permit) = self.try_grant(&state, tenant) {
-            self.record_grant(&mut state, tenant);
-            return Begin::Granted(TenantPermit {
-                gate: self.clone(),
-                tenant: tenant.to_string(),
-                permit: Some(permit),
-            });
+        if let Some(permit) = self.slots.acquire(1) {
+            return Begin::Granted(self.grant(permit));
         }
-        if state.waiting_total >= self.cfg.queue_depth {
-            self.record_shed(&mut state, tenant);
-            return Begin::Shed(ShedReason::QueueFull);
+        if *waiting >= self.cfg.queue_depth {
+            return Begin::Shed(self.shed(ShedReason::QueueFull));
         }
-        state.waiting_total += 1;
-        state.tenants.get_mut(tenant).expect("entry").waiting += 1;
+        *waiting += 1;
         Begin::Queued(Ticket {
             gate: self.clone(),
-            tenant: tenant.to_string(),
             deadline: Instant::now() + self.cfg.queue_timeout,
             queued: true,
         })
     }
 
     /// Blocking admission: [`AdmissionGate::begin`] plus the queue wait.
-    pub fn admit(self: &Arc<Self>, tenant: &str) -> Admission {
-        match self.begin(tenant) {
+    pub fn admit(self: &Arc<Self>) -> Admission {
+        match self.begin() {
             Begin::Granted(p) => Admission::Granted(p),
             Begin::Queued(ticket) => ticket.wait(),
             Begin::Shed(r) => Admission::Shed(r),
@@ -318,7 +180,7 @@ impl AdmissionGate {
 
     /// Arrivals currently waiting in the queue.
     pub fn queued(&self) -> usize {
-        self.state.lock().unwrap().waiting_total
+        *self.waiting.lock().unwrap()
     }
 
     /// Total queries shed since startup.
@@ -330,101 +192,48 @@ impl AdmissionGate {
     pub fn admitted_total(&self) -> u64 {
         self.admitted_total.load(Ordering::Relaxed)
     }
-
-    /// Per-tenant counters, sorted by tenant name (for `SHOW SERVER
-    /// STATS`).
-    pub fn tenant_snapshot(&self) -> Vec<TenantStat> {
-        let state = self.state.lock().unwrap();
-        let mut out: Vec<TenantStat> = state
-            .tenants
-            .iter()
-            .map(|(name, c)| TenantStat {
-                name: name.clone(),
-                weight: c.weight,
-                inflight: c.inflight,
-                waiting: c.waiting,
-                admitted: c.admitted,
-                shed: c.shed,
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
 }
 
 /// A queued admission: blocks in [`Ticket::wait`] until a slot frees (or
 /// timeout/closure sheds it). Dropping an unwaited ticket dequeues it.
 pub struct Ticket {
     gate: Arc<AdmissionGate>,
-    tenant: String,
     deadline: Instant,
     queued: bool,
 }
 
 impl Ticket {
-    /// The tenant this ticket queues for.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
     /// Block until granted, shed by timeout, or shed by gate closure.
     pub fn wait(mut self) -> Admission {
         let gate = self.gate.clone();
-        let mut state = gate.state.lock().unwrap();
-        loop {
+        let mut waiting = gate.waiting.lock().unwrap();
+        let reason = loop {
             if gate.closed.load(Ordering::SeqCst) {
-                self.dequeue(&mut state);
-                gate.record_shed(&mut state, &self.tenant);
-                drop(state);
-                gate.freed.notify_all();
-                return Admission::Shed(ShedReason::Closed);
+                break ShedReason::Closed;
             }
-            // Try to claim a slot with ourselves off the waiting books (a
-            // waiter is not "hungrier" than itself).
-            self.dequeue(&mut state);
-            if let Some(permit) = gate.try_grant(&state, &self.tenant) {
-                gate.record_grant(&mut state, &self.tenant);
-                return Admission::Granted(TenantPermit {
-                    gate: gate.clone(),
-                    tenant: self.tenant.clone(),
-                    permit: Some(permit),
-                });
+            if let Some(permit) = gate.slots.acquire(1) {
+                self.dequeue(&mut waiting);
+                return Admission::Granted(gate.grant(permit));
             }
-            self.requeue(&mut state);
             let now = Instant::now();
             if now >= self.deadline {
-                self.dequeue(&mut state);
-                gate.record_shed(&mut state, &self.tenant);
-                drop(state);
-                // Fairness state changed (one fewer waiter): re-evaluate.
-                gate.freed.notify_all();
-                return Admission::Shed(ShedReason::QueueTimeout);
+                break ShedReason::QueueTimeout;
             }
-            state = gate
+            waiting = gate
                 .freed
-                .wait_timeout(state, self.deadline - now)
+                .wait_timeout(waiting, self.deadline - now)
                 .unwrap()
                 .0;
-        }
+        };
+        self.dequeue(&mut waiting);
+        drop(waiting);
+        gate.freed.notify_all();
+        Admission::Shed(gate.shed(reason))
     }
 
-    fn dequeue(&mut self, state: &mut MutexGuard<'_, GateState>) {
-        if self.queued {
-            self.queued = false;
-            state.waiting_total -= 1;
-            if let Some(e) = state.tenants.get_mut(&self.tenant) {
-                e.waiting -= 1;
-            }
-        }
-    }
-
-    fn requeue(&mut self, state: &mut MutexGuard<'_, GateState>) {
-        if !self.queued {
-            self.queued = true;
-            state.waiting_total += 1;
-            if let Some(e) = state.tenants.get_mut(&self.tenant) {
-                e.waiting += 1;
-            }
+    fn dequeue(&mut self, waiting: &mut usize) {
+        if std::mem::take(&mut self.queued) {
+            *waiting -= 1;
         }
     }
 }
@@ -433,40 +242,26 @@ impl Drop for Ticket {
     fn drop(&mut self) {
         if self.queued {
             let gate = self.gate.clone();
-            let mut state = gate.state.lock().unwrap();
-            self.dequeue(&mut state);
-            drop(state);
+            let mut waiting = gate.waiting.lock().unwrap();
+            self.dequeue(&mut waiting);
+            drop(waiting);
             gate.freed.notify_all();
         }
     }
 }
 
-/// RAII admission: holds one execution slot on behalf of a tenant.
-/// Dropping it refunds the slot, decrements the tenant's in-flight count
-/// and wakes queued waiters (all of them — under fair sharing only a
-/// specific tenant's waiter may be eligible, and a targeted wake-up can't
-/// know which).
-pub struct TenantPermit {
+/// RAII admission: holds one execution slot. Dropping it refunds the slot
+/// and wakes every queued waiter.
+pub struct SlotPermit {
     gate: Arc<AdmissionGate>,
-    tenant: String,
     permit: Option<WorkPermit>,
 }
 
-impl TenantPermit {
-    /// The tenant this permit was granted to.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-}
-
-impl Drop for TenantPermit {
+impl Drop for SlotPermit {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().unwrap();
-        if let Some(e) = state.tenants.get_mut(&self.tenant) {
-            e.inflight = e.inflight.saturating_sub(1);
-        }
+        let waiting = self.gate.waiting.lock().unwrap();
         self.permit.take(); // refund the slot …
-        drop(state);
+        drop(waiting);
         self.gate.freed.notify_all(); // … then wake every waiter.
     }
 }
@@ -481,19 +276,18 @@ mod tests {
             max_concurrent,
             queue_depth,
             queue_timeout: Duration::from_millis(timeout_ms),
-            ..AdmissionConfig::default()
         }))
     }
 
     #[test]
     fn grants_up_to_capacity_then_sheds_past_queue() {
         let g = gate(2, 0, 50);
-        let a = g.admit("");
-        let b = g.admit("");
+        let a = g.admit();
+        let b = g.admit();
         assert!(matches!(a, Admission::Granted(_)));
         assert!(matches!(b, Admission::Granted(_)));
         // Queue depth 0: third arrival is shed immediately.
-        match g.admit("") {
+        match g.admit() {
             Admission::Shed(ShedReason::QueueFull) => {}
             _ => panic!("expected immediate shed"),
         }
@@ -504,12 +298,12 @@ mod tests {
     #[test]
     fn released_slot_admits_a_queued_waiter() {
         let g = gate(1, 4, 5_000);
-        let first = match g.admit("") {
+        let first = match g.admit() {
             Admission::Granted(p) => p,
             _ => panic!(),
         };
         let g2 = g.clone();
-        let waiter = std::thread::spawn(move || match g2.admit("") {
+        let waiter = std::thread::spawn(move || match g2.admit() {
             Admission::Granted(_) => true,
             Admission::Shed(_) => false,
         });
@@ -525,12 +319,12 @@ mod tests {
     #[test]
     fn queued_waiters_time_out_to_shed() {
         let g = gate(1, 4, 30);
-        let _hold = match g.admit("") {
+        let _hold = match g.admit() {
             Admission::Granted(p) => p,
             _ => panic!(),
         };
         let started = Instant::now();
-        match g.admit("") {
+        match g.admit() {
             Admission::Shed(ShedReason::QueueTimeout) => {}
             _ => panic!("expected queue timeout"),
         }
@@ -544,12 +338,12 @@ mod tests {
     #[test]
     fn closing_the_gate_sheds_waiters_and_arrivals() {
         let g = gate(1, 4, 60_000);
-        let _hold = match g.admit("") {
+        let _hold = match g.admit() {
             Admission::Granted(p) => p,
             _ => panic!(),
         };
         let g2 = g.clone();
-        let waiter = std::thread::spawn(move || g2.admit(""));
+        let waiter = std::thread::spawn(move || g2.admit());
         while g.queued() == 0 {
             std::thread::yield_now();
         }
@@ -558,23 +352,23 @@ mod tests {
             waiter.join().unwrap(),
             Admission::Shed(ShedReason::Closed)
         ));
-        assert!(matches!(g.admit(""), Admission::Shed(ShedReason::Closed)));
+        assert!(matches!(g.admit(), Admission::Shed(ShedReason::Closed)));
     }
 
     #[test]
     fn queue_is_bounded() {
         let g = gate(1, 1, 400);
-        let _hold = match g.admit("") {
+        let _hold = match g.admit() {
             Admission::Granted(p) => p,
             _ => panic!(),
         };
         let g2 = g.clone();
-        let queued = std::thread::spawn(move || matches!(g2.admit(""), Admission::Shed(_)));
+        let queued = std::thread::spawn(move || matches!(g2.admit(), Admission::Shed(_)));
         while g.queued() == 0 {
             std::thread::yield_now();
         }
         // Queue of 1 is occupied: the next arrival is shed instantly.
-        match g.admit("") {
+        match g.admit() {
             Admission::Shed(ShedReason::QueueFull) => {}
             _ => panic!("expected queue-full shed"),
         }
@@ -587,11 +381,11 @@ mod tests {
     #[test]
     fn begin_is_nonblocking_and_tickets_wait() {
         let g = gate(1, 4, 5_000);
-        let held = match g.begin("") {
+        let held = match g.begin() {
             Begin::Granted(p) => p,
             _ => panic!("first arrival must be granted"),
         };
-        let ticket = match g.begin("") {
+        let ticket = match g.begin() {
             Begin::Queued(t) => t,
             _ => panic!("second arrival must queue"),
         };
@@ -606,106 +400,16 @@ mod tests {
     #[test]
     fn dropping_an_unwaited_ticket_dequeues_it() {
         let g = gate(1, 2, 5_000);
-        let _held = match g.begin("") {
+        let _held = match g.begin() {
             Begin::Granted(p) => p,
             _ => panic!(),
         };
-        let ticket = match g.begin("") {
+        let ticket = match g.begin() {
             Begin::Queued(t) => t,
             _ => panic!(),
         };
         assert_eq!(g.queued(), 1);
         drop(ticket); // e.g. the dispatch path died before waiting
         assert_eq!(g.queued(), 0);
-    }
-
-    /// The fair-share core: a released slot goes to the *below-share*
-    /// tenant's waiter, not the heavy tenant that already holds slots.
-    #[test]
-    fn below_share_tenant_preempts_heavy_tenants_queue() {
-        let g = Arc::new(AdmissionGate::new(AdmissionConfig {
-            max_concurrent: 2,
-            queue_depth: 8,
-            queue_timeout: Duration::from_secs(30),
-            ..AdmissionConfig::default()
-        }));
-        // Heavy tenant A grabs both slots while alone (work-conserving).
-        let a1 = match g.admit("a") {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let _a2 = match g.admit("a") {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        // A queues a third; B queues its first.
-        let ga = g.clone();
-        let a_waiter = std::thread::spawn(move || ga.admit("a"));
-        while g.queued() < 1 {
-            std::thread::yield_now();
-        }
-        let gb = g.clone();
-        let b_waiter = std::thread::spawn(move || gb.admit("b"));
-        while g.queued() < 2 {
-            std::thread::yield_now();
-        }
-        // One A slot frees: B (inflight 0 < share 1) must win it even
-        // though A's waiter queued first.
-        drop(a1);
-        let b = match b_waiter.join().unwrap() {
-            Admission::Granted(p) => p,
-            Admission::Shed(r) => panic!("B shed: {r:?}"),
-        };
-        assert_eq!(b.tenant(), "b");
-        // A's waiter is still queued (A holds 1 = its share, B holds 1).
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(g.queued(), 1, "A's waiter must still be queued");
-        // B finishing hands the slot back to A's waiter.
-        drop(b);
-        assert!(matches!(a_waiter.join().unwrap(), Admission::Granted(_)));
-    }
-
-    #[test]
-    fn weighted_shares_respect_configured_classes() {
-        let g = Arc::new(AdmissionGate::new(AdmissionConfig {
-            max_concurrent: 4,
-            queue_depth: 8,
-            queue_timeout: Duration::from_secs(30),
-            tenants: vec![
-                TenantClass {
-                    name: "gold".into(),
-                    weight: 3,
-                },
-                TenantClass {
-                    name: "bronze".into(),
-                    weight: 1,
-                },
-            ],
-            default_weight: 1,
-        }));
-        {
-            let state = g.state.lock().unwrap();
-            drop(state);
-        }
-        // Prime both tenants so both are "active", then check shares.
-        let gold = match g.admit("gold") {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let bronze = match g.admit("bronze") {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let state = g.state.lock().unwrap();
-        assert_eq!(g.share(&state, "gold"), 3, "gold: 4·3/4 = 3");
-        assert_eq!(g.share(&state, "bronze"), 1, "bronze: 4·1/4 = 1");
-        drop(state);
-        drop(gold);
-        drop(bronze);
-        // Counters surfaced per tenant.
-        let snap = g.tenant_snapshot();
-        let names: Vec<&str> = snap.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["bronze", "gold"]);
-        assert!(snap.iter().all(|t| t.admitted == 1 && t.inflight == 0));
     }
 }

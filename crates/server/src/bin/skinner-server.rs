@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use skinner_server::{AdmissionConfig, Server, ServerConfig, ShutdownHandle, TenantClass};
+use skinner_server::{AdmissionConfig, Server, ServerConfig, ShutdownHandle};
 use skinnerdb::{DataType, Database, Value};
 
 /// Route SIGTERM/SIGINT into a graceful [`ShutdownHandle::request`].
@@ -83,8 +83,8 @@ fn usage() -> ! {
          \x20                     [--max-conns N] [--max-queries N] [--queue N]\n\
          \x20                     [--queue-timeout-ms N] [--threads N] [--no-remote-shutdown]\n\
          \x20                     [--shards N] [--max-inflight N] [--idle-timeout-ms N]\n\
-         \x20                     [--tenant NAME=WEIGHT]... [--metrics-addr HOST:PORT]\n\
-         \x20                     [--slow-query-ms N] [--metrics-linger-ms N]\n\
+         \x20                     [--metrics-addr HOST:PORT] [--slow-query-ms N]\n\
+         \x20                     [--metrics-linger-ms N]\n\
          \n\
          --addr                listen address (default 127.0.0.1:7878)\n\
          --demo                load the built-in demo tables (nums, customers, products, orders)\n\
@@ -104,9 +104,8 @@ fn usage() -> ! {
          --threads N           default worker threads per parallel query\n\
          --no-remote-shutdown  ignore wire-level Shutdown requests\n\
          --shards N            connection event-loop shards (default: auto)\n\
-         --max-inflight N      pipelined statements per v2 connection (default 32)\n\
+         --max-inflight N      pipelined statements per connection (default 32)\n\
          --idle-timeout-ms N   reap idle connections after N ms (0 = never, default 300000)\n\
-         --tenant NAME=WEIGHT  declare an admission tenant class (repeatable)\n\
          --metrics-addr A:P    serve Prometheus text exposition on GET /metrics\n\
          --slow-query-ms N     log a structured slow-query line for queries >= N ms\n\
          --metrics-linger-ms N keep /metrics up this long after shutdown (default 0),\n\
@@ -274,17 +273,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage());
                 cfg.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--tenant" => {
-                let spec = expect(&mut args, "--tenant");
-                let Some((name, weight)) = spec.split_once('=') else {
-                    eprintln!("--tenant expects NAME=WEIGHT, got {spec:?}");
-                    usage();
-                };
-                admission.tenants.push(TenantClass {
-                    name: name.to_string(),
-                    weight: weight.parse().unwrap_or_else(|_| usage()),
-                });
             }
             "--metrics-addr" => cfg.metrics_addr = Some(expect(&mut args, "--metrics-addr")),
             "--slow-query-ms" => {

@@ -27,8 +27,8 @@ use skinnerdb::{Prepared, QueryResult, Session};
 use crate::admission::{Begin, ShedReason};
 use crate::poll::{Event, Interest, Poller, WAKE_TOKEN};
 use crate::protocol::{
-    ErrorCode, FrameBuffer, QueryProfile, QuerySummary, Request, Response, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, READ_CHUNK,
+    ErrorCode, FrameBuffer, QueryProfile, QuerySummary, Request, Response, PROTOCOL_VERSION,
+    READ_CHUNK,
 };
 use crate::server::{
     parse_set, push_frame, sql_error, strip_keyword, write_result_frames, Completion, GateWait,
@@ -126,9 +126,8 @@ pub(crate) struct ConnState {
     prepared: HashMap<u32, Arc<Prepared>>,
     next_stmt_id: u32,
     output: OutputMode,
-    /// Negotiated protocol version; 0 until the Hello handshake.
-    version: u32,
-    tenant: String,
+    /// False until the Hello handshake.
+    greeted: bool,
     inbuf: FrameBuffer,
     outbox: Vec<u8>,
     outpos: usize,
@@ -152,11 +151,7 @@ impl ConnState {
     }
 
     fn inflight_cap(&self, shared: &Shared) -> u32 {
-        if self.version >= 2 {
-            shared.cfg.max_inflight_per_conn.max(1)
-        } else {
-            1
-        }
+        shared.cfg.max_inflight_per_conn.max(1)
     }
 
     /// Backpressure: stop reading while at the in-flight cap or while the
@@ -169,8 +164,7 @@ impl ConnState {
     }
 
     fn push_resp(&mut self, tag: Option<u32>, resp: Response) {
-        let version = self.version.max(1);
-        push_frame(&mut self.outbox, tag, version, resp);
+        push_frame(&mut self.outbox, tag, resp);
     }
 
     /// Write as much of the outbox as the socket accepts right now.
@@ -369,8 +363,7 @@ fn accept_conn(
         prepared: HashMap::new(),
         next_stmt_id: 1,
         output: OutputMode::Binary,
-        version: 0,
-        tenant: String::new(),
+        greeted: false,
         inbuf: FrameBuffer::new(),
         outbox: Vec::new(),
         outpos: 0,
@@ -505,23 +498,11 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut ConnState, payload: &[u8]) {
             return;
         }
     };
-    if conn.version == 0 {
+    if !conn.greeted {
         return handle_first_frame(shared, conn, req);
     }
     let (tag, req) = match req {
-        Request::Tagged { tag, req } => {
-            if conn.version < 2 {
-                conn.push_resp(
-                    None,
-                    Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: "tagged frames require protocol v2".into(),
-                    },
-                );
-                return;
-            }
-            (Some(tag), *req)
-        }
+        Request::Tagged { tag, req } => (Some(tag), *req),
         req => (None, req),
     };
     match req {
@@ -601,8 +582,8 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut ConnState, payload: &[u8]) {
 /// on a dedicated connection.
 fn handle_first_frame(shared: &Arc<Shared>, conn: &mut ConnState, req: Request) {
     match req {
-        Request::Hello { version, tenant } => {
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        Request::Hello { version } => {
+            if version != PROTOCOL_VERSION {
                 conn.push_resp(
                     None,
                     Response::Error {
@@ -615,8 +596,7 @@ fn handle_first_frame(shared: &Arc<Shared>, conn: &mut ConnState, req: Request) 
                 conn.closing = true;
                 return;
             }
-            conn.version = version;
-            conn.tenant = tenant;
+            conn.greeted = true;
             let max_inflight = conn.inflight_cap(shared);
             let (conn_id, cancel_key) = (conn.conn_id, conn.cancel.cancel_key);
             conn.push_resp(
@@ -722,11 +702,9 @@ fn handle_query(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, sq
     if let Some(rest) = strip_keyword(trimmed, "SHOW") {
         match handle_show(shared, rest) {
             Ok(table) => {
-                let version = conn.version.max(1);
                 write_result_frames(
                     &mut conn.outbox,
                     tag,
-                    version,
                     conn.output,
                     shared.cfg.rows_per_batch,
                     table,
@@ -798,7 +776,7 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, kind: 
         .with_cancel(token.clone())
         .with_trace(trace);
     conn.cancel.arm(key, token.clone());
-    let gate = match shared.gate.begin(&conn.tenant) {
+    let gate = match shared.gate.begin() {
         Begin::Granted(p) => GateWait::Granted(p),
         Begin::Queued(t) => GateWait::Queued(t),
         Begin::Shed(reason) => {
@@ -823,7 +801,6 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, kind: 
         conn_token: conn.token,
         conn_id: conn.conn_id,
         tag,
-        version: conn.version.max(1),
         output: conn.output,
         gate,
         token,
@@ -856,7 +833,7 @@ fn handle_show(shared: &Shared, what: &str) -> Result<QueryResult, Response> {
     match what.as_str() {
         "SERVER STATS" => {
             let cache = shared.db.learning_cache_stats();
-            let mut gauges: Vec<(String, u64)> = vec![
+            let gauges: Vec<(String, u64)> = vec![
                 (
                     "active_connections".into(),
                     shared.active_conns.load(Ordering::SeqCst) as u64,
@@ -899,14 +876,6 @@ fn handle_show(shared: &Shared, what: &str) -> Result<QueryResult, Response> {
                 ("learning_cache.load_rejected".into(), cache.load_rejected),
                 ("learning_cache.flushes".into(), cache.flushes),
             ];
-            for t in shared.gate.tenant_snapshot() {
-                let name = &t.name;
-                gauges.push((format!("tenant.{name}.weight"), u64::from(t.weight)));
-                gauges.push((format!("tenant.{name}.inflight"), u64::from(t.inflight)));
-                gauges.push((format!("tenant.{name}.waiting"), u64::from(t.waiting)));
-                gauges.push((format!("tenant.{name}.admitted"), t.admitted));
-                gauges.push((format!("tenant.{name}.shed"), t.shed));
-            }
             Ok(shared.stats.snapshot_table(&gauges))
         }
         "STRATEGIES" => {

@@ -32,19 +32,19 @@
 //! one-byte type tag (int / float / string). The flow:
 //!
 //! 1. **Handshake** — the client opens a TCP connection and sends
-//!    `Hello{version, tenant}`; the server answers `HelloOk{version,
-//!    conn_id, cancel_key, max_inflight}`. Versions 1 and 2 are accepted
-//!    and echoed; the `(conn_id, cancel_key)` pair is this connection's
-//!    cancellation credential, and `max_inflight` is the pipelining cap.
+//!    `Hello{version}`; the server answers `HelloOk{version, conn_id,
+//!    cancel_key, max_inflight}`. Only [`PROTOCOL_VERSION`] is accepted;
+//!    the `(conn_id, cancel_key)` pair is this connection's cancellation
+//!    credential, and `max_inflight` is the pipelining cap.
 //! 2. **Queries** — `Query{sql}` runs a SQL script under the connection's
 //!    session. The server streams back `RowHeader{columns}`, zero or more
 //!    `RowBatch{rows}`, and a final `Done{summary}` carrying script totals
 //!    plus per-statement work/wall/episode metrics. Failures produce a
-//!    single `Error{code, message}` instead. Under protocol v2 a client
-//!    may wrap requests in `Tagged{tag, req}` envelopes and keep up to
-//!    `max_inflight` statements in flight; every response frame for a
-//!    tagged request comes back wrapped in `Tagged{tag, resp}`, so
-//!    pipelined result streams interleave without ambiguity.
+//!    single `Error{code, message}` instead. A client may wrap requests
+//!    in `Tagged{tag, req}` envelopes and keep up to `max_inflight`
+//!    statements in flight; every response frame for a tagged request
+//!    comes back wrapped in `Tagged{tag, resp}`, so pipelined result
+//!    streams interleave without ambiguity.
 //! 3. **Session options** — `Set{key, value}` (or a SQL-style `SET key =
 //!    value` through `Query`) adjusts the session: `strategy` (any
 //!    registered engine, e.g. `skinner-c`, `traditional`,
@@ -98,12 +98,8 @@
 //! [`skinnerdb::skinner_exec::WorkBudget`] used as a concurrency gate)
 //! admits at most `max_concurrent` queries; up to `queue_depth` more wait
 //! (bounded, with a timeout); everything beyond that is refused with
-//! `Error{Overloaded}` immediately. Tenants declared in
-//! [`admission::AdmissionConfig::tenants`] get weighted fair shares of
-//! the concurrency slots: a tenant below its share is admitted ahead of
-//! queued work from tenants above theirs, while unused capacity still
-//! flows to whoever wants it. Connections above `max_connections` are
-//! refused at accept time with `TooManyConnections`.
+//! `Error{Overloaded}` immediately. Connections above `max_connections`
+//! are refused at accept time with `TooManyConnections`.
 
 pub mod admission;
 pub(crate) mod conn;
@@ -114,13 +110,12 @@ pub mod server;
 pub mod stats;
 
 pub use admission::{
-    Admission, AdmissionConfig, AdmissionGate, Begin, ShedReason, TenantClass, TenantPermit,
-    TenantStat, Ticket, DEFAULT_TENANT,
+    Admission, AdmissionConfig, AdmissionGate, Begin, ShedReason, SlotPermit, Ticket,
 };
 pub use metrics::MetricsExporter;
 pub use protocol::{
     ErrorCode, FrameBuffer, ProfileSpan, QueryProfile, QuerySummary, Request, Response,
-    StatementSummary, WireError, DEFAULT_MAX_INFLIGHT, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    StatementSummary, WireError, DEFAULT_MAX_INFLIGHT, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use stats::{template_key, ServerStats, StrategyAgg};

@@ -3,7 +3,7 @@
 //!
 //! One dedicated thread accepts plain HTTP/1.x GETs on a nonblocking
 //! `TcpListener`. Per request it invokes a refresh hook (the server
-//! samples live gauges — active connections, admission-gate tenants,
+//! samples live gauges — active connections, admission-gate counters,
 //! learning-cache counters — into the registry) and writes the rendered
 //! exposition with `Connection: close`. No keep-alive, no TLS, no routing
 //! beyond `/metrics` — it is an observability sidecar, not a web server,

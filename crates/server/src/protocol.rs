@@ -10,24 +10,23 @@
 //! hostile length prefix cannot force a large up-front allocation
 //! either).
 //!
-//! Version 2 adds *statement pipelining*: a client may wrap requests in
+//! The protocol pipelines statements: a client may wrap requests in
 //! [`Request::Tagged`] and keep several in flight on one connection; each
 //! response frame comes back wrapped in [`Response::Tagged`] carrying the
 //! request's tag. Frames of different tags may interleave, but the frames
-//! of one tag keep their v1 order (header → batches → done). Version
-//! negotiation is backward compatible: the server answers `Hello` with
-//! `min(client_version, PROTOCOL_VERSION)` and a v1 peer keeps speaking
-//! plain frames.
+//! of one tag keep their order (header → batches → done). The server
+//! speaks exactly [`PROTOCOL_VERSION`] and refuses a `Hello` naming any
+//! other version.
 //!
 //! See the crate-level docs for the full message flow; the short version:
 //!
 //! ```text
 //! client                          server
-//!   Hello{version, tenant}  →
+//!   Hello{version}          →
 //!                           ←      HelloOk{version, conn_id, cancel_key,
 //!                                          max_inflight}
-//!   Tagged{7, Query{sql}}   →      (plain Query{sql} in v1)
-//!   Tagged{8, Query{sql}}   →      (second in-flight statement, v2 only)
+//!   Tagged{7, Query{sql}}   →      (or a plain, untagged Query{sql})
+//!   Tagged{8, Query{sql}}   →      (second in-flight statement)
 //!                           ←      Tagged{7, RowHeader{columns}}
 //!                           ←      Tagged{8, RowHeader{columns}}   (interleaved)
 //!                           ←      Tagged{7, RowBatch{rows}}   (0..n frames)
@@ -41,12 +40,9 @@ use std::io::{Read, Write};
 
 use skinnerdb::Value;
 
-/// Protocol version spoken by this crate (v2: tagged pipelining, tenant
-/// handshake, per-connection in-flight caps).
+/// The one protocol version spoken by this crate (tagged pipelining,
+/// per-connection in-flight caps).
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version the server still accepts.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Hard cap on a single frame's payload (16 MiB). Row batches are sized
 /// well under this by the server.
@@ -68,11 +64,8 @@ pub const DEFAULT_MAX_INFLIGHT: u32 = 32;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Must be the first message on a connection (except [`Request::Cancel`]).
-    /// `tenant` names the admission class (empty = default tenant); on the
-    /// wire the field is omitted when empty, so a v1 `Hello` payload stays
-    /// byte-identical.
-    Hello { version: u32, tenant: String },
-    /// v2 pipelining envelope: the inner request, stamped with a
+    Hello { version: u32 },
+    /// Pipelining envelope: the inner request, stamped with a
     /// client-chosen tag echoed on every response frame it produces.
     /// Nesting (a Tagged inside a Tagged) is malformed.
     Tagged { tag: u32, req: Box<Request> },
@@ -107,11 +100,10 @@ pub enum Response {
         conn_id: u64,
         cancel_key: u64,
         /// Pipelined statements the server allows in flight at once on
-        /// this connection. Only on the wire when `version >= 2`; decoded
-        /// as 1 for v1 peers (which are strictly request/response).
+        /// this connection.
         max_inflight: u32,
     },
-    /// v2 pipelining envelope mirroring [`Request::Tagged`].
+    /// Pipelining envelope mirroring [`Request::Tagged`].
     Tagged {
         tag: u32,
         resp: Box<Response>,
@@ -165,8 +157,7 @@ pub enum ErrorCode {
     TooManyConnections = 7,
     /// Unknown prepared-statement id.
     UnknownStatement = 8,
-    /// A value or count in the result exceeds what one frame can carry
-    /// (v2; downgraded to [`ErrorCode::Protocol`] for v1 peers).
+    /// A value or count in the result exceeds what one frame can carry.
     TooLarge = 9,
 }
 
@@ -433,14 +424,11 @@ impl<'a> Dec<'a> {
             t => Err(malformed(format!("unknown value tag {t}"))),
         }
     }
-    /// Everything not yet consumed (used by envelope/optional-tail codecs).
+    /// Everything not yet consumed (used by the envelope codecs).
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
         s
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
@@ -549,14 +537,9 @@ impl Request {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut e;
         match self {
-            Request::Hello { version, tenant } => {
+            Request::Hello { version } => {
                 e = Enc::new(0x01);
                 e.u32(*version);
-                // Omitted when empty, keeping a default-tenant Hello
-                // byte-identical to the v1 encoding.
-                if !tenant.is_empty() {
-                    e.str(tenant);
-                }
             }
             Request::Tagged { tag, req } => {
                 if matches!(**req, Request::Tagged { .. }) {
@@ -607,15 +590,7 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
         let mut d = Dec::new(payload);
         let req = match d.u8()? {
-            0x01 => {
-                let version = d.u32()?;
-                let tenant = if d.remaining() > 0 {
-                    d.str()?
-                } else {
-                    String::new()
-                };
-                Request::Hello { version, tenant }
-            }
+            0x01 => Request::Hello { version: d.u32()? },
             0x10 => {
                 let tag = d.u32()?;
                 let inner = Request::decode(d.rest())?;
@@ -672,11 +647,7 @@ impl Response {
                 e.u32(*version);
                 e.u64(*conn_id);
                 e.u64(*cancel_key);
-                // The in-flight cap is a v2 field; a v1 peer stops
-                // reading after cancel_key and must not see extra bytes.
-                if *version >= 2 {
-                    e.u32(*max_inflight);
-                }
+                e.u32(*max_inflight);
             }
             Response::Tagged { tag, resp } => {
                 if matches!(**resp, Response::Tagged { .. }) {
@@ -760,22 +731,12 @@ impl Response {
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         let mut d = Dec::new(payload);
         let resp = match d.u8()? {
-            0x81 => {
-                let version = d.u32()?;
-                let conn_id = d.u64()?;
-                let cancel_key = d.u64()?;
-                let max_inflight = if version >= 2 && d.remaining() > 0 {
-                    d.u32()?
-                } else {
-                    1
-                };
-                Response::HelloOk {
-                    version,
-                    conn_id,
-                    cancel_key,
-                    max_inflight,
-                }
-            }
+            0x81 => Response::HelloOk {
+                version: d.u32()?,
+                conn_id: d.u64()?,
+                cancel_key: d.u64()?,
+                max_inflight: d.u32()?,
+            },
             0x90 => {
                 let tag = d.u32()?;
                 let inner = Response::decode(d.rest())?;
@@ -933,11 +894,6 @@ mod tests {
     fn requests_roundtrip() {
         roundtrip_req(Request::Hello {
             version: PROTOCOL_VERSION,
-            tenant: String::new(),
-        });
-        roundtrip_req(Request::Hello {
-            version: PROTOCOL_VERSION,
-            tenant: "analytics".into(),
         });
         roundtrip_req(Request::Tagged {
             tag: 0xfeed_beef,
@@ -1002,12 +958,6 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_resp(Response::HelloOk {
-            version: 1,
-            conn_id: 3,
-            cancel_key: 0xdead_beef,
-            max_inflight: 1,
-        });
         roundtrip_resp(Response::HelloOk {
             version: 2,
             conn_id: 3,
@@ -1076,9 +1026,16 @@ mod tests {
         .unwrap();
         e.truncate(e.len() - 2);
         assert!(Request::decode(&e).is_err());
-        // Trailing garbage.
+        // Trailing garbage, also after a `Hello`'s version.
         let mut e = Request::Shutdown.encode().unwrap();
         e.push(0);
+        assert!(Request::decode(&e).is_err());
+        let mut e = Request::Hello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode()
+        .unwrap();
+        e.extend_from_slice(&[4, 0, 0, 0, b'g', b'o', b'l', b'd']);
         assert!(Request::decode(&e).is_err());
         // Oversized frame length.
         let huge = (MAX_FRAME + 1).to_le_bytes();
@@ -1220,38 +1177,6 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.ingest(&(MAX_FRAME + 1).to_le_bytes());
         assert!(fb.try_frame().is_err());
-    }
-
-    /// v1 byte-compatibility: a default-tenant v2 `Hello` and a v1
-    /// `HelloOk` keep the exact v1 encodings, so old peers interoperate.
-    #[test]
-    fn v1_frame_shapes_are_preserved() {
-        let hello = Request::Hello {
-            version: 1,
-            tenant: String::new(),
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(hello.len(), 1 + 4, "v1 Hello is tag + u32 version");
-        let hello_ok = Response::HelloOk {
-            version: 1,
-            conn_id: 5,
-            cancel_key: 6,
-            max_inflight: 1,
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(hello_ok.len(), 1 + 4 + 8 + 8, "v1 HelloOk has no cap field");
-        // v2 appends the in-flight cap.
-        let hello_ok2 = Response::HelloOk {
-            version: 2,
-            conn_id: 5,
-            cancel_key: 6,
-            max_inflight: 32,
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(hello_ok2.len(), 1 + 4 + 8 + 8 + 4);
     }
 
     #[test]

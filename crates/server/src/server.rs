@@ -1,7 +1,7 @@
 //! The concurrent server: acceptor, connection-shard event loops, query
 //! dispatch to a completion pool, cancellation and graceful shutdown.
 //!
-//! Life of a query (v2, pipelined):
+//! Life of a query (pipelined):
 //!
 //! 1. The blocking **acceptor** thread accepts a `TcpStream`, checks the
 //!    connection limit, and hands the socket to one of N **connection
@@ -39,9 +39,7 @@ use skinnerdb::skinner_exec::{
 };
 use skinnerdb::{Database, DbError, Prepared, QueryResult, ScriptOutcome};
 
-use crate::admission::{
-    Admission, AdmissionConfig, AdmissionGate, ShedReason, TenantPermit, Ticket,
-};
+use crate::admission::{Admission, AdmissionConfig, AdmissionGate, ShedReason, SlotPermit, Ticket};
 use crate::conn::{shard_loop, ConnCancel, OutputMode};
 use crate::metrics::MetricsExporter;
 use crate::poll::{Poller, Waker};
@@ -57,8 +55,7 @@ pub struct ServerConfig {
     /// Connections allowed at once; further arrivals are turned away with
     /// an explicit error (never silently dropped).
     pub max_connections: usize,
-    /// Query admission control (concurrency gate + bounded queue +
-    /// per-tenant fair shares).
+    /// Query admission control (concurrency gate + bounded queue).
     pub admission: AdmissionConfig,
     /// Honour the wire-level `Shutdown` request (the binary's clean-exit
     /// path; embedders running in-process may prefer to disable it and
@@ -68,8 +65,8 @@ pub struct ServerConfig {
     pub rows_per_batch: usize,
     /// Connection-shard event loops; `0` = auto (min(4, cores)).
     pub shards: usize,
-    /// Pipelined statements a v2 connection may keep in flight at once
-    /// (advertised in `HelloOk`; v1 connections are always capped at 1).
+    /// Pipelined statements a connection may keep in flight at once
+    /// (advertised in `HelloOk`).
     pub max_inflight_per_conn: u32,
     /// Close connections idle (no traffic, nothing in flight) longer than
     /// this; `None` disables reaping.
@@ -152,10 +149,9 @@ pub(crate) struct Job {
     pub shard: usize,
     pub conn_token: usize,
     pub conn_id: u64,
-    /// Pipelining tag (`None` = untagged/v1): echoed on every response
+    /// Pipelining tag (`None` = untagged): echoed on every response
     /// frame this job produces.
     pub tag: Option<u32>,
-    pub version: u32,
     pub output: OutputMode,
     pub gate: GateWait,
     pub token: CancelToken,
@@ -177,7 +173,7 @@ pub(crate) enum JobKind {
 /// Admission state the job carries: either already granted (fast path) or
 /// a queued ticket whose blocking wait happens on the pool worker.
 pub(crate) enum GateWait {
-    Granted(TenantPermit),
+    Granted(SlotPermit),
     Queued(Ticket),
 }
 
@@ -260,9 +256,8 @@ impl Shared {
     }
 
     /// Sample live structures (connections, admission gate, learning
-    /// cache, per-tenant state) into registry gauges/counters. Called per
-    /// `/metrics` scrape so the exposition is current without any
-    /// periodic sampler thread.
+    /// cache) into registry gauges/counters. Called per `/metrics` scrape
+    /// so the exposition is current without any periodic sampler thread.
     pub(crate) fn refresh_gauges(&self) {
         let r = self.stats.registry();
         r.gauge("skinner_active_connections", "Open client connections.")
@@ -347,39 +342,6 @@ impl Shared {
             "Learning-cache flushes to the data directory.",
         )
         .raise_to(cache.flushes);
-        for t in self.gate.tenant_snapshot() {
-            let labels = [("tenant", t.name.as_str())];
-            r.gauge_with(
-                "skinner_tenant_inflight",
-                "Queries executing, by admission tenant.",
-                &labels,
-            )
-            .set(u64::from(t.inflight));
-            r.gauge_with(
-                "skinner_tenant_waiting",
-                "Queries queued, by admission tenant.",
-                &labels,
-            )
-            .set(u64::from(t.waiting));
-            r.gauge_with(
-                "skinner_tenant_weight",
-                "Configured fair-share weight, by admission tenant.",
-                &labels,
-            )
-            .set(u64::from(t.weight));
-            r.counter_with(
-                "skinner_tenant_admitted_total",
-                "Queries admitted, by admission tenant.",
-                &labels,
-            )
-            .raise_to(t.admitted);
-            r.counter_with(
-                "skinner_tenant_shed_total",
-                "Queries shed, by admission tenant.",
-                &labels,
-            )
-            .raise_to(t.shed);
-        }
     }
 
     /// A process-unique, hard-to-guess cancel key (no RNG dependency:
@@ -689,7 +651,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
         conn_token,
         conn_id,
         tag,
-        version,
         output,
         gate,
         token,
@@ -723,7 +684,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
             push_frame(
                 &mut out,
                 tag,
-                version,
                 Response::Error {
                     code,
                     message: reason.message(shared.gate.config()),
@@ -789,7 +749,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
                     push_frame(
                         &mut out,
                         tag,
-                        version,
                         Response::Error {
                             code: ErrorCode::Sql,
                             message: "internal error: query execution panicked".into(),
@@ -798,7 +757,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
                 }
                 Ok((_, Err(e))) => {
                     shared.stats.queries_failed.inc();
-                    push_frame(&mut out, tag, version, sql_error(&e));
+                    push_frame(&mut out, tag, sql_error(&e));
                 }
                 Ok((_, Ok(script))) if script.timed_out => {
                     let (code, counter) = if cancelled {
@@ -810,7 +769,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
                     push_frame(
                         &mut out,
                         tag,
-                        version,
                         Response::Error {
                             code,
                             message: match code {
@@ -836,7 +794,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
                     write_result_frames(
                         &mut out,
                         tag,
-                        version,
                         output,
                         shared.cfg.rows_per_batch,
                         result,
@@ -950,17 +907,11 @@ fn maybe_log_slow_query(
 
 /// Append `resp` to `out` as a complete frame, wrapped in a `Tagged`
 /// envelope when the originating request was tagged. An unencodable
-/// response (oversized value) degrades to a typed error frame —
-/// `TooLarge` for v2 peers, `Protocol` for v1 — instead of desyncing the
-/// stream. Returns false when the original response could not be encoded
+/// response (oversized value) degrades to a typed `TooLarge` error
+/// frame instead of desyncing the stream. Returns false when the original response could not be encoded
 /// (callers streaming multi-frame results stop at the first failure; the
 /// error frame is terminal).
-pub(crate) fn push_frame(
-    out: &mut Vec<u8>,
-    tag: Option<u32>,
-    version: u32,
-    resp: Response,
-) -> bool {
+pub(crate) fn push_frame(out: &mut Vec<u8>, tag: Option<u32>, resp: Response) -> bool {
     let wrap = |resp: Response| match tag {
         Some(t) => Response::Tagged {
             tag: t,
@@ -971,13 +922,8 @@ pub(crate) fn push_frame(
     match wrap(resp).encode_framed(out) {
         Ok(()) => true,
         Err(e) => {
-            let code = if version >= 2 {
-                ErrorCode::TooLarge
-            } else {
-                ErrorCode::Protocol
-            };
             let fallback = wrap(Response::Error {
-                code,
+                code: ErrorCode::TooLarge,
                 message: clip_message(e),
             });
             let _ = fallback.encode_framed(out);
@@ -999,7 +945,6 @@ fn clip_message(e: WireError) -> String {
 pub(crate) fn write_result_frames(
     out: &mut Vec<u8>,
     tag: Option<u32>,
-    version: u32,
     output: OutputMode,
     rows_per_batch: usize,
     result: QueryResult,
@@ -1026,7 +971,7 @@ pub(crate) fn write_result_frames(
                 text.truncate(cut);
                 text.push_str("\n… (output truncated: table exceeds one frame)\n");
             }
-            if !push_frame(out, tag, version, Response::Text { text }) {
+            if !push_frame(out, tag, Response::Text { text }) {
                 return;
             }
         }
@@ -1034,7 +979,6 @@ pub(crate) fn write_result_frames(
             if !push_frame(
                 out,
                 tag,
-                version,
                 Response::RowHeader {
                     columns: result.columns.clone(),
                 },
@@ -1060,7 +1004,7 @@ pub(crate) fn write_result_frames(
                     let frame = Response::RowBatch {
                         rows: std::mem::take(&mut batch),
                     };
-                    if !push_frame(out, tag, version, frame) {
+                    if !push_frame(out, tag, frame) {
                         return;
                     }
                     batch_bytes = 0;
@@ -1068,14 +1012,12 @@ pub(crate) fn write_result_frames(
                 batch_bytes += row_bytes;
                 batch.push(row);
             }
-            if !batch.is_empty()
-                && !push_frame(out, tag, version, Response::RowBatch { rows: batch })
-            {
+            if !batch.is_empty() && !push_frame(out, tag, Response::RowBatch { rows: batch }) {
                 return;
             }
         }
     }
-    push_frame(out, tag, version, Response::Done { summary });
+    push_frame(out, tag, Response::Done { summary });
 }
 
 pub(crate) fn summarize(script: &ScriptOutcome) -> QuerySummary {
@@ -1203,7 +1145,7 @@ mod tests {
     fn unencodable_response_degrades_to_typed_error() {
         let huge = "x".repeat(crate::protocol::MAX_FRAME as usize + 1);
         let mut out = Vec::new();
-        let ok = push_frame(&mut out, Some(9), 2, Response::Text { text: huge });
+        let ok = push_frame(&mut out, Some(9), Response::Text { text: huge });
         assert!(!ok);
         // The appended frame decodes as Tagged{9, Error{TooLarge}}.
         let len = u32::from_le_bytes(out[..4].try_into().unwrap()) as usize;
@@ -1221,17 +1163,5 @@ mod tests {
             }
             other => panic!("expected tagged error, got {other:?}"),
         }
-        // v1 peers get the closest v1 code instead.
-        let huge = "x".repeat(crate::protocol::MAX_FRAME as usize + 1);
-        let mut out = Vec::new();
-        push_frame(&mut out, None, 1, Response::Text { text: huge });
-        let len = u32::from_le_bytes(out[..4].try_into().unwrap()) as usize;
-        assert!(matches!(
-            Response::decode(&out[4..4 + len]).unwrap(),
-            Response::Error {
-                code: ErrorCode::Protocol,
-                ..
-            }
-        ));
     }
 }

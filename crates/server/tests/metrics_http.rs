@@ -2,7 +2,7 @@
 //! `metrics_addr` enabled, real queries over the wire protocol, and raw
 //! HTTP scrapes of `/metrics` validated against the text exposition
 //! format (0.0.4): HELP/TYPE preambles, histogram bucket structure,
-//! monotone counters across scrapes, per-tenant labels.
+//! monotone counters across scrapes, the idle-reap gauge.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -36,17 +36,12 @@ fn fixture_db() -> Database {
 
 /// Minimal wire client: handshake, then run a script to completion.
 fn run_query(addr: &str, sql: &str) {
-    run_query_as(addr, "", sql)
-}
-
-fn run_query_as(addr: &str, tenant: &str, sql: &str) {
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     Request::Hello {
         version: PROTOCOL_VERSION,
-        tenant: tenant.to_string(),
     }
     .write(&mut &stream)
     .unwrap();
@@ -220,20 +215,13 @@ fn metrics_endpoint_serves_valid_exposition_and_counters_are_monotone() {
 }
 
 #[test]
-fn tenant_and_reap_gauges_appear_with_labels() {
+fn reap_gauge_counts_idle_connections() {
     let mut server = Server::bind(
         fixture_db(),
         "127.0.0.1:0",
         ServerConfig {
             metrics_addr: Some("127.0.0.1:0".into()),
             idle_timeout: Some(Duration::from_millis(100)),
-            admission: skinner_server::AdmissionConfig {
-                tenants: vec![skinner_server::TenantClass {
-                    name: "gold".into(),
-                    weight: 2,
-                }],
-                ..Default::default()
-            },
             ..ServerConfig::default()
         },
     )
@@ -241,18 +229,10 @@ fn tenant_and_reap_gauges_appear_with_labels() {
     let addr = server.local_addr().to_string();
     let maddr = server.metrics_addr().unwrap();
 
-    // A query under the declared tenant activates its admission entry.
-    run_query_as(
-        &addr,
-        "gold",
-        "SELECT t.id FROM t, u WHERE t.id = u.tid AND t.g = 1",
-    );
-
     // An idle wire connection that the sweeper will reap.
     let idle = TcpStream::connect(&addr).unwrap();
     Request::Hello {
         version: PROTOCOL_VERSION,
-        tenant: "gold".into(),
     }
     .write(&mut &idle)
     .unwrap();
@@ -271,14 +251,6 @@ fn tenant_and_reap_gauges_appear_with_labels() {
     assert!(
         s["skinner_connections_reaped_idle"] >= 1.0,
         "idle reap gauge missing: {body}"
-    );
-    assert!(
-        body.contains("skinner_tenant_weight{tenant=\"gold\"} 2"),
-        "per-tenant gauges must be labelled: {body}"
-    );
-    assert!(
-        s["skinner_tenant_admitted_total{tenant=\"gold\"}"] >= 1.0,
-        "{body}"
     );
     server.shutdown();
 }

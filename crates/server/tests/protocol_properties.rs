@@ -1,4 +1,4 @@
-//! Property tests for the v2 wire protocol: tagged request/response
+//! Property tests for the wire protocol: tagged request/response
 //! envelopes must round-trip through encode/decode for arbitrary
 //! payloads, and the incremental [`FrameBuffer`] must reassemble frames
 //! identically no matter how the byte stream is chopped up.
@@ -10,7 +10,7 @@ use skinner_server::Value;
 
 fn arb_inner_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (Just(()), "[a-z]{0,8}").prop_map(|(_, tenant)| Request::Hello { version: 2, tenant }),
+        Just(Request::Hello { version: 2 }),
         "\\PC{0,200}".prop_map(|sql| Request::Query { sql }),
         "\\PC{0,100}".prop_map(|sql| Request::Prepare { sql }),
         (0u32..1000).prop_map(|id| Request::Execute { id }),
@@ -33,8 +33,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
 fn arb_inner_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Ok),
-        // v2 only: a v1 HelloOk intentionally drops max_inflight on the
-        // wire (decoded as 1), so it does not round-trip arbitrary caps.
         (0u64..1000, 0u64..u64::MAX, 1u32..64).prop_map(|(conn_id, cancel_key, max_inflight)| {
             Response::HelloOk {
                 version: 2,

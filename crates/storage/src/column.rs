@@ -5,7 +5,7 @@
 //! the hot paths (`int_at`, `code_at`, `key_at`) are trivial loads.
 
 use crate::interner::Interner;
-use crate::value::{DataType, Value};
+use crate::value::{float_key, DataType, Value};
 use crate::RowId;
 
 /// A typed column of `len` rows.
@@ -15,14 +15,6 @@ pub enum Column {
     Float(Vec<f64>),
     /// Interner codes; the owning [`crate::Table`] knows the interner.
     Str(Vec<u32>),
-}
-
-/// Canonical equality key of a float: its bit pattern, with -0.0
-/// normalized to 0.0.
-#[inline]
-pub(crate) fn float_key(f: f64) -> u64 {
-    let f = if f == 0.0 { 0.0 } else { f };
-    f.to_bits()
 }
 
 impl Column {

@@ -179,10 +179,6 @@ impl SegmentWriter {
         self.page_rows
     }
 
-    pub fn rows_written(&self) -> u64 {
-        self.nrows + self.buffered as u64
-    }
-
     fn dict_code(&mut self, s: &str) -> u32 {
         if let Some(&c) = self.dict.get(s) {
             return c;

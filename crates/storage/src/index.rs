@@ -27,8 +27,9 @@
 //! scatter) with no per-key allocation, and the postings of a key are the
 //! same ascending rows: which directory answers is invisible to the join.
 
-use crate::column::{float_key, Column};
+use crate::column::Column;
 use crate::hash::fold_keys;
+use crate::value::float_key;
 use crate::RowId;
 
 /// One hash-directory slot: `len == 0` marks it empty (a present key has at

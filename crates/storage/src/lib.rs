@@ -34,7 +34,7 @@ pub use index::{HashIndex, PostingCursor};
 pub use interner::{Interner, InternerRead};
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};
-pub use value::{DataType, Value};
+pub use value::{float_key, DataType, Value};
 
 /// Row identifier within a single table. Tables are capped at `u32::MAX` rows,
 /// which keeps execution-state vectors (one entry per table) compact — the

@@ -31,6 +31,15 @@ impl fmt::Display for DataType {
     }
 }
 
+/// Canonical equality key of a float, shared by every value-keyed
+/// structure (join indexes, GROUP BY, DISTINCT, equality predicates): its
+/// bit pattern, with -0.0 normalized to 0.0.
+#[inline]
+pub fn float_key(f: f64) -> u64 {
+    let f = if f == 0.0 { 0.0 } else { f };
+    f.to_bits()
+}
+
 /// A single scalar value.
 ///
 /// Strings are reference-counted so that cloning values out of the interner

@@ -145,10 +145,6 @@ impl HistSnapshot {
         self.quantile(0.50)
     }
 
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
