@@ -64,7 +64,7 @@ fn measure(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
 fn write_json(
     dir: &std::path::Path,
     runs: &[Run],
-    per_strategy: &[(String, u64, f64)],
+    totals: &[(String, u64, f64)],
     h_vs_best_ratio: f64,
 ) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -72,10 +72,10 @@ fn write_json(
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"h_vs_best_ratio\": {h_vs_best_ratio:.3},\n"));
     out.push_str("  \"strategies\": [\n");
-    for (i, (name, work, qps)) in per_strategy.iter().enumerate() {
+    for (i, (name, work, qps)) in totals.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"strategy\": \"{name}\", \"total_work_units\": {work}, \"qps\": {qps:.1}}}{}\n",
-            if i + 1 < per_strategy.len() { "," } else { "" },
+            if i + 1 < totals.len() { "," } else { "" },
         ));
     }
     out.push_str("  ],\n  \"runs\": [\n");
@@ -135,7 +135,7 @@ pub fn run(scale: Scale) -> String {
     }
 
     let h_vs_best_ratio = hybrid_total as f64 / best_total.max(1) as f64;
-    let per_strategy: Vec<(String, u64, f64)> = strategies
+    let totals: Vec<(String, u64, f64)> = strategies
         .iter()
         .map(|s| {
             let mine: Vec<&Run> = runs.iter().filter(|r| r.strategy == s.name()).collect();
@@ -162,7 +162,7 @@ pub fn run(scale: Scale) -> String {
     ));
     out.push_str(&format!(
         "\nPer-strategy totals: {}.\n",
-        per_strategy
+        totals
             .iter()
             .map(|(n, w, qps)| format!("{n} {}u ({qps:.1} q/s)", human(*w)))
             .collect::<Vec<_>>()
@@ -177,7 +177,7 @@ pub fn run(scale: Scale) -> String {
     match write_json(
         std::path::Path::new("bench_reports"),
         &runs,
-        &per_strategy,
+        &totals,
         h_vs_best_ratio,
     ) {
         Ok(path) => out.push_str(&format!("\nRaw numbers written to `{}`.\n", path.display())),

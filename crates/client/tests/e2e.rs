@@ -199,7 +199,7 @@ fn set_show_and_text_mode() {
     };
     assert!(metric("queries_total") >= 2);
     assert_eq!(metric("active_connections"), 1);
-    assert!(metric("strategy.Traditional.queries") >= 1);
+    assert!(metric("strategy_queries_total{strategy=\"Traditional\"}") >= 1);
     server.shutdown();
 }
 
@@ -220,25 +220,25 @@ fn learning_cache_over_the_wire() {
             .as_i64()
             .unwrap()
     };
-    assert_eq!(metric(&mut client, "learning_cache.enabled_default"), 0);
+    assert_eq!(metric(&mut client, "learning_cache_enabled_default"), 0);
     // Off by default: repeated queries never touch the cache.
     let cold = client.query(QUERIES[0]).unwrap().into_query_result();
-    assert_eq!(metric(&mut client, "learning_cache.published"), 0);
+    assert_eq!(metric(&mut client, "learning_cache_published_total"), 0);
     // Opt in per connection; the same template then publishes and hits.
     client.set("learning_cache", "on").unwrap();
     let first = client.query(QUERIES[0]).unwrap().into_query_result();
     let second = client.query(QUERIES[0]).unwrap().into_query_result();
     assert_eq!(first.canonical_rows(), cold.canonical_rows());
     assert_eq!(second.canonical_rows(), cold.canonical_rows());
-    assert!(metric(&mut client, "learning_cache.published") >= 2);
-    assert!(metric(&mut client, "learning_cache.hits") >= 1);
-    assert!(metric(&mut client, "learning_cache.entries") >= 1);
+    assert!(metric(&mut client, "learning_cache_published_total") >= 2);
+    assert!(metric(&mut client, "learning_cache_hits_total") >= 1);
+    assert!(metric(&mut client, "learning_cache_entries") >= 1);
     // A second connection shares the warmed templates.
     let mut other = Client::connect(&addr).unwrap();
     other.set("learning_cache", "on").unwrap();
     let shared = other.query(QUERIES[0]).unwrap().into_query_result();
     assert_eq!(shared.canonical_rows(), cold.canonical_rows());
-    assert!(metric(&mut client, "learning_cache.hits") >= 2);
+    assert!(metric(&mut client, "learning_cache_hits_total") >= 2);
     assert!(client.set("learning_cache", "sideways").is_err());
     server.shutdown();
 }
@@ -663,7 +663,7 @@ fn query_profiles_expose_every_pipeline_stage() {
     assert!(newest.stage_ns("parse_bind") > 0);
     // That one was an equi-join: its indexes stay with the tables.
     let stats = client.query("SHOW SERVER STATS").unwrap();
-    assert!(stat(&stats, "join_indexes.bytes") > 0);
+    assert!(stat(&stats, "join_index_bytes") > 0);
     // Unknown tags are refused explicitly.
     let missing = client.profile_of(9999).expect_err("unknown tag");
     assert_eq!(missing.code(), Some(ErrorCode::UnknownStatement));

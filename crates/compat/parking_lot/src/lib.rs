@@ -1,8 +1,9 @@
 //! Offline stand-in for `parking_lot`: wraps `std::sync` primitives behind
 //! parking_lot's non-poisoning API (`lock()`/`read()`/`write()` return
-//! guards directly). A poisoned lock — a panic while holding the guard —
-//! propagates the panic, which matches parking_lot's behaviour closely
-//! enough for this workspace (no code here recovers from lock poisoning).
+//! guards directly). Poisoning is ignored, as in parking_lot: after a
+//! panic while a guard was held, every accessor still hands out the guard
+//! (or the value) instead of panicking, and the data is left as the
+//! panicking thread left it.
 
 use std::sync::{Mutex as StdMutex, RwLock as StdRwLock};
 

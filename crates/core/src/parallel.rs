@@ -63,16 +63,18 @@
 //! chunked dispatch.
 //!
 //! Instrumentation: the outcome's [`ExecMetrics`] counters include
-//! `postprocess_us` (wall time of the post-processing phase, reported
-//! separately so the `thread_scaling` benchmark can show the
+//! `chunks` and `worker_slices`, which the coordinator counts itself as it
+//! applies the reports (one chunk per report, plus the slices the report
+//! ran), and `postprocess_us` (wall time of the post-processing phase,
+//! reported separately so the `thread_scaling` benchmark can show the
 //! parallel-postprocessing win on its own).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use skinner_exec::{
-    merge_worker_metrics, partition_tuples, scatter_gather, CancelToken, ExecContext, ExecMetrics,
-    ExecOutcome, ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange, WorkBudget,
+    partition_tuples, scatter_gather, CancelToken, ExecContext, ExecMetrics, ExecOutcome,
+    ExecutionStrategy, QueryResult, SpanTimer, TupleBuf, TupleRange, WorkBudget,
 };
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
@@ -149,7 +151,8 @@ struct WorkerReport {
     /// The order's reward for this chunk; `None` when the chunk saw the
     /// cancel token (a cut-short chunk teaches the tree nothing).
     reward: Option<f64>,
-    metrics: ExecMetrics,
+    /// Slices (cancellation polls) the chunk ran.
+    slices: u64,
 }
 
 /// Join one chunk of the episode's batch to completion (or until the cap /
@@ -201,18 +204,12 @@ fn run_chunk(task: EpisodeTask) -> WorkerReport {
             1.0 / (1.0 + per_tuple / task.norm)
         }
     });
-    let metrics = ExecMetrics {
-        result_tuples: results.len() as u64,
-        slices,
-        ..ExecMetrics::default()
-    }
-    .with_counter("chunks", 1);
     WorkerReport {
         results,
         used,
         capped,
         reward,
-        metrics,
+        slices,
     }
 }
 
@@ -262,7 +259,8 @@ pub fn run_parallel_skinner(
     let mut ledger = EpisodeLedger::new(query, ctx, uct, true);
     let mut offsets: Vec<RowId> = vec![0; m];
     let mut global_results = TupleBuf::new(m);
-    let mut worker_metrics: Vec<ExecMetrics> = Vec::new();
+    let mut chunks = 0u64;
+    let mut worker_slices = 0u64;
     let mut failed_episodes = 0u64;
     let mut timed_out = false;
     // Adaptive per-episode work cap, doubled whenever an episode is
@@ -340,7 +338,8 @@ pub fn run_parallel_skinner(
                     Some(reward) => ledger.tree.update(&order, reward),
                     None => any_cancelled = true,
                 }
-                worker_metrics.push(report.metrics);
+                chunks += 1;
+                worker_slices += report.slices;
             }
             ledger.record();
             if any_cancelled {
@@ -392,7 +391,6 @@ pub fn run_parallel_skinner(
 
     let shared = ledger.into_metrics(timed_out, &prepared);
     let episodes = shared.slices;
-    let workers = merge_worker_metrics(worker_metrics);
     ctx.absorb_work(budget.used());
     ExecOutcome {
         result,
@@ -408,8 +406,8 @@ pub fn run_parallel_skinner(
         .with_counter("threads", threads as u64)
         .with_counter("episodes", episodes)
         .with_counter("failed_episodes", failed_episodes)
-        .with_counter("worker_slices", workers.slices)
-        .with_counter("chunks", workers.counter("chunks").unwrap_or(0))
+        .with_counter("worker_slices", worker_slices)
+        .with_counter("chunks", chunks)
         .with_counter("postprocess_us", postprocess_us),
     }
 }
@@ -548,6 +546,22 @@ mod tests {
         assert!(out.metrics.counter("chunks").unwrap() >= out.metrics.slices);
         assert_eq!(out.metrics.order.len(), 3);
         assert!(out.metrics.counter("postprocess_us").is_some());
+        // Exact `(episodes, chunks, worker_slices)` per thread count: one
+        // chunk per report, plus each report's slices. With 16-step slices
+        // most chunks take several, so the two counts differ.
+        for (threads, pinned) in [(1, (6, 6, 37)), (2, (8, 16, 43)), (4, (8, 32, 60))] {
+            let c = ParallelSkinnerConfig {
+                slice_steps: 16,
+                ..cfg(threads)
+            };
+            let m = run_parallel_skinner(&q, &ExecContext::default(), &c).metrics;
+            let got = (
+                m.slices,
+                m.counter("chunks").unwrap(),
+                m.counter("worker_slices").unwrap(),
+            );
+            assert_eq!(got, pinned, "{threads} threads");
+        }
     }
 
     #[test]

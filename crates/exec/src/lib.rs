@@ -62,9 +62,7 @@ pub use budget::{LocalWork, Timeout, WorkBudget, WorkPermit};
 pub use context::{default_threads, CancelToken, ExecContext};
 pub use engine::{execute_join, join_step, ExecProfile, JoinOutput};
 pub use outcome::{ExecMetrics, ExecOutcome};
-pub use pool::{
-    merge_worker_metrics, partition_tuples, scatter_gather, CompletionPool, TupleRange,
-};
+pub use pool::{partition_tuples, scatter_gather, CompletionPool, TupleRange};
 pub use postprocess::{postprocess, postprocess_parallel};
 pub use preprocess::{preprocess, Preprocessed};
 pub use result::QueryResult;

@@ -6,10 +6,9 @@
 //! one process-wide pool of parked helper threads, started by the first
 //! call that has more than one task, which runs a call's borrowed closures
 //! and returns their results in task order. [`partition_tuples`] cuts an
-//! input-tuple range into near-equal contiguous chunks, and
-//! [`merge_worker_metrics`] folds the per-worker [`ExecMetrics`] back into
-//! the single block an [`crate::ExecOutcome`] carries. [`CompletionPool`]
-//! is the other mechanism: the server's asynchronous statement pool.
+//! input-tuple range into near-equal contiguous chunks; a caller folds its
+//! chunks' results and counts back together itself. [`CompletionPool`] is
+//! the other mechanism: the server's asynchronous statement pool.
 //!
 //! The pool is deliberately dumb: it knows nothing about joins, budgets or
 //! learning, and it has no size knob. Callers cut their work into chunks
@@ -23,7 +22,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::context::default_threads;
-use crate::outcome::ExecMetrics;
 
 /// A half-open range `[start, end)` of tuple indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,76 +65,6 @@ pub fn partition_tuples(start: u64, end: u64, parts: usize) -> Vec<TupleRange> {
     }
     debug_assert_eq!(lo, end);
     out
-}
-
-/// Named counters that are *shared snapshots*, not per-worker
-/// contributions: every worker's block replicates the same value (a
-/// cache-probe fact, a configuration constant, a convergence index), so
-/// the merge takes the maximum. Summing them — the treatment every other
-/// counter gets — would multiply the shared fact by the worker count.
-const SNAPSHOT_COUNTERS: &[&str] = &[
-    "cache_hit",
-    "warm_start_visits",
-    "warm_start_generalized",
-    "last_order_switch",
-    "order_switches",
-    "threads",
-];
-
-/// Merge per-worker metric blocks into the single block a sequential run
-/// over the same work would report: additive counts (tuples, slices,
-/// pages) sum; sizes describing shared structures (the UCT tree, the
-/// result set) take the maximum; per-order slice counts merge by key;
-/// named counters sum per name except the snapshot counters listed in
-/// `SNAPSHOT_COUNTERS`, which are replicated across workers and merge by
-/// maximum so each shared fact is counted exactly once.
-pub fn merge_worker_metrics(parts: impl IntoIterator<Item = ExecMetrics>) -> ExecMetrics {
-    let mut merged = ExecMetrics::default();
-    for m in parts {
-        merged.intermediate_tuples += m.intermediate_tuples;
-        merged.result_tuples += m.result_tuples;
-        merged.slices += m.slices;
-        merged.pages_read += m.pages_read;
-        merged.pages_skipped += m.pages_skipped;
-        merged.uct_nodes = merged.uct_nodes.max(m.uct_nodes);
-        merged.tracker_nodes = merged.tracker_nodes.max(m.tracker_nodes);
-        merged.result_set_bytes = merged.result_set_bytes.max(m.result_set_bytes);
-        merged.total_aux_bytes = merged.total_aux_bytes.max(m.total_aux_bytes);
-        // Growth samples describe one shared tree; keep the densest curve.
-        if m.tree_growth.len() > merged.tree_growth.len() {
-            merged.tree_growth = m.tree_growth;
-        }
-        for (order, n) in m.order_slice_counts {
-            match merged
-                .order_slice_counts
-                .iter_mut()
-                .find(|(o, _)| *o == order)
-            {
-                Some(slot) => slot.1 += n,
-                None => merged.order_slice_counts.push((order, n)),
-            }
-        }
-        for (name, value) in m.counters {
-            let prior = merged.counter(name).unwrap_or(0);
-            let next = if SNAPSHOT_COUNTERS.contains(&name) {
-                prior.max(value)
-            } else {
-                prior + value
-            };
-            merged = merged.with_counter(name, next);
-        }
-        if merged.order.is_empty() {
-            merged.order = m.order;
-        }
-        if merged.winner.is_none() {
-            merged.winner = m.winner;
-        }
-    }
-    // Restore the most-used-first invariant after per-order summing.
-    merged
-        .order_slice_counts
-        .sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-    merged
 }
 
 // ---- the process-wide scatter/gather pool -------------------------------
@@ -691,77 +619,5 @@ mod tests {
         let pool: CompletionPool<()> = CompletionPool::new(0, |_, ()| (), |_, ()| ());
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.pending(), 0);
-    }
-
-    #[test]
-    fn metrics_merge_sums_and_maxes() {
-        let a = ExecMetrics {
-            result_tuples: 3,
-            slices: 2,
-            result_set_bytes: 100,
-            ..ExecMetrics::default()
-        }
-        .with_counter("probes", 5);
-        let b = ExecMetrics {
-            result_tuples: 4,
-            slices: 1,
-            result_set_bytes: 40,
-            ..ExecMetrics::default()
-        }
-        .with_counter("probes", 7)
-        .with_counter("skips", 1);
-        let m = merge_worker_metrics([a, b]);
-        assert_eq!(m.result_tuples, 7);
-        assert_eq!(m.slices, 3);
-        assert_eq!(m.result_set_bytes, 100);
-        assert_eq!(m.counter("probes"), Some(12));
-        assert_eq!(m.counter("skips"), Some(1));
-    }
-
-    /// Shared-snapshot counters (cache probe facts, convergence indexes)
-    /// appear identically in every worker block and must merge to the
-    /// shared value — summing them once per worker was the drift this
-    /// guards against.
-    #[test]
-    fn metrics_merge_counts_shared_snapshots_once() {
-        let worker = |slices: u64| {
-            ExecMetrics {
-                slices,
-                ..ExecMetrics::default()
-            }
-            .with_counter("cache_hit", 1)
-            .with_counter("warm_start_visits", 250)
-            .with_counter("last_order_switch", 7)
-            .with_counter("chunks", 3)
-        };
-        let m = merge_worker_metrics([worker(5), worker(6), worker(7)]);
-        assert_eq!(m.slices, 18);
-        assert_eq!(m.counter("cache_hit"), Some(1), "not 3");
-        assert_eq!(m.counter("warm_start_visits"), Some(250), "not 750");
-        assert_eq!(m.counter("last_order_switch"), Some(7), "not 21");
-        assert_eq!(m.counter("chunks"), Some(9), "additive counters still sum");
-    }
-
-    #[test]
-    fn metrics_merge_keeps_structured_fields() {
-        let a = ExecMetrics {
-            order_slice_counts: vec![(vec![0, 1], 5), (vec![1, 0], 2)],
-            tree_growth: vec![(1, 2), (2, 5)],
-            winner: Some("learned"),
-            ..ExecMetrics::default()
-        };
-        let b = ExecMetrics {
-            order_slice_counts: vec![(vec![1, 0], 9)],
-            tree_growth: vec![(1, 3)],
-            ..ExecMetrics::default()
-        };
-        let m = merge_worker_metrics([a, b]);
-        // Per-order sums, most-used first.
-        assert_eq!(
-            m.order_slice_counts,
-            vec![(vec![1, 0], 11), (vec![0, 1], 5)]
-        );
-        assert_eq!(m.tree_growth, vec![(1, 2), (2, 5)], "densest curve kept");
-        assert_eq!(m.winner, Some("learned"));
     }
 }

@@ -832,51 +832,8 @@ fn handle_show(shared: &Shared, what: &str) -> Result<QueryResult, Response> {
     let what = what.trim().to_ascii_uppercase();
     match what.as_str() {
         "SERVER STATS" => {
-            let cache = shared.db.learning_cache_stats();
-            let gauges: Vec<(String, u64)> = vec![
-                (
-                    "active_connections".into(),
-                    shared.active_conns.load(Ordering::SeqCst) as u64,
-                ),
-                ("active_queries".into(), shared.gate.active()),
-                ("queued_queries".into(), shared.gate.queued() as u64),
-                ("shed_total".into(), shared.gate.shed_total()),
-                ("admitted_total".into(), shared.gate.admitted_total()),
-                (
-                    "join_indexes.bytes".into(),
-                    shared.db.catalog().index_bytes() as u64,
-                ),
-                // The instance-wide default only — connections may
-                // override per session via SET learning_cache, which the
-                // hit/miss/published counters below reflect.
-                (
-                    "learning_cache.enabled_default".into(),
-                    shared.db.learning_cache_enabled() as u64,
-                ),
-                ("learning_cache.entries".into(), cache.entries as u64),
-                ("learning_cache.hits".into(), cache.hits),
-                ("learning_cache.misses".into(), cache.misses),
-                ("learning_cache.invalidations".into(), cache.invalidations),
-                ("learning_cache.published".into(), cache.published),
-                ("learning_cache.evictions".into(), cache.evictions),
-                (
-                    "learning_cache.generalized_hits".into(),
-                    cache.generalized_hits,
-                ),
-                (
-                    "learning_cache.quarantined".into(),
-                    cache.quarantined as u64,
-                ),
-                ("learning_cache.quarantines".into(), cache.quarantines),
-                (
-                    "learning_cache.durable".into(),
-                    shared.db.learning_cache().is_durable() as u64,
-                ),
-                ("learning_cache.loaded".into(), cache.loaded),
-                ("learning_cache.load_rejected".into(), cache.load_rejected),
-                ("learning_cache.flushes".into(), cache.flushes),
-            ];
-            Ok(shared.stats.snapshot_table(&gauges))
+            shared.refresh_gauges();
+            Ok(shared.stats.show_table())
         }
         "STRATEGIES" => {
             let names = shared.db.strategies().names();

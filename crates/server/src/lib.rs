@@ -62,11 +62,13 @@
 //!    credential check stops third parties from cancelling other people's
 //!    queries.
 //! 6. **Introspection** — `SHOW SERVER STATS` (through `Query`) returns a
-//!    `metric | value` table: active/total connections, queued and shed
-//!    queries, latency quantiles, regret proxies and per-strategy
-//!    aggregates (queries, learning episodes, result tuples ≈ cumulative
-//!    reward, work units, wall time). `SHOW STRATEGIES` lists the
-//!    registry. `Profile{key}` returns the span timeline (admission wait,
+//!    `metric | value` table with one row per telemetry-registry series:
+//!    active/total connections, queued and shed queries, latency
+//!    quantiles, regret proxies and per-strategy totals (queries, learning
+//!    episodes, result tuples ≈ cumulative reward, work units, wall time).
+//!    Rows carry the `/metrics` names without `skinner_`. `SHOW
+//!    STRATEGIES` lists the strategy registry. `Profile{key}` returns the
+//!    span timeline (admission wait,
 //!    parse/bind, preprocess, per-order episode runs, postprocess, encode)
 //!    of a recently completed statement — EXPLAIN ANALYZE over the wire.
 //!    With [`ServerConfig::metrics_addr`] set, the same telemetry registry
@@ -118,7 +120,7 @@ pub use protocol::{
     StatementSummary, WireError, DEFAULT_MAX_INFLIGHT, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
-pub use stats::{template_key, ServerStats, StrategyAgg};
+pub use stats::{template_key, ServerStats};
 
 // The registry/handle types `ServerStats` exposes, for embedders.
 pub use skinner_telemetry::{Counter, Gauge, Histo, Registry};

@@ -255,9 +255,10 @@ impl Shared {
         let _ = TcpStream::connect(wake);
     }
 
-    /// Sample live structures (connections, admission gate, learning
-    /// cache) into registry gauges/counters. Called per `/metrics` scrape
-    /// so the exposition is current without any periodic sampler thread.
+    /// Sample live structures (connections, admission gate, join
+    /// indexes, learning cache) into registry gauges/counters. Called per
+    /// `/metrics` scrape and per `SHOW SERVER STATS`, so both read current
+    /// values without any periodic sampler thread.
     pub(crate) fn refresh_gauges(&self) {
         let r = self.stats.registry();
         r.gauge("skinner_active_connections", "Open client connections.")
@@ -284,6 +285,18 @@ impl Shared {
             "Bytes of join indexes retained by catalog tables.",
         )
         .set(self.db.catalog().index_bytes() as u64);
+        // The instance-wide default only: a session may override it with
+        // `SET learning_cache`, which the hit/miss/published counters reflect.
+        r.gauge(
+            "skinner_learning_cache_enabled_default",
+            "1 when new sessions use the learning cache by default.",
+        )
+        .set(self.db.learning_cache_enabled() as u64);
+        r.gauge(
+            "skinner_learning_cache_durable",
+            "1 when the learning cache persists to the data directory.",
+        )
+        .set(self.db.learning_cache().is_durable() as u64);
         let cache = self.db.learning_cache_stats();
         r.gauge(
             "skinner_learning_cache_entries",

@@ -1,41 +1,19 @@
 //! The observable server state behind `SHOW SERVER STATS` and `/metrics`.
 //!
-//! Everything is backed by one [`Registry`] from `skinner_telemetry`:
-//! the hot-path handles below (`Counter`/`Gauge`/`Histo`) update atomics
-//! directly, and the same registry renders both the Prometheus text
-//! exposition (the `/metrics` endpoint) and the extra rows appended to
-//! `SHOW SERVER STATS`. The per-strategy aggregates keep their historical
-//! `strategy.<name>.<field>` rows for wire compatibility and are mirrored
-//! into labeled registry counters for scraping.
+//! Everything is backed by one [`Registry`] from `skinner_telemetry`, the
+//! only place the server aggregates and names its statistics: the
+//! hot-path handles below (`Counter`/`Gauge`/`Histo`) update atomics
+//! directly, [`ServerStats::record_query`] adds each served query into the
+//! labeled `skinner_strategy_*{strategy="…"}` series, and the server
+//! samples its live structures into gauges before each read. `/metrics`
+//! renders the registry as Prometheus text; `SHOW SERVER STATS`
+//! ([`ServerStats::show_table`]) renders the same series as rows, named as
+//! in `/metrics` without the `skinner_` prefix.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use skinner_telemetry::{Counter, Gauge, Histo, Registry};
 use skinnerdb::{ExecMetrics, QueryResult, Value};
-
-/// Per-strategy execution aggregates: how many queries each strategy
-/// served, how many learning episodes (time slices) they ran, and the
-/// cumulative reward proxy (deduplicated result tuples — per-episode
-/// reward in the paper is per-slice progress, so tuples/episodes is the
-/// mean reward).
-#[derive(Debug, Default, Clone)]
-pub struct StrategyAgg {
-    pub queries: u64,
-    pub episodes: u64,
-    pub result_tuples: u64,
-    pub work_units: u64,
-    pub wall_micros: u64,
-    /// Zone-mapped pages evaluated / skipped during pre-processing (only
-    /// disk-backed tables carry zone maps; in-memory scans report zero).
-    pub pages_read: u64,
-    pub pages_skipped: u64,
-    /// Last planner cost estimate (`C_out` under estimated cardinalities)
-    /// reported by an optimizer-planned query.
-    pub plan_cost_est: u64,
-}
 
 /// The server's metric handles, all registered in one shared [`Registry`].
 /// Counters are monotonic; gauges are set (or bumped) from live
@@ -78,7 +56,6 @@ pub struct ServerStats {
     /// Distribution of the episode index after which the winning join
     /// order stopped changing — the paper's convergence measure.
     pub last_order_switch_slices: Histo,
-    per_strategy: std::sync::Arc<Mutex<BTreeMap<String, StrategyAgg>>>,
 }
 
 impl Default for ServerStats {
@@ -154,7 +131,6 @@ impl ServerStats {
                 "skinner_last_order_switch_slices",
                 "Episode index of the last join-order switch (convergence).",
             ),
-            per_strategy: std::sync::Arc::new(Mutex::new(BTreeMap::new())),
             registry,
         }
     }
@@ -165,8 +141,12 @@ impl ServerStats {
         &self.registry
     }
 
-    /// Fold one finished query into the per-strategy aggregates, the
-    /// latency histogram and the regret-proxy counters.
+    /// Fold one finished query into the per-strategy series, the
+    /// latency histogram and the regret-proxy counters. Per strategy:
+    /// queries, learning episodes (time slices), result tuples (the
+    /// cumulative reward proxy: tuples / episodes is the mean reward),
+    /// work units, wall time, zone-mapped pages read and skipped, and the
+    /// last planner cost estimate of a statement that reported one.
     pub fn record_query(
         &self,
         strategy: &str,
@@ -174,17 +154,15 @@ impl ServerStats {
         work_units: u64,
         wall: Duration,
     ) {
-        self.query_latency_us.record(wall.as_micros() as u64);
-        let mut map = self.per_strategy.lock();
-        let agg = map.entry(strategy.to_string()).or_default();
-        agg.queries += 1;
-        agg.work_units += work_units;
-        agg.wall_micros += wall.as_micros() as u64;
+        let wall_us = wall.as_micros() as u64;
+        self.query_latency_us.record(wall_us);
+        let (mut episodes, mut result_tuples, mut pages_read, mut pages_skipped) = (0, 0, 0, 0);
+        let mut plan_cost_est = None;
         for m in metrics_per_statement {
-            agg.episodes += m.slices;
-            agg.result_tuples += m.result_tuples;
-            agg.pages_read += m.pages_read;
-            agg.pages_skipped += m.pages_skipped;
+            episodes += m.slices;
+            result_tuples += m.result_tuples;
+            pages_read += m.pages_read;
+            pages_skipped += m.pages_skipped;
             if let Some(n) = m.counter("order_switches") {
                 self.order_switches_total.add(n);
             }
@@ -200,115 +178,72 @@ impl ServerStats {
             if let Some(s) = m.counter("last_order_switch") {
                 self.last_order_switch_slices.record(s);
             }
-            if let Some(c) = m.counter("plan_cost_est") {
-                agg.plan_cost_est = c;
-            }
+            plan_cost_est = m.counter("plan_cost_est").or(plan_cost_est);
         }
-        let mirror = agg.clone();
-        drop(map);
-        // Mirror the row-oriented aggregates into labeled registry series
-        // so `/metrics` carries them too (raise_to: the mutex-held tally
-        // is authoritative, the registry copy trails it monotonically).
         let labels: &[(&str, &str)] = &[("strategy", strategy)];
-        let mirror_counter = |name: &str, help: &'static str, v: u64| {
-            self.registry.counter_with(name, help, labels).raise_to(v);
-        };
-        mirror_counter(
-            "skinner_strategy_queries_total",
-            "Queries served, by strategy.",
-            mirror.queries,
-        );
-        mirror_counter(
-            "skinner_strategy_episodes_total",
-            "Learning episodes (time slices) run, by strategy.",
-            mirror.episodes,
-        );
-        mirror_counter(
-            "skinner_strategy_result_tuples_total",
-            "Result tuples produced (cumulative reward proxy), by strategy.",
-            mirror.result_tuples,
-        );
-        mirror_counter(
-            "skinner_strategy_work_units_total",
-            "Deterministic work units spent, by strategy.",
-            mirror.work_units,
-        );
-        mirror_counter(
-            "skinner_strategy_pages_read_total",
-            "Zone-mapped pages evaluated during preprocessing, by strategy.",
-            mirror.pages_read,
-        );
-        mirror_counter(
-            "skinner_strategy_pages_skipped_total",
-            "Zone-mapped pages skipped during preprocessing, by strategy.",
-            mirror.pages_skipped,
-        );
+        for (name, help, v) in [
+            (
+                "skinner_strategy_queries_total",
+                "Queries served, by strategy.",
+                1,
+            ),
+            (
+                "skinner_strategy_episodes_total",
+                "Learning episodes (time slices) run, by strategy.",
+                episodes,
+            ),
+            (
+                "skinner_strategy_result_tuples_total",
+                "Result tuples produced (cumulative reward proxy), by strategy.",
+                result_tuples,
+            ),
+            (
+                "skinner_strategy_work_units_total",
+                "Deterministic work units spent, by strategy.",
+                work_units,
+            ),
+            (
+                "skinner_strategy_wall_us_total",
+                "Query wall time in microseconds, by strategy.",
+                wall_us,
+            ),
+            (
+                "skinner_strategy_pages_read_total",
+                "Zone-mapped pages evaluated during preprocessing, by strategy.",
+                pages_read,
+            ),
+            (
+                "skinner_strategy_pages_skipped_total",
+                "Zone-mapped pages skipped during preprocessing, by strategy.",
+                pages_skipped,
+            ),
+        ] {
+            self.registry.counter_with(name, help, labels).add(v);
+        }
+        if let Some(c) = plan_cost_est {
+            self.registry
+                .gauge_with(
+                    "skinner_strategy_plan_cost_est",
+                    "Last planner cost estimate (C_out), by strategy.",
+                    labels,
+                )
+                .set(c);
+        }
     }
 
-    pub fn strategy_aggregates(&self) -> BTreeMap<String, StrategyAgg> {
-        self.per_strategy.lock().clone()
-    }
-
-    /// Materialize the stats as a result table (`metric`, `value`), the
-    /// shape `SHOW SERVER STATS` returns over the wire. Gauges the server
-    /// owns (connections, queue) are passed in.
-    pub fn snapshot_table(&self, gauges: &[(String, u64)]) -> QueryResult {
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut push = |k: &str, v: u64| {
-            rows.push(vec![Value::from(k), Value::Int(v as i64)]);
-        };
-        for (k, v) in gauges {
-            push(k, *v);
-        }
-        push("queries_total", self.queries_total.get());
-        push("queries_failed", self.queries_failed.get());
-        push("queries_cancelled", self.queries_cancelled.get());
-        push("queries_timed_out", self.queries_timed_out.get());
-        push("connections_total", self.connections_total.get());
-        push("connections_rejected", self.connections_rejected.get());
-        push(
-            "connections_reaped_idle",
-            self.connections_reaped_idle.get(),
-        );
-        push("slow_queries_total", self.slow_queries_total.get());
-        push("order_switches_total", self.order_switches_total.get());
-        push("warm_start_hits_total", self.warm_start_hits_total.get());
-        push(
-            "warm_start_visits_total",
-            self.warm_start_visits_total.get(),
-        );
-        push(
-            "warm_start_generalized_total",
-            self.warm_start_generalized_total.get(),
-        );
-        let lat = self.query_latency_us.snapshot();
-        push("query_latency_us.p50", lat.p50());
-        push("query_latency_us.p99", lat.p99());
-        push("query_latency_us.max", lat.max);
-        let adm = self.admission_wait_us.snapshot();
-        push("admission_wait_us.p50", adm.p50());
-        push("admission_wait_us.p99", adm.p99());
-        for (name, agg) in self.strategy_aggregates() {
-            let mean_reward_milli = (agg.result_tuples * 1000)
-                .checked_div(agg.episodes)
-                .unwrap_or(0);
-            push(&format!("strategy.{name}.queries"), agg.queries);
-            push(&format!("strategy.{name}.episodes"), agg.episodes);
-            push(&format!("strategy.{name}.result_tuples"), agg.result_tuples);
-            push(&format!("strategy.{name}.work_units"), agg.work_units);
-            push(&format!("strategy.{name}.wall_micros"), agg.wall_micros);
-            push(&format!("strategy.{name}.pages_read"), agg.pages_read);
-            push(&format!("strategy.{name}.pages_skipped"), agg.pages_skipped);
-            push(
-                &format!("strategy.{name}.mean_reward_milli"),
-                mean_reward_milli,
-            );
-            // The planner column appears only where it carries signal,
-            // keeping the wire table compact for unplanned strategies.
-            if agg.plan_cost_est > 0 {
-                push(&format!("strategy.{name}.plan_cost_est"), agg.plan_cost_est);
-            }
-        }
+    /// The `SHOW SERVER STATS` table (`metric`, `value`): one row per
+    /// [`Registry::flatten`] row, named as in `/metrics` without the
+    /// `skinner_` prefix. Callers sample live gauges first.
+    pub fn show_table(&self) -> QueryResult {
+        let rows = self
+            .registry
+            .flatten()
+            .into_iter()
+            .map(|(name, v)| {
+                let name = name.strip_prefix("skinner_").unwrap_or(&name);
+                vec![Value::from(name), Value::Int(v as i64)]
+            })
+            .collect();
         QueryResult {
             columns: vec!["metric".into(), "value".into()],
             rows,
@@ -393,6 +328,14 @@ pub fn template_key(sql: &str) -> String {
 mod tests {
     use super::*;
 
+    /// One `SHOW SERVER STATS` row's value, `None` when absent.
+    fn row(t: &QueryResult, k: &str) -> Option<i64> {
+        t.rows
+            .iter()
+            .find(|r| r[0].as_str() == Some(k))
+            .map(|r| r[1].as_i64().unwrap())
+    }
+
     #[test]
     fn aggregates_fold_per_strategy() {
         let stats = ServerStats::new();
@@ -409,13 +352,17 @@ mod tests {
         stats.record_query("Skinner-C", &[&m1, &m2], 500, Duration::from_micros(90));
         stats.record_query("Skinner-C", &[&m1], 100, Duration::from_micros(10));
         stats.record_query("Traditional", &[], 7, Duration::ZERO);
-        let aggs = stats.strategy_aggregates();
-        assert_eq!(aggs["Skinner-C"].queries, 2);
-        assert_eq!(aggs["Skinner-C"].episodes, 25);
-        assert_eq!(aggs["Skinner-C"].result_tuples, 90);
-        assert_eq!(aggs["Skinner-C"].work_units, 600);
-        assert_eq!(aggs["Skinner-C"].wall_micros, 100);
-        assert_eq!(aggs["Traditional"].queries, 1);
+        let t = stats.show_table();
+        let c = |field: &str| row(&t, &format!("strategy_{field}{{strategy=\"Skinner-C\"}}"));
+        assert_eq!(c("queries_total"), Some(2));
+        assert_eq!(c("episodes_total"), Some(25));
+        assert_eq!(c("result_tuples_total"), Some(90));
+        assert_eq!(c("work_units_total"), Some(600));
+        assert_eq!(c("wall_us_total"), Some(100));
+        assert_eq!(
+            row(&t, "strategy_queries_total{strategy=\"Traditional\"}"),
+            Some(1)
+        );
     }
 
     #[test]
@@ -430,28 +377,26 @@ mod tests {
             ..ExecMetrics::default()
         };
         stats.record_query("Skinner-C", &[&m], 1, Duration::ZERO);
-        let t = stats.snapshot_table(&[
-            ("active_connections".to_string(), 3),
-            ("queued".to_string(), 0),
-        ]);
+        let t = stats.show_table();
         assert_eq!(t.columns, vec!["metric".to_string(), "value".to_string()]);
-        let find = |k: &str| {
-            t.rows
-                .iter()
-                .find(|r| r[0].as_str() == Some(k))
-                .unwrap_or_else(|| panic!("metric {k} missing"))[1]
-                .as_i64()
-                .unwrap()
-        };
-        assert_eq!(find("active_connections"), 3);
-        assert_eq!(find("queries_total"), 1);
-        assert_eq!(find("strategy.Skinner-C.episodes"), 4);
-        assert_eq!(find("strategy.Skinner-C.mean_reward_milli"), 2000);
-        assert_eq!(find("strategy.Skinner-C.pages_read"), 3);
-        assert_eq!(find("strategy.Skinner-C.pages_skipped"), 5);
-        // Registry-backed additions ride in the same table.
-        assert_eq!(find("slow_queries_total"), 0);
-        assert_eq!(find("order_switches_total"), 0);
+        let c = |field: &str| row(&t, &format!("strategy_{field}{{strategy=\"Skinner-C\"}}"));
+        assert_eq!(row(&t, "queries_total"), Some(1));
+        assert_eq!(c("episodes_total"), Some(4));
+        assert_eq!(c("result_tuples_total"), Some(8));
+        assert_eq!(c("pages_read_total"), Some(3));
+        assert_eq!(c("pages_skipped_total"), Some(5));
+        assert_eq!(row(&t, "slow_queries_total"), Some(0));
+        assert_eq!(row(&t, "order_switches_total"), Some(0));
+        // Histograms contribute count/sum/quantile rows.
+        assert_eq!(row(&t, "query_latency_us.count"), Some(1));
+        assert_eq!(row(&t, "admission_wait_us.p50"), Some(0));
+        // Every row is a registry series without the `skinner_` prefix.
+        let flat = stats.registry().flatten();
+        assert_eq!(t.rows.len(), flat.len());
+        for (r, (name, v)) in t.rows.iter().zip(&flat) {
+            assert_eq!(r[0].as_str(), name.strip_prefix("skinner_"));
+            assert_eq!(r[1].as_i64(), Some(*v as i64));
+        }
     }
 
     #[test]
@@ -471,7 +416,7 @@ mod tests {
         assert_eq!(conv.count, 1);
         assert_eq!(conv.sum, 12);
         // The query landed in the latency histogram and the prometheus
-        // rendering carries the per-strategy mirror.
+        // rendering carries the per-strategy series.
         assert_eq!(stats.query_latency_us.snapshot().count, 1);
         let text = stats.registry().render_prometheus();
         assert!(text.contains("skinner_order_switches_total 4"), "{text}");
@@ -497,18 +442,21 @@ mod tests {
         stats.record_query("Skinner-H", &[&first], 10, Duration::from_micros(5));
         stats.record_query("Skinner-H", &[&second], 10, Duration::from_micros(5));
         stats.record_query("Skinner-C", &[&ExecMetrics::default()], 10, Duration::ZERO);
-        let aggs = stats.strategy_aggregates();
-        assert_eq!(aggs["Skinner-H"].plan_cost_est, 77, "last estimate wins");
-        let t = stats.snapshot_table(&[]);
-        let find = |k: &str| {
-            t.rows
-                .iter()
-                .find(|r| r[0].as_str() == Some(k))
-                .map(|r| r[1].as_i64().unwrap())
-        };
-        assert_eq!(find("strategy.Skinner-H.episodes"), Some(7));
-        assert_eq!(find("strategy.Skinner-H.plan_cost_est"), Some(77));
-        assert_eq!(find("strategy.Skinner-C.plan_cost_est"), None, "unplanned");
+        let t = stats.show_table();
+        assert_eq!(
+            row(&t, "strategy_episodes_total{strategy=\"Skinner-H\"}"),
+            Some(7)
+        );
+        assert_eq!(
+            row(&t, "strategy_plan_cost_est{strategy=\"Skinner-H\"}"),
+            Some(77),
+            "last estimate wins"
+        );
+        assert_eq!(
+            row(&t, "strategy_plan_cost_est{strategy=\"Skinner-C\"}"),
+            None,
+            "unplanned"
+        );
         let text = stats.registry().render_prometheus();
         assert!(
             text.contains("skinner_strategy_episodes_total{strategy=\"Skinner-H\"} 7"),

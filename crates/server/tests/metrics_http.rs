@@ -2,9 +2,10 @@
 //! `metrics_addr` enabled, real queries over the wire protocol, and raw
 //! HTTP scrapes of `/metrics` validated against the text exposition
 //! format (0.0.4): HELP/TYPE preambles, histogram bucket structure,
-//! monotone counters across scrapes, the idle-reap gauge.
+//! monotone counters across scrapes, the idle-reap gauge, and the naming
+//! rule that ties `SHOW SERVER STATS` rows to `/metrics` families.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -34,8 +35,9 @@ fn fixture_db() -> Database {
     db
 }
 
-/// Minimal wire client: handshake, then run a script to completion.
-fn run_query(addr: &str, sql: &str) {
+/// Minimal wire client: handshake, then run a script to completion and
+/// return its binary rows.
+fn run_query(addr: &str, sql: &str) -> Vec<Vec<Value>> {
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -54,10 +56,12 @@ fn run_query(addr: &str, sql: &str) {
     }
     .write(&mut &stream)
     .unwrap();
+    let mut rows = Vec::new();
     loop {
         match Response::read(&mut &stream).unwrap() {
-            Response::RowHeader { .. } | Response::RowBatch { .. } | Response::Text { .. } => {}
-            Response::Done { .. } => break,
+            Response::RowBatch { rows: batch } => rows.extend(batch),
+            Response::RowHeader { .. } | Response::Text { .. } => {}
+            Response::Done { .. } => return rows,
             Response::Error { code, message } => panic!("query failed: {code:?} {message}"),
             other => panic!("unexpected frame {other:?}"),
         }
@@ -211,6 +215,61 @@ fn metrics_endpoint_serves_valid_exposition_and_counters_are_monotone() {
     let (status, _, _) = scrape(maddr, "/nope");
     assert!(status.contains("404"), "{status}");
 
+    server.shutdown();
+}
+
+/// The metric families a scrape declares (`# TYPE` lines).
+fn families(body: &str) -> BTreeSet<String> {
+    body.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().unwrap().to_string())
+        .collect()
+}
+
+/// `SHOW SERVER STATS` names every row after its `/metrics` family: add
+/// `skinner_`, then drop the labels and any histogram suffix. Every row
+/// must land on a family, and every family must have a row.
+#[test]
+fn show_server_stats_rows_are_metrics_families() {
+    let mut server = Server::bind(
+        fixture_db(),
+        "127.0.0.1:0",
+        ServerConfig {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let maddr = server.metrics_addr().unwrap();
+
+    run_query(
+        &addr,
+        "SELECT t.g, COUNT(*) c FROM t, u WHERE t.id = u.tid GROUP BY t.g",
+    );
+    let (_, _, body) = scrape(maddr, "/metrics");
+    let scraped = families(&body);
+    let rows = run_query(&addr, "SHOW SERVER STATS");
+    let mut covered = BTreeSet::new();
+    for row in &rows {
+        let name = row[0].as_str().expect("metric names are strings");
+        let base = name.split('{').next().unwrap();
+        let base = [".count", ".sum", ".p50", ".p99", ".max"]
+            .iter()
+            .find_map(|suffix| base.strip_suffix(suffix))
+            .unwrap_or(base);
+        let family = format!("skinner_{base}");
+        assert!(
+            scraped.contains(&family),
+            "row {name:?} names no /metrics family ({family} missing)"
+        );
+        covered.insert(family);
+    }
+    let unreported: Vec<_> = scraped.difference(&covered).collect();
+    assert!(
+        unreported.is_empty(),
+        "families without a SHOW SERVER STATS row: {unreported:?}"
+    );
     server.shutdown();
 }
 

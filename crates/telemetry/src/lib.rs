@@ -12,8 +12,8 @@
 //!   never take the registry lock; the lock is only held while *creating*
 //!   a series or rendering a snapshot. [`Registry::render_prometheus`]
 //!   emits the Prometheus text exposition format for a `/metrics`
-//!   endpoint; [`Registry::flatten`] feeds `SHOW SERVER STATS`-style
-//!   tables.
+//!   endpoint; [`Registry::flatten`] renders the same series as
+//!   `(name, value)` rows, the whole of `SHOW SERVER STATS`.
 //! * [`Trace`] — a fixed-capacity per-query span ring. Stages record
 //!   monotonic nanosecond timestamps ([`Span`]); recording a plain span
 //!   allocates nothing (static stage name, preallocated ring), so traces

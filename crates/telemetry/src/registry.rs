@@ -265,7 +265,8 @@ impl Registry {
 
     /// Flatten everything into `(metric, value)` rows for tabular display
     /// (`SHOW SERVER STATS`). Labeled series render as `name{k="v"}`;
-    /// histograms contribute `_count`, `_sum`, `_p50`, `_p99` and `_max`.
+    /// histograms contribute `name.count`, `.sum`, `.p50`, `.p99` and
+    /// `.max`, so every row names its family up to the first `.` or `{`.
     pub fn flatten(&self) -> Vec<(String, u64)> {
         let families = self.families.lock().unwrap();
         let mut rows = Vec::new();
@@ -276,11 +277,11 @@ impl Registry {
                     Metric::Gauge(g) => rows.push((format!("{name}{labels}"), g.get())),
                     Metric::Histogram(h) => {
                         let snap = h.snapshot();
-                        rows.push((format!("{name}_count{labels}"), snap.count));
-                        rows.push((format!("{name}_sum{labels}"), snap.sum));
-                        rows.push((format!("{name}_p50{labels}"), snap.p50()));
-                        rows.push((format!("{name}_p99{labels}"), snap.p99()));
-                        rows.push((format!("{name}_max{labels}"), snap.max));
+                        rows.push((format!("{name}.count{labels}"), snap.count));
+                        rows.push((format!("{name}.sum{labels}"), snap.sum));
+                        rows.push((format!("{name}.p50{labels}"), snap.p50()));
+                        rows.push((format!("{name}.p99{labels}"), snap.p99()));
+                        rows.push((format!("{name}.max{labels}"), snap.max));
                     }
                 }
             }
@@ -394,9 +395,9 @@ mod tests {
         let find = |k: &str| rows.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(find("a_total"), Some(1));
         assert_eq!(find("b"), Some(9));
-        assert_eq!(find("c_us_count"), Some(1));
-        assert_eq!(find("c_us_sum"), Some(5));
-        assert_eq!(find("c_us_p50"), Some(5));
+        assert_eq!(find("c_us.count"), Some(1));
+        assert_eq!(find("c_us.sum"), Some(5));
+        assert_eq!(find("c_us.p50"), Some(5));
     }
 
     #[test]

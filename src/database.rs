@@ -309,8 +309,9 @@ impl Database {
         self.learning_cache().flush()
     }
 
-    /// Counter snapshot of the cross-query tree cache (what
-    /// `SHOW SERVER STATS` reports as `learning_cache.*`).
+    /// Counter snapshot of the cross-query tree cache (what a server
+    /// exports as `skinner_learning_cache_*` and `SHOW SERVER STATS`
+    /// reports as `learning_cache_*`).
     pub fn learning_cache_stats(&self) -> TreeCacheStats {
         self.learning_cache().stats()
     }
