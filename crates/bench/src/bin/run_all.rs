@@ -10,85 +10,34 @@
 //! ```
 
 use std::fs;
+use std::process::exit;
 use std::time::Instant;
 
-use skinner_bench::experiments as ex;
+use skinner_bench::experiments::ALL;
+use skinner_bench::harness::REPORT_DIR;
 use skinner_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
     let filter: Vec<String> = std::env::args().skip(1).collect();
-    let dir = std::path::Path::new("bench_reports");
-    fs::create_dir_all(dir).expect("create bench_reports/");
-
-    type Job = (&'static str, Box<dyn Fn(Scale) -> String>);
-    let jobs: Vec<Job> = vec![
-        (
-            "table1_job_single",
-            Box::new(|s| ex::table1_job::run(s, false)),
-        ),
-        (
-            "table2_job_multi",
-            Box::new(|s| ex::table1_job::run(s, true)),
-        ),
-        (
-            "table3_order_replay",
-            Box::new(|s| ex::table3_replay::run(s, false)),
-        ),
-        (
-            "table4_order_replay_multi",
-            Box::new(|s| ex::table3_replay::run(s, true)),
-        ),
-        (
-            "table5_learning_vs_random",
-            Box::new(ex::table5_random::run),
-        ),
-        ("table6_features", Box::new(ex::table6_features::run)),
-        (
-            "figure6_speedup_sources",
-            Box::new(ex::figure6_speedups::run),
-        ),
-        (
-            "figure7_convergence",
-            Box::new(ex::figure7_convergence::run),
-        ),
-        ("figure8_memory", Box::new(ex::figure8_memory::run)),
-        (
-            "figure9_udf_torture",
-            Box::new(ex::figure9_udf_torture::run),
-        ),
-        (
-            "figure10_correlation_torture",
-            Box::new(ex::figure10_correlation::run),
-        ),
-        ("figure11_failures", Box::new(ex::figure11_failures::run)),
-        ("figure12_trivial", Box::new(ex::figure12_trivial::run)),
-        ("table7_tpch", Box::new(ex::table7_tpch::run)),
-        ("ablation_design_choices", Box::new(ex::ablation::run)),
-        ("optimizer_bakeoff", Box::new(ex::optimizer_bakeoff::run)),
-        ("thread_scaling", Box::new(ex::thread_scaling::run)),
-        ("disk_scan", Box::new(ex::disk_scan::run)),
-        ("repeat_workload", Box::new(ex::repeat_workload::run)),
-        ("server_throughput", Box::new(ex::server_throughput::run)),
-        ("telemetry_overhead", Box::new(ex::telemetry_overhead::run)),
-    ];
-
-    if !filter.is_empty() {
-        let known: Vec<&str> = jobs.iter().map(|(n, _)| *n).collect();
-        for want in &filter {
-            assert!(
-                known.contains(&want.as_str()),
-                "unknown experiment {want:?}; known: {known:?}"
-            );
-        }
+    if let Some(want) = filter.iter().find(|w| ALL.iter().all(|(n, _)| n != w)) {
+        let known: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown experiment {want:?}; known: {known:?}");
+        exit(2);
     }
-    for (name, f) in jobs {
+    let dir = std::path::Path::new(REPORT_DIR);
+    fs::create_dir_all(dir).expect("create the report directory");
+
+    for &(name, run) in ALL {
         if !filter.is_empty() && !filter.iter().any(|w| w == name) {
             continue;
         }
         let started = Instant::now();
         eprint!("running {name} … ");
-        let report = f(scale);
+        let report = run(scale);
         let path = dir.join(format!("{name}.md"));
         fs::write(&path, &report).expect("write report");
         eprintln!(

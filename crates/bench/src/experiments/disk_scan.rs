@@ -21,7 +21,7 @@
 
 use skinnerdb::{DataType, Database, Value};
 
-use crate::harness::{fmt_dur, human, markdown_table, Scale};
+use crate::harness::{fmt_dur, human, markdown_table, write_report, Json, Scale};
 
 struct Case {
     name: &'static str,
@@ -98,44 +98,38 @@ fn measure(db: &Database, sql: &str) -> Sample {
     }
 }
 
-fn write_json(
-    dir: &std::path::Path,
-    rows: i64,
-    runs: &[(String, Sample, Sample)],
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_disk_scan.json");
+fn report(rows: i64, runs: &[(String, Sample, Sample)]) -> Json {
     let pages_read: u64 = runs.iter().map(|(_, d, _)| d.pages_read).sum();
     let pages_skipped: u64 = runs.iter().map(|(_, d, _)| d.pages_skipped).sum();
     let total = (pages_read + pages_skipped).max(1);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"rows\": {rows},\n"));
-    out.push_str(&format!("  \"pages_read\": {pages_read},\n"));
-    out.push_str(&format!("  \"pages_skipped\": {pages_skipped},\n"));
-    out.push_str(&format!(
-        "  \"skip_ratio\": {:.3},\n",
-        pages_skipped as f64 / total as f64
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, (name, disk, mem)) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"pages_read\": {}, \"pages_skipped\": {}, \
-             \"rows\": {}, \"disk_work_units\": {}, \"mem_work_units\": {}, \
-             \"disk_wall_us\": {}, \"mem_wall_us\": {}}}{}\n",
-            name,
-            disk.pages_read,
-            disk.pages_skipped,
-            disk.rows,
-            disk.work,
-            mem.work,
-            disk.wall.as_micros(),
-            mem.wall.as_micros(),
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+    Json::obj([
+        ("rows", rows.into()),
+        ("pages_read", pages_read.into()),
+        ("pages_skipped", pages_skipped.into()),
+        (
+            "skip_ratio",
+            Json::Float(pages_skipped as f64 / total as f64, 3),
+        ),
+        (
+            "runs",
+            Json::Arr(
+                runs.iter()
+                    .map(|(name, disk, mem)| {
+                        Json::obj([
+                            ("query", name.as_str().into()),
+                            ("pages_read", disk.pages_read.into()),
+                            ("pages_skipped", disk.pages_skipped.into()),
+                            ("rows", disk.rows.into()),
+                            ("disk_work_units", disk.work.into()),
+                            ("mem_work_units", mem.work.into()),
+                            ("disk_wall_us", disk.wall.as_micros().into()),
+                            ("mem_wall_us", mem.wall.as_micros().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 pub fn run(scale: Scale) -> String {
@@ -200,13 +194,7 @@ pub fn run(scale: Scale) -> String {
          per-page bound consults — zone maps degrade to a full scan, they\n\
          never lose rows.\n",
     );
-    match write_json(std::path::Path::new("bench_reports"), rows, &runs) {
-        Ok(path) => out.push_str(&format!(
-            "\nRaw counters written to `{}`.\n",
-            path.display()
-        )),
-        Err(e) => out.push_str(&format!("\n(could not write BENCH_disk_scan.json: {e})\n")),
-    }
+    out.push_str(&write_report("disk_scan", &report(rows, &runs)));
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
@@ -237,7 +225,6 @@ mod tests {
 
     #[test]
     fn json_artifact_has_headline_fields() {
-        let tmp = std::env::temp_dir().join(format!("skinner_bench_djson_{}", std::process::id()));
         let s = |pr, ps| Sample {
             wall: std::time::Duration::from_micros(10),
             work: 100,
@@ -246,9 +233,7 @@ mod tests {
             pages_skipped: ps,
         };
         let runs = vec![("q".to_string(), s(2, 8), s(0, 0))];
-        let path = write_json(&tmp, 1000, &runs).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
+        let text = report(1000, &runs).render();
         assert!(text.contains("\"pages_read\": 2"));
         assert!(text.contains("\"pages_skipped\": 8"));
         assert!(text.contains("\"skip_ratio\": 0.800"));

@@ -21,7 +21,7 @@ use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial, udf_to
 use skinnerdb::skinner_workloads::Workload;
 use skinnerdb::{Database, ExecOutcome, Strategy};
 
-use crate::harness::{fmt_dur, human, markdown_table, Scale};
+use crate::harness::{fmt_dur, human, markdown_table, write_report, Json, Scale};
 
 fn contenders() -> Vec<Strategy> {
     vec![
@@ -61,39 +61,41 @@ fn measure(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
     out
 }
 
-fn write_json(
-    dir: &std::path::Path,
-    runs: &[Run],
-    totals: &[(String, u64, f64)],
-    h_vs_best_ratio: f64,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_optimizer_bakeoff.json");
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"h_vs_best_ratio\": {h_vs_best_ratio:.3},\n"));
-    out.push_str("  \"strategies\": [\n");
-    for (i, (name, work, qps)) in totals.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{name}\", \"total_work_units\": {work}, \"qps\": {qps:.1}}}{}\n",
-            if i + 1 < totals.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"query\": \"{}\", \"strategy\": \"{}\", \
-             \"work_units\": {}, \"wall_us\": {}}}{}\n",
-            r.workload,
-            r.query,
-            r.strategy,
-            r.work,
-            r.wall_us,
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+fn report(runs: &[Run], totals: &[(String, u64, f64)], h_vs_best_ratio: f64) -> Json {
+    Json::obj([
+        ("h_vs_best_ratio", Json::Float(h_vs_best_ratio, 3)),
+        (
+            "strategies",
+            Json::Arr(
+                totals
+                    .iter()
+                    .map(|(name, work, qps)| {
+                        Json::obj([
+                            ("strategy", name.as_str().into()),
+                            ("total_work_units", (*work).into()),
+                            ("qps", Json::Float(*qps, 1)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "runs",
+            Json::Arr(
+                runs.iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("workload", r.workload.into()),
+                            ("query", r.query.as_str().into()),
+                            ("strategy", r.strategy.as_str().into()),
+                            ("work_units", r.work.into()),
+                            ("wall_us", r.wall_us.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 pub fn run(scale: Scale) -> String {
@@ -174,17 +176,10 @@ pub fn run(scale: Scale) -> String {
         human(hybrid_total),
         human(best_total),
     ));
-    match write_json(
-        std::path::Path::new("bench_reports"),
-        &runs,
-        &totals,
-        h_vs_best_ratio,
-    ) {
-        Ok(path) => out.push_str(&format!("\nRaw numbers written to `{}`.\n", path.display())),
-        Err(e) => out.push_str(&format!(
-            "\n(could not write BENCH_optimizer_bakeoff.json: {e})\n"
-        )),
-    }
+    out.push_str(&write_report(
+        "optimizer_bakeoff",
+        &report(&runs, &totals, h_vs_best_ratio),
+    ));
     out
 }
 
@@ -194,7 +189,6 @@ mod tests {
 
     #[test]
     fn json_artifact_has_headline_fields() {
-        let tmp = std::env::temp_dir().join(format!("skinner_bench_obk_{}", std::process::id()));
         let runs = vec![Run {
             workload: "w",
             query: "q".to_string(),
@@ -203,9 +197,7 @@ mod tests {
             wall_us: 5,
         }];
         let per = vec![("Skinner-H".to_string(), 10u64, 2.0f64)];
-        let path = write_json(&tmp, &runs, &per, 1.25).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
+        let text = report(&runs, &per, 1.25).render();
         assert!(text.contains("\"h_vs_best_ratio\": 1.250"));
         assert!(text.contains("\"workload\": \"w\""));
         assert!(text.contains("\"work_units\": 10"));

@@ -23,7 +23,7 @@
 use skinnerdb::skinner_core::{ParallelSkinnerConfig, SkinnerCConfig};
 use skinnerdb::{DataType, Database, Strategy, TreeCacheConfig, Value};
 
-use crate::harness::{human, markdown_table, Scale};
+use crate::harness::{human, markdown_table, write_report, Json, Scale};
 
 /// Star schema whose best join order is clearly "filtered small dimension
 /// first": a selective unary predicate on `d1` makes starting anywhere
@@ -198,53 +198,53 @@ fn render_section(name: &str, off: &[Rep], on: &[Rep], out: &mut String) {
     ));
 }
 
-fn json_reps(reps: &[Rep]) -> String {
-    let cells: Vec<String> = reps
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"lit\": {}, \"cache_hit\": {}, \"warm_start_visits\": {}, \
-                 \"episodes\": {}, \"last_order_switch\": {}, \"work_units\": {}, \
-                 \"wall_us\": {}}}",
-                r.lit,
-                r.cache_hit,
-                r.warm_start_visits,
-                r.episodes,
-                r.last_order_switch,
-                r.work,
-                r.wall_us
-            )
-        })
-        .collect();
-    format!("[{}]", cells.join(", "))
+fn rep_list(reps: &[Rep]) -> Json {
+    Json::Arr(
+        reps.iter()
+            .map(|r| {
+                Json::obj([
+                    ("lit", r.lit.into()),
+                    ("cache_hit", r.cache_hit.into()),
+                    ("warm_start_visits", r.warm_start_visits.into()),
+                    ("episodes", r.episodes.into()),
+                    ("last_order_switch", r.last_order_switch.into()),
+                    ("work_units", r.work.into()),
+                    ("wall_us", r.wall_us.into()),
+                ])
+            })
+            .collect(),
+    )
 }
 
-fn write_json(
-    dir: &std::path::Path,
-    sections: &[(&str, &[Rep], &[Rep])],
-    drift: Option<&DriftOutcome>,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_repeat_workload.json");
-    let mut out = String::from("{\n  \"engines\": [\n");
-    for (i, (name, off, on)) in sections.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"engine\": \"{name}\", \"cache_off\": {}, \"cache_on\": {}, \
-             \"mean_lock_in_off\": {:.2}, \"mean_lock_in_on\": {:.2}}}{}\n",
-            json_reps(off),
-            json_reps(on),
-            mean_lock_in(off),
-            mean_lock_in(on),
-            if i + 1 < sections.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]");
-    if let Some(d) = drift {
-        out.push_str(&format!(",\n  \"drift\": {}", json_drift(d)));
-    }
-    out.push_str("\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+fn report(sections: &[(&str, &[Rep], &[Rep])], drift: &DriftOutcome) -> Json {
+    let engines = sections.iter().map(|&(name, off, on)| {
+        Json::obj([
+            ("engine", name.into()),
+            ("cache_off", rep_list(off)),
+            ("cache_on", rep_list(on)),
+            ("mean_lock_in_off", Json::Float(mean_lock_in(off), 2)),
+            ("mean_lock_in_on", Json::Float(mean_lock_in(on), 2)),
+        ])
+    });
+    Json::obj([
+        ("engines", Json::Arr(engines.collect())),
+        (
+            "drift",
+            Json::obj([
+                ("quarantined_templates", drift.quarantines.into()),
+                (
+                    "cold_mean_episodes",
+                    Json::Float(drift.cold_mean_episodes, 2),
+                ),
+                (
+                    "post_quarantine_mean_episodes",
+                    Json::Float(drift.post_quarantine_mean_episodes, 2),
+                ),
+                ("mutation_run_cold", drift.mutation_run_cold.into()),
+                ("runs", rep_list(&drift.reps)),
+            ]),
+        ),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -466,19 +466,6 @@ fn render_drift(d: &DriftOutcome, out: &mut String) {
     ));
 }
 
-fn json_drift(d: &DriftOutcome) -> String {
-    format!(
-        "{{\"quarantined_templates\": {}, \"cold_mean_episodes\": {:.2}, \
-         \"post_quarantine_mean_episodes\": {:.2}, \"mutation_run_cold\": {}, \
-         \"runs\": {}}}",
-        d.quarantines,
-        d.cold_mean_episodes,
-        d.post_quarantine_mean_episodes,
-        d.mutation_run_cold,
-        json_reps(&d.reps)
-    )
-}
-
 /// Bit-identity guard: the template's rows must be byte-for-byte the same
 /// cache-on vs cache-off at every thread count. Panics on divergence.
 fn assert_thread_equivalence(scale: Scale) {
@@ -566,22 +553,11 @@ pub fn run(scale: Scale) -> String {
     assert_thread_equivalence(scale);
     out.push_str("Thread equivalence check: rows bit-identical cache-on vs cache-off at 1/2/4/8 threads. ✔\n");
 
-    match write_json(
-        std::path::Path::new("bench_reports"),
-        &[
-            ("Skinner-C", &seq_off, &seq_on),
-            ("parallel_skinner", &par_off, &par_on),
-        ],
-        Some(&drift),
-    ) {
-        Ok(path) => out.push_str(&format!(
-            "\nRaw counters written to `{}`.\n",
-            path.display()
-        )),
-        Err(e) => out.push_str(&format!(
-            "\n(could not write BENCH_repeat_workload.json: {e})\n"
-        )),
-    }
+    let sections: [(&str, &[Rep], &[Rep]); 2] = [
+        ("Skinner-C", &seq_off, &seq_on),
+        ("parallel_skinner", &par_off, &par_on),
+    ];
+    out.push_str(&write_report("repeat_workload", &report(&sections, &drift)));
     out
 }
 
@@ -614,7 +590,6 @@ mod tests {
 
     #[test]
     fn json_shape_is_valid() {
-        let tmp = std::env::temp_dir().join(format!("skinner_repeat_json_{}", std::process::id()));
         let rep = Rep {
             lit: 3,
             cache_hit: true,
@@ -632,14 +607,7 @@ mod tests {
             post_quarantine_mean_episodes: 3.5,
             mutation_run_cold: true,
         };
-        let path = write_json(
-            &tmp,
-            &[("e", std::slice::from_ref(&rep), &[])],
-            Some(&drift),
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
+        let text = report(&[("e", std::slice::from_ref(&rep), &[])], &drift).render();
         assert!(text.contains("\"cache_hit\": true"));
         assert!(text.contains("\"mean_lock_in_off\""));
         assert!(text.contains("\"quarantined_templates\": 1"));

@@ -22,7 +22,7 @@ use skinner_server::poll::max_open_files;
 use skinner_server::{AdmissionConfig, Server, ServerConfig};
 use skinnerdb::{DataType, Database, Value};
 
-use crate::harness::{fmt_dur, markdown_table, Scale};
+use crate::harness::{fmt_dur, markdown_table, write_report, Json, Scale};
 
 const DRIVER_THREADS: usize = 16;
 
@@ -153,32 +153,7 @@ fn drive(addr: &str, clients: usize, depth: usize) -> LevelStats {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn write_json(
-    dir: &std::path::Path,
-    cores: usize,
-    depth: usize,
-    fd_cap: usize,
-    levels: &[LevelStats],
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_server_throughput.json");
+fn report(cores: usize, depth: usize, fd_cap: usize, levels: &[LevelStats]) -> Json {
     // Headline figures for the CI artifact: the largest level that
     // completed work with zero I/O failures, and its p99 — the "sustains
     // N concurrent clients with bounded tail latency" claim.
@@ -194,43 +169,38 @@ fn write_json(
         .map(|l| l.p99)
         .next()
         .unwrap_or(Duration::ZERO);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"pipeline_depth\": {depth},\n"));
-    out.push_str(&format!("  \"fd_cap\": {fd_cap},\n"));
-    out.push_str(&format!("  \"max_clients_sustained\": {sustained},\n"));
-    out.push_str(&format!(
-        "  \"p99_us_at_max_level\": {},\n",
-        p99_at_max.as_micros()
-    ));
-    out.push_str(&format!(
-        "  \"queries\": [{}],\n",
-        QUERIES
-            .iter()
-            .map(|q| format!("\"{}\"", json_escape(q)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, l) in levels.iter().enumerate() {
-        let qps = l.completed as f64 / l.wall.as_secs_f64().max(1e-9);
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"completed\": {}, \"shed\": {}, \"io_failed\": {}, \
-             \"qps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"wall_us\": {}}}{}\n",
-            l.clients,
-            l.completed,
-            l.shed,
-            l.io_failed,
-            qps,
-            l.p50.as_micros(),
-            l.p99.as_micros(),
-            l.wall.as_micros(),
-            if i + 1 < levels.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+    Json::obj([
+        ("cores", cores.into()),
+        ("pipeline_depth", depth.into()),
+        ("fd_cap", fd_cap.into()),
+        ("max_clients_sustained", sustained.into()),
+        ("p99_us_at_max_level", p99_at_max.as_micros().into()),
+        (
+            "queries",
+            Json::Arr(QUERIES.iter().map(|&q| q.into()).collect()),
+        ),
+        (
+            "levels",
+            Json::Arr(
+                levels
+                    .iter()
+                    .map(|l| {
+                        let qps = l.completed as f64 / l.wall.as_secs_f64().max(1e-9);
+                        Json::obj([
+                            ("clients", l.clients.into()),
+                            ("completed", l.completed.into()),
+                            ("shed", l.shed.into()),
+                            ("io_failed", l.io_failed.into()),
+                            ("qps", Json::Float(qps, 1)),
+                            ("p50_us", l.p50.as_micros().into()),
+                            ("p99_us", l.p99.as_micros().into()),
+                            ("wall_us", l.wall.as_micros().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 pub fn run(scale: Scale) -> String {
@@ -319,18 +289,10 @@ pub fn run(scale: Scale) -> String {
         ],
         &rows,
     ));
-    match write_json(
-        std::path::Path::new("bench_reports"),
-        cores,
-        depth,
-        fd_cap,
-        &stats,
-    ) {
-        Ok(path) => out.push_str(&format!("\nJSON artifact: {}\n", path.display())),
-        Err(e) => out.push_str(&format!(
-            "\n(could not write BENCH_server_throughput.json: {e})\n"
-        )),
-    }
+    out.push_str(&write_report(
+        "server_throughput",
+        &report(cores, depth, fd_cap, &stats),
+    ));
     out.push_str(
         "\nReading guide: completed + shed + io_failed always equals clients ×\n\
          pipeline depth — every statement gets an answer. As levels grow, qps\n\
@@ -340,4 +302,34 @@ pub fn run(scale: Scale) -> String {
          event-loop rewrite exists to prevent.\n",
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_artifact_has_gate_fields() {
+        let level = |clients, io_failed, p99_us| LevelStats {
+            clients,
+            completed: clients * 3,
+            shed: 0,
+            io_failed,
+            wall: Duration::from_millis(500),
+            p50: Duration::from_micros(100),
+            p99: Duration::from_micros(p99_us),
+        };
+        // The 1 000-client level dropped a connection, so 256 is the
+        // largest level sustained and its p99 is the headline.
+        let levels = [
+            level(64, 0, 900),
+            level(256, 0, 2_500),
+            level(1_000, 1, 9_000),
+        ];
+        let text = report(2, 3, 4_000, &levels).render();
+        assert!(text.contains("\"max_clients_sustained\": 256"), "{text}");
+        assert!(text.contains("\"p99_us_at_max_level\": 2500"), "{text}");
+        assert!(text.contains("\"qps\": 384.0"), "{text}");
+        assert!(text.contains(&format!("\"{}\"", QUERIES[0])), "{text}");
+    }
 }

@@ -20,7 +20,7 @@ use skinnerdb::skinner_core::SkinnerCConfig;
 use skinnerdb::skinner_exec::Trace;
 use skinnerdb::{DataType, Database, Strategy, Value};
 
-use crate::harness::{markdown_table, Scale};
+use crate::harness::{markdown_table, write_report, Json, Scale};
 
 /// Same shape as the repeat-workload star schema: a selective dimension
 /// predicate that gives the learner something to do, sized so one query
@@ -161,24 +161,17 @@ fn measure(scale: Scale) -> Measurement {
     }
 }
 
-fn write_json(dir: &std::path::Path, m: &Measurement) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_telemetry_overhead.json");
-    let out = format!(
-        "{{\n  \"experiment\": \"telemetry_overhead\",\n  \"pairs\": {},\n  \
-         \"min_plain_us\": {},\n  \"min_traced_us\": {},\n  \
-         \"median_plain_us\": {},\n  \"median_traced_us\": {},\n  \
-         \"overhead_pct\": {:.3},\n  \"spans_recorded\": {}\n}}\n",
-        m.pairs,
-        m.min_plain(),
-        m.min_traced(),
-        m.median_plain(),
-        m.median_traced(),
-        m.overhead_pct(),
-        m.spans_recorded,
-    );
-    std::fs::write(&path, out)?;
-    Ok(path)
+fn report(m: &Measurement) -> Json {
+    Json::obj([
+        ("experiment", "telemetry_overhead".into()),
+        ("pairs", m.pairs.into()),
+        ("min_plain_us", m.min_plain().into()),
+        ("min_traced_us", m.min_traced().into()),
+        ("median_plain_us", m.median_plain().into()),
+        ("median_traced_us", m.median_traced().into()),
+        ("overhead_pct", Json::Float(m.overhead_pct(), 3)),
+        ("spans_recorded", m.spans_recorded.into()),
+    ])
 }
 
 pub fn run(scale: Scale) -> String {
@@ -219,12 +212,7 @@ pub fn run(scale: Scale) -> String {
         m.overhead_pct(),
         m.spans_recorded
     ));
-    match write_json(std::path::Path::new("bench_reports"), &m) {
-        Ok(path) => out.push_str(&format!("\nRaw numbers written to `{}`.\n", path.display())),
-        Err(e) => out.push_str(&format!(
-            "\n(could not write BENCH_telemetry_overhead.json: {e})\n"
-        )),
-    }
+    out.push_str(&write_report("telemetry_overhead", &report(&m)));
     out
 }
 
@@ -260,11 +248,7 @@ mod tests {
         assert_eq!(m.min_plain(), 100);
         assert_eq!(m.min_traced(), 105);
         assert!((m.overhead_pct() - 5.0).abs() < 0.01);
-        let tmp =
-            std::env::temp_dir().join(format!("skinner_telemetry_json_{}", std::process::id()));
-        let path = write_json(&tmp, &m).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
+        let text = report(&m).render();
         assert!(text.contains("\"overhead_pct\": 5.000"), "{text}");
         assert!(text.contains("\"min_plain_us\": 100"));
         assert!(text.contains("\"median_plain_us\": 110"));

@@ -30,7 +30,7 @@ use std::time::Duration;
 use skinnerdb::skinner_core::ParallelSkinnerConfig;
 use skinnerdb::{Database, Strategy};
 
-use crate::harness::{fmt_dur, human, markdown_table, Scale};
+use crate::harness::{fmt_dur, human, markdown_table, write_report, Json, Scale};
 
 use super::{job_limit, job_workload};
 
@@ -84,31 +84,7 @@ struct JsonCell {
     sample: Sample,
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn write_json(
-    dir: &std::path::Path,
-    cores: usize,
-    reps: usize,
-    cells: &[JsonCell],
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_thread_scaling.json");
+fn report(cores: usize, reps: usize, cells: &[JsonCell]) -> Json {
     // Headline numbers for the CI artifact: the best wall-clock speedup
     // over the matching 1-thread cell, overall and at four threads —
     // machine-readable without parsing the per-cell runs.
@@ -124,29 +100,31 @@ fn write_json(
             speedup_at_4 = speedup_at_4.max(s);
         }
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str(&format!("  \"speedup_measurable\": {},\n", cores > 1));
-    out.push_str(&format!("  \"max_speedup\": {max_speedup:.3},\n"));
-    out.push_str(&format!("  \"speedup_at_4_threads\": {speedup_at_4:.3},\n"));
-    out.push_str("  \"runs\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"threads\": {}, \"wall_us\": {}, \"work_units\": {}, \
-             \"timed_out\": {}, \"postprocess_us\": {}}}{}\n",
-            json_escape(&c.query),
-            c.threads,
-            c.sample.wall.as_micros(),
-            c.sample.work,
-            c.sample.timed_out,
-            c.sample.postprocess.as_micros(),
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
+    Json::obj([
+        ("cores", cores.into()),
+        ("reps", reps.into()),
+        ("speedup_measurable", (cores > 1).into()),
+        ("max_speedup", Json::Float(max_speedup, 3)),
+        ("speedup_at_4_threads", Json::Float(speedup_at_4, 3)),
+        (
+            "runs",
+            Json::Arr(
+                cells
+                    .iter()
+                    .map(|c| {
+                        Json::obj([
+                            ("query", c.query.as_str().into()),
+                            ("threads", c.threads.into()),
+                            ("wall_us", c.sample.wall.as_micros().into()),
+                            ("work_units", c.sample.work.into()),
+                            ("timed_out", c.sample.timed_out.into()),
+                            ("postprocess_us", c.sample.postprocess.as_micros().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
 }
 
 pub fn run(scale: Scale) -> String {
@@ -224,20 +202,10 @@ pub fn run(scale: Scale) -> String {
          wall time (speedup vs t=1, total work units). Each `pp` cell:\n\
          post-processing wall time of that run.\n"
     ));
-    match write_json(
-        std::path::Path::new("bench_reports"),
-        cores,
-        reps,
-        &json_cells,
-    ) {
-        Ok(path) => out.push_str(&format!(
-            "\nRaw counters written to `{}`.\n",
-            path.display()
-        )),
-        Err(e) => out.push_str(&format!(
-            "\n(could not write BENCH_thread_scaling.json: {e})\n"
-        )),
-    }
+    out.push_str(&write_report(
+        "thread_scaling",
+        &report(cores, reps, &json_cells),
+    ));
     out
 }
 
@@ -268,7 +236,6 @@ mod tests {
 
     #[test]
     fn json_artifact_is_written() {
-        let tmp = std::env::temp_dir().join(format!("skinner_bench_json_{}", std::process::id()));
         let cells = vec![JsonCell {
             query: "q1\"tricky\\name".into(),
             threads: 4,
@@ -279,9 +246,7 @@ mod tests {
                 postprocess: Duration::from_micros(55),
             },
         }];
-        let path = write_json(&tmp, 1, 2, &cells).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&tmp).ok();
+        let text = report(1, 2, &cells).render();
         assert!(text.contains("\"speedup_measurable\": false"));
         assert!(text.contains("\"postprocess_us\": 55"));
         // Query names are escaped, keeping the artifact valid JSON.

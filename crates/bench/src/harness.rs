@@ -1,5 +1,6 @@
 //! Shared infrastructure: the system roster, runners and report formatting.
 
+use std::path::Path;
 use std::time::Duration;
 
 use skinnerdb::skinner_adaptive::{EddyConfig, ReoptimizerConfig};
@@ -22,12 +23,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    pub fn from_env() -> Self {
-        match std::env::var("BENCH_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Quick,
+    /// Parse a `BENCH_SCALE` value: unset or `quick`, `smoke`, `paper`.
+    /// Anything else is an error, so a typo cannot silently run `Quick`.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("smoke") => Ok(Scale::Smoke),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "unknown BENCH_SCALE {other:?}; expected quick, smoke or paper"
+            )),
         }
+    }
+
+    /// [`Scale::parse`] of the `BENCH_SCALE` environment variable.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("BENCH_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(value.as_deref())
     }
 
     pub fn pick<T>(&self, quick: T, paper: T) -> T {
@@ -44,7 +56,7 @@ impl Scale {
     }
 }
 
-/// The compared systems. The paper's engine mapping (DESIGN.md §2):
+/// The compared systems. The paper's engines map onto `ExecProfile`s:
 /// `RowDB` plays Postgres (row-at-a-time profile), `ColDB` plays MonetDB
 /// (vectorized column profile), `Optimizer`/`Reoptimizer`/`Eddy` are the
 /// re-implemented research baselines sharing our engine substrate.
@@ -258,6 +270,126 @@ pub fn fmt_dur(d: Duration) -> String {
     }
 }
 
+/// Directory every report lands in, relative to the working directory.
+pub const REPORT_DIR: &str = "bench_reports";
+
+/// A JSON value for an experiment's machine-readable report. Objects keep
+/// their key order; a float carries its number of decimals, so each field
+/// renders the same in every run.
+#[derive(Debug)]
+pub enum Json {
+    Int(i128),
+    /// Value and decimals.
+    Float(f64, usize),
+    Bool(bool),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    pub fn obj<const N: usize>(fields: [(&'static str, Json); N]) -> Json {
+        Json::Obj(fields.into())
+    }
+
+    /// Render with one member per line in the outer two levels; deeper
+    /// values stay on one line, so an array of runs reads one run a line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, members): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Int(n) => return out.push_str(&n.to_string()),
+            Json::Float(x, d) => return out.push_str(&format!("{x:.d$}")),
+            Json::Bool(b) => return out.push_str(&b.to_string()),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(*k), v)).collect(),
+            ),
+        };
+        let multiline = depth < 2 && !members.is_empty();
+        let newline = |out: &mut String, depth: usize| {
+            if multiline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        };
+        out.push(open);
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(if multiline { "," } else { ", " });
+            }
+            newline(out, depth + 1);
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        newline(out, depth);
+        out.push(close);
+    }
+}
+
+/// Append `s` as a JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! int_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Int(n as i128)
+            }
+        }
+    )*};
+}
+
+int_from!(u64, i64, usize, u128);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// Write `report` to `bench_reports/BENCH_<experiment>.json` and return
+/// the sentence that ends the experiment's markdown report.
+pub fn write_report(experiment: &str, report: &Json) -> String {
+    let dir = Path::new(REPORT_DIR);
+    let path = dir.join(format!("BENCH_{experiment}.json"));
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, report.render())) {
+        Ok(()) => format!("\nRaw numbers written to `{}`.\n", path.display()),
+        Err(e) => format!("\n(could not write {}: {e})\n", path.display()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +443,52 @@ mod tests {
         let q = db.bind("SELECT x.a FROM x, y WHERE x.a = y.a").unwrap();
         // Join result has 20 tuples (each y row matches one x row).
         assert_eq!(cout_of_order(&q, &[0, 1], u64::MAX), Some(20));
+    }
+
+    #[test]
+    fn scale_parses_the_three_names_and_rejects_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("smoke")), Ok(Scale::Smoke));
+        assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
+        let err = Scale::parse(Some("smok")).unwrap_err();
+        assert!(err.contains("\"smok\""), "{err}");
+        for name in ["quick", "smoke", "paper"] {
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn json_value_escapes_nests_and_keeps_decimals() {
+        let v = Json::obj([
+            ("s", "a\"b\\c\nd\u{1}e".into()),
+            ("ratio", Json::Float(0.8, 3)),
+            ("flags", Json::Arr(vec![true.into(), false.into()])),
+            (
+                "runs",
+                Json::Arr(vec![Json::obj([
+                    ("n", 7u64.into()),
+                    ("inner", Json::Arr(vec![Json::obj([("x", (-2i64).into())])])),
+                ])]),
+            ),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        // Two outer levels one member a line, deeper ones inline; keys in
+        // insertion order.
+        let want = r#"{
+  "s": "a\"b\\c\nd\u0001e",
+  "ratio": 0.800,
+  "flags": [
+    true,
+    false
+  ],
+  "runs": [
+    {"n": 7, "inner": [{"x": -2}]}
+  ],
+  "empty": []
+}
+"#;
+        assert_eq!(v.render(), want);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper evaluates on four workload families; since the original data
 //! (IMDB, dbgen output) is not redistributable here, each is rebuilt as a
 //! deterministic generator that preserves the property the experiment
-//! exploits (see DESIGN.md's substitution table):
+//! exploits. Each generator and what it keeps:
 //!
 //! * [`tpch`] — a mini `dbgen`: the eight TPC-H tables with the standard
 //!   key structure and value distributions at a configurable scale factor,
