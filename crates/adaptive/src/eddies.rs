@@ -31,8 +31,6 @@ pub struct EddyConfig {
     /// ε-greedy exploration rate.
     pub epsilon: f64,
     pub seed: u64,
-    /// Global work-unit cap.
-    pub work_limit: u64,
 }
 
 impl Default for EddyConfig {
@@ -40,7 +38,6 @@ impl Default for EddyConfig {
         EddyConfig {
             epsilon: 0.1,
             seed: 0x0EDD1,
-            work_limit: u64::MAX,
         }
     }
 }
@@ -83,7 +80,7 @@ impl QTable {
 /// `routings` counter (tuple routing decisions taken).
 pub fn run_eddy(query: &JoinQuery, ctx: &ExecContext, cfg: &EddyConfig) -> ExecOutcome {
     let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
+    let budget = WorkBudget::with_limit(ctx.budget().remaining());
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let bail = |budget: &WorkBudget, routings: u64, start: Instant| {
         ctx.absorb_work(budget.used());
@@ -351,11 +348,8 @@ mod tests {
     fn work_limit_trips() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let cfg = EddyConfig {
-            work_limit: 20,
-            ..Default::default()
-        };
-        let out = run_eddy(&q, &ExecContext::default(), &cfg);
+        let ctx = ExecContext::default().with_work_limit(20);
+        let out = run_eddy(&q, &ctx, &EddyConfig::default());
         assert!(out.timed_out);
     }
 

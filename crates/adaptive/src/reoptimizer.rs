@@ -27,7 +27,6 @@ pub struct ReoptimizerConfig {
     pub sample_size: usize,
     pub seed: u64,
     pub profile: ExecProfile,
-    pub work_limit: u64,
 }
 
 impl Default for ReoptimizerConfig {
@@ -36,7 +35,6 @@ impl Default for ReoptimizerConfig {
             sample_size: 500,
             seed: 0x5A3B1E,
             profile: ExecProfile::row_store(),
-            work_limit: u64::MAX,
         }
     }
 }
@@ -71,7 +69,7 @@ pub fn run_reoptimizer(
     cfg: &ReoptimizerConfig,
 ) -> ExecOutcome {
     let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
+    let budget = WorkBudget::with_limit(ctx.budget().remaining());
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let bail = |budget: &WorkBudget, replans: u32, order: Vec<usize>, start: Instant| {
         ctx.absorb_work(budget.used());
@@ -261,11 +259,8 @@ mod tests {
     fn work_limit_trips() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let cfg = ReoptimizerConfig {
-            work_limit: 10,
-            ..Default::default()
-        };
-        let out = run_reoptimizer(&q, &ExecContext::default(), &cfg);
+        let ctx = ExecContext::default().with_work_limit(10);
+        let out = run_reoptimizer(&q, &ctx, &ReoptimizerConfig::default());
         assert!(out.timed_out);
     }
 }

@@ -19,7 +19,6 @@ pub fn run(scale: Scale) -> String {
             SkinnerCConfig {
                 reward: RewardKind::FractionalProgress,
                 share_progress: true,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -28,7 +27,6 @@ pub fn run(scale: Scale) -> String {
             SkinnerCConfig {
                 reward: RewardKind::LeftmostDelta,
                 share_progress: true,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -37,7 +35,6 @@ pub fn run(scale: Scale) -> String {
             SkinnerCConfig {
                 reward: RewardKind::FractionalProgress,
                 share_progress: false,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -47,7 +44,6 @@ pub fn run(scale: Scale) -> String {
                 reward: RewardKind::FractionalProgress,
                 share_progress: true,
                 use_jump_indexes: false,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -61,7 +57,7 @@ pub fn run(scale: Scale) -> String {
         let mut timeouts = 0usize;
         for q in &queries {
             let query = db.bind(&q.script).unwrap();
-            let o = run_skinner_c(&query, &db.exec_context(), cfg);
+            let o = run_skinner_c(&query, &db.exec_context().with_work_limit(limit), cfg);
             total += o.work_units;
             max = max.max(o.work_units);
             slices += o.metrics.slices;

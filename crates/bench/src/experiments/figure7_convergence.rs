@@ -28,10 +28,9 @@ pub fn run(scale: Scale) -> String {
     for b in [10u64, 500] {
         let o = run_skinner_c(
             &query,
-            &db.exec_context(),
+            &db.exec_context().with_work_limit(limit),
             &SkinnerCConfig {
                 slice_steps: b,
-                work_limit: limit,
                 ..Default::default()
             },
         );

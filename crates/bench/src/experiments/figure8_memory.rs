@@ -26,9 +26,8 @@ pub fn run(scale: Scale) -> String {
         let query = db.bind(&q.script).unwrap();
         let o = run_skinner_c(
             &query,
-            &db.exec_context(),
+            &db.exec_context().with_work_limit(limit),
             &SkinnerCConfig {
-                work_limit: limit,
                 ..Default::default()
             },
         );

@@ -473,12 +473,13 @@ fn assert_thread_equivalence(scale: Scale) {
     let db_on = build_db(scale);
     db_on.set_learning_cache(true);
     let query = sql(5);
+    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+        batch_tuples: 256,
+        ..Default::default()
+    });
     for threads in [1usize, 2, 4, 8] {
-        let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
-            threads,
-            batch_tuples: 256,
-            ..Default::default()
-        });
+        db_off.set_default_threads(threads);
+        db_on.set_default_threads(threads);
         // Two runs on the warm side so the second actually consumes a
         // cached prior at this thread count.
         let a = db_off.run_script(&query, &strategy).unwrap();
@@ -533,14 +534,15 @@ pub fn run(scale: Scale) -> String {
     // Small batches: enough episodes per run for convergence (and its
     // acceleration) to be observable on bench-scale data.
     let par = Strategy::ParallelSkinner(ParallelSkinnerConfig {
-        threads: 4,
         batch_tuples: 64,
         min_chunk_tuples: 8,
         ..Default::default()
     });
     let db_off = build_db(scale);
+    db_off.set_default_threads(4);
     let par_off = run_reps(&db_off, &par, reps);
     let db_on = build_db(scale);
+    db_on.set_default_threads(4);
     db_on.set_learning_cache(true);
     let par_on = run_reps(&db_on, &par, reps);
     render_section("parallel_skinner (4 threads)", &par_off, &par_on, &mut out);

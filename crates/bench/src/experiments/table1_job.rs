@@ -61,11 +61,8 @@ pub fn run(scale: Scale, multi_threaded: bool) -> String {
                 System::SkinnerC | System::SkinnerCPar => {
                     let out = run_skinner_c(
                         &query,
-                        &db.exec_context(),
-                        &SkinnerCConfig {
-                            work_limit: limit,
-                            ..Default::default()
-                        },
+                        &db.exec_context().with_work_limit(limit),
+                        &SkinnerCConfig::default(),
                     );
                     cout_of_order(&query, &out.metrics.order, limit)
                 }

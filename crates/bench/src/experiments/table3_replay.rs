@@ -56,12 +56,12 @@ pub fn run(scale: Scale, multi_threaded: bool) -> String {
             ("Optimal", &opt_order),
         ] {
             // Skinner engine (fixed order).
+            let ctx = db.exec_context().with_work_limit(limit);
             let cfg = SkinnerCConfig {
-                work_limit: limit,
                 preprocess_threads: threads,
                 ..Default::default()
             };
-            let o = run_skinner_c_fixed(&query, &db.exec_context(), order, &cfg);
+            let o = run_skinner_c_fixed(&query, &ctx, order, &cfg);
             add("Skinner", src, o.work_units);
             // Generic engines with forced orders (optimizer hints).
             for (engine, profile) in [
@@ -80,13 +80,11 @@ pub fn run(scale: Scale, multi_threaded: bool) -> String {
                 }
                 let t = run_traditional(
                     &query,
-                    &db.exec_context(),
+                    &db.exec_context().with_work_limit(limit),
                     &TraditionalConfig {
                         profile,
                         forced_order: Some(order.to_vec()),
-                        work_limit: limit,
                         preprocess_threads: threads,
-                        ..Default::default()
                     },
                 );
                 add(engine, src, t.work_units);

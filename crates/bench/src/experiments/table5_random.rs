@@ -27,10 +27,9 @@ pub fn run(scale: Scale) -> String {
             let (work, timed_out) = if engine == "Skinner-C" {
                 let o = run_skinner_c(
                     &query,
-                    &db.exec_context(),
+                    &db.exec_context().with_work_limit(limit),
                     &SkinnerCConfig {
                         learning,
-                        work_limit: limit,
                         ..Default::default()
                     },
                 );
@@ -38,10 +37,9 @@ pub fn run(scale: Scale) -> String {
             } else {
                 let o = SkinnerG::new(
                     &query,
-                    &db.exec_context(),
+                    &db.exec_context().with_work_limit(limit),
                     SkinnerGConfig {
                         learning,
-                        work_limit: limit,
                         ..Default::default()
                     },
                 )

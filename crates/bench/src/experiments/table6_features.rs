@@ -21,7 +21,6 @@ pub fn run(scale: Scale) -> String {
                 use_jump_indexes: true,
                 preprocess_threads: threads,
                 learning: true,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -31,7 +30,6 @@ pub fn run(scale: Scale) -> String {
                 use_jump_indexes: false,
                 preprocess_threads: threads,
                 learning: true,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -41,7 +39,6 @@ pub fn run(scale: Scale) -> String {
                 use_jump_indexes: false,
                 preprocess_threads: 1,
                 learning: true,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -51,7 +48,6 @@ pub fn run(scale: Scale) -> String {
                 use_jump_indexes: false,
                 preprocess_threads: 1,
                 learning: false,
-                work_limit: limit,
                 ..Default::default()
             },
         ),
@@ -65,7 +61,7 @@ pub fn run(scale: Scale) -> String {
         let mut timeouts = 0usize;
         for q in &w.queries {
             let query = db.bind(&q.script).unwrap();
-            let o = run_skinner_c(&query, &db.exec_context(), cfg);
+            let o = run_skinner_c(&query, &db.exec_context().with_work_limit(limit), cfg);
             total += o.work_units;
             max = max.max(o.work_units);
             wall += o.wall.as_secs_f64();

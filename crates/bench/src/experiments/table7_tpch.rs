@@ -7,13 +7,11 @@
 //! trades a bounded overhead on standard queries for order-of-magnitude
 //! gains on UDF queries.
 
-use skinnerdb::skinner_core::{SkinnerCConfig, SkinnerGConfig, SkinnerHConfig};
-use skinnerdb::skinner_exec::{ExecProfile, TraditionalConfig};
 use skinnerdb::skinner_workloads::tpch::{generate, generate_udf, TpchConfig};
 use skinnerdb::skinner_workloads::Workload;
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
-use crate::harness::{human, markdown_table, Scale, System};
+use crate::harness::{human, markdown_table, system_strategy, Scale, System};
 
 const SYSTEMS: [System; 5] = [
     System::SkinnerC,
@@ -44,37 +42,6 @@ pub fn run(scale: Scale) -> String {
     out
 }
 
-fn strategy_of(sys: System, limit: u64) -> Strategy {
-    match sys {
-        System::SkinnerC => Strategy::SkinnerC(SkinnerCConfig {
-            work_limit: limit,
-            ..Default::default()
-        }),
-        System::RowDB => Strategy::Traditional(TraditionalConfig {
-            profile: ExecProfile::row_store(),
-            work_limit: limit,
-            ..Default::default()
-        }),
-        System::ColDB => Strategy::Traditional(TraditionalConfig {
-            profile: ExecProfile::column_store(),
-            work_limit: limit,
-            ..Default::default()
-        }),
-        System::SkinnerGRow => Strategy::SkinnerG(SkinnerGConfig {
-            work_limit: limit,
-            ..Default::default()
-        }),
-        System::SkinnerHRow => Strategy::SkinnerH(SkinnerHConfig {
-            learner: SkinnerGConfig {
-                work_limit: limit,
-                ..Default::default()
-            },
-            ..Default::default()
-        }),
-        _ => unreachable!("not part of the TPC-H roster"),
-    }
-}
-
 fn run_variant(w: Workload, limit: u64) -> String {
     // TPC-H scripts use temp tables, so everything runs through the facade.
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
@@ -83,8 +50,10 @@ fn run_variant(w: Workload, limit: u64) -> String {
     let mut timeout = vec![vec![false; SYSTEMS.len()]; w.queries.len()];
     for (qi, q) in w.queries.iter().enumerate() {
         for (si, sys) in SYSTEMS.iter().enumerate() {
+            let strategy = system_strategy(*sys).build();
+            let ctx = db.exec_context().with_work_limit(limit);
             let o = db
-                .run_script(&q.script, &strategy_of(*sys, limit))
+                .run_script_with(&q.script, strategy.as_ref(), &ctx)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name));
             work[qi][si] = o.work_units;
             timeout[qi][si] = o.timed_out;

@@ -70,29 +70,40 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
+/// Nanoseconds as fractional microseconds.
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1e3
+}
+
 struct Measurement {
     pairs: usize,
-    plain_us: Vec<u64>,
-    traced_us: Vec<u64>,
+    plain_ns: Vec<u64>,
+    traced_ns: Vec<u64>,
     /// Spans recorded by the last traced run (sanity: tracing was live).
     spans_recorded: usize,
 }
 
 impl Measurement {
     fn median_plain(&self) -> u64 {
-        median(self.plain_us.clone())
+        median(self.plain_ns.clone())
     }
 
     fn median_traced(&self) -> u64 {
-        median(self.traced_us.clone())
+        median(self.traced_ns.clone())
     }
 
     fn min_plain(&self) -> u64 {
-        *self.plain_us.iter().min().unwrap()
+        *self.plain_ns.iter().min().unwrap()
     }
 
     fn min_traced(&self) -> u64 {
-        *self.traced_us.iter().min().unwrap()
+        *self.traced_ns.iter().min().unwrap()
+    }
+
+    /// Min traced minus min plain, in µs (negative when the traced side
+    /// got luckier).
+    fn overhead_us(&self) -> f64 {
+        us(self.min_traced()) - us(self.min_plain())
     }
 
     /// Min-over-min overhead, clamped at zero. The minimum is the robust
@@ -111,13 +122,11 @@ impl Measurement {
 fn measure(scale: Scale) -> Measurement {
     let db = build_db(scale);
     let strategy = Strategy::SkinnerC(SkinnerCConfig::default()).build();
-    // Enough pairs that one scheduler stall cannot move the median: at
-    // ~700µs per run even the smoke count costs well under a second.
-    let pairs = if scale.is_smoke() {
-        41
-    } else {
-        scale.pick(41, 61)
-    };
+    // Each side's minimum must settle: at smoke scale a run takes only
+    // ~120–200 µs, so a few µs of luck between the two minima is already
+    // several percent. 401 pairs cost about 0.15 s at smoke and well
+    // under ten seconds at paper scale.
+    let pairs = 401;
     // Warm both paths before measuring: first executions pay one-time
     // costs (allocator growth, catalog caches) that are not tracing.
     for _ in 0..3 {
@@ -126,37 +135,37 @@ fn measure(scale: Scale) -> Measurement {
         let ctx = db.exec_context().with_trace(Trace::new(TRACE_SPANS));
         db.run_script_with(SQL, strategy.as_ref(), &ctx).unwrap();
     }
-    let mut plain_us = Vec::with_capacity(pairs);
-    let mut traced_us = Vec::with_capacity(pairs);
+    let mut plain_ns = Vec::with_capacity(pairs);
+    let mut traced_ns = Vec::with_capacity(pairs);
     let mut spans_recorded = 0;
-    let run_plain = |plain_us: &mut Vec<u64>| {
+    let run_plain = |plain_ns: &mut Vec<u64>| {
         let o = db
             .run_script_with(SQL, strategy.as_ref(), &db.exec_context())
             .unwrap();
-        plain_us.push(o.wall.as_micros() as u64);
+        plain_ns.push(o.wall.as_nanos() as u64);
     };
-    let run_traced = |traced_us: &mut Vec<u64>, spans_recorded: &mut usize| {
+    let run_traced = |traced_ns: &mut Vec<u64>, spans_recorded: &mut usize| {
         let trace = Trace::new(TRACE_SPANS);
         let ctx = db.exec_context().with_trace(trace.clone());
         let o = db.run_script_with(SQL, strategy.as_ref(), &ctx).unwrap();
-        traced_us.push(o.wall.as_micros() as u64);
+        traced_ns.push(o.wall.as_nanos() as u64);
         *spans_recorded = trace.spans().len();
     };
     // Alternate which side goes first within a pair so slow drift (CPU
     // frequency, cache state) cancels instead of biasing one variant.
     for i in 0..pairs {
         if i % 2 == 0 {
-            run_plain(&mut plain_us);
-            run_traced(&mut traced_us, &mut spans_recorded);
+            run_plain(&mut plain_ns);
+            run_traced(&mut traced_ns, &mut spans_recorded);
         } else {
-            run_traced(&mut traced_us, &mut spans_recorded);
-            run_plain(&mut plain_us);
+            run_traced(&mut traced_ns, &mut spans_recorded);
+            run_plain(&mut plain_ns);
         }
     }
     Measurement {
         pairs,
-        plain_us,
-        traced_us,
+        plain_ns,
+        traced_ns,
         spans_recorded,
     }
 }
@@ -165,10 +174,11 @@ fn report(m: &Measurement) -> Json {
     Json::obj([
         ("experiment", "telemetry_overhead".into()),
         ("pairs", m.pairs.into()),
-        ("min_plain_us", m.min_plain().into()),
-        ("min_traced_us", m.min_traced().into()),
-        ("median_plain_us", m.median_plain().into()),
-        ("median_traced_us", m.median_traced().into()),
+        ("min_plain_us", Json::Float(us(m.min_plain()), 3)),
+        ("min_traced_us", Json::Float(us(m.min_traced()), 3)),
+        ("median_plain_us", Json::Float(us(m.median_plain()), 3)),
+        ("median_traced_us", Json::Float(us(m.median_traced()), 3)),
+        ("overhead_us", Json::Float(m.overhead_us(), 3)),
         ("overhead_pct", Json::Float(m.overhead_pct(), 3)),
         ("spans_recorded", m.spans_recorded.into()),
     ])
@@ -194,22 +204,23 @@ pub fn run(scale: Scale) -> String {
         &[
             vec![
                 "untraced".into(),
-                format!("{}µs", m.min_plain()),
-                format!("{}µs", m.median_plain()),
+                format!("{:.1}µs", us(m.min_plain())),
+                format!("{:.1}µs", us(m.median_plain())),
                 m.pairs.to_string(),
             ],
             vec![
                 "traced".into(),
-                format!("{}µs", m.min_traced()),
-                format!("{}µs", m.median_traced()),
+                format!("{:.1}µs", us(m.min_traced())),
+                format!("{:.1}µs", us(m.median_traced())),
                 m.pairs.to_string(),
             ],
         ],
     ));
     out.push_str(&format!(
-        "\nOverhead (best-case vs best-case): **{:.2}%** (clamped at 0; spans \
-         recorded per run: {}).\n",
+        "\nOverhead (best-case vs best-case): **{:.2}%**, {:.1}µs (the \
+         percentage clamped at 0; spans recorded per run: {}).\n",
         m.overhead_pct(),
+        m.overhead_us(),
         m.spans_recorded
     ));
     out.push_str(&write_report("telemetry_overhead", &report(&m)));
@@ -239,27 +250,28 @@ mod tests {
     fn json_shape_is_valid() {
         let m = Measurement {
             pairs: 3,
-            plain_us: vec![100, 110, 120],
-            traced_us: vec![105, 115, 125],
+            plain_ns: vec![100_000, 110_000, 120_000],
+            traced_ns: vec![105_250, 115_000, 125_000],
             spans_recorded: 7,
         };
-        assert_eq!(m.median_plain(), 110);
-        assert_eq!(m.median_traced(), 115);
-        assert_eq!(m.min_plain(), 100);
-        assert_eq!(m.min_traced(), 105);
-        assert!((m.overhead_pct() - 5.0).abs() < 0.01);
+        assert_eq!(m.median_plain(), 110_000);
+        assert_eq!(m.median_traced(), 115_000);
+        assert_eq!(m.min_plain(), 100_000);
+        assert_eq!(m.min_traced(), 105_250);
+        assert!((m.overhead_pct() - 5.25).abs() < 0.01);
         let text = report(&m).render();
-        assert!(text.contains("\"overhead_pct\": 5.000"), "{text}");
-        assert!(text.contains("\"min_plain_us\": 100"));
-        assert!(text.contains("\"median_plain_us\": 110"));
+        assert!(text.contains("\"overhead_pct\": 5.250"), "{text}");
+        assert!(text.contains("\"overhead_us\": 5.250"), "{text}");
+        assert!(text.contains("\"min_plain_us\": 100.000"));
+        assert!(text.contains("\"median_plain_us\": 110.000"));
     }
 
     #[test]
     fn zero_clamp_on_negative_overhead() {
         let m = Measurement {
             pairs: 1,
-            plain_us: vec![200],
-            traced_us: vec![150],
+            plain_ns: vec![200_000],
+            traced_ns: vec![150_000],
             spans_recorded: 5,
         };
         assert_eq!(m.overhead_pct(), 0.0);

@@ -36,11 +36,9 @@ use super::{job_limit, job_workload};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn strategy(threads: usize, limit: u64, scale: Scale) -> Strategy {
+fn strategy(scale: Scale) -> Strategy {
     Strategy::ParallelSkinner(ParallelSkinnerConfig {
-        threads,
         batch_tuples: scale.pick(512, 4096),
-        work_limit: limit,
         ..Default::default()
     })
 }
@@ -55,11 +53,27 @@ struct Sample {
     postprocess: Duration,
 }
 
-fn measure(db: &Database, script: &str, s: &Strategy, reps: usize) -> Sample {
+/// Best of `reps` runs at `threads` workers, each under a `limit`-unit
+/// budget.
+fn measure(
+    db: &Database,
+    script: &str,
+    s: &Strategy,
+    threads: usize,
+    limit: u64,
+    reps: usize,
+) -> Sample {
+    let strategy = s.build();
     let mut best: Option<Sample> = None;
     let mut timed_out = false;
     for _ in 0..reps {
-        let o = db.run_script(script, s).expect("bench query must run");
+        let ctx = db
+            .exec_context()
+            .with_threads(threads)
+            .with_work_limit(limit);
+        let o = db
+            .run_script_with(script, strategy.as_ref(), &ctx)
+            .expect("bench query must run");
         timed_out |= o.timed_out;
         if best.as_ref().is_none_or(|b| o.wall < b.wall) {
             best = Some(Sample {
@@ -173,7 +187,7 @@ pub fn run(scale: Scale) -> String {
         let mut cells = vec![format!("{} ({}T)", q.name, q.num_tables)];
         let mut base = None;
         for &t in &THREADS {
-            let sample = measure(&db, &q.script, &strategy(t, limit, scale), reps);
+            let sample = measure(&db, &q.script, &strategy(scale), t, limit, reps);
             let base_wall = *base.get_or_insert(sample.wall);
             let speedup = base_wall.as_secs_f64() / sample.wall.as_secs_f64().max(1e-9);
             let flag = if sample.timed_out { "*" } else { "" };
@@ -226,7 +240,9 @@ mod tests {
             let sample = measure(
                 &db,
                 &q.script,
-                &strategy(t, job_limit(Scale::Quick), Scale::Quick),
+                &strategy(Scale::Quick),
+                t,
+                job_limit(Scale::Quick),
                 1,
             );
             assert!(sample.wall > Duration::ZERO);

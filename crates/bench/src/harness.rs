@@ -122,12 +122,11 @@ pub fn run_single(db: &Database, sql: &str, system: System, limit: u64) -> SysOu
     run_bound(db, &query, system, limit)
 }
 
-/// The [`Strategy`] a `System` maps to at a given work limit.
-pub fn system_strategy(system: System, limit: u64) -> Strategy {
+/// The [`Strategy`] a `System` maps to.
+pub fn system_strategy(system: System) -> Strategy {
     let threads = bench_threads();
     match system {
         System::SkinnerC | System::SkinnerCPar => Strategy::SkinnerC(SkinnerCConfig {
-            work_limit: limit,
             preprocess_threads: if system == System::SkinnerCPar {
                 threads
             } else {
@@ -143,13 +142,11 @@ pub fn system_strategy(system: System, limit: u64) -> Strategy {
                     _ => ExecProfile::column_store_parallel(threads),
                 },
                 forced_order: None,
-                work_limit: limit,
                 preprocess_threads: if system == System::ColDBPar {
                     threads
                 } else {
                     1
                 },
-                ..Default::default()
             })
         }
         System::SkinnerGRow | System::SkinnerGCol => Strategy::SkinnerG(SkinnerGConfig {
@@ -158,7 +155,6 @@ pub fn system_strategy(system: System, limit: u64) -> Strategy {
             } else {
                 ExecProfile::column_store()
             },
-            work_limit: limit,
             ..Default::default()
         }),
         System::SkinnerHRow | System::SkinnerHCol => Strategy::SkinnerH(SkinnerHConfig {
@@ -168,19 +164,12 @@ pub fn system_strategy(system: System, limit: u64) -> Strategy {
                 } else {
                     ExecProfile::column_store()
                 },
-                work_limit: limit,
                 ..Default::default()
             },
             ..Default::default()
         }),
-        System::Eddy => Strategy::Eddy(EddyConfig {
-            work_limit: limit,
-            ..Default::default()
-        }),
-        System::Reoptimizer => Strategy::Reoptimizer(ReoptimizerConfig {
-            work_limit: limit,
-            ..Default::default()
-        }),
+        System::Eddy => Strategy::Eddy(EddyConfig::default()),
+        System::Reoptimizer => Strategy::Reoptimizer(ReoptimizerConfig::default()),
     }
 }
 
@@ -188,8 +177,8 @@ pub fn system_strategy(system: System, limit: u64) -> Strategy {
 /// same `ExecutionStrategy` door; only the harness-level interpretation of
 /// the metrics (`card` is meaningful for traditional engines) differs.
 pub fn run_bound(db: &Database, query: &JoinQuery, system: System, limit: u64) -> SysOutcome {
-    let strategy = system_strategy(system, limit).build();
-    let o = strategy.execute(query, &db.exec_context());
+    let strategy = system_strategy(system).build();
+    let o = strategy.execute(query, &db.exec_context().with_work_limit(limit));
     let card = match system {
         System::RowDB | System::ColDB | System::ColDBPar => Some(o.metrics.intermediate_tuples),
         _ => None,

@@ -43,9 +43,6 @@ pub struct SkinnerCConfig {
     /// Threads for the (only parallelized) pre-processing phase
     /// (Table 6 "parallelization").
     pub preprocess_threads: usize,
-    /// Global work-unit cap; exceeding it aborts with a timeout outcome
-    /// (used by the torture benchmarks' per-test-case time limits).
-    pub work_limit: u64,
 }
 
 impl Default for SkinnerCConfig {
@@ -59,7 +56,6 @@ impl Default for SkinnerCConfig {
             share_progress: true,
             reward: RewardKind::FractionalProgress,
             preprocess_threads: 1,
-            work_limit: u64::MAX,
         }
     }
 }
@@ -80,8 +76,6 @@ pub struct SkinnerGConfig {
     /// Learn join orders; `false` picks random valid orders (Table 5).
     pub learning: bool,
     pub preprocess_threads: usize,
-    /// Global work-unit cap.
-    pub work_limit: u64,
 }
 
 impl Default for SkinnerGConfig {
@@ -94,7 +88,6 @@ impl Default for SkinnerGConfig {
             seed: 0x5EED,
             learning: true,
             preprocess_threads: 1,
-            work_limit: u64::MAX,
         }
     }
 }

@@ -90,9 +90,6 @@ use crate::skinner_c::state::JoinState;
 /// Configuration of the parallel learned strategy.
 #[derive(Debug, Clone)]
 pub struct ParallelSkinnerConfig {
-    /// Worker threads; `0` inherits the [`ExecContext::threads`] knob
-    /// (which defaults to the machine's available parallelism).
-    pub threads: usize,
     /// Left-most-table tuples per episode, split across the workers.
     pub batch_tuples: u64,
     /// Minimum left-most tuples per worker chunk: small batches use fewer
@@ -107,22 +104,17 @@ pub struct ParallelSkinnerConfig {
     pub seed: u64,
     /// Use hash indexes to jump over non-matching tuples.
     pub use_jump_indexes: bool,
-    /// Global work-unit cap (shared by all workers; enforced by
-    /// reservation, so N workers cannot collectively overspend it).
-    pub work_limit: u64,
 }
 
 impl Default for ParallelSkinnerConfig {
     fn default() -> Self {
         ParallelSkinnerConfig {
-            threads: 0,
             batch_tuples: 1024,
             min_chunk_tuples: 32,
             slice_steps: 500,
             exploration_weight: 1e-6,
             seed: 0x5EED,
             use_jump_indexes: true,
-            work_limit: u64::MAX,
         }
     }
 }
@@ -220,15 +212,10 @@ pub fn run_parallel_skinner(
     cfg: &ParallelSkinnerConfig,
 ) -> ExecOutcome {
     let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
+    let budget = WorkBudget::with_limit(ctx.budget().remaining());
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let m = query.num_tables();
-    let threads = if cfg.threads == 0 {
-        ctx.threads()
-    } else {
-        cfg.threads
-    }
-    .max(1);
+    let threads = ctx.threads();
 
     let trace = ctx.trace();
     let pre_timer = SpanTimer::start(trace, "preprocess");
@@ -461,9 +448,12 @@ mod tests {
         }
     }
 
-    fn cfg(threads: usize) -> ParallelSkinnerConfig {
+    fn ctx(threads: usize) -> ExecContext {
+        ExecContext::default().with_threads(threads)
+    }
+
+    fn cfg() -> ParallelSkinnerConfig {
         ParallelSkinnerConfig {
-            threads,
             batch_tuples: 16,    // small batches → many episodes, even on tiny data
             min_chunk_tuples: 2, // …still split across all the workers
             ..Default::default()
@@ -483,7 +473,7 @@ mod tests {
             let q = bind(sql, &cat);
             let expected = run_reference(&q).canonical_rows();
             for threads in [1, 2, 4] {
-                let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(threads));
+                let out = run_parallel_skinner(&q, &ctx(threads), &cfg());
                 assert!(!out.timed_out, "{sql} ({threads} threads)");
                 assert_eq!(
                     out.result.canonical_rows(),
@@ -506,14 +496,13 @@ mod tests {
         let expected = run_reference(&q).canonical_rows();
         for threads in [1, 2, 4] {
             let c = ParallelSkinnerConfig {
-                threads,
                 batch_tuples: 2,
                 min_chunk_tuples: 1,
                 slice_steps: 4, // episode cap: max(8 × 2, 4) = 16 units
                 ..Default::default()
             };
             let runs: Vec<ExecOutcome> = (0..3)
-                .map(|_| run_parallel_skinner(&q, &ExecContext::default(), &c))
+                .map(|_| run_parallel_skinner(&q, &ctx(threads), &c))
                 .collect();
             let first = &runs[0];
             assert!(!first.timed_out, "{threads} threads");
@@ -537,7 +526,7 @@ mod tests {
             "SELECT a.id FROM a, b, c WHERE a.id = b.aid AND b.w = c.bw",
             &cat,
         );
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(2));
+        let out = run_parallel_skinner(&q, &ctx(2), &cfg());
         assert!(!out.timed_out);
         assert!(out.metrics.slices > 1, "expected several episodes");
         // One choice per episode materializes at most one node.
@@ -552,9 +541,9 @@ mod tests {
         for (threads, pinned) in [(1, (6, 6, 37)), (2, (8, 16, 43)), (4, (8, 32, 60))] {
             let c = ParallelSkinnerConfig {
                 slice_steps: 16,
-                ..cfg(threads)
+                ..cfg()
             };
-            let m = run_parallel_skinner(&q, &ExecContext::default(), &c).metrics;
+            let m = run_parallel_skinner(&q, &ctx(threads), &c).metrics;
             let got = (
                 m.slices,
                 m.counter("chunks").unwrap(),
@@ -568,11 +557,7 @@ mod tests {
     fn work_limit_times_out() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let c = ParallelSkinnerConfig {
-            work_limit: 50,
-            ..cfg(2)
-        };
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &c);
+        let out = run_parallel_skinner(&q, &ctx(2).with_work_limit(50), &cfg());
         assert!(out.timed_out);
         assert_eq!(out.result.num_rows(), 0);
     }
@@ -583,8 +568,7 @@ mod tests {
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let ctx = ExecContext::default().with_cancel(cancel);
-        let out = run_parallel_skinner(&q, &ctx, &cfg(4));
+        let out = run_parallel_skinner(&q, &ctx(4).with_cancel(cancel), &cfg());
         assert!(out.timed_out);
         assert_eq!(out.result.num_rows(), 0);
     }
@@ -593,7 +577,7 @@ mod tests {
     fn always_false_and_empty_tables_finish_without_episodes() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a WHERE 1 = 2", &cat);
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(2));
+        let out = run_parallel_skinner(&q, &ctx(2), &cfg());
         assert!(!out.timed_out);
         assert_eq!(out.result.num_rows(), 0);
         assert_eq!(out.metrics.slices, 0);
@@ -602,7 +586,7 @@ mod tests {
             "SELECT a.id FROM a, b WHERE a.id = b.aid AND a.id > 1000",
             &cat,
         );
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(2));
+        let out = run_parallel_skinner(&q, &ctx(2), &cfg());
         assert_eq!(out.result.num_rows(), 0);
         assert_eq!(out.metrics.slices, 0);
     }
@@ -614,7 +598,7 @@ mod tests {
             "SELECT a.g, COUNT(*) c FROM a GROUP BY a.g ORDER BY a.g",
             &cat,
         );
-        let out = run_parallel_skinner(&q, &ExecContext::default(), &cfg(3));
+        let out = run_parallel_skinner(&q, &ctx(3), &cfg());
         assert_eq!(out.result.num_rows(), 6);
         assert_eq!(out.result.rows[0][1], Value::Int(10));
     }

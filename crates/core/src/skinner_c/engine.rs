@@ -73,7 +73,7 @@ fn run_episodes(
     mut source: OrderSource<'_>,
 ) -> ExecOutcome {
     let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
+    let budget = WorkBudget::with_limit(ctx.budget().remaining());
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let m = query.num_tables();
 
@@ -307,10 +307,10 @@ mod tests {
             let cfg = SkinnerCConfig {
                 slice_steps: 1,
                 use_jump_indexes: jumps,
-                work_limit: 10_000_000,
                 ..Default::default()
             };
-            let out = run_skinner_c(&q, &ExecContext::default(), &cfg);
+            let ctx = ExecContext::default().with_work_limit(10_000_000);
+            let out = run_skinner_c(&q, &ctx, &cfg);
             assert!(!out.timed_out, "jumps={jumps}");
             assert_eq!(out.result.canonical_rows(), expected, "jumps={jumps}");
         }
@@ -370,11 +370,8 @@ mod tests {
     fn work_limit_times_out() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let cfg = SkinnerCConfig {
-            work_limit: 50,
-            ..Default::default()
-        };
-        let out = run_skinner_c(&q, &ExecContext::default(), &cfg);
+        let ctx = ExecContext::default().with_work_limit(50);
+        let out = run_skinner_c(&q, &ctx, &SkinnerCConfig::default());
         assert!(out.timed_out);
     }
 

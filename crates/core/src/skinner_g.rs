@@ -40,7 +40,7 @@ pub struct SkinnerG<'q> {
     query: &'q JoinQuery,
     ctx: ExecContext,
     cfg: SkinnerGConfig,
-    /// Effective global work limit (config capped by the context budget).
+    /// What remained of the context's budget at setup.
     work_limit: u64,
     pre: Preprocessed,
     /// Per table: batch boundary rows (length `batches + 1`).
@@ -68,7 +68,7 @@ impl<'q> SkinnerG<'q> {
     /// `timed_out`) if pre-processing alone blows the work limit.
     pub fn new(query: &'q JoinQuery, ctx: &ExecContext, cfg: SkinnerGConfig) -> Self {
         let started = Instant::now();
-        let work_limit = ctx.effective_limit(cfg.work_limit);
+        let work_limit = ctx.budget().remaining();
         let budget = WorkBudget::with_limit(work_limit);
         let (pre, failed) = match preprocess(query, &budget, cfg.preprocess_threads) {
             Ok(p) => (p, false),
@@ -125,6 +125,13 @@ impl<'q> SkinnerG<'q> {
     /// Work units consumed so far.
     pub fn work_units(&self) -> u64 {
         self.work
+    }
+
+    /// Slices (batch invocations) run so far, and the node count of all
+    /// per-level UCT trees.
+    pub fn progress(&self) -> (u64, usize) {
+        let nodes = self.trees.values().map(UctTree::num_nodes).sum();
+        (self.slices, nodes)
     }
 
     /// Run one iteration of Algorithm 1's main loop.
@@ -242,8 +249,8 @@ impl<'q> SkinnerG<'q> {
             timed_out,
             metrics: ExecMetrics {
                 slices: self.slices,
+                uct_nodes: self.progress().1,
                 order: self.last_order,
-                uct_nodes: self.trees.values().map(UctTree::num_nodes).sum(),
                 ..ExecMetrics::default()
             }
             .with_counter("timeout_levels", self.pyramid.num_levels() as u64),
@@ -348,11 +355,8 @@ mod tests {
     fn work_limit_fails_gracefully() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let cfg = SkinnerGConfig {
-            work_limit: 500,
-            ..Default::default()
-        };
-        let out = SkinnerG::new(&q, &ExecContext::default(), cfg).run_to_completion();
+        let ctx = ExecContext::default().with_work_limit(500);
+        let out = SkinnerG::new(&q, &ctx, SkinnerGConfig::default()).run_to_completion();
         assert!(out.timed_out);
     }
 

@@ -22,93 +22,93 @@ pub const WINNER_TRADITIONAL: &str = "traditional";
 pub const WINNER_LEARNED: &str = "learned";
 
 /// Evaluate `query` with Skinner-H. The outcome's metrics report the
-/// `winner` side, the join order of that side, a `rounds` counter and the
-/// planner's `plan_cost_est`.
+/// `winner` side, the join order of that side, the learner's `slices` and
+/// `uct_nodes` (whichever side won), a `rounds` counter and the planner's
+/// `plan_cost_est`.
 pub fn run_skinner_h(query: &JoinQuery, ctx: &ExecContext, cfg: &SkinnerHConfig) -> ExecOutcome {
     let start = Instant::now();
-    let work_limit = ctx.effective_limit(cfg.learner.work_limit);
+    let work_limit = ctx.budget().remaining();
     // The optimizer only reads statistics and is charged no work units, so
     // plan once and replay that order in every round.
     let plan = plan_query(query, ctx.stats(), &PlannerConfig::default());
     let plan_cost_est = plan.cost_est.round() as u64;
-    let metrics = |winner: Option<&'static str>, rounds: u32, order: Vec<usize>| {
+    let metrics = |winner, rounds: u32, order, (slices, uct_nodes)| {
         ExecMetrics {
             winner,
             order,
+            slices,
+            uct_nodes,
             ..ExecMetrics::default()
         }
         .with_counter("rounds", rounds as u64)
         .with_counter("plan_cost_est", plan_cost_est)
     };
-    let mut traditional = TraditionalConfig {
+    let traditional = TraditionalConfig {
         profile: cfg.learner.engine_profile,
         forced_order: Some(plan.order),
         preprocess_threads: cfg.learner.preprocess_threads,
-        ..Default::default()
     };
     let mut learner = SkinnerG::new(query, ctx, cfg.learner.clone());
     let mut traditional_work = 0u64;
     let mut rounds = 0u32;
 
-    // The learner may finish during setup (empty filtered table).
-    if learner.is_finished() {
-        let out = learner.into_outcome();
-        return ExecOutcome {
-            result: out.result,
-            work_units: out.work_units,
-            wall: start.elapsed(),
-            timed_out: out.timed_out,
-            metrics: metrics(Some(WINNER_LEARNED), rounds, out.metrics.order),
-        };
-    }
-
-    for i in 0..cfg.max_doublings {
-        rounds = i + 1;
+    // No round runs if the learner finished during setup (an empty
+    // filtered table).
+    while !learner.is_finished() && rounds < cfg.max_doublings {
         let timeout_units = cfg
             .learner
             .base_timeout_units
-            .saturating_mul(1u64 << i.min(62));
+            .saturating_mul(1u64 << rounds.min(62));
+        rounds += 1;
 
-        // (a) Traditional plan with the current timeout. Both halves share
-        // `ctx`, so the session budget and cancellation token apply to each.
-        traditional.work_limit = timeout_units;
-        let trad = run_traditional(query, ctx, &traditional);
+        // (a) Traditional plan under a child budget of the round's timeout,
+        // capped by what remains of the statement's; the round's work
+        // settles into the statement's budget. Both halves share `ctx`'s
+        // cancellation token.
+        let round = ctx
+            .clone()
+            .with_work_limit(timeout_units.min(ctx.budget().remaining()));
+        let trad = run_traditional(query, &round, &traditional);
+        ctx.absorb_work(trad.work_units);
         traditional_work += trad.work_units;
         if !trad.timed_out {
             ctx.absorb_work(learner.work_units());
+            let order = trad.metrics.order;
             return ExecOutcome {
                 result: trad.result,
                 work_units: traditional_work + learner.work_units(),
                 wall: start.elapsed(),
                 timed_out: false,
-                metrics: metrics(Some(WINNER_TRADITIONAL), rounds, trad.metrics.order),
+                metrics: metrics(Some(WINNER_TRADITIONAL), rounds, order, learner.progress()),
             };
         }
 
         // (b) Learned plans for the same amount of time.
-        if learner.run_units(timeout_units) {
-            // into_outcome() includes the post-processing work it charges
-            // to the shared budget, so report that total, not a snapshot.
-            let out = learner.into_outcome();
-            return ExecOutcome {
-                result: out.result,
-                work_units: traditional_work + out.work_units,
-                wall: start.elapsed(),
-                timed_out: out.timed_out,
-                metrics: metrics(Some(WINNER_LEARNED), rounds, out.metrics.order),
-            };
-        }
-
-        if ctx.interrupted() || traditional_work + learner.work_units() > work_limit {
+        if !learner.run_units(timeout_units)
+            && (ctx.interrupted() || traditional_work + learner.work_units() > work_limit)
+        {
             break;
         }
     }
 
+    let progress = learner.progress();
+    if learner.is_finished() {
+        // into_outcome() includes the post-processing work it charges to
+        // the shared budget, so report that total, not a snapshot.
+        let out = learner.into_outcome();
+        return ExecOutcome {
+            result: out.result,
+            work_units: traditional_work + out.work_units,
+            wall: start.elapsed(),
+            timed_out: out.timed_out,
+            metrics: metrics(Some(WINNER_LEARNED), rounds, out.metrics.order, progress),
+        };
+    }
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
     let learner_work = learner.work_units();
     ctx.absorb_work(learner_work);
     ExecOutcome::timeout(columns, traditional_work + learner_work, start.elapsed())
-        .with_metrics(metrics(None, rounds, Vec::new()))
+        .with_metrics(metrics(None, rounds, Vec::new(), progress))
 }
 
 #[cfg(test)]
@@ -187,13 +187,12 @@ mod tests {
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat, &udfs);
         let cfg = SkinnerHConfig {
             learner: SkinnerGConfig {
-                work_limit: 200,
                 base_timeout_units: 50,
                 ..Default::default()
             },
             max_doublings: 3,
         };
-        let out = run_skinner_h(&q, &ExecContext::default(), &cfg);
+        let out = run_skinner_h(&q, &ExecContext::default().with_work_limit(200), &cfg);
         // Either some side finished within 3 rounds, or we report timeout.
         if out.timed_out {
             assert_eq!(out.metrics.winner, None);
@@ -219,13 +218,12 @@ mod tests {
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat, &udfs);
         let cfg = SkinnerHConfig {
             learner: SkinnerGConfig {
-                work_limit: 300,
                 base_timeout_units: 50,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let out = run_skinner_h(&q, &ExecContext::default(), &cfg);
+        let out = run_skinner_h(&q, &ExecContext::default().with_work_limit(300), &cfg);
         assert!(out.timed_out);
         assert_eq!(out.metrics.winner, None);
         assert_eq!(out.result.num_rows(), 0);
@@ -267,5 +265,36 @@ mod tests {
             winners.extend(out.metrics.winner);
         }
         assert_eq!(winners, vec![WINNER_LEARNED, WINNER_TRADITIONAL]);
+    }
+
+    /// Whichever side wins, and on a timeout, the outcome carries the
+    /// learner's slices and tree nodes, not zeros.
+    #[test]
+    fn reports_the_learners_slices_and_nodes() {
+        let (cat, udfs) = setup();
+        let q = bind(
+            "SELECT a.id FROM a, b WHERE opaque_true(a.g, b.w)",
+            &cat,
+            &udfs,
+        );
+        let run = |batches, ctx: &ExecContext| {
+            let cfg = SkinnerHConfig {
+                learner: SkinnerGConfig {
+                    batches,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let m = run_skinner_h(&q, ctx, &cfg).metrics;
+            (m.winner, m.slices, m.uct_nodes)
+        };
+        let unlimited = ExecContext::default();
+        assert_eq!(run(20, &unlimited), (Some(WINNER_LEARNED), 39, 20));
+        let (winner, slices, nodes) = run(1, &unlimited);
+        assert_eq!(winner, Some(WINNER_TRADITIONAL));
+        assert!(slices > 0 && nodes > 0, "{slices} slices, {nodes} nodes");
+        let (winner, slices, nodes) = run(20, &ExecContext::default().with_work_limit(3_000));
+        assert_eq!(winner, None);
+        assert!(slices > 0 && nodes > 0, "{slices} slices, {nodes} nodes");
     }
 }

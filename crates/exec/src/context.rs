@@ -3,9 +3,9 @@
 //! An [`ExecContext`] bundles what used to be loose parameters (the stats
 //! cache, the UDF registry) with two new cross-cutting controls:
 //!
-//! * a shared [`WorkBudget`] spanning a whole script or session, so a
-//!   multi-statement script cannot exceed its caller's total work limit
-//!   even though each engine also enforces its own per-query limit, and
+//! * a shared [`WorkBudget`] spanning a whole script or session: the only
+//!   work limit an engine enforces is what remains of it, so a
+//!   multi-statement script cannot exceed its caller's total limit, and
 //! * a cooperative [`CancelToken`] with an optional deadline, checked in
 //!   every engine's slice loop: when it trips, the engine abandons the run
 //!   and reports a timed-out [`crate::ExecOutcome`]. No threads are killed
@@ -111,6 +111,11 @@ impl ExecContext {
         self
     }
 
+    /// A fresh budget of `limit` work units (the session's `work_limit`).
+    pub fn with_work_limit(self, limit: u64) -> Self {
+        self.with_budget(Arc::new(WorkBudget::with_limit(limit)))
+    }
+
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
@@ -144,7 +149,8 @@ impl ExecContext {
         &self.udfs
     }
 
-    /// The shared (script/session scope) work budget.
+    /// The shared (script/session scope) work budget. Engines size their
+    /// local budgets from its `remaining()` units and settle into it.
     pub fn budget(&self) -> &WorkBudget {
         &self.budget
     }
@@ -189,12 +195,6 @@ impl ExecContext {
     /// The trace behind its `Arc`, for handing to worker threads.
     pub fn trace_arc(&self) -> Option<&Arc<Trace>> {
         self.trace.as_ref()
-    }
-
-    /// The per-run work limit an engine should enforce: its own configured
-    /// limit capped by what remains of the shared budget.
-    pub fn effective_limit(&self, configured: u64) -> u64 {
-        configured.min(self.budget.remaining())
     }
 
     /// Fold a finished run's consumption back into the shared budget (the
@@ -276,13 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_caps_effective_limit() {
-        let ctx = ExecContext::new().with_budget(Arc::new(WorkBudget::with_limit(100)));
-        assert_eq!(ctx.effective_limit(u64::MAX), 100);
-        assert_eq!(ctx.effective_limit(30), 30);
+    fn absorbed_work_shrinks_the_remaining_budget() {
+        let ctx = ExecContext::new().with_work_limit(100);
+        assert_eq!(ctx.budget().remaining(), 100);
         ctx.absorb_work(80);
-        assert_eq!(ctx.effective_limit(u64::MAX), 20);
+        assert_eq!(ctx.budget().remaining(), 20);
         ctx.absorb_work(80); // over-limit absorption is not an error
-        assert_eq!(ctx.effective_limit(u64::MAX), 0);
+        assert_eq!(ctx.budget().remaining(), 0);
+        assert_eq!(ctx.budget().used(), 160);
     }
 }

@@ -13,7 +13,7 @@ use skinner_query::expr::EvalCtx;
 use skinner_query::JoinQuery;
 use skinner_storage::RowId;
 
-use crate::budget::WorkBudget;
+use crate::budget::{LocalWork, WorkBudget};
 use crate::context::CancelToken;
 use crate::postprocess::postprocess;
 use crate::result::QueryResult;
@@ -21,33 +21,50 @@ use crate::tuples::TupleBuf;
 
 /// Execute `query` by brute force.
 pub fn run_reference(query: &JoinQuery) -> QueryResult {
-    run_reference_cancellable(query, &CancelToken::new()).expect("no cancellation")
+    run_reference_bounded(query, &CancelToken::new(), &WorkBudget::unlimited())
+        .expect("no cancellation, unlimited budget")
 }
 
-/// Like [`run_reference`], but polls `cancel` in the outer-table loop and
-/// returns `None` once it fires — so even the exponential ground-truth
-/// executor honours session deadlines.
-pub fn run_reference_cancellable(query: &JoinQuery, cancel: &CancelToken) -> Option<QueryResult> {
+/// Like [`run_reference`], but charges `budget` one work unit per row
+/// combination it enumerates (partial ones included) and polls `cancel` in
+/// the outer-table loop; returns `None` once either runs out, so even the
+/// exponential ground-truth executor honours work limits and deadlines.
+/// Post-processing is not charged.
+pub fn run_reference_bounded(
+    query: &JoinQuery,
+    cancel: &CancelToken,
+    budget: &WorkBudget,
+) -> Option<QueryResult> {
     let m = query.num_tables();
     let interner = query.tables[0].interner().clone();
     let mut tuples = TupleBuf::new(m);
     if !query.always_false {
         let mut rows: Vec<RowId> = vec![0; m];
-        if !enumerate(query, 0, &mut rows, &interner, cancel, &mut tuples) {
+        let mut work = budget.local();
+        if !enumerate(
+            query,
+            0,
+            &mut rows,
+            &interner,
+            cancel,
+            &mut work,
+            &mut tuples,
+        ) {
             return None;
         }
     }
-    let budget = WorkBudget::unlimited();
-    Some(postprocess(&query.tables, query, tuples.view(), &budget).expect("unlimited budget"))
+    let unlimited = WorkBudget::unlimited();
+    Some(postprocess(&query.tables, query, tuples.view(), &unlimited).expect("unlimited budget"))
 }
 
-/// Returns `false` if enumeration was cancelled.
+/// Returns `false` if enumeration was cancelled or ran out of budget.
 fn enumerate(
     query: &JoinQuery,
     depth: usize,
     rows: &mut Vec<RowId>,
     interner: &std::sync::Arc<skinner_storage::Interner>,
     cancel: &CancelToken,
+    work: &mut LocalWork<'_>,
     out: &mut TupleBuf,
 ) -> bool {
     let m = query.num_tables();
@@ -58,6 +75,9 @@ fn enumerate(
     let n = query.tables[depth].cardinality();
     'next_row: for row in 0..n {
         if depth == 0 && cancel.is_cancelled() {
+            return false;
+        }
+        if work.charge(1).is_err() {
             return false;
         }
         rows[depth] = row;
@@ -89,7 +109,7 @@ fn enumerate(
                 continue 'next_row;
             }
         }
-        if !enumerate(query, depth + 1, rows, interner, cancel, out) {
+        if !enumerate(query, depth + 1, rows, interner, cancel, work, out) {
             return false;
         }
     }
@@ -157,6 +177,19 @@ mod tests {
         let q = bind("SELECT a.id FROM a, b", &cat);
         let cancel = CancelToken::new();
         cancel.cancel();
-        assert!(run_reference_cancellable(&q, &cancel).is_none());
+        assert!(run_reference_bounded(&q, &cancel, &WorkBudget::unlimited()).is_none());
+    }
+
+    #[test]
+    fn budget_counts_every_enumerated_combination() {
+        let cat = setup();
+        // 5 rows of `a`, each paired with the 8 rows of `b`: 45 units.
+        let q = bind("SELECT a.id FROM a, b", &cat);
+        let budget = WorkBudget::with_limit(45);
+        let r = run_reference_bounded(&q, &CancelToken::new(), &budget).unwrap();
+        assert_eq!((r.num_rows(), budget.used()), (40, 45));
+        let budget = WorkBudget::with_limit(44);
+        assert!(run_reference_bounded(&q, &CancelToken::new(), &budget).is_none());
+        assert_eq!(budget.used(), 45, "the crossing charge is recorded");
     }
 }

@@ -19,6 +19,7 @@ use parking_lot::RwLock;
 
 use skinner_query::JoinQuery;
 
+use crate::budget::WorkBudget;
 use crate::context::ExecContext;
 use crate::outcome::ExecOutcome;
 use crate::traditional::{run_traditional, TraditionalConfig};
@@ -32,9 +33,9 @@ pub trait ExecutionStrategy: Send + Sync {
     fn name(&self) -> &str;
 
     /// Evaluate `query` under `ctx`. Implementations must be cooperative:
-    /// honour `ctx.effective_limit(...)` for work and poll
-    /// `ctx.interrupted()` in their slice loops, reporting a timed-out
-    /// outcome rather than running away.
+    /// do at most `ctx.budget().remaining()` work units and settle what
+    /// they did into `ctx.budget()`, and poll `ctx.interrupted()` in their
+    /// slice loops, reporting a timed-out outcome rather than running away.
     fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome;
 }
 
@@ -124,11 +125,14 @@ impl ExecutionStrategy for ReferenceStrategy {
 
     fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome {
         let start = Instant::now();
-        match crate::reference::run_reference_cancellable(query, ctx.cancel()) {
-            Some(result) => ExecOutcome::completed(result, 0, start.elapsed()),
+        let budget = WorkBudget::with_limit(ctx.budget().remaining());
+        let result = crate::reference::run_reference_bounded(query, ctx.cancel(), &budget);
+        ctx.absorb_work(budget.used());
+        match result {
+            Some(result) => ExecOutcome::completed(result, budget.used(), start.elapsed()),
             None => {
                 let columns = query.select.iter().map(|s| s.name().to_string()).collect();
-                ExecOutcome::timeout(columns, 0, start.elapsed())
+                ExecOutcome::timeout(columns, budget.used(), start.elapsed())
             }
         }
     }

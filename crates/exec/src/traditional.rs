@@ -24,12 +24,8 @@ pub struct TraditionalConfig {
     /// Bypass the optimizer with an externally chosen join order — the
     /// paper's replay experiments (Tables 3/4) and Skinner-G's forced orders.
     pub forced_order: Option<Vec<usize>>,
-    /// Hard work-unit limit; execution aborts (losing everything) beyond it.
-    pub work_limit: u64,
     /// Threads for the pre-processing scan.
     pub preprocess_threads: usize,
-    /// Planner DP table limit (greedy fallback beyond it).
-    pub dp_table_limit: usize,
 }
 
 impl Default for TraditionalConfig {
@@ -37,22 +33,21 @@ impl Default for TraditionalConfig {
         TraditionalConfig {
             profile: ExecProfile::row_store(),
             forced_order: None,
-            work_limit: u64::MAX,
             preprocess_threads: 1,
-            dp_table_limit: PlannerConfig::default().dp_table_limit,
         }
     }
 }
 
-/// Run `query` the traditional way. The engine is a blocking black box, so
-/// cancellation is checked between pipeline stages rather than per tuple.
+/// Run `query` the traditional way, within what remains of the context's
+/// budget; a timeout loses everything. The engine is a blocking black box,
+/// so cancellation is checked between pipeline stages rather than per tuple.
 pub fn run_traditional(
     query: &JoinQuery,
     ctx: &ExecContext,
     cfg: &TraditionalConfig,
 ) -> ExecOutcome {
     let start = Instant::now();
-    let budget = WorkBudget::with_limit(ctx.effective_limit(cfg.work_limit));
+    let budget = WorkBudget::with_limit(ctx.budget().remaining());
     let columns: Vec<String> = query.select.iter().map(|s| s.name().to_string()).collect();
 
     // Plan first: the optimizer only looks at statistics, not data, so it is
@@ -60,13 +55,7 @@ pub fn run_traditional(
     let (order, plan_cost_est) = match &cfg.forced_order {
         Some(o) => (o.clone(), None),
         None => {
-            let plan = plan_query(
-                query,
-                ctx.stats(),
-                &PlannerConfig {
-                    dp_table_limit: cfg.dp_table_limit,
-                },
-            );
+            let plan = plan_query(query, ctx.stats(), &PlannerConfig::default());
             (plan.order, Some(plan.cost_est))
         }
     };
@@ -226,14 +215,7 @@ mod tests {
     fn work_limit_times_out() {
         let cat = setup();
         let q = bind("SELECT a.id FROM a, b WHERE a.id = b.aid", &cat);
-        let out = run_traditional(
-            &q,
-            &ctx(),
-            &TraditionalConfig {
-                work_limit: 5,
-                ..Default::default()
-            },
-        );
+        let out = run_traditional(&q, &ctx().with_work_limit(5), &TraditionalConfig::default());
         assert!(out.timed_out);
         assert_eq!(out.result.num_rows(), 0);
     }

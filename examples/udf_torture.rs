@@ -11,11 +11,8 @@
 //! cargo run --release --example udf_torture
 //! ```
 
-use skinnerdb::skinner_adaptive::EddyConfig;
-use skinnerdb::skinner_core::SkinnerCConfig;
-use skinnerdb::skinner_exec::TraditionalConfig;
 use skinnerdb::skinner_workloads::torture::{udf_torture, Shape};
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
 fn main() {
     const WORK_LIMIT: u64 = 30_000_000;
@@ -29,33 +26,13 @@ fn main() {
         let db = Database::from_parts(w.catalog.clone(), w.udfs);
         let script = &w.queries[0].script;
 
-        let skinner = db
-            .run_script(
-                script,
-                &Strategy::SkinnerC(SkinnerCConfig {
-                    work_limit: WORK_LIMIT,
-                    ..Default::default()
-                }),
-            )
-            .unwrap();
-        let trad = db
-            .run_script(
-                script,
-                &Strategy::Traditional(TraditionalConfig {
-                    work_limit: WORK_LIMIT,
-                    ..Default::default()
-                }),
-            )
-            .unwrap();
-        let eddy = db
-            .run_script(
-                script,
-                &Strategy::Eddy(EddyConfig {
-                    work_limit: WORK_LIMIT,
-                    ..Default::default()
-                }),
-            )
-            .unwrap();
+        let session = db.session();
+        session.set_work_limit(WORK_LIMIT);
+        let run = |strategy: &str| {
+            session.use_strategy(strategy).unwrap();
+            session.run_script(script).unwrap()
+        };
+        let (skinner, trad, eddy) = (run("Skinner-C"), run("Traditional"), run("Eddy"));
 
         let fmt = |out: &skinnerdb::ExecOutcome| {
             if out.timed_out {

@@ -930,9 +930,7 @@ mod tests {
     #[test]
     fn timed_out_scripts_mark_the_guilty_statement() {
         let db = sample_db();
-        let ctx = db
-            .exec_context()
-            .with_budget(Arc::new(skinner_exec::WorkBudget::with_limit(5)));
+        let ctx = db.exec_context().with_work_limit(5);
         let script = "SELECT a.g FROM a WHERE a.g = 0; \
                       SELECT a.id FROM a, b WHERE a.id = b.aid";
         let out = db
@@ -979,11 +977,20 @@ mod tests {
 
     #[test]
     fn query_timeout_is_an_error() {
+        /// Skinner-C under a five-unit budget.
+        struct Starved;
+        impl ExecutionStrategy for Starved {
+            fn name(&self) -> &str {
+                "starved"
+            }
+            fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome {
+                let ctx = ctx.clone().with_work_limit(5);
+                Strategy::default().build().execute(query, &ctx)
+            }
+        }
         let db = sample_db();
-        db.set_default_strategy(Strategy::SkinnerC(skinner_core::SkinnerCConfig {
-            work_limit: 5,
-            ..Default::default()
-        }));
+        db.register_strategy(Arc::new(Starved));
+        db.set_default_strategy_named("starved").unwrap();
         assert!(matches!(
             db.query("SELECT a.id FROM a, b WHERE a.id = b.aid"),
             Err(DbError::Timeout)

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
-use skinner_exec::{CancelToken, ExecContext, ExecOutcome, ExecutionStrategy, WorkBudget};
+use skinner_exec::{CancelToken, ExecContext, ExecOutcome, ExecutionStrategy};
 use skinner_query::JoinQuery;
 use skinner_stats::StatsCache;
 
@@ -23,7 +23,8 @@ use crate::QueryResult;
 /// Per-session execution settings.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionSettings {
-    /// Total work-unit budget per statement/script run through the session.
+    /// Work-unit budget of each call through the session: a whole script
+    /// shares one budget, and it is every strategy's only work limit.
     pub work_limit: u64,
     /// Wall-clock deadline per statement/script (cooperative).
     pub deadline: Option<Duration>,
@@ -68,7 +69,7 @@ impl Default for SessionSettings {
 /// let session = db.session();
 /// session.use_strategy("parallel_skinner").unwrap(); // by registry name
 /// session.set_threads(Some(4));                      // per-client override
-/// session.set_work_limit(1_000_000);                 // units per statement
+/// session.set_work_limit(1_000_000);                 // units per script
 /// session.set_deadline(Some(std::time::Duration::from_secs(5)));
 ///
 /// let rows = session.query("SELECT t.x FROM t WHERE t.x < 3").unwrap();
@@ -125,7 +126,8 @@ impl Session {
         *self.settings.read()
     }
 
-    /// Cap the work units any single statement/script may consume.
+    /// Cap the work units each call may consume: one statement, or a
+    /// whole script (its statements share the budget).
     pub fn set_work_limit(&self, limit: u64) {
         self.settings.write().work_limit = limit;
     }
@@ -158,7 +160,7 @@ impl Session {
     /// |------------------|--------------------------------------------------|
     /// | `strategy`       | a registry name (`skinner-c`, `traditional`, …)  |
     /// | `threads`        | worker count; `0` or `default` inherits the db   |
-    /// | `work_limit`     | max work units per statement; `none` = unlimited |
+    /// | `work_limit`     | max work units per script; `none` = unlimited    |
     /// | `deadline_ms`    | per-statement deadline in ms; `0`/`none` = none  |
     /// | `learning_cache` | `on`/`off` (cross-query warm starts); `default`  |
     pub fn set_option(&self, key: &str, value: &str) -> Result<(), DbError> {
@@ -284,7 +286,7 @@ fn exec_context_for(db: &Database, settings: SessionSettings) -> ExecContext {
         .unwrap_or_else(|| db.learning_cache_enabled());
     let mut ctx = db
         .exec_context_with_learning(learning)
-        .with_budget(Arc::new(WorkBudget::with_limit(settings.work_limit)))
+        .with_work_limit(settings.work_limit)
         .with_cancel(cancel);
     if let Some(threads) = settings.threads {
         ctx = ctx.with_threads(threads);

@@ -154,34 +154,24 @@ fn drop_and_recreate_never_serves_the_old_index() {
 
 type Engine = (
     &'static str,
-    Box<dyn Fn(&JoinQuery, &ExecContext, u64) -> ExecOutcome>,
+    Box<dyn Fn(&JoinQuery, &ExecContext) -> ExecOutcome>,
 );
 
 fn engines() -> Vec<Engine> {
     let parallel = |threads| {
-        move |q: &JoinQuery, ctx: &ExecContext, work_limit| {
-            let cfg = ParallelSkinnerConfig {
-                threads,
-                work_limit,
-                ..Default::default()
-            };
-            run_parallel_skinner(q, ctx, &cfg)
+        move |q: &JoinQuery, ctx: &ExecContext| {
+            let ctx = ctx.clone().with_threads(threads);
+            run_parallel_skinner(q, &ctx, &ParallelSkinnerConfig::default())
         }
-    };
-    let skinner_c = |work_limit| SkinnerCConfig {
-        work_limit,
-        ..Default::default()
     };
     vec![
         (
             "skinner_c",
-            Box::new(move |q, ctx, limit| run_skinner_c(q, ctx, &skinner_c(limit))),
+            Box::new(|q, ctx| run_skinner_c(q, ctx, &SkinnerCConfig::default())),
         ),
         (
             "fixed",
-            Box::new(move |q, ctx, limit| {
-                run_skinner_c_fixed(q, ctx, &[1, 0, 2], &skinner_c(limit))
-            }),
+            Box::new(|q, ctx| run_skinner_c_fixed(q, ctx, &[1, 0, 2], &SkinnerCConfig::default())),
         ),
         ("parallel_1", Box::new(parallel(1))),
         ("parallel_2", Box::new(parallel(2))),
@@ -196,7 +186,7 @@ fn cold_and_warm_runs_agree_at_every_work_limit() {
             let total = {
                 let db = star_db();
                 db.set_learning_cache(false);
-                let out = engine(&db.bind(sql).unwrap(), &db.exec_context(), u64::MAX);
+                let out = engine(&db.bind(sql).unwrap(), &db.exec_context());
                 assert!(!out.timed_out);
                 out.work_units
             };
@@ -205,8 +195,8 @@ fn cold_and_warm_runs_agree_at_every_work_limit() {
                 let db = star_db();
                 db.set_learning_cache(false);
                 let query = db.bind(sql).unwrap();
-                let cold = engine(&query, &db.exec_context(), limit);
-                let warm = engine(&query, &db.exec_context(), limit);
+                let cold = engine(&query, &db.exec_context().with_work_limit(limit));
+                let warm = engine(&query, &db.exec_context().with_work_limit(limit));
                 assert_eq!(
                     observe(&cold),
                     observe(&warm),

@@ -121,13 +121,14 @@ fn rows_bit_identical_at_every_thread_count() {
     let db_off = test_db();
     let db_on = test_db();
     db_on.set_learning_cache(true);
+    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+        batch_tuples: 16,
+        min_chunk_tuples: 2,
+        ..Default::default()
+    });
     for threads in [1usize, 2, 4, 8] {
-        let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
-            threads,
-            batch_tuples: 16,
-            min_chunk_tuples: 2,
-            ..Default::default()
-        });
+        db_off.set_default_threads(threads);
+        db_on.set_default_threads(threads);
         for (sql, total) in QUERIES.iter().zip(TOTAL_ORDER) {
             let off = db_off.run_script(sql, &strategy).unwrap();
             db_on.run_script(sql, &strategy).unwrap();

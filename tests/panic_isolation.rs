@@ -74,11 +74,8 @@ const PANICKING: [(&str, &str); 3] = [
 /// The statement run after each failure.
 const NEXT: &str = "SELECT a.g, COUNT(*) c, SUM(b.w) s FROM a, b WHERE a.id = b.aid GROUP BY a.g";
 
-fn parallel_2() -> Strategy {
-    Strategy::ParallelSkinner(ParallelSkinnerConfig {
-        threads: 2,
-        ..Default::default()
-    })
+fn parallel() -> Strategy {
+    Strategy::ParallelSkinner(ParallelSkinnerConfig::default())
 }
 
 fn reference_rows(db: &Database) -> Vec<String> {
@@ -91,16 +88,17 @@ fn reference_rows(db: &Database) -> Vec<String> {
 #[test]
 fn embedded_panic_fails_only_its_statement() {
     let db = fixture_db();
+    db.set_default_threads(2);
     let expected = reference_rows(&db);
     for (place, sql) in PANICKING {
-        let r = catch_unwind(AssertUnwindSafe(|| db.run_script(sql, &parallel_2())));
+        let r = catch_unwind(AssertUnwindSafe(|| db.run_script(sql, &parallel())));
         let payload = r.expect_err(place);
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"udf boom"),
             "{place}: the UDF's own panic reaches the caller"
         );
-        let next = db.run_script(NEXT, &parallel_2()).unwrap();
+        let next = db.run_script(NEXT, &parallel()).unwrap();
         assert!(!next.timed_out, "after the {place} panic");
         assert_eq!(
             next.result.canonical_rows(),

@@ -19,9 +19,8 @@ use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial};
 use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, Strategy, Value};
 
-fn parallel(threads: usize) -> Strategy {
+fn parallel() -> Strategy {
     Strategy::ParallelSkinner(ParallelSkinnerConfig {
-        threads,
         batch_tuples: 64,    // small batches → many episodes even on test data
         min_chunk_tuples: 4, // …still split across all the workers
         ..Default::default()
@@ -34,6 +33,13 @@ fn sequential() -> Strategy {
 
 fn run(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
     db.run_script(script, strategy)
+        .unwrap_or_else(|e| panic!("{script} failed: {e}"))
+}
+
+/// [`parallel`] at `threads` workers.
+fn run_parallel(db: &Database, script: &str, threads: usize) -> ExecOutcome {
+    let ctx = db.exec_context().with_threads(threads);
+    db.run_script_with(script, parallel().build().as_ref(), &ctx)
         .unwrap_or_else(|e| panic!("{script} failed: {e}"))
 }
 
@@ -94,7 +100,7 @@ const HANDMADE_SQL: &str = "SELECT f.id, a.grp, b.w FROM fact f, dim1 a, dim2 b 
 fn one_thread_matches_sequential_skinner_c_handmade() {
     let db = handmade_db();
     let seq = run(&db, HANDMADE_SQL, &sequential());
-    let par = run(&db, HANDMADE_SQL, &parallel(1));
+    let par = run_parallel(&db, HANDMADE_SQL, 1);
     assert!(!seq.timed_out && !par.timed_out);
     assert_eq!(par.result.canonical_rows(), seq.result.canonical_rows());
     // Both engines collect the same join-tuple set and learn a valid
@@ -127,7 +133,7 @@ fn one_thread_matches_sequential_on_job_like_queries() {
     queries.sort_by_key(|q| q.num_tables);
     for q in queries.iter().take(3) {
         let seq = run(&db, &q.script, &sequential());
-        let par = run(&db, &q.script, &parallel(1));
+        let par = run_parallel(&db, &q.script, 1);
         assert!(!seq.timed_out && !par.timed_out, "{} timed out", q.name);
         assert_eq!(
             par.result.canonical_rows(),
@@ -149,7 +155,7 @@ fn one_thread_matches_sequential_on_torture_workloads() {
         let db = Database::from_parts(w.catalog.clone(), w.udfs);
         let q = &w.queries[0];
         let seq = run(&db, &q.script, &sequential());
-        let par = run(&db, &q.script, &parallel(1));
+        let par = run_parallel(&db, &q.script, 1);
         assert!(!seq.timed_out && !par.timed_out, "{}", q.name);
         assert_eq!(
             par.result.canonical_rows(),
@@ -169,7 +175,7 @@ fn n_thread_runs_are_deterministic_and_agree_with_reference() {
     for threads in [2, 4, 8] {
         let mut seen = Vec::new();
         for rep in 0..3 {
-            let out = run(&db, HANDMADE_SQL, &parallel(threads));
+            let out = run_parallel(&db, HANDMADE_SQL, threads);
             assert!(!out.timed_out, "{threads} threads rep {rep}");
             let rows = out.result.canonical_rows();
             assert_eq!(rows, expected, "{threads} threads rep {rep} vs reference");
@@ -193,7 +199,7 @@ fn n_thread_runs_are_deterministic_on_torture() {
     for threads in [2, 4, 8] {
         let mut seen = Vec::new();
         for rep in 0..2 {
-            let out = run(&db, script, &parallel(threads));
+            let out = run_parallel(&db, script, threads);
             assert!(!out.timed_out, "{threads} threads rep {rep}");
             assert_eq!(
                 out.result.canonical_rows(),
@@ -223,7 +229,7 @@ fn concurrent_statements_reproduce_their_solo_fingerprints() {
     }
     let solo: Vec<_> = cases
         .iter()
-        .map(|&(db, sql, threads)| fingerprint(&run(db, sql, &parallel(threads))))
+        .map(|&(db, sql, threads)| fingerprint(&run_parallel(db, sql, threads)))
         .collect();
     for i in 0..cases.len() {
         for j in i..cases.len() {
@@ -235,7 +241,7 @@ fn concurrent_statements_reproduce_their_solo_fingerprints() {
                         let barrier = &barrier;
                         s.spawn(move || {
                             barrier.wait();
-                            fingerprint(&run(db, sql, &parallel(threads)))
+                            fingerprint(&run_parallel(db, sql, threads))
                         })
                     })
                     .into_iter()
@@ -311,7 +317,7 @@ fn cancel_token_fired_mid_episode_stops_all_workers() {
             cancel.cancel();
         })
     };
-    let strategy = parallel(4).build();
+    let strategy = parallel().build();
     let started = Instant::now();
     let out = strategy.execute(&query, &ctx);
     let elapsed = started.elapsed();

@@ -14,22 +14,25 @@ use skinnerdb::skinner_core::ParallelSkinnerConfig;
 use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::correlation_torture;
 use skinnerdb::skinner_workloads::tpch::{generate as tpch, TpchConfig};
-use skinnerdb::{Database, Strategy};
+use skinnerdb::{Database, ExecOutcome, Strategy};
 
-fn parallel(threads: usize) -> Strategy {
-    Strategy::ParallelSkinner(ParallelSkinnerConfig {
-        threads,
+/// Run `sql` under the parallel strategy at `threads` workers.
+fn run_parallel(db: &Database, sql: &str, threads: usize) -> ExecOutcome {
+    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
         batch_tuples: 64,
         min_chunk_tuples: 4,
         ..Default::default()
-    })
+    });
+    let ctx = db.exec_context().with_threads(threads);
+    db.run_script_with(sql, strategy.build().as_ref(), &ctx)
+        .unwrap_or_else(|e| panic!("{threads}-thread run of {sql}: {e}"))
 }
 
 /// Run `sql` at 1 and N threads and demand exactly equal rows; also check
 /// the 1-thread rows against the reference executor's canonical set.
 /// Returns the number of result rows.
 fn assert_thread_invariant(db: &Database, sql: &str) -> usize {
-    let base = db.run_script(sql, &parallel(1)).expect("1-thread run");
+    let base = run_parallel(db, sql, 1);
     assert!(!base.timed_out, "1-thread run timed out: {sql}");
     let reference = db
         .run_script(sql, &Strategy::Reference)
@@ -40,9 +43,7 @@ fn assert_thread_invariant(db: &Database, sql: &str) -> usize {
         "1-thread disagrees with reference: {sql}"
     );
     for threads in [2, 4, 8] {
-        let out = db
-            .run_script(sql, &parallel(threads))
-            .expect("N-thread run");
+        let out = run_parallel(db, sql, threads);
         assert!(!out.timed_out, "{threads}-thread run timed out: {sql}");
         assert_eq!(
             out.result.rows, base.result.rows,

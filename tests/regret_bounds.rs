@@ -175,24 +175,15 @@ fn skinner_c_beats_worst_fixed_order_on_torture_workloads() {
     let w = udf_torture(Shape::Chain, 6, 60, 2);
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let q = db.bind(&w.queries[0].script).unwrap();
-    let learned = run_skinner_c(
-        &q,
-        &ExecContext::default(),
-        &SkinnerCConfig {
-            work_limit: 50_000_000,
-            ..Default::default()
-        },
-    );
+    let capped = || ExecContext::default().with_work_limit(50_000_000);
+    let learned = run_skinner_c(&q, &capped(), &SkinnerCConfig::default());
     assert!(!learned.timed_out);
     // The worst fixed order: apply the good predicate last.
     let worst = run_skinner_c_fixed(
         &q,
-        &ExecContext::default(),
+        &capped(),
         &[5, 4, 3, 2, 1, 0],
-        &SkinnerCConfig {
-            work_limit: 50_000_000,
-            ..Default::default()
-        },
+        &SkinnerCConfig::default(),
     );
     let worst_cost = worst.work_units; // may have timed out — lower bound
     assert!(
@@ -211,11 +202,10 @@ fn skinner_g_terminates_and_balances_despite_unknown_timeouts() {
     // the pyramid scheme to climb levels before anything completes.
     let out = SkinnerG::new(
         &q,
-        &ExecContext::default(),
+        &ExecContext::default().with_work_limit(500_000_000),
         SkinnerGConfig {
             batches: 10,
             base_timeout_units: 8,
-            work_limit: 500_000_000,
             ..Default::default()
         },
     )

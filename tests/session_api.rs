@@ -129,6 +129,25 @@ fn explicit_cancel_token_interrupts_every_builtin() {
     }
 }
 
+/// A strategy's only work limit is its context's: under limits far below
+/// what the join needs, every built-in times out with no rows, and the
+/// context's budget saw exactly the work the outcome reports.
+#[test]
+fn every_builtin_honours_the_context_work_limit() {
+    let db = serving_db();
+    for strategy in Strategy::all_builtin() {
+        let built = strategy.build();
+        for limit in [1, 50, 500] {
+            let ctx = db.exec_context().with_work_limit(limit);
+            let out = db.run_script_with(JOIN_SQL, built.as_ref(), &ctx).unwrap();
+            let at = format!("{} at limit {limit}", strategy.name());
+            assert!(out.timed_out, "{at}");
+            assert_eq!(out.result.num_rows(), 0, "{at}");
+            assert_eq!(ctx.budget().used(), out.work_units, "{at}");
+        }
+    }
+}
+
 #[test]
 fn session_work_limit_spans_whole_scripts() {
     let db = serving_db();

@@ -10,14 +10,10 @@ fn udf_torture_result_is_empty_and_skinner_stays_cheap() {
     for shape in [Shape::Chain, Shape::Star] {
         let w = udf_torture(shape, 5, 50, 2);
         let db = Database::from_parts(w.catalog.clone(), w.udfs);
+        let skinner_c = Strategy::SkinnerC(SkinnerCConfig::default()).build();
+        let ctx = db.exec_context().with_work_limit(5_000_000);
         let out = db
-            .run_script(
-                &w.queries[0].script,
-                &Strategy::SkinnerC(SkinnerCConfig {
-                    work_limit: 5_000_000,
-                    ..Default::default()
-                }),
-            )
+            .run_script_with(&w.queries[0].script, skinner_c.as_ref(), &ctx)
             .unwrap();
         assert!(!out.timed_out, "{shape:?} timed out");
         assert_eq!(out.result.rows[0][0], Value::Int(0), "{shape:?}");

@@ -139,11 +139,9 @@ fn statements_call_each_udf_the_recorded_number_of_times() {
             &SkinnerCConfig::default(),
         );
         record("fixed", &fixed);
-        let parallel = ParallelSkinnerConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        record("parallel_1", &run_parallel_skinner(&query, &ctx, &parallel));
+        let one = ctx.clone().with_threads(1);
+        let parallel = ParallelSkinnerConfig::default();
+        record("parallel_1", &run_parallel_skinner(&query, &one, &parallel));
         let traditional = db
             .run_script(&script, &Strategy::Traditional(Default::default()))
             .unwrap();

@@ -156,9 +156,8 @@ fn cases() -> Vec<(String, Arc<Database>, JoinQuery)> {
     v
 }
 
-fn parallel(threads: usize) -> ParallelSkinnerConfig {
+fn parallel() -> ParallelSkinnerConfig {
     ParallelSkinnerConfig {
-        threads,
         batch_tuples: 64,
         min_chunk_tuples: 4,
         ..Default::default()
@@ -342,13 +341,13 @@ fn engines_reproduce_the_recorded_counters() {
         // Scan path: equality predicates evaluated as expressions.
         let no_jumps = SkinnerCConfig {
             use_jump_indexes: false,
-            work_limit: 50_000_000,
             ..Default::default()
         };
+        let capped = ctx.clone().with_work_limit(50_000_000);
         actual.push(line(
             &case,
             "skinner_c_scan",
-            &run_skinner_c(&query, &ctx, &no_jumps),
+            &run_skinner_c(&query, &capped, &no_jumps),
             true,
         ));
         let fixed = run_skinner_c_fixed(
@@ -359,7 +358,8 @@ fn engines_reproduce_the_recorded_counters() {
         );
         actual.push(line(&case, "fixed", &fixed, true));
         for threads in [1, 2] {
-            let out = run_parallel_skinner(&query, &ctx, &parallel(threads));
+            let at = ctx.clone().with_threads(threads);
+            let out = run_parallel_skinner(&query, &at, &parallel());
             actual.push(line(&case, &format!("parallel_{threads}"), &out, true));
         }
         for (engine, out) in generic_runs(&query, &ctx) {
@@ -611,29 +611,22 @@ const SWEEP_GOLDEN: &[&str] = &[
 fn statement_timeouts_reproduce_the_recorded_sequence() {
     let db = sweep_db();
     let q = db.bind(SWEEP_SQL).unwrap();
-    let ctx = db.exec_context();
-    let cfg = |work_limit: u64| SkinnerCConfig {
+    let ctx = |limit: u64| db.exec_context().with_threads(1).with_work_limit(limit);
+    let cfg = SkinnerCConfig {
         slice_steps: 16,
-        work_limit,
         ..Default::default()
     };
     let mut actual = Vec::new();
     type Run<'a> = Box<dyn Fn(u64) -> ExecOutcome + 'a>;
     let engines: Vec<(&str, Run)> = vec![
-        ("skinner_c", Box::new(|l| run_skinner_c(&q, &ctx, &cfg(l)))),
+        ("skinner_c", Box::new(|l| run_skinner_c(&q, &ctx(l), &cfg))),
         (
             "fixed",
-            Box::new(|l| run_skinner_c_fixed(&q, &ctx, &[1, 0, 2], &cfg(l))),
+            Box::new(|l| run_skinner_c_fixed(&q, &ctx(l), &[1, 0, 2], &cfg)),
         ),
         (
             "parallel_1",
-            Box::new(|l| {
-                let c = ParallelSkinnerConfig {
-                    work_limit: l,
-                    ..parallel(1)
-                };
-                run_parallel_skinner(&q, &ctx, &c)
-            }),
+            Box::new(|l| run_parallel_skinner(&q, &ctx(l), &parallel())),
         ),
     ];
     for (name, run) in &engines {
