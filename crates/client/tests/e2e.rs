@@ -313,6 +313,50 @@ fn cancel_while_queued_at_the_admission_gate_is_not_lost() {
     server.shutdown();
 }
 
+/// A queued statement is shed at its queue timeout even while every
+/// execution slot stays busy, not when a slot frees.
+#[test]
+fn queue_timeout_sheds_while_every_slot_is_busy() {
+    let queue_timeout = Duration::from_millis(200);
+    let (mut server, addr) = start(ServerConfig {
+        admission: AdmissionConfig {
+            max_concurrent: 1,
+            queue_depth: 4,
+            queue_timeout,
+        },
+        ..ServerConfig::default()
+    });
+    let mut holder = Client::connect(&addr).unwrap();
+    let holder_handle = holder.cancel_handle();
+    let holder_thread = std::thread::spawn(move || holder.query(TORTURE));
+    // SHOW is answered on the event loop, so it needs no slot.
+    let mut queued = Client::connect(&addr).unwrap();
+    let active = |client: &mut Client| {
+        let stats = client.query("SHOW SERVER STATS").unwrap();
+        let row = stats
+            .rows
+            .iter()
+            .find(|r| r[0].as_str() == Some("active_queries"));
+        row.unwrap()[1].as_i64().unwrap()
+    };
+    while active(&mut queued) == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let started = Instant::now();
+    let err = queued.query(QUERIES[0]).expect_err("the only slot is busy");
+    let waited = started.elapsed();
+    assert!(err.is_overloaded(), "got {err}");
+    assert!(
+        waited >= queue_timeout && waited < queue_timeout + Duration::from_secs(1),
+        "shed after {waited:?}, want within 1s past the {queue_timeout:?} queue timeout"
+    );
+    assert!(!holder_thread.is_finished(), "the holder still runs");
+    holder_handle.cancel().unwrap();
+    let held = holder_thread.join().unwrap();
+    assert!(held.expect_err("cancelled").is_cancelled());
+    server.shutdown();
+}
+
 #[test]
 fn deadline_timeouts_are_reported_as_timeout_not_cancel() {
     let (mut server, addr) = default_server();

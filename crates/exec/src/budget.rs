@@ -98,18 +98,6 @@ impl WorkBudget {
             });
     }
 
-    /// Reserve `n` units as an RAII [`WorkPermit`] that refunds them on
-    /// drop, or `None` if they don't fit under the limit. This turns the
-    /// budget into a concurrency gate: a budget with limit K and
-    /// `acquire(1)` per task admits at most K tasks at a time (the server's
-    /// admission control is exactly this).
-    pub fn acquire(self: &std::sync::Arc<Self>, n: u64) -> Option<WorkPermit> {
-        self.try_consume(n).then(|| WorkPermit {
-            budget: self.clone(),
-            units: n,
-        })
-    }
-
     /// Record `n` intermediate tuples produced (also charges `n` units).
     #[inline]
     pub fn produce_tuples(&self, n: u64) -> Result<(), Timeout> {
@@ -208,28 +196,6 @@ impl Drop for LocalWork<'_> {
     }
 }
 
-/// An RAII reservation of work units from a shared [`WorkBudget`]: the
-/// units return to the budget when the permit drops. Obtained via
-/// [`WorkBudget::acquire`].
-#[derive(Debug)]
-pub struct WorkPermit {
-    budget: std::sync::Arc<WorkBudget>,
-    units: u64,
-}
-
-impl WorkPermit {
-    /// The number of units this permit holds.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-}
-
-impl Drop for WorkPermit {
-    fn drop(&mut self) {
-        self.budget.refund(self.units);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +255,6 @@ mod tests {
         assert!(b.try_consume(u64::MAX - 1));
         assert!(!b.try_consume(2), "checked_add overflow must fail cleanly");
         assert!(b.try_consume(1));
-    }
-
-    #[test]
-    fn permits_gate_concurrency_and_refund_on_drop() {
-        let b = std::sync::Arc::new(WorkBudget::with_limit(2));
-        let p1 = b.acquire(1).expect("first slot");
-        let _p2 = b.acquire(1).expect("second slot");
-        assert!(b.acquire(1).is_none(), "gate is full");
-        drop(p1);
-        let p3 = b.acquire(1).expect("slot freed by drop");
-        assert_eq!(p3.units(), 1);
-        assert_eq!(b.used(), 2);
     }
 
     #[test]

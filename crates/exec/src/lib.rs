@@ -58,11 +58,11 @@ pub mod traditional;
 pub mod tuples;
 pub mod zonescan;
 
-pub use budget::{LocalWork, Timeout, WorkBudget, WorkPermit};
+pub use budget::{LocalWork, Timeout, WorkBudget};
 pub use context::{default_threads, CancelToken, ExecContext};
 pub use engine::{execute_join, join_step, ExecProfile, JoinOutput};
 pub use outcome::{ExecMetrics, ExecOutcome};
-pub use pool::{partition_tuples, scatter_gather, CompletionPool, TupleRange};
+pub use pool::{partition_tuples, scatter_gather, TupleRange};
 pub use postprocess::{postprocess, postprocess_parallel};
 pub use preprocess::{preprocess, Preprocessed};
 pub use result::QueryResult;

@@ -7,8 +7,7 @@
 //! call that has more than one task, which runs a call's borrowed closures
 //! and returns their results in task order. [`partition_tuples`] cuts an
 //! input-tuple range into near-equal contiguous chunks; a caller folds its
-//! chunks' results and counts back together itself. [`CompletionPool`] is
-//! the other mechanism: the server's asynchronous statement pool.
+//! chunks' results and counts back together itself.
 //!
 //! The pool is deliberately dumb: it knows nothing about joins, budgets or
 //! learning, and it has no size knob. Callers cut their work into chunks
@@ -19,7 +18,6 @@
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
-use std::thread::JoinHandle;
 
 use crate::context::default_threads;
 
@@ -249,120 +247,6 @@ impl Drop for Call {
     }
 }
 
-// ---- completion-hook pool ----------------------------------------------
-
-struct CompletionQueue<T> {
-    state: std::sync::Mutex<CompletionQueueState<T>>,
-    ready: std::sync::Condvar,
-}
-
-struct CompletionQueueState<T> {
-    tasks: VecDeque<T>,
-    closed: bool,
-}
-
-/// The asynchronous sibling of [`scatter_gather`]: N persistent threads
-/// pull tasks from one shared queue, and each finished task's result is
-/// handed to a *completion hook* on the worker thread instead of being
-/// gathered by the submitter.
-///
-/// Where [`scatter_gather`] is a barrier (run a batch, wait for all of
-/// it), [`CompletionPool::submit`] never blocks: an event loop can hand
-/// work over and keep multiplexing sockets while the hook routes each
-/// result back (e.g. into a per-shard completion queue followed by a
-/// poller wake-up). Any idle worker picks up the next task, so nothing
-/// queues behind a slow one.
-///
-/// The hook runs on the worker thread; keep it cheap (push + notify). A
-/// panicking task is swallowed and produces *no* completion — callers
-/// that need exactly-one-completion semantics must catch panics inside
-/// `worker` and return an error-shaped `R`. Dropping the pool closes the
-/// queue, lets workers drain what was already submitted, and joins them.
-pub struct CompletionPool<T> {
-    queue: Arc<CompletionQueue<T>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> CompletionPool<T> {
-    /// Spawn `threads` workers (at least one). Each task runs as
-    /// `complete(id, worker(id, task))` on whichever worker dequeues it.
-    pub fn new<R, W, H>(threads: usize, worker: W, complete: H) -> Self
-    where
-        R: Send + 'static,
-        W: Fn(usize, T) -> R + Send + Sync + 'static,
-        H: Fn(usize, R) + Send + Sync + 'static,
-    {
-        let threads = threads.max(1);
-        let queue = Arc::new(CompletionQueue {
-            state: std::sync::Mutex::new(CompletionQueueState {
-                tasks: VecDeque::new(),
-                closed: false,
-            }),
-            ready: std::sync::Condvar::new(),
-        });
-        let worker = Arc::new(worker);
-        let complete = Arc::new(complete);
-        let mut handles = Vec::with_capacity(threads);
-        for id in 0..threads {
-            let queue = queue.clone();
-            let worker = worker.clone();
-            let complete = complete.clone();
-            handles.push(std::thread::spawn(move || loop {
-                let task = {
-                    let mut state = queue.state.lock().unwrap();
-                    loop {
-                        if let Some(task) = state.tasks.pop_front() {
-                            break task;
-                        }
-                        if state.closed {
-                            return;
-                        }
-                        state = queue.ready.wait(state).unwrap();
-                    }
-                };
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(id, task)));
-                if let Ok(r) = r {
-                    complete(id, r);
-                }
-            }));
-        }
-        CompletionPool { queue, handles }
-    }
-
-    /// Enqueue a task without blocking; some worker will run it and feed
-    /// the result to the completion hook. Tasks submitted after the pool
-    /// started dropping are silently discarded (shutdown race).
-    pub fn submit(&self, task: T) {
-        let mut state = self.queue.state.lock().unwrap();
-        if state.closed {
-            return;
-        }
-        state.tasks.push_back(task);
-        drop(state);
-        self.queue.ready.notify_one();
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Tasks waiting in the queue (not yet claimed by a worker).
-    pub fn pending(&self) -> usize {
-        self.queue.state.lock().unwrap().tasks.len()
-    }
-}
-
-impl<T> Drop for CompletionPool<T> {
-    fn drop(&mut self) {
-        self.queue.state.lock().unwrap().closed = true;
-        self.queue.ready.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,55 +453,5 @@ mod tests {
             "raised before the others finished"
         );
         assert_eq!(scatter_gather(vec![|| 1, || 2, || 3]), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn completion_pool_delivers_every_result_through_the_hook() {
-        use std::sync::Mutex;
-        let done: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let done2 = done.clone();
-        let pool: CompletionPool<u64> = CompletionPool::new(
-            4,
-            |_, x: u64| x * 2,
-            move |_, r| done2.lock().unwrap().push(r),
-        );
-        for x in 0..100u64 {
-            pool.submit(x);
-        }
-        // submit() never blocks; completions drain asynchronously and the
-        // drop below joins the workers, so everything is delivered.
-        drop(pool);
-        let mut got = done.lock().unwrap().clone();
-        got.sort_unstable();
-        assert_eq!(got, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn completion_pool_survives_a_panicking_task() {
-        use std::sync::Mutex;
-        let done: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let done2 = done.clone();
-        let pool: CompletionPool<u64> = CompletionPool::new(
-            2,
-            |_, x: u64| {
-                assert!(x != 3, "poison task");
-                x
-            },
-            move |_, r| done2.lock().unwrap().push(r),
-        );
-        for x in 0..8u64 {
-            pool.submit(x);
-        }
-        drop(pool); // joins — a panicked worker iteration must not wedge the queue
-        let mut got = done.lock().unwrap().clone();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn completion_pool_clamps_to_one_thread() {
-        let pool: CompletionPool<()> = CompletionPool::new(0, |_, ()| (), |_, ()| ());
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.pending(), 0);
     }
 }

@@ -1,34 +1,28 @@
-//! Server-level admission control.
+//! Server-level admission control: one bounded statement queue.
 //!
-//! A global concurrency gate built on the library's [`WorkBudget`]: the
-//! budget's limit is the number of queries allowed to execute at once, and
-//! each admitted query holds a one-unit [`WorkPermit`] that returns to the
-//! budget when the query finishes (RAII). Arrivals beyond the limit wait
-//! in a *bounded* queue; once the queue is full — or a queued arrival
-//! outwaits [`AdmissionConfig::queue_timeout`] — the query is load-shed
-//! with an explicit `Overloaded` error instead of piling up. Overload
-//! therefore degrades predictably: at most `max_concurrent` queries run,
-//! at most `queue_depth` wait, everyone else is told to back off.
+//! Every dispatched statement enters one FIFO [`StatementQueue`], served
+//! by exactly [`StatementQueue::slots`] worker threads, so a worker is an
+//! execution slot: at most `max_concurrent` statements run (execution and
+//! response encoding both), at most `queue_depth` more wait, and every
+//! further arrival is shed at once with an explicit `Overloaded` error
+//! instead of piling up. A waiting statement that outwaits
+//! [`AdmissionConfig::queue_timeout`] is shed as well; while every worker
+//! is busy only the event loops are free to notice, so the shard that
+//! submitted it takes it back with [`StatementQueue::take_expired`].
 //!
-//! ## Event-loop split
-//!
-//! The event-loop server must never block, so admission is two-phase:
-//! [`AdmissionGate::begin`] is non-blocking — it either grants
-//! immediately, sheds, or returns a queued [`Ticket`]; the blocking
-//! [`Ticket::wait`] then runs on a pool worker thread, not on the event
-//! loop. The one-call [`AdmissionGate::admit`] wraps both for blocking
-//! callers (tests, benches).
+//! Only [`StatementQueue::pop`] blocks, and only workers call it: the
+//! event loops submit, expire and close without waiting.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use skinnerdb::skinner_exec::{WorkBudget, WorkPermit};
-
-/// Gate sizing.
+/// Queue sizing.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Queries allowed to execute concurrently across all connections.
+    /// Queries allowed to execute concurrently across all connections:
+    /// the number of statement worker threads.
     pub max_concurrent: usize,
     /// Arrivals allowed to wait for a slot before load shedding starts.
     pub queue_depth: usize,
@@ -46,31 +40,12 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Outcome of asking the gate for a slot (blocking path).
-pub enum Admission {
-    /// Run now; drop the permit when the query finishes.
-    Granted(SlotPermit),
-    /// Load-shed: the queue was full, or the wait timed out.
-    Shed(ShedReason),
-}
-
-/// Outcome of the non-blocking [`AdmissionGate::begin`].
-pub enum Begin {
-    /// Run now.
-    Granted(SlotPermit),
-    /// Queued: hand the ticket to a thread that may block and call
-    /// [`Ticket::wait`].
-    Queued(Ticket),
-    /// Load-shed immediately (queue full or gate closed).
-    Shed(ShedReason),
-}
-
 /// Why a query was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     QueueFull,
     QueueTimeout,
-    /// The gate was closed (server shutting down); nothing is admitted.
+    /// The queue was closed (server shutting down); nothing is admitted.
     Closed,
 }
 
@@ -90,179 +65,171 @@ impl ShedReason {
     }
 }
 
-/// The gate itself. Cheap to share (`Arc` inside); the permit-returning
-/// entry points take `&Arc<Self>` so permits can hold the gate alive.
-pub struct AdmissionGate {
+/// The bounded FIFO of submitted statements and the count of running
+/// ones. The owner starts [`StatementQueue::slots`] workers, each looping
+/// [`pop`](StatementQueue::pop) → run → [`finish`](StatementQueue::finish).
+pub(crate) struct StatementQueue<T> {
     cfg: AdmissionConfig,
-    slots: Arc<WorkBudget>,
-    /// Arrivals waiting in the queue. Slots are taken and returned under
-    /// this lock, so a waiter cannot miss the wake-up of a freed slot.
-    waiting: Mutex<usize>,
-    freed: Condvar,
-    shed_total: AtomicU64,
+    state: Mutex<QueueState<T>>,
+    /// Signalled once per submitted statement, and on close.
+    ready: Condvar,
     admitted_total: AtomicU64,
-    closed: AtomicBool,
+    shed_total: AtomicU64,
 }
 
-impl AdmissionGate {
-    pub fn new(cfg: AdmissionConfig) -> Self {
-        AdmissionGate {
-            slots: Arc::new(WorkBudget::with_limit(cfg.max_concurrent.max(1) as u64)),
+struct QueueState<T> {
+    /// Statements no worker has taken yet, oldest first, each with its
+    /// queue deadline (so deadlines grow front to back).
+    waiting: VecDeque<(T, Instant)>,
+    /// Statements taken by a worker and not yet finished.
+    running: usize,
+    closed: bool,
+}
+
+impl<T> StatementQueue<T> {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Self {
+        StatementQueue {
             cfg,
-            waiting: Mutex::new(0),
-            freed: Condvar::new(),
-            shed_total: AtomicU64::new(0),
+            state: Mutex::new(QueueState {
+                waiting: VecDeque::new(),
+                running: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
             admitted_total: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
+            shed_total: AtomicU64::new(0),
         }
     }
 
-    /// Close the gate (shutdown): every queued waiter and every future
-    /// arrival is shed immediately with [`ShedReason::Closed`].
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        let _guard = self.waiting.lock().unwrap();
-        self.freed.notify_all();
-    }
-
-    pub fn config(&self) -> &AdmissionConfig {
+    pub(crate) fn config(&self) -> &AdmissionConfig {
         &self.cfg
     }
 
-    fn grant(self: &Arc<Self>, permit: WorkPermit) -> SlotPermit {
-        self.admitted_total.fetch_add(1, Ordering::Relaxed);
-        SlotPermit {
-            gate: self.clone(),
-            permit: Some(permit),
-        }
+    /// Execution slots, i.e. worker threads: `max_concurrent`, at least one.
+    pub(crate) fn slots(&self) -> usize {
+        self.cfg.max_concurrent.max(1)
     }
 
-    fn shed(&self, reason: ShedReason) -> ShedReason {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state
+            .lock()
+            .expect("no thread panics holding the statement queue")
+    }
+
+    /// Queue `job` without blocking, or shed it: `Closed` once the queue
+    /// is closed, `QueueFull` while every slot is taken and `queue_depth`
+    /// statements already wait.
+    pub(crate) fn submit(&self, job: T) -> Result<(), ShedReason> {
+        let mut s = self.lock();
+        let reason = if s.closed {
+            ShedReason::Closed
+        } else if s.waiting.len() + s.running >= self.slots() + self.cfg.queue_depth {
+            ShedReason::QueueFull
+        } else {
+            s.waiting
+                .push_back((job, Instant::now() + self.cfg.queue_timeout));
+            drop(s);
+            self.ready.notify_one();
+            return Ok(());
+        };
+        drop(s);
         self.shed_total.fetch_add(1, Ordering::Relaxed);
-        reason
+        Err(reason)
     }
 
-    /// Non-blocking admission for the event loop: grant, queue (returning
-    /// a [`Ticket`] whose blocking `wait` belongs on a worker thread), or
-    /// shed.
-    pub fn begin(self: &Arc<Self>) -> Begin {
-        let mut waiting = self.waiting.lock().unwrap();
-        if self.closed.load(Ordering::SeqCst) {
-            return Begin::Shed(self.shed(ShedReason::Closed));
-        }
-        if let Some(permit) = self.slots.acquire(1) {
-            return Begin::Granted(self.grant(permit));
-        }
-        if *waiting >= self.cfg.queue_depth {
-            return Begin::Shed(self.shed(ShedReason::QueueFull));
-        }
-        *waiting += 1;
-        Begin::Queued(Ticket {
-            gate: self.clone(),
-            deadline: Instant::now() + self.cfg.queue_timeout,
-            queued: true,
-        })
-    }
-
-    /// Blocking admission: [`AdmissionGate::begin`] plus the queue wait.
-    pub fn admit(self: &Arc<Self>) -> Admission {
-        match self.begin() {
-            Begin::Granted(p) => Admission::Granted(p),
-            Begin::Queued(ticket) => ticket.wait(),
-            Begin::Shed(r) => Admission::Shed(r),
+    /// Block until a statement waits, then take the oldest and count it as
+    /// running; `None` once the queue is closed. Callers are the
+    /// [`slots`](StatementQueue::slots) workers, so a taken statement
+    /// always has a slot.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut s = self.lock();
+        loop {
+            if s.closed {
+                return None;
+            }
+            if let Some((job, _)) = s.waiting.pop_front() {
+                s.running += 1;
+                self.admitted_total.fetch_add(1, Ordering::Relaxed);
+                return Some(job);
+            }
+            s = self
+                .ready
+                .wait(s)
+                .expect("no thread panics holding the statement queue");
         }
     }
 
-    /// Queries currently holding an execution slot.
-    pub fn active(&self) -> u64 {
-        self.slots.used()
+    /// Free the slot of a statement taken by [`pop`](StatementQueue::pop).
+    pub(crate) fn finish(&self) {
+        self.lock().running -= 1;
     }
 
-    /// Arrivals currently waiting in the queue.
-    pub fn queued(&self) -> usize {
-        *self.waiting.lock().unwrap()
+    /// Shed and hand back the waiting statements chosen by `mine` whose
+    /// queue deadline is not after `now`, and return the earliest deadline
+    /// among `mine`'s statements still waiting.
+    pub(crate) fn take_expired(
+        &self,
+        now: Instant,
+        mine: impl Fn(&T) -> bool,
+    ) -> (Vec<T>, Option<Instant>) {
+        let mut s = self.lock();
+        let mut expired = Vec::new();
+        let mut ix = 0;
+        while let Some((job, deadline)) = s.waiting.get(ix) {
+            if *deadline > now {
+                break;
+            }
+            if mine(job) {
+                expired.extend(s.waiting.remove(ix).map(|(job, _)| job));
+            } else {
+                ix += 1;
+            }
+        }
+        let next = s
+            .waiting
+            .range(ix..)
+            .find(|(job, _)| mine(job))
+            .map(|e| e.1);
+        drop(s);
+        self.shed_total
+            .fetch_add(expired.len() as u64, Ordering::Relaxed);
+        (expired, next)
     }
 
-    /// Total queries shed since startup.
-    pub fn shed_total(&self) -> u64 {
+    /// Close the queue (shutdown): workers' `pop` returns `None`, every
+    /// later arrival is shed with [`ShedReason::Closed`], and the waiting
+    /// statements are shed and handed back.
+    pub(crate) fn close(&self) -> Vec<T> {
+        let mut s = self.lock();
+        s.closed = true;
+        let shed: Vec<T> = s.waiting.drain(..).map(|(job, _)| job).collect();
+        drop(s);
+        self.ready.notify_all();
+        self.shed_total
+            .fetch_add(shed.len() as u64, Ordering::Relaxed);
+        shed
+    }
+
+    /// Statements executing right now.
+    pub(crate) fn active(&self) -> u64 {
+        self.lock().running as u64
+    }
+
+    /// Statements waiting for a slot: those queued beyond the free ones.
+    pub(crate) fn queued(&self) -> usize {
+        let s = self.lock();
+        let free = self.slots().saturating_sub(s.running);
+        s.waiting.len().saturating_sub(free)
+    }
+
+    /// Statements shed since startup.
+    pub(crate) fn shed_total(&self) -> u64 {
         self.shed_total.load(Ordering::Relaxed)
     }
 
-    /// Total queries admitted since startup.
-    pub fn admitted_total(&self) -> u64 {
+    /// Statements a worker has taken since startup.
+    pub(crate) fn admitted_total(&self) -> u64 {
         self.admitted_total.load(Ordering::Relaxed)
-    }
-}
-
-/// A queued admission: blocks in [`Ticket::wait`] until a slot frees (or
-/// timeout/closure sheds it). Dropping an unwaited ticket dequeues it.
-pub struct Ticket {
-    gate: Arc<AdmissionGate>,
-    deadline: Instant,
-    queued: bool,
-}
-
-impl Ticket {
-    /// Block until granted, shed by timeout, or shed by gate closure.
-    pub fn wait(mut self) -> Admission {
-        let gate = self.gate.clone();
-        let mut waiting = gate.waiting.lock().unwrap();
-        let reason = loop {
-            if gate.closed.load(Ordering::SeqCst) {
-                break ShedReason::Closed;
-            }
-            if let Some(permit) = gate.slots.acquire(1) {
-                self.dequeue(&mut waiting);
-                return Admission::Granted(gate.grant(permit));
-            }
-            let now = Instant::now();
-            if now >= self.deadline {
-                break ShedReason::QueueTimeout;
-            }
-            waiting = gate
-                .freed
-                .wait_timeout(waiting, self.deadline - now)
-                .unwrap()
-                .0;
-        };
-        self.dequeue(&mut waiting);
-        drop(waiting);
-        gate.freed.notify_all();
-        Admission::Shed(gate.shed(reason))
-    }
-
-    fn dequeue(&mut self, waiting: &mut usize) {
-        if std::mem::take(&mut self.queued) {
-            *waiting -= 1;
-        }
-    }
-}
-
-impl Drop for Ticket {
-    fn drop(&mut self) {
-        if self.queued {
-            let gate = self.gate.clone();
-            let mut waiting = gate.waiting.lock().unwrap();
-            self.dequeue(&mut waiting);
-            drop(waiting);
-            gate.freed.notify_all();
-        }
-    }
-}
-
-/// RAII admission: holds one execution slot. Dropping it refunds the slot
-/// and wakes every queued waiter.
-pub struct SlotPermit {
-    gate: Arc<AdmissionGate>,
-    permit: Option<WorkPermit>,
-}
-
-impl Drop for SlotPermit {
-    fn drop(&mut self) {
-        let waiting = self.gate.waiting.lock().unwrap();
-        self.permit.take(); // refund the slot …
-        drop(waiting);
-        self.gate.freed.notify_all(); // … then wake every waiter.
     }
 }
 
@@ -271,145 +238,102 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn gate(max_concurrent: usize, queue_depth: usize, timeout_ms: u64) -> Arc<AdmissionGate> {
-        Arc::new(AdmissionGate::new(AdmissionConfig {
+    fn queue<T>(max_concurrent: usize, queue_depth: usize, timeout_ms: u64) -> StatementQueue<T> {
+        StatementQueue::new(AdmissionConfig {
             max_concurrent,
             queue_depth,
             queue_timeout: Duration::from_millis(timeout_ms),
-        }))
+        })
     }
 
     #[test]
     fn grants_up_to_capacity_then_sheds_past_queue() {
-        let g = gate(2, 0, 50);
-        let a = g.admit();
-        let b = g.admit();
-        assert!(matches!(a, Admission::Granted(_)));
-        assert!(matches!(b, Admission::Granted(_)));
-        // Queue depth 0: third arrival is shed immediately.
-        match g.admit() {
-            Admission::Shed(ShedReason::QueueFull) => {}
-            _ => panic!("expected immediate shed"),
-        }
-        assert_eq!(g.shed_total(), 1);
-        assert_eq!(g.active(), 2);
-    }
-
-    #[test]
-    fn released_slot_admits_a_queued_waiter() {
-        let g = gate(1, 4, 5_000);
-        let first = match g.admit() {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let g2 = g.clone();
-        let waiter = std::thread::spawn(move || match g2.admit() {
-            Admission::Granted(_) => true,
-            Admission::Shed(_) => false,
-        });
-        // Give the waiter time to enqueue, then free the slot.
-        while g.queued() == 0 {
-            std::thread::yield_now();
-        }
-        drop(first);
-        assert!(waiter.join().unwrap(), "waiter must inherit the freed slot");
-        assert_eq!(g.shed_total(), 0);
-    }
-
-    #[test]
-    fn queued_waiters_time_out_to_shed() {
-        let g = gate(1, 4, 30);
-        let _hold = match g.admit() {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let started = Instant::now();
-        match g.admit() {
-            Admission::Shed(ShedReason::QueueTimeout) => {}
-            _ => panic!("expected queue timeout"),
-        }
-        assert!(started.elapsed() >= Duration::from_millis(25));
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "shed must be prompt, not a hang"
-        );
-    }
-
-    #[test]
-    fn closing_the_gate_sheds_waiters_and_arrivals() {
-        let g = gate(1, 4, 60_000);
-        let _hold = match g.admit() {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let g2 = g.clone();
-        let waiter = std::thread::spawn(move || g2.admit());
-        while g.queued() == 0 {
-            std::thread::yield_now();
-        }
-        g.close();
-        assert!(matches!(
-            waiter.join().unwrap(),
-            Admission::Shed(ShedReason::Closed)
-        ));
-        assert!(matches!(g.admit(), Admission::Shed(ShedReason::Closed)));
+        let q = queue(2, 0, 50);
+        q.submit('a').unwrap();
+        q.submit('b').unwrap();
+        // Queue depth 0: a third arrival is shed while two hold slots.
+        assert_eq!(q.submit('c').unwrap_err(), ShedReason::QueueFull);
+        assert_eq!((q.pop(), q.pop()), (Some('a'), Some('b')));
+        assert_eq!(q.submit('c').unwrap_err(), ShedReason::QueueFull);
+        assert_eq!((q.active(), q.queued()), (2, 0));
+        assert_eq!((q.admitted_total(), q.shed_total()), (2, 2));
     }
 
     #[test]
     fn queue_is_bounded() {
-        let g = gate(1, 1, 400);
-        let _hold = match g.admit() {
-            Admission::Granted(p) => p,
-            _ => panic!(),
-        };
-        let g2 = g.clone();
-        let queued = std::thread::spawn(move || matches!(g2.admit(), Admission::Shed(_)));
-        while g.queued() == 0 {
-            std::thread::yield_now();
-        }
-        // Queue of 1 is occupied: the next arrival is shed instantly.
-        match g.admit() {
-            Admission::Shed(ShedReason::QueueFull) => {}
-            _ => panic!("expected queue-full shed"),
-        }
-        // The queued waiter eventually times out too (slot never freed
-        // while _hold lives).
-        assert!(queued.join().unwrap());
-        assert_eq!(g.shed_total(), 2);
+        let q = queue(1, 1, 400);
+        q.submit('a').unwrap();
+        assert_eq!(q.pop(), Some('a'));
+        q.submit('b').unwrap();
+        assert_eq!(q.queued(), 1);
+        // The one waiting place is taken: the next arrival is shed.
+        assert_eq!(q.submit('c').unwrap_err(), ShedReason::QueueFull);
+        assert_eq!(q.shed_total(), 1);
     }
 
     #[test]
-    fn begin_is_nonblocking_and_tickets_wait() {
-        let g = gate(1, 4, 5_000);
-        let held = match g.begin() {
-            Begin::Granted(p) => p,
-            _ => panic!("first arrival must be granted"),
+    fn zero_max_concurrent_clamps_to_one_slot() {
+        let q = queue(0, 0, 50);
+        assert_eq!(q.slots(), 1);
+        q.submit('a').unwrap();
+        assert_eq!(q.submit('b').unwrap_err(), ShedReason::QueueFull);
+    }
+
+    /// One worker, as the server runs it: `submit` never blocks, and each
+    /// freed slot takes the oldest waiting statement.
+    #[test]
+    fn released_slot_admits_a_queued_waiter() {
+        let q = Arc::new(queue(1, 8, 5_000));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                while let Some(job) = q.pop() {
+                    tx.send(job).unwrap();
+                    q.finish();
+                }
+            })
         };
-        let ticket = match g.begin() {
-            Begin::Queued(t) => t,
-            _ => panic!("second arrival must queue"),
-        };
-        assert_eq!(g.queued(), 1);
-        let waiter = std::thread::spawn(move || ticket.wait());
-        std::thread::sleep(Duration::from_millis(30));
-        drop(held);
-        assert!(matches!(waiter.join().unwrap(), Admission::Granted(_)));
-        assert_eq!(g.queued(), 0);
+        for job in 0..6 {
+            q.submit(job).unwrap();
+        }
+        let ran: Vec<u32> = rx.iter().take(6).collect();
+        assert_eq!(ran, (0..6).collect::<Vec<_>>());
+        assert!(q.close().is_empty());
+        worker.join().unwrap();
+        assert_eq!((q.admitted_total(), q.shed_total(), q.active()), (6, 0, 0));
     }
 
     #[test]
-    fn dropping_an_unwaited_ticket_dequeues_it() {
-        let g = gate(1, 2, 5_000);
-        let _held = match g.begin() {
-            Begin::Granted(p) => p,
-            _ => panic!(),
-        };
-        let ticket = match g.begin() {
-            Begin::Queued(t) => t,
-            _ => panic!(),
-        };
-        assert_eq!(g.queued(), 1);
-        drop(ticket); // e.g. the dispatch path died before waiting
-        assert_eq!(g.queued(), 0);
+    fn queued_waiters_time_out_to_shed() {
+        // Jobs are `(shard, id)`; each shard expires only its own.
+        let q = queue(1, 4, 30);
+        q.submit((0, 0)).unwrap();
+        assert_eq!(q.pop(), Some((0, 0)));
+        q.submit((0, 1)).unwrap();
+        q.submit((1, 2)).unwrap();
+        let now = Instant::now();
+        let (expired, next) = q.take_expired(now, |j| j.0 == 0);
+        assert!(expired.is_empty());
+        let deadline = next.expect("shard 0 has a waiting job");
+        assert!(deadline > now && deadline <= now + Duration::from_millis(30));
+        let (expired, next) = q.take_expired(deadline, |j| j.0 == 0);
+        assert_eq!((expired, next), (vec![(0, 1)], None));
+        assert_eq!((q.queued(), q.shed_total()), (1, 1));
+        let later = deadline + Duration::from_millis(30);
+        assert_eq!(q.take_expired(later, |j| j.0 == 1).0, vec![(1, 2)]);
+        assert_eq!((q.queued(), q.shed_total()), (0, 2));
+    }
+
+    #[test]
+    fn closing_the_gate_sheds_waiters_and_arrivals() {
+        let q = queue(1, 4, 60_000);
+        q.submit('a').unwrap();
+        assert_eq!(q.pop(), Some('a'));
+        q.submit('b').unwrap();
+        assert_eq!(q.close(), vec!['b']);
+        assert_eq!(q.submit('c').unwrap_err(), ShedReason::Closed);
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.shed_total(), 2);
     }
 }

@@ -4,12 +4,13 @@
 //! Each shard owns a [`Poller`] and a slab of [`ConnState`]s. Sockets are
 //! nonblocking; bytes accumulate in a [`FrameBuffer`] and are decoded
 //! incrementally. Cheap requests (`SET`, `SHOW`, `Prepare`, `Cancel`) are
-//! answered inline on the loop; `Query`/`Execute` dispatch to the worker
-//! pool and come back as pre-encoded [`Completion`] bytes. Per-connection
-//! backpressure pauses reads while the in-flight statement count is at
-//! the negotiated cap or the write buffer is over the high-water mark,
-//! and an idle sweep reaps connections with no traffic and nothing in
-//! flight past the configured deadline.
+//! answered inline on the loop; `Query`/`Execute` go to the statement
+//! queue and come back as pre-encoded [`Completion`] bytes, and each
+//! shard sheds its own statements that outwait the queue timeout.
+//! Per-connection backpressure pauses reads while the in-flight statement
+//! count is at the negotiated cap or the write buffer is over the
+//! high-water mark, and an idle sweep reaps connections with no traffic
+//! and nothing in flight past the configured deadline.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -24,15 +25,15 @@ use parking_lot::Mutex;
 use skinnerdb::skinner_exec::{CancelToken, Trace};
 use skinnerdb::{Prepared, QueryResult, Session};
 
-use crate::admission::{Begin, ShedReason};
+use crate::admission::ShedReason;
 use crate::poll::{Event, Interest, Poller, WAKE_TOKEN};
 use crate::protocol::{
     ErrorCode, FrameBuffer, QueryProfile, QuerySummary, Request, Response, PROTOCOL_VERSION,
     READ_CHUNK,
 };
 use crate::server::{
-    parse_set, push_frame, sql_error, strip_keyword, write_result_frames, Completion, GateWait,
-    Job, JobKind, ShardHandle, Shared,
+    parse_set, push_frame, shed_job, shed_response, sql_error, strip_keyword, write_result_frames,
+    Completion, Job, JobKind, ShardHandle, Shared,
 };
 
 /// Spans the per-query trace ring holds before overwriting the oldest
@@ -43,6 +44,9 @@ const TRACE_SPANS: usize = 64;
 /// Completed-statement profiles parked per connection for
 /// [`Request::Profile`] retrieval.
 const PROFILE_BACKLOG: usize = 16;
+
+/// Longest a shard's event loop sleeps without an event.
+const TICK: Duration = Duration::from_millis(500);
 
 /// How query results travel back.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -119,6 +123,8 @@ impl ConnCancel {
 /// One client connection on a shard's event loop.
 pub(crate) struct ConnState {
     stream: TcpStream,
+    /// The shard whose event loop owns this connection.
+    shard: usize,
     token: usize,
     conn_id: u64,
     cancel: Arc<ConnCancel>,
@@ -293,12 +299,16 @@ pub(crate) fn shard_loop(
     mut poller: Poller,
     shard_ix: usize,
 ) {
-    set_current_shard(shard_ix);
     let mut conns = Slab::new();
     let mut events: Vec<Event> = Vec::new();
     let mut last_sweep = Instant::now();
+    // The earliest queue deadline among this shard's waiting statements.
+    let mut next_expiry: Option<Instant> = None;
     loop {
-        let _ = poller.wait(&mut events, Duration::from_millis(500));
+        let timeout = next_expiry.map_or(TICK, |at| {
+            at.saturating_duration_since(Instant::now()).min(TICK)
+        });
+        let _ = poller.wait(&mut events, timeout);
         if shared.is_shutting_down() {
             break;
         }
@@ -322,6 +332,14 @@ pub(crate) fn shard_loop(
             }
             finish_io(&shared, &poller, &mut conns, ev.token);
         }
+        let (expired, next) = shared
+            .queue
+            .take_expired(Instant::now(), |job| job.shard == shard_ix);
+        for job in expired {
+            let c = shed_job(&shared, job, ShedReason::QueueTimeout);
+            deliver_completion(&shared, &poller, &mut conns, c);
+        }
+        next_expiry = next;
         if last_sweep.elapsed() >= Duration::from_secs(1) {
             last_sweep = Instant::now();
             sweep_idle(&shared, &poller, &mut conns);
@@ -343,7 +361,7 @@ fn accept_conn(
     shared: &Arc<Shared>,
     poller: &Poller,
     conns: &mut Slab,
-    _shard_ix: usize,
+    shard: usize,
     stream: TcpStream,
 ) {
     let _ = stream.set_nodelay(true);
@@ -356,6 +374,7 @@ fn accept_conn(
     shared.conns.lock().insert(conn_id, cancel.clone());
     let conn = ConnState {
         stream,
+        shard,
         token: 0,
         conn_id,
         cancel,
@@ -727,20 +746,10 @@ fn handle_query(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, sq
     );
 }
 
-/// Hand a statement to the worker pool: arm its cancel token (before
-/// admission, so a cancel landing during the queue wait is not lost),
-/// take the admission gate's non-blocking verdict, and submit.
+/// Submit a statement to the statement queue: arm its cancel token
+/// (before queueing, so a cancel landing during the queue wait is not
+/// lost) and answer at once if the queue sheds it.
 fn dispatch(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, kind: JobKind) {
-    if shared.is_shutting_down() {
-        conn.push_resp(
-            tag,
-            Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "server is shutting down".into(),
-            },
-        );
-        return;
-    }
     let key = ConnCancel::tag_key(tag);
     if conn.cancel.is_armed(key) {
         conn.push_resp(
@@ -775,57 +784,24 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, kind: 
         .exec_context()
         .with_cancel(token.clone())
         .with_trace(trace);
-    conn.cancel.arm(key, token.clone());
-    let gate = match shared.gate.begin() {
-        Begin::Granted(p) => GateWait::Granted(p),
-        Begin::Queued(t) => GateWait::Queued(t),
-        Begin::Shed(reason) => {
-            conn.cancel.finish(key);
-            let code = match reason {
-                ShedReason::Closed => ErrorCode::ShuttingDown,
-                _ => ErrorCode::Overloaded,
-            };
-            conn.push_resp(
-                tag,
-                Response::Error {
-                    code,
-                    message: reason.message(shared.gate.config()),
-                },
-            );
-            return;
-        }
-    };
-    conn.inflight += 1;
-    shared.submit(Job {
-        shard: shard_of(shared, conn),
+    conn.cancel.arm(key, token);
+    let job = Job {
+        shard: conn.shard,
         conn_token: conn.token,
         conn_id: conn.conn_id,
         tag,
         output: conn.output,
-        gate,
-        token,
         cancel: conn.cancel.clone(),
         ctx,
         kind,
-    });
-}
-
-/// Which shard a connection lives on. Shards never migrate connections,
-/// so this is derivable from the loop that called us; stored per job for
-/// completion routing.
-fn shard_of(shared: &Arc<Shared>, conn: &ConnState) -> usize {
-    // The conn's token is shard-local; the shard index travels via the
-    // thread-local set by shard_loop.
-    let _ = (shared, conn);
-    CURRENT_SHARD.with(|s| s.get())
-}
-
-thread_local! {
-    static CURRENT_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-pub(crate) fn set_current_shard(ix: usize) {
-    CURRENT_SHARD.with(|s| s.set(ix));
+    };
+    match shared.queue.submit(job) {
+        Ok(()) => conn.inflight += 1,
+        Err(reason) => {
+            conn.cancel.finish(key);
+            conn.push_resp(tag, shed_response(shared, reason));
+        }
+    }
 }
 
 fn handle_show(shared: &Shared, what: &str) -> Result<QueryResult, Response> {

@@ -76,30 +76,30 @@
 //!    [`ServerConfig::slow_query_ms`] enables a structured slow-query log
 //!    line (template key, join order, convergence, per-stage micros).
 //! 7. **Shutdown** — `Shutdown` (ack `Ok`) drains the server: the
-//!    admission gate closes (queued queries shed with `ShuttingDown`),
+//!    statement queue closes (queued queries shed with `ShuttingDown`),
 //!    running queries are cancelled, sockets are shut, and every thread —
-//!    acceptor and per-connection handlers — is joined before the process
-//!    exits.
+//!    acceptor, connection shards and statement workers — is joined
+//!    before the process exits.
 //!
-//! ## Architecture: event loops + completion pool
+//! ## Architecture: event loops + statement workers
 //!
 //! The server is readiness-based, not thread-per-connection. A small set
 //! of connection shards each run a nonblocking event loop (epoll on
 //! Linux, a portable fallback elsewhere) multiplexing many sockets with
 //! per-connection read/write buffers and incremental frame decoding.
-//! Query execution is dispatched to a completion pool; finished results
-//! come back to the owning shard as pre-encoded bytes through a
-//! completion queue plus waker. Backpressure is per connection: reads
-//! pause while the in-flight statement count is at the negotiated cap or
-//! the write buffer is over the high-water mark, and idle connections
-//! are reaped after `idle_timeout`.
+//! Queries go to one bounded statement queue served by `max_concurrent`
+//! worker threads; finished results come back to the owning shard as
+//! pre-encoded bytes through a completion queue plus waker. Backpressure
+//! is per connection: reads pause while the in-flight statement count is
+//! at the negotiated cap or the write buffer is over the high-water mark,
+//! and idle connections are reaped after `idle_timeout`.
 //!
 //! ## Admission control
 //!
-//! A global [`admission::AdmissionGate`] (a one-unit-per-query
-//! [`skinnerdb::skinner_exec::WorkBudget`] used as a concurrency gate)
-//! admits at most `max_concurrent` queries; up to `queue_depth` more wait
-//! (bounded, with a timeout); everything beyond that is refused with
+//! The statement queue is the admission control: its `max_concurrent`
+//! workers are the execution slots, so at most that many queries run
+//! (execution and encoding); up to `queue_depth` more wait (bounded,
+//! with a timeout); everything beyond that is refused with
 //! `Error{Overloaded}` immediately. Connections above `max_connections`
 //! are refused at accept time with `TooManyConnections`.
 
@@ -111,9 +111,7 @@ pub mod protocol;
 pub mod server;
 pub mod stats;
 
-pub use admission::{
-    Admission, AdmissionConfig, AdmissionGate, Begin, ShedReason, SlotPermit, Ticket,
-};
+pub use admission::{AdmissionConfig, ShedReason};
 pub use metrics::MetricsExporter;
 pub use protocol::{
     ErrorCode, FrameBuffer, ProfileSpan, QueryProfile, QuerySummary, Request, Response,

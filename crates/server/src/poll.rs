@@ -211,7 +211,8 @@ mod imp {
         /// drained — callers just check their queues.
         pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             events.clear();
-            let millis = timeout.as_millis().min(i32::MAX as u128) as i32;
+            // Rounded up, so a wait never ends early for lack of resolution.
+            let millis = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
             // SAFETY: buf is a live, correctly sized allocation for maxevents.
             let n = unsafe {
                 epoll_wait(

@@ -1,5 +1,5 @@
-//! The concurrent server: acceptor, connection-shard event loops, query
-//! dispatch to a completion pool, cancellation and graceful shutdown.
+//! The concurrent server: acceptor, connection-shard event loops, the
+//! statement queue and its workers, cancellation and graceful shutdown.
 //!
 //! Life of a query (pipelined):
 //!
@@ -11,13 +11,13 @@
 //!    bytes into a [`crate::protocol::FrameBuffer`], and decodes complete
 //!    frames. `SET`/`SHOW`/`Prepare`/`Cancel` are answered inline on the
 //!    loop; `Query`/`Execute` are **dispatched**: a fresh cancel token is
-//!    armed, the admission gate's non-blocking [`AdmissionGate::begin`]
-//!    either grants, queues or sheds, and a `Job` goes to the
-//!    [`CompletionPool`].
-//! 3. A pool worker waits out the admission ticket if queued (never on
-//!    the event loop), runs the query, encodes the response frames, and
-//!    returns a `Completion`. The pool's completion hook pushes it to
-//!    the owning shard and wakes it.
+//!    armed and a `Job` is submitted to the [`StatementQueue`] without
+//!    blocking — or shed at once when the queue is full or closed.
+//! 3. One of the `max_concurrent` **workers** (each an execution slot)
+//!    takes the oldest job, runs the query, encodes the response frames,
+//!    frees its slot and pushes the `Completion` to the owning shard,
+//!    waking it. A job still queued at its `queue_timeout` is shed by its
+//!    own shard, which wakes no later than the earliest such deadline.
 //! 4. The event loop routes the completion back to the connection (a
 //!    stale token is dropped by conn-id check), appends the bytes to the
 //!    connection's outbox and flushes as the socket allows. Backpressure
@@ -34,12 +34,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use skinnerdb::skinner_exec::{
-    CancelToken, CompletionPool, ExecContext, ExecutionStrategy, SpanTimer,
-};
+use skinnerdb::skinner_exec::{ExecContext, ExecutionStrategy, SpanTimer, Trace};
 use skinnerdb::{Database, DbError, Prepared, QueryResult, ScriptOutcome};
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionGate, ShedReason, SlotPermit, Ticket};
+use crate::admission::{AdmissionConfig, ShedReason, StatementQueue};
 use crate::conn::{shard_loop, ConnCancel, OutputMode};
 use crate::metrics::MetricsExporter;
 use crate::poll::{Poller, Waker};
@@ -55,7 +53,7 @@ pub struct ServerConfig {
     /// Connections allowed at once; further arrivals are turned away with
     /// an explicit error (never silently dropped).
     pub max_connections: usize,
-    /// Query admission control (concurrency gate + bounded queue).
+    /// Query admission control (execution slots + bounded queue).
     pub admission: AdmissionConfig,
     /// Honour the wire-level `Shutdown` request (the binary's clean-exit
     /// path; embedders running in-process may prefer to disable it and
@@ -144,7 +142,7 @@ impl ShardHandle {
     }
 }
 
-/// A dispatched query on its way to a pool worker.
+/// A dispatched query on its way to a worker.
 pub(crate) struct Job {
     pub shard: usize,
     pub conn_token: usize,
@@ -153,8 +151,6 @@ pub(crate) struct Job {
     /// frame this job produces.
     pub tag: Option<u32>,
     pub output: OutputMode,
-    pub gate: GateWait,
-    pub token: CancelToken,
     pub cancel: Arc<ConnCancel>,
     pub ctx: ExecContext,
     pub kind: JobKind,
@@ -170,15 +166,8 @@ pub(crate) enum JobKind {
     },
 }
 
-/// Admission state the job carries: either already granted (fast path) or
-/// a queued ticket whose blocking wait happens on the pool worker.
-pub(crate) enum GateWait {
-    Granted(SlotPermit),
-    Queued(Ticket),
-}
-
 /// A finished query's pre-encoded response frames, routed back to the
-/// owning shard/connection by the completion hook.
+/// owning shard/connection.
 pub(crate) struct Completion {
     pub shard: usize,
     pub conn_token: usize,
@@ -194,7 +183,7 @@ pub(crate) struct Shared {
     pub db: Database,
     pub cfg: ServerConfig,
     pub addr: SocketAddr,
-    pub gate: Arc<AdmissionGate>,
+    pub queue: StatementQueue<Job>,
     pub stats: ServerStats,
     pub shutting_down: AtomicBool,
     /// `Some(when)` once shutdown was requested; [`Server::wait`] blocks
@@ -209,18 +198,11 @@ pub(crate) struct Shared {
     pub active_conns: AtomicUsize,
     key_seed: AtomicU64,
     pub shards: Vec<Arc<ShardHandle>>,
-    pool: StdMutex<Option<CompletionPool<Job>>>,
 }
 
 impl Shared {
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn submit(&self, job: Job) {
-        if let Some(pool) = self.pool.lock().unwrap().as_ref() {
-            pool.submit(job);
-        }
     }
 
     pub(crate) fn trigger_shutdown(&self) {
@@ -234,7 +216,9 @@ impl Shared {
         }
         self.shutdown_cv.notify_all();
         // Shed every queued query and trip every running one.
-        self.gate.close();
+        for job in self.queue.close() {
+            self.shards[job.shard].push_completion(shed_job(self, job, ShedReason::Closed));
+        }
         for conn in self.conns.lock().values() {
             conn.cancel_all();
         }
@@ -255,7 +239,7 @@ impl Shared {
         let _ = TcpStream::connect(wake);
     }
 
-    /// Sample live structures (connections, admission gate, join
+    /// Sample live structures (connections, statement queue, join
     /// indexes, learning cache) into registry gauges/counters. Called per
     /// `/metrics` scrape and per `SHOW SERVER STATS`, so both read current
     /// values without any periodic sampler thread.
@@ -264,22 +248,22 @@ impl Shared {
         r.gauge("skinner_active_connections", "Open client connections.")
             .set(self.active_conns.load(Ordering::SeqCst) as u64);
         r.gauge("skinner_active_queries", "Queries executing right now.")
-            .set(self.gate.active());
+            .set(self.queue.active());
         r.gauge(
             "skinner_queued_queries",
             "Queries waiting for an execution slot.",
         )
-        .set(self.gate.queued() as u64);
+        .set(self.queue.queued() as u64);
         r.counter(
             "skinner_admitted_total",
             "Queries granted an execution slot.",
         )
-        .raise_to(self.gate.admitted_total());
+        .raise_to(self.queue.admitted_total());
         r.counter(
             "skinner_shed_total",
             "Queries refused by admission control.",
         )
-        .raise_to(self.gate.shed_total());
+        .raise_to(self.queue.shed_total());
         r.gauge(
             "skinner_join_index_bytes",
             "Bytes of join indexes retained by catalog tables.",
@@ -384,6 +368,7 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     wake_latency: Option<Duration>,
     /// The `/metrics` endpoint. Deliberately NOT stopped by
     /// [`Server::shutdown`]: it outlives the drain so the final scrape
@@ -414,10 +399,9 @@ impl Server {
             }));
             pollers.push(poller);
         }
-        let gate = Arc::new(AdmissionGate::new(cfg.admission.clone()));
         let shared = Arc::new(Shared {
             db,
-            gate,
+            queue: StatementQueue::new(cfg.admission.clone()),
             addr: local,
             stats: ServerStats::new(),
             shutting_down: AtomicBool::new(false),
@@ -428,30 +412,16 @@ impl Server {
             active_conns: AtomicUsize::new(0),
             key_seed: AtomicU64::new(0x5123_9d1f_8437_aa77),
             shards: handles,
-            pool: StdMutex::new(None),
             cfg,
         });
-        // Worker threads: enough for every concurrently *executing* query
-        // plus every queued admission ticket blocking in `Ticket::wait` —
-        // with the gate bounding both, this exact count makes head-of-line
-        // deadlock (all workers parked on tickets while granted jobs wait
-        // for a thread) impossible.
-        let threads = shared.cfg.admission.max_concurrent + shared.cfg.admission.queue_depth;
-        let worker_shared: Weak<Shared> = Arc::downgrade(&shared);
-        let hook_shared: Weak<Shared> = Arc::downgrade(&shared);
-        let pool = CompletionPool::new(
-            threads,
-            move |_wid, job: Job| worker_shared.upgrade().map(|shared| run_job(&shared, job)),
-            move |_wid, completion: Option<Completion>| {
-                let (Some(shared), Some(c)) = (hook_shared.upgrade(), completion) else {
-                    return;
-                };
-                if let Some(shard) = shared.shards.get(c.shard) {
-                    shard.push_completion(c);
-                }
-            },
-        );
-        *shared.pool.lock().unwrap() = Some(pool);
+        let workers = (0..shared.queue.slots())
+            .map(|ix| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("skinner-worker-{ix}"))
+                    .spawn(move || serve_statements(&shared))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
         let mut shard_threads = Vec::with_capacity(shard_count);
         for (ix, poller) in pollers.into_iter().enumerate() {
             let shared2 = shared.clone();
@@ -489,6 +459,7 @@ impl Server {
             shared,
             acceptor: Some(acceptor),
             shard_threads,
+            workers,
             wake_latency: None,
             exporter,
         })
@@ -535,13 +506,10 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        for h in self.shard_threads.drain(..) {
+        // The closed queue lets each worker go once its statement ends.
+        for h in self.shard_threads.drain(..).chain(self.workers.drain(..)) {
             let _ = h.join();
         }
-        // Dropping the pool joins its workers (and breaks the
-        // Shared → pool → Weak cycle for good measure).
-        let pool = self.shared.pool.lock().unwrap().take();
-        drop(pool);
         // Every worker has drained: flush the learning cache's final
         // partial batch of publications so cross-query knowledge survives
         // the restart (no-op without a data directory).
@@ -654,170 +622,163 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 // ---- worker-side execution ---------------------------------------------
 
-/// Run one dispatched job on a pool worker: wait out a queued admission
-/// ticket, execute, and pre-encode every response frame. Always returns a
-/// completion — panics inside execution are caught and reported as errors
-/// so the connection's in-flight count never leaks.
-fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
-    let Job {
-        shard,
-        conn_token,
-        conn_id,
-        tag,
-        output,
-        gate,
-        token,
-        cancel,
-        ctx,
-        kind,
-    } = job;
+/// One execution slot: take statements oldest first, run each, free the
+/// slot and hand the completion to the owning shard. Returns once the
+/// queue is closed.
+fn serve_statements(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
+        let completion = run_job(shared, job);
+        shared.queue.finish();
+        shared.shards[completion.shard].push_completion(completion);
+    }
+}
+
+/// Run one job on a worker: execute it and pre-encode every response
+/// frame. Always returns one completion: a panic while executing or
+/// encoding is caught and answered with an error, so neither the
+/// connection's in-flight count nor the worker is lost.
+fn run_job(shared: &Shared, job: Job) -> Completion {
+    record_admission_wait(shared, &job);
+    shared.stats.queries_total.inc();
     let mut out = Vec::new();
-    // The trace was attached at dispatch (its epoch is the dispatch
-    // instant), so `admission_wait` spans dispatch → execution slot,
-    // including any time queued behind the gate or the pool.
-    let trace = ctx.trace_arc().cloned();
-    let permit = match gate {
-        GateWait::Granted(p) => Ok(p),
-        GateWait::Queued(ticket) => match ticket.wait() {
-            Admission::Granted(p) => Ok(p),
-            Admission::Shed(reason) => Err(reason),
+    if catch_unwind(AssertUnwindSafe(|| execute(shared, &job, &mut out))).is_err() {
+        job.cancel.finish(ConnCancel::tag_key(job.tag));
+        shared.stats.queries_failed.inc();
+        out.clear();
+        push_frame(
+            &mut out,
+            job.tag,
+            Response::Error {
+                code: ErrorCode::Sql,
+                message: "internal error: query execution panicked".into(),
+            },
+        );
+    }
+    complete(job, out)
+}
+
+/// Answer a job shed while it waited (queue timeout or shutdown).
+pub(crate) fn shed_job(shared: &Shared, job: Job, reason: ShedReason) -> Completion {
+    record_admission_wait(shared, &job);
+    job.cancel.finish(ConnCancel::tag_key(job.tag));
+    let mut out = Vec::new();
+    push_frame(&mut out, job.tag, shed_response(shared, reason));
+    complete(job, out)
+}
+
+/// The error a shed statement gets.
+pub(crate) fn shed_response(shared: &Shared, reason: ShedReason) -> Response {
+    Response::Error {
+        code: match reason {
+            ShedReason::Closed => ErrorCode::ShuttingDown,
+            _ => ErrorCode::Overloaded,
         },
-    };
-    if let Some(t) = trace.as_deref() {
+        message: reason.message(shared.queue.config()),
+    }
+}
+
+/// End the `admission_wait` span. The trace was attached at dispatch (its
+/// epoch is the dispatch instant), so the span covers the time queued.
+fn record_admission_wait(shared: &Shared, job: &Job) {
+    if let Some(t) = job.ctx.trace() {
         t.record("admission_wait", 0, 0);
         shared.stats.admission_wait_us.record(t.now_ns() / 1_000);
     }
-    match permit {
-        Err(reason) => {
-            cancel.finish(ConnCancel::tag_key(tag));
-            let code = match reason {
-                ShedReason::Closed => ErrorCode::ShuttingDown,
-                _ => ErrorCode::Overloaded,
+}
+
+/// Execute `job` and encode its response frames into `out`.
+fn execute(shared: &Shared, job: &Job, out: &mut Vec<u8>) {
+    let (tag, ctx, kind) = (job.tag, &job.ctx, &job.kind);
+    let strategy_name = match kind {
+        JobKind::Query { strategy, .. } => strategy.name().to_string(),
+        JobKind::Execute { prepared } => prepared.strategy().name().to_string(),
+    };
+    // A cancel (or deadline) that fired while queued aborts before any
+    // execution work is done.
+    let ran = if ctx.cancel().is_cancelled() {
+        Ok(ScriptOutcome {
+            result: QueryResult::empty(Vec::new()),
+            work_units: 0,
+            wall: Duration::ZERO,
+            timed_out: true,
+            statements: Vec::new(),
+        })
+    } else {
+        match kind {
+            JobKind::Query { sql, strategy } => {
+                shared.db.run_script_detailed(sql, strategy.as_ref(), ctx)
+            }
+            JobKind::Execute { prepared } => {
+                let started = Instant::now();
+                let out = prepared.execute_in(ctx);
+                Ok(ScriptOutcome {
+                    work_units: out.work_units,
+                    wall: started.elapsed(),
+                    timed_out: out.timed_out,
+                    statements: vec![skinnerdb::StatementOutcome {
+                        kind: skinnerdb::StatementKind::Select,
+                        rows: out.result.num_rows(),
+                        work_units: out.work_units,
+                        wall: out.wall,
+                        timed_out: out.timed_out,
+                        metrics: out.metrics,
+                    }],
+                    result: out.result,
+                })
+            }
+        }
+    };
+    let cancelled = job.cancel.finish(ConnCancel::tag_key(tag));
+    match ran {
+        Err(e) => {
+            shared.stats.queries_failed.inc();
+            push_frame(out, tag, sql_error(&e));
+        }
+        Ok(script) if script.timed_out => {
+            let (code, counter) = if cancelled {
+                (ErrorCode::Cancelled, &shared.stats.queries_cancelled)
+            } else {
+                (ErrorCode::Timeout, &shared.stats.queries_timed_out)
             };
+            counter.inc();
             push_frame(
-                &mut out,
+                out,
                 tag,
                 Response::Error {
                     code,
-                    message: reason.message(shared.gate.config()),
+                    message: match code {
+                        ErrorCode::Cancelled => "query cancelled by client request".into(),
+                        _ => "query exceeded its work limit or deadline".into(),
+                    },
                 },
             );
         }
-        Ok(permit) => {
-            shared.stats.queries_total.inc();
-            // A cancel (or deadline) that fired during the queue wait
-            // aborts before any execution work is done.
-            let ran = if token.is_cancelled() {
-                let name = match &kind {
-                    JobKind::Query { strategy, .. } => strategy.name().to_string(),
-                    JobKind::Execute { prepared } => prepared.strategy().name().to_string(),
-                };
-                Ok((
-                    name,
-                    Ok(ScriptOutcome {
-                        result: QueryResult::empty(Vec::new()),
-                        work_units: 0,
-                        wall: Duration::ZERO,
-                        timed_out: true,
-                        statements: Vec::new(),
-                    }),
-                ))
-            } else {
-                // An engine panicking on a pathological query must still
-                // produce a response (and a completion), or the
-                // connection's in-flight slot leaks forever.
-                catch_unwind(AssertUnwindSafe(|| match &kind {
-                    JobKind::Query { sql, strategy } => (
-                        strategy.name().to_string(),
-                        shared.db.run_script_detailed(sql, strategy.as_ref(), &ctx),
-                    ),
-                    JobKind::Execute { prepared } => {
-                        let started = Instant::now();
-                        let out = prepared.execute_in(&ctx);
-                        let name = prepared.strategy().name().to_string();
-                        let script = ScriptOutcome {
-                            work_units: out.work_units,
-                            wall: started.elapsed(),
-                            timed_out: out.timed_out,
-                            statements: vec![skinnerdb::StatementOutcome {
-                                kind: skinnerdb::StatementKind::Select,
-                                rows: out.result.num_rows(),
-                                work_units: out.work_units,
-                                wall: out.wall,
-                                timed_out: out.timed_out,
-                                metrics: out.metrics,
-                            }],
-                            result: out.result,
-                        };
-                        (name, Ok(script))
-                    }
-                }))
-                .map_err(|_| ())
-            };
-            drop(permit); // free the execution slot before encoding rows
-            let cancelled = cancel.finish(ConnCancel::tag_key(tag));
-            match ran {
-                Err(()) => {
-                    shared.stats.queries_failed.inc();
-                    push_frame(
-                        &mut out,
-                        tag,
-                        Response::Error {
-                            code: ErrorCode::Sql,
-                            message: "internal error: query execution panicked".into(),
-                        },
-                    );
-                }
-                Ok((_, Err(e))) => {
-                    shared.stats.queries_failed.inc();
-                    push_frame(&mut out, tag, sql_error(&e));
-                }
-                Ok((_, Ok(script))) if script.timed_out => {
-                    let (code, counter) = if cancelled {
-                        (ErrorCode::Cancelled, &shared.stats.queries_cancelled)
-                    } else {
-                        (ErrorCode::Timeout, &shared.stats.queries_timed_out)
-                    };
-                    counter.inc();
-                    push_frame(
-                        &mut out,
-                        tag,
-                        Response::Error {
-                            code,
-                            message: match code {
-                                ErrorCode::Cancelled => "query cancelled by client request".into(),
-                                _ => "query exceeded its work limit or deadline".into(),
-                            },
-                        },
-                    );
-                }
-                Ok((strategy_name, Ok(script))) => {
-                    let metrics: Vec<&skinnerdb::ExecMetrics> =
-                        script.statements.iter().map(|s| &s.metrics).collect();
-                    shared.stats.record_query(
-                        &strategy_name,
-                        &metrics,
-                        script.work_units,
-                        script.wall,
-                    );
-                    maybe_log_slow_query(shared, &kind, &strategy_name, &script, trace.as_deref());
-                    let summary = summarize(&script);
-                    let ScriptOutcome { result, .. } = script;
-                    let enc_timer = SpanTimer::start(trace.as_deref(), "encode_flush");
-                    write_result_frames(
-                        &mut out,
-                        tag,
-                        output,
-                        shared.cfg.rows_per_batch,
-                        result,
-                        summary,
-                    );
-                    enc_timer.finish(out.len() as u64);
-                }
-            }
+        Ok(script) => {
+            let metrics: Vec<&skinnerdb::ExecMetrics> =
+                script.statements.iter().map(|s| &s.metrics).collect();
+            shared
+                .stats
+                .record_query(&strategy_name, &metrics, script.work_units, script.wall);
+            maybe_log_slow_query(shared, kind, &strategy_name, &script, ctx.trace());
+            let summary = summarize(&script);
+            let ScriptOutcome { result, .. } = script;
+            let enc_timer = SpanTimer::start(ctx.trace(), "encode_flush");
+            write_result_frames(
+                out,
+                tag,
+                job.output,
+                shared.cfg.rows_per_batch,
+                result,
+                summary,
+            );
+            enc_timer.finish(out.len() as u64);
         }
     }
-    let profile = trace.as_deref().map(|t| {
+}
+
+/// Wrap a job's encoded response, and its span profile, for its shard.
+fn complete(job: Job, bytes: Vec<u8>) -> Completion {
+    let profile = job.ctx.trace().map(|t| {
         let spans = t
             .spans()
             .into_iter()
@@ -830,7 +791,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
             })
             .collect();
         (
-            ConnCancel::tag_key(tag),
+            ConnCancel::tag_key(job.tag),
             QueryProfile {
                 total_ns: t.now_ns(),
                 dropped: t.dropped(),
@@ -839,10 +800,10 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
         )
     });
     Completion {
-        shard,
-        conn_token,
-        conn_id,
-        bytes: out,
+        shard: job.shard,
+        conn_token: job.conn_token,
+        conn_id: job.conn_id,
+        bytes,
         profile,
     }
 }
@@ -852,11 +813,11 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> Completion {
 /// convergence point, warm-start/page/join-index counters and per-stage
 /// micros.
 fn maybe_log_slow_query(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     kind: &JobKind,
     strategy: &str,
     script: &ScriptOutcome,
-    trace: Option<&skinnerdb::skinner_exec::Trace>,
+    trace: Option<&Trace>,
 ) {
     let Some(threshold_ms) = shared.cfg.slow_query_ms else {
         return;
@@ -1135,7 +1096,7 @@ mod tests {
             db: Database::new(),
             cfg: ServerConfig::default(),
             addr: "127.0.0.1:1".parse().unwrap(),
-            gate: Arc::new(AdmissionGate::new(AdmissionConfig::default())),
+            queue: StatementQueue::new(AdmissionConfig::default()),
             stats: ServerStats::new(),
             shutting_down: AtomicBool::new(false),
             shutdown_at: StdMutex::new(None),
@@ -1145,11 +1106,65 @@ mod tests {
             active_conns: AtomicUsize::new(0),
             key_seed: AtomicU64::new(1),
             shards: Vec::new(),
-            pool: StdMutex::new(None),
         };
         let a = shared.mint_cancel_key();
         let b = shared.mint_cancel_key();
         assert_ne!(a, b);
+    }
+
+    /// One execution slot: a statement that panics is answered with one
+    /// error and leaves its worker serving, so the next statement runs.
+    #[test]
+    fn a_panicking_statement_yields_one_error_and_its_worker_survives() {
+        use crate::protocol::{Request, PROTOCOL_VERSION};
+        use skinnerdb::{DataType, Value};
+        let db = Database::new();
+        db.create_table(
+            "t",
+            &[("x", DataType::Int)],
+            (0..10).map(|i| vec![Value::Int(i)]).collect(),
+        )
+        .unwrap();
+        db.register_udf("boom", |_| panic!("udf boom"));
+        let cfg = ServerConfig {
+            admission: AdmissionConfig {
+                max_concurrent: 1,
+                ..AdmissionConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let mut server = Server::bind(db, "127.0.0.1:0", cfg).unwrap();
+        assert_eq!(server.workers.len(), 1);
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let roundtrip = |req: Request| {
+            req.write(&mut &stream).unwrap();
+            let mut frames = vec![Response::read(&mut &stream).unwrap()];
+            while matches!(
+                frames.last(),
+                Some(Response::RowHeader { .. } | Response::RowBatch { .. })
+            ) {
+                frames.push(Response::read(&mut &stream).unwrap());
+            }
+            frames
+        };
+        roundtrip(Request::Hello {
+            version: PROTOCOL_VERSION,
+        });
+        let query = |sql: &str| Request::Query { sql: sql.into() };
+        match &roundtrip(query("SELECT boom(t.x) y FROM t"))[..] {
+            [Response::Error { code, message }] => {
+                assert_eq!(*code, ErrorCode::Sql);
+                assert!(message.contains("panicked"), "{message}");
+            }
+            other => panic!("expected one error frame, got {other:?}"),
+        }
+        let frames = roundtrip(query("SELECT t.x FROM t"));
+        assert!(
+            matches!(frames.last(), Some(Response::Done { .. })),
+            "{frames:?}"
+        );
+        assert_eq!(server.stats().queries_failed.get(), 1);
+        server.shutdown();
     }
 
     /// Frame-level degradation: an unencodable response becomes a typed
