@@ -1044,4 +1044,32 @@ mod tests {
         assert_eq!(s.entries, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A cache holding more templates than the file's entry cap flushes
+    /// its newest ones, and its own loader accepts the file.
+    #[test]
+    fn flush_past_the_entry_cap_keeps_the_newest() {
+        let dir = std::env::temp_dir().join(format!("skinner_cachecap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let n = persist::MAX_ENTRIES + 1;
+        let cfg = TreeCacheConfig {
+            capacity: n,
+            flush_every: usize::MAX,
+            ..no_gen()
+        };
+        let cache = TreeCache::new(cfg);
+        cache.attach_store(store.clone());
+        let sig_of = |k: usize| sig(&format!("q{k}"), ["a", "b"], k as u64);
+        for k in 0..n {
+            cache.publish(&sig_of(k), prior(4), RunFeedback::cold(1));
+        }
+        assert!(cache.flush());
+        let reloaded = TreeCache::new(cfg);
+        assert_eq!(reloaded.attach_store(store), persist::MAX_ENTRIES);
+        assert_eq!(reloaded.stats().load_rejected, 0);
+        assert!(reloaded.lookup(&sig_of(0)).is_none(), "oldest left out");
+        assert!(reloaded.lookup(&sig_of(n - 1)).is_some(), "newest kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -6,8 +6,9 @@
 //! checksum; this module owns the payload: a flat sequence of entries,
 //! each carrying the template key, the per-table identity (name + content
 //! fingerprint + cardinality bucket), the structural features, the drift
-//! state and the [`TreePrior`] itself (encoded by
-//! `TreePrior::encode_into`).
+//! state and the [`TreePrior`] itself (encoded by [`TreePrior::write`]).
+//! Both directions go through `skinner_storage::codec` and share one set
+//! of caps, so a flush never writes an entry its own loader would refuse.
 //!
 //! Decoding is defensive end to end — every length is bounds-checked,
 //! every count capped, every float checked finite where finiteness is an
@@ -18,6 +19,8 @@
 use std::sync::Arc;
 
 use skinner_query::TemplateFeatures;
+use skinner_storage::codec::{CodecError, Reader, Writer};
+use skinner_uct::prior::MAX_PRIOR_TABLES;
 use skinner_uct::TreePrior;
 
 use super::drift::DriftState;
@@ -28,55 +31,69 @@ pub const PRIORS_SIDECAR: &str = "learned_priors";
 /// Payload format version, checked by the sidecar envelope on read.
 pub const PRIORS_VERSION: u32 = 1;
 
-const MAX_ENTRIES: usize = 65_536;
+// Caps shared by the encoder, which leaves out an entry over one, and the
+// decoder, which refuses a payload over one.
+pub(super) const MAX_ENTRIES: usize = 65_536;
 const MAX_KEY_LEN: usize = 16_384;
-const MAX_TABLES: usize = 64;
 const MAX_NAME_LEN: usize = 4_096;
 
+/// Encode `entries` (oldest first). An entry over a cap is left out, and
+/// past [`MAX_ENTRIES`] the oldest are: the file never holds what
+/// [`decode_entries`] would refuse.
 pub(super) fn encode_entries(entries: &[(String, CacheEntry)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (key, e) in entries {
-        put_str(&mut out, key);
-        let f = &e.features;
-        out.extend_from_slice(&(f.tables.len() as u16).to_le_bytes());
-        for (i, name) in f.tables.iter().enumerate() {
-            put_str16(&mut out, name);
-            out.extend_from_slice(&e.fingerprints.get(i).copied().unwrap_or(0).to_le_bytes());
-            out.push(e.buckets.get(i).copied().unwrap_or(0));
-            out.extend_from_slice(&f.unary_counts.get(i).copied().unwrap_or(0).to_le_bytes());
-        }
-        out.extend_from_slice(&f.n_equi.to_le_bytes());
-        out.extend_from_slice(&f.n_theta.to_le_bytes());
-        out.extend_from_slice(&f.n_select.to_le_bytes());
-        out.push(
-            (f.has_group as u8)
-                | (f.has_order as u8) << 1
-                | (f.distinct as u8) << 2
-                | (f.limited as u8) << 3,
-        );
-        let d = &e.drift;
-        put_opt_f64(&mut out, d.cold_ewma);
-        put_opt_f64(&mut out, d.warm_ewma);
-        out.extend_from_slice(&d.strikes.to_bits().to_le_bytes());
-        out.extend_from_slice(&d.quarantine_left.to_le_bytes());
-        out.extend_from_slice(&d.quarantines.to_le_bytes());
-        e.prior.encode_into(&mut out);
+    let mut kept: Vec<Vec<u8>> = entries
+        .iter()
+        .filter_map(|(key, e)| encode_entry(key, e).ok())
+        .collect();
+    kept.drain(..kept.len().saturating_sub(MAX_ENTRIES));
+    let mut w = Writer::default();
+    w.count(kept.len(), MAX_ENTRIES, "entry");
+    for entry in &kept {
+        w.bytes(entry);
     }
-    out
+    w.finish().expect("entry count is capped above")
+}
+
+fn encode_entry(key: &str, e: &CacheEntry) -> Result<Vec<u8>, CodecError> {
+    let mut w = Writer::default();
+    w.str(key, MAX_KEY_LEN);
+    let f = &e.features;
+    w.check(f.tables.len(), MAX_PRIOR_TABLES, "table count");
+    w.u16(f.tables.len() as u16);
+    for (i, name) in f.tables.iter().enumerate() {
+        w.str16(name, MAX_NAME_LEN);
+        w.u64(e.fingerprints.get(i).copied().unwrap_or(0));
+        w.u8(e.buckets.get(i).copied().unwrap_or(0));
+        w.u16(f.unary_counts.get(i).copied().unwrap_or(0));
+    }
+    w.u16(f.n_equi);
+    w.u16(f.n_theta);
+    w.u16(f.n_select);
+    w.u8((f.has_group as u8)
+        | (f.has_order as u8) << 1
+        | (f.distinct as u8) << 2
+        | (f.limited as u8) << 3);
+    let d = &e.drift;
+    put_opt_f64(&mut w, d.cold_ewma);
+    put_opt_f64(&mut w, d.warm_ewma);
+    w.f64(d.strikes);
+    w.u32(d.quarantine_left);
+    w.u64(d.quarantines);
+    e.prior.write(&mut w);
+    w.finish()
 }
 
 pub(super) fn decode_entries(bytes: &[u8]) -> Result<Vec<PersistedEntry>, String> {
-    let mut pos = 0usize;
-    let count = take_u32(bytes, &mut pos)? as usize;
+    let mut r = Reader::new(bytes);
+    let count = r.u32()? as usize;
     if count > MAX_ENTRIES {
         return Err(format!("implausible entry count {count}"));
     }
     let mut out = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let key = take_str(bytes, &mut pos, MAX_KEY_LEN)?;
-        let n_tables = take_u16(bytes, &mut pos)? as usize;
-        if n_tables == 0 || n_tables > MAX_TABLES {
+        let key = r.str(MAX_KEY_LEN)?;
+        let n_tables = r.u16()? as usize;
+        if n_tables == 0 || n_tables > MAX_PRIOR_TABLES {
             return Err(format!("implausible table count {n_tables}"));
         }
         let mut tables = Vec::with_capacity(n_tables);
@@ -84,30 +101,30 @@ pub(super) fn decode_entries(bytes: &[u8]) -> Result<Vec<PersistedEntry>, String
         let mut buckets = Vec::with_capacity(n_tables);
         let mut unary_counts = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
-            tables.push(take_str16(bytes, &mut pos, MAX_NAME_LEN)?);
-            fingerprints.push(take_u64(bytes, &mut pos)?);
-            buckets.push(take_u8(bytes, &mut pos)?);
-            unary_counts.push(take_u16(bytes, &mut pos)?);
+            tables.push(r.str16(MAX_NAME_LEN)?);
+            fingerprints.push(r.u64()?);
+            buckets.push(r.u8()?);
+            unary_counts.push(r.u16()?);
         }
-        let n_equi = take_u16(bytes, &mut pos)?;
-        let n_theta = take_u16(bytes, &mut pos)?;
-        let n_select = take_u16(bytes, &mut pos)?;
-        let flags = take_u8(bytes, &mut pos)?;
+        let n_equi = r.u16()?;
+        let n_theta = r.u16()?;
+        let n_select = r.u16()?;
+        let flags = r.u8()?;
         if flags > 0b1111 {
             return Err(format!("unknown feature flags {flags:#b}"));
         }
-        let cold_ewma = take_opt_f64(bytes, &mut pos)?;
-        let warm_ewma = take_opt_f64(bytes, &mut pos)?;
-        let strikes = f64::from_bits(take_u64(bytes, &mut pos)?);
+        let cold_ewma = get_opt_f64(&mut r)?;
+        let warm_ewma = get_opt_f64(&mut r)?;
+        let strikes = r.f64()?;
         if !strikes.is_finite() || strikes < 0.0 {
             return Err("non-finite or negative strikes".to_string());
         }
-        let quarantine_left = take_u32(bytes, &mut pos)?;
+        let quarantine_left = r.u32()?;
         if quarantine_left > 1_000 {
             return Err(format!("implausible quarantine counter {quarantine_left}"));
         }
-        let quarantines = take_u64(bytes, &mut pos)?;
-        let prior = TreePrior::decode_from(bytes, &mut pos)?;
+        let quarantines = r.u64()?;
+        let prior = TreePrior::read(&mut r)?;
         if prior.num_tables != n_tables {
             return Err(format!(
                 "prior covers {} tables, entry lists {n_tables}",
@@ -143,73 +160,18 @@ pub(super) fn decode_entries(bytes: &[u8]) -> Result<Vec<PersistedEntry>, String
             },
         });
     }
-    if pos != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after last entry",
-            bytes.len() - pos
-        ));
-    }
+    r.finish()?;
     Ok(out)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn put_opt_f64(w: &mut Writer, v: Option<f64>) {
+    w.u8(v.is_some() as u8);
+    w.f64(v.unwrap_or(0.0));
 }
 
-fn put_str16(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    out.push(v.is_some() as u8);
-    out.extend_from_slice(&v.unwrap_or(0.0).to_bits().to_le_bytes());
-}
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], String> {
-    let s = bytes
-        .get(*pos..*pos + n)
-        .ok_or_else(|| "truncated prior payload".to_string())?;
-    *pos += n;
-    Ok(s)
-}
-
-fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
-    Ok(take(bytes, pos, 1)?[0])
-}
-
-fn take_u16(bytes: &[u8], pos: &mut usize) -> Result<u16, String> {
-    Ok(u16::from_le_bytes(take(bytes, pos, 2)?.try_into().unwrap()))
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    Ok(u32::from_le_bytes(take(bytes, pos, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(take(bytes, pos, 8)?.try_into().unwrap()))
-}
-
-fn take_str(bytes: &[u8], pos: &mut usize, max: usize) -> Result<String, String> {
-    let len = take_u32(bytes, pos)? as usize;
-    if len > max {
-        return Err(format!("string length {len} exceeds cap {max}"));
-    }
-    String::from_utf8(take(bytes, pos, len)?.to_vec()).map_err(|_| "invalid utf-8".to_string())
-}
-
-fn take_str16(bytes: &[u8], pos: &mut usize, max: usize) -> Result<String, String> {
-    let len = take_u16(bytes, pos)? as usize;
-    if len > max {
-        return Err(format!("string length {len} exceeds cap {max}"));
-    }
-    String::from_utf8(take(bytes, pos, len)?.to_vec()).map_err(|_| "invalid utf-8".to_string())
-}
-
-fn take_opt_f64(bytes: &[u8], pos: &mut usize) -> Result<Option<f64>, String> {
-    let tag = take_u8(bytes, pos)?;
-    let v = f64::from_bits(take_u64(bytes, pos)?);
+fn get_opt_f64(r: &mut Reader) -> Result<Option<f64>, String> {
+    let tag = r.u8()?;
+    let v = r.f64()?;
     match tag {
         0 => Ok(None),
         1 if v.is_finite() && v >= 0.0 => Ok(Some(v)),

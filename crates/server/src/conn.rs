@@ -45,6 +45,10 @@ const TRACE_SPANS: usize = 64;
 /// [`Request::Profile`] retrieval.
 const PROFILE_BACKLOG: usize = 16;
 
+/// Reading from a connection pauses while its outbox holds more than this
+/// many bytes, until the client drains it.
+const WRITE_HIGHWATER: usize = 4 * 1024 * 1024;
+
 /// Longest a shard's event loop sleeps without an event.
 const TICK: Duration = Duration::from_millis(500);
 
@@ -166,7 +170,7 @@ impl ConnState {
         !self.closing
             && !self.dead
             && self.inflight < self.inflight_cap(shared)
-            && self.pending_out() <= shared.cfg.write_highwater
+            && self.pending_out() <= WRITE_HIGHWATER
     }
 
     fn push_resp(&mut self, tag: Option<u32>, resp: Response) {
@@ -725,7 +729,6 @@ fn handle_query(shared: &Arc<Shared>, conn: &mut ConnState, tag: Option<u32>, sq
                     &mut conn.outbox,
                     tag,
                     conn.output,
-                    shared.cfg.rows_per_batch,
                     table,
                     QuerySummary::default(),
                 );

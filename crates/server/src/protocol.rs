@@ -4,11 +4,12 @@
 //! followed by the payload, whose first byte is the message tag. Integers
 //! are little-endian; strings are a `u32` byte length plus UTF-8 bytes;
 //! values are a one-byte type tag (1 = int, 2 = float, 3 = string)
-//! followed by the scalar. Frames are capped at [`MAX_FRAME`] bytes — a
-//! peer announcing a larger frame is a protocol error, never an
-//! allocation (payloads are read incrementally in bounded chunks, so a
-//! hostile length prefix cannot force a large up-front allocation
-//! either).
+//! followed by the scalar. The primitives read and write through
+//! `skinner_storage::codec`; the value tagging lives here. Frames are
+//! capped at [`MAX_FRAME`] bytes — a peer announcing a larger frame is a
+//! protocol error, never an allocation (payloads are read incrementally in
+//! bounded chunks, so a hostile length prefix cannot force a large
+//! up-front allocation either).
 //!
 //! The protocol pipelines statements: a client may wrap requests in
 //! [`Request::Tagged`] and keep several in flight on one connection; each
@@ -38,6 +39,7 @@
 
 use std::io::{Read, Write};
 
+use skinnerdb::skinner_storage::codec::{CodecError, Reader, Writer};
 use skinnerdb::Value;
 
 /// The one protocol version spoken by this crate (tagged pipelining,
@@ -47,6 +49,10 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// Hard cap on a single frame's payload (16 MiB). Row batches are sized
 /// well under this by the server.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
+/// Cap on one string, and on one element count: nothing longer fits a
+/// frame, since every element takes at least one byte.
+const MAX_STR: usize = MAX_FRAME as usize;
 
 /// Payloads are read (and grown) in chunks of at most this many bytes, so
 /// a hostile length prefix never forces a MAX_FRAME-sized allocation
@@ -281,162 +287,60 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Oversize(msg) => WireError::Oversize(msg),
+            e => WireError::Malformed(e.to_string()),
+        }
+    }
+}
+
 fn malformed(msg: impl Into<String>) -> WireError {
     WireError::Malformed(msg.into())
 }
 
-// ---- primitive encoders -------------------------------------------------
+// ---- values -------------------------------------------------------------
 
-/// Buffer builder with *checked* lengths: strings and element counts that
-/// do not fit `u32`/[`MAX_FRAME`] bounds record an error instead of being
-/// silently truncated by an `as u32` cast (which would emit a length
-/// prefix disagreeing with the bytes that follow and desync the peer).
-/// The first oversize condition sticks; [`Enc::finish`] surfaces it.
-struct Enc {
-    buf: Vec<u8>,
-    oversize: Option<String>,
-}
-
-impl Enc {
-    fn new(tag: u8) -> Self {
-        Enc {
-            buf: vec![tag],
-            oversize: None,
+#[inline]
+fn put_value(w: &mut Writer, v: &Value) {
+    match v {
+        Value::Int(i) => {
+            w.u8(1);
+            w.i64(*i);
         }
-    }
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn u16(&mut self, x: u16) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn f64(&mut self, x: f64) {
-        self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-    /// Record an element count as `u32`, refusing counts that don't fit.
-    fn count(&mut self, n: usize, what: &str) -> u32 {
-        match u32::try_from(n) {
-            Ok(x) => {
-                self.u32(x);
-                x
-            }
-            Err(_) => {
-                self.fail(format!("{what} count {n} exceeds u32"));
-                self.u32(0);
-                0
-            }
+        Value::Float(x) => {
+            w.u8(2);
+            w.f64(*x);
         }
-    }
-    fn str(&mut self, s: &str) {
-        if s.len() > MAX_FRAME as usize {
-            self.fail(format!(
-                "string of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
-                s.len()
-            ));
-            self.u32(0);
-            return;
-        }
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Int(i) => {
-                self.u8(1);
-                self.u64(*i as u64);
-            }
-            Value::Float(x) => {
-                self.u8(2);
-                self.f64(*x);
-            }
-            Value::Str(s) => {
-                self.u8(3);
-                self.str(s);
-            }
-        }
-    }
-    fn fail(&mut self, msg: String) {
-        self.oversize.get_or_insert(msg);
-    }
-    fn finish(self) -> Result<Vec<u8>, WireError> {
-        match self.oversize {
-            None => Ok(self.buf),
-            Some(msg) => Err(WireError::Oversize(msg)),
+        Value::Str(s) => {
+            w.u8(3);
+            w.str(s, MAX_STR);
         }
     }
 }
 
-// ---- primitive decoders -------------------------------------------------
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+#[inline]
+fn get_value(r: &mut Reader) -> Result<Value, WireError> {
+    match r.u8()? {
+        1 => Ok(Value::Int(r.i64()?)),
+        2 => Ok(Value::Float(r.f64()?)),
+        3 => Ok(Value::from(r.str(MAX_STR)?.as_str())),
+        t => Err(malformed(format!("unknown value tag {t}"))),
+    }
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+fn put_columns(w: &mut Writer, columns: &[String]) {
+    w.count(columns.len(), MAX_STR, "column");
+    for c in columns {
+        w.str(c, MAX_STR);
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| malformed("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string is not UTF-8"))
-    }
-    fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
-            1 => Ok(Value::Int(self.u64()? as i64)),
-            2 => Ok(Value::Float(self.f64()?)),
-            3 => Ok(Value::from(self.str()?.as_str())),
-            t => Err(malformed(format!("unknown value tag {t}"))),
-        }
-    }
-    /// Everything not yet consumed (used by the envelope codecs).
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed("trailing bytes in payload"))
-        }
-    }
+}
+
+fn get_columns(r: &mut Reader) -> Result<Vec<String>, WireError> {
+    Ok((0..r.u32()?)
+        .map(|_| r.str(MAX_STR))
+        .collect::<Result<_, _>>()?)
 }
 
 // ---- framing ------------------------------------------------------------
@@ -535,10 +439,10 @@ impl FrameBuffer {
 
 impl Request {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut e;
+        let mut e = Writer::default();
         match self {
             Request::Hello { version } => {
-                e = Enc::new(0x01);
+                e.u8(0x01);
                 e.u32(*version);
             }
             Request::Tagged { tag, req } => {
@@ -548,47 +452,47 @@ impl Request {
                     ));
                 }
                 let inner = req.encode()?;
-                e = Enc::new(0x10);
+                e.u8(0x10);
                 e.u32(*tag);
-                e.raw(&inner);
+                e.bytes(&inner);
             }
             Request::Query { sql } => {
-                e = Enc::new(0x02);
-                e.str(sql);
+                e.u8(0x02);
+                e.str(sql, MAX_STR);
             }
             Request::Prepare { sql } => {
-                e = Enc::new(0x03);
-                e.str(sql);
+                e.u8(0x03);
+                e.str(sql, MAX_STR);
             }
             Request::Execute { id } => {
-                e = Enc::new(0x04);
+                e.u8(0x04);
                 e.u32(*id);
             }
             Request::Close { id } => {
-                e = Enc::new(0x05);
+                e.u8(0x05);
                 e.u32(*id);
             }
             Request::Set { key, value } => {
-                e = Enc::new(0x06);
-                e.str(key);
-                e.str(value);
+                e.u8(0x06);
+                e.str(key, MAX_STR);
+                e.str(value, MAX_STR);
             }
             Request::Cancel { conn_id, key } => {
-                e = Enc::new(0x07);
+                e.u8(0x07);
                 e.u64(*conn_id);
                 e.u64(*key);
             }
-            Request::Shutdown => e = Enc::new(0x08),
+            Request::Shutdown => e.u8(0x08),
             Request::Profile { key } => {
-                e = Enc::new(0x09);
+                e.u8(0x09);
                 e.u64(*key);
             }
         }
-        e.finish()
+        Ok(e.finish()?)
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut d = Dec::new(payload);
+        let mut d = Reader::new(payload);
         let req = match d.u8()? {
             0x01 => Request::Hello { version: d.u32()? },
             0x10 => {
@@ -602,13 +506,17 @@ impl Request {
                     req: Box::new(inner),
                 }
             }
-            0x02 => Request::Query { sql: d.str()? },
-            0x03 => Request::Prepare { sql: d.str()? },
+            0x02 => Request::Query {
+                sql: d.str(MAX_STR)?,
+            },
+            0x03 => Request::Prepare {
+                sql: d.str(MAX_STR)?,
+            },
             0x04 => Request::Execute { id: d.u32()? },
             0x05 => Request::Close { id: d.u32()? },
             0x06 => Request::Set {
-                key: d.str()?,
-                value: d.str()?,
+                key: d.str(MAX_STR)?,
+                value: d.str(MAX_STR)?,
             },
             0x07 => Request::Cancel {
                 conn_id: d.u64()?,
@@ -635,7 +543,7 @@ impl Request {
 
 impl Response {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut e;
+        let mut e = Writer::default();
         match self {
             Response::HelloOk {
                 version,
@@ -643,7 +551,7 @@ impl Response {
                 cancel_key,
                 max_inflight,
             } => {
-                e = Enc::new(0x81);
+                e.u8(0x81);
                 e.u32(*version);
                 e.u64(*conn_id);
                 e.u64(*cancel_key);
@@ -656,80 +564,74 @@ impl Response {
                     ));
                 }
                 let inner = resp.encode()?;
-                e = Enc::new(0x90);
+                e.u8(0x90);
                 e.u32(*tag);
-                e.raw(&inner);
+                e.bytes(&inner);
             }
-            Response::Ok => e = Enc::new(0x82),
+            Response::Ok => e.u8(0x82),
             Response::PrepareOk { id, columns } => {
-                e = Enc::new(0x83);
+                e.u8(0x83);
                 e.u32(*id);
-                e.count(columns.len(), "column");
-                for c in columns {
-                    e.str(c);
-                }
+                put_columns(&mut e, columns);
             }
             Response::RowHeader { columns } => {
-                e = Enc::new(0x84);
-                e.count(columns.len(), "column");
-                for c in columns {
-                    e.str(c);
-                }
+                e.u8(0x84);
+                put_columns(&mut e, columns);
             }
             Response::RowBatch { rows } => {
-                e = Enc::new(0x85);
-                e.count(rows.len(), "row");
+                e.u8(0x85);
+                e.count(rows.len(), MAX_STR, "row");
                 for row in rows {
-                    e.count(row.len(), "value");
+                    e.count(row.len(), MAX_STR, "value");
                     for v in row {
-                        e.value(v);
+                        put_value(&mut e, v);
                     }
                 }
             }
             Response::Done { summary } => {
-                e = Enc::new(0x86);
+                e.u8(0x86);
                 e.u64(summary.work_units);
                 e.u64(summary.wall_micros);
-                e.count(summary.statements.len(), "statement");
+                e.count(summary.statements.len(), MAX_STR, "statement");
                 for s in &summary.statements {
                     e.u64(s.rows);
                     e.u64(s.work_units);
                     e.u64(s.wall_micros);
                     e.u64(s.slices);
-                    e.count(s.order.len(), "join-order entry");
+                    e.count(s.order.len(), MAX_STR, "join-order entry");
                     for &t in &s.order {
                         e.u32(t);
                     }
                 }
             }
             Response::Text { text } => {
-                e = Enc::new(0x87);
-                e.str(text);
+                e.u8(0x87);
+                e.str(text, MAX_STR);
             }
             Response::Error { code, message } => {
-                e = Enc::new(0x88);
+                e.u8(0x88);
                 e.u16(*code as u16);
-                e.str(message);
+                e.str(message, MAX_STR);
             }
             Response::Profile(profile) => {
-                e = Enc::new(0x89);
+                e.u8(0x89);
                 e.u64(profile.total_ns);
                 e.u64(profile.dropped);
-                e.count(profile.spans.len(), "span");
+                e.count(profile.spans.len(), MAX_STR, "span");
                 for s in &profile.spans {
-                    e.str(&s.stage);
-                    e.str(&s.label);
+                    e.str(&s.stage, MAX_STR);
+                    e.str(&s.label, MAX_STR);
                     e.u64(s.start_ns);
                     e.u64(s.dur_ns);
                     e.u64(s.detail);
                 }
             }
         }
-        e.finish()
+        Ok(e.finish()?)
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut d = Dec::new(payload);
+        let mut d = Reader::new(payload);
         let resp = match d.u8()? {
             0x81 => Response::HelloOk {
                 version: d.u32()?,
@@ -749,23 +651,13 @@ impl Response {
                 }
             }
             0x82 => Response::Ok,
-            0x83 => {
-                let id = d.u32()?;
-                let n = d.u32()? as usize;
-                let mut columns = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    columns.push(d.str()?);
-                }
-                Response::PrepareOk { id, columns }
-            }
-            0x84 => {
-                let n = d.u32()? as usize;
-                let mut columns = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    columns.push(d.str()?);
-                }
-                Response::RowHeader { columns }
-            }
+            0x83 => Response::PrepareOk {
+                id: d.u32()?,
+                columns: get_columns(&mut d)?,
+            },
+            0x84 => Response::RowHeader {
+                columns: get_columns(&mut d)?,
+            },
             0x85 => {
                 let n = d.u32()? as usize;
                 let mut rows = Vec::with_capacity(n.min(ROWS_PER_BATCH * 4));
@@ -773,7 +665,7 @@ impl Response {
                     let w = d.u32()? as usize;
                     let mut row = Vec::with_capacity(w.min(4096));
                     for _ in 0..w {
-                        row.push(d.value()?);
+                        row.push(get_value(&mut d)?);
                     }
                     rows.push(row);
                 }
@@ -785,21 +677,12 @@ impl Response {
                 let n = d.u32()? as usize;
                 let mut statements = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let rows = d.u64()?;
-                    let work_units = d.u64()?;
-                    let wall_micros = d.u64()?;
-                    let slices = d.u64()?;
-                    let k = d.u32()? as usize;
-                    let mut order = Vec::with_capacity(k.min(4096));
-                    for _ in 0..k {
-                        order.push(d.u32()?);
-                    }
                     statements.push(StatementSummary {
-                        rows,
-                        work_units,
-                        wall_micros,
-                        slices,
-                        order,
+                        rows: d.u64()?,
+                        work_units: d.u64()?,
+                        wall_micros: d.u64()?,
+                        slices: d.u64()?,
+                        order: (0..d.u32()?).map(|_| d.u32()).collect::<Result<_, _>>()?,
                     });
                 }
                 Response::Done {
@@ -810,10 +693,12 @@ impl Response {
                     },
                 }
             }
-            0x87 => Response::Text { text: d.str()? },
+            0x87 => Response::Text {
+                text: d.str(MAX_STR)?,
+            },
             0x88 => {
                 let code = d.u16()?;
-                let message = d.str()?;
+                let message = d.str(MAX_STR)?;
                 Response::Error {
                     code: ErrorCode::from_u16(code)
                         .ok_or_else(|| malformed(format!("unknown error code {code}")))?,
@@ -827,8 +712,8 @@ impl Response {
                 let mut spans = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
                     spans.push(ProfileSpan {
-                        stage: d.str()?,
-                        label: d.str()?,
+                        stage: d.str(MAX_STR)?,
+                        label: d.str(MAX_STR)?,
                         start_ns: d.u64()?,
                         dur_ns: d.u64()?,
                         detail: d.u64()?,
@@ -1042,9 +927,10 @@ mod tests {
         assert!(read_frame(&mut huge.as_slice()).is_err());
         // Unknown error code.
         assert!(Response::decode(&{
-            let mut e = Enc::new(0x88);
+            let mut e = Writer::default();
+            e.u8(0x88);
             e.u16(999);
-            e.str("x");
+            e.str("x", MAX_STR);
             e.finish().unwrap()
         })
         .is_err());
@@ -1058,12 +944,14 @@ mod tests {
         };
         assert!(nested.encode().is_err());
         // Build the nested bytes by hand (encode refuses to).
-        let mut hand_rolled = Enc::new(0x10);
+        let mut hand_rolled = Writer::default();
+        hand_rolled.u8(0x10);
         hand_rolled.u32(1);
-        let mut innermost = Enc::new(0x10);
+        let mut innermost = Writer::default();
+        innermost.u8(0x10);
         innermost.u32(2);
-        innermost.raw(&Request::Shutdown.encode().unwrap());
-        hand_rolled.raw(&innermost.finish().unwrap());
+        innermost.bytes(&Request::Shutdown.encode().unwrap());
+        hand_rolled.bytes(&innermost.finish().unwrap());
         assert!(Request::decode(&hand_rolled.finish().unwrap()).is_err());
     }
 

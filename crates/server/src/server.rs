@@ -59,8 +59,6 @@ pub struct ServerConfig {
     /// path; embedders running in-process may prefer to disable it and
     /// call [`Server::shutdown`] themselves).
     pub allow_remote_shutdown: bool,
-    /// Rows per `RowBatch` frame.
-    pub rows_per_batch: usize,
     /// Connection-shard event loops; `0` = auto (min(4, cores)).
     pub shards: usize,
     /// Pipelined statements a connection may keep in flight at once
@@ -69,9 +67,6 @@ pub struct ServerConfig {
     /// Close connections idle (no traffic, nothing in flight) longer than
     /// this; `None` disables reaping.
     pub idle_timeout: Option<Duration>,
-    /// Pause reading from a connection whose outbox exceeds this many
-    /// bytes until the client drains it.
-    pub write_highwater: usize,
     /// Serve the telemetry registry as Prometheus text on this address
     /// (`--metrics-addr`); `None` disables the endpoint.
     pub metrics_addr: Option<String>,
@@ -87,11 +82,9 @@ impl Default for ServerConfig {
             max_connections: 256,
             admission: AdmissionConfig::default(),
             allow_remote_shutdown: true,
-            rows_per_batch: ROWS_PER_BATCH,
             shards: 0,
             max_inflight_per_conn: DEFAULT_MAX_INFLIGHT,
             idle_timeout: Some(Duration::from_secs(300)),
-            write_highwater: 4 * 1024 * 1024,
             metrics_addr: None,
             slow_query_ms: None,
         }
@@ -763,14 +756,7 @@ fn execute(shared: &Shared, job: &Job, out: &mut Vec<u8>) {
             let summary = summarize(&script);
             let ScriptOutcome { result, .. } = script;
             let enc_timer = SpanTimer::start(ctx.trace(), "encode_flush");
-            write_result_frames(
-                out,
-                tag,
-                job.output,
-                shared.cfg.rows_per_batch,
-                result,
-                summary,
-            );
+            write_result_frames(out, tag, job.output, result, summary);
             enc_timer.finish(out.len() as u64);
         }
     }
@@ -920,7 +906,6 @@ pub(crate) fn write_result_frames(
     out: &mut Vec<u8>,
     tag: Option<u32>,
     output: OutputMode,
-    rows_per_batch: usize,
     result: QueryResult,
     summary: QuerySummary,
 ) {
@@ -973,7 +958,7 @@ pub(crate) fn write_result_frames(
                     })
                     .sum::<usize>();
                 if !batch.is_empty()
-                    && (batch.len() >= rows_per_batch || batch_bytes + row_bytes > byte_budget)
+                    && (batch.len() >= ROWS_PER_BATCH || batch_bytes + row_bytes > byte_budget)
                 {
                     let frame = Response::RowBatch {
                         rows: std::mem::take(&mut batch),

@@ -27,6 +27,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -73,6 +74,14 @@ impl std::fmt::Debug for DiskStore {
             .field("tables", &self.table_names())
             .finish()
     }
+}
+
+/// Create `path` holding `bytes` and fsync it.
+pub(super) fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), DiskError> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    Ok(())
 }
 
 /// Best-effort directory fsync: required on Linux for rename durability;
@@ -159,14 +168,23 @@ impl DiskStore {
             let e = &state.tables[name];
             text.push_str(&format!("table {name} {} {}\n", e.file, e.rows));
         }
-        let tmp = self.dir.join(format!("{MANIFEST}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            use std::io::Write;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
+        self.commit_file(MANIFEST, |tmp| write_synced(tmp, text.as_bytes()))
+    }
+
+    /// Commit every data-directory file: `write` creates, fills and
+    /// fsyncs `<file>.tmp`, which is renamed over `file` and the directory
+    /// fsync'd. A failed `write` removes the temp file.
+    pub(super) fn commit_file(
+        &self,
+        file: &str,
+        write: impl FnOnce(&Path) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        let tmp = self.dir.join(format!("{file}.tmp"));
+        if let Err(e) = write(&tmp) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        fs::rename(&tmp, self.dir.join(MANIFEST))?;
+        fs::rename(&tmp, self.dir.join(file))?;
         sync_dir(&self.dir);
         Ok(())
     }
@@ -267,22 +285,13 @@ impl DiskStore {
         let mut state = self.state.lock();
         state.seq += 1;
         let final_name = format!("{key}.{}.seg", state.seq);
-        let tmp = self.dir.join(format!("{final_name}.tmp"));
-        let mut w = SegmentWriter::create(&tmp, schema, page_rows)?;
-        if let Err(e) = fill(&mut w).and(Ok(())) {
-            drop(w);
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        let rows = match w.finish() {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        fs::rename(&tmp, self.dir.join(&final_name))?;
-        sync_dir(&self.dir);
+        let mut rows = 0;
+        self.commit_file(&final_name, |tmp| {
+            let mut w = SegmentWriter::create(tmp, schema, page_rows)?;
+            fill(&mut w)?;
+            rows = w.finish()?;
+            Ok(())
+        })?;
         let old = state.tables.insert(
             key,
             Entry {

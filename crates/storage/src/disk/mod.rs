@@ -33,6 +33,7 @@ pub use manifest::DiskStore;
 pub use segment::{read_segment, OpenedSegment, SegmentWriter, PAGE_ROWS};
 pub use zonemap::{ZoneCol, ZoneMap};
 
+use crate::codec::CodecError;
 use crate::csv::CsvError;
 use std::fmt;
 
@@ -82,6 +83,12 @@ impl std::error::Error for DiskError {}
 impl From<std::io::Error> for DiskError {
     fn from(e: std::io::Error) -> Self {
         DiskError::Io(e)
+    }
+}
+
+impl From<CodecError> for DiskError {
+    fn from(e: CodecError) -> Self {
+        DiskError::Corrupt(e.to_string())
     }
 }
 

@@ -8,6 +8,7 @@
 //! `-0.0` included). Every encoding is self-describing via a one-byte tag;
 //! the row count comes from the segment's page directory.
 
+use crate::codec::Reader;
 use crate::disk::DiskError;
 
 /// Decoded page payload. Strings appear as per-segment dictionary codes;
@@ -151,113 +152,83 @@ pub(crate) fn encode_float(v: &[f64], out: &mut Vec<u8>) {
     }
 }
 
-fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], DiskError> {
-    if bytes.len() < n {
-        return Err(corrupt("truncated"));
-    }
-    let (head, rest) = bytes.split_at(n);
-    *bytes = rest;
-    Ok(head)
-}
-
-fn read_i64(bytes: &mut &[u8]) -> Result<i64, DiskError> {
-    Ok(i64::from_le_bytes(take(bytes, 8)?.try_into().unwrap()))
-}
-
-fn read_u32(bytes: &mut &[u8]) -> Result<u32, DiskError> {
-    Ok(u32::from_le_bytes(take(bytes, 4)?.try_into().unwrap()))
-}
-
 /// Decode an int page of `rows` rows.
-pub fn decode_int(mut bytes: &[u8], rows: usize) -> Result<Vec<i64>, DiskError> {
-    let tag = *take(&mut bytes, 1)?.first().unwrap();
-    let out = match tag {
-        TAG_CONST => {
-            let v = read_i64(&mut bytes)?;
-            vec![v; rows]
-        }
+pub fn decode_int(bytes: &[u8], rows: usize) -> Result<Vec<i64>, DiskError> {
+    let mut r = Reader::new(bytes);
+    let out = match r.u8()? {
+        TAG_CONST => vec![r.i64()?; rows],
         TAG_FOR_U8 => {
-            let base = read_i64(&mut bytes)? as i128;
-            take(&mut bytes, rows)?
+            let base = r.i64()? as i128;
+            r.take(rows)?
                 .iter()
                 .map(|&d| (base + d as i128) as i64)
                 .collect()
         }
         TAG_FOR_U16 => {
-            let base = read_i64(&mut bytes)? as i128;
-            take(&mut bytes, rows * 2)?
+            let base = r.i64()? as i128;
+            r.take(rows * 2)?
                 .chunks_exact(2)
                 .map(|c| (base + u16::from_le_bytes(c.try_into().unwrap()) as i128) as i64)
                 .collect()
         }
         TAG_FOR_U32 => {
-            let base = read_i64(&mut bytes)? as i128;
-            take(&mut bytes, rows * 4)?
+            let base = r.i64()? as i128;
+            r.take(rows * 4)?
                 .chunks_exact(4)
                 .map(|c| (base + u32::from_le_bytes(c.try_into().unwrap()) as i128) as i64)
                 .collect()
         }
-        TAG_RAW => take(&mut bytes, rows * 8)?
+        TAG_RAW => r
+            .take(rows * 8)?
             .chunks_exact(8)
             .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
             .collect(),
         t => return Err(corrupt(&format!("unknown int tag {t}"))),
     };
-    finish(bytes, out)
+    r.finish()?;
+    Ok(out)
 }
 
 /// Decode a dictionary-code page of `rows` rows.
-pub fn decode_codes(mut bytes: &[u8], rows: usize) -> Result<Vec<u32>, DiskError> {
-    let tag = *take(&mut bytes, 1)?.first().unwrap();
-    let out = match tag {
-        TAG_CONST => {
-            let v = read_u32(&mut bytes)?;
-            vec![v; rows]
-        }
+pub fn decode_codes(bytes: &[u8], rows: usize) -> Result<Vec<u32>, DiskError> {
+    let mut r = Reader::new(bytes);
+    let out = match r.u8()? {
+        TAG_CONST => vec![r.u32()?; rows],
         TAG_FOR_U8 => {
-            let base = read_u32(&mut bytes)?;
-            take(&mut bytes, rows)?
-                .iter()
-                .map(|&d| base + d as u32)
-                .collect()
+            let base = r.u32()?;
+            r.take(rows)?.iter().map(|&d| base + d as u32).collect()
         }
         TAG_FOR_U16 => {
-            let base = read_u32(&mut bytes)?;
-            take(&mut bytes, rows * 2)?
+            let base = r.u32()?;
+            r.take(rows * 2)?
                 .chunks_exact(2)
                 .map(|c| base + u16::from_le_bytes(c.try_into().unwrap()) as u32)
                 .collect()
         }
-        TAG_RAW => take(&mut bytes, rows * 4)?
+        TAG_RAW => r
+            .take(rows * 4)?
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect(),
         t => return Err(corrupt(&format!("unknown code tag {t}"))),
     };
-    finish(bytes, out)
+    r.finish()?;
+    Ok(out)
 }
 
 /// Decode a float page of `rows` rows.
-pub fn decode_float(mut bytes: &[u8], rows: usize) -> Result<Vec<f64>, DiskError> {
-    let tag = *take(&mut bytes, 1)?.first().unwrap();
-    let out = match tag {
-        TAG_CONST => {
-            let v = f64::from_le_bytes(take(&mut bytes, 8)?.try_into().unwrap());
-            vec![v; rows]
-        }
-        TAG_RAW => take(&mut bytes, rows * 8)?
+pub fn decode_float(bytes: &[u8], rows: usize) -> Result<Vec<f64>, DiskError> {
+    let mut r = Reader::new(bytes);
+    let out = match r.u8()? {
+        TAG_CONST => vec![r.f64()?; rows],
+        TAG_RAW => r
+            .take(rows * 8)?
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect(),
         t => return Err(corrupt(&format!("unknown float tag {t}"))),
     };
-    finish(bytes, out)
-}
-
-fn finish<T>(rest: &[u8], out: Vec<T>) -> Result<Vec<T>, DiskError> {
-    if !rest.is_empty() {
-        return Err(corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(out)
 }
 

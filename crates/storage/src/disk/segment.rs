@@ -27,6 +27,7 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use crate::codec::{Reader, Writer};
 use crate::column::Column;
 use crate::disk::mmap::Mmap;
 use crate::disk::page;
@@ -314,53 +315,51 @@ impl SegmentWriter {
         self.flush_pages()?;
         let footer_offset = self.out.len;
         // -- footer --
-        let mut f = Vec::new();
-        f.extend_from_slice(&self.nrows.to_le_bytes());
-        f.extend_from_slice(&(self.page_rows as u32).to_le_bytes());
-        f.extend_from_slice(&(self.schema.len() as u32).to_le_bytes());
+        let mut f = Writer::default();
+        f.u64(self.nrows);
+        f.count(self.page_rows, usize::MAX, "page_rows");
+        f.count(self.schema.len(), usize::MAX, "column");
         for field in self.schema.fields() {
-            let name = field.name.as_bytes();
-            f.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            f.extend_from_slice(name);
-            f.push(dtype_tag(field.dtype));
+            f.str16(&field.name, u16::MAX as usize);
+            f.u8(dtype_tag(field.dtype));
         }
         let mut dict = vec![""; self.dict.len()];
         for (s, &c) in &self.dict {
             dict[c as usize] = s;
         }
-        f.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+        f.count(dict.len(), usize::MAX, "dictionary entry");
         for s in dict {
-            f.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            f.extend_from_slice(s.as_bytes());
+            f.str(s, usize::MAX);
         }
         for (col, entries) in self.directory.iter().enumerate() {
-            f.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            f.count(entries.len(), usize::MAX, "page");
             for e in entries {
-                f.extend_from_slice(&e.offset.to_le_bytes());
-                f.extend_from_slice(&e.len.to_le_bytes());
-                f.extend_from_slice(&e.rows.to_le_bytes());
+                f.u64(e.offset);
+                f.u32(e.len);
+                f.u32(e.rows);
             }
             match &self.zones[col] {
                 ZoneCol::Int(z) => {
                     for &(lo, hi) in z {
-                        f.extend_from_slice(&lo.to_le_bytes());
-                        f.extend_from_slice(&hi.to_le_bytes());
+                        f.i64(lo);
+                        f.i64(hi);
                     }
                 }
                 ZoneCol::Float(z) => {
                     for &(lo, hi) in z {
-                        f.extend_from_slice(&lo.to_le_bytes());
-                        f.extend_from_slice(&hi.to_le_bytes());
+                        f.f64(lo);
+                        f.f64(hi);
                     }
                 }
                 ZoneCol::Str(z) => {
                     for &(lo, hi) in z {
-                        f.extend_from_slice(&lo.to_le_bytes());
-                        f.extend_from_slice(&hi.to_le_bytes());
+                        f.u32(lo);
+                        f.u32(hi);
                     }
                 }
             }
         }
+        let f = f.finish()?;
         self.out.put(&f)?;
         self.out.put(&footer_offset.to_le_bytes())?;
         // The checksum covers everything before it, including footer_offset.
@@ -375,48 +374,6 @@ impl SegmentWriter {
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DiskError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| DiskError::Corrupt("footer truncated".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DiskError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DiskError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DiskError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DiskError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DiskError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DiskError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
 
 /// What a segment open yields: a fully decoded, zone-mapped table plus
 /// read statistics.
@@ -451,25 +408,25 @@ pub fn read_segment(
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(DiskError::Corrupt(format!("{}: bad magic", path.display())));
     }
-    let stored_hash = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    let mut tail = Reader::new(&bytes[bytes.len() - 16..]);
+    let (footer_offset, stored_hash) = (tail.u64()?, tail.u64()?);
     if fnv1a64(&bytes[..bytes.len() - 8]) != stored_hash {
         return Err(DiskError::Corrupt(format!(
             "{}: checksum mismatch (torn or truncated write)",
             path.display()
         )));
     }
-    let footer_offset =
-        u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap()) as usize;
+    let footer_offset = usize::try_from(footer_offset).unwrap_or(usize::MAX);
     if footer_offset < MAGIC.len() || footer_offset > bytes.len() - 16 {
         return Err(DiskError::Corrupt(format!(
             "{}: footer offset out of range",
             path.display()
         )));
     }
-    let mut cur = Cursor {
-        bytes: &bytes[..bytes.len() - 16],
-        pos: footer_offset,
-    };
+    // Counts read from the footer size no allocation past what it can hold:
+    // a field takes at least 3 bytes, a dictionary entry 4, a page entry 16.
+    let footer = &bytes[footer_offset..bytes.len() - 16];
+    let mut cur = Reader::new(footer);
     let nrows = usize::try_from(cur.u64()?)
         .map_err(|_| DiskError::Corrupt("row count exceeds usize".into()))?;
     let page_rows = cur.u32()? as usize;
@@ -477,18 +434,15 @@ pub fn read_segment(
         return Err(DiskError::Corrupt("page_rows is zero".into()));
     }
     let ncols = cur.u32()? as usize;
-    let mut fields = Vec::with_capacity(ncols);
+    let mut fields = Vec::with_capacity(ncols.min(footer.len() / 3));
     for _ in 0..ncols {
-        let name_len = cur.u16()? as usize;
-        let name = std::str::from_utf8(cur.take(name_len)?)
-            .map_err(|_| DiskError::Corrupt("column name not utf-8".into()))?
-            .to_string();
+        let name = cur.str16(u16::MAX as usize)?;
         let dtype = dtype_from_tag(cur.u8()?)?;
         fields.push(Field { name, dtype });
     }
     // Per-segment dictionary → catalog interner codes.
     let dict_count = cur.u32()? as usize;
-    let mut remap = Vec::with_capacity(dict_count);
+    let mut remap = Vec::with_capacity(dict_count.min(footer.len() / 4));
     for _ in 0..dict_count {
         let len = cur.u32()? as usize;
         let s = std::str::from_utf8(cur.take(len)?)
@@ -507,7 +461,7 @@ pub fn read_segment(
                 field.name
             )));
         }
-        let mut entries = Vec::with_capacity(npages);
+        let mut entries = Vec::with_capacity(npages.min(footer.len() / 16));
         for _ in 0..npages {
             let offset = cur.u64()? as usize;
             let len = cur.u32()? as usize;
@@ -696,6 +650,40 @@ mod tests {
         match read_segment(&p, "t", &interner) {
             Err(DiskError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected corruption error, got {other:?}"),
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A checksummed footer announcing billions of columns, dictionary
+    /// entries or pages is refused, not turned into an allocation.
+    #[test]
+    fn hostile_footer_counts_are_refused_not_allocated() {
+        let p = tmp_path("hostile_counts");
+        let le = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let one_int_column = [&le(&[1])[..], &1u16.to_le_bytes(), b"x", &[0]].concat();
+        // (nrows, footer after nrows and page_rows = 1)
+        let cases = [
+            (0, le(&[u32::MAX])),
+            (0, le(&[0, u32::MAX])),
+            (
+                u32::MAX as u64,
+                [one_int_column, le(&[0, u32::MAX])].concat(),
+            ),
+        ];
+        for (nrows, rest) in cases {
+            let mut f = MAGIC.to_vec();
+            f.extend_from_slice(&nrows.to_le_bytes());
+            f.extend_from_slice(&1u32.to_le_bytes());
+            f.extend_from_slice(&rest);
+            f.extend_from_slice(&(MAGIC.len() as u64).to_le_bytes());
+            let h = fnv1a64(&f);
+            f.extend_from_slice(&h.to_le_bytes());
+            std::fs::write(&p, &f).unwrap();
+            let interner = Arc::new(Interner::new());
+            assert!(
+                matches!(read_segment(&p, "t", &interner), Err(DiskError::Corrupt(_))),
+                "footer {rest:?}"
+            );
         }
         std::fs::remove_file(p).unwrap();
     }

@@ -24,16 +24,14 @@
 //! reference it; an interrupted sidecar write leaves only a `.side.tmp`
 //! that the sweep removes.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 
-use crate::disk::manifest::{sync_dir, valid_table_name};
+use crate::codec::{CodecError, Reader, Writer};
+use crate::disk::manifest::{sync_dir, valid_table_name, write_synced};
 use crate::disk::segment::fnv1a64;
 use crate::disk::{DiskError, DiskStore};
 
 const MAGIC: &[u8; 8] = b"SKSIDE1\n";
-const HEADER: usize = 8 + 4 + 8;
-const TRAILER: usize = 8;
 
 impl DiskStore {
     /// Atomically write (or replace) the sidecar `name` with `payload`.
@@ -43,24 +41,15 @@ impl DiskStore {
         if !valid_table_name(name) {
             return Err(DiskError::InvalidName(name.to_string()));
         }
-        let mut bytes = Vec::with_capacity(HEADER + payload.len() + TRAILER);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&version.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u32(version);
+        w.u64(payload.len() as u64);
+        w.bytes(payload);
+        let mut bytes = w.finish()?;
         let sum = fnv1a64(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
-
-        let final_path = self.dir().join(format!("{name}.side"));
-        let tmp = self.dir().join(format!("{name}.side.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        sync_dir(self.dir());
-        Ok(())
+        self.commit_file(&format!("{name}.side"), |tmp| write_synced(tmp, &bytes))
     }
 
     /// Read the sidecar `name`. Returns `Ok(None)` if it does not exist,
@@ -82,27 +71,26 @@ impl DiskStore {
             Err(e) => return Err(e.into()),
         };
         let corrupt = |what: &str| DiskError::Corrupt(format!("{}: {what}", path.display()));
-        if bytes.len() < HEADER + TRAILER {
-            return Err(corrupt("truncated (shorter than header + checksum)"));
-        }
-        if &bytes[..8] != MAGIC {
+        let codec = |e: CodecError| corrupt(&e.to_string());
+        let mut r = Reader::new(&bytes);
+        if r.take(MAGIC.len()).map_err(codec)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let version = r.u32().map_err(codec)?;
         if version != expect_version {
             return Err(corrupt(&format!(
                 "version {version}, expected {expect_version}"
             )));
         }
-        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        if bytes.len() != HEADER + len + TRAILER {
-            return Err(corrupt("payload length mismatch"));
-        }
-        let stored = u64::from_le_bytes(bytes[HEADER + len..].try_into().unwrap());
-        if fnv1a64(&bytes[..HEADER + len]) != stored {
+        let len = usize::try_from(r.u64().map_err(codec)?).unwrap_or(usize::MAX);
+        let payload = r.take(len).map_err(codec)?;
+        let summed = r.pos();
+        let stored = r.u64().map_err(codec)?;
+        r.finish().map_err(codec)?;
+        if fnv1a64(&bytes[..summed]) != stored {
             return Err(corrupt("checksum mismatch"));
         }
-        Ok(Some(bytes[HEADER..HEADER + len].to_vec()))
+        Ok(Some(payload.to_vec()))
     }
 
     /// Remove the sidecar `name` if present. Returns whether it existed.
@@ -195,6 +183,24 @@ mod tests {
         // Restore: verifies again.
         fs::write(&path, &good).unwrap();
         assert!(store.read_sidecar("priors", 1).unwrap().is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A payload length near `u64::MAX` is refused, not added into an
+    /// offset that overflows.
+    #[test]
+    fn hostile_payload_length_refused() {
+        let dir = tmp_dir("hostile_len");
+        let store = DiskStore::open(&dir).unwrap();
+        store.write_sidecar("priors", 1, b"").unwrap();
+        let path = dir.join("priors.side");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            store.read_sidecar("priors", 1),
+            Err(DiskError::Corrupt(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

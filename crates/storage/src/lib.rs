@@ -11,11 +11,14 @@
 //! * [`HashIndex`] — equality index with *sorted* posting lists, which is what
 //!   enables the "jump to the next matching tuple index" trick of the
 //!   multi-way join (paper Section 4.5),
+//! * [`codec`] — the bounds-checked little-endian reader and writer under
+//!   every binary format (wire frames, segments, sidecars, priors),
 //! * [`hash::fold_keys`] — the one key hash of every open-addressing table
 //!   keyed on column values,
 //! * [`Value`] / [`DataType`] — the scalar type system.
 
 pub mod catalog;
+pub mod codec;
 pub mod column;
 pub mod csv;
 pub mod disk;

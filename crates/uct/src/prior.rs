@@ -31,6 +31,14 @@
 //! mandatory try-every-unvisited-child sweep that cold trees pay at every
 //! node.
 
+use skinner_storage::codec::{Reader, Writer};
+
+/// Most tables a persisted prior may cover (join orders index tables by
+/// `u8` and prefixes track them in a `u64` bitset).
+pub const MAX_PRIOR_TABLES: usize = 64;
+/// Most entries a persisted prior may carry.
+const MAX_PRIOR_ENTRIES: usize = 1 << 20;
+
 /// One exported node: a join-order prefix with its accumulated statistics.
 /// The root is the empty prefix.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,54 +88,47 @@ impl TreePrior {
                 .sum::<usize>()
     }
 
-    /// Append this prior's canonical byte encoding to `out` (little-endian
-    /// throughout): `u32 num_tables`, `u32 entry count`, then per entry
-    /// `u8 prefix length` + prefix bytes + `u64 visits` + `f64 reward_sum`
-    /// (bit pattern). The encoding is the payload half of the learning
-    /// cache's on-disk format; framing, versioning and checksumming live in
-    /// the storage layer's sidecar envelope.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.num_tables as u32).to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+    /// Write this prior's canonical encoding: `u32 num_tables`, `u32 entry
+    /// count`, then per entry `u8 prefix length` + prefix bytes + `u64
+    /// visits` + `f64 reward_sum` — the payload half of the learning
+    /// cache's on-disk format (the sidecar envelope frames and checksums
+    /// it). A prior over the caps [`TreePrior::read`] enforces records
+    /// oversize in `w`.
+    pub fn write(&self, w: &mut Writer) {
+        w.count(self.num_tables, MAX_PRIOR_TABLES, "prior table");
+        w.count(self.entries.len(), MAX_PRIOR_ENTRIES, "prior entry");
         for e in &self.entries {
-            debug_assert!(e.prefix.len() <= u8::MAX as usize);
-            out.push(e.prefix.len() as u8);
-            out.extend_from_slice(&e.prefix);
-            out.extend_from_slice(&e.visits.to_le_bytes());
-            out.extend_from_slice(&e.reward_sum.to_bits().to_le_bytes());
+            w.check(e.prefix.len(), self.num_tables, "prefix length");
+            w.u8(e.prefix.len() as u8);
+            w.bytes(&e.prefix);
+            w.u64(e.visits);
+            w.f64(e.reward_sum);
         }
     }
 
-    /// Decode a prior from `bytes` starting at `*pos`, advancing `*pos`
-    /// past it. Every structural invariant is re-validated — entry counts
-    /// bounded, prefixes no longer than `num_tables` with in-range,
-    /// duplicate-free table indices, finite non-negative rewards — so a
-    /// hostile or corrupted payload is refused (`Err`) rather than
-    /// smuggled into a tree. (Join-*graph* validation still happens at
-    /// seed time, per tree; this is format validation.)
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<TreePrior, String> {
-        fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], String> {
-            let s = bytes
-                .get(*pos..*pos + n)
-                .ok_or_else(|| "truncated prior".to_string())?;
-            *pos += n;
-            Ok(s)
-        }
-        let num_tables = u32::from_le_bytes(take(bytes, pos, 4)?.try_into().unwrap()) as usize;
-        if num_tables == 0 || num_tables > 64 {
+    /// Read a prior written by [`TreePrior::write`]. Every structural
+    /// invariant is re-validated — entry counts bounded, prefixes no
+    /// longer than `num_tables` with in-range, duplicate-free table
+    /// indices, finite non-negative rewards — so a hostile or corrupted
+    /// payload is refused (`Err`) rather than smuggled into a tree.
+    /// (Join-*graph* validation still happens at seed time, per tree; this
+    /// is format validation.)
+    pub fn read(r: &mut Reader) -> Result<TreePrior, String> {
+        let num_tables = r.u32()? as usize;
+        if num_tables == 0 || num_tables > MAX_PRIOR_TABLES {
             return Err(format!("implausible table count {num_tables}"));
         }
-        let count = u32::from_le_bytes(take(bytes, pos, 4)?.try_into().unwrap()) as usize;
-        if count > 1 << 20 {
+        let count = r.u32()? as usize;
+        if count > MAX_PRIOR_ENTRIES {
             return Err(format!("implausible entry count {count}"));
         }
         let mut entries = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let len = take(bytes, pos, 1)?[0] as usize;
+            let len = r.u8()? as usize;
             if len > num_tables {
                 return Err(format!("prefix length {len} exceeds {num_tables} tables"));
             }
-            let prefix = take(bytes, pos, len)?.to_vec();
+            let prefix = r.take(len)?.to_vec();
             let mut seen = 0u64;
             for &t in &prefix {
                 if t as usize >= num_tables || seen & (1 << t) != 0 {
@@ -135,9 +136,8 @@ impl TreePrior {
                 }
                 seen |= 1 << t;
             }
-            let visits = u64::from_le_bytes(take(bytes, pos, 8)?.try_into().unwrap());
-            let reward_sum =
-                f64::from_bits(u64::from_le_bytes(take(bytes, pos, 8)?.try_into().unwrap()));
+            let visits = r.u64()?;
+            let reward_sum = r.f64()?;
             if !reward_sum.is_finite() || reward_sum < 0.0 {
                 return Err("non-finite or negative reward sum".to_string());
             }
@@ -151,6 +151,23 @@ impl TreePrior {
             num_tables,
             entries,
         })
+    }
+
+    /// Append [`TreePrior::write`]'s encoding to `out`; a prior over the
+    /// format's caps appends nothing.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::default();
+        self.write(&mut w);
+        out.extend(w.finish().unwrap_or_default());
+    }
+
+    /// [`TreePrior::read`] from `bytes` at `*pos`, advancing `*pos` past
+    /// the prior.
+    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<TreePrior, String> {
+        let mut r = Reader::new(bytes.get(*pos..).ok_or("truncated prior")?);
+        let prior = TreePrior::read(&mut r)?;
+        *pos += r.pos();
+        Ok(prior)
     }
 
     /// Sort collected entries by visits (descending) then depth and keep

@@ -224,3 +224,38 @@ fn reconfiguration_reloads_persisted_priors() {
     assert!(db.learning_cache_stats().hits >= 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The flush must never write an entry its own loader refuses. A template
+/// key over the loader's cap (here 1 500 unary conjuncts, an 18 kB key) is
+/// left out of the file; it must not take the unrelated short template's
+/// prior down with it.
+#[test]
+fn over_cap_template_key_is_left_out_not_fatal_to_the_file() {
+    let dir = fresh_dir("longkey");
+    {
+        let db = Database::open(&dir).unwrap();
+        create_tables(&db, 120);
+        db.set_learning_cache(true);
+        db.query(SQL).unwrap();
+        let conjuncts: String = (1_000..2_500)
+            .map(|k| format!(" AND f.id <> {k}"))
+            .collect();
+        db.query(&format!(
+            "SELECT f.id FROM fact f, dim1 a WHERE f.d1 = a.id{conjuncts}"
+        ))
+        .unwrap();
+        assert!(db.learning_cache_stats().published >= 2);
+        assert!(db.flush_learning_cache());
+    }
+    {
+        let db = Database::open(&dir).unwrap();
+        create_tables(&db, 120);
+        db.set_learning_cache(true);
+        let stats = db.learning_cache_stats();
+        assert_eq!(stats.load_rejected, 0, "own file refused: {stats:?}");
+        assert_eq!(stats.loaded, 1, "short template must load: {stats:?}");
+        db.query(SQL).unwrap();
+        assert!(db.learning_cache_stats().hits >= 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
