@@ -85,9 +85,7 @@ struct Sample {
 }
 
 fn measure(db: &Database, sql: &str) -> Sample {
-    let out = db
-        .run_script(sql, &skinnerdb::Strategy::default())
-        .expect("bench query must run");
+    let out = db.session().run_script(sql).expect("bench query must run");
     assert!(!out.timed_out, "disk_scan queries must not time out");
     Sample {
         wall: out.wall,

@@ -17,18 +17,20 @@
 //! the measured constant of the regret bound `tests/bakeoff.rs` asserts.
 //! Raw numbers land in `bench_reports/BENCH_optimizer_bakeoff.json`.
 
+use skinnerdb::skinner_core::{SkinnerCStrategy, SkinnerGStrategy, SkinnerHStrategy};
+use skinnerdb::skinner_exec::TraditionalStrategy;
 use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial, udf_torture, Shape};
 use skinnerdb::skinner_workloads::Workload;
-use skinnerdb::{Database, ExecOutcome, Strategy};
+use skinnerdb::{Database, ExecOutcome, ExecutionStrategy};
 
 use crate::harness::{fmt_dur, human, markdown_table, write_report, Json, Scale};
 
-fn contenders() -> Vec<Strategy> {
+fn contenders() -> Vec<Box<dyn ExecutionStrategy>> {
     vec![
-        Strategy::Traditional(Default::default()),
-        Strategy::SkinnerG(Default::default()),
-        Strategy::SkinnerH(Default::default()),
-        Strategy::SkinnerC(Default::default()),
+        Box::new(TraditionalStrategy::default()),
+        Box::new(SkinnerGStrategy::default()),
+        Box::new(SkinnerHStrategy::default()),
+        Box::new(SkinnerCStrategy::default()),
     ]
 }
 
@@ -53,9 +55,9 @@ struct Run {
     wall_us: u128,
 }
 
-fn measure(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
+fn measure(db: &Database, script: &str, strategy: &dyn ExecutionStrategy) -> ExecOutcome {
     let out = db
-        .run_script(script, strategy)
+        .run_script(script, strategy, &db.exec_context())
         .expect("bakeoff query must run");
     assert!(!out.timed_out, "{} timed out", strategy.name());
     out
@@ -111,7 +113,7 @@ pub fn run(scale: Scale) -> String {
         for q in &w.queries {
             let mut per_query = Vec::new();
             for s in &strategies {
-                let out = measure(&db, &q.script, s);
+                let out = measure(&db, &q.script, s.as_ref());
                 rows.push(vec![
                     wname.to_string(),
                     q.name.clone(),
@@ -210,7 +212,7 @@ mod tests {
         let script = &w.queries[0].script;
         let outs: Vec<ExecOutcome> = contenders()
             .iter()
-            .map(|s| measure(&db, script, s))
+            .map(|s| measure(&db, script, s.as_ref()))
             .collect();
         for o in &outs[1..] {
             assert_eq!(o.result.canonical_rows(), outs[0].result.canonical_rows());

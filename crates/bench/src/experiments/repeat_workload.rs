@@ -20,8 +20,10 @@
 //!
 //! Raw numbers land in `bench_reports/BENCH_repeat_workload.json`.
 
-use skinnerdb::skinner_core::{ParallelSkinnerConfig, SkinnerCConfig};
-use skinnerdb::{DataType, Database, Strategy, TreeCacheConfig, Value};
+use skinnerdb::skinner_core::{
+    ParallelSkinnerConfig, ParallelSkinnerStrategy, SkinnerCConfig, SkinnerCStrategy,
+};
+use skinnerdb::{DataType, Database, ExecutionStrategy, TreeCacheConfig, Value};
 
 use crate::harness::{human, markdown_table, write_report, Json, Scale};
 
@@ -98,12 +100,12 @@ struct Rep {
     wall_us: u64,
 }
 
-fn run_reps(db: &Database, strategy: &Strategy, reps: usize) -> Vec<Rep> {
+fn run_reps(db: &Database, strategy: &dyn ExecutionStrategy, reps: usize) -> Vec<Rep> {
     (0..reps)
         .map(|r| {
             let lit = 3 + (r as i64 % 5);
             let o = db
-                .run_script(&sql(lit), strategy)
+                .run_script(&sql(lit), strategy, &db.exec_context())
                 .expect("bench query must run");
             assert!(!o.timed_out, "repeat_workload query timed out");
             let counter = |name| o.metrics.counter(name).unwrap_or(0);
@@ -353,7 +355,7 @@ fn run_drift(scale: Scale, reps: usize) -> DriftOutcome {
     // finishes in a handful of episodes, leaving no headroom for a
     // misleading prior to show up as extra episodes. 50 steps puts cold
     // convergence in the tens of episodes, where order quality dominates.
-    let strategy = Strategy::SkinnerC(SkinnerCConfig {
+    let strategy = SkinnerCStrategy(SkinnerCConfig {
         slice_steps: 50,
         ..SkinnerCConfig::default()
     });
@@ -362,7 +364,7 @@ fn run_drift(scale: Scale, reps: usize) -> DriftOutcome {
     for r in 0..reps {
         let (l1, l3) = if r % 2 == 0 { (2, 300) } else { (12, 2) };
         let o = db
-            .run_script(&drift_sql(l1, l3), &strategy)
+            .run_script(&drift_sql(l1, l3), &strategy, &db.exec_context())
             .expect("drift query must run");
         assert!(!o.timed_out, "drift query timed out");
         let counter = |name| o.metrics.counter(name).unwrap_or(0);
@@ -422,7 +424,7 @@ fn run_drift(scale: Scale, reps: usize) -> DriftOutcome {
     )
     .unwrap();
     let o = db
-        .run_script(&drift_sql(2, 300), &strategy)
+        .run_script(&drift_sql(2, 300), &strategy, &db.exec_context())
         .expect("post-mutation query must run");
     let mutation_run_cold = o.metrics.counter("cache_hit").unwrap_or(0) == 0;
 
@@ -473,7 +475,7 @@ fn assert_thread_equivalence(scale: Scale) {
     let db_on = build_db(scale);
     db_on.set_learning_cache(true);
     let query = sql(5);
-    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+    let strategy = ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: 256,
         ..Default::default()
     });
@@ -482,20 +484,22 @@ fn assert_thread_equivalence(scale: Scale) {
         db_on.set_default_threads(threads);
         // Two runs on the warm side so the second actually consumes a
         // cached prior at this thread count.
-        let a = db_off.run_script(&query, &strategy).unwrap();
-        db_on.run_script(&query, &strategy).unwrap();
-        let b = db_on.run_script(&query, &strategy).unwrap();
+        let a = db_off
+            .run_script(&query, &strategy, &db_off.exec_context())
+            .unwrap();
+        db_on
+            .run_script(&query, &strategy, &db_on.exec_context())
+            .unwrap();
+        let b = db_on
+            .run_script(&query, &strategy, &db_on.exec_context())
+            .unwrap();
         assert_eq!(
             a.result.rows, b.result.rows,
             "cache on/off rows diverged at {threads} threads"
         );
     }
-    let a = db_off
-        .run_script(&query, &Strategy::SkinnerC(SkinnerCConfig::default()))
-        .unwrap();
-    let b = db_on
-        .run_script(&query, &Strategy::SkinnerC(SkinnerCConfig::default()))
-        .unwrap();
+    let a = db_off.session().run_script(&query).unwrap();
+    let b = db_on.session().run_script(&query).unwrap();
     assert_eq!(a.result.rows, b.result.rows, "sequential rows diverged");
 }
 
@@ -518,7 +522,7 @@ pub fn run(scale: Scale) -> String {
     );
 
     // Sequential Skinner-C.
-    let seq = Strategy::SkinnerC(SkinnerCConfig::default());
+    let seq = SkinnerCStrategy::default();
     let db_off = build_db(scale);
     let seq_off = run_reps(&db_off, &seq, reps);
     let db_on = build_db(scale);
@@ -533,7 +537,7 @@ pub fn run(scale: Scale) -> String {
     // Parallel engine, 4 workers.
     // Small batches: enough episodes per run for convergence (and its
     // acceleration) to be observable on bench-scale data.
-    let par = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+    let par = ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: 64,
         min_chunk_tuples: 8,
         ..Default::default()
@@ -571,7 +575,7 @@ mod tests {
     fn warm_repetitions_hit_and_converge_no_worse() {
         let db = build_db(Scale::Smoke);
         db.set_learning_cache(true);
-        let seq = Strategy::SkinnerC(SkinnerCConfig::default());
+        let seq = SkinnerCStrategy::default();
         let reps = run_reps(&db, &seq, 3);
         assert!(!reps[0].cache_hit, "first execution is cold");
         assert!(reps[1].cache_hit && reps[2].cache_hit);

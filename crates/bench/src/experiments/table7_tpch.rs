@@ -50,10 +50,10 @@ fn run_variant(w: Workload, limit: u64) -> String {
     let mut timeout = vec![vec![false; SYSTEMS.len()]; w.queries.len()];
     for (qi, q) in w.queries.iter().enumerate() {
         for (si, sys) in SYSTEMS.iter().enumerate() {
-            let strategy = system_strategy(*sys).build();
+            let strategy = system_strategy(*sys);
             let ctx = db.exec_context().with_work_limit(limit);
             let o = db
-                .run_script_with(&q.script, strategy.as_ref(), &ctx)
+                .run_script(&q.script, strategy.as_ref(), &ctx)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name));
             work[qi][si] = o.work_units;
             timeout[qi][si] = o.timed_out;

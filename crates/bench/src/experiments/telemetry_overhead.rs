@@ -16,9 +16,9 @@
 //! in `bench_reports/BENCH_telemetry_overhead.json`; the `bench-smoke`
 //! CI job asserts `overhead_pct < 3`.
 
-use skinnerdb::skinner_core::SkinnerCConfig;
+use skinnerdb::skinner_core::SkinnerCStrategy;
 use skinnerdb::skinner_exec::Trace;
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::{DataType, Database, Value};
 
 use crate::harness::{markdown_table, write_report, Json, Scale};
 
@@ -121,7 +121,7 @@ impl Measurement {
 
 fn measure(scale: Scale) -> Measurement {
     let db = build_db(scale);
-    let strategy = Strategy::SkinnerC(SkinnerCConfig::default()).build();
+    let strategy = SkinnerCStrategy::default();
     // Each side's minimum must settle: at smoke scale a run takes only
     // ~120–200 µs, so a few µs of luck between the two minima is already
     // several percent. 401 pairs cost about 0.15 s at smoke and well
@@ -130,24 +130,21 @@ fn measure(scale: Scale) -> Measurement {
     // Warm both paths before measuring: first executions pay one-time
     // costs (allocator growth, catalog caches) that are not tracing.
     for _ in 0..3 {
-        db.run_script_with(SQL, strategy.as_ref(), &db.exec_context())
-            .unwrap();
+        db.run_script(SQL, &strategy, &db.exec_context()).unwrap();
         let ctx = db.exec_context().with_trace(Trace::new(TRACE_SPANS));
-        db.run_script_with(SQL, strategy.as_ref(), &ctx).unwrap();
+        db.run_script(SQL, &strategy, &ctx).unwrap();
     }
     let mut plain_ns = Vec::with_capacity(pairs);
     let mut traced_ns = Vec::with_capacity(pairs);
     let mut spans_recorded = 0;
     let run_plain = |plain_ns: &mut Vec<u64>| {
-        let o = db
-            .run_script_with(SQL, strategy.as_ref(), &db.exec_context())
-            .unwrap();
+        let o = db.run_script(SQL, &strategy, &db.exec_context()).unwrap();
         plain_ns.push(o.wall.as_nanos() as u64);
     };
     let run_traced = |traced_ns: &mut Vec<u64>, spans_recorded: &mut usize| {
         let trace = Trace::new(TRACE_SPANS);
         let ctx = db.exec_context().with_trace(trace.clone());
-        let o = db.run_script_with(SQL, strategy.as_ref(), &ctx).unwrap();
+        let o = db.run_script(SQL, &strategy, &ctx).unwrap();
         traced_ns.push(o.wall.as_nanos() as u64);
         *spans_recorded = trace.spans().len();
     };
@@ -234,10 +231,10 @@ mod tests {
     #[test]
     fn traced_runs_record_stage_spans() {
         let db = build_db(Scale::Smoke);
-        let strategy = Strategy::SkinnerC(SkinnerCConfig::default()).build();
+        let strategy = SkinnerCStrategy::default();
         let trace = Trace::new(TRACE_SPANS);
         let ctx = db.exec_context().with_trace(trace.clone());
-        db.run_script_with(SQL, strategy.as_ref(), &ctx).unwrap();
+        db.run_script(SQL, &strategy, &ctx).unwrap();
         let spans = trace.spans();
         let stages: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.stage).collect();
         for want in ["parse_bind", "preprocess", "episodes", "postprocess"] {

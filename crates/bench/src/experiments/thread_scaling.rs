@@ -27,8 +27,8 @@
 
 use std::time::Duration;
 
-use skinnerdb::skinner_core::ParallelSkinnerConfig;
-use skinnerdb::{Database, Strategy};
+use skinnerdb::skinner_core::{ParallelSkinnerConfig, ParallelSkinnerStrategy};
+use skinnerdb::Database;
 
 use crate::harness::{fmt_dur, human, markdown_table, write_report, Json, Scale};
 
@@ -36,8 +36,8 @@ use super::{job_limit, job_workload};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn strategy(scale: Scale) -> Strategy {
-    Strategy::ParallelSkinner(ParallelSkinnerConfig {
+fn strategy(scale: Scale) -> ParallelSkinnerStrategy {
+    ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: scale.pick(512, 4096),
         ..Default::default()
     })
@@ -58,12 +58,11 @@ struct Sample {
 fn measure(
     db: &Database,
     script: &str,
-    s: &Strategy,
+    strategy: &ParallelSkinnerStrategy,
     threads: usize,
     limit: u64,
     reps: usize,
 ) -> Sample {
-    let strategy = s.build();
     let mut best: Option<Sample> = None;
     let mut timed_out = false;
     for _ in 0..reps {
@@ -72,7 +71,7 @@ fn measure(
             .with_threads(threads)
             .with_work_limit(limit);
         let o = db
-            .run_script_with(script, strategy.as_ref(), &ctx)
+            .run_script(script, strategy, &ctx)
             .expect("bench query must run");
         timed_out |= o.timed_out;
         if best.as_ref().is_none_or(|b| o.wall < b.wall) {

@@ -1,14 +1,20 @@
 //! Shared infrastructure: the system roster, runners and report formatting.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
-use skinnerdb::skinner_adaptive::{EddyConfig, ReoptimizerConfig};
-use skinnerdb::skinner_core::{SkinnerCConfig, SkinnerGConfig, SkinnerHConfig};
+use skinnerdb::skinner_adaptive::{EddyStrategy, ReoptimizerStrategy};
+use skinnerdb::skinner_core::{
+    SkinnerCConfig, SkinnerCStrategy, SkinnerGConfig, SkinnerGStrategy, SkinnerHConfig,
+    SkinnerHStrategy,
+};
 use skinnerdb::skinner_exec::oracle::CardOracle;
-use skinnerdb::skinner_exec::{preprocess, ExecProfile, TraditionalConfig, WorkBudget};
+use skinnerdb::skinner_exec::{
+    preprocess, ExecProfile, ExecutionStrategy, TraditionalConfig, TraditionalStrategy, WorkBudget,
+};
 use skinnerdb::skinner_query::{JoinQuery, TableSet};
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
 /// Benchmark scale, from the `BENCH_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,20 +128,20 @@ pub fn run_single(db: &Database, sql: &str, system: System, limit: u64) -> SysOu
     run_bound(db, &query, system, limit)
 }
 
-/// The [`Strategy`] a `System` maps to.
-pub fn system_strategy(system: System) -> Strategy {
+/// The engine a `System` maps to.
+pub fn system_strategy(system: System) -> Arc<dyn ExecutionStrategy> {
     let threads = bench_threads();
     match system {
-        System::SkinnerC | System::SkinnerCPar => Strategy::SkinnerC(SkinnerCConfig {
+        System::SkinnerC | System::SkinnerCPar => Arc::new(SkinnerCStrategy(SkinnerCConfig {
             preprocess_threads: if system == System::SkinnerCPar {
                 threads
             } else {
                 1
             },
             ..Default::default()
-        }),
+        })),
         System::RowDB | System::ColDB | System::ColDBPar => {
-            Strategy::Traditional(TraditionalConfig {
+            Arc::new(TraditionalStrategy(TraditionalConfig {
                 profile: match system {
                     System::RowDB => ExecProfile::row_store(),
                     System::ColDB => ExecProfile::column_store(),
@@ -147,17 +153,17 @@ pub fn system_strategy(system: System) -> Strategy {
                 } else {
                     1
                 },
-            })
+            }))
         }
-        System::SkinnerGRow | System::SkinnerGCol => Strategy::SkinnerG(SkinnerGConfig {
+        System::SkinnerGRow | System::SkinnerGCol => Arc::new(SkinnerGStrategy(SkinnerGConfig {
             engine_profile: if system == System::SkinnerGRow {
                 ExecProfile::row_store()
             } else {
                 ExecProfile::column_store()
             },
             ..Default::default()
-        }),
-        System::SkinnerHRow | System::SkinnerHCol => Strategy::SkinnerH(SkinnerHConfig {
+        })),
+        System::SkinnerHRow | System::SkinnerHCol => Arc::new(SkinnerHStrategy(SkinnerHConfig {
             learner: SkinnerGConfig {
                 engine_profile: if system == System::SkinnerHRow {
                     ExecProfile::row_store()
@@ -167,9 +173,9 @@ pub fn system_strategy(system: System) -> Strategy {
                 ..Default::default()
             },
             ..Default::default()
-        }),
-        System::Eddy => Strategy::Eddy(EddyConfig::default()),
-        System::Reoptimizer => Strategy::Reoptimizer(ReoptimizerConfig::default()),
+        })),
+        System::Eddy => Arc::new(EddyStrategy::default()),
+        System::Reoptimizer => Arc::new(ReoptimizerStrategy::default()),
     }
 }
 
@@ -177,8 +183,7 @@ pub fn system_strategy(system: System) -> Strategy {
 /// same `ExecutionStrategy` door; only the harness-level interpretation of
 /// the metrics (`card` is meaningful for traditional engines) differs.
 pub fn run_bound(db: &Database, query: &JoinQuery, system: System, limit: u64) -> SysOutcome {
-    let strategy = system_strategy(system).build();
-    let o = strategy.execute(query, &db.exec_context().with_work_limit(limit));
+    let o = system_strategy(system).execute(query, &db.exec_context().with_work_limit(limit));
     let card = match system {
         System::RowDB | System::ColDB | System::ColDBPar => Some(o.metrics.intermediate_tuples),
         _ => None,

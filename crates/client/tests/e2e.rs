@@ -72,11 +72,12 @@ const QUERIES: [&str; 3] = [
 #[test]
 fn sixteen_concurrent_clients_match_in_process_execution() {
     let (mut server, addr) = default_server();
-    let db = server.database().clone();
     // Ground truth computed in-process, per query.
+    let reference = server.database().session();
+    reference.use_strategy("reference").unwrap();
     let expected: Vec<Vec<String>> = QUERIES
         .iter()
-        .map(|q| db.query_with(q, "reference").unwrap().canonical_rows())
+        .map(|q| reference.query(q).unwrap().canonical_rows())
         .collect();
     let expected = Arc::new(expected);
     let strategies = ["skinner-c", "traditional", "parallel_skinner", "skinner-g"];
@@ -548,10 +549,11 @@ fn stat(r: &skinner_client::RemoteResult, key: &str) -> i64 {
 #[test]
 fn pipelined_statements_interleave_and_complete_out_of_order() {
     let (mut server, addr) = default_server();
-    let db = server.database().clone();
+    let reference = server.database().session();
+    reference.use_strategy("reference").unwrap();
     let expected: Vec<Vec<String>> = QUERIES
         .iter()
-        .map(|q| db.query_with(q, "reference").unwrap().canonical_rows())
+        .map(|q| reference.query(q).unwrap().canonical_rows())
         .collect();
     let mut client = Client::connect(&addr).unwrap();
     assert_eq!(client.protocol_version(), PROTOCOL_VERSION);

@@ -261,11 +261,12 @@ impl QueryProfile {
 #[derive(Debug)]
 pub enum WireError {
     Io(std::io::Error),
-    /// Malformed payload, unknown tag, or an oversized frame.
+    /// Read side: a malformed payload, an unknown tag, or a peer
+    /// announcing a frame over [`MAX_FRAME`].
     Malformed(String),
-    /// A length on the *encode* side exceeds `u32`/[`MAX_FRAME`] bounds —
-    /// the frame is refused before a silently truncated length corrupts
-    /// the stream.
+    /// Encode side: a length exceeds its `u32` bound, or a whole payload
+    /// exceeds [`MAX_FRAME`] — the frame is refused before a silently
+    /// truncated length corrupts the stream.
     Oversize(String),
 }
 
@@ -345,16 +346,21 @@ fn get_columns(r: &mut Reader) -> Result<Vec<String>, WireError> {
 
 // ---- framing ------------------------------------------------------------
 
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    // Enforced on the write side too (not just on read): an oversized
-    // frame must fail loudly here, before half a header desyncs the peer.
+/// The length prefix that frames `payload`. Enforced on the write side
+/// too (not just on read): an oversized frame fails loudly here, before
+/// half a header desyncs the peer.
+fn frame_header(payload: &[u8]) -> Result<[u8; 4], WireError> {
     if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(malformed(format!(
-            "refusing to write a {}-byte frame (MAX_FRAME is {MAX_FRAME})",
+        return Err(WireError::Oversize(format!(
+            "{}-byte frame exceeds MAX_FRAME ({MAX_FRAME})",
             payload.len()
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    Ok((payload.len() as u32).to_le_bytes())
+}
+
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    w.write_all(&frame_header(payload)?)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -740,13 +746,7 @@ impl Response {
     /// the event loop's outbox format.
     pub fn encode_framed(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         let payload = self.encode()?;
-        if payload.len() as u64 > MAX_FRAME as u64 {
-            return Err(WireError::Oversize(format!(
-                "{}-byte frame exceeds MAX_FRAME ({MAX_FRAME})",
-                payload.len()
-            )));
-        }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame_header(&payload)?);
         out.extend_from_slice(&payload);
         Ok(())
     }
@@ -1018,7 +1018,7 @@ mod tests {
         let err = Response::Text { text: at_cap }
             .write(&mut sink)
             .expect_err("payload cap enforced at the frame layer");
-        assert!(matches!(err, WireError::Malformed(_)), "got {err}");
+        assert!(matches!(err, WireError::Oversize(_)), "got {err}");
     }
 
     #[test]

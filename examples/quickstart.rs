@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::{DataType, Database, Value};
 
 fn main() {
     let db = Database::new();
@@ -98,17 +98,13 @@ fn main() {
     // results, different execution models.
     let sql = "SELECT c.name FROM customers c, orders o \
                WHERE c.id = o.customer_id AND o.quantity > 3";
-    for strategy in [
-        Strategy::default(),
-        Strategy::SkinnerG(Default::default()),
-        Strategy::SkinnerH(Default::default()),
-        Strategy::Traditional(Default::default()),
-        Strategy::Eddy(Default::default()),
-    ] {
-        let out = db.run_script(sql, &strategy).unwrap();
+    for name in ["Skinner-C", "Skinner-G", "Skinner-H", "Traditional", "Eddy"] {
+        let session = db.session();
+        session.use_strategy(name).unwrap();
+        let out = session.run_script(sql).unwrap();
         println!(
             "{:<12} → {:>3} rows, {:>6} work units, {:?}",
-            strategy.name(),
+            name,
             out.result.num_rows(),
             out.work_units,
             out.wall

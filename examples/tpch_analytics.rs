@@ -6,7 +6,7 @@
 //! ```
 
 use skinnerdb::skinner_workloads::tpch::{generate, TpchConfig};
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
 fn main() {
     let cfg = TpchConfig {
@@ -25,13 +25,13 @@ fn main() {
         "\n{:<5} {:>8} | {:>12} {:>9} | {:>12} {:>9}",
         "query", "rows", "skinner(wu)", "time", "trad(wu)", "time"
     );
+    let (skinner_c, traditional) = (db.session(), db.session());
+    traditional.use_strategy("traditional").unwrap();
     for q in &workload.queries {
-        let skinner = db
-            .run_script(&q.script, &Strategy::default())
+        let skinner = skinner_c
+            .run_script(&q.script)
             .unwrap_or_else(|e| panic!("{}: {e}", q.name));
-        let trad = db
-            .run_script(&q.script, &Strategy::Traditional(Default::default()))
-            .unwrap();
+        let trad = traditional.run_script(&q.script).unwrap();
         assert_eq!(
             skinner.result.canonical_rows(),
             trad.result.canonical_rows(),

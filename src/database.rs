@@ -15,7 +15,7 @@ use skinner_stats::StatsCache;
 use skinner_storage::{Catalog, DataType, DiskError, Field, Schema, Value};
 
 use crate::session::{Prepared, Session};
-use crate::strategy::{builtin_registry, Strategy};
+use crate::strategy::builtin_registry;
 use crate::QueryResult;
 
 /// Top-level error type.
@@ -105,11 +105,10 @@ pub struct StatementOutcome {
 
 /// Outcome of a whole script with per-statement detail.
 ///
-/// [`Database::run_script_with`] folds this into a single [`ExecOutcome`]
+/// [`Database::run_script`] folds this into a single [`ExecOutcome`]
 /// (last SELECT's result and metrics, script-wide work/wall); callers that
 /// need per-statement timings and metrics — the server reports them per
-/// query — use [`Database::run_script_detailed`] /
-/// [`crate::Session::run_script_detailed`] instead.
+/// query — use [`Database::run_script_detailed`] instead.
 #[derive(Debug)]
 pub struct ScriptOutcome {
     /// The last SELECT's result.
@@ -157,8 +156,7 @@ impl ScriptOutcome {
 
 /// An embedded SkinnerDB instance: a catalog of in-memory tables, a UDF
 /// registry, cached statistics (for the *baseline* strategies only —
-/// SkinnerDB itself never reads them), a strategy registry, and a default
-/// evaluation strategy.
+/// SkinnerDB itself never reads them) and a strategy registry.
 ///
 /// `Database` is `Send + Sync` and every mutator takes `&self`, so one
 /// instance can serve many threads; `Clone` produces another handle to the
@@ -170,7 +168,6 @@ pub struct Database {
     udfs: Arc<UdfRegistry>,
     stats: Arc<StatsCache>,
     strategies: Arc<StrategyRegistry>,
-    default_strategy: Arc<RwLock<Arc<dyn ExecutionStrategy>>>,
     /// Worker threads parallel strategies use by default (sessions may
     /// override per client). Defaults to the machine's available
     /// parallelism.
@@ -197,8 +194,7 @@ impl Default for Database {
 }
 
 impl Database {
-    /// Empty database with the built-in strategies registered and
-    /// Skinner-C as the default.
+    /// Empty database with the built-in strategies registered.
     pub fn new() -> Self {
         Self::from_parts(Arc::new(Catalog::new()), UdfRegistry::new())
     }
@@ -257,7 +253,6 @@ impl Database {
             udfs: Arc::new(udfs),
             stats: Arc::new(StatsCache::new()),
             strategies: Arc::new(builtin_registry()),
-            default_strategy: Arc::new(RwLock::new(Strategy::default().build())),
             default_threads: Arc::new(RwLock::new(skinner_exec::default_threads())),
             learning,
         }
@@ -328,26 +323,6 @@ impl Database {
         *self.default_threads.read()
     }
 
-    /// Replace the default strategy used by [`Database::query`].
-    pub fn set_default_strategy(&self, strategy: Strategy) {
-        *self.default_strategy.write() = strategy.build();
-    }
-
-    /// Select the default strategy by registry name (case-insensitive).
-    pub fn set_default_strategy_named(&self, name: &str) -> Result<(), DbError> {
-        let strategy = self
-            .strategies
-            .get(name)
-            .ok_or_else(|| DbError::UnknownStrategy(name.to_string()))?;
-        *self.default_strategy.write() = strategy;
-        Ok(())
-    }
-
-    /// The current default strategy.
-    pub fn default_strategy(&self) -> Arc<dyn ExecutionStrategy> {
-        self.default_strategy.read().clone()
-    }
-
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
@@ -367,14 +342,14 @@ impl Database {
     }
 
     /// Register an external [`ExecutionStrategy`] under its own name; it
-    /// becomes addressable from [`Database::query_with`],
-    /// [`Database::set_default_strategy_named`] and sessions.
+    /// becomes addressable from sessions ([`Session::use_strategy`],
+    /// `SET strategy`).
     pub fn register_strategy(&self, strategy: Arc<dyn ExecutionStrategy>) {
         self.strategies.register(strategy);
     }
 
-    /// Open a session: per-client default strategy and settings over this
-    /// shared database.
+    /// Open a session: per-client strategy (Skinner-C until changed) and
+    /// settings over this shared database.
     pub fn session(&self) -> Session {
         Session::new(self.clone())
     }
@@ -488,8 +463,8 @@ impl Database {
 
     /// Parse and bind a single SELECT once, for repeated execution — the
     /// natural unit for SkinnerDB's per-query learning. The prepared
-    /// statement snapshots the current default strategy; use
-    /// [`Session::prepare`] for per-session strategy and settings.
+    /// statement runs under a new session's strategy (Skinner-C) and
+    /// settings; use [`Session::prepare`] to pick others.
     ///
     /// ```
     /// use skinnerdb::{Database, DataType, Value};
@@ -533,34 +508,11 @@ impl Database {
         ctx
     }
 
-    /// Run a SQL script with the default strategy and return the last
-    /// SELECT's result. A timeout surfaces as [`DbError::Timeout`].
+    /// Run a SQL script in a new session (Skinner-C, default settings) and
+    /// return the last SELECT's result. A timeout surfaces as
+    /// [`DbError::Timeout`].
     pub fn query(&self, sql: &str) -> Result<QueryResult, DbError> {
-        let strategy = self.default_strategy();
-        let out = self.run_script_with(sql, strategy.as_ref(), &self.exec_context())?;
-        if out.timed_out {
-            return Err(DbError::Timeout);
-        }
-        Ok(out.result)
-    }
-
-    /// Like [`Database::query`], but under a named registered strategy.
-    pub fn query_with(&self, sql: &str, strategy: &str) -> Result<QueryResult, DbError> {
-        let strategy = self
-            .strategies
-            .get(strategy)
-            .ok_or_else(|| DbError::UnknownStrategy(strategy.to_string()))?;
-        let out = self.run_script_with(sql, strategy.as_ref(), &self.exec_context())?;
-        if out.timed_out {
-            return Err(DbError::Timeout);
-        }
-        Ok(out.result)
-    }
-
-    /// Run a SQL script with an explicit built-in strategy (convenience
-    /// wrapper over [`Database::run_script_with`]).
-    pub fn run_script(&self, sql: &str, strategy: &Strategy) -> Result<ExecOutcome, DbError> {
-        self.run_script_with(sql, strategy.build().as_ref(), &self.exec_context())
+        self.session().query(sql)
     }
 
     /// Run a SQL script under any [`ExecutionStrategy`], returning the
@@ -572,7 +524,7 @@ impl Database {
     /// script chooses and dropped on abnormal exit (timeout or bind error).
     /// Concurrent scripts must therefore use distinct temp-table names —
     /// same-named temp tables in simultaneous scripts clobber each other.
-    pub fn run_script_with(
+    pub fn run_script(
         &self,
         sql: &str,
         strategy: &dyn ExecutionStrategy,
@@ -582,11 +534,8 @@ impl Database {
             .map(ScriptOutcome::into_outcome)
     }
 
-    /// Like [`Database::run_script_with`], but reporting every statement's
-    /// own timing, work units and [`ExecMetrics`] alongside the script
-    /// totals — previously only the final statement's metrics and the
-    /// script-wide wall clock survived, so a multi-statement script could
-    /// not be attributed per statement.
+    /// Like [`Database::run_script`], but reporting every statement's own
+    /// timing, work units and [`ExecMetrics`] alongside the script totals.
     pub fn run_script_detailed(
         &self,
         sql: &str,
@@ -661,6 +610,7 @@ impl Database {
                 }
                 Statement::CreateTempTable { name, query } => {
                     let q = bind_select(query, &self.catalog, &self.udfs)?;
+                    let schema = self.temp_table_schema(name, &q)?;
                     let out = strategy.execute(&q, ctx);
                     total_work += out.work_units;
                     record(
@@ -678,7 +628,7 @@ impl Database {
                             statements: records,
                         });
                     }
-                    self.materialize(name, &q, &out.result)?;
+                    self.materialize(name, schema, &out.result);
                     temp_tables.push(name.clone());
                 }
                 Statement::DropTable { name } => {
@@ -713,36 +663,47 @@ impl Database {
         }
     }
 
+    /// The schema temp table `name` gets from `query`, checked before the
+    /// query runs: the name must be free (registering over a table would
+    /// replace it, and a persisted one would lose its segment), and the
+    /// bare column names must be distinct, or all but the first would be
+    /// unreachable.
+    fn temp_table_schema(&self, name: &str, query: &JoinQuery) -> Result<Schema, DbError> {
+        if self.catalog.get(name).is_some() {
+            return Err(DbError::Schema(format!(
+                "cannot create temp table {name}: a table of that name exists"
+            )));
+        }
+        let mut fields: Vec<Field> = Vec::with_capacity(query.select.len());
+        for (item, dt) in query.select.iter().zip(query.output_types()) {
+            // Temp-table columns must be bare identifiers.
+            let base = item.name().rsplit('.').next().unwrap_or(item.name());
+            if fields.iter().any(|f| f.name.eq_ignore_ascii_case(base)) {
+                return Err(DbError::Schema(format!(
+                    "temp table {name} would have two columns named {base}; \
+                     alias one of them (`AS other_name`)"
+                )));
+            }
+            fields.push(Field::new(base, dt));
+        }
+        Ok(Schema::new(fields))
+    }
+
     /// Materialize a query result as a new table (decomposed-query support).
-    fn materialize(
-        &self,
-        name: &str,
-        query: &JoinQuery,
-        result: &QueryResult,
-    ) -> Result<(), DbError> {
-        let types = query.output_types();
-        let fields: Vec<Field> = result
-            .columns
-            .iter()
-            .zip(&types)
-            .map(|(n, dt)| {
-                // Temp-table columns must be bare identifiers.
-                let base = n.rsplit('.').next().unwrap_or(n);
-                Field::new(base, *dt)
-            })
-            .collect();
-        let mut b = self.catalog.builder(name, Schema::new(fields));
+    fn materialize(&self, name: &str, schema: Schema, result: &QueryResult) {
+        let mut b = self.catalog.builder(name, schema);
         for row in &result.rows {
             b.push_row(row);
         }
         self.catalog.register(b.finish());
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skinner_core::SkinnerCStrategy;
+    use skinner_exec::ReferenceStrategy;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -787,40 +748,35 @@ mod tests {
     fn all_strategies_agree() {
         let db = sample_db();
         let sql = "SELECT a.id FROM a, b WHERE a.id = b.aid AND a.g = 1";
-        let reference = db.run_script(sql, &Strategy::Reference).unwrap();
-        for strategy in Strategy::all_builtin() {
-            let out = db.run_script(sql, &strategy).unwrap();
-            assert!(!out.timed_out, "{}", strategy.name());
+        let reference = db
+            .run_script(sql, &ReferenceStrategy, &db.exec_context())
+            .unwrap();
+        for name in db.strategies().names() {
+            let strategy = db.strategies().get(&name).unwrap();
+            let out = db
+                .run_script(sql, strategy.as_ref(), &db.exec_context())
+                .unwrap();
+            assert!(!out.timed_out, "{name}");
             assert_eq!(
                 out.result.canonical_rows(),
                 reference.result.canonical_rows(),
-                "{}",
-                strategy.name()
+                "{name}"
             );
         }
     }
 
     #[test]
-    fn query_with_named_strategy() {
+    fn query_under_a_named_strategy() {
         let db = sample_db();
         let sql = "SELECT a.id FROM a WHERE a.g = 0";
-        let a = db.query_with(sql, "reference").unwrap();
-        let b = db.query_with(sql, "Skinner-C").unwrap();
-        assert_eq!(a.canonical_rows(), b.canonical_rows());
+        let session = db.session();
+        session.use_strategy("reference").unwrap();
+        let a = session.query(sql).unwrap();
+        assert_eq!(a.canonical_rows(), db.query(sql).unwrap().canonical_rows());
         assert!(matches!(
-            db.query_with(sql, "nope"),
+            session.use_strategy("nope"),
             Err(DbError::UnknownStrategy(_))
         ));
-    }
-
-    #[test]
-    fn default_strategy_by_name() {
-        let db = sample_db();
-        db.set_default_strategy_named("traditional").unwrap();
-        assert_eq!(db.default_strategy().name(), "Traditional");
-        assert!(db.set_default_strategy_named("bogus").is_err());
-        db.set_default_strategy(Strategy::default());
-        assert_eq!(db.default_strategy().name(), "Skinner-C");
     }
 
     #[test]
@@ -835,8 +791,10 @@ mod tests {
         // The parallel strategy runs under the knob and agrees with the rest.
         db.set_default_threads(2);
         let sql = "SELECT a.id FROM a, b WHERE a.id = b.aid";
-        let par = db.query_with(sql, "parallel_skinner").unwrap();
-        let seq = db.query_with(sql, "Skinner-C").unwrap();
+        let session = db.session();
+        session.use_strategy("parallel_skinner").unwrap();
+        let par = session.query(sql).unwrap();
+        let seq = db.query(sql).unwrap();
         assert_eq!(par.canonical_rows(), seq.canonical_rows());
     }
 
@@ -877,7 +835,8 @@ mod tests {
         let out = db
             .run_script(
                 "SELECT a.id FROM a, b WHERE a.id = b.aid",
-                &Strategy::default(),
+                &SkinnerCStrategy::default(),
+                &db.exec_context(),
             )
             .unwrap();
         assert!(!out.timed_out);
@@ -897,7 +856,7 @@ mod tests {
                       SELECT s.grp FROM sums s ORDER BY s.grp; \
                       DROP TABLE sums;";
         let out = db
-            .run_script_detailed(script, db.default_strategy().as_ref(), &db.exec_context())
+            .run_script_detailed(script, &SkinnerCStrategy::default(), &db.exec_context())
             .unwrap();
         assert_eq!(out.statements.len(), 3);
         assert!(matches!(
@@ -934,7 +893,7 @@ mod tests {
         let script = "SELECT a.g FROM a WHERE a.g = 0; \
                       SELECT a.id FROM a, b WHERE a.id = b.aid";
         let out = db
-            .run_script_detailed(script, db.default_strategy().as_ref(), &ctx)
+            .run_script_detailed(script, &SkinnerCStrategy::default(), &ctx)
             .unwrap();
         assert!(out.timed_out);
         let last = out.statements.last().unwrap();
@@ -985,16 +944,67 @@ mod tests {
             }
             fn execute(&self, query: &JoinQuery, ctx: &ExecContext) -> ExecOutcome {
                 let ctx = ctx.clone().with_work_limit(5);
-                Strategy::default().build().execute(query, &ctx)
+                SkinnerCStrategy::default().execute(query, &ctx)
             }
         }
         let db = sample_db();
         db.register_strategy(Arc::new(Starved));
-        db.set_default_strategy_named("starved").unwrap();
+        let session = db.session();
+        session.use_strategy("starved").unwrap();
         assert!(matches!(
-            db.query("SELECT a.id FROM a, b WHERE a.id = b.aid"),
+            session.query("SELECT a.id FROM a, b WHERE a.id = b.aid"),
             Err(DbError::Timeout)
         ));
+    }
+
+    #[test]
+    fn temp_table_refuses_the_name_of_an_existing_table() {
+        let script = "CREATE TEMP TABLE keep AS SELECT k.x FROM keep k WHERE k.x < 2; \
+                      SELECT keep.x FROM keep";
+        let refused = |db: &Database| match db.query(script) {
+            Err(DbError::Schema(msg)) => assert!(msg.contains("keep"), "{msg}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        };
+        let rows = || (0..10).map(|i| vec![Value::Int(i)]).collect();
+
+        // In memory: the base table keeps its rows.
+        let db = Database::new();
+        db.create_table("keep", &[("x", DataType::Int)], rows())
+            .unwrap();
+        refused(&db);
+        assert_eq!(db.catalog().get("keep").unwrap().num_rows(), 10);
+
+        // Persisted: the segment survives a reopen.
+        let dir = std::env::temp_dir().join(format!("skinnerdb_clash_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_table("keep", &[("x", DataType::Int)], rows())
+                .unwrap();
+            db.persist_table("keep").unwrap();
+            refused(&db);
+        }
+        let db = Database::open(&dir).unwrap();
+        let keep = db.catalog().get("keep").expect("persisted table survives");
+        assert_eq!(keep.num_rows(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_table_refuses_duplicate_column_names() {
+        let db = sample_db();
+        let script = "CREATE TEMP TABLE x AS \
+                      SELECT a1.id, a2.ID FROM a a1, a a2 WHERE a1.id = a2.g; \
+                      SELECT x.id FROM x";
+        match db.query(script) {
+            Err(DbError::Schema(msg)) => assert!(msg.contains("alias"), "{msg}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+        assert!(db.catalog().get("x").is_none());
+        let aliased = "CREATE TEMP TABLE x AS \
+                       SELECT a1.id, a2.id other FROM a a1, a a2 WHERE a1.id = a2.g; \
+                       SELECT x.other FROM x; DROP TABLE x";
+        assert_eq!(db.query(aliased).unwrap().num_rows(), 30);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! )
 //! .unwrap();
 //!
-//! // One-shot queries run under the database default (Skinner-C).
+//! // One-shot queries run under Skinner-C.
 //! let result = db
 //!     .query("SELECT u.name, COUNT(*) c FROM users u, events e \
 //!             WHERE u.id = e.user_id GROUP BY u.name ORDER BY u.name")
@@ -117,7 +117,8 @@
 //!
 //! The execution API is open: implement
 //! [`ExecutionStrategy`] — from any crate
-//! — register it, and address it by name:
+//! — register it, and address it by name, like every built-in (the
+//! [`StrategyRegistry`] is the one place engines are named):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -152,13 +153,10 @@
 //! .unwrap();
 //!
 //! db.register_strategy(Arc::new(MyEngine));
-//! let rows = db.query_with("SELECT t.x FROM t WHERE t.x > 2", "my-engine").unwrap();
-//! assert_eq!(rows.num_rows(), 2);
-//!
-//! // Sessions can select it too, like any built-in.
 //! let session = db.session();
 //! session.use_strategy("my-engine").unwrap();
-//! assert_eq!(session.query("SELECT t.x FROM t").unwrap().num_rows(), 5);
+//! let rows = session.query("SELECT t.x FROM t WHERE t.x > 2").unwrap();
+//! assert_eq!(rows.num_rows(), 2);
 //! ```
 //!
 //! ## Crate map
@@ -187,7 +185,7 @@ pub mod strategy;
 pub use database::{Database, DbError, ScriptOutcome, StatementKind, StatementOutcome};
 pub use render::{render_table, render_table_with, TableOptions};
 pub use session::{Prepared, Session, SessionSettings};
-pub use strategy::{builtin_registry, Strategy};
+pub use strategy::builtin_registry;
 
 pub use skinner_core::{TreeCache, TreeCacheConfig, TreeCacheStats};
 pub use skinner_exec::{

@@ -1,9 +1,9 @@
 //! Sessions and prepared statements.
 //!
 //! A [`Session`] is a lightweight per-client view over a shared
-//! [`Database`]: it carries its own default strategy and settings (work
-//! limit, deadline) while tables, UDFs, statistics and the strategy
-//! registry stay shared. A [`Prepared`] statement is a SELECT parsed and
+//! [`Database`]: it carries its own strategy and settings (work limit,
+//! deadline) while tables, UDFs, statistics and the strategy registry stay
+//! shared. A [`Prepared`] statement is a SELECT parsed and
 //! bound once and executed many times — the natural unit for SkinnerDB,
 //! which learns join orders *per query* rather than from statistics.
 
@@ -12,12 +12,12 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
+use skinner_core::SkinnerCStrategy;
 use skinner_exec::{CancelToken, ExecContext, ExecOutcome, ExecutionStrategy};
 use skinner_query::JoinQuery;
 use skinner_stats::StatsCache;
 
-use crate::database::{Database, DbError, ScriptOutcome};
-use crate::strategy::Strategy;
+use crate::database::{Database, DbError};
 use crate::QueryResult;
 
 /// Per-session execution settings.
@@ -75,7 +75,7 @@ impl Default for SessionSettings {
 /// let rows = session.query("SELECT t.x FROM t WHERE t.x < 3").unwrap();
 /// assert_eq!(rows.num_rows(), 3);
 ///
-/// // Other sessions (and the database default) are unaffected.
+/// // Other sessions are unaffected: each starts on Skinner-C.
 /// assert_eq!(db.session().strategy().name(), "Skinner-C");
 /// ```
 pub struct Session {
@@ -86,10 +86,9 @@ pub struct Session {
 
 impl Session {
     pub(crate) fn new(db: Database) -> Self {
-        let strategy = db.default_strategy();
         Session {
             db,
-            strategy: RwLock::new(strategy),
+            strategy: RwLock::new(Arc::new(SkinnerCStrategy::default())),
             settings: RwLock::new(SessionSettings::default()),
         }
     }
@@ -104,13 +103,8 @@ impl Session {
         self.strategy.read().clone()
     }
 
-    /// Use a built-in strategy for subsequent statements.
-    pub fn set_strategy(&self, strategy: Strategy) {
-        *self.strategy.write() = strategy.build();
-    }
-
-    /// Use a registered strategy, by name (case-insensitive). This is how
-    /// externally registered engines are selected.
+    /// Use a registered strategy, by name (case-insensitive), for
+    /// subsequent statements; built-in and external engines alike.
     pub fn use_strategy(&self, name: &str) -> Result<(), DbError> {
         let strategy = self
             .db
@@ -218,16 +212,7 @@ impl Session {
     pub fn run_script(&self, sql: &str) -> Result<ExecOutcome, DbError> {
         let strategy = self.strategy();
         self.db
-            .run_script_with(sql, strategy.as_ref(), &self.exec_context())
-    }
-
-    /// Run a SQL script under the session strategy/settings with
-    /// per-statement detail (each statement's timing, work units and
-    /// metrics — what the server reports per query).
-    pub fn run_script_detailed(&self, sql: &str) -> Result<ScriptOutcome, DbError> {
-        let strategy = self.strategy();
-        self.db
-            .run_script_detailed(sql, strategy.as_ref(), &self.exec_context())
+            .run_script(sql, strategy.as_ref(), &self.exec_context())
     }
 
     /// Run a SQL script and return the last SELECT's result; a timeout
@@ -298,7 +283,9 @@ fn exec_context_for(db: &Database, settings: SessionSettings) -> ExecContext {
 ///
 /// Binding resolves tables, columns and UDFs up front, so repeated
 /// executions skip the entire frontend. Each execution still learns its
-/// own join order — SkinnerDB keeps no cross-query state to go stale.
+/// own join order; with `learning_cache` on it warm-starts from the
+/// database's template cache, whose entries are checked against the
+/// tables' current contents before use.
 pub struct Prepared {
     sql: String,
     query: JoinQuery,
@@ -326,28 +313,19 @@ impl Prepared {
     /// Execute and return the rows; timeouts surface as
     /// [`DbError::Timeout`].
     pub fn execute(&self) -> Result<QueryResult, DbError> {
-        let out = self.execute_outcome();
+        let out = self.execute_in(&self.fresh_context());
         if out.timed_out {
             return Err(DbError::Timeout);
         }
         Ok(out.result)
     }
 
-    /// Execute and return the full outcome (work units, wall time,
-    /// metrics; timeouts reported in the outcome).
-    pub fn execute_outcome(&self) -> ExecOutcome {
-        self.execute_with(self.strategy.clone().as_ref())
-    }
-
-    /// Execute under a different strategy, same bound query.
-    pub fn execute_with(&self, strategy: &dyn ExecutionStrategy) -> ExecOutcome {
-        let ctx = exec_context_for(&self.db, self.settings);
-        strategy.execute(&self.query, &ctx)
-    }
-
-    /// Execute under an explicit [`ExecContext`] (callers that need their
-    /// own cancellation or budget wiring — the server threads a
-    /// per-connection cancel token through here).
+    /// Execute under an explicit [`ExecContext`] and return the full
+    /// outcome (work units, wall time, metrics; timeouts reported in the
+    /// outcome). Pass [`Prepared::fresh_context`] for the snapshotted
+    /// settings, extended with any cancellation or budget wiring of the
+    /// caller's own (the server threads a per-connection cancel token
+    /// through here).
     pub fn execute_in(&self, ctx: &ExecContext) -> ExecOutcome {
         self.strategy.execute(&self.query, ctx)
     }
@@ -394,10 +372,9 @@ mod tests {
     fn session_strategy_is_isolated_from_database_default() {
         let db = sample_db();
         let session = db.session();
-        session.set_strategy(Strategy::Traditional(Default::default()));
+        session.use_strategy("traditional").unwrap();
         assert_eq!(session.strategy().name(), "Traditional");
-        assert_eq!(db.default_strategy().name(), "Skinner-C");
-        // A second session starts from the database default again.
+        // A second session starts on Skinner-C again.
         assert_eq!(db.session().strategy().name(), "Skinner-C");
     }
 

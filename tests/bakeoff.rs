@@ -14,10 +14,12 @@
 //!    Skinner-G, on each query. This is the quantitative hybrid claim
 //!    (paper Theorems 5.7/5.8), not just correctness.
 
+use skinnerdb::skinner_core::{SkinnerGStrategy, SkinnerHStrategy};
+use skinnerdb::skinner_exec::{ReferenceStrategy, TraditionalStrategy};
 use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial, udf_torture, Shape};
 use skinnerdb::skinner_workloads::tpch::{generate as tpch, TpchConfig};
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::{DataType, Database, ExecutionStrategy, Value};
 
 /// Regret envelope for the hybrid: the doubling schedule over-grants the
 /// winning side by at most 2×, the loser is granted at most as much as the
@@ -33,7 +35,7 @@ const HYBRID_REGRET_SLACK: u64 = 20_000;
 /// contender.
 fn bakeoff(db: &Database, name: &str, script: &str) {
     let expected = db
-        .run_script(script, &Strategy::Reference)
+        .run_script(script, &ReferenceStrategy, &db.exec_context())
         .unwrap_or_else(|e| panic!("{name}: reference failed: {e}"))
         .result
         .canonical_rows();
@@ -43,7 +45,7 @@ fn bakeoff(db: &Database, name: &str, script: &str) {
         }
         let strategy = db.strategies().get(&strategy_name).unwrap();
         let out = db
-            .run_script_with(script, strategy.as_ref(), &db.exec_context())
+            .run_script(script, strategy.as_ref(), &db.exec_context())
             .unwrap_or_else(|e| panic!("{strategy_name} failed on {name}: {e}"));
         assert!(!out.timed_out, "{strategy_name} timed out on {name}");
         assert_eq!(
@@ -53,14 +55,14 @@ fn bakeoff(db: &Database, name: &str, script: &str) {
         );
     }
 
-    let work = |s: &Strategy| {
-        let out = db.run_script(script, s).unwrap();
+    let work = |s: &dyn ExecutionStrategy| {
+        let out = db.run_script(script, s, &db.exec_context()).unwrap();
         assert!(!out.timed_out, "{}: {name} timed out", s.name());
         out.work_units
     };
-    let optimizer = work(&Strategy::Traditional(Default::default()));
-    let learned = work(&Strategy::SkinnerG(Default::default()));
-    let hybrid = work(&Strategy::SkinnerH(Default::default()));
+    let optimizer = work(&TraditionalStrategy::default());
+    let learned = work(&SkinnerGStrategy::default());
+    let hybrid = work(&SkinnerHStrategy::default());
     let best = optimizer.min(learned).max(1);
     let bound = (best as f64 * HYBRID_REGRET_CONSTANT) as u64 + HYBRID_REGRET_SLACK;
     let ratio = hybrid as f64 / best as f64;
@@ -161,10 +163,10 @@ fn hybrid_switches_away_from_a_misestimated_plan() {
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let script = &w.queries[0].script;
     let trad = db
-        .run_script(script, &Strategy::Traditional(Default::default()))
+        .run_script(script, &TraditionalStrategy::default(), &db.exec_context())
         .unwrap();
     let hybrid = db
-        .run_script(script, &Strategy::SkinnerH(Default::default()))
+        .run_script(script, &SkinnerHStrategy::default(), &db.exec_context())
         .unwrap();
     assert!(!trad.timed_out && !hybrid.timed_out);
     assert_eq!(hybrid.result.canonical_rows(), trad.result.canonical_rows());

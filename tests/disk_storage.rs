@@ -12,6 +12,7 @@
 //!   tables, their segment bytes untouched; a committed segment that rots
 //!   on disk must be *detected*, never silently served.
 
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::{DataType, Database, DbError, DiskStore, Value};
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
@@ -87,7 +88,7 @@ fn disk_backed_tables_match_memory_for_every_strategy_and_thread_count() {
 
     for sql in QUERIES {
         let expected = mem
-            .run_script(sql, &skinnerdb::Strategy::Reference)
+            .run_script(sql, &ReferenceStrategy, &mem.exec_context())
             .unwrap()
             .result
             .canonical_rows();
@@ -96,7 +97,7 @@ fn disk_backed_tables_match_memory_for_every_strategy_and_thread_count() {
             for threads in [1usize, 2, 4, 8] {
                 disk.set_default_threads(threads);
                 let out = disk
-                    .run_script_with(sql, strategy.as_ref(), &disk.exec_context())
+                    .run_script(sql, strategy.as_ref(), &disk.exec_context())
                     .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
                 assert!(!out.timed_out, "{name} timed out on {sql} ({threads} thr)");
                 assert_eq!(
@@ -108,9 +109,7 @@ fn disk_backed_tables_match_memory_for_every_strategy_and_thread_count() {
         }
     }
     // The zone-mapped scan actually skipped pages on the selective query.
-    let out = disk
-        .run_script(QUERIES[0], &skinnerdb::Strategy::default())
-        .unwrap();
+    let out = disk.session().run_script(QUERIES[0]).unwrap();
     assert!(
         out.metrics.pages_skipped > 0,
         "selective scan must skip zone-mapped pages"

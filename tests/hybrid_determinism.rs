@@ -11,18 +11,19 @@
 
 use std::time::{Duration, Instant};
 
-use skinnerdb::skinner_core::{SkinnerGConfig, SkinnerHConfig};
+use skinnerdb::skinner_core::{SkinnerGConfig, SkinnerGStrategy, SkinnerHConfig, SkinnerHStrategy};
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::skinner_workloads::torture::{correlation_torture, udf_torture, Shape};
-use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, Strategy, Value};
+use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, ExecutionStrategy, Value};
 
-fn skinner_g() -> Strategy {
-    Strategy::SkinnerG(SkinnerGConfig::default())
+fn skinner_g() -> SkinnerGStrategy {
+    SkinnerGStrategy(SkinnerGConfig::default())
 }
 
-fn skinner_h() -> Strategy {
+fn skinner_h() -> SkinnerHStrategy {
     // A small base timeout → several alternation rounds even on test-sized
     // data.
-    Strategy::SkinnerH(SkinnerHConfig {
+    SkinnerHStrategy(SkinnerHConfig {
         learner: SkinnerGConfig {
             base_timeout_units: 500,
             ..Default::default()
@@ -92,18 +93,22 @@ const HANDMADE_SQL: &str = "SELECT f.id, a.grp, b.w FROM fact f, dim1 a, dim2 b 
 
 /// Run `strategy` twice per thread count and demand one identical
 /// fingerprint across all of it.
-fn assert_reproducible(db: &Database, sql: &str, strategy: &Strategy, counters: &[&str]) {
+fn assert_reproducible(
+    db: &Database,
+    sql: &str,
+    strategy: &dyn ExecutionStrategy,
+    counters: &[&str],
+) {
     let expected = db
-        .run_script(sql, &Strategy::Reference)
+        .run_script(sql, &ReferenceStrategy, &db.exec_context())
         .unwrap()
         .result
         .canonical_rows();
-    let built = strategy.build();
     let mut baseline: Option<Fingerprint> = None;
     for threads in [1usize, 2, 4, 8] {
         for rep in 0..2 {
             let ctx = db.exec_context().with_threads(threads);
-            let out = db.run_script_with(sql, built.as_ref(), &ctx).unwrap();
+            let out = db.run_script(sql, strategy, &ctx).unwrap();
             assert!(!out.timed_out, "{threads} threads rep {rep}");
             assert_eq!(
                 out.result.canonical_rows(),
@@ -165,8 +170,9 @@ fn both_report_a_valid_join_order() {
     for (db, sql) in &cases {
         let query = db.bind(sql).unwrap();
         let all_tables: Vec<usize> = (0..query.num_tables()).collect();
-        for strategy in [skinner_g(), skinner_h()] {
-            let out = strategy.build().execute(&query, &db.exec_context());
+        let (g, h) = (skinner_g(), skinner_h());
+        for strategy in [&g as &dyn ExecutionStrategy, &h] {
+            let out = strategy.execute(&query, &db.exec_context());
             assert!(!out.timed_out, "{} on {sql}", strategy.name());
             let mut sorted = out.metrics.order.clone();
             sorted.sort_unstable();
@@ -228,7 +234,7 @@ fn skinner_h_cancel_mid_slice_leaves_well_formed_partial_outcome() {
             cancel.cancel();
         })
     };
-    let strategy = skinner_h().build();
+    let strategy = skinner_h();
     let started = Instant::now();
     let out = strategy.execute(&query, &ctx);
     let elapsed = started.elapsed();
@@ -255,7 +261,7 @@ fn skinner_g_cancel_mid_episode_leaves_well_formed_partial_outcome() {
             cancel.cancel();
         })
     };
-    let strategy = skinner_g().build();
+    let strategy = skinner_g();
     let started = Instant::now();
     let out = strategy.execute(&query, &ctx);
     let elapsed = started.elapsed();

@@ -7,8 +7,9 @@ use std::sync::{Arc, Barrier};
 use skinnerdb::skinner_core::{
     run_parallel_skinner, run_skinner_c, run_skinner_c_fixed, ParallelSkinnerConfig, SkinnerCConfig,
 };
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::skinner_query::JoinQuery;
-use skinnerdb::{DataType, Database, ExecContext, ExecOutcome, Strategy, Value};
+use skinnerdb::{DataType, Database, ExecContext, ExecOutcome, Value};
 
 /// Small enough that `parallel_skinner` never splits an episode (tables
 /// under two minimum chunks), so its work units repeat exactly at two
@@ -69,7 +70,7 @@ fn eight_threads_build_each_index_once() {
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    db.run_script(UNFILTERED_SQL, &Strategy::default()).unwrap()
+                    db.session().run_script(UNFILTERED_SQL).unwrap()
                 })
             })
             .collect();
@@ -87,7 +88,7 @@ fn eight_threads_build_each_index_once() {
     }
     assert_eq!(total_builds, 4, "exactly one build per (table, column)");
     // Later statements build nothing, whatever engine runs them.
-    let again = db.run_script(UNFILTERED_SQL, &Strategy::default()).unwrap();
+    let again = db.session().run_script(UNFILTERED_SQL).unwrap();
     assert_eq!(builds_and_reuses(&again), (0, 4));
     assert_eq!(again.result.canonical_rows(), rows);
 }
@@ -95,9 +96,9 @@ fn eight_threads_build_each_index_once() {
 #[test]
 fn filtered_tables_index_per_statement_unfiltered_ones_once() {
     let db = star_db();
-    let cold = db.run_script(MIXED_SQL, &Strategy::default()).unwrap();
+    let cold = db.session().run_script(MIXED_SQL).unwrap();
     assert_eq!(builds_and_reuses(&cold), (4, 0));
-    let warm = db.run_script(MIXED_SQL, &Strategy::default()).unwrap();
+    let warm = db.session().run_script(MIXED_SQL).unwrap();
     // dim1's filtered copy is new every time; the other three are kept.
     assert_eq!(builds_and_reuses(&warm), (1, 3));
     assert_eq!(warm.result.canonical_rows(), cold.result.canonical_rows());
@@ -133,14 +134,14 @@ fn drop_and_recreate_never_serves_the_old_index() {
     )
     .unwrap();
     let sql = "SELECT t.k FROM t, u WHERE t.k = u.k";
-    let before = db.run_script(sql, &Strategy::default()).unwrap();
+    let before = db.session().run_script(sql).unwrap();
     assert_eq!(before.result.num_rows(), 20);
     let old = Arc::downgrade(db.catalog().get("t").unwrap().join_index(0));
     assert!(old.upgrade().is_some());
 
     // Replace `t` under its name: keys 15..35, of which 15..30 join.
     create(15);
-    let after = db.run_script(sql, &Strategy::default()).unwrap();
+    let after = db.session().run_script(sql).unwrap();
     assert_eq!(after.result.num_rows(), 15);
     assert_eq!(builds_and_reuses(&after), (1, 1), "new t built, u kept");
     assert!(old.upgrade().is_none(), "the old index died with its table");
@@ -238,7 +239,7 @@ fn parallel_prepare_charges_and_counts_like_sequential() {
 fn every_registered_strategy_returns_the_same_rows_cold_and_warm() {
     let db = star_db();
     let expected = db
-        .run_script(MIXED_SQL, &Strategy::Reference)
+        .run_script(MIXED_SQL, &ReferenceStrategy, &db.exec_context())
         .unwrap()
         .result
         .canonical_rows();
@@ -249,7 +250,7 @@ fn every_registered_strategy_returns_the_same_rows_cold_and_warm() {
         for name in db.strategies().names() {
             let strategy = db.strategies().get(&name).unwrap();
             let out = db
-                .run_script_with(MIXED_SQL, strategy.as_ref(), &db.exec_context())
+                .run_script(MIXED_SQL, strategy.as_ref(), &db.exec_context())
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"));
             assert!(!out.timed_out, "{name} timed out ({round})");
             assert_eq!(out.result.canonical_rows(), expected, "{name} ({round})");

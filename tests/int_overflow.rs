@@ -28,8 +28,10 @@ fn assert_everywhere(sql: &str, expected: impl IntoIterator<Item = i64>) {
     let mut expected: Vec<i64> = expected.into_iter().collect();
     expected.sort_unstable();
     for name in db.strategies().names() {
-        let result = db
-            .query_with(sql, &name)
+        let session = db.session();
+        session.use_strategy(&name).unwrap();
+        let result = session
+            .query(sql)
             .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
         let mut got: Vec<i64> = result.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
         got.sort_unstable();

@@ -12,10 +12,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use skinnerdb::skinner_core::{ParallelSkinnerConfig, QuerySig, RunFeedback, TreeCacheConfig};
+use skinnerdb::skinner_core::{
+    ParallelSkinnerConfig, ParallelSkinnerStrategy, QuerySig, RunFeedback, TreeCacheConfig,
+};
 use skinnerdb::skinner_query::TemplateFeatures;
 use skinnerdb::skinner_uct::{PriorEntry, TreePrior};
-use skinnerdb::{DataType, Database, Strategy, TreeCache, Value};
+use skinnerdb::{DataType, Database, TreeCache, Value};
 
 fn test_db() -> Database {
     let db = Database::new();
@@ -78,16 +80,16 @@ fn registry_equivalence_cache_on_vs_off() {
             let strategy_off = db_off.strategies().get(&name).unwrap();
             let strategy_on = db_on.strategies().get(&name).unwrap();
             let cold = db_off
-                .run_script_with(sql, strategy_off.as_ref(), &db_off.exec_context())
+                .run_script(sql, strategy_off.as_ref(), &db_off.exec_context())
                 .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
             assert!(!cold.timed_out, "{name} timed out on {sql}");
             // Two runs on the cached side: the first publishes, the second
             // consumes the warm start.
             let first = db_on
-                .run_script_with(sql, strategy_on.as_ref(), &db_on.exec_context())
+                .run_script(sql, strategy_on.as_ref(), &db_on.exec_context())
                 .unwrap();
             let second = db_on
-                .run_script_with(sql, strategy_on.as_ref(), &db_on.exec_context())
+                .run_script(sql, strategy_on.as_ref(), &db_on.exec_context())
                 .unwrap();
             let want = cold.result.canonical_rows();
             assert_eq!(first.result.canonical_rows(), want, "{name} on {sql}");
@@ -121,7 +123,7 @@ fn rows_bit_identical_at_every_thread_count() {
     let db_off = test_db();
     let db_on = test_db();
     db_on.set_learning_cache(true);
-    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+    let strategy = ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: 16,
         min_chunk_tuples: 2,
         ..Default::default()
@@ -130,9 +132,15 @@ fn rows_bit_identical_at_every_thread_count() {
         db_off.set_default_threads(threads);
         db_on.set_default_threads(threads);
         for (sql, total) in QUERIES.iter().zip(TOTAL_ORDER) {
-            let off = db_off.run_script(sql, &strategy).unwrap();
-            db_on.run_script(sql, &strategy).unwrap();
-            let warm = db_on.run_script(sql, &strategy).unwrap();
+            let off = db_off
+                .run_script(sql, &strategy, &db_off.exec_context())
+                .unwrap();
+            db_on
+                .run_script(sql, &strategy, &db_on.exec_context())
+                .unwrap();
+            let warm = db_on
+                .run_script(sql, &strategy, &db_on.exec_context())
+                .unwrap();
             if total {
                 assert_eq!(
                     off.result.rows, warm.result.rows,

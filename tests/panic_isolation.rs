@@ -12,8 +12,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use skinner_client::Client;
 use skinner_server::{Server, ServerConfig};
-use skinnerdb::skinner_core::ParallelSkinnerConfig;
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::skinner_core::ParallelSkinnerStrategy;
+use skinnerdb::skinner_exec::ReferenceStrategy;
+use skinnerdb::{DataType, Database, Value};
 
 /// The value on which `boom` panics: early in `a` and in the join result,
 /// so the panicking chunk is one the caller queues for a helper.
@@ -74,12 +75,8 @@ const PANICKING: [(&str, &str); 3] = [
 /// The statement run after each failure.
 const NEXT: &str = "SELECT a.g, COUNT(*) c, SUM(b.w) s FROM a, b WHERE a.id = b.aid GROUP BY a.g";
 
-fn parallel() -> Strategy {
-    Strategy::ParallelSkinner(ParallelSkinnerConfig::default())
-}
-
 fn reference_rows(db: &Database) -> Vec<String> {
-    db.run_script(NEXT, &Strategy::Reference)
+    db.run_script(NEXT, &ReferenceStrategy, &db.exec_context())
         .unwrap()
         .result
         .canonical_rows()
@@ -91,14 +88,22 @@ fn embedded_panic_fails_only_its_statement() {
     db.set_default_threads(2);
     let expected = reference_rows(&db);
     for (place, sql) in PANICKING {
-        let r = catch_unwind(AssertUnwindSafe(|| db.run_script(sql, &parallel())));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            db.run_script(sql, &ParallelSkinnerStrategy::default(), &db.exec_context())
+        }));
         let payload = r.expect_err(place);
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"udf boom"),
             "{place}: the UDF's own panic reaches the caller"
         );
-        let next = db.run_script(NEXT, &parallel()).unwrap();
+        let next = db
+            .run_script(
+                NEXT,
+                &ParallelSkinnerStrategy::default(),
+                &db.exec_context(),
+            )
+            .unwrap();
         assert!(!next.timed_out, "after the {place} panic");
         assert_eq!(
             next.result.canonical_rows(),

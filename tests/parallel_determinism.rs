@@ -14,32 +14,29 @@
 
 use std::time::{Duration, Instant};
 
-use skinnerdb::skinner_core::{ParallelSkinnerConfig, SkinnerCConfig};
+use skinnerdb::skinner_core::{ParallelSkinnerConfig, ParallelSkinnerStrategy, SkinnerCStrategy};
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::{correlation_torture, trivial};
-use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, Strategy, Value};
+use skinnerdb::{CancelToken, DataType, Database, ExecOutcome, ExecutionStrategy, Value};
 
-fn parallel() -> Strategy {
-    Strategy::ParallelSkinner(ParallelSkinnerConfig {
+fn parallel() -> ParallelSkinnerStrategy {
+    ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: 64,    // small batches → many episodes even on test data
         min_chunk_tuples: 4, // …still split across all the workers
         ..Default::default()
     })
 }
 
-fn sequential() -> Strategy {
-    Strategy::SkinnerC(SkinnerCConfig::default())
-}
-
-fn run(db: &Database, script: &str, strategy: &Strategy) -> ExecOutcome {
-    db.run_script(script, strategy)
+fn run(db: &Database, script: &str, strategy: &dyn ExecutionStrategy) -> ExecOutcome {
+    db.run_script(script, strategy, &db.exec_context())
         .unwrap_or_else(|e| panic!("{script} failed: {e}"))
 }
 
 /// [`parallel`] at `threads` workers.
 fn run_parallel(db: &Database, script: &str, threads: usize) -> ExecOutcome {
     let ctx = db.exec_context().with_threads(threads);
-    db.run_script_with(script, parallel().build().as_ref(), &ctx)
+    db.run_script(script, &parallel(), &ctx)
         .unwrap_or_else(|e| panic!("{script} failed: {e}"))
 }
 
@@ -99,7 +96,7 @@ const HANDMADE_SQL: &str = "SELECT f.id, a.grp, b.w FROM fact f, dim1 a, dim2 b 
 #[test]
 fn one_thread_matches_sequential_skinner_c_handmade() {
     let db = handmade_db();
-    let seq = run(&db, HANDMADE_SQL, &sequential());
+    let seq = run(&db, HANDMADE_SQL, &SkinnerCStrategy::default());
     let par = run_parallel(&db, HANDMADE_SQL, 1);
     assert!(!seq.timed_out && !par.timed_out);
     assert_eq!(par.result.canonical_rows(), seq.result.canonical_rows());
@@ -132,7 +129,7 @@ fn one_thread_matches_sequential_on_job_like_queries() {
     let mut queries = w.queries.clone();
     queries.sort_by_key(|q| q.num_tables);
     for q in queries.iter().take(3) {
-        let seq = run(&db, &q.script, &sequential());
+        let seq = run(&db, &q.script, &SkinnerCStrategy::default());
         let par = run_parallel(&db, &q.script, 1);
         assert!(!seq.timed_out && !par.timed_out, "{} timed out", q.name);
         assert_eq!(
@@ -154,7 +151,7 @@ fn one_thread_matches_sequential_on_torture_workloads() {
     for w in [correlation_torture(4, 50, 1), trivial(4, 30)] {
         let db = Database::from_parts(w.catalog.clone(), w.udfs);
         let q = &w.queries[0];
-        let seq = run(&db, &q.script, &sequential());
+        let seq = run(&db, &q.script, &SkinnerCStrategy::default());
         let par = run_parallel(&db, &q.script, 1);
         assert!(!seq.timed_out && !par.timed_out, "{}", q.name);
         assert_eq!(
@@ -169,7 +166,7 @@ fn one_thread_matches_sequential_on_torture_workloads() {
 #[test]
 fn n_thread_runs_are_deterministic_and_agree_with_reference() {
     let db = handmade_db();
-    let expected = run(&db, HANDMADE_SQL, &Strategy::Reference)
+    let expected = run(&db, HANDMADE_SQL, &ReferenceStrategy)
         .result
         .canonical_rows();
     for threads in [2, 4, 8] {
@@ -193,9 +190,7 @@ fn n_thread_runs_are_deterministic_on_torture() {
     let w = correlation_torture(4, 60, 2);
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let script = &w.queries[0].script;
-    let expected = run(&db, script, &Strategy::Reference)
-        .result
-        .canonical_rows();
+    let expected = run(&db, script, &ReferenceStrategy).result.canonical_rows();
     for threads in [2, 4, 8] {
         let mut seen = Vec::new();
         for rep in 0..2 {
@@ -317,7 +312,7 @@ fn cancel_token_fired_mid_episode_stops_all_workers() {
             cancel.cancel();
         })
     };
-    let strategy = parallel().build();
+    let strategy = parallel();
     let started = Instant::now();
     let out = strategy.execute(&query, &ctx);
     let elapsed = started.elapsed();

@@ -10,21 +10,22 @@
 //! (thousands of groups) — result rows must match the 1-thread run (and
 //! the reference executor) exactly, not just as sorted multisets.
 
-use skinnerdb::skinner_core::ParallelSkinnerConfig;
+use skinnerdb::skinner_core::{ParallelSkinnerConfig, ParallelSkinnerStrategy};
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::skinner_workloads::job_like::{generate as job, JobConfig};
 use skinnerdb::skinner_workloads::torture::correlation_torture;
 use skinnerdb::skinner_workloads::tpch::{generate as tpch, TpchConfig};
-use skinnerdb::{Database, ExecOutcome, Strategy};
+use skinnerdb::{Database, ExecOutcome};
 
 /// Run `sql` under the parallel strategy at `threads` workers.
 fn run_parallel(db: &Database, sql: &str, threads: usize) -> ExecOutcome {
-    let strategy = Strategy::ParallelSkinner(ParallelSkinnerConfig {
+    let strategy = ParallelSkinnerStrategy(ParallelSkinnerConfig {
         batch_tuples: 64,
         min_chunk_tuples: 4,
         ..Default::default()
     });
     let ctx = db.exec_context().with_threads(threads);
-    db.run_script_with(sql, strategy.build().as_ref(), &ctx)
+    db.run_script(sql, &strategy, &ctx)
         .unwrap_or_else(|e| panic!("{threads}-thread run of {sql}: {e}"))
 }
 
@@ -35,7 +36,7 @@ fn assert_thread_invariant(db: &Database, sql: &str) -> usize {
     let base = run_parallel(db, sql, 1);
     assert!(!base.timed_out, "1-thread run timed out: {sql}");
     let reference = db
-        .run_script(sql, &Strategy::Reference)
+        .run_script(sql, &ReferenceStrategy, &db.exec_context())
         .expect("reference run");
     assert_eq!(
         base.result.canonical_rows(),

@@ -6,12 +6,14 @@
 //! beyond the hand-written cases.
 
 use proptest::prelude::*;
-// `skinnerdb::Strategy` shadows the prelude's `proptest::strategy::Strategy`
-// trait name; re-import the trait anonymously so its methods stay in scope.
-use proptest::strategy::Strategy as _;
 
-use skinnerdb::skinner_core::{RewardKind, SkinnerCConfig, SkinnerGConfig};
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::skinner_adaptive::{EddyStrategy, ReoptimizerStrategy};
+use skinnerdb::skinner_core::{
+    RewardKind, SkinnerCConfig, SkinnerCStrategy, SkinnerGConfig, SkinnerGStrategy,
+    SkinnerHStrategy,
+};
+use skinnerdb::skinner_exec::{ReferenceStrategy, TraditionalStrategy};
+use skinnerdb::{DataType, Database, ExecutionStrategy, Value};
 
 /// A randomly generated query workload: `k` tables in a chain, each with a
 /// join column and a payload column over small domains (to force duplicate
@@ -26,7 +28,7 @@ struct Scenario {
     slice_steps: u64,
 }
 
-fn scenario() -> impl proptest::strategy::Strategy<Value = Scenario> {
+fn scenario() -> impl Strategy<Value = Scenario> {
     (2usize..=4)
         .prop_flat_map(|k| {
             (
@@ -104,7 +106,7 @@ proptest! {
     #[test]
     fn skinner_c_always_matches_reference(s in scenario(), jumps: bool, share: bool, leftmost: bool) {
         let (db, sql) = build(&s);
-        let expected = db.run_script(&sql, &Strategy::Reference).unwrap();
+        let expected = db.run_script(&sql, &ReferenceStrategy, &db.exec_context()).unwrap();
         let cfg = SkinnerCConfig {
             slice_steps: s.slice_steps,
             seed: s.seed,
@@ -113,7 +115,7 @@ proptest! {
             reward: if leftmost { RewardKind::LeftmostDelta } else { RewardKind::FractionalProgress },
             ..Default::default()
         };
-        let out = db.run_script(&sql, &Strategy::SkinnerC(cfg)).unwrap();
+        let out = db.run_script(&sql, &SkinnerCStrategy(cfg), &db.exec_context()).unwrap();
         prop_assert!(!out.timed_out);
         prop_assert_eq!(out.result.canonical_rows(), expected.result.canonical_rows());
     }
@@ -126,14 +128,14 @@ proptest! {
         base in 50u64..1500,
     ) {
         let (db, sql) = build(&s);
-        let expected = db.run_script(&sql, &Strategy::Reference).unwrap();
+        let expected = db.run_script(&sql, &ReferenceStrategy, &db.exec_context()).unwrap();
         let cfg = SkinnerGConfig {
             batches,
             base_timeout_units: base,
             seed: s.seed,
             ..Default::default()
         };
-        let out = db.run_script(&sql, &Strategy::SkinnerG(cfg)).unwrap();
+        let out = db.run_script(&sql, &SkinnerGStrategy(cfg), &db.exec_context()).unwrap();
         prop_assert!(!out.timed_out);
         prop_assert_eq!(out.result.canonical_rows(), expected.result.canonical_rows());
     }
@@ -142,14 +144,15 @@ proptest! {
     #[test]
     fn baselines_always_match_reference(s in scenario()) {
         let (db, sql) = build(&s);
-        let expected = db.run_script(&sql, &Strategy::Reference).unwrap();
-        for strategy in [
-            Strategy::Eddy(Default::default()),
-            Strategy::Reoptimizer(Default::default()),
-            Strategy::Traditional(Default::default()),
-            Strategy::SkinnerH(Default::default()),
-        ] {
-            let out = db.run_script(&sql, &strategy).unwrap();
+        let expected = db.run_script(&sql, &ReferenceStrategy, &db.exec_context()).unwrap();
+        let strategies: [&dyn ExecutionStrategy; 4] = [
+            &EddyStrategy::default(),
+            &ReoptimizerStrategy::default(),
+            &TraditionalStrategy::default(),
+            &SkinnerHStrategy::default(),
+        ];
+        for strategy in strategies {
+            let out = db.run_script(&sql, strategy, &db.exec_context()).unwrap();
             prop_assert!(!out.timed_out);
             prop_assert_eq!(
                 out.result.canonical_rows(),
@@ -172,8 +175,8 @@ proptest! {
         let (db, _) = build(&s);
         let sql = "SELECT t0.k, COUNT(*) c, SUM(t1.p) s, MIN(t1.p) mn, MAX(t1.p) mx \
                    FROM t0, t1 WHERE t0.k = t1.k GROUP BY t0.k ORDER BY t0.k";
-        let expected = db.run_script(sql, &Strategy::Reference).unwrap();
-        let out = db.run_script(sql, &Strategy::default()).unwrap();
+        let expected = db.run_script(sql, &ReferenceStrategy, &db.exec_context()).unwrap();
+        let out = db.session().run_script(sql).unwrap();
         prop_assert_eq!(
             out.result.ordered_rows(),
             expected.result.ordered_rows()

@@ -13,10 +13,11 @@
 //!   a full run that must terminate despite wildly wrong initial timeouts).
 
 use skinnerdb::skinner_core::{run_skinner_c, run_skinner_c_fixed, SkinnerCConfig};
-use skinnerdb::skinner_core::{SkinnerG, SkinnerGConfig};
+use skinnerdb::skinner_core::{SkinnerG, SkinnerGConfig, SkinnerHStrategy};
+use skinnerdb::skinner_exec::TraditionalStrategy;
 use skinnerdb::skinner_workloads::torture::{correlation_torture, udf_torture, Shape};
 use skinnerdb::ExecContext;
-use skinnerdb::{DataType, Database, Strategy, Value};
+use skinnerdb::{DataType, Database, Value};
 
 /// Per-strategy regret envelope: the maximal tolerated ratio of the
 /// strategy's work to a traditional run on a workload where the optimizer
@@ -52,33 +53,33 @@ fn regret_envelope(name: &str) -> Option<f64> {
 fn every_registered_strategy_meets_its_regret_envelope() {
     let (db, sql) = star_db();
     let trad = db
-        .run_script(&sql, &Strategy::Traditional(Default::default()))
+        .run_script(&sql, &TraditionalStrategy::default(), &db.exec_context())
         .unwrap();
     assert!(!trad.timed_out);
     let expected = trad.result.canonical_rows();
-    for strategy in Strategy::all_builtin() {
-        let Some(bound) = regret_envelope(strategy.name()) else {
+    for name in db.strategies().names() {
+        let Some(bound) = regret_envelope(&name) else {
             continue;
         };
         assert!(
             !bound.is_nan(),
-            "strategy {:?} has no regret envelope — add it to regret_envelope()",
-            strategy.name()
+            "strategy {name:?} has no regret envelope — add it to regret_envelope()"
         );
-        let out = db.run_script(&sql, &strategy).unwrap();
-        assert!(!out.timed_out, "{} timed out", strategy.name());
+        let strategy = db.strategies().get(&name).unwrap();
+        let out = db
+            .run_script(&sql, strategy.as_ref(), &db.exec_context())
+            .unwrap();
+        assert!(!out.timed_out, "{name} timed out");
         assert_eq!(
             out.result.canonical_rows(),
             expected,
-            "{} disagrees with traditional",
-            strategy.name()
+            "{name} disagrees with traditional"
         );
         let ratio = out.work_units as f64 / trad.work_units.max(1) as f64;
         assert!(
             ratio < bound,
-            "{}: measured regret ratio {ratio:.2} ≥ envelope {bound} \
+            "{name}: measured regret ratio {ratio:.2} ≥ envelope {bound} \
              ({} work units vs traditional {})",
-            strategy.name(),
             out.work_units,
             trad.work_units
         );
@@ -155,10 +156,10 @@ fn skinner_c_cost_is_within_small_factor_of_best_fixed_order() {
 fn skinner_h_overhead_vs_good_traditional_is_bounded() {
     let (db, sql) = star_db();
     let trad = db
-        .run_script(&sql, &Strategy::Traditional(Default::default()))
+        .run_script(&sql, &TraditionalStrategy::default(), &db.exec_context())
         .unwrap();
     let hybrid = db
-        .run_script(&sql, &Strategy::SkinnerH(Default::default()))
+        .run_script(&sql, &SkinnerHStrategy::default(), &db.exec_context())
         .unwrap();
     assert!(!trad.timed_out && !hybrid.timed_out);
     assert_eq!(hybrid.result.canonical_rows(), trad.result.canonical_rows());

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use skinnerdb::skinner_core::SkinnerCConfig;
-use skinnerdb::{CancelToken, DataType, Database, DbError, Strategy, Value};
+use skinnerdb::skinner_core::SkinnerCStrategy;
+use skinnerdb::{CancelToken, DataType, Database, DbError, ExecutionStrategy, Value};
 
 fn serving_db() -> Database {
     let db = Database::new();
@@ -53,7 +53,7 @@ fn prepare_once_execute_many_identical() {
     }
     assert_eq!(first.num_rows(), 3);
     // The outcome form exposes work accounting per execution.
-    let outcome = prepared.execute_outcome();
+    let outcome = prepared.execute_in(&prepared.fresh_context());
     assert!(!outcome.timed_out);
     assert!(outcome.work_units > 0);
 }
@@ -62,19 +62,15 @@ fn prepare_once_execute_many_identical() {
 fn prepared_statement_strategy_snapshot_and_override() {
     let db = serving_db();
     let session = db.session();
-    session.set_strategy(Strategy::Traditional(Default::default()));
+    session.use_strategy("traditional").unwrap();
     let prepared = session.prepare(JOIN_SQL).unwrap();
     // Session switches strategy afterwards; the prepared statement keeps
     // its snapshot.
-    session.set_strategy(Strategy::Eddy(Default::default()));
+    session.use_strategy("eddy").unwrap();
     assert_eq!(prepared.strategy().name(), "Traditional");
     let base = prepared.execute().unwrap();
     // Same bound query through a different engine: identical rows.
-    let other = prepared.execute_with(
-        Strategy::SkinnerC(SkinnerCConfig::default())
-            .build()
-            .as_ref(),
-    );
+    let other = SkinnerCStrategy::default().execute(prepared.query(), &prepared.fresh_context());
     assert!(!other.timed_out);
     assert_eq!(base.canonical_rows(), other.result.canonical_rows());
 }
@@ -118,14 +114,13 @@ fn deadline_produces_timeout_outcome_without_panic() {
 #[test]
 fn explicit_cancel_token_interrupts_every_builtin() {
     let db = serving_db();
-    for strategy in Strategy::all_builtin() {
+    for name in db.strategies().names() {
+        let strategy = db.strategies().get(&name).unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
         let ctx = db.exec_context().with_cancel(cancel);
-        let out = db
-            .run_script_with(JOIN_SQL, strategy.build().as_ref(), &ctx)
-            .unwrap();
-        assert!(out.timed_out, "{} ignored cancellation", strategy.name());
+        let out = db.run_script(JOIN_SQL, strategy.as_ref(), &ctx).unwrap();
+        assert!(out.timed_out, "{name} ignored cancellation");
     }
 }
 
@@ -135,12 +130,12 @@ fn explicit_cancel_token_interrupts_every_builtin() {
 #[test]
 fn every_builtin_honours_the_context_work_limit() {
     let db = serving_db();
-    for strategy in Strategy::all_builtin() {
-        let built = strategy.build();
+    for name in db.strategies().names() {
+        let strategy = db.strategies().get(&name).unwrap();
         for limit in [1, 50, 500] {
             let ctx = db.exec_context().with_work_limit(limit);
-            let out = db.run_script_with(JOIN_SQL, built.as_ref(), &ctx).unwrap();
-            let at = format!("{} at limit {limit}", strategy.name());
+            let out = db.run_script(JOIN_SQL, strategy.as_ref(), &ctx).unwrap();
+            let at = format!("{name} at limit {limit}");
             assert!(out.timed_out, "{at}");
             assert_eq!(out.result.num_rows(), 0, "{at}");
             assert_eq!(ctx.budget().used(), out.work_units, "{at}");

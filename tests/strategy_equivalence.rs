@@ -4,13 +4,13 @@
 //! 5.1–5.3 claim correctness for all Skinner variants; we hold the
 //! baselines to the same standard).
 //!
-//! The suite is deliberately driven through `StrategyRegistry` /
-//! `ExecutionStrategy` rather than the `Strategy` enum: anything that
-//! registers is automatically held to the equivalence bar.
+//! The suite is driven through `StrategyRegistry` / `ExecutionStrategy`:
+//! anything that registers is automatically held to the equivalence bar.
 
 use std::sync::Arc;
 
 use skinnerdb::skinner_exec::reference::run_reference;
+use skinnerdb::skinner_exec::ReferenceStrategy;
 use skinnerdb::{DataType, Database, ExecContext, ExecOutcome, ExecutionStrategy, Value};
 
 fn test_db() -> Database {
@@ -88,7 +88,7 @@ impl ExecutionStrategy for ExternalNestedLoop {
 
 fn assert_all_agree(db: &Database, sql: &str) {
     let expected = db
-        .run_script(sql, &skinnerdb::Strategy::Reference)
+        .run_script(sql, &ReferenceStrategy, &db.exec_context())
         .unwrap()
         .result
         .canonical_rows();
@@ -98,7 +98,7 @@ fn assert_all_agree(db: &Database, sql: &str) {
         }
         let strategy = db.strategies().get(&name).unwrap();
         let out = db
-            .run_script_with(sql, strategy.as_ref(), &db.exec_context())
+            .run_script(sql, strategy.as_ref(), &db.exec_context())
             .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
         assert!(!out.timed_out, "{name} timed out on {sql}");
         assert_eq!(
@@ -266,9 +266,10 @@ fn like_and_in_over_string_udfs() {
         for name in string_udf_db().strategies().names() {
             // A fresh database per run, so no earlier statement has
             // interned a UDF result or an `IN` literal.
-            let db = string_udf_db();
-            let out = db
-                .query_with(sql, &name)
+            let session = string_udf_db().session();
+            session.use_strategy(&name).unwrap();
+            let out = session
+                .query(sql)
                 .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
             assert_eq!(out.rows, expected, "{name}: {sql}");
         }

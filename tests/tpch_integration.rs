@@ -3,8 +3,10 @@
 //! (optimizer-opaque predicates) returns exactly the standard variant's
 //! results — the UDFs are semantically equivalent by construction.
 
+use skinnerdb::skinner_core::SkinnerHStrategy;
+use skinnerdb::skinner_exec::TraditionalStrategy;
 use skinnerdb::skinner_workloads::tpch::{generate, generate_udf, TpchConfig};
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
 fn small() -> TpchConfig {
     TpchConfig {
@@ -19,10 +21,15 @@ fn skinner_c_matches_traditional_on_all_queries() {
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     for q in &w.queries {
         let skinner = db
-            .run_script(&q.script, &Strategy::default())
+            .session()
+            .run_script(&q.script)
             .unwrap_or_else(|e| panic!("{}: {e}", q.name));
         let trad = db
-            .run_script(&q.script, &Strategy::Traditional(Default::default()))
+            .run_script(
+                &q.script,
+                &TraditionalStrategy::default(),
+                &db.exec_context(),
+            )
             .unwrap();
         assert!(!skinner.timed_out && !trad.timed_out, "{}", q.name);
         assert_eq!(
@@ -42,8 +49,8 @@ fn udf_variant_is_semantically_identical() {
     let udf_db = Database::from_parts(udf_w.catalog.clone(), udf_w.udfs);
     for (sq, uq) in std_w.queries.iter().zip(&udf_w.queries) {
         assert_eq!(sq.name, uq.name);
-        let a = std_db.run_script(&sq.script, &Strategy::default()).unwrap();
-        let b = udf_db.run_script(&uq.script, &Strategy::default()).unwrap();
+        let a = std_db.session().run_script(&sq.script).unwrap();
+        let b = udf_db.session().run_script(&uq.script).unwrap();
         assert_eq!(
             a.result.canonical_rows(),
             b.result.canonical_rows(),
@@ -61,10 +68,14 @@ fn hybrid_strategy_completes_tpch() {
     for name in ["Q3", "Q10"] {
         let q = w.queries.iter().find(|q| q.name == name).unwrap();
         let hybrid = db
-            .run_script(&q.script, &Strategy::SkinnerH(Default::default()))
+            .run_script(&q.script, &SkinnerHStrategy::default(), &db.exec_context())
             .unwrap();
         let trad = db
-            .run_script(&q.script, &Strategy::Traditional(Default::default()))
+            .run_script(
+                &q.script,
+                &TraditionalStrategy::default(),
+                &db.exec_context(),
+            )
             .unwrap();
         assert!(!hybrid.timed_out, "{name}");
         assert_eq!(
@@ -80,9 +91,13 @@ fn ordered_queries_preserve_row_order() {
     let w = generate(&small());
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let q3 = w.queries.iter().find(|q| q.name == "Q3").unwrap();
-    let skinner = db.run_script(&q3.script, &Strategy::default()).unwrap();
+    let skinner = db.session().run_script(&q3.script).unwrap();
     let trad = db
-        .run_script(&q3.script, &Strategy::Traditional(Default::default()))
+        .run_script(
+            &q3.script,
+            &TraditionalStrategy::default(),
+            &db.exec_context(),
+        )
         .unwrap();
     // ORDER BY revenue DESC must hold exactly, not just set-wise.
     assert_eq!(skinner.result.ordered_rows(), trad.result.ordered_rows());

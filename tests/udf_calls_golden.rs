@@ -25,11 +25,11 @@ use std::sync::Arc;
 use skinnerdb::skinner_core::{
     run_parallel_skinner, run_skinner_c, run_skinner_c_fixed, ParallelSkinnerConfig, SkinnerCConfig,
 };
-use skinnerdb::skinner_exec::ExecOutcome;
+use skinnerdb::skinner_exec::{ExecOutcome, TraditionalStrategy};
 use skinnerdb::skinner_query::UdfRegistry;
 use skinnerdb::skinner_workloads::torture::{trivial, udf_torture, Shape};
 use skinnerdb::skinner_workloads::Workload;
-use skinnerdb::{Database, Strategy};
+use skinnerdb::Database;
 
 /// Re-register each of `names` as a wrapper that counts its calls.
 fn count_calls(udfs: &UdfRegistry, names: &[String]) -> Vec<(String, Arc<AtomicU64>)> {
@@ -143,7 +143,7 @@ fn statements_call_each_udf_the_recorded_number_of_times() {
         let parallel = ParallelSkinnerConfig::default();
         record("parallel_1", &run_parallel_skinner(&query, &one, &parallel));
         let traditional = db
-            .run_script(&script, &Strategy::Traditional(Default::default()))
+            .run_script(&script, &TraditionalStrategy::default(), &db.exec_context())
             .unwrap();
         record("traditional", &traditional);
     }
