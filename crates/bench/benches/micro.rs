@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of SkinnerDB's performance-critical pieces:
 //! the multi-way join inner loop, UCT selection overhead, join-order
 //! switching (backup + restore), index jumps and builds, pre-processing
-//! over already-indexed tables, lowered predicates (UDF join checks and
+//! over already-indexed tables, lowered predicates (UDF join checks, one
+//! UDF call site alone next to a direct call of its function, and
 //! unary filters), the pyramid scheme, the post-processing kernel that
 //! turns result tuples into output rows, CSV ingest, and the parallel
 //! episode loop against sequential Skinner-C.
@@ -268,6 +269,41 @@ fn udf_join_checks(c: &mut Criterion) {
     let db = Database::from_parts(w.catalog.clone(), w.udfs);
     let q = db.bind(&w.queries[0].script).unwrap();
     full_pass(c, "udf_join_checks_trivial_4x200", &q, &[0, 1, 2, 3]);
+}
+
+/// The `trivial` check alone: `Pred::eval` of `udf_eq(t0.b, t1.a)` at
+/// 1 024 row pairs, next to the same function called directly on two
+/// `Value::Int`s, the floor a call site can reach. Divide by 1 024 for
+/// the cost of one call.
+fn udf_call_site(c: &mut Criterion) {
+    use skinnerdb::skinner_query::{Expr, Pred};
+    let w = trivial(2, 200);
+    let db = Database::from_parts(w.catalog.clone(), w.udfs);
+    let q = db.bind(&w.queries[0].script).unwrap();
+    let expr = &q.generic_preds[0].expr;
+    let Expr::Udf { handle, .. } = expr else {
+        panic!("the trivial check is one UDF call: {expr:?}")
+    };
+    let (b, a) = (q.tables[0].column(1), q.tables[1].column(0));
+    let check = Pred::lower(expr, &q.tables);
+    c.bench_function("udf_call_site_trivial_1k_checks", |bench| {
+        bench.iter(|| {
+            (0..1024u32)
+                .filter(|k| check.eval(&[k % 32, k / 32]))
+                .count()
+        })
+    });
+    let func = handle.func.clone();
+    c.bench_function("udf_call_site_direct_fn_1k_calls", |bench| {
+        bench.iter(|| {
+            (0..1024u32)
+                .filter(|k| {
+                    let args = [Value::Int(b.int_at(k % 32)), Value::Int(a.int_at(k / 32))];
+                    func(&args).as_bool()
+                })
+                .count()
+        })
+    });
 }
 
 /// Pre-processing of one 50 000-row table under four unary predicates —
@@ -546,6 +582,7 @@ criterion_group! {
         index_jump_vs_scan,
         prepare_warm,
         udf_join_checks,
+        udf_call_site,
         filter_unary_preds,
         pyramid_scheme,
         skinner_c_end_to_end,

@@ -18,10 +18,19 @@
 //! `LIKE` or `IN`, shapes `eval_bool` itself would panic on — stays an
 //! [`Expr`] evaluated by `eval_bool`: the one fallback.
 //!
+//! A UDF call costs the function plus what its arguments cost to build. A
+//! call site whose one to four arguments are all bare int or float columns
+//! is lowered to a column call: each column is read straight into the
+//! `Value` array the function gets, and since ints and floats own nothing
+//! the array is never dropped. Every other argument list (literals,
+//! expressions, strings, nested calls, more arguments) is materialized
+//! argument by argument, as [`Expr::eval`] would.
+//!
 //! String arguments of a UDF are resolved from the interner before the call;
 //! no interner read is held while a UDF runs (see `Interner::read`).
 
 use std::collections::HashSet;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use skinner_storage::{float_key, Column, DataType, Interner, RowId, Table, Value};
@@ -49,10 +58,15 @@ impl Pred {
     }
 
     /// The predicate at the tuple whose row id at table position `p` is
-    /// `rows[p]` — exactly `expr.eval_bool` there.
+    /// `rows[p]` — exactly `expr.eval_bool` there. A predicate that is one
+    /// UDF call (every join check of the `trivial` torture shape) is called
+    /// here, without the call into the recursive node walk.
     #[inline]
     pub fn eval(&self, rows: &[RowId]) -> bool {
-        self.0.eval(rows)
+        match &self.0 {
+            Node::Udf(u) => u.call(rows).as_bool(),
+            n => n.eval(rows),
+        }
     }
 }
 
@@ -73,6 +87,17 @@ impl ColAt {
     #[inline]
     fn row(&self, rows: &[RowId]) -> RowId {
         rows[self.pos]
+    }
+
+    /// The value of an int or float column, as `Expr::eval` gives it.
+    #[inline]
+    fn number(&self, rows: &[RowId]) -> Value {
+        let row = self.row(rows) as usize;
+        match self.column() {
+            Column::Int(v) => Value::Int(v[row]),
+            Column::Float(v) => Value::Float(v[row]),
+            Column::Str(_) => unreachable!("lowered as a number column"),
+        }
     }
 }
 
@@ -161,12 +186,18 @@ enum Arg {
     Udf(Udf),
 }
 
-/// A UDF call site; arguments are materialized per call (on the stack up
-/// to a small arity, see `UdfHandle::call`).
+/// A UDF call site.
 #[derive(Debug, Clone)]
-struct Udf {
-    handle: UdfHandle,
-    args: Box<[Arg]>,
+enum Udf {
+    /// One to four arguments, each a bare int or float column: every value
+    /// is read straight into the array the function gets.
+    Cols {
+        handle: UdfHandle,
+        cols: Box<[ColAt]>,
+    },
+    /// Any other argument list, materialized per [`Arg`] (on the stack up
+    /// to a small arity, see `UdfHandle::call`).
+    Args { handle: UdfHandle, args: Box<[Arg]> },
 }
 
 /// An expression without a typed arm, with what `eval_bool` needs besides
@@ -284,10 +315,32 @@ impl Arg {
 }
 
 impl Udf {
-    #[inline]
+    /// Inlined into each caller, so a column call reaches the function with
+    /// no call in between; the general path stays out of line.
+    #[inline(always)]
     fn call(&self, rows: &[RowId]) -> Value {
-        self.handle.call(&self.args, |a| a.value(rows))
+        match self {
+            Udf::Cols { handle, cols } => {
+                let (f, v) = (&handle.func, |c: &ColAt| c.number(rows));
+                // Ints and floats own nothing: the array is never dropped,
+                // so no argument is checked for a string to release.
+                match &**cols {
+                    [a] => f(&*ManuallyDrop::new([v(a)])),
+                    [a, b] => f(&*ManuallyDrop::new([v(a), v(b)])),
+                    [a, b, c] => f(&*ManuallyDrop::new([v(a), v(b), v(c)])),
+                    [a, b, c, d] => f(&*ManuallyDrop::new([v(a), v(b), v(c), v(d)])),
+                    _ => unreachable!("column calls have arity 1 to 4"),
+                }
+            }
+            Udf::Args { handle, args } => call_args(handle, args, rows),
+        }
     }
+}
+
+/// [`Udf::Args`]'s call: each argument materialized by [`Arg::value`].
+#[inline(never)]
+fn call_args(handle: &UdfHandle, args: &[Arg], rows: &[RowId]) -> Value {
+    handle.call(args, |a| a.value(rows))
 }
 
 /// Lowers expressions against one statement's tables. Each typed lowering
@@ -421,6 +474,12 @@ impl<'a> Lowering<'a> {
 
     /// `Expr::eval`, per argument.
     fn udf(&mut self, handle: &UdfHandle, args: &[Expr]) -> Option<Udf> {
+        if let Some(cols) = self.number_cols(args) {
+            return Some(Udf::Cols {
+                handle: handle.clone(),
+                cols,
+            });
+        }
         let args = args
             .iter()
             .map(|a| {
@@ -436,10 +495,29 @@ impl<'a> Lowering<'a> {
                 })
             })
             .collect::<Option<_>>()?;
-        Some(Udf {
+        Some(Udf::Args {
             handle: handle.clone(),
             args,
         })
+    }
+
+    /// `args` as the columns of a [`Udf::Cols`] call: one to four bare
+    /// columns, each typed int or float as it is stored (so the value needs
+    /// no widening), or `None`.
+    fn number_cols(&self, args: &[Expr]) -> Option<Box<[ColAt]>> {
+        if !(1..=4).contains(&args.len()) {
+            return None;
+        }
+        args.iter()
+            .map(|a| match a {
+                Expr::Col(c, dt @ (DataType::Int | DataType::Float))
+                    if self.tables[c.table].column(c.col).dtype() == *dt =>
+                {
+                    Some(self.col(*c))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     fn col(&self, c: ColRef) -> ColAt {
@@ -563,5 +641,40 @@ mod tests {
         assert!(matches!(p.0, Node::Udf(_)));
         // Two rows, each evaluated once by the oracle and once lowered.
         assert_eq!(*calls.lock().unwrap(), 4);
+    }
+
+    #[test]
+    fn only_bare_number_columns_take_the_column_call() {
+        let (cat, tables) = fixture();
+        let f = |args: Vec<Expr>| Expr::Udf {
+            handle: UdfHandle {
+                name: Arc::from("f"),
+                // Tells an int argument from a float one.
+                func: Arc::new(|args: &[Value]| {
+                    Value::from(args.iter().any(|a| matches!(a, Value::Int(i) if *i > 15)))
+                }),
+                ret: DataType::Int,
+            },
+            args,
+        };
+        let column_call = |e: &Expr| match agree(e, &tables, cat.interner()).0 {
+            Node::Udf(Udf::Cols { .. }) => true,
+            Node::Udf(Udf::Args { .. }) => false,
+            other => panic!("{other:?}"),
+        };
+        assert!(column_call(&f(vec![
+            col(0, DataType::Int),
+            col(1, DataType::Float)
+        ])));
+        for e in [
+            f(vec![col(0, DataType::Int), Expr::LitInt(1)]),
+            f(vec![col(2, DataType::Str)]),
+            f(vec![f(vec![col(0, DataType::Int)])]),
+            f(vec![col(1, DataType::Float); 5]),
+            // An int column read as a float widens, as `Expr::eval` does.
+            f(vec![col(0, DataType::Float)]),
+        ] {
+            assert!(!column_call(&e), "{e:?}");
+        }
     }
 }

@@ -7,10 +7,14 @@
 //! strategies handle them like any other predicate.
 //!
 //! UDFs are plain Rust closures over [`Value`] arguments. A call costs the
-//! function and its arguments, nothing shared: the registry keeps no call
-//! counter, so a UDF that wants to be counted counts itself (its closure
-//! captures its own counter, as `crates/query/tests/pred_model.rs` and
-//! `tests/udf_calls_golden.rs` do).
+//! function and the building of its arguments, nothing shared. At a call
+//! site whose arguments are all bare int or float columns (arity 1 to 4,
+//! as in `udf_eq(t0.b, t1.a)`) the building is a column read per argument,
+//! written straight into the array the function gets (see [`crate::pred`]),
+//! so the `Value` signature costs next to nothing there. The registry keeps
+//! no call counter, so a UDF that wants to be counted counts itself (its
+//! closure captures its own counter, as `crates/query/tests/pred_model.rs`
+//! and `tests/udf_calls_golden.rs` do).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,7 +1,9 @@
 //! Differential test of lowered predicates: for random predicate trees over
 //! edge-case data, [`Pred::eval`] must return exactly what the tree-walking
 //! [`Expr::eval_bool`] (the oracle) returns at every tuple, and call every
-//! UDF exactly as often. Each UDF counts its own calls.
+//! UDF exactly as often, in the same order, on the same arguments: the same
+//! variant (an int column arrives as `Value::Int`, never widened) and the
+//! same bits. Each UDF counts its own calls and logs its argument lists.
 //!
 //! Trees mix every typed arm `Pred` has and several it falls back on: int,
 //! float and mixed comparisons (int arithmetic evaluated in float context),
@@ -10,12 +12,13 @@
 //! UDFs, integer arithmetic with `/0`, `%0`, `i64::MIN / -1` and
 //! `-i64::MIN`, and UDFs of arity 0–5 returning ints, floats, strings
 //! (some never interned) — and, declared `Int`, floats and strings, and,
-//! declared `Str`, ints and floats. Data holds NaN, ±0.0, ±inf, `i64::MIN`/`MAX` and
-//! empty strings.
+//! declared `Str`, ints and floats. A third of the call sites take bare int
+//! and float columns only, the shape lowered to a column call at arity 1–4.
+//! Data holds NaN, ±0.0, ±inf, `i64::MIN`/`MAX` and empty strings.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -78,11 +81,34 @@ struct Udf {
     calls: Arc<AtomicU64>,
 }
 
+/// One argument as a UDF saw it: its variant and its bits.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Int(i64),
+    Float(u64),
+    Str(Arc<str>),
+}
+
+impl Seen {
+    fn of(v: &Value) -> Seen {
+        match v {
+            Value::Int(i) => Seen::Int(*i),
+            Value::Float(f) => Seen::Float(f.to_bits()),
+            Value::Str(s) => Seen::Str(s.clone()),
+        }
+    }
+}
+
+/// Every UDF call in order: the index of the UDF in `World::funcs` and the
+/// arguments it got.
+type CallLog = Arc<Mutex<Vec<(usize, Vec<Seen>)>>>;
+
 struct World {
     catalog: Catalog,
     tables: Vec<Arc<Table>>,
     udfs: UdfRegistry,
     funcs: Vec<Udf>,
+    log: CallLog,
 }
 
 /// Deterministic digest of UDF arguments.
@@ -127,6 +153,7 @@ fn world() -> World {
     }
     let udfs = UdfRegistry::new();
     let mut funcs = Vec::new();
+    let log = CallLog::default();
     for arity in 0..=5 {
         for (kind, ret) in [
             ("int", DataType::Int),
@@ -138,8 +165,11 @@ fn world() -> World {
             let name = format!("{kind}{arity}");
             let calls = Arc::new(AtomicU64::new(0));
             let counter = calls.clone();
+            let (log, index) = (log.clone(), funcs.len());
             let id = udfs.register_typed(&name, ret, move |args: &[Value]| {
                 counter.fetch_add(1, Ordering::Relaxed);
+                let seen = args.iter().map(Seen::of).collect();
+                log.lock().unwrap().push((index, seen));
                 let h = digest(args);
                 match kind {
                     "int" => Value::Int((h % 3) as i64 - 1),
@@ -172,6 +202,7 @@ fn world() -> World {
         tables,
         udfs,
         funcs,
+        log,
     }
 }
 
@@ -217,8 +248,11 @@ impl Trees<'_> {
     fn udf(&mut self, ret: DataType, depth: u32) -> Expr {
         let cands: Vec<&Udf> = self.w.funcs.iter().filter(|f| f.ret == ret).collect();
         let f = cands[self.g.below(cands.len())];
+        let bare_numbers = self.g.below(3) == 0;
         let args = (0..f.arity)
-            .map(|_| match self.g.below(3) {
+            .map(|_| match self.g.below(if bare_numbers { 2 } else { 3 }) {
+                0 if bare_numbers => self.col(DataType::Int),
+                1 if bare_numbers => self.col(DataType::Float),
                 0 => self.int(depth),
                 1 => self.float(depth),
                 _ => self.string(depth),
@@ -372,6 +406,42 @@ impl Trees<'_> {
     }
 }
 
+/// Every UDF call site in `e` whose arguments are all bare int or float
+/// columns: its arity, whether an int column is among them and whether a
+/// float column is.
+fn bare_number_calls(e: &Expr, out: &mut Vec<(usize, bool, bool)>) {
+    let kids: Vec<&Expr> = match e {
+        Expr::Udf { args, .. } => {
+            let types: Option<Vec<DataType>> = args
+                .iter()
+                .map(|a| match a {
+                    Expr::Col(_, dt @ (DataType::Int | DataType::Float)) => Some(*dt),
+                    _ => None,
+                })
+                .collect();
+            if let Some(types) = types.filter(|t| !t.is_empty()) {
+                let has = |dt| types.contains(&dt);
+                out.push((types.len(), has(DataType::Int), has(DataType::Float)));
+            }
+            args.iter().collect()
+        }
+        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => vec![left, right],
+        Expr::And(es) | Expr::Or(es) => es.iter().collect(),
+        Expr::Not(e) | Expr::Neg(e) | Expr::InSet { arg: e, .. } | Expr::LikeSet { arg: e, .. } => {
+            vec![e]
+        }
+        Expr::Col(..) | Expr::LitInt(_) | Expr::LitFloat(_) | Expr::LitStr { .. } => vec![],
+    };
+    for k in kids {
+        bare_number_calls(k, out);
+    }
+}
+
+/// The calls logged since the last take.
+fn take_log(w: &World) -> Vec<(usize, Vec<Seen>)> {
+    std::mem::take(&mut *w.log.lock().unwrap())
+}
+
 fn counts(w: &World) -> Vec<u64> {
     w.funcs
         .iter()
@@ -394,10 +464,13 @@ proptest! {
         for r0 in 0..ROWS[0] as u32 {
             for r1 in 0..ROWS[1] as u32 {
                 let rows = [r0, r1];
+                take_log(&w);
                 let before = counts(&w);
                 let expected = expr.eval_bool(&EvalCtx::new(&w.tables, &rows, interner));
+                let oracle_calls = take_log(&w);
                 let mid = counts(&w);
                 let got = pred.eval(&rows);
+                let lowered_calls = take_log(&w);
                 let after = counts(&w);
                 prop_assert_eq!(got, expected, "{:?} at {:?}", expr, rows);
                 for (k, f) in w.funcs.iter().enumerate() {
@@ -410,6 +483,13 @@ proptest! {
                         rows
                     );
                 }
+                prop_assert_eq!(
+                    &lowered_calls,
+                    &oracle_calls,
+                    "UDF calls differ: {:?} at {:?}",
+                    expr,
+                    rows
+                );
             }
         }
     }
@@ -427,6 +507,7 @@ fn generator_reaches_every_udf_arity() {
         "InSet { arg: Udf { handle: Udf(str",
     ];
     let mut seen = [0; 2];
+    let mut bare = Vec::new();
     for _ in 0..2000 {
         let e = trees.pred(4);
         e.eval_bool(&EvalCtx::new(&w.tables, &rows, w.catalog.interner()));
@@ -434,6 +515,14 @@ fn generator_reaches_every_udf_arity() {
         for (n, shape) in seen.iter_mut().zip(shapes) {
             *n += tree.contains(shape) as usize;
         }
+        bare_number_calls(&e, &mut bare);
+    }
+    // Column calls: one int and one float column alone, and int and float
+    // columns mixed at every arity the column-call form takes.
+    let mut wanted = vec![(1, true, false), (1, false, true)];
+    wanted.extend((2..=4).map(|arity| (arity, true, true)));
+    for shape in wanted {
+        assert!(bare.contains(&shape), "no bare-column call site {shape:?}");
     }
     for f in &w.funcs {
         assert!(

@@ -354,13 +354,15 @@ impl Database {
         Session::new(self.clone())
     }
 
-    /// Create and register a table from rows.
+    /// Create and register a table from rows. An in-memory table of the
+    /// same name is replaced; the name of a persisted table is refused.
     pub fn create_table(
         &self,
         name: &str,
         columns: &[(&str, DataType)],
         rows: Vec<Vec<Value>>,
     ) -> Result<(), DbError> {
+        self.refuse_persisted(name)?;
         let schema = Schema::new(columns.iter().map(|(n, dt)| Field::new(*n, *dt)).collect());
         let mut b = self.catalog.builder(name, schema);
         for (i, row) in rows.iter().enumerate() {
@@ -435,8 +437,11 @@ impl Database {
         Ok(())
     }
 
-    /// Load a CSV file (header required, types inferred) as table `name`.
+    /// Load a CSV file (header required, types inferred) as in-memory table
+    /// `name`, replacing an in-memory table of that name; the name of a
+    /// persisted table is refused.
     pub fn load_csv(&self, name: &str, path: impl AsRef<std::path::Path>) -> Result<(), DbError> {
+        self.refuse_persisted(name)?;
         let file = std::fs::File::open(path)
             .map_err(|e| DbError::Schema(format!("cannot open csv: {e}")))?;
         let table = skinner_storage::read_csv(
@@ -661,6 +666,19 @@ impl Database {
         for t in temp_tables {
             self.catalog.drop_table(t);
         }
+    }
+
+    /// Refuse to register an in-memory table over persisted table `name`:
+    /// the replacement would live in memory only, and replacing the table
+    /// removes its segment, so after a reopen the table would be gone.
+    fn refuse_persisted(&self, name: &str) -> Result<(), DbError> {
+        if self.catalog.is_persistent(name) {
+            return Err(DbError::Schema(format!(
+                "cannot replace persisted table {name} with an in-memory one; \
+                 drop it first"
+            )));
+        }
+        Ok(())
     }
 
     /// The schema temp table `name` gets from `query`, checked before the
@@ -987,6 +1005,42 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let keep = db.catalog().get("keep").expect("persisted table survives");
         assert_eq!(keep.num_rows(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_table_and_load_csv_refuse_the_name_of_a_persisted_table() {
+        let dir = std::env::temp_dir().join(format!("skinnerdb_replace_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("kept.csv");
+        std::fs::write(&csv, "x\n1\n2\n3\n").unwrap();
+        let rows = |n| (0..n).map(|i| vec![Value::Int(i)]).collect();
+        let data = dir.join("data");
+        {
+            let db = Database::open(&data).unwrap();
+            db.create_table("kept", &[("x", DataType::Int)], rows(10))
+                .unwrap();
+            db.persist_table("kept").unwrap();
+            for refused in [
+                db.create_table("kept", &[("x", DataType::Int)], rows(3)),
+                db.load_csv("kept", &csv),
+            ] {
+                match refused {
+                    Err(DbError::Schema(msg)) => assert!(msg.contains("kept"), "{msg}"),
+                    other => panic!("expected a schema error, got {other:?}"),
+                }
+            }
+            assert!(db.catalog().is_persistent("kept"));
+            // An in-memory table is still replaced.
+            db.create_table("m", &[("x", DataType::Int)], rows(10))
+                .unwrap();
+            db.load_csv("m", &csv).unwrap();
+            assert_eq!(db.catalog().get("m").unwrap().num_rows(), 3);
+        }
+        let db = Database::open(&data).unwrap();
+        let kept = db.catalog().get("kept").expect("persisted table survives");
+        assert_eq!(kept.num_rows(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
