@@ -519,9 +519,15 @@ fn lineitem_csv() -> Vec<u8> {
 
 /// CSV ingest of `lineitem`: bulk-loaded with inferred types into a
 /// segment of a temporary data directory (parse, page encode, fsync,
-/// commit), and read into an in-memory table.
+/// commit); read into an in-memory table; and scanned with every cell
+/// parsed under the inferred schema but kept nowhere (`csv_scan_lineitem`).
+/// Then the cold open of the committed segment (`segment_open_lineitem`):
+/// map, checksum, decode every page and intern its strings into a fresh
+/// interner.
 fn csv_ingest(c: &mut Criterion) {
-    use skinnerdb::skinner_storage::{bulk_load_csv, disk::PAGE_ROWS, read_csv, Interner};
+    use skinnerdb::skinner_storage::{
+        bulk_load_csv, csv::check_csv, disk::PAGE_ROWS, read_csv, Interner,
+    };
     use std::sync::Arc;
     let csv = lineitem_csv();
     let dir = std::env::temp_dir().join(format!("skinner_micro_csv_{}", std::process::id()));
@@ -536,6 +542,15 @@ fn csv_ingest(c: &mut Criterion) {
                 .unwrap()
                 .num_rows()
         })
+    });
+    bulk_load_csv(&store, "lineitem", &csv[..], None, PAGE_ROWS).unwrap();
+    let open = || store.load_table("lineitem", &Arc::new(Interner::new()));
+    let schema = open().unwrap().table.schema().clone();
+    c.bench_function("csv_scan_lineitem", |bench| {
+        bench.iter(|| check_csv(&csv, &schema).unwrap())
+    });
+    c.bench_function("segment_open_lineitem", |bench| {
+        bench.iter(|| open().unwrap().table.num_rows())
     });
     std::fs::remove_dir_all(&dir).unwrap();
 }

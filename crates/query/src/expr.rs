@@ -431,13 +431,15 @@ pub fn like_match(pattern: &str, s: &str) -> bool {
     let (mut pi, mut ti) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
+        // `%` first: a `%` in the text must not consume the pattern's `%`
+        // as a literal.
+        if pi < p.len() && p[pi] == '%' {
             star_p = pi;
             star_t = ti;
             pi += 1;
+        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+            pi += 1;
+            ti += 1;
         } else if star_p != usize::MAX {
             star_t += 1;
             ti = star_t;
@@ -631,6 +633,13 @@ mod tests {
         assert!(!like_match("", "x"));
         assert!(like_match("", ""));
         assert!(like_match("%special%", "a special day"));
+        // A `%` or `_` in the text is an ordinary character.
+        assert!(like_match("a%", "a%c"));
+        assert!(like_match("%", "%x"));
+        assert!(like_match("x%y", "x%zy"));
+        assert!(like_match("50%", "50% off"));
+        assert!(like_match("a_b", "a_b"));
+        assert!(!like_match("a%b", "a%c"));
     }
 
     #[test]

@@ -10,16 +10,21 @@
 //!
 //! One byte-level record scanner serves every load path — [`read_csv`]
 //! and [`crate::disk::bulk_load_csv`], with or without a schema. It reads
-//! one line at a time into a reused buffer, checks it is UTF-8 once, and
-//! copies the record's text — decoded, if it holds quotes — into a second
-//! reused buffer that the fields are slices of, so no path allocates per
-//! line or per cell. Memory per path:
+//! the input as text checked to be UTF-8 (the whole input at once where
+//! the path holds it whole, else each chunk as it is read) and indexes a
+//! record without quotes in place: one pass, eight bytes at a time, finds
+//! the line's end and every comma, and the fields are slices of the text.
+//! A record with a quote is decoded, a line at a time, into a reused
+//! buffer. Numbers parse from a cell's bytes in one pass (`fast_int`,
+//! `fast_float`), and only a padded cell or one off that exact fast path
+//! is trimmed and handed to `str::parse`. No path allocates per line or
+//! per cell. Memory per path:
 //!
 //! - [`read_csv`]: the raw input, read whole, plus the table being built.
 //! - Bulk load with `schema: None`: the raw input, read whole, plus one
 //!   page per column.
-//! - Bulk load with an explicit schema: streamed, one record plus one page
-//!   per column whatever the file size.
+//! - Bulk load with an explicit schema: streamed, one record plus one
+//!   read chunk plus one page per column whatever the file size.
 //!
 //! An inferred schema costs one scan, not two (`fill_inferred`): the
 //! types are guessed from the first [`PAGE_ROWS`] records and the fill
@@ -31,8 +36,7 @@
 //! input holds a scan error (a ragged record, an open quote): that
 //! outranks every other failure of an inferred load.
 //!
-//! Numbers parse on an exact fast path (`parse_int`, `parse_float`) that
-//! `widen` shares, falling back to `str::parse` outside it.
+//! Type inference (`widen`) judges a cell by the same parse.
 
 use std::fmt;
 use std::io::{self, BufRead};
@@ -145,13 +149,117 @@ impl ColumnSink for SegmentWriter {
     }
 }
 
-/// Byte-level CSV record scanner: the header, then one record at a time,
-/// each decoded into reused buffers.
-pub(crate) struct Records<R> {
-    src: R,
-    /// The line last read, without its line end.
-    line: Vec<u8>,
-    /// Number of lines read so far (so, of `line`).
+/// Most bytes one refill takes from a stream, so a streamed scan holds
+/// about one record plus one chunk whatever the source hands out.
+const CHUNK: usize = 64 << 10;
+
+/// An input held whole: its text if it is UTF-8, else its bytes, which
+/// are then scanned as a stream so that the first line that is not UTF-8
+/// is reported where a streamed load reports it.
+#[derive(Clone, Copy)]
+pub(crate) enum Whole<'a> {
+    Text(&'a str),
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Whole<'a> {
+    pub(crate) fn new(input: &'a [u8]) -> Self {
+        match std::str::from_utf8(input) {
+            Ok(text) => Whole::Text(text),
+            Err(_) => Whole::Bytes(input),
+        }
+    }
+}
+
+/// The text a [`Records`] scans: an input held whole, or a stream read
+/// and checked as UTF-8 a chunk at a time.
+enum Text<'a> {
+    Whole(&'a str),
+    Stream {
+        src: Box<dyn BufRead + 'a>,
+        /// `buf[at..]` is the text read and not yet consumed.
+        buf: String,
+        at: usize,
+        /// Bytes read but not yet text: an unfinished character, or
+        /// everything from the first byte that is not UTF-8 on.
+        raw: Vec<u8>,
+        /// `raw` starts with bytes that are not UTF-8.
+        invalid: bool,
+    },
+}
+
+impl Text<'_> {
+    /// The text held and not yet consumed.
+    fn get(&self) -> &str {
+        match self {
+            Text::Whole(text) => text,
+            Text::Stream { buf, at, .. } => &buf[*at..],
+        }
+    }
+
+    /// Drop the first `n` bytes of [`Text::get`].
+    fn consume(&mut self, n: usize) {
+        match self {
+            Text::Whole(text) => *text = &text[n..],
+            Text::Stream { at, .. } => *at += n,
+        }
+    }
+
+    /// Append more text to [`Text::get`]; false, with nothing appended, at
+    /// the end of the input. Bytes that are not UTF-8 are an error once
+    /// the text before them is used up.
+    fn more(&mut self) -> Result<bool, CsvError> {
+        let Text::Stream {
+            src,
+            buf,
+            at,
+            raw,
+            invalid,
+        } = self
+        else {
+            return Ok(false);
+        };
+        buf.drain(..*at);
+        *at = 0;
+        loop {
+            if *invalid {
+                return Err(invalid_utf8());
+            }
+            let chunk = src.fill_buf()?;
+            if chunk.is_empty() {
+                return match raw.is_empty() {
+                    true => Ok(false),
+                    false => Err(invalid_utf8()),
+                };
+            }
+            let n = chunk.len().min(CHUNK);
+            raw.extend_from_slice(&chunk[..n]);
+            src.consume(n);
+            let valid = match std::str::from_utf8(raw) {
+                Ok(_) => raw.len(),
+                Err(e) => {
+                    *invalid = e.error_len().is_some();
+                    e.valid_up_to()
+                }
+            };
+            if valid > 0 {
+                buf.push_str(std::str::from_utf8(&raw[..valid]).expect("a valid prefix"));
+                raw.drain(..valid);
+                return Ok(true);
+            }
+        }
+    }
+}
+
+/// Byte-level CSV record scanner: the header, then one record at a time.
+/// A record without quotes is indexed where it lies in the text; one with
+/// quotes is decoded into a reused buffer.
+pub(crate) struct Records<'a> {
+    text: Text<'a>,
+    /// Bytes of the text the current record takes in place, consumed when
+    /// the scan moves on.
+    held: usize,
+    /// Number of lines read so far.
     lineno: usize,
     header: Vec<String>,
     /// Line the current record starts on.
@@ -159,13 +267,31 @@ pub(crate) struct Records<R> {
     fields: Fields,
 }
 
-impl<R: BufRead> Records<R> {
-    /// Start scanning `src` by reading its header record (line 1, even if
-    /// blank).
-    pub(crate) fn open(src: R) -> Result<Self, CsvError> {
+impl<'a> Records<'a> {
+    /// Start scanning a stream by reading its header record (line 1, even
+    /// if blank).
+    pub(crate) fn open(src: impl BufRead + 'a) -> Result<Self, CsvError> {
+        Self::start(Text::Stream {
+            src: Box::new(src),
+            buf: String::new(),
+            at: 0,
+            raw: Vec::new(),
+            invalid: false,
+        })
+    }
+
+    /// Start scanning an input held whole, in place if it is UTF-8.
+    pub(crate) fn whole(input: Whole<'a>) -> Result<Self, CsvError> {
+        match input {
+            Whole::Text(text) => Self::start(Text::Whole(text)),
+            Whole::Bytes(bytes) => Self::open(bytes),
+        }
+    }
+
+    fn start(text: Text<'a>) -> Result<Self, CsvError> {
         let mut recs = Records {
-            src,
-            line: Vec::new(),
+            text,
+            held: 0,
             lineno: 0,
             header: Vec::new(),
             start: 0,
@@ -174,9 +300,7 @@ impl<R: BufRead> Records<R> {
         if !recs.scan(false)? {
             return Err(CsvError::Empty);
         }
-        recs.header = (0..recs.fields.n)
-            .map(|c| recs.field(c).to_string())
-            .collect();
+        recs.header = recs.cells().map(str::to_string).collect();
         Ok(recs)
     }
 
@@ -185,11 +309,28 @@ impl<R: BufRead> Records<R> {
         &self.header
     }
 
+    /// The text the current record's field ends index.
+    fn record(&self) -> &str {
+        match self.fields.decoded {
+            true => &self.fields.text,
+            false => self.text.get(),
+        }
+    }
+
+    /// The current record's fields, left to right.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = &str> {
+        let text = self.record();
+        let mut start = 0;
+        self.fields.ends.iter().map(move |&end| {
+            let cell = &text[start..end];
+            start = end + 1;
+            cell
+        })
+    }
+
     /// Field `c` of the current record.
-    pub(crate) fn field(&self, c: usize) -> &str {
-        let ends = &self.fields.ends[..self.fields.n];
-        let start = if c == 0 { 0 } else { ends[c - 1] + 1 };
-        &self.fields.text[start..ends[c]]
+    fn field(&self, c: usize) -> &str {
+        self.cells().nth(c).expect("a field of the record")
     }
 
     /// Advance to the next record, skipping whitespace-only lines; false at
@@ -199,7 +340,7 @@ impl<R: BufRead> Records<R> {
         if !self.scan(true)? {
             return Ok(false);
         }
-        let found = self.fields.n;
+        let found = self.fields.ends.len();
         if found != self.header.len() {
             return Err(CsvError::Ragged {
                 line: self.start,
@@ -211,20 +352,26 @@ impl<R: BufRead> Records<R> {
     }
 
     /// Parse the current record's cells into `sink` under `schema`, left to
-    /// right — numbers from their trimmed text, strings verbatim. On a cell
-    /// that does not parse, stop and return its column.
+    /// right — numbers as their trimmed text parses, strings verbatim. On a
+    /// cell that does not parse, stop and return its column.
     pub(crate) fn push_into(
         &self,
         schema: &Schema,
         sink: &mut impl ColumnSink,
     ) -> Result<(), usize> {
-        for (c, f) in schema.fields().iter().enumerate() {
-            let raw = self.field(c);
+        let text = self.record();
+        let mut start = 0;
+        for (c, (f, &end)) in schema.fields().iter().zip(&self.fields.ends).enumerate() {
+            // Numbers parse from the bytes, the text is sliced only for a
+            // string or off the fast path.
+            let raw = &text.as_bytes()[start..end];
+            let cell = || &text[start..end];
             match f.dtype {
-                DataType::Int => sink.push_int(c, parse_int(raw.trim()).ok_or(c)?),
-                DataType::Float => sink.push_float(c, parse_float(raw.trim()).ok_or(c)?),
-                DataType::Str => sink.push_str(c, raw),
+                DataType::Int => sink.push_int(c, int_cell(raw, cell).ok_or(c)?),
+                DataType::Float => sink.push_float(c, float_cell(raw, cell).ok_or(c)?),
+                DataType::Str => sink.push_str(c, cell()),
             }
+            start = end + 1;
         }
         Ok(())
     }
@@ -253,110 +400,169 @@ impl<R: BufRead> Records<R> {
         }
     }
 
-    /// Read one line into `line`, dropping its `\n` or `\r\n`; false at the
-    /// end of the input.
-    fn read_line(&mut self) -> Result<bool, CsvError> {
-        self.line.clear();
-        if self.src.read_until(b'\n', &mut self.line)? == 0 {
-            return Ok(false);
-        }
-        if self.line.last() == Some(&b'\n') {
-            self.line.pop();
-            if self.line.last() == Some(&b'\r') {
-                self.line.pop();
+    /// Find the next record; false at the end of the input. A line without
+    /// quotes is the record, indexed in place by one pass that finds its
+    /// end and its commas; a line with a quote is decoded instead.
+    fn scan(&mut self, skip_blank: bool) -> Result<bool, CsvError> {
+        self.text.consume(std::mem::take(&mut self.held));
+        loop {
+            self.fields.clear();
+            let mut i = 0;
+            let stop = loop {
+                match scan_line(self.text.get().as_bytes(), &mut i, &mut self.fields.ends) {
+                    Stop::End if self.text.more()? => continue,
+                    stop => break stop,
+                }
+            };
+            let text = self.text.get();
+            let (len, used) = match stop {
+                Stop::Quote => return self.decode().map(|()| true),
+                Stop::Newline(k) => (k - usize::from(text[..k].ends_with('\r')), k + 1),
+                Stop::End if text.is_empty() => return Ok(false),
+                Stop::End => (text.len(), text.len()),
+            };
+            self.lineno += 1;
+            if skip_blank && self.fields.ends.is_empty() && text[..len].trim().is_empty() {
+                self.text.consume(used);
+                continue;
             }
+            self.start = self.lineno;
+            self.fields.ends.push(len);
+            self.fields.decoded = false;
+            self.held = used;
+            return Ok(true);
         }
-        self.lineno += 1;
-        Ok(true)
     }
 
-    /// Decode the next record into `fields`, reading more lines while a
-    /// quote is open; false at the end of the input.
-    fn scan(&mut self, skip_blank: bool) -> Result<bool, CsvError> {
+    /// Decode the record starting at a line that holds a quote into
+    /// `fields`, a line at a time, reading more lines while a quote is
+    /// open.
+    fn decode(&mut self) -> Result<(), CsvError> {
         self.fields.clear();
+        self.fields.decoded = true;
         let mut in_quotes = false;
         loop {
-            if !self.read_line()? {
-                return match in_quotes {
-                    true => Err(CsvError::UnterminatedQuote { line: self.start }),
-                    false => Ok(false),
-                };
-            }
-            let line = std::str::from_utf8(&self.line).map_err(|_| invalid_utf8())?;
+            let Some((len, used)) = self.line()? else {
+                return Err(CsvError::UnterminatedQuote { line: self.start });
+            };
             if in_quotes {
                 self.fields.text.push('\n');
-                in_quotes = self.fields.push_quoted(line, true);
-            } else if skip_blank && line.trim().is_empty() {
-                continue;
             } else {
                 self.start = self.lineno;
-                if self.fields.push_plain(line) {
-                    return Ok(true);
-                }
-                in_quotes = self.fields.push_quoted(line, false);
             }
+            in_quotes = self.fields.push_quoted(&self.text.get()[..len], in_quotes);
+            self.text.consume(used);
             if !in_quotes {
                 self.fields.close();
-                return Ok(true);
+                return Ok(());
+            }
+        }
+    }
+
+    /// Find the next line: its length without its `\n` or `\r\n`, and
+    /// with it; `None` at the end of the input.
+    fn line(&mut self) -> Result<Option<(usize, usize)>, CsvError> {
+        let mut from = 0;
+        loop {
+            let text = self.text.get();
+            if let Some(k) = text[from..].find('\n') {
+                let k = from + k;
+                self.lineno += 1;
+                return Ok(Some((k - usize::from(text[..k].ends_with('\r')), k + 1)));
+            }
+            from = text.len();
+            if !self.text.more()? {
+                if from == 0 {
+                    return Ok(None);
+                }
+                self.lineno += 1;
+                return Ok(Some((from, from)));
             }
         }
     }
 }
 
-/// A record's fields: their text in one buffer, one separator byte
-/// between neighbours, and where each one ends.
+/// Where [`scan_line`] stopped.
+enum Stop {
+    /// At the line's `\n`, at this offset.
+    Newline(usize),
+    /// At a quote: the line must be decoded.
+    Quote,
+    /// At the end of the text held.
+    End,
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every byte of `w` that equals `b`, and no other bit.
+fn bytes_equal(w: u64, b: u8) -> u64 {
+    let x = w ^ (ONES * u64::from(b));
+    !(((x & !HIGHS).wrapping_add(!HIGHS)) | x) & HIGHS
+}
+
+/// Scan the line that starts at `bytes[0]` from offset `*i` on, eight
+/// bytes at a time, pushing the offset of each comma onto `commas` and
+/// stopping at its `\n`, at a quote, or at the end of `bytes`. At the end,
+/// `*i` is `bytes.len()`, so the scan resumes where it stopped once more
+/// bytes follow.
+fn scan_line(bytes: &[u8], i: &mut usize, commas: &mut Vec<usize>) -> Stop {
+    let stop = |k: usize| match bytes[k] {
+        b'\n' => Stop::Newline(k),
+        _ => Stop::Quote,
+    };
+    while let Some(w) = bytes.get(*i..*i + 8) {
+        let w = u64::from_le_bytes(w.try_into().expect("eight bytes"));
+        let mut found = bytes_equal(w, b',');
+        let stops = bytes_equal(w, b'\n') | bytes_equal(w, b'"');
+        if stops != 0 {
+            // Only the commas before the first stop belong to the line.
+            found &= (1 << stops.trailing_zeros()) - 1;
+        }
+        while found != 0 {
+            commas.push(*i + found.trailing_zeros() as usize / 8);
+            found &= found - 1;
+        }
+        if stops != 0 {
+            return stop(*i + stops.trailing_zeros() as usize / 8);
+        }
+        *i += 8;
+    }
+    while let Some(&b) = bytes.get(*i) {
+        match b {
+            b',' => commas.push(*i),
+            b'\n' | b'"' => return stop(*i),
+            _ => {}
+        }
+        *i += 1;
+    }
+    Stop::End
+}
+
+/// The current record's fields: where each one ends, and a decoded
+/// record's text.
 #[derive(Default)]
 struct Fields {
+    /// A decoded record's fields in one buffer, one separator byte between
+    /// neighbours.
     text: String,
-    /// `ends[c]` is where field `c` ends in `text`; field `c + 1` starts
-    /// one byte later. Only the first `n` entries belong to the record.
+    /// Where each field of the record ends — in `text` if `decoded`, else
+    /// in the scanned text; field `c + 1` starts one byte after field `c`
+    /// ends.
     ends: Vec<usize>,
-    n: usize,
+    decoded: bool,
 }
 
 impl Fields {
     fn clear(&mut self) {
         self.text.clear();
-        self.n = 0;
+        self.ends.clear();
     }
 
     /// End the field being decoded at the end of `text`.
     fn close(&mut self) {
-        if self.n == self.ends.len() {
-            self.ends.push(0);
-        }
-        self.ends[self.n] = self.text.len();
-        self.n += 1;
+        self.ends.push(self.text.len());
         self.text.push(',');
-    }
-
-    /// Take a whole line without quotes as the record: its fields are the
-    /// text between its commas, as it is. False, with nothing taken, if
-    /// the line holds a quote.
-    fn push_plain(&mut self, line: &str) -> bool {
-        debug_assert!(
-            self.text.is_empty() && self.n == 0,
-            "not at a record's start"
-        );
-        let bytes = line.as_bytes();
-        if self.ends.len() <= bytes.len() {
-            self.ends.resize(bytes.len() + 1, 0);
-        }
-        // Branch-free: every position is written, and only a comma's is
-        // kept (the next write lands past it).
-        let (mut n, mut quoted) = (0, false);
-        for (i, &b) in bytes.iter().enumerate() {
-            self.ends[n] = i;
-            n += usize::from(b == b',');
-            quoted |= b == b'"';
-        }
-        if quoted {
-            return false;
-        }
-        self.ends[n] = bytes.len();
-        self.n = n + 1;
-        self.text.push_str(line);
-        true
     }
 
     /// Decode one line of a record; `in_quotes` continues a quoted field
@@ -413,62 +619,86 @@ const POW10: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// Split an optional leading `-` off `s`.
-fn sign(s: &str) -> (bool, &[u8]) {
-    match s.as_bytes() {
+/// Split an optional leading `-` off `b`.
+fn sign(b: &[u8]) -> (bool, &[u8]) {
+    match b {
         [b'-', rest @ ..] => (true, rest),
         b => (false, b),
     }
 }
 
-/// `s.parse::<i64>().ok()`, with `-?digits` of at most 18 digits (which
-/// cannot overflow) accumulated directly.
-pub(crate) fn parse_int(s: &str) -> Option<i64> {
-    let (neg, digits) = sign(s);
+/// `-?digits` of at most 18 digits (which cannot overflow), accumulated
+/// in one pass; `None` for anything else.
+fn fast_int(b: &[u8]) -> Option<i64> {
+    let (neg, digits) = sign(b);
     if digits.is_empty() || digits.len() > 18 {
-        return s.parse().ok();
+        return None;
     }
     let mut v = 0i64;
-    for &b in digits {
-        let d = b.wrapping_sub(b'0');
+    for &c in digits {
+        let d = c.wrapping_sub(b'0');
         if d > 9 {
-            return s.parse().ok();
+            return None;
         }
         v = v * 10 + i64::from(d);
     }
     Some(if neg { -v } else { v })
 }
 
-/// `s.parse::<f64>().ok()`, bit for bit. `-?digits(.digits)?` whose digits
-/// read as an integer `m` of at most 2^53, with `k` ≤ 22 of them after the
-/// point, is `m / 10^k`: both operands are exact, so the one rounding of
-/// the division is the correctly rounded result `str::parse` returns.
-pub(crate) fn parse_float(s: &str) -> Option<f64> {
-    fast_float(s).or_else(|| s.parse().ok())
+/// `s.parse::<i64>().ok()`, with `-?digits` of at most 18 digits taken on
+/// the fast path.
+pub(crate) fn parse_int(s: &str) -> Option<i64> {
+    fast_int(s.as_bytes()).or_else(|| s.parse().ok())
 }
 
-fn fast_float(s: &str) -> Option<f64> {
-    let (neg, b) = sign(s);
-    let (int, frac) = match b.iter().position(|&c| c == b'.') {
-        Some(p) if p + 1 < b.len() => (&b[..p], &b[p + 1..]),
+/// `parse_int(cell().trim())`, in one pass over `raw`, the cell's bytes,
+/// unless the cell is padded or off the fast path.
+fn int_cell<'a>(raw: &[u8], cell: impl FnOnce() -> &'a str) -> Option<i64> {
+    fast_int(raw).or_else(|| parse_int(cell().trim()))
+}
+
+/// `s.parse::<f64>().ok()`, bit for bit, with the fast path of
+/// [`fast_float`].
+pub(crate) fn parse_float(s: &str) -> Option<f64> {
+    fast_float(s.as_bytes()).or_else(|| s.parse().ok())
+}
+
+/// `parse_float(cell().trim())`, in one pass over `raw`, the cell's bytes,
+/// unless the cell is padded or off the fast path.
+fn float_cell<'a>(raw: &[u8], cell: impl FnOnce() -> &'a str) -> Option<f64> {
+    fast_float(raw).or_else(|| parse_float(cell().trim()))
+}
+
+/// `-?digits(.digits)?` with at most 19 digits in all, read in one pass as
+/// an integer `m` with `k` digits after the point: if `m` ≤ 2^53 the value
+/// is `m / 10^k`. Both operands are exact (`k` ≤ 19 < 23), so the one
+/// rounding of the division is the correctly rounded result `str::parse`
+/// returns. `None` for anything else.
+fn fast_float(b: &[u8]) -> Option<f64> {
+    let (neg, b) = sign(b);
+    let (mut m, mut point, mut digits) = (0u64, None, 0usize);
+    for (i, &c) in b.iter().enumerate() {
+        let d = c.wrapping_sub(b'0');
+        if d <= 9 {
+            m = m.wrapping_mul(10).wrapping_add(u64::from(d));
+            digits += 1;
+        } else if c == b'.' && point.is_none() {
+            point = Some(i);
+        } else {
+            return None;
+        }
+    }
+    let frac = match point {
+        // Digits on both sides of the point.
+        Some(p) if p > 0 && p + 1 < b.len() => b.len() - p - 1,
         Some(_) => return None,
-        None => (b, &[][..]),
+        None if digits > 0 => 0,
+        None => return None,
     };
-    if int.is_empty() || frac.len() >= POW10.len() {
+    if digits > 19 || m > EXACT_MANTISSA {
         return None;
     }
-    let mut m = 0u64;
-    for &c in int.iter().chain(frac) {
-        let d = c.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        m = m * 10 + u64::from(d);
-        if m > EXACT_MANTISSA {
-            return None;
-        }
-    }
-    let v = m as f64 / POW10[frac.len()];
+    let v = m as f64 / POW10[frac];
     Some(if neg { -v } else { v })
 }
 
@@ -479,10 +709,9 @@ pub(crate) fn widen(ty: DataType, cell: &str) -> DataType {
     if ty == DataType::Str {
         return DataType::Str;
     }
-    let s = cell.trim();
-    if ty == DataType::Int && parse_int(s).is_some() {
+    if ty == DataType::Int && int_cell(cell.as_bytes(), || cell).is_some() {
         DataType::Int
-    } else if parse_float(s).is_some() {
+    } else if float_cell(cell.as_bytes(), || cell).is_some() {
         DataType::Float
     } else {
         DataType::Str
@@ -492,14 +721,14 @@ pub(crate) fn widen(ty: DataType, cell: &str) -> DataType {
 /// Scan the first `limit` records of `input`, checking each, and return
 /// the header's (trimmed) names with the narrowest type of each column
 /// over them. `usize::MAX` infers over the whole input.
-pub(crate) fn infer_schema(input: &[u8], limit: usize) -> Result<Schema, CsvError> {
-    let mut recs = Records::open(input)?;
+pub(crate) fn infer_schema(input: Whole<'_>, limit: usize) -> Result<Schema, CsvError> {
+    let mut recs = Records::whole(input)?;
     let mut types = vec![DataType::Int; recs.header().len()];
     let mut seen = 0;
     while seen < limit && recs.next_record()? {
         seen += 1;
-        for (c, ty) in types.iter_mut().enumerate() {
-            *ty = widen(*ty, recs.field(c));
+        for (ty, cell) in types.iter_mut().zip(recs.cells()) {
+            *ty = widen(*ty, cell);
         }
     }
     let fields = recs
@@ -517,7 +746,7 @@ pub(crate) fn infer_schema(input: &[u8], limit: usize) -> Result<Schema, CsvErro
 /// of the whole input. Any other failure stands, unless full inference
 /// meets a scan error: that outranks every other failure.
 pub(crate) fn fill_inferred<T, E: From<CsvError>>(
-    input: &[u8],
+    input: Whole<'_>,
     is_bad_cell: impl Fn(&E) -> bool,
     mut fill: impl FnMut(Schema) -> Result<T, E>,
 ) -> Result<T, E> {
@@ -550,20 +779,43 @@ pub fn read_csv(
 ) -> Result<Table, CsvError> {
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
-    std::str::from_utf8(&input).map_err(|_| invalid_utf8())?;
+    let text = std::str::from_utf8(&input).map_err(|_| invalid_utf8())?;
     match schema {
-        Some(schema) => Ok(fill_table(name, &input, schema, interner)?.finish()),
+        Some(schema) => Ok(fill_table(name, text, schema, interner)?.finish()),
         // Each fill interns into its own interner, so a guess that fails
         // leaves `interner` as it was.
         None => fill_inferred(
-            &input,
+            Whole::Text(text),
             |e| matches!(e, CsvError::BadCell { .. }),
             |schema| {
                 let own = Arc::new(Interner::new());
-                Ok(fill_table(name, &input, schema, own)?.finish_into(interner.clone()))
+                Ok(fill_table(name, text, schema, own)?.finish_into(interner.clone()))
             },
         ),
     }
+}
+
+/// Check that `input` loads under `schema`, keeping nothing: scan every
+/// record and parse every cell as [`crate::disk::bulk_load_csv`] would
+/// under the same schema. Returns the number of records, or the first
+/// error that load reports.
+pub fn check_csv(input: &[u8], schema: &Schema) -> Result<u64, CsvError> {
+    /// A sink that drops every cell.
+    struct Discard;
+    impl ColumnSink for Discard {
+        fn push_int(&mut self, _: usize, _: i64) {}
+        fn push_float(&mut self, _: usize, _: f64) {}
+        fn push_str(&mut self, _: usize, _: &str) {}
+    }
+    let mut recs = Records::whole(Whole::new(input))?;
+    recs.check_arity(schema)?;
+    let mut rows = 0;
+    while recs.next_record()? {
+        recs.push_into(schema, &mut Discard)
+            .map_err(|c| recs.bad_cell(schema, c))?;
+        rows += 1;
+    }
+    Ok(rows)
 }
 
 /// Fill a builder from `input` under `schema`. A bad cell is reported once
@@ -571,11 +823,11 @@ pub fn read_csv(
 /// (its first line within it).
 fn fill_table(
     name: &str,
-    input: &[u8],
+    input: &str,
     schema: Schema,
     interner: Arc<Interner>,
 ) -> Result<TableBuilder, CsvError> {
-    let mut recs = Records::open(input)?;
+    let mut recs = Records::whole(Whole::Text(input))?;
     recs.check_arity(&schema)?;
     let mut b = TableBuilder::new(name, schema.clone(), interner);
     let mut bad: Option<(usize, CsvError)> = None;
@@ -769,6 +1021,11 @@ mod tests {
             "1.00000000000000000000001",
             "0.0000000000000000000001",
             "0.00000000000000000000001",
+            "0000000000000000001.5",
+            "00000000000000000001.5",
+            "0.1234567890123456789",
+            "1234567890123456789.5",
+            "35485.200000000004",
             "+1",
             "+1.5",
             "1.",

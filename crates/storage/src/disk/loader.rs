@@ -15,7 +15,7 @@
 
 use std::io::BufRead;
 
-use crate::csv::{fill_inferred, CsvError, Records};
+use crate::csv::{fill_inferred, CsvError, Records, Whole};
 use crate::disk::manifest::DiskStore;
 use crate::disk::DiskError;
 use crate::schema::Schema;
@@ -39,10 +39,11 @@ pub fn bulk_load_csv(
     }
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
+    let input = Whole::new(&input);
     fill_inferred(
-        &input,
+        input,
         |e| matches!(e, DiskError::Csv(CsvError::BadCell { .. })),
-        |schema| fill(store, name, Records::open(&input[..])?, schema, page_rows),
+        |schema| fill(store, name, Records::whole(input)?, schema, page_rows),
     )
 }
 
@@ -50,7 +51,7 @@ pub fn bulk_load_csv(
 fn fill(
     store: &DiskStore,
     name: &str,
-    mut recs: Records<impl BufRead>,
+    mut recs: Records<'_>,
     schema: Schema,
     page_rows: usize,
 ) -> Result<u64, DiskError> {

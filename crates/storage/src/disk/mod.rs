@@ -6,7 +6,14 @@
 //!   lightweight compression ([`page`]) and per-page min/max zone bounds
 //!   ([`zonemap`]), a self-describing footer, and a whole-file checksum.
 //!   Reads go through [`mmap`]; a segment opens into an ordinary
-//!   in-memory [`crate::Table`] with a [`ZoneMap`] attached.
+//!   in-memory [`crate::Table`] with a [`ZoneMap`] attached. Formats:
+//!
+//!   | magic       | checksum over every byte before it | writer | reader |
+//!   |-------------|------------------------------------|--------|--------|
+//!   | `SKSEG02\n` | 4-lane 64-bit hash of 8-byte little-endian words (`segment::WordHash`) | yes | yes |
+//!   | `SKSEG01\n` | FNV-1a 64                          | no     | yes    |
+//!
+//!   Every other byte is the same in both.
 //! - [`manifest`] — the data directory: [`DiskStore`] with the
 //!   write-temp → fsync → rename → manifest-commit protocol that makes
 //!   every create/replace/drop crash-safe.

@@ -152,94 +152,112 @@ pub(crate) fn encode_float(v: &[f64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode an int page of `rows` rows.
-pub fn decode_int(bytes: &[u8], rows: usize) -> Result<Vec<i64>, DiskError> {
+/// Decode an int page of `rows` rows onto the end of `out`.
+pub fn decode_int(bytes: &[u8], rows: usize, out: &mut Vec<i64>) -> Result<(), DiskError> {
     let mut r = Reader::new(bytes);
-    let out = match r.u8()? {
-        TAG_CONST => vec![r.i64()?; rows],
+    match r.u8()? {
+        TAG_CONST => {
+            let v = r.i64()?;
+            out.resize(out.len() + rows, v);
+        }
         TAG_FOR_U8 => {
             let base = r.i64()? as i128;
-            r.take(rows)?
-                .iter()
-                .map(|&d| (base + d as i128) as i64)
-                .collect()
+            out.extend(r.take(rows)?.iter().map(|&d| (base + d as i128) as i64));
         }
         TAG_FOR_U16 => {
             let base = r.i64()? as i128;
-            r.take(rows * 2)?
-                .chunks_exact(2)
-                .map(|c| (base + u16::from_le_bytes(c.try_into().unwrap()) as i128) as i64)
-                .collect()
+            out.extend(
+                r.take(rows * 2)?
+                    .chunks_exact(2)
+                    .map(|c| (base + u16::from_le_bytes(c.try_into().unwrap()) as i128) as i64),
+            );
         }
         TAG_FOR_U32 => {
             let base = r.i64()? as i128;
-            r.take(rows * 4)?
-                .chunks_exact(4)
-                .map(|c| (base + u32::from_le_bytes(c.try_into().unwrap()) as i128) as i64)
-                .collect()
+            out.extend(
+                r.take(rows * 4)?
+                    .chunks_exact(4)
+                    .map(|c| (base + u32::from_le_bytes(c.try_into().unwrap()) as i128) as i64),
+            );
         }
-        TAG_RAW => r
-            .take(rows * 8)?
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
+        TAG_RAW => out.extend(
+            r.take(rows * 8)?
+                .chunks_exact(8)
+                .map(|c| i64::from_le_bytes(c.try_into().unwrap())),
+        ),
         t => return Err(corrupt(&format!("unknown int tag {t}"))),
-    };
+    }
     r.finish()?;
-    Ok(out)
+    Ok(())
 }
 
-/// Decode a dictionary-code page of `rows` rows.
-pub fn decode_codes(bytes: &[u8], rows: usize) -> Result<Vec<u32>, DiskError> {
+/// Decode a dictionary-code page of `rows` rows onto the end of `out`.
+pub fn decode_codes(bytes: &[u8], rows: usize, out: &mut Vec<u32>) -> Result<(), DiskError> {
     let mut r = Reader::new(bytes);
-    let out = match r.u8()? {
-        TAG_CONST => vec![r.u32()?; rows],
+    match r.u8()? {
+        TAG_CONST => {
+            let v = r.u32()?;
+            out.resize(out.len() + rows, v);
+        }
         TAG_FOR_U8 => {
             let base = r.u32()?;
-            r.take(rows)?.iter().map(|&d| base + d as u32).collect()
+            out.extend(r.take(rows)?.iter().map(|&d| base + d as u32));
         }
         TAG_FOR_U16 => {
             let base = r.u32()?;
-            r.take(rows * 2)?
-                .chunks_exact(2)
-                .map(|c| base + u16::from_le_bytes(c.try_into().unwrap()) as u32)
-                .collect()
+            out.extend(
+                r.take(rows * 2)?
+                    .chunks_exact(2)
+                    .map(|c| base + u16::from_le_bytes(c.try_into().unwrap()) as u32),
+            );
         }
-        TAG_RAW => r
-            .take(rows * 4)?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
+        TAG_RAW => out.extend(
+            r.take(rows * 4)?
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
+        ),
         t => return Err(corrupt(&format!("unknown code tag {t}"))),
-    };
+    }
     r.finish()?;
-    Ok(out)
+    Ok(())
 }
 
-/// Decode a float page of `rows` rows.
-pub fn decode_float(bytes: &[u8], rows: usize) -> Result<Vec<f64>, DiskError> {
+/// Decode a float page of `rows` rows onto the end of `out`.
+pub fn decode_float(bytes: &[u8], rows: usize, out: &mut Vec<f64>) -> Result<(), DiskError> {
     let mut r = Reader::new(bytes);
-    let out = match r.u8()? {
-        TAG_CONST => vec![r.f64()?; rows],
-        TAG_RAW => r
-            .take(rows * 8)?
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
+    match r.u8()? {
+        TAG_CONST => {
+            let v = r.f64()?;
+            out.resize(out.len() + rows, v);
+        }
+        TAG_RAW => out.extend(
+            r.take(rows * 8)?
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        ),
         t => return Err(corrupt(&format!("unknown float tag {t}"))),
-    };
+    }
     r.finish()?;
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A page decoder: `decode_int`, `decode_float` or `decode_codes`.
+    type Decode<T> = fn(&[u8], usize, &mut Vec<T>) -> Result<(), DiskError>;
+
+    /// Decode one page into a new vector.
+    fn decoded<T>(decode: Decode<T>, bytes: &[u8], rows: usize) -> Result<Vec<T>, DiskError> {
+        let mut out = Vec::new();
+        decode(bytes, rows, &mut out).map(|()| out)
+    }
+
     fn roundtrip_int(v: Vec<i64>) {
         let mut buf = Vec::new();
         encode_page(&PageData::Int(v.clone()), &mut buf);
-        assert_eq!(decode_int(&buf, v.len()).unwrap(), v);
+        assert_eq!(decoded(decode_int, &buf, v.len()).unwrap(), v);
     }
 
     #[test]
@@ -264,7 +282,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             encode_page(&PageData::Codes(v.clone()), &mut buf);
-            assert_eq!(decode_codes(&buf, v.len()).unwrap(), v);
+            assert_eq!(decoded(decode_codes, &buf, v.len()).unwrap(), v);
         }
     }
 
@@ -273,7 +291,7 @@ mod tests {
         let v = vec![0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
         let mut buf = Vec::new();
         encode_page(&PageData::Float(v.clone()), &mut buf);
-        let back = decode_float(&buf, v.len()).unwrap();
+        let back = decoded(decode_float, &buf, v.len()).unwrap();
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&v));
         // Constant NaN page stays bit-exact through the const encoding.
@@ -281,7 +299,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_page(&PageData::Float(vec![nan; 8]), &mut buf);
         assert_eq!(buf[0], TAG_CONST);
-        let back = decode_float(&buf, 8).unwrap();
+        let back = decoded(decode_float, &buf, 8).unwrap();
         assert!(back.iter().all(|x| x.to_bits() == nan.to_bits()));
     }
 
@@ -295,12 +313,12 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_are_errors_not_panics() {
-        assert!(decode_int(&[], 4).is_err());
-        assert!(decode_int(&[9], 4).is_err()); // unknown tag
-        assert!(decode_int(&[TAG_RAW, 1, 2], 4).is_err()); // truncated
+        assert!(decoded(decode_int, &[], 4).is_err());
+        assert!(decoded(decode_int, &[9], 4).is_err()); // unknown tag
+        assert!(decoded(decode_int, &[TAG_RAW, 1, 2], 4).is_err()); // truncated
         let mut buf = Vec::new();
         encode_page(&PageData::Int(vec![1, 2, 3]), &mut buf);
         buf.push(0xFF); // trailing garbage
-        assert!(decode_int(&buf, 3).is_err());
+        assert!(decoded(decode_int, &buf, 3).is_err());
     }
 }

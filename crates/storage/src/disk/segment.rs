@@ -3,10 +3,10 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! +-----------+------------------------------+----------+-------------+----------+
-//! | "SKSEG01\n" | page payloads (interleaved) | footer   | footer_off  | checksum |
-//! | 8 bytes   |                              |          | u64         | u64      |
-//! +-----------+------------------------------+----------+-------------+----------+
+//! +-------------+-----------------------------+--------+------------+----------+
+//! | "SKSEG02\n" | page payloads (interleaved) | footer | footer_off | checksum |
+//! | 8 bytes     |                             |        | u64        | u64      |
+//! +-------------+-----------------------------+--------+------------+----------+
 //! ```
 //!
 //! Pages are flushed in row-chunk order — every `page_rows` rows the writer
@@ -14,14 +14,27 @@
 //! buffering the table. The footer records the schema, the per-segment
 //! string dictionary, and for every column a page directory
 //! (`offset, len, rows` per page) plus per-page min/max zone bounds.
-//! The checksum is FNV-1a 64 over every byte before it; a torn or truncated
-//! write is detected before any page is decoded.
+//! The checksum covers every byte before it; a torn or truncated write is
+//! detected before any page is decoded. The magic names its function:
+//!
+//! | magic       | checksum                                    | written |
+//! |-------------|---------------------------------------------|---------|
+//! | `SKSEG02\n` | `WordHash`: a 4-lane hash over 8-byte words | yes     |
+//! | `SKSEG01\n` | FNV-1a 64, byte by byte                     | no      |
+//!
+//! The two versions share every other byte, so a v1 file differs from the
+//! v2 file of the same table only in its magic and its checksum.
+//! `WordHash` (below) defines the v2 sum, in four lanes of
+//! `round(acc, w) = rotl(acc + w·P2, 31)·P1` over little-endian 8-byte
+//! words; each of its steps is a bijection of the word or lane it takes,
+//! so every single-byte change is caught.
 //!
 //! Readers map the file (see [`super::mmap`]), verify the checksum, then
 //! decode every page into an ordinary in-memory [`Table`]: engines keep
 //! their random-access scan code, and the attached [`ZoneMap`] lets the
 //! pre-processing scan skip per-page predicate evaluation.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -38,7 +51,11 @@ use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
 
-pub(crate) const MAGIC: &[u8; 8] = b"SKSEG01\n";
+/// The magic the writer writes: the checksum is a [`WordHash`].
+pub(crate) const MAGIC: &[u8; 8] = b"SKSEG02\n";
+/// The first format's magic: the checksum is [`fnv1a64`]. Read, never
+/// written.
+pub(crate) const MAGIC_V1: &[u8; 8] = b"SKSEG01\n";
 
 /// Default rows per page. Small enough that selective predicates skip real
 /// work, large enough that per-page overhead stays negligible.
@@ -53,6 +70,124 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// Fold word `w` into `acc`. For a fixed `acc` this is a bijection of `w`
+/// (`w * P2` with `P2` odd, an add, a rotation, `* P1` with `P1` odd), and
+/// for a fixed `w` a bijection of `acc`.
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Word `i` of `bytes`, little-endian.
+fn word(bytes: &[u8], i: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&bytes[8 * i..8 * i + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// The `SKSEG02` checksum: a 64-bit hash of a byte string read as
+/// little-endian 8-byte words.
+///
+/// - Word `4k + j` of every whole 32-byte stripe is folded into lane `j`
+///   by [`round`]; the lanes start at distinct constants.
+/// - At the end, `h` starts at `len * P3`, takes the four lanes in order
+///   by [`round`], then the tail's whole words, then its last 1–7 bytes
+///   zero-padded to a word, and is finally mixed by xor-shifts and odd
+///   multiplications.
+///
+/// Every step is a bijection of the one word or lane it takes with the
+/// rest held fixed, so two inputs of one length that differ within one
+/// aligned 8-byte word — every single-byte change — never hash alike.
+/// Hashing in pieces ([`WordHash::update`]) equals hashing in one call.
+#[derive(Clone)]
+pub(crate) struct WordHash {
+    lanes: [u64; 4],
+    /// Bytes not yet folded into a lane: fewer than one stripe.
+    stripe: [u8; 32],
+    held: usize,
+    len: u64,
+}
+
+impl Default for WordHash {
+    fn default() -> Self {
+        WordHash {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            stripe: [0; 32],
+            held: 0,
+            len: 0,
+        }
+    }
+}
+
+impl WordHash {
+    pub(crate) fn digest(bytes: &[u8]) -> u64 {
+        let mut h = WordHash::default();
+        h.update(bytes);
+        h.finish()
+    }
+
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.held > 0 {
+            let take = (32 - self.held).min(bytes.len());
+            self.stripe[self.held..self.held + take].copy_from_slice(&bytes[..take]);
+            self.held += take;
+            bytes = &bytes[take..];
+            if self.held < 32 {
+                return;
+            }
+            let stripe = self.stripe;
+            self.stripes(&stripe);
+            self.held = 0;
+        }
+        let whole = bytes.len() / 32 * 32;
+        self.stripes(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
+    }
+
+    /// Fold whole stripes into the lanes.
+    fn stripes(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for s in bytes.chunks_exact(32) {
+            a = round(a, word(s, 0));
+            b = round(b, word(s, 1));
+            c = round(c, word(s, 2));
+            d = round(d, word(s, 3));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        let mut h = self.len.wrapping_mul(P3);
+        for lane in self.lanes {
+            h = round(h, lane);
+        }
+        let tail = &self.stripe[..self.held];
+        let words = tail.len() / 8;
+        for i in 0..words {
+            h = round(h, word(tail, i));
+        }
+        let rest = &tail[8 * words..];
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            h = round(h, u64::from_le_bytes(w));
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
 }
 
 fn dtype_tag(dt: DataType) -> u8 {
@@ -76,21 +211,74 @@ fn dtype_from_tag(t: u8) -> Result<DataType, DiskError> {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// File sink that maintains the running FNV-1a checksum and byte offset.
+/// File sink that maintains the running checksum and byte offset.
 struct HashWriter {
     inner: BufWriter<File>,
-    hash: u64,
+    hash: WordHash,
     len: u64,
 }
 
 impl HashWriter {
     fn put(&mut self, bytes: &[u8]) -> Result<(), DiskError> {
         self.inner.write_all(bytes)?;
-        for &b in bytes {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        self.hash.update(bytes);
         self.len += bytes.len() as u64;
         Ok(())
+    }
+}
+
+/// Slots of [`Dict`]'s front cache.
+const RECENT: usize = 256;
+
+/// A segment's string dictionary: codes are dense in first-seen order.
+struct Dict {
+    /// Every string and its code, under the standard library's keyed
+    /// hash, so that no input can make its lookups collide on purpose.
+    codes: HashMap<String, u32>,
+    /// A direct-mapped cache in front of `codes`, its slot picked by a
+    /// string's length and first and last bytes: a hit costs one short
+    /// comparison instead of a keyed hash. An input that makes strings
+    /// share slots only makes the cache miss, and a miss costs what a
+    /// lookup cost without it. `u32::MAX` marks an empty slot.
+    recent: Vec<(String, u32)>,
+}
+
+impl Default for Dict {
+    fn default() -> Self {
+        Dict {
+            codes: HashMap::new(),
+            recent: vec![(String::new(), u32::MAX); RECENT],
+        }
+    }
+}
+
+impl Dict {
+    fn code(&mut self, s: &str) -> u32 {
+        let b = s.as_bytes();
+        let (first, last) = match b {
+            [] => (0, 0),
+            [first, .., last] => (*first, *last),
+            [only] => (*only, *only),
+        };
+        let key = (b.len() as u32).wrapping_mul(0x9E37_79B9)
+            ^ u32::from(first).wrapping_mul(0x85EB_CA6B)
+            ^ u32::from(last).wrapping_mul(0xC2B2_AE35);
+        let slot = &mut self.recent[key as usize >> 24];
+        if slot.1 != u32::MAX && slot.0 == s {
+            return slot.1;
+        }
+        let next = self.codes.len() as u32;
+        let code = match self.codes.get(s) {
+            Some(&c) => c,
+            None => {
+                self.codes.insert(s.to_string(), next);
+                next
+            }
+        };
+        slot.0.clear();
+        slot.0.push_str(s);
+        slot.1 = code;
+        code
     }
 }
 
@@ -120,8 +308,7 @@ pub struct SegmentWriter {
     bufs: Vec<ColBuf>,
     buffered: usize,
     nrows: u64,
-    /// Per-segment string dictionary; codes are dense in first-seen order.
-    dict: std::collections::HashMap<String, u32>,
+    dict: Dict,
     directory: Vec<Vec<PageEntry>>,
     zones: Vec<ZoneCol>,
     scratch: Vec<u8>,
@@ -139,7 +326,7 @@ impl SegmentWriter {
         let file = File::create(path)?;
         let mut out = HashWriter {
             inner: BufWriter::new(file),
-            hash: FNV_OFFSET,
+            hash: WordHash::default(),
             len: 0,
         };
         out.put(MAGIC)?;
@@ -169,7 +356,7 @@ impl SegmentWriter {
             bufs,
             buffered: 0,
             nrows: 0,
-            dict: std::collections::HashMap::new(),
+            dict: Dict::default(),
             directory: (0..ncols).map(|_| vec![]).collect(),
             zones,
             scratch: vec![],
@@ -178,15 +365,6 @@ impl SegmentWriter {
 
     pub fn page_rows(&self) -> usize {
         self.page_rows
-    }
-
-    fn dict_code(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.dict.get(s) {
-            return c;
-        }
-        let c = self.dict.len() as u32;
-        self.dict.insert(s.to_string(), c);
-        c
     }
 
     /// Append one row. Ints widen into float columns, matching
@@ -200,7 +378,7 @@ impl SegmentWriter {
                 (ColBuf::Float(b), Value::Int(x)) => b.push(*x as f64),
                 (ColBuf::Str(_), Value::Str(s)) => {
                     let s = s.clone();
-                    let code = self.dict_code(&s);
+                    let code = self.dict.code(&s);
                     match &mut self.bufs[i] {
                         ColBuf::Str(b) => b.push(code),
                         _ => unreachable!(),
@@ -237,7 +415,7 @@ impl SegmentWriter {
     }
 
     pub fn push_str(&mut self, col: usize, v: &str) {
-        let code = self.dict_code(v);
+        let code = self.dict.code(v);
         match &mut self.bufs[col] {
             ColBuf::Str(b) => b.push(code),
             _ => panic!("push_str on non-string column"),
@@ -323,8 +501,8 @@ impl SegmentWriter {
             f.str16(&field.name, u16::MAX as usize);
             f.u8(dtype_tag(field.dtype));
         }
-        let mut dict = vec![""; self.dict.len()];
-        for (s, &c) in &self.dict {
+        let mut dict = vec![""; self.dict.codes.len()];
+        for (s, &c) in &self.dict.codes {
             dict[c as usize] = s;
         }
         f.count(dict.len(), usize::MAX, "dictionary entry");
@@ -363,7 +541,7 @@ impl SegmentWriter {
         self.out.put(&f)?;
         self.out.put(&footer_offset.to_le_bytes())?;
         // The checksum covers everything before it, including footer_offset.
-        let hash = self.out.hash;
+        let hash = self.out.hash.finish();
         self.out.inner.write_all(&hash.to_le_bytes())?;
         self.out.inner.flush()?;
         self.out.inner.get_ref().sync_all()?;
@@ -405,12 +583,14 @@ pub fn read_segment(
             bytes.len()
         )));
     }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(DiskError::Corrupt(format!("{}: bad magic", path.display())));
-    }
+    let checksum = match &bytes[..MAGIC.len()] {
+        m if m == MAGIC => WordHash::digest,
+        m if m == MAGIC_V1 => fnv1a64,
+        _ => return Err(DiskError::Corrupt(format!("{}: bad magic", path.display()))),
+    };
     let mut tail = Reader::new(&bytes[bytes.len() - 16..]);
     let (footer_offset, stored_hash) = (tail.u64()?, tail.u64()?);
-    if fnv1a64(&bytes[..bytes.len() - 8]) != stored_hash {
+    if checksum(&bytes[..bytes.len() - 8]) != stored_hash {
         return Err(DiskError::Corrupt(format!(
             "{}: checksum mismatch (torn or truncated write)",
             path.display()
@@ -503,28 +683,29 @@ pub fn read_segment(
             DataType::Int => {
                 let mut v = Vec::with_capacity(nrows);
                 for &(off, len, rows) in &entries {
-                    v.extend(page::decode_int(&bytes[off..off + len], rows)?);
+                    page::decode_int(&bytes[off..off + len], rows, &mut v)?;
                 }
                 Column::Int(v)
             }
             DataType::Float => {
                 let mut v = Vec::with_capacity(nrows);
                 for &(off, len, rows) in &entries {
-                    v.extend(page::decode_float(&bytes[off..off + len], rows)?);
+                    page::decode_float(&bytes[off..off + len], rows, &mut v)?;
                 }
                 Column::Float(v)
             }
             DataType::Str => {
                 let mut v = Vec::with_capacity(nrows);
                 for &(off, len, rows) in &entries {
-                    for code in page::decode_codes(&bytes[off..off + len], rows)? {
-                        let cat = *remap.get(code as usize).ok_or_else(|| {
+                    let from = v.len();
+                    page::decode_codes(&bytes[off..off + len], rows, &mut v)?;
+                    for code in &mut v[from..] {
+                        *code = *remap.get(*code as usize).ok_or_else(|| {
                             DiskError::Corrupt(format!(
                                 "column {:?}: dictionary code {code} out of range",
                                 field.name
                             ))
                         })?;
-                        v.push(cat);
                     }
                 }
                 Column::Str(v)
@@ -654,6 +835,90 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    /// Every single-byte flip (of the low bit and of the high bit) and
+    /// every truncation of a small segment is refused as corrupt.
+    #[test]
+    fn every_flip_and_truncation_is_refused() {
+        let p = tmp_path("every_flip");
+        write_sample(&p, 10, 4);
+        let full = std::fs::read(&p).unwrap();
+        assert_eq!(&full[..8], MAGIC);
+        let refused = |bytes: &[u8], what: &str| {
+            std::fs::write(&p, bytes).unwrap();
+            let interner = Arc::new(Interner::new());
+            match read_segment(&p, "t", &interner) {
+                Err(DiskError::Corrupt(_)) => {}
+                other => panic!("{what}: expected corruption, got {other:?}"),
+            }
+        };
+        for i in 0..full.len() {
+            for bit in [0x01, 0x80] {
+                let mut bytes = full.clone();
+                bytes[i] ^= bit;
+                refused(&bytes, &format!("byte {i} ^ {bit:#x}"));
+            }
+        }
+        for keep in 0..full.len() {
+            refused(&full[..keep], &format!("truncation to {keep} bytes"));
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// Hashing in pieces, split anywhere, equals hashing in one call.
+    #[test]
+    fn word_hash_is_the_same_in_any_split() {
+        let bytes: Vec<u8> = (0..150u32).map(|i| (i * 37 % 251) as u8).collect();
+        let whole = WordHash::digest(&bytes);
+        for i in 0..=bytes.len() {
+            for j in i..=bytes.len() {
+                let mut h = WordHash::default();
+                h.update(&bytes[..i]);
+                h.update(&bytes[i..j]);
+                h.update(&bytes[j..]);
+                assert_eq!(h.finish(), whole, "split at {i}, {j}");
+            }
+        }
+        let mut h = WordHash::default();
+        for b in &bytes {
+            h.update(std::slice::from_ref(b));
+        }
+        assert_eq!(h.finish(), whole, "a byte at a time");
+        // The length is part of the hash: trailing zero bytes change it.
+        assert_ne!(
+            WordHash::digest(&bytes[..40]),
+            WordHash::digest(&[&bytes[..40], &[0]].concat())
+        );
+        assert_ne!(WordHash::digest(&[]), WordHash::digest(&[0]));
+    }
+
+    /// A `SKSEG01` file — the same bytes under the old magic, checksummed
+    /// with FNV-1a — still opens to the same table; a flip in it is still
+    /// refused.
+    #[test]
+    fn v1_segments_still_open() {
+        let p = tmp_path("v1");
+        write_sample(&p, 10, 4);
+        let v2 = read_segment(&p, "t", &Arc::new(Interner::new())).unwrap();
+        let mut bytes = std::fs::read(&p).unwrap();
+        let n = bytes.len();
+        bytes[..8].copy_from_slice(MAGIC_V1);
+        let sum = fnv1a64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&p, &bytes).unwrap();
+        let v1 = read_segment(&p, "t", &Arc::new(Interner::new())).unwrap();
+        assert_eq!(v1.pages_decoded, v2.pages_decoded);
+        for r in 0..10 {
+            assert_eq!(v1.table.row_values(r), v2.table.row_values(r), "row {r}");
+        }
+        bytes[n / 2] ^= 0x01;
+        std::fs::write(&p, &bytes).unwrap();
+        assert!(matches!(
+            read_segment(&p, "t", &Arc::new(Interner::new())),
+            Err(DiskError::Corrupt(_))
+        ));
+        std::fs::remove_file(p).unwrap();
+    }
+
     /// A checksummed footer announcing billions of columns, dictionary
     /// entries or pages is refused, not turned into an allocation.
     #[test]
@@ -676,7 +941,7 @@ mod tests {
             f.extend_from_slice(&1u32.to_le_bytes());
             f.extend_from_slice(&rest);
             f.extend_from_slice(&(MAGIC.len() as u64).to_le_bytes());
-            let h = fnv1a64(&f);
+            let h = WordHash::digest(&f);
             f.extend_from_slice(&h.to_le_bytes());
             std::fs::write(&p, &f).unwrap();
             let interner = Arc::new(Interner::new());

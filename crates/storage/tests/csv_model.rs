@@ -25,10 +25,12 @@
 //! not UTF-8. A second family is longer than a page and changes one
 //! column's type after it, since the inferred paths guess their types
 //! from the first page of records and must infer again when a later cell
-//! does not parse under the guess.
+//! does not parse under the guess. A third family reads every input
+//! through a reader that hands out 1–7 bytes at a time, so that records,
+//! line ends and characters straddle the scanner's refills.
 
 use std::cell::Cell as Flag;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -484,7 +486,11 @@ impl Case {
     }
 
     fn run(&self, store: &DiskStore, path: Path) -> Outcome {
-        let reader = io::BufReader::new(&self.input[..]);
+        self.run_from(store, path, io::BufReader::new(&self.input[..]))
+    }
+
+    /// [`Case::run`], reading the input from `reader`.
+    fn run_from(&self, store: &DiskStore, path: Path, reader: impl BufRead) -> Outcome {
         let schema = self.schema_for(path);
         match path {
             Path::ReadInferred | Path::ReadExplicit => {
@@ -949,4 +955,141 @@ fn generator_reaches_every_outcome_and_both_divergences() {
         "{joined_diff} / {padded_diff}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Records that straddle refills.
+// ---------------------------------------------------------------------------
+
+/// A reader that hands out 1–7 bytes per read, the sizes drawn from a
+/// seed, so that records, line ends and multi-byte characters straddle
+/// the scanner's refills.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    /// Bytes of the current read not yet consumed.
+    avail: usize,
+    sizes: Gen,
+}
+
+impl<'a> Trickle<'a> {
+    fn new(bytes: &'a [u8], seed: u64) -> Self {
+        Trickle {
+            bytes,
+            at: 0,
+            avail: 0,
+            sizes: Gen(seed),
+        }
+    }
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let chunk = self.fill_buf()?;
+        let n = chunk.len().min(buf.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Trickle<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.avail == 0 {
+            self.avail = (1 + self.sizes.below(7)).min(self.bytes.len() - self.at);
+        }
+        Ok(&self.bytes[self.at..self.at + self.avail])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+        self.avail -= n;
+    }
+}
+
+/// Inputs that put each hard spot of the scanner across refills.
+const STRADDLERS: &[&[u8]] = &[
+    // Quoted fields over several lines, one holding `\r\n` and a blank line.
+    b"a,b\n\"x,\ny\",1\n\"p\r\n\nq\",\"2\"\n\"\"\"\",3\n",
+    // `\r\n` line ends, blank and whitespace-only lines.
+    b"a,b\r\n1,2\r\n\r\n  \r\n3,4\r\n\t\n5,6",
+    // Padded numbers.
+    b"n,x\n 5 ,1.5 \n7, 2\n\n-0,\t3.25\n",
+    // Multi-byte characters, and Unicode whitespace on a blank line.
+    "h,i\n\u{3000}\n\u{e9}t\u{e9},1\n\u{1F600},\u{a0}2\n".as_bytes(),
+    // A three-byte sequence cut short: not UTF-8 once the next byte arrives.
+    b"a,b\n1,ok\xe2\x82x\n2,3\n",
+    // A lone continuation byte, and a character cut short by the end.
+    b"a,b\n1,2\n3,\x80\n",
+    b"a,b\n1,2\n3,\xc3",
+    // A ragged record after a quoted one, an open quote at the end.
+    b"a,b\n\"q\nr\",1\n2\n",
+    b"a\n1\n\"open\n2\n",
+    // No line end after the last record, then a bare `\r` at the end.
+    b"a,b\n1,2",
+    b"a,b\n1,2\r",
+];
+
+/// A straddler under an explicit schema of the header's arity, its column
+/// types drawn from `g`.
+fn straddler_case(g: &mut Gen, input: &[u8]) -> Case {
+    let mut case = fit_schema(Case {
+        input: input.to_vec(),
+        schema: Schema::new(vec![]),
+        page_rows: 1 + g.below(4),
+    });
+    let fields = case
+        .schema
+        .fields()
+        .iter()
+        .map(|f| {
+            let ty = g.pick(&[DataType::Int, DataType::Float, DataType::Str]);
+            Field::new(f.name.clone(), ty)
+        })
+        .collect();
+    case.schema = Schema::new(fields);
+    case
+}
+
+/// Every straddler, under many read-size sequences and schemas, on every
+/// path.
+#[test]
+fn straddled_refills_match_the_oracle() {
+    let (dir, store) = store("straddlers");
+    for (i, input) in STRADDLERS.iter().enumerate() {
+        for seed in 0..40 {
+            let mut g = Gen(seed * 131 + i as u64);
+            let case = straddler_case(&mut g, input);
+            for path in PATHS {
+                let got = case.run_from(&store, path, Trickle::new(&case.input, seed));
+                let want = case.oracle(&store, path, &Fix::new(true));
+                assert_eq!(
+                    got,
+                    want,
+                    "{path:?}, reads seeded {seed}, on {:?}",
+                    String::from_utf8_lossy(&case.input)
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// The nightly workflow runs this block with PROPTEST_CASES as well.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn every_load_path_matches_the_oracle_through_a_trickle(seed: u64) {
+        let (dir, store) = store("trickle");
+        let case = fit_schema(gen_case(&mut Gen(seed)));
+        for path in PATHS {
+            let got = case.run_from(&store, path, Trickle::new(&case.input, seed));
+            let want = case.oracle(&store, path, &Fix::new(true));
+            prop_assert_eq!(
+                &got, &want, "{:?} on {:?}", path, String::from_utf8_lossy(&case.input)
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -10,8 +10,18 @@ use proptest::prelude::*;
 
 use skinner_storage::disk::page::{decode_codes, decode_float, decode_int, encode_page, PageData};
 use skinner_storage::disk::segment::{read_segment, SegmentWriter};
+use skinner_storage::disk::DiskError;
 use skinner_storage::disk::ZoneCol;
 use skinner_storage::{schema, Column, Interner, Value};
+
+/// A page decoder: `decode_int`, `decode_float` or `decode_codes`.
+type Decode<T> = fn(&[u8], usize, &mut Vec<T>) -> Result<(), DiskError>;
+
+/// Decode one page into a new vector.
+fn decoded<T>(decode: Decode<T>, bytes: &[u8], rows: usize) -> Result<Vec<T>, DiskError> {
+    let mut out = Vec::new();
+    decode(bytes, rows, &mut out).map(|()| out)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
@@ -20,7 +30,7 @@ proptest! {
     fn int_pages_roundtrip(vals in proptest::collection::vec(any::<i64>(), 1..300)) {
         let mut buf = Vec::new();
         encode_page(&PageData::Int(vals.clone()), &mut buf);
-        prop_assert_eq!(decode_int(&buf, vals.len()).unwrap(), vals);
+        prop_assert_eq!(decoded(decode_int, &buf, vals.len()).unwrap(), vals);
     }
 
     #[test]
@@ -33,7 +43,7 @@ proptest! {
         let vals: Vec<i64> = deltas.iter().map(|d| base + d).collect();
         let mut buf = Vec::new();
         encode_page(&PageData::Int(vals.clone()), &mut buf);
-        prop_assert_eq!(decode_int(&buf, vals.len()).unwrap(), vals.clone());
+        prop_assert_eq!(decoded(decode_int, &buf, vals.len()).unwrap(), vals.clone());
         if vals.len() >= 16 {
             prop_assert!(buf.len() < vals.len() * 8);
         }
@@ -46,7 +56,7 @@ proptest! {
         let vals: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
         let mut buf = Vec::new();
         encode_page(&PageData::Float(vals.clone()), &mut buf);
-        let back = decode_float(&buf, vals.len()).unwrap();
+        let back = decoded(decode_float, &buf, vals.len()).unwrap();
         let got: Vec<u64> = back.iter().map(|f| f.to_bits()).collect();
         prop_assert_eq!(got, bits);
     }
@@ -55,7 +65,7 @@ proptest! {
     fn code_pages_roundtrip(vals in proptest::collection::vec(any::<u32>(), 1..300)) {
         let mut buf = Vec::new();
         encode_page(&PageData::Codes(vals.clone()), &mut buf);
-        prop_assert_eq!(decode_codes(&buf, vals.len()).unwrap(), vals);
+        prop_assert_eq!(decoded(decode_codes, &buf, vals.len()).unwrap(), vals);
     }
 }
 

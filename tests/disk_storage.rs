@@ -243,23 +243,40 @@ fn segment_bytes(dir: &std::path::Path) -> Vec<u8> {
     std::fs::read(&segs[0]).unwrap()
 }
 
-/// The FNV-1a checksum a segment stores in its last 8 bytes.
+/// The checksum a segment stores in its last 8 bytes.
 fn stored_checksum(seg: &[u8]) -> u64 {
     u64::from_le_bytes(seg[seg.len() - 8..].try_into().unwrap())
+}
+
+/// The `SKSEG01` file of the same table as the `SKSEG02` file `seg`: the
+/// first format's magic, and an FNV-1a 64 trailer over every byte before
+/// it.
+fn as_v1(seg: &[u8]) -> Vec<u8> {
+    let mut v1 = seg.to_vec();
+    let n = v1.len();
+    v1[..8].copy_from_slice(b"SKSEG01\n");
+    let sum = v1[..n - 8].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    v1[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    v1
 }
 
 /// Segment bytes of TPC-H `lineitem` through every write path: the CSV
 /// bulk-loaded with inferred types, the CSV under the inferred schema, and
 /// the generated table saved directly give byte-identical segments, with
 /// a pinned checksum, so any drift in parsing, inference, page encoding or
-/// the file format fails here.
+/// the file format fails here. The same file under the first format's
+/// magic and checksum reproduces that format's pin — so every byte but
+/// those two is what the first format wrote — and opens to the same table.
 #[test]
 fn lineitem_segments_are_pinned_on_every_write_path() {
     use skinnerdb::skinner_storage::{bulk_load_csv, disk::PAGE_ROWS, Interner};
     use skinnerdb::skinner_workloads::tpch::{generate, TpchConfig};
     use std::sync::Arc;
 
-    const CHECKSUM: u64 = 0xa2ed_e214_2795_f761;
+    const CHECKSUM: u64 = 0xbe9b_c187_51da_748f;
+    const CHECKSUM_V1: u64 = 0xa2ed_e214_2795_f761;
 
     let w = generate(&TpchConfig {
         scale: 0.002,
@@ -303,4 +320,27 @@ fn lineitem_segments_are_pinned_on_every_write_path() {
         "inferred and explicit CSV paths differ"
     );
     assert!(inferred == saved, "CSV and save_table paths differ");
+
+    let v1 = as_v1(&saved);
+    assert_eq!(stored_checksum(&v1), CHECKSUM_V1, "the SKSEG01 conversion");
+    let dir = unique_dir("seg_v1");
+    let store = DiskStore::open(&dir).unwrap();
+    store.save_table(&table).unwrap();
+    let seg = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().and_then(|x| x.to_str()) == Some("seg"))
+        .unwrap();
+    std::fs::write(&seg, &v1).unwrap();
+    let reopened = DiskStore::open(&dir).unwrap();
+    let opened = reopened
+        .load_table("lineitem", &Arc::new(Interner::new()))
+        .unwrap()
+        .table;
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(opened.schema(), table.schema());
+    assert_eq!(opened.num_rows(), table.num_rows());
+    for r in 0..table.num_rows() as u32 {
+        assert_eq!(opened.row_values(r), table.row_values(r), "row {r}");
+    }
 }

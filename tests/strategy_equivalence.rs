@@ -187,6 +187,47 @@ fn like_and_in_and_between() {
     );
 }
 
+/// `LIKE` over text that holds `%` and `_`: in the text they are ordinary
+/// characters, and only the pattern's are wildcards. Hand-computed rows
+/// under every registered strategy.
+#[test]
+fn like_over_text_holding_wildcards() {
+    let texts = ["50%", "50% off", "a_b", "axb", "100%_done", "x%zy", "plain"];
+    let cases: [(&str, &[i64]); 8] = [
+        ("n.s LIKE '50%'", &[1, 2]),
+        ("n.s NOT LIKE '50%'", &[3, 4, 5, 6, 7]),
+        ("n.s LIKE 'a_b'", &[3, 4]),
+        ("n.s LIKE '%_done'", &[5]),
+        ("n.s LIKE 'x%y'", &[6]),
+        ("n.s NOT LIKE '%_%'", &[]),
+        ("n.s LIKE '%'", &[1, 2, 3, 4, 5, 6, 7]),
+        ("n.s NOT LIKE '%o%'", &[1, 3, 4, 6, 7]),
+    ];
+    let db = registry_db();
+    db.create_table(
+        "notes",
+        &[("id", DataType::Int), ("s", DataType::Str)],
+        texts
+            .iter()
+            .zip(1..)
+            .map(|(t, id)| vec![Value::Int(id), Value::from(*t)])
+            .collect(),
+    )
+    .unwrap();
+    for (pred, ids) in cases {
+        let sql = format!("SELECT n.id FROM notes n WHERE {pred} ORDER BY n.id");
+        let expected: Vec<Vec<Value>> = ids.iter().map(|&i| vec![Value::Int(i)]).collect();
+        for name in db.strategies().names() {
+            let session = db.session();
+            session.use_strategy(&name).unwrap();
+            let out = session
+                .query(&sql)
+                .unwrap_or_else(|e| panic!("{name} failed on {sql}: {e}"));
+            assert_eq!(out.rows, expected, "{name}: {sql}");
+        }
+    }
+}
+
 /// The registry database plus two string-valued UDFs: `up(s)` and
 /// `glue(a, b)` = `a/b`.
 fn string_udf_db() -> Database {
