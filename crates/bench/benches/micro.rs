@@ -4,8 +4,9 @@
 //! over already-indexed tables, lowered predicates (UDF join checks, one
 //! UDF call site alone next to a direct call of its function, and
 //! unary filters), the pyramid scheme, the post-processing kernel that
-//! turns result tuples into output rows, CSV ingest, and the parallel
-//! episode loop against sequential Skinner-C.
+//! turns result tuples into output rows, CSV ingest, the parallel
+//! episode loop against sequential Skinner-C, and result rows on the wire
+//! (the server's encoding, the client's decoding).
 //!
 //! These quantify the constants the paper's design minimizes — the cost of
 //! switching join orders tens of thousands of times per second.
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use skinner_server::protocol::{encode_row_batches, FrameReader, Response};
 use skinnerdb::skinner_core::skinner_c::join::{continue_join, JoinCursors, OrderInfo};
 use skinnerdb::skinner_core::skinner_c::preproc::prepare;
 use skinnerdb::skinner_core::skinner_c::result_set::ResultSet;
@@ -584,6 +586,81 @@ fn parallel_episodes(c: &mut Criterion) {
     }
 }
 
+/// One result's frames, repeated without end: a connection's byte
+/// stream as its client reads it.
+struct Replay<'a> {
+    frames: &'a [u8],
+    pos: usize,
+}
+
+impl std::io::Read for Replay<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (&self.frames[self.pos..]).read(buf)?;
+        self.pos = (self.pos + n) % self.frames.len();
+        Ok(n)
+    }
+}
+
+/// Result rows on the wire. `2002x6` is the `repeat_served` wide
+/// statement's result (2 002 rows of 6 ints): the server encodes it as
+/// tagged row-batch frames and then drops the rows, as a worker does, and
+/// the client reads those frames back from a byte stream into rows.
+/// `mixed` decodes one 256-row batch of int, float, string, int rows (the
+/// repo benchmark's protocol micro-measurement).
+fn wire_rows(c: &mut Criterion) {
+    let wide: Vec<Vec<Value>> = (0..2002i64)
+        .map(|i| (0..6).map(|c| Value::Int(i * 6 + c)).collect())
+        .collect();
+    c.bench_function("wire_rows_2002x6_encode", |bench| {
+        bench.iter_batched(
+            || wide.clone(),
+            |rows| {
+                let mut out = Vec::new();
+                encode_row_batches(&mut out, Some(7), &rows).unwrap();
+                out.len()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    let mut frames = Vec::new();
+    encode_row_batches(&mut frames, Some(7), &wide).unwrap();
+    c.bench_function("wire_rows_2002x6_decode", |bench| {
+        let mut reader = FrameReader::new(Replay {
+            frames: &frames,
+            pos: 0,
+        });
+        bench.iter(|| {
+            let mut rows = Vec::new();
+            while rows.len() < wide.len() {
+                match reader.read_response().unwrap() {
+                    Response::Tagged { resp, .. } => match *resp {
+                        Response::RowBatch { rows: mut batch } => rows.append(&mut batch),
+                        other => panic!("unexpected frame {other:?}"),
+                    },
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+            rows
+        })
+    });
+    let mixed = Response::RowBatch {
+        rows: (0..256)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Float(i as f64 * 1.5),
+                    Value::from(format!("row-{i:05}").as_str()),
+                    Value::Int(i * 1000),
+                ]
+            })
+            .collect(),
+    };
+    let payload = mixed.encode().unwrap();
+    c.bench_function("wire_rows_mixed_decode", |bench| {
+        bench.iter(|| Response::decode(&payload).unwrap())
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -604,5 +681,6 @@ criterion_group! {
         postprocess_kernel,
         csv_ingest,
         parallel_episodes,
+        wire_rows,
 }
 criterion_main!(benches);

@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use skinner_server::protocol::{
-    ErrorCode, QuerySummary, Request, Response, WireError, PROTOCOL_VERSION,
+    ErrorCode, FrameReader, QuerySummary, Request, Response, WireError, PROTOCOL_VERSION,
 };
 pub use skinner_server::{ProfileSpan, QueryProfile, QueryResult, Value};
 
@@ -175,7 +175,7 @@ enum Reply {
 
 /// A connection to a `skinner-server`.
 pub struct Client {
-    reader: TcpStream,
+    reader: FrameReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     addr: SocketAddr,
     conn_id: u64,
@@ -198,7 +198,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         let reader = stream.try_clone()?;
         let mut client = Client {
-            reader,
+            reader: FrameReader::new(reader),
             writer: BufWriter::new(stream),
             addr,
             conn_id: 0,
@@ -213,7 +213,7 @@ impl Client {
             version: PROTOCOL_VERSION,
         }
         .write(&mut client.writer)?;
-        match Response::read(&mut client.reader)? {
+        match client.reader.read_response()? {
             Response::HelloOk {
                 version,
                 conn_id,
@@ -335,7 +335,7 @@ impl Client {
             if !self.pending.contains_key(&tag) {
                 return Err(ClientError::Protocol(format!("tag {tag} was never sent")));
             }
-            let resp = Response::read(&mut self.reader)?;
+            let resp = self.reader.read_response()?;
             self.route(resp)?;
         }
     }
@@ -368,7 +368,11 @@ impl Client {
                 None
             }
             Response::RowBatch { mut rows } => {
-                partial.rows.append(&mut rows);
+                if partial.rows.is_empty() {
+                    partial.rows = rows;
+                } else {
+                    partial.rows.append(&mut rows);
+                }
                 None
             }
             Response::Text { text } => {

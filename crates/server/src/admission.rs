@@ -1,16 +1,16 @@
 //! Server-level admission control: one bounded statement queue.
 //!
-//! Every dispatched statement enters one FIFO [`StatementQueue`], served
-//! by exactly [`StatementQueue::slots`] worker threads, so a worker is an
+//! Every dispatched statement enters one FIFO `StatementQueue`, served
+//! by exactly `StatementQueue::slots` worker threads, so a worker is an
 //! execution slot: at most `max_concurrent` statements run (execution and
 //! response encoding both), at most `queue_depth` more wait, and every
 //! further arrival is shed at once with an explicit `Overloaded` error
 //! instead of piling up. A waiting statement that outwaits
 //! [`AdmissionConfig::queue_timeout`] is shed as well; while every worker
 //! is busy only the event loops are free to notice, so the shard that
-//! submitted it takes it back with [`StatementQueue::take_expired`].
+//! submitted it takes it back with `StatementQueue::take_expired`.
 //!
-//! Only [`StatementQueue::pop`] blocks, and only workers call it: the
+//! Only `StatementQueue::pop` blocks, and only workers call it: the
 //! event loops submit, expire and close without waiting.
 
 use std::collections::VecDeque;

@@ -427,7 +427,13 @@ fn deliver_completion(shared: &Arc<Shared>, poller: &Poller, conns: &mut Slab, c
             conn.profiles.pop_front();
         }
     }
-    conn.outbox.extend_from_slice(&c.bytes);
+    // The worker encoded the frames once; an idle outbox takes its buffer
+    // whole instead of copying it.
+    if conn.outbox.is_empty() {
+        conn.outbox = c.bytes;
+    } else {
+        conn.outbox.extend_from_slice(&c.bytes);
+    }
     conn.last_activity = Instant::now();
     finish_io(shared, poller, conns, c.conn_token);
 }

@@ -37,7 +37,8 @@
 //!                           ←      Ok
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
+use std::sync::Arc;
 
 use skinnerdb::skinner_storage::codec::{CodecError, Reader, Writer};
 use skinnerdb::Value;
@@ -61,6 +62,11 @@ pub const READ_CHUNK: usize = 64 * 1024;
 
 /// Rows per `RowBatch` frame the server emits.
 pub const ROWS_PER_BATCH: usize = 256;
+
+/// Encoded row bytes per `RowBatch` frame the server emits, so that wide
+/// string values cannot push a frame past [`MAX_FRAME`]. A single row over
+/// it still goes out, in a frame of its own.
+pub const BATCH_BYTES: usize = MAX_FRAME as usize / 8;
 
 /// Default cap on concurrently in-flight pipelined statements per
 /// connection (the server advertises its actual cap in `HelloOk`).
@@ -303,17 +309,19 @@ fn malformed(msg: impl Into<String>) -> WireError {
 
 // ---- values -------------------------------------------------------------
 
+/// A number's type tag and its 8 bytes, as one write.
+#[inline]
+fn tagged_number(tag: u8, x: [u8; 8]) -> [u8; 9] {
+    let mut b = [tag; 9];
+    b[1..].copy_from_slice(&x);
+    b
+}
+
 #[inline]
 fn put_value(w: &mut Writer, v: &Value) {
     match v {
-        Value::Int(i) => {
-            w.u8(1);
-            w.i64(*i);
-        }
-        Value::Float(x) => {
-            w.u8(2);
-            w.f64(*x);
-        }
+        Value::Int(i) => w.bytes(&tagged_number(1, i.to_le_bytes())),
+        Value::Float(x) => w.bytes(&tagged_number(2, x.to_le_bytes())),
         Value::Str(s) => {
             w.u8(3);
             w.str(s, MAX_STR);
@@ -321,14 +329,65 @@ fn put_value(w: &mut Writer, v: &Value) {
     }
 }
 
+/// Bytes `row` takes in a `RowBatch` payload: its value count, then per
+/// value a tag and an 8-byte number or a length-prefixed string.
 #[inline]
+fn row_wire_len(row: &[Value]) -> usize {
+    4 + row
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => 5 + s.len(),
+            _ => 9,
+        })
+        .sum::<usize>()
+}
+
+/// A `RowBatch` payload's body: the row count, then each row.
+fn put_rows(w: &mut Writer, rows: &[Vec<Value>]) {
+    w.count(rows.len(), MAX_STR, "row");
+    for row in rows {
+        w.count(row.len(), MAX_STR, "value");
+        for v in row {
+            put_value(w, v);
+        }
+    }
+}
+
 fn get_value(r: &mut Reader) -> Result<Value, WireError> {
     match r.u8()? {
         1 => Ok(Value::Int(r.i64()?)),
         2 => Ok(Value::Float(r.f64()?)),
-        3 => Ok(Value::from(r.str(MAX_STR)?.as_str())),
+        3 => Ok(Value::Str(Arc::from(r.str_ref(MAX_STR)?))),
         t => Err(malformed(format!("unknown value tag {t}"))),
     }
+}
+
+/// A `RowBatch` payload's body, each value pushed straight into its row.
+fn get_rows(r: &mut Reader) -> Result<Vec<Vec<Value>>, WireError> {
+    let n = r.u32()? as usize;
+    let mut rows = Vec::with_capacity(n.min(ROWS_PER_BATCH * 4));
+    for _ in 0..n {
+        let w = r.u32()? as usize;
+        let mut row = Vec::with_capacity(w.min(4096));
+        for _ in 0..w {
+            // A number is its tag and 8 bytes: take all 9 with one bounds
+            // check, on a copy of the cursor kept only for a number's tag.
+            let mut ahead = r.clone();
+            match ahead.array::<9>() {
+                Ok([1, x @ ..]) => {
+                    *r = ahead;
+                    row.push(Value::Int(i64::from_le_bytes(x)));
+                }
+                Ok([2, x @ ..]) => {
+                    *r = ahead;
+                    row.push(Value::Float(f64::from_le_bytes(x)));
+                }
+                _ => row.push(get_value(r)?),
+            }
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
 fn put_columns(w: &mut Writer, columns: &[String]) {
@@ -346,46 +405,148 @@ fn get_columns(r: &mut Reader) -> Result<Vec<String>, WireError> {
 
 // ---- framing ------------------------------------------------------------
 
-/// The length prefix that frames `payload`. Enforced on the write side
-/// too (not just on read): an oversized frame fails loudly here, before
-/// half a header desyncs the peer.
-fn frame_header(payload: &[u8]) -> Result<[u8; 4], WireError> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(WireError::Oversize(format!(
-            "{}-byte frame exceeds MAX_FRAME ({MAX_FRAME})",
-            payload.len()
-        )));
+/// Append one frame to `out` in place: a length prefix, then the
+/// `Tagged` envelope's header when `tag` is set, then the payload `body`
+/// writes, after which the prefix is patched. The frame cap is enforced
+/// on the write side too (not just on read): an oversized frame fails
+/// loudly here, before half a frame desyncs the peer. On error `out` is
+/// left as it was.
+fn frame_into(
+    out: &mut Vec<u8>,
+    tag: Option<u32>,
+    body: impl FnOnce(&mut Writer) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = out.len();
+    let mut w = Writer::appending(std::mem::take(out));
+    w.u32(0);
+    if let Some(tag) = tag {
+        w.u8(0x90);
+        w.u32(tag);
     }
-    Ok((payload.len() as u32).to_le_bytes())
+    let written = body(&mut w);
+    let (buf, checked) = w.into_parts();
+    *out = buf;
+    let framed = written
+        .and(checked.map_err(WireError::from))
+        .and_then(|()| length_prefix(out.len() - start - 4));
+    match framed {
+        Ok(prefix) => {
+            out[start..start + 4].copy_from_slice(&prefix);
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    w.write_all(&frame_header(payload)?)?;
-    w.write_all(payload)?;
+/// The length prefix of a `len`-byte payload, refused past [`MAX_FRAME`].
+fn length_prefix(len: usize) -> Result<[u8; 4], WireError> {
+    if len > MAX_FRAME as usize {
+        return Err(WireError::Oversize(format!(
+            "{len}-byte frame exceeds MAX_FRAME ({MAX_FRAME})"
+        )));
+    }
+    Ok((len as u32).to_le_bytes())
+}
+
+fn write_frame(
+    w: &mut impl Write,
+    body: impl FnOnce(&mut Writer) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let mut frame = Vec::new();
+    frame_into(&mut frame, None, body)?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
-fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
+/// Read one frame's payload into `buf`, reusing its memory. The buffer
+/// grows at most READ_CHUNK ahead of the bytes actually received: the
+/// length prefix is attacker-controlled, and a swarm of connections
+/// announcing MAX_FRAME with no payload must not pin MAX_FRAME-sized
+/// allocations each.
+fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<&'b [u8], WireError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(malformed(format!("frame of {len} bytes exceeds MAX_FRAME")));
     }
-    // Grow the buffer at most READ_CHUNK ahead of the bytes actually
-    // received: the length prefix is attacker-controlled, and a swarm of
-    // connections announcing MAX_FRAME with no payload must not pin
-    // MAX_FRAME-sized allocations each.
     let len = len as usize;
-    let mut payload = Vec::new();
-    while payload.len() < len {
-        let chunk = (len - payload.len()).min(READ_CHUNK);
-        let filled = payload.len();
-        payload.resize(filled + chunk, 0);
-        r.read_exact(&mut payload[filled..])?;
+    let mut filled = 0;
+    while filled < len {
+        let end = len.min(filled + READ_CHUNK);
+        if buf.len() < end {
+            buf.resize(end, 0);
+        }
+        r.read_exact(&mut buf[filled..end])?;
+        filled = end;
     }
-    Ok(payload)
+    Ok(&buf[..len])
+}
+
+/// Blocking reader of whole response frames, the client's side of a
+/// connection. The stream is read through a buffer, so a frame costs no
+/// more than one `read` call per buffer's worth of bytes, and every frame's
+/// payload lands in the same reused buffer (which grows only as
+/// [`READ_CHUNK`]-bounded reads deliver bytes).
+pub struct FrameReader<R> {
+    stream: BufReader<R>,
+    payload: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(stream: R) -> FrameReader<R> {
+        FrameReader {
+            stream: BufReader::with_capacity(READ_CHUNK, stream),
+            payload: Vec::new(),
+        }
+    }
+
+    /// Read and decode the next response frame.
+    pub fn read_response(&mut self) -> Result<Response, WireError> {
+        Response::decode(read_frame(&mut self.stream, &mut self.payload)?)
+    }
+}
+
+/// Append `rows` to `out` as `RowBatch` frames, each wrapped in a
+/// `Tagged` envelope when `tag` is set, encoded straight from the slice.
+/// A frame holds at most [`ROWS_PER_BATCH`] rows and [`BATCH_BYTES`]
+/// encoded row bytes (a lone row over the byte bound goes alone). The
+/// bytes equal encoding each batch as a [`Response::RowBatch`] with
+/// [`Response::encode_framed`]. On error the frames before the failing
+/// one stay in `out`.
+pub fn encode_row_batches(
+    out: &mut Vec<u8>,
+    tag: Option<u32>,
+    rows: &[Vec<Value>],
+) -> Result<(), WireError> {
+    // Every batch is sized first, so that `out` grows once.
+    let mut batches = Vec::new();
+    let (mut lo, mut bytes) = (0, 0);
+    for (i, row) in rows.iter().enumerate() {
+        let row = row_wire_len(row);
+        if i > lo && (i - lo >= ROWS_PER_BATCH || bytes + row > BATCH_BYTES) {
+            batches.push((lo..i, bytes));
+            (lo, bytes) = (i, 0);
+        }
+        bytes += row;
+    }
+    if lo < rows.len() {
+        batches.push((lo..rows.len(), bytes));
+    }
+    // Per frame: length prefix, envelope header, message tag, row count.
+    out.reserve(batches.iter().map(|(_, bytes)| 4 + 5 + 1 + 4 + bytes).sum());
+    for (batch, _) in batches {
+        frame_into(out, tag, |w| {
+            w.u8(0x85);
+            put_rows(w, &rows[batch]);
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
 /// Accumulates raw socket bytes and yields complete frame payloads — the
@@ -446,6 +607,11 @@ impl FrameBuffer {
 impl Request {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut e = Writer::default();
+        self.put(&mut e)?;
+        Ok(e.finish()?)
+    }
+
+    fn put(&self, e: &mut Writer) -> Result<(), WireError> {
         match self {
             Request::Hello { version } => {
                 e.u8(0x01);
@@ -457,10 +623,9 @@ impl Request {
                         "refusing to nest Tagged inside Tagged".into(),
                     ));
                 }
-                let inner = req.encode()?;
                 e.u8(0x10);
                 e.u32(*tag);
-                e.bytes(&inner);
+                req.put(e)?;
             }
             Request::Query { sql } => {
                 e.u8(0x02);
@@ -494,7 +659,7 @@ impl Request {
                 e.u64(*key);
             }
         }
-        Ok(e.finish()?)
+        Ok(())
     }
 
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
@@ -538,18 +703,23 @@ impl Request {
 
     /// Write this request as one frame.
     pub fn write(&self, w: &mut impl Write) -> Result<(), WireError> {
-        write_frame(w, &self.encode()?)
+        write_frame(w, |e| self.put(e))
     }
 
     /// Read one request frame.
     pub fn read(r: &mut impl Read) -> Result<Request, WireError> {
-        Request::decode(&read_frame(r)?)
+        Request::decode(read_frame(r, &mut Vec::new())?)
     }
 }
 
 impl Response {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut e = Writer::default();
+        self.put(&mut e)?;
+        Ok(e.finish()?)
+    }
+
+    fn put(&self, e: &mut Writer) -> Result<(), WireError> {
         match self {
             Response::HelloOk {
                 version,
@@ -569,30 +739,24 @@ impl Response {
                         "refusing to nest Tagged inside Tagged".into(),
                     ));
                 }
-                let inner = resp.encode()?;
                 e.u8(0x90);
                 e.u32(*tag);
-                e.bytes(&inner);
+                resp.put(e)?;
             }
             Response::Ok => e.u8(0x82),
             Response::PrepareOk { id, columns } => {
                 e.u8(0x83);
                 e.u32(*id);
-                put_columns(&mut e, columns);
+                put_columns(e, columns);
             }
             Response::RowHeader { columns } => {
                 e.u8(0x84);
-                put_columns(&mut e, columns);
+                put_columns(e, columns);
             }
             Response::RowBatch { rows } => {
+                e.reserve(5 + rows.iter().map(|r| row_wire_len(r)).sum::<usize>());
                 e.u8(0x85);
-                e.count(rows.len(), MAX_STR, "row");
-                for row in rows {
-                    e.count(row.len(), MAX_STR, "value");
-                    for v in row {
-                        put_value(&mut e, v);
-                    }
-                }
+                put_rows(e, rows);
             }
             Response::Done { summary } => {
                 e.u8(0x86);
@@ -633,7 +797,7 @@ impl Response {
                 }
             }
         }
-        Ok(e.finish()?)
+        Ok(())
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
@@ -664,19 +828,9 @@ impl Response {
             0x84 => Response::RowHeader {
                 columns: get_columns(&mut d)?,
             },
-            0x85 => {
-                let n = d.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(ROWS_PER_BATCH * 4));
-                for _ in 0..n {
-                    let w = d.u32()? as usize;
-                    let mut row = Vec::with_capacity(w.min(4096));
-                    for _ in 0..w {
-                        row.push(get_value(&mut d)?);
-                    }
-                    rows.push(row);
-                }
-                Response::RowBatch { rows }
-            }
+            0x85 => Response::RowBatch {
+                rows: get_rows(&mut d)?,
+            },
             0x86 => {
                 let work_units = d.u64()?;
                 let wall_micros = d.u64()?;
@@ -739,21 +893,18 @@ impl Response {
 
     /// Write this response as one frame.
     pub fn write(&self, w: &mut impl Write) -> Result<(), WireError> {
-        write_frame(w, &self.encode()?)
+        write_frame(w, |e| self.put(e))
     }
 
     /// Encode as a complete frame (length prefix + payload) into `out` —
-    /// the event loop's outbox format.
+    /// the event loop's outbox format. On error `out` is left as it was.
     pub fn encode_framed(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        let payload = self.encode()?;
-        out.extend_from_slice(&frame_header(&payload)?);
-        out.extend_from_slice(&payload);
-        Ok(())
+        frame_into(out, None, |e| self.put(e))
     }
 
     /// Read one response frame.
     pub fn read(r: &mut impl Read) -> Result<Response, WireError> {
-        Response::decode(&read_frame(r)?)
+        Response::decode(read_frame(r, &mut Vec::new())?)
     }
 }
 
@@ -924,7 +1075,7 @@ mod tests {
         assert!(Request::decode(&e).is_err());
         // Oversized frame length.
         let huge = (MAX_FRAME + 1).to_le_bytes();
-        assert!(read_frame(&mut huge.as_slice()).is_err());
+        assert!(read_frame(&mut huge.as_slice(), &mut Vec::new()).is_err());
         // Unknown error code.
         assert!(Response::decode(&{
             let mut e = Writer::default();
@@ -955,9 +1106,10 @@ mod tests {
         assert!(Request::decode(&hand_rolled.finish().unwrap()).is_err());
     }
 
-    /// Satellite regression: a hostile MAX_FRAME length prefix with *no*
-    /// payload bytes must not allocate MAX_FRAME up front — reads proceed
-    /// in READ_CHUNK slices, so the reader never sees a huge buffer.
+    /// A hostile MAX_FRAME length prefix with *no* payload bytes must not
+    /// allocate MAX_FRAME up front — reads proceed in READ_CHUNK slices, so
+    /// the reader never sees a huge buffer. The same holds for the
+    /// client's [`FrameReader`], whose payload buffer outlives the frame.
     #[test]
     fn hostile_length_prefix_reads_in_bounded_chunks() {
         struct Metered<'a> {
@@ -976,13 +1128,15 @@ mod tests {
             inner: &header,
             max_slice: 0,
         };
-        let err = read_frame(&mut r).expect_err("truncated frame must error");
+        let mut buf = Vec::new();
+        let err = read_frame(&mut r, &mut buf).expect_err("truncated frame must error");
         assert!(matches!(err, WireError::Io(_)), "got {err}");
         assert!(
             r.max_slice <= READ_CHUNK,
             "read slice of {} bytes — payload buffer allocated ahead of data",
             r.max_slice
         );
+        assert!(buf.capacity() <= READ_CHUNK, "{} bytes", buf.capacity());
         // A legitimate multi-chunk frame still arrives intact.
         let big = Request::Query {
             sql: "x".repeat(3 * READ_CHUNK + 17),
@@ -993,9 +1147,53 @@ mod tests {
             inner: &bytes,
             max_slice: 0,
         };
-        let payload = read_frame(&mut r).unwrap();
-        assert_eq!(Request::decode(&payload).unwrap(), big);
+        let payload = read_frame(&mut r, &mut buf).unwrap();
+        assert_eq!(Request::decode(payload).unwrap(), big);
         assert!(r.max_slice <= READ_CHUNK);
+
+        // The client's reader: a small frame, then a hostile prefix cut off
+        // after some payload bytes. The reused buffer is filled at most one
+        // chunk past the bytes received (its capacity at most twice that,
+        // by the amortised growth of a `Vec`).
+        let small = Response::Text { text: "ok".into() };
+        let received = READ_CHUNK + 100;
+        let mut wire = Vec::new();
+        small.write(&mut wire).unwrap();
+        wire.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        wire.extend(std::iter::repeat_n(0x87, received));
+        let mut reader = FrameReader::new(Metered {
+            inner: &wire,
+            max_slice: 0,
+        });
+        assert_eq!(reader.read_response().unwrap(), small);
+        let err = reader
+            .read_response()
+            .expect_err("truncated frame must error");
+        assert!(matches!(err, WireError::Io(_)), "got {err}");
+        assert!(reader.stream.get_ref().max_slice <= READ_CHUNK);
+        let bound = received + READ_CHUNK;
+        assert!(reader.payload.len() <= bound, "{}", reader.payload.len());
+        assert!(reader.payload.capacity() <= 2 * bound);
+        // The same reader still decodes whole frames, large and small,
+        // from its grown buffer.
+        let mut wire = Vec::new();
+        let big = Response::Text {
+            text: "y".repeat(2 * READ_CHUNK + 5),
+        };
+        for resp in [&big, &small, &big] {
+            resp.write(&mut wire).unwrap();
+        }
+        reader.stream = BufReader::with_capacity(
+            READ_CHUNK,
+            Metered {
+                inner: &wire,
+                max_slice: 0,
+            },
+        );
+        for resp in [&big, &small, &big] {
+            assert_eq!(&reader.read_response().unwrap(), resp);
+        }
+        assert!(matches!(reader.read_response(), Err(WireError::Io(_))));
     }
 
     /// Satellite regression: encode-side lengths past `u32`/MAX_FRAME

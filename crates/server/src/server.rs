@@ -11,7 +11,7 @@
 //!    bytes into a [`crate::protocol::FrameBuffer`], and decodes complete
 //!    frames. `SET`/`SHOW`/`Prepare`/`Cancel` are answered inline on the
 //!    loop; `Query`/`Execute` are **dispatched**: a fresh cancel token is
-//!    armed and a `Job` is submitted to the [`StatementQueue`] without
+//!    armed and a `Job` is submitted to the `StatementQueue` without
 //!    blocking — or shed at once when the queue is full or closed.
 //! 3. One of the `max_concurrent` **workers** (each an execution slot)
 //!    takes the oldest job, runs the query, encodes the response frames,
@@ -42,8 +42,8 @@ use crate::conn::{shard_loop, ConnCancel, OutputMode};
 use crate::metrics::MetricsExporter;
 use crate::poll::{Poller, Waker};
 use crate::protocol::{
-    ErrorCode, ProfileSpan, QueryProfile, QuerySummary, Response, StatementSummary, WireError,
-    DEFAULT_MAX_INFLIGHT, ROWS_PER_BATCH,
+    encode_row_batches, ErrorCode, ProfileSpan, QueryProfile, QuerySummary, Response,
+    StatementSummary, WireError, DEFAULT_MAX_INFLIGHT,
 };
 use crate::stats::{template_key, ServerStats};
 
@@ -882,22 +882,29 @@ pub(crate) fn push_frame(out: &mut Vec<u8>, tag: Option<u32>, resp: Response) ->
     match wrap(resp).encode_framed(out) {
         Ok(()) => true,
         Err(e) => {
-            let fallback = wrap(Response::Error {
-                code: ErrorCode::TooLarge,
-                message: clip_message(e),
-            });
-            let _ = fallback.encode_framed(out);
+            push_too_large(out, tag, e);
             false
         }
     }
 }
 
-/// Error text for an unencodable frame, clipped so the *error* frame
-/// always encodes.
-fn clip_message(e: WireError) -> String {
-    let mut msg = e.to_string();
-    msg.truncate(512);
-    msg
+/// Answer an unencodable frame with a `TooLarge` error, its text clipped
+/// so the *error* frame always encodes.
+fn push_too_large(out: &mut Vec<u8>, tag: Option<u32>, e: WireError) {
+    let mut message = e.to_string();
+    message.truncate(512);
+    let error = Response::Error {
+        code: ErrorCode::TooLarge,
+        message,
+    };
+    let error = match tag {
+        Some(tag) => Response::Tagged {
+            tag,
+            resp: Box::new(error),
+        },
+        None => error,
+    };
+    let _ = error.encode_framed(out);
 }
 
 /// Stream a result as frames: text mode sends one rendered table, binary
@@ -935,43 +942,12 @@ pub(crate) fn write_result_frames(
             }
         }
         OutputMode::Binary => {
-            if !push_frame(
-                out,
-                tag,
-                Response::RowHeader {
-                    columns: result.columns.clone(),
-                },
-            ) {
+            let QueryResult { columns, rows } = result;
+            if !push_frame(out, tag, Response::RowHeader { columns }) {
                 return;
             }
-            // Batches are bounded by row count AND bytes: wide string
-            // values must not push a frame past MAX_FRAME.
-            let byte_budget = (crate::protocol::MAX_FRAME as usize) / 8;
-            let mut batch: Vec<Vec<skinnerdb::Value>> = Vec::new();
-            let mut batch_bytes = 0usize;
-            for row in result.rows {
-                let row_bytes: usize = 4 + row
-                    .iter()
-                    .map(|v| match v {
-                        skinnerdb::Value::Str(s) => 5 + s.len(),
-                        _ => 9,
-                    })
-                    .sum::<usize>();
-                if !batch.is_empty()
-                    && (batch.len() >= ROWS_PER_BATCH || batch_bytes + row_bytes > byte_budget)
-                {
-                    let frame = Response::RowBatch {
-                        rows: std::mem::take(&mut batch),
-                    };
-                    if !push_frame(out, tag, frame) {
-                        return;
-                    }
-                    batch_bytes = 0;
-                }
-                batch_bytes += row_bytes;
-                batch.push(row);
-            }
-            if !batch.is_empty() && !push_frame(out, tag, Response::RowBatch { rows: batch }) {
+            if let Err(e) = encode_row_batches(out, tag, &rows) {
+                push_too_large(out, tag, e);
                 return;
             }
         }

@@ -50,8 +50,10 @@ impl From<CodecError> for String {
 /// Bounds-checked cursor over an untrusted byte slice.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
+    /// Length of the whole input.
+    len: usize,
 }
 
 /// Little-endian output buffer with checked lengths. The first length or
@@ -70,10 +72,7 @@ macro_rules! fixed_width {
         impl Reader<'_> {$(
             #[inline]
             pub fn $t(&mut self) -> Result<$t, CodecError> {
-                const N: usize = std::mem::size_of::<$t>();
-                let mut a = [0u8; N];
-                a.copy_from_slice(self.take(N)?);
-                Ok($t::from_le_bytes(a))
+                Ok($t::from_le_bytes(self.array()?))
             }
         )*}
         impl Writer {$(
@@ -90,32 +89,48 @@ fixed_width!(u8, u16, u32, u64, i64, f64);
 impl<'a> Reader<'a> {
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            rest: buf,
+            len: buf.len(),
+        }
     }
 
     /// Bytes consumed so far.
     #[inline]
     pub fn pos(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     /// The next `n` bytes, or [`CodecError::Truncated`] (consuming nothing)
     /// if fewer remain.
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(CodecError::Truncated)?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        let (s, rest) = self.rest.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.rest = rest;
         Ok(s)
+    }
+
+    /// The next `N` bytes as an array, with one bounds check.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (a, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(*a)
     }
 
     /// A `u32`-length-prefixed UTF-8 string of at most `max` bytes.
     #[inline]
     pub fn str(&mut self, max: usize) -> Result<String, CodecError> {
+        self.str_ref(max).map(str::to_owned)
+    }
+
+    /// [`Reader::str`] borrowed from the input, for a caller that stores
+    /// the text in a container of its own choosing.
+    #[inline]
+    pub fn str_ref(&mut self, max: usize) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         self.utf8(len, max)
     }
@@ -124,32 +139,28 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn str16(&mut self, max: usize) -> Result<String, CodecError> {
         let len = self.u16()? as usize;
-        self.utf8(len, max)
+        self.utf8(len, max).map(str::to_owned)
     }
 
     #[inline]
-    fn utf8(&mut self, len: usize, max: usize) -> Result<String, CodecError> {
+    fn utf8(&mut self, len: usize, max: usize) -> Result<&'a str, CodecError> {
         if len > max {
             return Err(CodecError::OverCap { len, max });
         }
         let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::NotUtf8)
+        std::str::from_utf8(bytes).map_err(|_| CodecError::NotUtf8)
     }
 
     /// Everything not yet consumed.
     #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
+        std::mem::take(&mut self.rest)
     }
 
     /// Succeeds only if every byte was consumed.
     #[inline]
     pub fn finish(self) -> Result<(), CodecError> {
-        match self.buf.len() - self.pos {
+        match self.rest.len() {
             0 => Ok(()),
             n => Err(CodecError::Trailing(n)),
         }
@@ -157,6 +168,22 @@ impl<'a> Reader<'a> {
 }
 
 impl Writer {
+    /// A writer that appends to `buf`, after the bytes it already holds.
+    /// [`Writer::into_parts`] hands the buffer back.
+    #[inline]
+    pub fn appending(buf: Vec<u8>) -> Writer {
+        Writer {
+            buf,
+            oversize: None,
+        }
+    }
+
+    /// Make room for `additional` more bytes at once.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Raw bytes, no length prefix.
     #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
@@ -204,9 +231,21 @@ impl Writer {
     /// The bytes written, or the first oversize error.
     #[inline]
     pub fn finish(self) -> Result<Vec<u8>, CodecError> {
-        match self.oversize {
-            None => Ok(self.buf),
-            Some(msg) => Err(CodecError::Oversize(msg)),
+        match self.into_parts() {
+            (buf, Ok(())) => Ok(buf),
+            (_, Err(e)) => Err(e),
         }
+    }
+
+    /// The buffer, whether or not a length went over its cap, and the
+    /// first oversize error: for a caller that must keep its buffer either
+    /// way (it then drops the bytes this writer added).
+    #[inline]
+    pub fn into_parts(self) -> (Vec<u8>, Result<(), CodecError>) {
+        let checked = match self.oversize {
+            None => Ok(()),
+            Some(msg) => Err(CodecError::Oversize(msg)),
+        };
+        (self.buf, checked)
     }
 }

@@ -1,7 +1,8 @@
 //! The built-in strategy registry.
 //!
-//! Every engine that ships with SkinnerDB is an [`ExecutionStrategy`]
-//! struct named by its own [`ExecutionStrategy::name`]; the
+//! Every engine that ships with SkinnerDB is an
+//! [`ExecutionStrategy`](crate::ExecutionStrategy) struct named by its own
+//! [`ExecutionStrategy::name`](crate::ExecutionStrategy::name); the
 //! [`StrategyRegistry`] is the one place those names are looked up.
 //! External engines implement the same trait and register alongside them.
 
